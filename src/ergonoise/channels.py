@@ -1,17 +1,21 @@
 """Markovian noise channels: Kraus sets, analytic parameter maps, local
 application to multi-qubit states, and Lindblad time evolution.
 
-All channels are parameterized by a strength q in [0, 1]. The flip
-family and depolarizing are unital; amplitude damping drains population
-toward |g> and is the one non-unital case. Phase damping shares the
-phase-flip analytics with an effective strength 1 - sqrt(1-q).
+All channels are parameterized by a strength q in [0, 1]. The Kraus sets
+are the physical definition and drive the numerical pipeline:
+``apply_local`` contracts their superoperator onto the target qubits.
+The closed forms come from one table of affine Bloch maps
+n -> T(q) n + t(q) per single-qubit kind: ``bloch_map`` applies it and
+``bds_param_map`` reads diag(T). The tests check both against the Kraus
+route. The flip family and depolarizing are unital; amplitude damping
+drains population toward |g> (t != 0) and is the one non-unital case.
+Phase damping is phase flip at the effective strength 1 - sqrt(1-q).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -57,10 +61,32 @@ ALIASES = {
     "cbf": CORRELATED_BIT_FLIP,
 }
 
-UNITAL_KINDS = (BIT_FLIP, BIT_PHASE_FLIP, PHASE_FLIP, DEPOLARIZING, PHASE_DAMPING)
-
 # lowering operator |g><e|; drives amplitude damping
 SIGMA_MINUS = np.outer(KET_G, KET_E.conj())
+
+
+def _unital(tx: float, ty: float, tz: float):
+    return np.diag([tx, ty, tz]), np.zeros(3)
+
+
+def _amplitude_damping(q: float):
+    s = math.sqrt(1.0 - q)
+    return np.diag([s, s, 1.0 - q]), np.array([0.0, 0.0, q])
+
+
+# Affine Bloch map n -> T(q) n + t(q) of each single-qubit kind
+# (Nielsen & Chuang 8.3). Only the closed forms read it; apply_local
+# stays on the Kraus sets so that the tests can compare the two.
+_AFFINE = {
+    BIT_FLIP: lambda q: _unital(1.0, 1.0 - q, 1.0 - q),
+    BIT_PHASE_FLIP: lambda q: _unital(1.0 - q, 1.0, 1.0 - q),
+    PHASE_FLIP: lambda q: _unital(1.0 - q, 1.0 - q, 1.0),
+    DEPOLARIZING: lambda q: _unital(1.0 - q, 1.0 - q, 1.0 - q),
+    AMPLITUDE_DAMPING: _amplitude_damping,
+    PHASE_DAMPING: lambda q: _unital(math.sqrt(1.0 - q), math.sqrt(1.0 - q), 1.0),
+}
+
+UNITAL_KINDS = tuple(kind for kind, affine in _AFFINE.items() if not affine(0.5)[1].any())
 
 
 def canonical_kind(kind: str) -> str:
@@ -119,26 +145,27 @@ def kraus_set(spec: ChannelSpec) -> list[np.ndarray]:
     raise ValueError(f"unknown channel kind {spec.kind!r}")
 
 
-def _apply_one(rho: np.ndarray, kraus: Sequence[np.ndarray], target: int, n: int):
-    left = 2**target
-    right = 2 ** (n - 1 - target)
-    tens = rho.reshape(left, 2, right, left, 2, right)
-    out = np.zeros_like(tens)
-    for k in kraus:
-        out += np.einsum("ij,ajbAJB,IJ->aibAIB", k, tens, k.conj())
-    return out.reshape(rho.shape)
+def _superoperator(spec: ChannelSpec) -> np.ndarray:
+    """sum_k K (x) conj(K) as a tensor with one size-2 axis per qubit index.
+
+    Axes run (out rows, out cols, in rows, in cols), each over the
+    channel's qubits in order.
+    """
+    ks = np.stack(kraus_set(spec))
+    m = ks.shape[1].bit_length() - 1
+    return np.einsum("kij,kIJ->iIjJ", ks, ks.conj()).reshape((2,) * (4 * m))
 
 
-def _apply_pair(rho: np.ndarray, kraus: Sequence[np.ndarray], pair, n: int):
-    t0, t1 = sorted(pair)
-    a, b, c = 2**t0, 2 ** (t1 - t0 - 1), 2 ** (n - 1 - t1)
-    tens = rho.reshape(a, 2, b, 2, c, a, 2, b, 2, c)
-    out = np.zeros_like(tens)
-    for k in kraus:
-        kt = k.reshape(2, 2, 2, 2)
-        out += np.einsum(
-            "ikjl,ajbldAJBLD,IKJL->aibkdAIBKD", kt, tens, kt.conj()
-        )
+def _contract(rho: np.ndarray, sup: np.ndarray, targets, n: int) -> np.ndarray:
+    """Apply a superoperator tensor to the sorted ``targets`` of rho."""
+    m = len(targets)
+    axes = list(range(2 * n))
+    fresh = list(range(2 * n, 2 * n + 2 * m))
+    out_axes = axes.copy()
+    for t, row, col in zip(targets, fresh[:m], fresh[m:]):
+        out_axes[t], out_axes[n + t] = row, col
+    sup_axes = fresh + list(targets) + [n + t for t in targets]
+    out = np.einsum(sup, sup_axes, rho.reshape((2,) * (2 * n)), axes, out_axes)
     return out.reshape(rho.shape)
 
 
@@ -156,63 +183,43 @@ def apply_local(rho, spec: ChannelSpec, targets=None) -> np.ndarray:
     targets = sorted(set(int(t) for t in targets))
     if targets and (targets[0] < 0 or targets[-1] >= n):
         raise ValueError(f"targets {targets} out of range for {n} qubits")
-    kraus = kraus_set(spec)
+    sup = _superoperator(spec)
     if spec.kind == CORRELATED_BIT_FLIP:
         if len(targets) != 2:
             raise ValueError("correlated bit flip acts on exactly one qubit pair")
-        return _apply_pair(rho, kraus, targets, n)
-    out = rho
-    for t in targets:
-        out = _apply_one(out, kraus, t, n)
-    return out
+        groups = [targets]
+    else:
+        groups = [(t,) for t in targets]
+    for group in groups:
+        rho = _contract(rho, sup, group, n)
+    return rho
 
 
 def bloch_map(spec: ChannelSpec, n) -> np.ndarray:
-    """Closed-form image of a single-qubit Bloch vector under the channel."""
-    n = np.asarray(n, dtype=float)
-    q = spec.q
-    n1, n2, n3 = n
-    if spec.kind == BIT_FLIP:
-        return np.array([n1, (1.0 - q) * n2, (1.0 - q) * n3])
-    if spec.kind == BIT_PHASE_FLIP:
-        return np.array([(1.0 - q) * n1, n2, (1.0 - q) * n3])
-    if spec.kind == PHASE_FLIP:
-        return np.array([(1.0 - q) * n1, (1.0 - q) * n2, n3])
-    if spec.kind == DEPOLARIZING:
-        return (1.0 - q) * n
-    if spec.kind == AMPLITUDE_DAMPING:
-        s = np.sqrt(1.0 - q)
-        return np.array([s * n1, s * n2, (1.0 - q) * n3 + q])
-    if spec.kind == PHASE_DAMPING:
-        s = np.sqrt(1.0 - q)
-        return np.array([s * n1, s * n2, n3])
-    raise ValueError(f"no single-qubit Bloch map for {spec.kind!r}")
+    """Closed-form image T(q) n + t(q) of a single-qubit Bloch vector."""
+    if spec.kind not in _AFFINE:
+        raise ValueError(f"no single-qubit Bloch map for {spec.kind!r}")
+    mat, shift = _AFFINE[spec.kind](spec.q)
+    return mat @ np.asarray(n, dtype=float) + shift
 
 
 def bds_param_map(spec: ChannelSpec, c, both_qubits: bool = True) -> np.ndarray:
     """Closed-form image of Bell-diagonal parameters under a unital channel.
 
-    Per noised qubit the untouched component keeps factor 1 (c1 for bit
-    flip, c2 for bit-phase flip, c3 for phase flip) while the others pick
-    up (1-q); depolarizing scales all three. Amplitude damping breaks
-    the Bell-diagonal form and is rejected.
+    Each noised qubit scales (c1, c2, c3) by diag(T(q)), so noise on
+    both qubits scales by diag(T)^2. The correlated flip leaves Bell-
+    diagonal states unchanged. A non-unital kind (t != 0, amplitude
+    damping) breaks the Bell-diagonal form and is rejected.
     """
     c = np.asarray(c, dtype=float)
-    q = spec.q
-    if spec.kind == AMPLITUDE_DAMPING:
-        raise ValueError(
-            "amplitude damping destroys the symmetry required to preserve "
-            "the Bell-diagonal form; apply the Kraus set instead"
-        )
     if spec.kind == CORRELATED_BIT_FLIP:
         return c.copy()
-    factors = {
-        BIT_FLIP: np.array([1.0, 1.0 - q, 1.0 - q]),
-        BIT_PHASE_FLIP: np.array([1.0 - q, 1.0, 1.0 - q]),
-        PHASE_FLIP: np.array([1.0 - q, 1.0 - q, 1.0]),
-        DEPOLARIZING: np.array([1.0 - q] * 3),
-        PHASE_DAMPING: np.array([np.sqrt(1.0 - q), np.sqrt(1.0 - q), 1.0]),
-    }[spec.kind]
+    if spec.kind not in UNITAL_KINDS:
+        raise ValueError(
+            f"{spec.kind.replace('_', ' ')} destroys the symmetry required to "
+            "preserve the Bell-diagonal form; apply the Kraus set instead"
+        )
+    factors = np.diag(_AFFINE[spec.kind](spec.q)[0])
     if both_qubits:
         factors = factors**2
     return factors * c

@@ -20,7 +20,7 @@ from .channels import (
     apply_local,
     bds_param_map,
 )
-from .workx import decompose
+from .workx import ErgotropyReport, decompose
 
 RESIDUAL_TOL = 1e-10
 
@@ -89,9 +89,13 @@ class CorrelationReport:
     gqc: float
     gcc: float
     average: float
-    total_ergotropy: float
+    ergotropy: ErgotropyReport
     residual: float
     identity_valid: bool
+
+    @property
+    def total_ergotropy(self) -> float:
+        return self.ergotropy.total
 
 
 def correlation_work_check(
@@ -114,7 +118,7 @@ def correlation_work_check(
     rho = make_bds(c)
     targets = (0, 1) if both_qubits else (0,)
     evolved = apply_local(rho, spec, targets)
-    total = decompose(evolved, h).total
+    work = decompose(evolved, h)
 
     if spec.kind == AMPLITUDE_DAMPING:
         # the evolved state is no longer Bell diagonal; feed the formulas
@@ -136,7 +140,7 @@ def correlation_work_check(
         gqc=gqc,
         gcc=gcc,
         average=average,
-        total_ergotropy=total,
-        residual=total - average,
+        ergotropy=work,
+        residual=work.total - average,
         identity_valid=valid,
     )

@@ -25,7 +25,6 @@ from .qstate import (
     density_to_bloch,
     entangled_theta,
     hamiltonian,
-    make_bds,
     philox_stream,
     random_separable,
     symmetric_pair,
@@ -127,9 +126,7 @@ def sweep_single(kind, n, basis: str = "computational", q_grid=None) -> SweepRes
     kind = ch.canonical_kind(kind)
     q_grid = q_grid_default() if q_grid is None else np.asarray(q_grid, dtype=float)
     n = np.asarray(n, dtype=float)
-    norm = float(np.linalg.norm(n))
-    if norm > 1.0 + 1e-12:
-        raise ValueError(f"Bloch vector norm {norm} exceeds 1")
+    bloch_to_density(n)  # rejects a wrong shape, non-finite components or norm > 1
     rows = [workx.closed_form_single(kind, q, n, basis=basis) for q in q_grid]
     cols = {
         "q": q_grid,
@@ -198,20 +195,11 @@ def sweep_bds(c, kind, q_grid=None, both_qubits: bool = True) -> SweepResult:
     reports = [
         correlation_work_check(c, ch.ChannelSpec(kind, q), both_qubits, h) for q in q_grid
     ]
-    rho0 = make_bds(c)
-    wi = []
-    wc = []
-    for q in q_grid:
-        targets = (0, 1) if both_qubits else (0,)
-        evolved = ch.apply_local(rho0, ch.ChannelSpec(kind, q), targets)
-        rep = workx.decompose(evolved, h)
-        wi.append(rep.incoherent)
-        wc.append(rep.coherent)
     cols = {
         "q": q_grid,
         "W": np.array([r.total_ergotropy for r in reports]),
-        "WI": np.array(wi),
-        "WC": np.array(wc),
+        "WI": np.array([r.ergotropy.incoherent for r in reports]),
+        "WC": np.array([r.ergotropy.coherent for r in reports]),
         "gqc": np.array([r.gqc for r in reports]),
         "gcc": np.array([r.gcc for r in reports]),
         "avg": np.array([r.average for r in reports]),
@@ -515,29 +503,29 @@ def interacting_depolarizing(
         "dEpd_dq": [],
     }
 
-    def passive_energies(rho0, q):
-        q = min(max(q, 0.0), 1.0)
+    def evolve(rho0, q):
         evolved = ch.apply_local(rho0, ch.ChannelSpec(ch.DEPOLARIZING, q))
-        rep = workx.decompose(evolved, ham)
-        return rep.passive_energy, rep.dephased_passive_energy, rep
+        return evolved, workx.decompose(evolved, ham)
 
     for a in a_values:
         rho0 = symmetric_pair(0.5, a, c, d)
         wc0 = workx.decompose(rho0, ham).coherent
         for q in q_grid:
-            _, _, rep = passive_energies(rho0, q)
+            # the centre point validates q, so the clipped neighbours lie in [0, 1]
+            evolved, rep = evolve(rho0, q)
             lo_q, hi_q = max(0.0, q - fd_step), min(1.0, q + fd_step)
-            ep_lo, epd_lo, _ = passive_energies(rho0, lo_q)
-            ep_hi, epd_hi, _ = passive_energies(rho0, hi_q)
+            _, lo = evolve(rho0, lo_q)
+            _, hi = evolve(rho0, hi_q)
             span = hi_q - lo_q
-            evolved = ch.apply_local(rho0, ch.ChannelSpec(ch.DEPOLARIZING, q))
             rows["a"].append(a)
             rows["q"].append(q)
             rows["WC"].append(rep.coherent)
             rows["delta_WC"].append(rep.coherent - wc0)
             rows["coherence_degenerate"].append(workx.coherence_degenerate(evolved))
-            rows["dEp_dq"].append((ep_hi - ep_lo) / span)
-            rows["dEpd_dq"].append((epd_hi - epd_lo) / span)
+            rows["dEp_dq"].append((hi.passive_energy - lo.passive_energy) / span)
+            rows["dEpd_dq"].append(
+                (hi.dephased_passive_energy - lo.dephased_passive_energy) / span
+            )
     cols = {k: np.array(v) for k, v in rows.items()}
     meta = {
         "experiment": "appendix_d",

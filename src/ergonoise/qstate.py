@@ -52,6 +52,8 @@ def bloch_to_density(n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
         raise ValueError("Bloch vector must have three components")
+    if not np.isfinite(n).all():
+        raise ValueError(f"Bloch vector {n.tolist()} must have finite components")
     norm = float(np.linalg.norm(n))
     if norm > 1.0 + BLOCH_TOL:
         raise ValueError(f"Bloch vector norm {norm} exceeds 1")
@@ -94,6 +96,8 @@ def make_bds(c) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.shape != (3,):
         raise ValueError("Bell-diagonal parameters must be a real triple")
+    if not np.isfinite(c).all():
+        raise ValueError(f"Bell-diagonal parameters {c.tolist()} must be finite")
     signs = [(-1, -1, -1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)]
     for s in signs:
         lam = (1.0 + s[0] * c[0] + s[1] * c[1] + s[2] * c[2]) / 4.0

@@ -84,18 +84,21 @@ def dephase(rho, h, basis=None, collective=False) -> np.ndarray:
     splits those blocks by total spin J^2, the symmetry-adapted choice for
     collective-field Hamiltonians.
     """
-    rho = as_matrix(rho)
-    hm = _h_matrix(h)
+    return _dephase(as_matrix(rho), _h_matrix(h), basis, collective)[0]
+
+
+def _dephase(rho, hm, basis, collective):
+    """The dephased state and the basis (columns) it was dephased in."""
     if basis is not None:
         v = as_matrix(basis)
-        a = v.conj().T @ rho @ v
-        return v @ np.diag(np.diag(a)) @ v.conj().T
-    if collective:
-        hm = hm + COLLECTIVE_WEIGHT * total_spin_squared(hm.shape[0].bit_length() - 1)
-    evals, evecs = herm_eig(hm)
-    a = evecs.conj().T @ rho @ evecs
-    same_level = np.abs(evals[:, None] - evals[None, :]) < DEGENERACY_TOL
-    return evecs @ (a * same_level) @ evecs.conj().T
+        same_level = np.eye(v.shape[0], dtype=bool)
+    else:
+        if collective:
+            hm = hm + COLLECTIVE_WEIGHT * total_spin_squared(hm.shape[0].bit_length() - 1)
+        evals, v = herm_eig(hm)
+        same_level = np.abs(evals[:, None] - evals[None, :]) < DEGENERACY_TOL
+    a = v.conj().T @ rho @ v
+    return v @ (a * same_level) @ v.conj().T, v
 
 
 def l1_coherence(rho, basis) -> float:
@@ -130,19 +133,7 @@ def decompose(rho, h, basis=None, collective=False) -> ErgotropyReport:
         collective = h.collective
     hm = _h_matrix(h)
     rho = as_matrix(rho)
-    if basis is not None:
-        zeta = dephase(rho, hm, basis=basis)
-        coherence_basis = as_matrix(basis)
-    else:
-        hm_eff = hm
-        if collective:
-            hm_eff = hm + COLLECTIVE_WEIGHT * total_spin_squared(
-                hm.shape[0].bit_length() - 1
-            )
-        evals, coherence_basis = herm_eig(hm_eff)
-        a = coherence_basis.conj().T @ rho @ coherence_basis
-        same_level = np.abs(evals[:, None] - evals[None, :]) < DEGENERACY_TOL
-        zeta = coherence_basis @ (a * same_level) @ coherence_basis.conj().T
+    zeta, coherence_basis = _dephase(rho, hm, basis, collective)
     energy = float(np.trace(hm @ rho).real)
     e_passive = passive_energy(rho, hm)
     e_passive_deph = passive_energy(zeta, hm)
@@ -162,16 +153,6 @@ def decompose(rho, h, basis=None, collective=False) -> ErgotropyReport:
 # single-qubit closed forms
 # ---------------------------------------------------------------------------
 
-_SINGLE_KINDS = (
-    ch.BIT_FLIP,
-    ch.BIT_PHASE_FLIP,
-    ch.PHASE_FLIP,
-    ch.DEPOLARIZING,
-    ch.AMPLITUDE_DAMPING,
-    ch.PHASE_DAMPING,
-)
-
-
 def closed_form_single(kind: str, q: float, n, basis: str = "computational") -> ErgotropyReport:
     """Analytic work split for one qubit under a channel.
 
@@ -187,8 +168,6 @@ def closed_form_single(kind: str, q: float, n, basis: str = "computational") -> 
     norm = float(np.linalg.norm(nq))
 
     if basis == "computational":
-        if kind not in _SINGLE_KINDS:
-            raise ValueError(f"no computational-basis closed form for {kind!r}")
         coherence = math.hypot(n1, n2)
         if kind == ch.AMPLITUDE_DAMPING:
             n3_0 = float(np.asarray(n, dtype=float)[2])

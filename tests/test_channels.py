@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergonoise.channels import (
     AMPLITUDE_DAMPING,
@@ -17,7 +21,7 @@ from ergonoise.channels import (
     lindblad_evolve,
     q_of_t,
 )
-from ergonoise.matcore import SIGMA_X, kron
+from ergonoise.matcore import SIGMA_X, kron, partial_trace
 from ergonoise.qstate import bloch_to_density, density_to_bloch, make_bds
 
 
@@ -215,6 +219,50 @@ def test_correlated_pair_on_non_adjacent_targets():
     oracle = sum(k @ rho @ k.conj().T for k in lifted)
     out = apply_local(rho, spec, (0, 2))
     assert np.abs(out - oracle).max() <= 1e-12
+
+
+def max_entangled(system, reference, n):
+    """sum_x |x>_system |x>_reference over equal-size qubit lists, normalized."""
+    m = len(system)
+    ket = np.zeros(2**n, dtype=complex)
+    for x in range(2**m):
+        idx = 0
+        for k in range(m):
+            bit = (x >> (m - 1 - k)) & 1
+            idx |= bit << (n - 1 - system[k])
+            idx |= bit << (n - 1 - reference[k])
+        ket[idx] = 1.0
+    ket /= np.linalg.norm(ket)
+    return np.outer(ket, ket.conj())
+
+
+def assert_choi_is_cptp(choi, reference):
+    assert np.linalg.eigvalsh(choi)[0] >= -1e-12
+    d = 2 ** len(reference)
+    reduced = partial_trace(choi, keep=reference)
+    assert np.abs(reduced - np.eye(d) / d).max() <= 1e-12
+
+
+SINGLE_QUBIT_KINDS = [k for k in KINDS if k != CORRELATED_BIT_FLIP]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(SINGLE_QUBIT_KINDS), q=st.floats(0.0, 1.0), target=st.integers(0, 1))
+def test_single_qubit_choi_is_cptp(kind, q, target):
+    reference = [1 - target]
+    choi = apply_local(max_entangled([target], reference, 2), ChannelSpec(kind, q), [target])
+    assert_choi_is_cptp(choi, reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.floats(0.0, 1.0), pair=st.sampled_from(list(combinations(range(4), 2))))
+def test_correlated_flip_choi_is_cptp_on_any_pair(q, pair):
+    # adjacent and non-adjacent pairs of a 4-qubit register, the other
+    # two qubits holding the reference half
+    reference = [i for i in range(4) if i not in pair]
+    rho = max_entangled(list(pair), reference, 4)
+    choi = apply_local(rho, ChannelSpec("cbf", q), pair)
+    assert_choi_is_cptp(choi, reference)
 
 
 def test_apply_local_rejects_bad_targets():

@@ -93,6 +93,19 @@ def test_validation_failure_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_non_finite_input_exits_one_naming_the_constraint(tmp_path, capsys):
+    code = run(["single", "--channel", "bf", "--bloch", "nan,0,0",
+                "-o", str(tmp_path / "s.csv")])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+    code = run(["bds", "--channel", "bf", "--c", "nan,0.1,0.1",
+                "-o", str(tmp_path / "b.csv")])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_argument_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["single", "--channel", "bf", "--bloch", "0.1,0.2",

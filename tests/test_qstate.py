@@ -36,6 +36,14 @@ def test_bloch_rejects_long_vectors():
         bloch_to_density([0.8, 0.8, 0.8])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constructors_reject_non_finite_components(bad):
+    with pytest.raises(ValueError, match="finite"):
+        bloch_to_density([bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        make_bds([0.1, bad, 0.1])
+
+
 def test_qubit_state_psd_guard():
     qubit_state(0.5, 0.5)  # boundary is allowed
     with pytest.raises(ValueError):

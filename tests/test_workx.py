@@ -14,6 +14,7 @@ from ergonoise.qstate import (
     make_bds,
     qubit_state,
     symmetric_pair,
+    x_product_basis,
 )
 from ergonoise.workx import (
     closed_form_single,
@@ -322,3 +323,23 @@ def test_concurrence_local_unitary_invariance():
         u = kron(u1, u2)
         assert abs(concurrence(u @ rho @ u.conj().T) - base) <= 1e-9
     assert abs(concurrence(apply_hadamard_pair(rho)) - base) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind, options",
+    [
+        ("x_sum", {"basis": x_product_basis(2)}),  # product basis
+        ("z_plus_xx", {}),  # spectral blocks
+        ("xx_interacting", {"collective": True}),  # collective spin
+    ],
+)
+def test_decompose_dephases_like_dephase(kind, options):
+    # one dephasing path: the incoherent work is the ergotropy of dephase()
+    h = hamiltonian(kind, 2)
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = m @ m.conj().T
+        rho /= np.trace(rho).real
+        zeta = dephase(rho, h, **options)
+        assert abs(decompose(rho, h).incoherent - ergotropy(zeta, h)) <= 1e-12
