@@ -36,6 +36,7 @@ from .channels import (
     KINDS,
     LindbladSpec,
     apply_local,
+    apply_local_grid,
     bds_param_map,
     bloch_map,
     jump_operator,
@@ -47,6 +48,7 @@ from .workx import (
     ErgotropyReport,
     closed_form_single,
     coherence_degenerate,
+    coherent_work,
     concurrence,
     decompose,
     dephase,

@@ -3,7 +3,10 @@ application to multi-qubit states, and Lindblad time evolution.
 
 All channels are parameterized by a strength q in [0, 1]. The Kraus sets
 are the physical definition and drive the numerical pipeline:
-``apply_local`` contracts their superoperator onto the target qubits.
+``apply_local_grid`` stacks the superoperators sum_k K(q) (x) conj(K(q))
+of a whole q grid and contracts them onto the target qubits with one
+batched einsum per target group, giving one evolved state per q;
+``apply_local`` is the one-strength case of the same contraction.
 The closed forms come from one table of affine Bloch maps
 n -> T(q) n + t(q) per single-qubit kind: ``bloch_map`` applies it and
 ``bds_param_map`` reads diag(T). The tests check both against the Kraus
@@ -63,6 +66,8 @@ ALIASES = {
 
 # lowering operator |g><e|; drives amplitude damping
 SIGMA_MINUS = np.outer(KET_G, KET_E.conj())
+_PROJ_G = np.outer(KET_G, KET_G.conj())
+_PROJ_E = np.outer(KET_E, KET_E.conj())
 
 
 def _unital(tx: float, ty: float, tz: float):
@@ -128,15 +133,9 @@ def kraus_set(spec: ChannelSpec) -> list[np.ndarray]:
             np.sqrt(q / 4.0) * p for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)
         ]
     if spec.kind == AMPLITUDE_DAMPING:
-        k0 = np.outer(KET_G, KET_G.conj()) + np.sqrt(1.0 - q) * np.outer(
-            KET_E, KET_E.conj()
-        )
-        return [k0, np.sqrt(q) * SIGMA_MINUS]
+        return [_PROJ_G + np.sqrt(1.0 - q) * _PROJ_E, np.sqrt(q) * SIGMA_MINUS]
     if spec.kind == PHASE_DAMPING:
-        k0 = np.outer(KET_G, KET_G.conj()) + np.sqrt(1.0 - q) * np.outer(
-            KET_E, KET_E.conj()
-        )
-        return [k0, np.sqrt(q) * np.outer(KET_E, KET_E.conj())]
+        return [_PROJ_G + np.sqrt(1.0 - q) * _PROJ_E, np.sqrt(q) * _PROJ_E]
     if spec.kind == CORRELATED_BIT_FLIP:
         return [
             np.sqrt(1.0 - q / 2.0) * kron(IDENTITY_2, IDENTITY_2),
@@ -145,54 +144,74 @@ def kraus_set(spec: ChannelSpec) -> list[np.ndarray]:
     raise ValueError(f"unknown channel kind {spec.kind!r}")
 
 
-def _superoperator(spec: ChannelSpec) -> np.ndarray:
-    """sum_k K (x) conj(K) as a tensor with one size-2 axis per qubit index.
+def _superoperators(specs) -> np.ndarray:
+    """sum_k K (x) conj(K) of each spec, stacked along a leading axis.
 
-    Axes run (out rows, out cols, in rows, in cols), each over the
-    channel's qubits in order.
+    After that axis come one size-2 axis per qubit index, running (out
+    rows, out cols, in rows, in cols), each over the channel's qubits in
+    order. Every spec must have the same kind.
     """
-    ks = np.stack(kraus_set(spec))
-    m = ks.shape[1].bit_length() - 1
-    return np.einsum("kij,kIJ->iIjJ", ks, ks.conj()).reshape((2,) * (4 * m))
+    ks = np.array([kraus_set(spec) for spec in specs])
+    m = ks.shape[-1].bit_length() - 1
+    sup = np.einsum("qkij,qkIJ->qiIjJ", ks, ks.conj())
+    return sup.reshape((len(specs),) + (2,) * (4 * m))
 
 
-def _contract(rho: np.ndarray, sup: np.ndarray, targets, n: int) -> np.ndarray:
-    """Apply a superoperator tensor to the sorted ``targets`` of rho."""
+def _contract(rhos: np.ndarray, sups: np.ndarray, targets, n: int) -> np.ndarray:
+    """Apply the i-th superoperator to the sorted ``targets`` of the i-th state."""
     m = len(targets)
     axes = list(range(2 * n))
     fresh = list(range(2 * n, 2 * n + 2 * m))
+    batch = 2 * n + 2 * m
     out_axes = axes.copy()
     for t, row, col in zip(targets, fresh[:m], fresh[m:]):
         out_axes[t], out_axes[n + t] = row, col
-    sup_axes = fresh + list(targets) + [n + t for t in targets]
-    out = np.einsum(sup, sup_axes, rho.reshape((2,) * (2 * n)), axes, out_axes)
-    return out.reshape(rho.shape)
+    sup_axes = [batch] + fresh + list(targets) + [n + t for t in targets]
+    tens = rhos.reshape((len(rhos),) + (2,) * (2 * n))
+    out = np.einsum(sups, sup_axes, tens, [batch] + axes, [batch] + out_axes)
+    return out.reshape(rhos.shape)
 
 
-def apply_local(rho, spec: ChannelSpec, targets=None) -> np.ndarray:
-    """Apply the channel to the listed qubits (all of them by default).
+def apply_local_grid(rho, kind: str, q_grid, targets=None) -> np.ndarray:
+    """Images of one state under the channel at every strength of ``q_grid``.
 
-    Single-qubit kinds act on each target in ascending index order; the
-    order is observationally irrelevant since the maps commute on
-    distinct qubits. The correlated kind needs exactly one qubit pair.
+    Returns a (len(q_grid), d, d) stack; every strength is validated as a
+    ``ChannelSpec``. Single-qubit kinds act on each target in ascending
+    index order; the order is observationally irrelevant since the maps
+    commute on distinct qubits. The correlated kind needs exactly one
+    qubit pair; all qubits are the default targets (the pair itself for
+    a two-qubit state).
     """
+    specs = [ChannelSpec(kind, q) for q in q_grid]
+    if not specs:
+        raise ValueError("need at least one noise strength")
+    kind = specs[0].kind
     rho = as_matrix(rho)
     n = num_qubits(rho)
     if targets is None:
-        targets = range(2) if spec.kind == CORRELATED_BIT_FLIP and n == 2 else range(n)
+        targets = range(2) if kind == CORRELATED_BIT_FLIP and n == 2 else range(n)
     targets = sorted(set(int(t) for t in targets))
     if targets and (targets[0] < 0 or targets[-1] >= n):
         raise ValueError(f"targets {targets} out of range for {n} qubits")
-    sup = _superoperator(spec)
-    if spec.kind == CORRELATED_BIT_FLIP:
+    if kind == CORRELATED_BIT_FLIP:
         if len(targets) != 2:
             raise ValueError("correlated bit flip acts on exactly one qubit pair")
         groups = [targets]
     else:
         groups = [(t,) for t in targets]
+    sups = _superoperators(specs)
+    out = np.repeat(rho[None], len(specs), axis=0)
     for group in groups:
-        rho = _contract(rho, sup, group, n)
-    return rho
+        out = _contract(out, sups, group, n)
+    return out
+
+
+def apply_local(rho, spec: ChannelSpec, targets=None) -> np.ndarray:
+    """Apply the channel to the listed qubits (all of them by default).
+
+    The one-strength case of ``apply_local_grid``, with the same targets.
+    """
+    return apply_local_grid(rho, spec.kind, [spec.q], targets)[0]
 
 
 def bloch_map(spec: ChannelSpec, n) -> np.ndarray:

@@ -35,6 +35,10 @@ from .correlations import bds_eigenvalues, correlation_work_check
 DEFAULT_Q_POINTS = 101
 AREA_Q_POINTS = 501
 ENHANCEMENT_AREA_TOL = 1e-12
+# Bytes of complex128 evolved states held at once along a q grid: a
+# 101-point grid of 4x4 states fits in one stack, and from 8 qubits on
+# every stack holds one state, so memory stays flat in the register size.
+STACK_BUDGET_BYTES = 256 * 1024
 
 
 def q_grid_default(points: int = DEFAULT_Q_POINTS) -> np.ndarray:
@@ -224,13 +228,22 @@ def sweep_bds(c, kind, q_grid=None, both_qubits: bool = True) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
+def _evolved_chunks(rho0, kind, q_grid):
+    """Yield (slice of q_grid, stack of evolved states) within STACK_BUDGET_BYTES."""
+    q_grid = np.asarray(q_grid, dtype=float)
+    dim = np.shape(rho0)[0]
+    step = max(1, STACK_BUDGET_BYTES // (16 * dim * dim))
+    for start in range(0, len(q_grid), step):
+        part = slice(start, start + step)
+        yield part, ch.apply_local_grid(rho0, kind, q_grid[part])
+
+
 def _delta_wc_curve(rho0, kind, h: Hamiltonian, q_grid) -> np.ndarray:
-    wc0 = workx.decompose(rho0, h).coherent
-    out = np.empty(len(q_grid))
-    for i, q in enumerate(q_grid):
-        evolved = ch.apply_local(rho0, ch.ChannelSpec(kind, q))
-        out[i] = workx.decompose(evolved, h).coherent - wc0
-    return out
+    """Coherent-work gain W_C(rho(q)) - W_C(rho0) along the q grid."""
+    wc = np.empty(len(q_grid))
+    for part, states in _evolved_chunks(rho0, kind, q_grid):
+        wc[part] = workx.coherent_work(states, h)
+    return wc - workx.decompose(rho0, h).coherent
 
 
 def grid_delta_wc(family: str, kind, axis_grid, q_grid=None, *, p=0.5, a=0.1, c=0.3, d=0.2, h: Hamiltonian | None = None) -> SweepResult:
@@ -451,19 +464,22 @@ def entangled_example(theta_grid, q_grid=None, h: float = 0.5, j: float = 0.4, k
     theta_grid = np.asarray(theta_grid, dtype=float)
     q_grid = q_grid_default() if q_grid is None else np.asarray(q_grid, dtype=float)
     ham = hamiltonian("z_plus_xx", 2, h=h, j=j)
-    rows = {"theta": [], "q": [], "WC": [], "delta_WC": [], "concurrence": []}
-    for theta in theta_grid:
+    wc = np.empty((len(theta_grid), len(q_grid)))
+    wc0 = np.empty((len(theta_grid), 1))
+    conc = np.empty_like(wc)
+    for i, theta in enumerate(theta_grid):
         rho0 = apply_hadamard_pair(entangled_theta(theta))
-        wc0 = workx.decompose(rho0, ham).coherent
-        for q in q_grid:
-            evolved = ch.apply_local(rho0, ch.ChannelSpec(kind, q))
-            rep = workx.decompose(evolved, ham)
-            rows["theta"].append(theta)
-            rows["q"].append(q)
-            rows["WC"].append(rep.coherent)
-            rows["delta_WC"].append(rep.coherent - wc0)
-            rows["concurrence"].append(workx.concurrence(evolved))
-    cols = {k: np.array(v) for k, v in rows.items()}
+        wc0[i] = workx.decompose(rho0, ham).coherent
+        for part, states in _evolved_chunks(rho0, kind, q_grid):
+            wc[i, part] = workx.coherent_work(states, ham)
+            conc[i, part] = [workx.concurrence(s) for s in states]
+    cols = {
+        "theta": np.repeat(theta_grid, len(q_grid)),
+        "q": np.tile(q_grid, len(theta_grid)),
+        "WC": wc.ravel(),
+        "delta_WC": (wc - wc0).ravel(),
+        "concurrence": conc.ravel(),
+    }
     meta = {
         "experiment": "entangled",
         "channel": kind,

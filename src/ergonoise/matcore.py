@@ -40,16 +40,24 @@ def as_matrix(m) -> np.ndarray:
     return mat
 
 
-def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Validate Hermiticity, reporting the worst offending entry."""
-    mat = as_matrix(m)
-    dev = np.abs(mat - mat.conj().T)
+def _require_hermitian(mats: np.ndarray, tol: float) -> None:
+    """Raise on the worst non-Hermitian entry of a matrix or a (..., d, d) stack.
+
+    NaN entries count as violations.
+    """
+    dev = np.abs(mats - np.swapaxes(mats, -1, -2).conj())
     worst = np.unravel_index(int(dev.argmax()), dev.shape)
-    if dev[worst] > tol:
-        i, j = worst
+    if not dev[worst] <= tol:
+        i, j = worst[-2:]
         raise ValueError(
             f"matrix is not Hermitian: |M[{i},{j}] - conj(M[{j},{i}])| = {dev[worst]:.3e}"
         )
+
+
+def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """Validate Hermiticity, reporting the worst offending entry."""
+    mat = as_matrix(m)
+    _require_hermitian(mat, tol)
     return mat
 
 
@@ -132,13 +140,27 @@ def project_psd(rho, tol: float = PSD_TOL) -> np.ndarray:
     return out / np.trace(out).real
 
 
-def require_density(rho, tol: float = 1e-10) -> np.ndarray:
-    """Validate trace one, Hermiticity and positivity of a state."""
-    mat = require_hermitian(rho)
-    tr = np.trace(mat).real
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"state trace is {tr}, expected 1")
-    min_eig = float(np.linalg.eigvalsh(mat)[0])
+def state_spectra(rhos, tol: float = 1e-10) -> np.ndarray:
+    """Ascending eigenvalues of a state or a (..., d, d) stack of states.
+
+    Validates Hermiticity, trace one and positivity of every matrix on
+    the way, with one batched eigensolve, and names the worst violation.
+    """
+    rhos = np.asarray(rhos, dtype=complex)
+    _require_hermitian(rhos, HERMITIAN_TOL)
+    tr = np.trace(rhos, axis1=-2, axis2=-1).real
+    worst = np.unravel_index(int(np.abs(tr - 1.0).argmax()), tr.shape)
+    if not abs(tr[worst] - 1.0) <= tol:
+        raise ValueError(f"state trace is {tr[worst]}, expected 1")
+    lam = np.linalg.eigvalsh(rhos)
+    min_eig = float(lam[..., 0].min())
     if min_eig < -PSD_TOL:
         raise ValueError(f"state is not PSD: min eigenvalue {min_eig:.3e}")
+    return lam
+
+
+def require_density(rho, tol: float = 1e-10) -> np.ndarray:
+    """Validate trace one, Hermiticity and positivity of a state."""
+    mat = as_matrix(rho)
+    state_spectra(mat, tol)
     return mat

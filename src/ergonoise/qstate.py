@@ -73,6 +73,8 @@ def density_to_bloch(rho) -> np.ndarray:
 def qubit_state(x: float, y: complex) -> np.ndarray:
     """Local qubit [[x, y], [conj(y), 1-x]] with population x, coherence y."""
     x = float(x)
+    if not (np.isfinite(x) and np.isfinite(y)):
+        raise ValueError(f"population {x} and coherence {y} must be finite")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"population {x} outside [0, 1]")
     if abs(y) ** 2 > x * (1.0 - x) + PSD_TOL:
@@ -260,6 +262,8 @@ def hamiltonian(kind: str, n: int, h: float = 0.5, j: float = 0.4) -> Hamiltonia
     """
     if n < 1:
         raise ValueError("need at least one qubit")
+    if not (np.isfinite(h) and np.isfinite(j)):
+        raise ValueError(f"field h = {h} and coupling j = {j} must be finite")
     if kind == "excitation":
         mat = _sum_local(np.outer(KET_E, KET_E.conj()), n)
         return Hamiltonian(mat, kind, n, basis=np.eye(2**n, dtype=complex))

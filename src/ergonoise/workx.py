@@ -5,6 +5,15 @@ Energies are reported in units of the single-qubit gap (B = 1). The
 split follows W = W_inc + W_coh with W_inc the ergotropy of the state
 dephased in the energy eigenbasis; for degenerate Hamiltonians the
 dephasing convention is explicit (see ``dephase``).
+
+One private core computes the split for a whole (B, d, d) stack of
+states: the energies as one einsum, the state spectra as one batched
+eigvalsh (which also validates every state), and the dephased spectra
+either as the sorted diagonal of V^dag rho V, when the dephasing keeps
+only that diagonal, or as one batched eigvalsh of the kept blocks. The
+Hamiltonian side (its spectrum and dephasing frame) is computed once per
+call. ``decompose`` is the one-state case and ``coherent_work`` the
+stacked one.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from .matcore import (
     herm_eig,
     kron,
     require_hermitian,
+    state_spectra,
 )
 from . import channels as ch
 from .qstate import Hamiltonian, total_spin_squared
@@ -55,14 +65,14 @@ def passive_state(rho, h) -> np.ndarray:
 
 
 def passive_energy(rho, h) -> float:
-    """Tr[H pi_rho] without building the passive state."""
+    """Tr[H pi_rho] without building the passive state; rho must be a state."""
     hm = _h_matrix(h)
     rho = as_matrix(rho)
     if rho.shape != hm.shape:
         raise ValueError(
             f"state dimension {rho.shape[0]} does not match Hamiltonian {hm.shape[0]}"
         )
-    lam = np.linalg.eigvalsh(rho)[::-1]
+    lam = state_spectra(rho)[::-1]
     evals = np.linalg.eigvalsh(hm)
     return float(np.dot(lam, evals).real)
 
@@ -84,21 +94,20 @@ def dephase(rho, h, basis=None, collective=False) -> np.ndarray:
     splits those blocks by total spin J^2, the symmetry-adapted choice for
     collective-field Hamiltonians.
     """
-    return _dephase(as_matrix(rho), _h_matrix(h), basis, collective)[0]
+    v, same_level = _dephasing_frame(_h_matrix(h), basis, collective)
+    a = v.conj().T @ as_matrix(rho) @ v
+    return v @ (a * same_level) @ v.conj().T
 
 
-def _dephase(rho, hm, basis, collective):
-    """The dephased state and the basis (columns) it was dephased in."""
+def _dephasing_frame(hm, basis, collective):
+    """The basis (columns) the dephasing works in, and its kept-entry mask."""
     if basis is not None:
         v = as_matrix(basis)
-        same_level = np.eye(v.shape[0], dtype=bool)
-    else:
-        if collective:
-            hm = hm + COLLECTIVE_WEIGHT * total_spin_squared(hm.shape[0].bit_length() - 1)
-        evals, v = herm_eig(hm)
-        same_level = np.abs(evals[:, None] - evals[None, :]) < DEGENERACY_TOL
-    a = v.conj().T @ rho @ v
-    return v @ (a * same_level) @ v.conj().T, v
+        return v, np.eye(v.shape[0], dtype=bool)
+    if collective:
+        hm = hm + COLLECTIVE_WEIGHT * total_spin_squared(hm.shape[0].bit_length() - 1)
+    evals, v = herm_eig(hm)
+    return v, np.abs(evals[:, None] - evals[None, :]) < DEGENERACY_TOL
 
 
 def l1_coherence(rho, basis) -> float:
@@ -120,6 +129,40 @@ class ErgotropyReport:
     l1_coherence: float
 
 
+def _work_split(rhos, h, basis, collective):
+    """Energy, passive energy, dephased passive energy and l1 coherence of
+    every state in a (B, d, d) stack, as four length-B arrays.
+
+    ``basis``/``collective`` select the dephasing convention; a
+    ``Hamiltonian`` object supplies its own when neither is given. Every
+    state is validated (Hermitian, trace one, PSD) from its spectrum.
+    """
+    if isinstance(h, Hamiltonian) and basis is None and not collective:
+        basis = h.basis
+        collective = h.collective
+    hm = _h_matrix(h)
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.ndim != 3:
+        raise ValueError(f"expected a (B, d, d) stack of states, got shape {rhos.shape}")
+    if rhos.shape[1:] != hm.shape:
+        raise ValueError(
+            f"state dimension {rhos.shape[-1]} does not match Hamiltonian {hm.shape[0]}"
+        )
+    lam = state_spectra(rhos)
+    levels = np.linalg.eigvalsh(hm)
+    v, same_level = _dephasing_frame(hm, basis, collective)
+    a = v.conj().T @ rhos @ v
+    diagonal = np.diagonal(a, axis1=1, axis2=2)
+    if same_level.sum() == len(same_level):
+        # the dephased state is diagonal in v: its spectrum is that diagonal
+        lam_deph = np.sort(diagonal.real, axis=1)
+    else:
+        lam_deph = np.linalg.eigvalsh(a * same_level)
+    energy = np.einsum("ij,bji->b", hm, rhos).real
+    coherence = np.abs(a).sum(axis=(1, 2)) - np.abs(diagonal).sum(axis=1)
+    return energy, lam[:, ::-1] @ levels, lam_deph[:, ::-1] @ levels, coherence
+
+
 def decompose(rho, h, basis=None, collective=False) -> ErgotropyReport:
     """Split the ergotropy of rho into incoherent and coherent parts.
 
@@ -127,16 +170,12 @@ def decompose(rho, h, basis=None, collective=False) -> ErgotropyReport:
     Hamiltonian object built by ``qstate.hamiltonian`` is passed, its
     attached convention is used automatically. The report's coherence is
     measured in the dephasing basis (or the eigenbasis when implicit).
+    A matrix that is not a state (non-Hermitian, trace other than one,
+    or an eigenvalue below -PSD_TOL) is rejected naming the violation.
     """
-    if isinstance(h, Hamiltonian) and basis is None and not collective:
-        basis = h.basis
-        collective = h.collective
-    hm = _h_matrix(h)
-    rho = as_matrix(rho)
-    zeta, coherence_basis = _dephase(rho, hm, basis, collective)
-    energy = float(np.trace(hm @ rho).real)
-    e_passive = passive_energy(rho, hm)
-    e_passive_deph = passive_energy(zeta, hm)
+    energy, e_passive, e_passive_deph, coherence = (
+        float(x[0]) for x in _work_split(as_matrix(rho)[None], h, basis, collective)
+    )
     total = energy - e_passive
     incoherent = energy - e_passive_deph
     return ErgotropyReport(
@@ -145,8 +184,15 @@ def decompose(rho, h, basis=None, collective=False) -> ErgotropyReport:
         coherent=total - incoherent,
         passive_energy=e_passive,
         dephased_passive_energy=e_passive_deph,
-        l1_coherence=l1_coherence(rho, coherence_basis),
+        l1_coherence=coherence,
     )
+
+
+def coherent_work(rhos, h, basis=None, collective=False) -> np.ndarray:
+    """Coherent work of every state in a (B, d, d) stack, as ``decompose``
+    computes it for each one, with one batched pass."""
+    energy, e_passive, e_passive_deph, _ = _work_split(rhos, h, basis, collective)
+    return (energy - e_passive) - (energy - e_passive_deph)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,17 @@ def test_non_finite_input_exits_one_naming_the_constraint(tmp_path, capsys):
     assert code == 1
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "b.csv").exists()
+    for argv in (
+        ["grid", "--family", "cq", "--channel", "bf", "--axis", "nan,1,3"],
+        ["grid", "--family", "pair", "--channel", "bf", "--axis", "nan,1,3"],
+        ["scaling", "--n", "2", "--c0", "nan"],
+        ["appendix-d", "--c", "nan"],
+        ["entangled", "--theta", "0,1,3", "--h", "nan"],
+    ):
+        out = tmp_path / f"{argv[0]}.csv"
+        assert run(argv + ["-o", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_argument_errors_exit_two(tmp_path):

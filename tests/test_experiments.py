@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergonoise import experiments as ex
-from ergonoise.channels import ChannelSpec, apply_local
+from ergonoise.channels import KINDS, ChannelSpec, apply_local, kraus_set
 from ergonoise.io import read_csv, write_csv
-from ergonoise.qstate import hamiltonian, symmetric_pair
+from ergonoise.matcore import IDENTITY_2, kron, num_qubits
+from ergonoise.qstate import (
+    Hamiltonian,
+    hamiltonian,
+    philox_stream,
+    random_separable,
+    symmetric_pair,
+    symmetrized_multipartite,
+)
 from ergonoise.workx import decompose
 
 
@@ -182,3 +192,68 @@ def test_area_refinement_converges():
 
     coarse, fine = area(101), area(201)
     assert abs(fine - coarse) / fine < 0.01
+
+
+def kraus_oracle_curve(rho0, kind, h, q_grid):
+    """Per-q gain curve: explicit Kraus sums on kron-lifted operators, one decompose per q."""
+    n = num_qubits(rho0)
+    wc0 = decompose(rho0, h).coherent
+    out = []
+    for q in q_grid:
+        ks = kraus_set(ChannelSpec(kind, q))
+        rho = rho0
+        if ks[0].shape[0] == 4:  # the correlated pair, here the whole register
+            lifted_sets = [ks]
+        else:
+            lifted_sets = [
+                [kron(*[k if i == t else IDENTITY_2 for i in range(n)]) for k in ks]
+                for t in range(n)
+            ]
+        for lifted in lifted_sets:
+            rho = sum(k @ rho @ k.conj().T for k in lifted)
+        out.append(decompose(rho, h).coherent - wc0)
+    return np.array(out)
+
+
+def assert_curve_matches_oracle(rho0, kind, h, q_grid):
+    batched = ex._delta_wc_curve(rho0, kind, h, q_grid)
+    oracle = kraus_oracle_curve(rho0, kind, h, q_grid)
+    assert np.abs(batched - oracle).max() <= 1e-12
+    assert (ex.enhancement_summary(q_grid, batched).argmax_q
+            == ex.enhancement_summary(q_grid, oracle).argmax_q)
+
+
+TWO_QUBIT_HAMILTONIANS = {
+    "excitation": hamiltonian("excitation", 2),  # product basis
+    "x_sum": hamiltonian("x_sum", 2),  # product basis
+    "z_plus_xx": hamiltonian("z_plus_xx", 2),  # spectral blocks, nondegenerate
+    # spectral blocks of a degenerate level: the dephased state is not diagonal
+    "excitation_blocks": Hamiltonian(hamiltonian("excitation", 2).matrix, "excitation", 2),
+    "xx_interacting": hamiltonian("xx_interacting", 2),  # collective spin
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    kind=st.sampled_from(KINDS),
+    h_name=st.sampled_from(sorted(TWO_QUBIT_HAMILTONIANS)),
+    q_points=st.integers(2, 41),
+)
+def test_batched_curve_matches_per_q_kraus_oracle(seed, kind, h_name, q_points):
+    rho0 = random_separable(philox_stream(seed))
+    q_grid = ex.q_grid_default(q_points)
+    assert_curve_matches_oracle(rho0, kind, TWO_QUBIT_HAMILTONIANS[h_name], q_grid)
+
+
+@pytest.mark.parametrize("kind", ["bf", "pf", "ad"])
+def test_batched_curve_matches_oracle_across_chunk_seams(kind):
+    n = 5
+    q_grid = ex.q_grid_default(41)
+    step = ex.STACK_BUDGET_BYTES // (16 * 4**n)
+    assert -(-len(q_grid) // step) == 3  # the grid spans three stacks
+    rho0 = symmetrized_multipartite(0.2, [0.1 + 0.02 * i for i in range(1, n + 1)])
+    h = ex.channel_hamiltonian(kind, n)
+    if kind == "pf":  # the collective convention scaling_run uses
+        h = Hamiltonian(h.matrix, h.kind, n, collective=True)
+    assert_curve_matches_oracle(rho0, kind, h, q_grid)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergonoise.channels import (
     AMPLITUDE_DAMPING,
     ChannelSpec,
     apply_local,
+    apply_local_grid,
     bloch_map,
 )
 from ergonoise.matcore import SIGMA_X, herm_eig, kron, partial_trace
@@ -19,6 +22,7 @@ from ergonoise.qstate import (
 from ergonoise.workx import (
     closed_form_single,
     coherence_degenerate,
+    coherent_work,
     concurrence,
     decompose,
     dephase,
@@ -343,3 +347,59 @@ def test_decompose_dephases_like_dephase(kind, options):
         rho /= np.trace(rho).real
         zeta = dephase(rho, h, **options)
         assert abs(decompose(rho, h).incoherent - ergotropy(zeta, h)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        (np.diag([2.0, -1.0]), "not PSD"),  # unit trace, negative eigenvalue
+        (1.5 * np.eye(2), "trace is 3.0"),  # positive, trace 3
+        (np.array([[0.5, 0.1], [0.3, 0.5]]), "not Hermitian"),
+    ],
+)
+def test_decompose_rejects_non_states(rho, message):
+    with pytest.raises(ValueError, match=message):
+        decompose(rho, H1)
+    with pytest.raises(ValueError, match=message):
+        coherent_work(np.stack([np.eye(2) / 2, rho]), H1)
+    with pytest.raises(ValueError, match=message):
+        ergotropy(rho, H1)
+
+
+unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: 1e-3 < np.linalg.norm(v)
+).map(lambda v: np.array(v) / np.linalg.norm(v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    direction=unit_vectors,
+    norm=st.floats(0.0, 1.0),
+    kind=st.sampled_from(SINGLE_KINDS),
+    qs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    h=st.sampled_from([H1, SIGMA_X / 2]),
+)
+def test_work_bounds_through_the_batched_core(direction, norm, kind, qs, h):
+    # W >= 0 and 0 <= W_C <= C/2 for a unit gap, C the l1 coherence in the energy basis
+    states = apply_local_grid(bloch_to_density(norm * direction), kind, qs)
+    wc = coherent_work(states, h)
+    for state, coherent in zip(states, wc):
+        rep = decompose(state, h)
+        assert rep.total >= -1e-12
+        assert -1e-12 <= coherent <= rep.l1_coherence / 2 + 1e-12
+        assert abs(rep.coherent - coherent) <= 1e-15
+
+
+def test_decompose_keeps_degenerate_level_blocks():
+    # block dephasing of the degenerate |ge>, |eg> level keeps their coherence
+    hm = hamiltonian("excitation", 2).matrix
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    rho = np.outer(singlet, singlet)
+    assert decompose(rho, hm).coherent == pytest.approx(0.0, abs=1e-12)
+    assert decompose(rho, hm, basis=np.eye(4)).coherent == pytest.approx(0.5, abs=1e-12)
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = m @ m.conj().T
+        rho /= np.trace(rho).real
+        assert abs(decompose(rho, hm).incoherent - ergotropy(dephase(rho, hm), hm)) <= 1e-12
