@@ -188,10 +188,11 @@ def decompose(rho, h, basis=None, collective=False) -> ErgotropyReport:
     )
 
 
-def coherent_work(rhos, h, basis=None, collective=False) -> np.ndarray:
+def coherent_work(rhos, h) -> np.ndarray:
     """Coherent work of every state in a (B, d, d) stack, as ``decompose``
-    computes it for each one, with one batched pass."""
-    energy, e_passive, e_passive_deph, _ = _work_split(rhos, h, basis, collective)
+    computes it for each one, with one batched pass. The dephasing
+    convention is the one a ``Hamiltonian`` object carries."""
+    energy, e_passive, e_passive_deph, _ = _work_split(rhos, h, None, False)
     return (energy - e_passive) - (energy - e_passive_deph)
 
 
