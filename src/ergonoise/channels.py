@@ -265,8 +265,7 @@ class LindbladSpec:
             raise ValueError("duration must be nonnegative")
 
 
-MAX_RK4_STEPS_DEFAULT = 10**6
-RK4_HARD_STEP_LIMIT = 10**8
+MAX_RK4_STEPS = 10**6
 
 
 def _dissipator(rho, ops, rates):
@@ -278,25 +277,24 @@ def _dissipator(rho, ops, rates):
     return out
 
 
-def lindblad_evolve(rho0, spec: LindbladSpec, max_steps: int = MAX_RK4_STEPS_DEFAULT):
+def lindblad_evolve(rho0, spec: LindbladSpec):
     """Integrate the purely dissipative master equation with fixed-step RK4.
 
-    The step targets max(rate)*dt <= 1e-3 and is capped at ``max_steps``;
-    a run that would need more than 1e8 steps is rejected outright.
+    The step targets max(rate)*dt <= 1e-3; a run that would need more than
+    MAX_RK4_STEPS steps is rejected before stepping.
     """
     rho = as_matrix(rho0).copy()
     t = spec.duration
     if t == 0.0 or not spec.rates or max(spec.rates) == 0.0:
         return rho
     needed = max(1, math.ceil(t * max(spec.rates) / 1e-3))
-    if needed > RK4_HARD_STEP_LIMIT:
+    if needed > MAX_RK4_STEPS:
         raise ValueError(
-            f"step-size underflow: {needed} RK4 steps exceed the {RK4_HARD_STEP_LIMIT} limit"
+            f"step-size underflow: {needed} RK4 steps exceed the {MAX_RK4_STEPS} limit"
         )
-    steps = min(needed, max_steps)
-    dt = t / steps
+    dt = t / needed
     ops, rates = spec.jump_operators, spec.rates
-    for _ in range(steps):
+    for _ in range(needed):
         k1 = _dissipator(rho, ops, rates)
         k2 = _dissipator(rho + 0.5 * dt * k1, ops, rates)
         k3 = _dissipator(rho + 0.5 * dt * k2, ops, rates)

@@ -11,7 +11,7 @@ files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,14 +88,6 @@ def enhancement_summary(q_grid, delta_wc) -> EnhancementSummary:
         argmax_q=float(q_grid[idx]),
         area_ap=area,
     )
-
-
-def _dephasing_label(h: Hamiltonian) -> str:
-    if h.basis is not None:
-        return "product_basis"
-    if h.collective:
-        return "collective"
-    return "block"
 
 
 def channel_hamiltonian(kind: str, n: int) -> Hamiltonian:
@@ -215,7 +207,7 @@ def sweep_bds(c, kind, q_grid=None, both_qubits: bool = True) -> SweepResult:
         "c": list(map(float, c)),
         "both_qubits": both_qubits,
         "identity_valid": bool(reports[0].identity_valid),
-        "dephasing": _dephasing_label(h),
+        "dephasing": h.dephasing,
         "q_points": len(q_grid),
     }
     if kind != ch.AMPLITUDE_DAMPING:
@@ -238,12 +230,12 @@ def _evolved_chunks(rho0, kind, q_grid):
         yield part, ch.apply_local_grid(rho0, kind, q_grid[part])
 
 
-def _delta_wc_curve(rho0, kind, h: Hamiltonian, q_grid) -> np.ndarray:
-    """Coherent-work gain W_C(rho(q)) - W_C(rho0) along the q grid."""
+def _wc_curve(rho0, kind, h: Hamiltonian, q_grid) -> np.ndarray:
+    """Coherent work W_C(rho(q)) along the q grid."""
     wc = np.empty(len(q_grid))
     for part, states in _evolved_chunks(rho0, kind, q_grid):
         wc[part] = workx.coherent_work(states, h)
-    return wc - workx.decompose(rho0, h).coherent
+    return wc
 
 
 def grid_delta_wc(family: str, kind, axis_grid, q_grid=None, *, p=0.5, a=0.1, c=0.3, d=0.2, h: Hamiltonian | None = None) -> SweepResult:
@@ -270,7 +262,7 @@ def grid_delta_wc(family: str, kind, axis_grid, q_grid=None, *, p=0.5, a=0.1, c=
     for v in axis_grid:
         rho0 = builder(v)
         wc0 = workx.decompose(rho0, h).coherent
-        curve = _delta_wc_curve(rho0, kind, h, q_grid)
+        curve = _wc_curve(rho0, kind, h, q_grid) - wc0
         axis_col.extend([v] * len(q_grid))
         q_col.extend(q_grid)
         wc0_col.extend([wc0] * len(q_grid))
@@ -287,7 +279,7 @@ def grid_delta_wc(family: str, kind, axis_grid, q_grid=None, *, p=0.5, a=0.1, c=
         "channel": kind,
         "p": p,
         "hamiltonian": h.kind,
-        "dephasing": _dephasing_label(h),
+        "dephasing": h.dephasing,
         "axis": axis_name,
         "axis_points": len(axis_grid),
         "q_points": len(q_grid),
@@ -323,6 +315,7 @@ def scaling_run(
     n_values = sorted(set(int(n) for n in n_values))
     q_grid = q_grid_default(q_points)
     rows = {"channel": [], "N": [], "delta_wc_max": [], "argmax_q": [], "area_ap": []}
+    dephasing = {}
     for n in n_values:
         coherences = [c0 + delta * i for i in range(1, n + 1)]
         rho0 = symmetrized_multipartite(a, coherences)
@@ -333,8 +326,9 @@ def scaling_run(
             if kind in (ch.PHASE_FLIP, ch.PHASE_DAMPING):
                 # the collective-spin (symmetry-adapted) dephasing keeps
                 # the scaling trends consistent with the two-qubit story
-                h = Hamiltonian(h.matrix, h.kind, n, basis=None, collective=True)
-            curve = _delta_wc_curve(rho0, kind, h, q_grid)
+                h = replace(h, basis=None, collective=True)
+            dephasing[kind] = h.dephasing
+            curve = _wc_curve(rho0, kind, h, q_grid) - workx.decompose(rho0, h).coherent
             summary = enhancement_summary(q_grid, curve)
             rows["channel"].append(kind)
             rows["N"].append(n)
@@ -350,10 +344,7 @@ def scaling_run(
         "c0": c0,
         "delta": delta,
         "q_points": q_points,
-        "dephasing": {
-            kind: ("collective" if kind in (ch.PHASE_FLIP, ch.PHASE_DAMPING) else "product_basis")
-            for kind in kinds
-        },
+        "dephasing": dephasing,
     }
     return SweepResult(cols, meta)
 
@@ -379,7 +370,7 @@ def census_random(kind, count: int = 1000, seed: int = 7, q_points: int = DEFAUL
     enhancing = 0
     for i in range(count):
         rho0 = random_separable(philox_stream(seed, i), num_terms=num_terms)
-        curve = _delta_wc_curve(rho0, kind, h, q_grid)
+        curve = _wc_curve(rho0, kind, h, q_grid) - workx.decompose(rho0, h).coherent
         summary = enhancement_summary(q_grid, curve)
         if summary.area_ap > ENHANCEMENT_AREA_TOL:
             enhancing += 1
@@ -396,7 +387,7 @@ def census_random(kind, count: int = 1000, seed: int = 7, q_points: int = DEFAUL
         "num_terms": num_terms,
         "q_points": q_points,
         "hamiltonian": h.kind,
-        "dephasing": _dephasing_label(h),
+        "dephasing": h.dephasing,
         "fraction_enhancing": enhancing / count,
     }
     return SweepResult(cols, meta)
@@ -487,7 +478,7 @@ def entangled_example(theta_grid, q_grid=None, h: float = 0.5, j: float = 0.4, k
         "j": j,
         "theta_points": len(theta_grid),
         "q_points": len(q_grid),
-        "dephasing": "block",
+        "dephasing": ham.dephasing,
     }
     return SweepResult(cols, meta)
 
@@ -553,6 +544,6 @@ def interacting_depolarizing(
         "j": j,
         "q_points": len(q_grid),
         "fd_step": fd_step,
-        "dephasing": _dephasing_label(ham),
+        "dephasing": ham.dephasing,
     }
     return SweepResult(cols, meta)

@@ -10,6 +10,7 @@ averaging.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -21,6 +22,8 @@ from .matcore import (
     PAULIS,
     SIGMA_X,
     SIGMA_Z,
+    as_matrix,
+    herm_eig,
     kron,
     require_hermitian,
 )
@@ -28,6 +31,10 @@ from .matcore import (
 BLOCH_TOL = 1e-12
 PSD_TOL = 1e-12
 MAX_SYMMETRIZED_QUBITS = 8
+DEGENERACY_TOL = 1e-9  # relative to the largest |energy level|
+# incommensurate weight mixing J^2 into the level structure so that
+# (energy, spin) pairs never collide accidentally
+COLLECTIVE_WEIGHT = np.sqrt(2.0)
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -228,18 +235,60 @@ def total_spin_squared(n: int) -> np.ndarray:
 class Hamiltonian:
     """Hermitian observable plus the dephasing convention attached to it.
 
-    ``basis`` columns, when present, give the canonical product eigenbasis
-    used for full dephasing; ``collective`` requests block dephasing in
-    the joint (H, J^2) eigenbasis instead. With neither, dephasing falls
-    back to plain spectral blocks of the matrix.
+    ``basis`` columns, when present, give the product eigenbasis in which
+    dephasing strips every off-diagonal (``product_basis``); ``collective``
+    splits the spectral blocks by total spin J^2 instead. With neither,
+    dephasing keeps the spectral blocks (``block``). The matrix is stored
+    read-only, so ``levels`` and ``frame`` are computed once per object.
     """
 
     matrix: np.ndarray
     kind: str
-    n: int
     basis: np.ndarray | None = None
     collective: bool = False
-    params: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _read_only(require_hermitian(self.matrix)))
+        if self.basis is not None:
+            if self.collective:
+                raise ValueError("dephasing is in a product basis or collective, not both")
+            object.__setattr__(self, "basis", _read_only(as_matrix(self.basis)))
+
+    @property
+    def num_qubits(self) -> int:
+        return self.matrix.shape[0].bit_length() - 1
+
+    @property
+    def dephasing(self) -> str:
+        if self.basis is not None:
+            return "product_basis"
+        return "collective" if self.collective else "block"
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """Ascending energy levels."""
+        return _read_only(np.linalg.eigvalsh(self.matrix))
+
+    @cached_property
+    def frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """The basis (columns) dephasing works in, and its kept-entry mask.
+        Levels within DEGENERACY_TOL * max|levels| are one level, and J^2
+        is weighted by that scale too, so s*H has the frame of H."""
+        if self.basis is not None:
+            return self.basis, _read_only(np.eye(len(self.basis), dtype=bool))
+        scale = float(np.abs(self.levels).max())
+        hm = self.matrix
+        if self.collective:
+            hm = hm + COLLECTIVE_WEIGHT * scale * total_spin_squared(self.num_qubits)
+        evals, v = herm_eig(hm)
+        same_level = np.abs(evals[:, None] - evals[None, :]) <= DEGENERACY_TOL * scale
+        return _read_only(v), _read_only(same_level)
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m = np.array(m)
+    m.flags.writeable = False
+    return m
 
 
 def _sum_local(op: np.ndarray, n: int) -> np.ndarray:
@@ -266,23 +315,23 @@ def hamiltonian(kind: str, n: int, h: float = 0.5, j: float = 0.4) -> Hamiltonia
         raise ValueError(f"field h = {h} and coupling j = {j} must be finite")
     if kind == "excitation":
         mat = _sum_local(np.outer(KET_E, KET_E.conj()), n)
-        return Hamiltonian(mat, kind, n, basis=np.eye(2**n, dtype=complex))
+        return Hamiltonian(mat, kind, basis=np.eye(2**n, dtype=complex))
     if kind == "z_sum":
         mat = -0.5 * _sum_local(SIGMA_Z, n)
-        return Hamiltonian(mat, kind, n, basis=np.eye(2**n, dtype=complex))
+        return Hamiltonian(mat, kind, basis=np.eye(2**n, dtype=complex))
     if kind == "x_sum":
         scale = 1.0 if n == 1 else 0.5
         mat = scale * _sum_local(SIGMA_X, n)
-        return Hamiltonian(mat, kind, n, basis=x_product_basis(n))
+        return Hamiltonian(mat, kind, basis=x_product_basis(n))
     if kind == "xx_interacting":
         if n != 2:
             raise ValueError("xx_interacting is a two-qubit Hamiltonian")
         mat = h * _sum_local(SIGMA_X, 2) + j * kron(SIGMA_X, SIGMA_X)
-        return Hamiltonian(mat, kind, n, collective=True, params=(h, j))
+        return Hamiltonian(mat, kind, collective=True)
     if kind == "z_plus_xx":
         if n != 2:
             raise ValueError("z_plus_xx is a two-qubit Hamiltonian")
         # nondegenerate for generic (h, j): block dephasing is already exact
         mat = h * _sum_local(SIGMA_Z, 2) + j * kron(SIGMA_X, SIGMA_X)
-        return Hamiltonian(mat, kind, n, params=(h, j))
+        return Hamiltonian(mat, kind)
     raise ValueError(f"unknown Hamiltonian kind {kind!r}")

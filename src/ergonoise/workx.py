@@ -4,16 +4,17 @@ measures, enhancement thresholds, and two-qubit concurrence.
 Energies are reported in units of the single-qubit gap (B = 1). The
 split follows W = W_inc + W_coh with W_inc the ergotropy of the state
 dephased in the energy eigenbasis; for degenerate Hamiltonians the
-dephasing convention is explicit (see ``dephase``).
+dephasing convention is the one the ``qstate.Hamiltonian`` carries, and
+a raw Hermitian matrix dephases by its spectral blocks.
 
 One private core computes the split for a whole (B, d, d) stack of
 states: the energies as one einsum, the state spectra as one batched
 eigvalsh (which also validates every state), and the dephased spectra
 either as the sorted diagonal of V^dag rho V, when the dephasing keeps
 only that diagonal, or as one batched eigvalsh of the kept blocks. The
-Hamiltonian side (its spectrum and dephasing frame) is computed once per
-call. ``decompose`` is the one-state case and ``coherent_work`` the
-stacked one.
+Hamiltonian side (its levels and dephasing frame) is computed once per
+``Hamiltonian`` object. ``decompose`` is the one-state case and
+``coherent_work`` the stacked one.
 """
 
 from __future__ import annotations
@@ -23,27 +24,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (
-    SIGMA_Y,
-    as_matrix,
-    herm_eig,
-    kron,
-    require_hermitian,
-    state_spectra,
-)
+from .matcore import SIGMA_Y, as_matrix, herm_eig, kron, state_spectra
 from . import channels as ch
-from .qstate import Hamiltonian, total_spin_squared
-
-DEGENERACY_TOL = 1e-9
-# incommensurate weight mixing J^2 into the level structure so that
-# (energy, spin) pairs never collide accidentally
-COLLECTIVE_WEIGHT = math.sqrt(2.0)
+# total_spin_squared is re-exported: bench/tests/test_bench.py traces this binding
+from .qstate import Hamiltonian, total_spin_squared  # noqa: F401
 
 
-def _h_matrix(h):
-    if isinstance(h, Hamiltonian):
-        return h.matrix
-    return require_hermitian(h)
+def _hamiltonian(h, rho) -> Hamiltonian:
+    """h as a ``Hamiltonian`` (a raw Hermitian matrix gets block dephasing),
+    checked against the dimension of a state or a stack of states."""
+    h = h if isinstance(h, Hamiltonian) else Hamiltonian(h, "matrix")
+    if rho.shape[-2:] != h.matrix.shape:
+        raise ValueError(
+            f"state dimension {rho.shape[-1]} does not match Hamiltonian {h.matrix.shape[0]}"
+        )
+    return h
 
 
 def passive_state(rho, h) -> np.ndarray:
@@ -53,61 +48,40 @@ def passive_state(rho, h) -> np.ndarray:
     within a degenerate level the pairing order cannot change the energy,
     so the stable index order is used.
     """
-    hm = _h_matrix(h)
     rho = as_matrix(rho)
-    if rho.shape != hm.shape:
-        raise ValueError(
-            f"state dimension {rho.shape[0]} does not match Hamiltonian {hm.shape[0]}"
-        )
+    h = _hamiltonian(h, rho)
     lam = np.linalg.eigvalsh(rho)[::-1]
-    evals, evecs = herm_eig(hm)
+    evals, evecs = herm_eig(h.matrix)
     return (evecs * lam) @ evecs.conj().T
 
 
 def passive_energy(rho, h) -> float:
     """Tr[H pi_rho] without building the passive state; rho must be a state."""
-    hm = _h_matrix(h)
     rho = as_matrix(rho)
-    if rho.shape != hm.shape:
-        raise ValueError(
-            f"state dimension {rho.shape[0]} does not match Hamiltonian {hm.shape[0]}"
-        )
-    lam = state_spectra(rho)[::-1]
-    evals = np.linalg.eigvalsh(hm)
-    return float(np.dot(lam, evals).real)
+    h = _hamiltonian(h, rho)
+    return float(np.dot(state_spectra(rho)[::-1], h.levels).real)
 
 
 def ergotropy(rho, h) -> float:
     """Maximum unitarily extractable energy Tr[H (rho - pi_rho)]."""
-    hm = _h_matrix(h)
-    energy = float(np.trace(hm @ as_matrix(rho)).real)
-    return energy - passive_energy(rho, h)
+    rho = as_matrix(rho)
+    h = _hamiltonian(h, rho)
+    return float(np.trace(h.matrix @ rho).real) - passive_energy(rho, h)
 
 
-def dephase(rho, h, basis=None, collective=False) -> np.ndarray:
+def dephase(rho, h) -> np.ndarray:
     """Strip coherences between distinct energy levels of h.
 
-    With ``basis`` (columns forming an eigenbasis of h) every off-diagonal
-    element in that basis is removed, which is the convention the closed
-    forms for product Hamiltonians assume. Without it the map keeps all
-    within-level blocks intact (basis-independent); ``collective`` further
-    splits those blocks by total spin J^2, the symmetry-adapted choice for
-    collective-field Hamiltonians.
+    The convention is the Hamiltonian's own: with a product ``basis``
+    every off-diagonal element in that basis is removed (what the closed
+    forms for product Hamiltonians assume); otherwise each level block is
+    kept intact, split further by total spin J^2 for a ``collective``
+    Hamiltonian. A raw matrix keeps its level blocks.
     """
-    v, same_level = _dephasing_frame(_h_matrix(h), basis, collective)
-    a = v.conj().T @ as_matrix(rho) @ v
+    rho = as_matrix(rho)
+    v, same_level = _hamiltonian(h, rho).frame
+    a = v.conj().T @ rho @ v
     return v @ (a * same_level) @ v.conj().T
-
-
-def _dephasing_frame(hm, basis, collective):
-    """The basis (columns) the dephasing works in, and its kept-entry mask."""
-    if basis is not None:
-        v = as_matrix(basis)
-        return v, np.eye(v.shape[0], dtype=bool)
-    if collective:
-        hm = hm + COLLECTIVE_WEIGHT * total_spin_squared(hm.shape[0].bit_length() - 1)
-    evals, v = herm_eig(hm)
-    return v, np.abs(evals[:, None] - evals[None, :]) < DEGENERACY_TOL
 
 
 def l1_coherence(rho, basis) -> float:
@@ -129,28 +103,18 @@ class ErgotropyReport:
     l1_coherence: float
 
 
-def _work_split(rhos, h, basis, collective):
+def _work_split(rhos, h):
     """Energy, passive energy, dephased passive energy and l1 coherence of
-    every state in a (B, d, d) stack, as four length-B arrays.
-
-    ``basis``/``collective`` select the dephasing convention; a
-    ``Hamiltonian`` object supplies its own when neither is given. Every
-    state is validated (Hermitian, trace one, PSD) from its spectrum.
+    every state in a (B, d, d) stack, as four length-B arrays, dephased by
+    the convention of h. Every state is validated (Hermitian, trace one,
+    PSD) from its spectrum.
     """
-    if isinstance(h, Hamiltonian) and basis is None and not collective:
-        basis = h.basis
-        collective = h.collective
-    hm = _h_matrix(h)
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3:
         raise ValueError(f"expected a (B, d, d) stack of states, got shape {rhos.shape}")
-    if rhos.shape[1:] != hm.shape:
-        raise ValueError(
-            f"state dimension {rhos.shape[-1]} does not match Hamiltonian {hm.shape[0]}"
-        )
+    h = _hamiltonian(h, rhos)
     lam = state_spectra(rhos)
-    levels = np.linalg.eigvalsh(hm)
-    v, same_level = _dephasing_frame(hm, basis, collective)
+    v, same_level = h.frame
     a = v.conj().T @ rhos @ v
     diagonal = np.diagonal(a, axis1=1, axis2=2)
     if same_level.sum() == len(same_level):
@@ -158,23 +122,21 @@ def _work_split(rhos, h, basis, collective):
         lam_deph = np.sort(diagonal.real, axis=1)
     else:
         lam_deph = np.linalg.eigvalsh(a * same_level)
-    energy = np.einsum("ij,bji->b", hm, rhos).real
+    energy = np.einsum("ij,bji->b", h.matrix, rhos).real
     coherence = np.abs(a).sum(axis=(1, 2)) - np.abs(diagonal).sum(axis=1)
-    return energy, lam[:, ::-1] @ levels, lam_deph[:, ::-1] @ levels, coherence
+    return energy, lam[:, ::-1] @ h.levels, lam_deph[:, ::-1] @ h.levels, coherence
 
 
-def decompose(rho, h, basis=None, collective=False) -> ErgotropyReport:
+def decompose(rho, h) -> ErgotropyReport:
     """Split the ergotropy of rho into incoherent and coherent parts.
 
-    ``basis``/``collective`` select the dephasing convention; when a
-    Hamiltonian object built by ``qstate.hamiltonian`` is passed, its
-    attached convention is used automatically. The report's coherence is
-    measured in the dephasing basis (or the eigenbasis when implicit).
-    A matrix that is not a state (non-Hermitian, trace other than one,
+    The dephasing convention is the one h carries (see ``dephase``), and
+    the report's coherence is measured in its dephasing basis. A matrix
+    that is not a state (non-Hermitian, trace other than one,
     or an eigenvalue below -PSD_TOL) is rejected naming the violation.
     """
     energy, e_passive, e_passive_deph, coherence = (
-        float(x[0]) for x in _work_split(as_matrix(rho)[None], h, basis, collective)
+        float(x[0]) for x in _work_split(as_matrix(rho)[None], h)
     )
     total = energy - e_passive
     incoherent = energy - e_passive_deph
@@ -190,9 +152,8 @@ def decompose(rho, h, basis=None, collective=False) -> ErgotropyReport:
 
 def coherent_work(rhos, h) -> np.ndarray:
     """Coherent work of every state in a (B, d, d) stack, as ``decompose``
-    computes it for each one, with one batched pass. The dephasing
-    convention is the one a ``Hamiltonian`` object carries."""
-    energy, e_passive, e_passive_deph, _ = _work_split(rhos, h, None, False)
+    computes it for each one, with one batched pass."""
+    energy, e_passive, e_passive_deph, _ = _work_split(rhos, h)
     return (energy - e_passive) - (energy - e_passive_deph)
 
 

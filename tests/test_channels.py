@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergonoise import channels
 from ergonoise.channels import (
     AMPLITUDE_DAMPING,
     BIT_FLIP,
@@ -293,14 +294,14 @@ def test_lindblad_amplitude_damping_fixed_point():
     assert np.abs(evolved - np.diag([1.0, 0.0])).max() <= 1e-8
 
 
-def test_lindblad_step_guards():
+def test_lindblad_step_guards(monkeypatch):
     rho = np.eye(2) / 2
-    spec = LindbladSpec((jump_operator("bf"),), (2.0,), 1.0)
     with pytest.raises(ValueError, match="underflow"):
         lindblad_evolve(rho, LindbladSpec((jump_operator("bf"),), (1e9,), 1000.0))
-    # the cap widens dt instead of failing
-    out = lindblad_evolve(rho, spec, max_steps=10)
-    assert abs(np.trace(out).real - 1.0) <= 1e-9
+    # 2e6 steps exceed the cap: rejected before any step, never run with a wider dt
+    monkeypatch.setattr(channels, "_dissipator", None)
+    with pytest.raises(ValueError, match="2000000 RK4 steps exceed the 1000000 limit"):
+        lindblad_evolve(rho, LindbladSpec((jump_operator("ad"),), (1.0,), 2000.0))
 
 
 def test_q_of_t_values():

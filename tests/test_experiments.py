@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergonoise import experiments as ex
+from ergonoise import qstate
 from ergonoise.channels import KINDS, ChannelSpec, apply_local, kraus_set
 from ergonoise.io import read_csv, write_csv
 from ergonoise.matcore import IDENTITY_2, kron, num_qubits
@@ -14,6 +17,7 @@ from ergonoise.qstate import (
     random_separable,
     symmetric_pair,
     symmetrized_multipartite,
+    total_spin_squared,
 )
 from ergonoise.workx import decompose
 
@@ -104,6 +108,11 @@ def test_scaling_run_small():
     assert res.columns["delta_wc_max"][1] > res.columns["delta_wc_max"][0]
     assert res.columns["area_ap"][1] > res.columns["area_ap"][0]
     assert res.metadata["dephasing"]["bit_flip"] == "product_basis"
+
+
+def test_scaling_sidecar_names_each_curves_dephasing():
+    res = ex.scaling_run(kinds=("dc", "pf"), n_values=(2,), q_points=5)
+    assert res.metadata["dephasing"] == {"depolarizing": "collective", "phase_flip": "collective"}
 
 
 def test_census_reproducible():
@@ -216,7 +225,7 @@ def kraus_oracle_curve(rho0, kind, h, q_grid):
 
 
 def assert_curve_matches_oracle(rho0, kind, h, q_grid):
-    batched = ex._delta_wc_curve(rho0, kind, h, q_grid)
+    batched = ex._wc_curve(rho0, kind, h, q_grid) - decompose(rho0, h).coherent
     oracle = kraus_oracle_curve(rho0, kind, h, q_grid)
     assert np.abs(batched - oracle).max() <= 1e-12
     assert (ex.enhancement_summary(q_grid, batched).argmax_q
@@ -228,7 +237,7 @@ TWO_QUBIT_HAMILTONIANS = {
     "x_sum": hamiltonian("x_sum", 2),  # product basis
     "z_plus_xx": hamiltonian("z_plus_xx", 2),  # spectral blocks, nondegenerate
     # spectral blocks of a degenerate level: the dephased state is not diagonal
-    "excitation_blocks": Hamiltonian(hamiltonian("excitation", 2).matrix, "excitation", 2),
+    "excitation_blocks": Hamiltonian(hamiltonian("excitation", 2).matrix, "excitation"),
     "xx_interacting": hamiltonian("xx_interacting", 2),  # collective spin
 }
 
@@ -255,5 +264,22 @@ def test_batched_curve_matches_oracle_across_chunk_seams(kind):
     rho0 = symmetrized_multipartite(0.2, [0.1 + 0.02 * i for i in range(1, n + 1)])
     h = ex.channel_hamiltonian(kind, n)
     if kind == "pf":  # the collective convention scaling_run uses
-        h = Hamiltonian(h.matrix, h.kind, n, collective=True)
+        h = replace(h, basis=None, collective=True)
     assert_curve_matches_oracle(rho0, kind, h, q_grid)
+
+
+def test_collective_curve_builds_j2_once(monkeypatch):
+    # the dephasing frame lives on the Hamiltonian: one J^2 for a curve over
+    # three stacks plus W_C(rho0), not one per stack
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return total_spin_squared(n)
+
+    monkeypatch.setattr(qstate, "total_spin_squared", counting)
+    n = 5
+    rho0 = symmetrized_multipartite(0.2, [0.1 + 0.02 * i for i in range(1, n + 1)])
+    h = replace(ex.channel_hamiltonian("pf", n), basis=None, collective=True)
+    ex._wc_curve(rho0, "pf", h, ex.q_grid_default(41)) - decompose(rho0, h).coherent
+    assert calls == [n]

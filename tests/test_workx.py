@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +14,12 @@ from ergonoise.channels import (
 )
 from ergonoise.matcore import SIGMA_X, herm_eig, kron, partial_trace
 from ergonoise.qstate import (
+    Hamiltonian,
     bloch_to_density,
     hamiltonian,
     make_bds,
     qubit_state,
     symmetric_pair,
-    x_product_basis,
 )
 from ergonoise.workx import (
     closed_form_single,
@@ -89,7 +91,7 @@ def test_dephase_examples():
 
 def test_dephase_explicit_basis_strips_everything():
     rho = symmetric_pair(0.5, 0.2, 0.3, 0.2)
-    z = dephase(rho, hamiltonian("excitation", 2).matrix, basis=np.eye(4))
+    z = dephase(rho, hamiltonian("excitation", 2))
     assert np.abs(z - np.diag(np.diag(rho))).max() <= 1e-14
     # block form keeps the degenerate ge-eg coherence
     zb = dephase(rho, hamiltonian("excitation", 2).matrix)
@@ -329,24 +331,60 @@ def test_concurrence_local_unitary_invariance():
     assert abs(concurrence(apply_hadamard_pair(rho)) - base) <= 1e-12
 
 
+def random_states(seed, dim, count=20):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = m @ m.conj().T
+        yield rho / np.trace(rho).real
+
+
 @pytest.mark.parametrize(
-    "kind, options",
+    "kind",
     [
-        ("x_sum", {"basis": x_product_basis(2)}),  # product basis
-        ("z_plus_xx", {}),  # spectral blocks
-        ("xx_interacting", {"collective": True}),  # collective spin
+        "x_sum",  # product basis
+        "z_plus_xx",  # spectral blocks
+        "xx_interacting",  # collective spin
     ],
 )
-def test_decompose_dephases_like_dephase(kind, options):
-    # one dephasing path: the incoherent work is the ergotropy of dephase()
+def test_decompose_dephases_like_dephase(kind):
+    # one dephasing path: the incoherent work is the ergotropy of dephase(),
+    # both in the convention the Hamiltonian carries
     h = hamiltonian(kind, 2)
-    rng = np.random.default_rng(24)
-    for _ in range(20):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho).real
-        zeta = dephase(rho, h, **options)
+    for rho in random_states(24, 4):
+        zeta = dephase(rho, h)
         assert abs(decompose(rho, h).incoherent - ergotropy(zeta, h)) <= 1e-12
+
+
+DEGENERATE_BLOCKS = Hamiltonian(hamiltonian("excitation", 2).matrix, "excitation")
+
+
+@pytest.mark.parametrize(
+    "h",
+    [hamiltonian("z_plus_xx", 2), hamiltonian("xx_interacting", 2), DEGENERATE_BLOCKS],
+    ids=["z_plus_xx", "xx_interacting", "excitation_blocks"],
+)
+@pytest.mark.parametrize("s", [1e-10, 1e-6, 1e6])
+def test_decompose_is_scale_free(h, s):
+    # the degeneracy test and the J^2 weight follow the energy scale
+    scaled = replace(h, matrix=s * h.matrix)
+    for rho in random_states(27, 4, count=5):
+        ref, rep = decompose(rho, h), decompose(rho, scaled)
+        for field in ("total", "incoherent", "coherent"):
+            assert getattr(rep, field) / s == pytest.approx(getattr(ref, field), rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["excitation", "xx_interacting"])
+def test_hamiltonian_matrix_is_read_only(kind):
+    # the cached levels and frame cannot go stale, nor be changed by a caller
+    h = hamiltonian(kind, 2)
+    for array in (h.matrix, h.levels, *h.frame):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, ...] = 0
+    # a raw matrix is copied, so the caller's array stays writable
+    hm = np.diag([0.0, 1.0])
+    decompose(np.eye(2) / 2, hm)
+    hm[0, 0] = 0.5
 
 
 @pytest.mark.parametrize(
@@ -396,10 +434,6 @@ def test_decompose_keeps_degenerate_level_blocks():
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
     rho = np.outer(singlet, singlet)
     assert decompose(rho, hm).coherent == pytest.approx(0.0, abs=1e-12)
-    assert decompose(rho, hm, basis=np.eye(4)).coherent == pytest.approx(0.5, abs=1e-12)
-    rng = np.random.default_rng(26)
-    for _ in range(20):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho).real
+    assert decompose(rho, hamiltonian("excitation", 2)).coherent == pytest.approx(0.5, abs=1e-12)
+    for rho in random_states(26, 4):
         assert abs(decompose(rho, hm).incoherent - ergotropy(dephase(rho, hm), hm)) <= 1e-12
