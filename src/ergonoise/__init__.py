@@ -12,7 +12,6 @@ from .matcore import (
     herm_eig,
     kron,
     partial_trace,
-    project_psd,
     trace_norm,
 )
 from .qstate import (

@@ -303,14 +303,21 @@ def lindblad_evolve(rho0, spec: LindbladSpec):
     return rho
 
 
+# Lindblad clock of each kind: the jump operator L and the rate factor r
+# such that evolving with L at rate gamma for a time t matches the Kraus
+# channel at q = 1 - exp(-r gamma t).
+_CLOCKS = {
+    BIT_FLIP: (SIGMA_X, 2.0),
+    AMPLITUDE_DAMPING: (SIGMA_MINUS, 1.0),
+}
+
+
 def jump_operator(kind: str) -> np.ndarray:
     """Jump operator whose Lindblad flow matches the Kraus channel clock."""
     kind = canonical_kind(kind)
-    if kind == BIT_FLIP:
-        return SIGMA_X.copy()
-    if kind == AMPLITUDE_DAMPING:
-        return SIGMA_MINUS.copy()
-    raise ValueError(f"no jump-operator clock derived for {kind!r}")
+    if kind not in _CLOCKS:
+        raise ValueError(f"no jump-operator clock derived for {kind!r}")
+    return _CLOCKS[kind][0].copy()
 
 
 def q_of_t(kind: str, gamma: float, t: float) -> float:
@@ -322,8 +329,6 @@ def q_of_t(kind: str, gamma: float, t: float) -> float:
     kind = canonical_kind(kind)
     if gamma < 0 or t < 0:
         raise ValueError("gamma and t must be nonnegative")
-    if kind == BIT_FLIP:
-        return 1.0 - math.exp(-2.0 * gamma * t)
-    if kind == AMPLITUDE_DAMPING:
-        return 1.0 - math.exp(-gamma * t)
-    raise ValueError(f"no Kraus-equivalence clock for {kind!r}")
+    if kind not in _CLOCKS:
+        raise ValueError(f"no Kraus-equivalence clock for {kind!r}")
+    return 1.0 - math.exp(-_CLOCKS[kind][1] * gamma * t)

@@ -149,9 +149,8 @@ def _dispatch(args) -> tuple[ex.SweepResult, Path]:
         name = f"grid_{args.family}_{result.metadata['channel']}.csv"
     elif cmd == "scaling":
         kinds = [k for k in args.channels.split(",") if k]
-        n_values = args.n if isinstance(args.n, list) else _n_range(args.n)
         result = ex.scaling_run(
-            kinds=kinds, n_values=n_values, a=args.a, c0=args.c0,
+            kinds=kinds, n_values=args.n, a=args.a, c0=args.c0,
             delta=args.delta, q_points=args.q_points,
         )
         name = "scaling.csv"
@@ -165,7 +164,9 @@ def _dispatch(args) -> tuple[ex.SweepResult, Path]:
         result = ex.lindblad_consistency(args.kind, args.gamma, args.t, args.bloch)
         name = f"lindblad_{result.metadata['channel']}.csv"
     elif cmd == "entangled":
-        result = ex.entangled_example(args.theta, q_grid=args.q, h=args.h, j=args.J)
+        result = ex.entangled_example(
+            args.theta, q_grid=args.q, h=args.h, j=args.J, kind=args.channel,
+        )
         name = "entangled.csv"
     elif cmd == "appendix-d":
         a_values = [float(v) for v in args.a.split(",")]

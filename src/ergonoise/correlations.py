@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import IDENTITY_2, PAULIS, kron, trace_norm
-from .qstate import Hamiltonian, hamiltonian, make_bds
+# bds_eigenvalues is re-exported for callers that import it from here
+from .qstate import Hamiltonian, bds_eigenvalues, hamiltonian, make_bds  # noqa: F401
 from .channels import (
     AMPLITUDE_DAMPING,
     ChannelSpec,
@@ -69,17 +70,6 @@ def gcc_trace_norm(c) -> float:
     """|| rho_cl - I/4 ||_1 for the classical state closest to rho."""
     _, _, cl = _closest_classical(c)
     return float(trace_norm(cl - kron(IDENTITY_2, IDENTITY_2) / 4.0))
-
-
-def bds_eigenvalues(c) -> np.ndarray:
-    """The four closed-form eigenvalues, in sign-pattern order.
-
-    Patterns (---), (++-), (+-+), (-++) applied to (c1, c2, c3); these
-    are the populations of the Bell states Psi-, Psi+, Phi+, Phi-.
-    """
-    c = np.asarray(c, dtype=float)
-    signs = np.array([(-1, -1, -1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)], dtype=float)
-    return (1.0 + signs @ c) / 4.0
 
 
 @dataclass(frozen=True)

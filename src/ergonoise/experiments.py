@@ -20,6 +20,7 @@ from . import workx
 from .qstate import (
     Hamiltonian,
     apply_hadamard_pair,
+    bds_eigenvalues,
     bloch_to_density,
     classical_quantum,
     density_to_bloch,
@@ -30,7 +31,7 @@ from .qstate import (
     symmetric_pair,
     symmetrized_multipartite,
 )
-from .correlations import bds_eigenvalues, correlation_work_check
+from .correlations import correlation_work_check
 
 DEFAULT_Q_POINTS = 101
 AREA_Q_POINTS = 501
@@ -138,13 +139,8 @@ def sweep_single(kind, n, basis: str = "computational", q_grid=None) -> SweepRes
         "bloch": list(map(float, n)),
         "q_points": len(q_grid),
     }
-    threshold_kind = {
-        (ch.BIT_FLIP, "computational"): ch.BIT_FLIP,
-        (ch.BIT_PHASE_FLIP, "computational"): ch.BIT_PHASE_FLIP,
-        (ch.PHASE_FLIP, "x"): "phase_flip_x",
-    }.get((kind, basis))
-    if threshold_kind is not None:
-        qb = workx.threshold_q(threshold_kind, n)
+    if (kind, basis) in workx.THRESHOLD_COMPONENTS:
+        qb = workx.threshold_q(kind, n, basis)
         meta["threshold_q"] = qb
         cols["threshold"] = np.full(len(q_grid), qb)
     if kind == ch.AMPLITUDE_DAMPING:
@@ -210,7 +206,7 @@ def sweep_bds(c, kind, q_grid=None, both_qubits: bool = True) -> SweepResult:
         "dephasing": h.dephasing,
         "q_points": len(q_grid),
     }
-    if kind != ch.AMPLITUDE_DAMPING:
+    if reports[0].identity_valid:
         meta["eigenvalue_crossings"] = _crossing_qs(c, kind, both_qubits, q_grid)
     return SweepResult(cols, meta)
 

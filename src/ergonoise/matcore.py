@@ -124,22 +124,6 @@ def trace_norm(m, tol: float = HERMITIAN_TOL) -> float:
     return float(np.abs(vals).sum())
 
 
-def project_psd(rho, tol: float = PSD_TOL) -> np.ndarray:
-    """Clamp eigenvalues in [-tol, 0) to zero and renormalize the trace.
-
-    Rounding from RK4 evolution or long symmetrization sums lives at this
-    scale; anything more negative than ``tol`` is a real PSD violation.
-    """
-    vals, vecs = herm_eig(rho)
-    if vals[0] < -tol:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {vals[0]:.3e}")
-    if vals[0] >= 0.0:
-        return as_matrix(rho)
-    clipped = np.clip(vals, 0.0, None)
-    out = (vecs * clipped) @ vecs.conj().T
-    return out / np.trace(out).real
-
-
 def state_spectra(rhos, tol: float = 1e-10) -> np.ndarray:
     """Ascending eigenvalues of a state or a (..., d, d) stack of states.
 

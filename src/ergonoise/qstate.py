@@ -38,9 +38,7 @@ COLLECTIVE_WEIGHT = np.sqrt(2.0)
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
-# x-basis kets, ordered so that |x+> plays the role of |g>
-KET_XP = (KET_G + KET_E) / np.sqrt(2.0)
-KET_XM = (KET_G - KET_E) / np.sqrt(2.0)
+_BDS_SIGNS = np.array([(-1, -1, -1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)], dtype=float)
 
 
 def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -96,20 +94,26 @@ def bds_is_separable(c) -> bool:
     return float(np.abs(c).sum()) <= 1.0 + PSD_TOL
 
 
+def bds_eigenvalues(c) -> np.ndarray:
+    """The four closed-form eigenvalues (1 + s . c)/4 of a Bell-diagonal state.
+
+    Sign patterns s = (---), (++-), (+-+), (-++), in that order; these
+    are the populations of the Bell states Psi-, Psi+, Phi+, Phi-.
+    """
+    return (1.0 + _BDS_SIGNS @ np.asarray(c, dtype=float)) / 4.0
+
+
 def make_bds(c) -> np.ndarray:
     """Bell-diagonal two-qubit state from its three correlation parameters.
 
-    The four eigenvalues are (1 -+ c1 -+ c2 -+ c3)/4 over the sign
-    patterns (---), (++-), (+-+), (-++); all must be nonnegative.
+    All four ``bds_eigenvalues`` must be nonnegative.
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (3,):
         raise ValueError("Bell-diagonal parameters must be a real triple")
     if not np.isfinite(c).all():
         raise ValueError(f"Bell-diagonal parameters {c.tolist()} must be finite")
-    signs = [(-1, -1, -1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)]
-    for s in signs:
-        lam = (1.0 + s[0] * c[0] + s[1] * c[1] + s[2] * c[2]) / 4.0
+    for s, lam in zip(_BDS_SIGNS.astype(int), bds_eigenvalues(c)):
         if lam < -PSD_TOL:
             raise ValueError(
                 f"parameters {tuple(c)} give negative eigenvalue "
@@ -205,18 +209,9 @@ def apply_hadamard_pair(rho) -> np.ndarray:
 
 
 def x_product_basis(n: int) -> np.ndarray:
-    """Unitary whose columns are the |x+/-> product kets, row-major order."""
-    cols = []
-    for idx in range(2**n):
-        vecs = []
-        for k in range(n):
-            bit = (idx >> (n - 1 - k)) & 1
-            vecs.append(KET_XM if bit else KET_XP)
-        ket = vecs[0]
-        for v in vecs[1:]:
-            ket = np.kron(ket, v)
-        cols.append(ket)
-    return np.stack(cols, axis=1)
+    """Unitary whose columns are the |x+/-> product kets, row-major order
+    (|x+> plays the role of |g>)."""
+    return kron(*[HADAMARD] * n)
 
 
 def total_spin_squared(n: int) -> np.ndarray:
@@ -224,14 +219,12 @@ def total_spin_squared(n: int) -> np.ndarray:
     dim = 2**n
     out = np.zeros((dim, dim), dtype=complex)
     for pauli in PAULIS:
-        comp = np.zeros((dim, dim), dtype=complex)
-        for t in range(n):
-            comp += 0.5 * kron(*[pauli if i == t else IDENTITY_2 for i in range(n)])
+        comp = 0.5 * _sum_local(pauli, n)
         out += comp @ comp
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """Hermitian observable plus the dephasing convention attached to it.
 
@@ -240,6 +233,7 @@ class Hamiltonian:
     splits the spectral blocks by total spin J^2 instead. With neither,
     dephasing keeps the spectral blocks (``block``). The matrix is stored
     read-only, so ``levels`` and ``frame`` are computed once per object.
+    Equality and hashing are by identity, so a Hamiltonian can key a dict.
     """
 
     matrix: np.ndarray

@@ -15,6 +15,12 @@ only that diagonal, or as one batched eigvalsh of the kept blocks. The
 Hamiltonian side (its levels and dephasing frame) is computed once per
 ``Hamiltonian`` object. ``decompose`` is the one-state case and
 ``coherent_work`` the stacked one.
+
+The single-qubit closed forms read no channel kind: the Bloch vector m
+from ``channels.bloch_map`` and one row (axis, sign, e0, g) per basis,
+writing the Hamiltonian as e0 + g (u . sigma), give the whole split from
+m's component along u. The enhancement thresholds are one table keyed by
+(kind, basis).
 """
 
 from __future__ import annotations
@@ -161,77 +167,57 @@ def coherent_work(rhos, h) -> np.ndarray:
 # single-qubit closed forms
 # ---------------------------------------------------------------------------
 
-def closed_form_single(kind: str, q: float, n, basis: str = "computational") -> ErgotropyReport:
-    """Analytic work split for one qubit under a channel.
-
-    In the computational basis (gap-1 Hamiltonian diag(0, 1)) every kind
-    is supported; the x basis (Hamiltonian sigma_x, gap 2) is derived for
-    the dephasing kinds only. Amplitude damping switches branch at
-    q = |n3|/(1 + |n3|) and at the sign of n3.
-    """
-    kind = ch.canonical_kind(kind)
-    spec = ch.ChannelSpec(kind, q)
-    nq = ch.bloch_map(spec, n)
-    n1, n2, n3 = nq
-    norm = float(np.linalg.norm(nq))
-
-    if basis == "computational":
-        coherence = math.hypot(n1, n2)
-        if kind == ch.AMPLITUDE_DAMPING:
-            n3_0 = float(np.asarray(n, dtype=float)[2])
-            z = abs(n3_0) / (1.0 + abs(n3_0))
-            if n3_0 < 0.0 and q < z:
-                incoherent = abs(n3_0) - q * (1.0 + abs(n3_0))
-                coherent = 0.5 * (norm - abs(n3_0) * (1.0 - q) + q)
-            elif n3_0 < 0.0:
-                incoherent = 0.0
-                coherent = 0.5 * (norm + abs(n3_0) * (1.0 - q) - q)
-            else:
-                incoherent = 0.0
-                coherent = 0.5 * (norm - n3_0 * (1.0 - q) - q)
-        else:
-            incoherent = max(0.0, -n3)
-            coherent = 0.5 * (norm - abs(n3))
-        total = incoherent + coherent
-        # energies for diag(0, 1): E(rho) = (1 - n3)/2
-        e_passive = 0.5 * (1.0 - norm)
-        return ErgotropyReport(
-            total=total,
-            incoherent=incoherent,
-            coherent=coherent,
-            passive_energy=e_passive,
-            dephased_passive_energy=e_passive + (total - incoherent),
-            l1_coherence=coherence,
-        )
-
-    if basis == "x":
-        if kind not in (ch.PHASE_FLIP, ch.PHASE_DAMPING):
-            raise ValueError(f"no x-basis closed form for {kind!r}")
-        coherence = math.hypot(n2, n3)
-        incoherent = max(0.0, 2.0 * n1)
-        coherent = norm - abs(n1)
-        total = incoherent + coherent
-        e_passive = -norm
-        return ErgotropyReport(
-            total=total,
-            incoherent=incoherent,
-            coherent=coherent,
-            passive_energy=e_passive,
-            dephased_passive_energy=e_passive + coherent,
-            l1_coherence=coherence,
-        )
-
-    raise ValueError(f"unknown basis choice {basis!r}")
-
-
-_THRESHOLD_COMPONENTS = {
-    ch.BIT_FLIP: (1, 2),  # (n2, n3)
-    ch.BIT_PHASE_FLIP: (0, 2),  # (n1, n3)
-    "phase_flip_x": (1, 0),  # (n2, n1): x-basis role swap n3 -> n1
+# The single-qubit Hamiltonians of the closed forms, as e0 + g (u . sigma)
+# with u = sign * (unit vector along axis): (axis, sign, e0, g), and the
+# channel kinds each basis has closed forms for.
+_BASES = {
+    "computational": ((2, -1.0, 0.5, 0.5), ch.KINDS),  # diag(0, 1), gap 1
+    "x": ((0, 1.0, 0.0, 1.0), (ch.PHASE_FLIP, ch.PHASE_DAMPING)),  # sigma_x, gap 2
 }
 
 
-def threshold_q(kind: str, n) -> float:
+def closed_form_single(kind: str, q: float, n, basis: str = "computational") -> ErgotropyReport:
+    """Analytic work split for one qubit under a channel.
+
+    The evolved Bloch vector m = ``bloch_map`` splits into m_u along the
+    Hamiltonian's axis and the rest: W_I = g (m_u + |m_u|) and
+    W_C = g (|m| - |m_u|) <= g C, with C the off-axis length (the l1
+    coherence). Every kind has the computational basis (diag(0, 1), so
+    W_C <= C/2); the x basis (sigma_x) is derived for the dephasing
+    kinds only.
+    """
+    spec = ch.ChannelSpec(kind, q)
+    m = ch.bloch_map(spec, n)
+    if basis not in _BASES:
+        raise ValueError(f"unknown basis choice {basis!r}")
+    (axis, sign, e0, g), kinds = _BASES[basis]
+    if spec.kind not in kinds:
+        raise ValueError(f"no {basis}-basis closed form for {spec.kind!r}")
+    norm = float(np.linalg.norm(m))
+    m_u = sign * float(m[axis])
+    incoherent = g * (m_u + abs(m_u))
+    coherent = g * (norm - abs(m_u))
+    e_passive = e0 - g * norm
+    return ErgotropyReport(
+        total=incoherent + coherent,
+        incoherent=incoherent,
+        coherent=coherent,
+        passive_energy=e_passive,
+        dephased_passive_energy=e_passive + coherent,
+        l1_coherence=math.hypot(*np.delete(m, axis)),
+    )
+
+
+# (decaying, surviving) Bloch components whose ratio sets the enhancement
+# threshold, per (kind, basis); the x basis swaps the roles of n3 and n1.
+THRESHOLD_COMPONENTS = {
+    (ch.BIT_FLIP, "computational"): (1, 2),  # (n2, n3)
+    (ch.BIT_PHASE_FLIP, "computational"): (0, 2),  # (n1, n3)
+    (ch.PHASE_FLIP, "x"): (1, 0),  # (n2, n1)
+}
+
+
+def threshold_q(kind: str, n, basis: str = "computational") -> float:
     """Noise strength beyond which the coherent work meets its noiseless value.
 
     q_b = 2 (na^2 + nb^2 - |nb| ||n||) / na^2 with (na, nb) the decaying
@@ -239,12 +225,11 @@ def threshold_q(kind: str, n) -> float:
     every strength enhances; above 1, none does. A vanishing denominator
     means no finite threshold exists (returned as +inf).
     """
-    if kind in ch.ALIASES:
-        kind = ch.ALIASES[kind]
-    if kind not in _THRESHOLD_COMPONENTS:
-        raise ValueError(f"no enhancement threshold derived for {kind!r}")
+    kind = ch.ALIASES.get(kind, kind)
+    if (kind, basis) not in THRESHOLD_COMPONENTS:
+        raise ValueError(f"no enhancement threshold derived for {kind!r} in the {basis} basis")
     n = np.asarray(n, dtype=float)
-    ia, ib = _THRESHOLD_COMPONENTS[kind]
+    ia, ib = THRESHOLD_COMPONENTS[kind, basis]
     na, nb = n[ia], n[ib]
     if na == 0.0:
         return float("inf")

@@ -83,6 +83,15 @@ def test_lindblad_and_entangled_and_appendix(tmp_path):
     assert len(rows) == 1 + 2 * 11
 
 
+def test_entangled_runs_the_named_channel(tmp_path, capsys):
+    out = tmp_path / "ent.csv"
+    args = ["entangled", "--theta", "0,1.5,3", "--q", "0,1,5", "-o", str(out)]
+    assert run(args + ["--channel", "pf"]) == 0
+    assert json.loads(out.with_suffix(".meta.json").read_text())["channel"] == "phase_flip"
+    assert run(args + ["--channel", "nonsense"]) == 1
+    assert "unknown channel kind" in capsys.readouterr().err
+
+
 def test_validation_failure_exits_one(tmp_path, capsys):
     code = run(["bds", "--channel", "bf", "--c", "0.9,0.8,0.1",
                 "-o", str(tmp_path / "x.csv")])

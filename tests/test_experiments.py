@@ -34,6 +34,12 @@ def test_sweep_single_records_and_threshold():
     assert np.all(np.diff(res.columns["WC"]) <= 1e-12)
     assert np.all(np.diff(res.columns["WI"]) <= 1e-12)
     assert res.columns["WC"][-1] <= 1e-12
+    # x-basis phase flip: the bit-flip threshold with the roles of n3 and n1 swapped
+    res = ex.sweep_single("pf", [0.4, 0.5, 0.6], basis="x", q_grid=np.linspace(0, 1, 5))
+    qb = 2 * (0.25 + 0.16 - 0.4 * np.sqrt(0.77)) / 0.25
+    assert res.metadata["threshold_q"] == pytest.approx(qb, abs=1e-12)
+    assert np.all(res.columns["threshold"] == res.metadata["threshold_q"])
+    assert "threshold_q" not in ex.sweep_single("pf", [0.4, 0.5, 0.6]).metadata
 
 
 def test_sweep_single_ad_peak_metadata():

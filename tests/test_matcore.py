@@ -10,7 +10,6 @@ from ergonoise.matcore import (
     herm_eig,
     kron,
     partial_trace,
-    project_psd,
     trace_norm,
 )
 from ergonoise.qstate import bloch_to_density, make_bds, qubit_state
@@ -157,16 +156,6 @@ def test_trace_norm_unitary_invariance():
         m = random_hermitian(rng, 4)
         _, u = herm_eig(random_hermitian(rng, 4))
         assert abs(trace_norm(u @ m @ u.conj().T) - trace_norm(m)) <= 1e-9
-
-
-def test_project_psd_clamps_and_renormalizes():
-    rho = np.diag([1.0 + 5e-11, -5e-11])
-    fixed = project_psd(rho)
-    vals = np.linalg.eigvalsh(fixed)
-    assert vals[0] >= 0.0
-    assert np.trace(fixed).real == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        project_psd(np.diag([1.1, -0.1]))
 
 
 def test_require_density_accepts_valid_states():

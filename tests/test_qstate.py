@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ergonoise import qstate
-from ergonoise.matcore import require_density
+from ergonoise.matcore import KET_E, KET_G, require_density
 from ergonoise.qstate import (
     apply_hadamard_pair,
     bds_is_separable,
@@ -17,6 +19,7 @@ from ergonoise.qstate import (
     random_separable,
     symmetric_pair,
     symmetrized_multipartite,
+    x_product_basis,
 )
 from ergonoise.workx import concurrence
 
@@ -179,6 +182,33 @@ def test_hamiltonian_z_plus_xx():
     # nondegenerate spectrum, so block dephasing is exact
     vals = np.linalg.eigvalsh(h.matrix)
     assert np.diff(vals).min() > 1e-6
+
+
+def test_hamiltonian_compares_and_hashes_by_identity():
+    h = hamiltonian("excitation", 1)
+    assert (h == h) is True
+    assert (h == hamiltonian("excitation", 1)) is False
+    assert {h: "cached"}[h] == "cached"
+    # replace builds a new object with its own cached levels and frame
+    scaled = replace(h, matrix=2.0 * h.matrix)
+    assert scaled != h
+    assert np.array_equal(scaled.levels, [0.0, 2.0])
+    assert h.frame is h.frame
+    collective = replace(hamiltonian("x_sum", 2), basis=None, collective=True)
+    assert collective.dephasing == "collective"
+    assert collective.frame[1].shape == (4, 4)
+
+
+def test_x_product_basis_orders_kets_by_bits():
+    # column idx is the product of |x+> (bit 0) and |x-> (bit 1), first qubit first
+    kets = ((KET_G + KET_E) / np.sqrt(2.0), (KET_G - KET_E) / np.sqrt(2.0))
+    for n in range(1, 6):
+        basis = x_product_basis(n)
+        for idx in range(2**n):
+            ket = kets[(idx >> (n - 1)) & 1]
+            for k in range(1, n):
+                ket = np.kron(ket, kets[(idx >> (n - 1 - k)) & 1])
+            assert np.array_equal(basis[:, idx], ket)
 
 
 def test_hamiltonian_unknown_kind():

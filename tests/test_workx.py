@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -144,10 +144,7 @@ def test_closed_forms_match_oracle():
             for q in grid:
                 closed = closed_form_single(kind, q, n)
                 full = oracle_report(kind, q, n, "computational")
-                assert abs(closed.total - full.total) <= 1e-10
-                assert abs(closed.incoherent - full.incoherent) <= 1e-10
-                assert abs(closed.coherent - full.coherent) <= 1e-10
-                assert abs(closed.l1_coherence - full.l1_coherence) <= 1e-10
+                assert np.abs(np.subtract(astuple(closed), astuple(full))).max() <= 1e-10
 
 
 def test_closed_form_x_basis_matches_oracle():
@@ -158,9 +155,7 @@ def test_closed_form_x_basis_matches_oracle():
             for q in np.linspace(0, 1, 26):
                 closed = closed_form_single(kind, q, n, basis="x")
                 full = oracle_report(kind, q, n, "x")
-                assert abs(closed.total - full.total) <= 1e-10
-                assert abs(closed.incoherent - full.incoherent) <= 1e-10
-                assert abs(closed.coherent - full.coherent) <= 1e-10
+                assert np.abs(np.subtract(astuple(closed), astuple(full))).max() <= 1e-10
 
 
 def test_closed_form_rejections():
@@ -221,6 +216,9 @@ def test_threshold_values():
     assert threshold_q("bf", [0.5, 0.0, 0.4]) == np.inf
     with pytest.raises(ValueError):
         threshold_q("dc", [0.5, 0.3, 0.1])
+    # phase flip has a threshold in the x basis only
+    with pytest.raises(ValueError, match="computational basis"):
+        threshold_q("pf", [0.4, 0.5, 0.6])
 
 
 def test_threshold_marks_enhancement_onset():
@@ -231,7 +229,7 @@ def test_threshold_marks_enhancement_onset():
     assert closed_form_single("bf", qb - 0.01, n).coherent < wc0
     # x-basis phase flip uses the same form with n3 -> n1
     nx = np.array([0.4, 0.5, 0.6])
-    qb = threshold_q("phase_flip_x", nx)
+    qb = threshold_q("pf", nx, basis="x")
     wc0 = closed_form_single("pf", 0.0, nx, basis="x").coherent
     assert closed_form_single("pf", min(qb + 0.01, 1.0), nx, basis="x").coherent >= wc0 - 1e-12
 
@@ -437,3 +435,43 @@ def test_decompose_keeps_degenerate_level_blocks():
     assert decompose(rho, hamiltonian("excitation", 2)).coherent == pytest.approx(0.5, abs=1e-12)
     for rho in random_states(26, 4):
         assert abs(decompose(rho, hm).incoherent - ergotropy(dephase(rho, hm), hm)) <= 1e-12
+
+
+HAMILTONIANS = {
+    "excitation_1": hamiltonian("excitation", 1),
+    "excitation_3": hamiltonian("excitation", 3),  # product basis, degenerate
+    "z_sum_2": hamiltonian("z_sum", 2),
+    "x_sum_1": hamiltonian("x_sum", 1),
+    "x_sum_3": hamiltonian("x_sum", 3),  # product basis, not diagonal
+    "xx_interacting_2": hamiltonian("xx_interacting", 2),  # collective spin
+    "z_plus_xx_2": hamiltonian("z_plus_xx", 2),  # spectral blocks
+    "excitation_blocks_2": DEGENERATE_BLOCKS,
+}
+WORK_FIELDS = ("total", "incoherent", "coherent")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(HAMILTONIANS)),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(-10.0, 10.0),
+)
+def test_work_split_is_invariant_under_the_hamiltonian_flow(name, seed, t):
+    # U = exp(-iHt) commutes with H and acts as a phase on every kept block
+    h = HAMILTONIANS[name]
+    levels, v = herm_eig(h.matrix)
+    u = (v * np.exp(-1j * levels * t)) @ v.conj().T
+    rho = next(random_states(seed, len(levels), count=1))
+    ref, rep = decompose(rho, h), decompose(u @ rho @ u.conj().T, h)
+    for field in WORK_FIELDS:
+        assert abs(getattr(rep, field) - getattr(ref, field)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(HAMILTONIANS)), seed=st.integers(0, 2**32 - 1))
+def test_passive_states_hold_no_work(name, seed):
+    h = HAMILTONIANS[name]
+    rho = next(random_states(seed, len(h.levels), count=1))
+    rep = decompose(passive_state(rho, h), h)
+    for field in WORK_FIELDS:
+        assert abs(getattr(rep, field)) <= 1e-12
