@@ -4,8 +4,9 @@ application to multi-qubit states, and Lindblad time evolution.
 All channels are parameterized by a strength q in [0, 1]. The Kraus sets
 are the physical definition and drive the numerical pipeline:
 ``apply_local_grid`` stacks the superoperators sum_k K(q) (x) conj(K(q))
-of a whole q grid and contracts them onto the target qubits with one
-batched einsum per target group, giving one evolved state per q;
+of a whole q grid and applies them to each target group as one batched
+matmul, with the group's row and column axes moved to the front,
+giving one evolved state per q;
 ``apply_local`` is the one-strength case of the same contraction.
 The closed forms come from one table of affine Bloch maps
 n -> T(q) n + t(q) per single-qubit kind: ``bloch_map`` applies it and
@@ -33,6 +34,7 @@ from .matcore import (
     kron,
     num_qubits,
 )
+from .qstate import require_bloch
 
 COMPLETENESS_TOL = 1e-12
 
@@ -145,31 +147,32 @@ def kraus_set(spec: ChannelSpec) -> list[np.ndarray]:
 
 
 def _superoperators(specs) -> np.ndarray:
-    """sum_k K (x) conj(K) of each spec, stacked along a leading axis.
+    """sum_k K (x) conj(K) of each spec, as a (len(specs), 4^m, 4^m) stack
+    for an m-qubit kind.
 
-    After that axis come one size-2 axis per qubit index, running (out
-    rows, out cols, in rows, in cols), each over the channel's qubits in
-    order. Every spec must have the same kind.
+    Rows run over (out rows, out cols) and columns over (in rows, in
+    cols), each over the channel's qubits in order. Every spec must have
+    the same kind.
     """
     ks = np.array([kraus_set(spec) for spec in specs])
-    m = ks.shape[-1].bit_length() - 1
+    d = ks.shape[-1]
     sup = np.einsum("qkij,qkIJ->qiIjJ", ks, ks.conj())
-    return sup.reshape((len(specs),) + (2,) * (4 * m))
+    return sup.reshape(len(specs), d * d, d * d)
 
 
 def _contract(rhos: np.ndarray, sups: np.ndarray, targets, n: int) -> np.ndarray:
-    """Apply the i-th superoperator to the sorted ``targets`` of the i-th state."""
+    """Apply the i-th superoperator to the sorted ``targets`` of the i-th state.
+
+    The targets' row and column axes move to the front, so the whole
+    stack is one batched matmul onto a (Q, 4^m, 4^(n-m)) reshape.
+    """
     m = len(targets)
-    axes = list(range(2 * n))
-    fresh = list(range(2 * n, 2 * n + 2 * m))
-    batch = 2 * n + 2 * m
-    out_axes = axes.copy()
-    for t, row, col in zip(targets, fresh[:m], fresh[m:]):
-        out_axes[t], out_axes[n + t] = row, col
-    sup_axes = [batch] + fresh + list(targets) + [n + t for t in targets]
-    tens = rhos.reshape((len(rhos),) + (2,) * (2 * n))
-    out = np.einsum(sups, sup_axes, tens, [batch] + axes, [batch] + out_axes)
-    return out.reshape(rhos.shape)
+    front = [1 + t for t in targets] + [1 + n + t for t in targets]
+    perm = [0] + front + [a for a in range(1, 2 * n + 1) if a not in front]
+    tens = rhos.reshape((len(rhos),) + (2,) * (2 * n)).transpose(perm)
+    out = (sups @ tens.reshape(len(rhos), 4**m, -1)).reshape(tens.shape)
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    return out.transpose(inverse).reshape(rhos.shape)
 
 
 def apply_local_grid(rho, kind: str, q_grid, targets=None) -> np.ndarray:
@@ -219,7 +222,7 @@ def bloch_map(spec: ChannelSpec, n) -> np.ndarray:
     if spec.kind not in _AFFINE:
         raise ValueError(f"no single-qubit Bloch map for {spec.kind!r}")
     mat, shift = _AFFINE[spec.kind](spec.q)
-    return mat @ np.asarray(n, dtype=float) + shift
+    return mat @ require_bloch(n) + shift
 
 
 def bds_param_map(spec: ChannelSpec, c, both_qubits: bool = True) -> np.ndarray:

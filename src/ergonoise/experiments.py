@@ -28,6 +28,7 @@ from .qstate import (
     hamiltonian,
     philox_stream,
     random_separable,
+    require_bloch,
     symmetric_pair,
     symmetrized_multipartite,
 )
@@ -122,8 +123,7 @@ def sweep_single(kind, n, basis: str = "computational", q_grid=None) -> SweepRes
     """
     kind = ch.canonical_kind(kind)
     q_grid = q_grid_default() if q_grid is None else np.asarray(q_grid, dtype=float)
-    n = np.asarray(n, dtype=float)
-    bloch_to_density(n)  # rejects a wrong shape, non-finite components or norm > 1
+    n = require_bloch(n)
     rows = [workx.closed_form_single(kind, q, n, basis=basis) for q in q_grid]
     cols = {
         "q": q_grid,
@@ -309,6 +309,10 @@ def scaling_run(
     """
     kinds = [ch.canonical_kind(k) for k in kinds]
     n_values = sorted(set(int(n) for n in n_values))
+    if not n_values:
+        raise ValueError("scaling needs at least one register size, got an empty list")
+    if not kinds:
+        raise ValueError("scaling needs at least one channel kind, got an empty list")
     q_grid = q_grid_default(q_points)
     rows = {"channel": [], "N": [], "delta_wc_max": [], "argmax_q": [], "area_ap": []}
     dephasing = {}

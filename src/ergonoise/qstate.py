@@ -3,15 +3,16 @@
 Single qubits are handled both as Bloch vectors and as 2x2 matrices of
 the form [[x, y], [conj(y), 1-x]]; two-qubit families cover Bell-diagonal
 states, classical-quantum states, and symmetrized mixtures of locally
-coherent qubits, extended up to eight qubits by explicit permutation
-averaging.
+coherent qubits, extended up to eight qubits. The symmetrized mixture is
+built from its placement sums, one qubit at a time, in place of the N!
+permutation average it equals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .matcore import (
 
 BLOCH_TOL = 1e-12
 PSD_TOL = 1e-12
+# the multipartite pipeline downstream is dense in 4^N entries per state
 MAX_SYMMETRIZED_QUBITS = 8
 DEGENERACY_TOL = 1e-9  # relative to the largest |energy level|
 # incommensurate weight mixing J^2 into the level structure so that
@@ -52,16 +54,22 @@ def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def bloch_to_density(n) -> np.ndarray:
-    """Single-qubit state (I + n.sigma)/2 from a Bloch vector."""
+def require_bloch(n) -> np.ndarray:
+    """Validate a single-qubit Bloch vector: three finite components, norm <= 1."""
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
         raise ValueError("Bloch vector must have three components")
-    if not np.isfinite(n).all():
-        raise ValueError(f"Bloch vector {n.tolist()} must have finite components")
-    norm = float(np.linalg.norm(n))
-    if norm > 1.0 + BLOCH_TOL:
+    norm = math.hypot(*n)
+    if not norm <= 1.0 + BLOCH_TOL:  # also false for a NaN norm
+        if not np.isfinite(n).all():
+            raise ValueError(f"Bloch vector {n.tolist()} must have finite components")
         raise ValueError(f"Bloch vector norm {norm} exceeds 1")
+    return n
+
+
+def bloch_to_density(n) -> np.ndarray:
+    """Single-qubit state (I + n.sigma)/2 from a Bloch vector."""
+    n = require_bloch(n)
     rho = IDENTITY_2.copy() / 2.0
     for comp, pauli in zip(n, PAULIS):
         rho += 0.5 * comp * pauli
@@ -148,11 +156,29 @@ def symmetric_pair(p: float, a: float, c: complex, d: complex) -> np.ndarray:
     return p * kron(rc, rd) + (1.0 - p) * kron(rd, rc)
 
 
+# The entry of a one-qubit factor that holds sigma+ (row bit 0, column
+# bit 1) and the one that holds sigma-; A = diag(a, 1 - a) fills the rest.
+_RAISED = np.array([[0, 1], [0, 0]])
+_LOWERED = _RAISED.T
+
+
+def _add_qubit(counts: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """Per-entry counts of a register grown by one qubit (a kron sum)."""
+    d = len(counts)
+    return (counts[:, None, :, None] + local[None, :, None, :]).reshape(2 * d, 2 * d)
+
+
 def symmetrized_multipartite(a: float, coherences) -> np.ndarray:
     """Equal-weight mixture of all N! orderings of local states rho(a, c_i).
 
-    The explicit permutation loop matches the defining sum; N is capped
-    at 8 to keep the 40320-term case affordable.
+    With rho(a, c_i) = A + c_i sigma+ + conj(c_i) sigma-, the average is
+    sum_{k,l} E_kl(c) / M(k, l) T_kl: E_kl is the x^k y^l coefficient of
+    prod_i (1 + x c_i + y conj(c_i)), M(k, l) = N! / (k! l! (N-k-l)!),
+    and T_kl sums the products with sigma+ on k qubits, sigma- on l
+    others and A on the rest. Each matrix entry belongs to exactly one
+    such placement, so T_kl is never formed: the counts (k, l) and the A
+    factor of every entry are built one qubit at a time, and the state is
+    the A factor times the weight of its placement.
     """
     coherences = list(coherences)
     n = len(coherences)
@@ -161,12 +187,23 @@ def symmetrized_multipartite(a: float, coherences) -> np.ndarray:
     if n > MAX_SYMMETRIZED_QUBITS:
         raise ValueError(f"qubit count {n} exceeds cap {MAX_SYMMETRIZED_QUBITS}")
     locals_ = [qubit_state(a, c) for c in coherences]
-    acc = np.zeros((2**n, 2**n), dtype=complex)
-    count = 0
-    for perm in permutations(range(n)):
-        acc += kron(*[locals_[i] for i in perm])
-        count += 1
-    return acc / count
+    # weight[k, l] = E_kl(c) / M(k, l)
+    weight = np.zeros((n + 1, n + 1), dtype=complex)
+    weight[0, 0] = 1.0
+    for local in locals_:
+        grown = weight.copy()
+        grown[1:] += local[0, 1] * weight[:-1]
+        grown[:, 1:] += local[1, 0] * weight[:, :-1]
+        weight = grown
+    f = [math.factorial(i) for i in range(n + 1)]
+    for k in range(n + 1):
+        for l in range(n + 1 - k):
+            weight[k, l] *= f[k] * f[l] * f[n - k - l] / f[n]
+    raised = lowered = np.zeros((1, 1), dtype=int)
+    for _ in range(n):
+        raised, lowered = _add_qubit(raised, _RAISED), _add_qubit(lowered, _LOWERED)
+    a_factor = kron(*[np.where(np.eye(2, dtype=bool), locals_[0], 1.0)] * n)
+    return a_factor * weight[raised, lowered]
 
 
 def random_separable(seed_or_rng, num_terms: int = 2) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 from .matcore import SIGMA_Y, as_matrix, herm_eig, kron, state_spectra
 from . import channels as ch
 # total_spin_squared is re-exported: bench/tests/test_bench.py traces this binding
-from .qstate import Hamiltonian, total_spin_squared  # noqa: F401
+from .qstate import Hamiltonian, require_bloch, total_spin_squared  # noqa: F401
 
 
 def _hamiltonian(h, rho) -> Hamiltonian:
@@ -52,11 +52,12 @@ def passive_state(rho, h) -> np.ndarray:
 
     Descending state eigenvalues are paired with ascending energy levels;
     within a degenerate level the pairing order cannot change the energy,
-    so the stable index order is used.
+    so the stable index order is used. A matrix that is not a state is
+    rejected naming the violation, as in ``decompose``.
     """
     rho = as_matrix(rho)
     h = _hamiltonian(h, rho)
-    lam = np.linalg.eigvalsh(rho)[::-1]
+    lam = state_spectra(rho)[::-1]
     evals, evecs = herm_eig(h.matrix)
     return (evecs * lam) @ evecs.conj().T
 
@@ -228,7 +229,7 @@ def threshold_q(kind: str, n, basis: str = "computational") -> float:
     kind = ch.ALIASES.get(kind, kind)
     if (kind, basis) not in THRESHOLD_COMPONENTS:
         raise ValueError(f"no enhancement threshold derived for {kind!r} in the {basis} basis")
-    n = np.asarray(n, dtype=float)
+    n = require_bloch(n)
     ia, ib = THRESHOLD_COMPONENTS[kind, basis]
     na, nb = n[ia], n[ib]
     if na == 0.0:

@@ -186,17 +186,20 @@ def test_correlated_bit_flip_leaves_bds_unchanged():
         apply_local(np.eye(8) / 8, ChannelSpec("cbf", 0.5), (0, 1, 2))
 
 
-def test_apply_local_multi_qubit_padding():
-    # explicit kron lifting as the oracle on three qubits
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != CORRELATED_BIT_FLIP])
+def test_apply_local_multi_qubit_padding(n, kind):
+    # explicit kron lifting as the oracle, on the first, middle and last qubit
     rng = np.random.default_rng(16)
-    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    d = 2**n
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = m @ m.conj().T
     rho /= np.trace(rho).real
-    spec = ChannelSpec("bf", 0.37)
-    for target in range(3):
+    spec = ChannelSpec(kind, 0.37)
+    for target in sorted({0, n // 2, n - 1}):
         lifted = []
         for k in kraus_set(spec):
-            ops = [np.eye(2)] * 3
+            ops = [np.eye(2)] * n
             ops[target] = k
             lifted.append(kron(*ops))
         oracle = sum(k @ rho @ k.conj().T for k in lifted)

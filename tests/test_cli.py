@@ -126,6 +126,17 @@ def test_non_finite_input_exits_one_naming_the_constraint(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_empty_scaling_lists_exit_one_naming_the_list(tmp_path, capsys):
+    for argv, message in (
+        (["scaling", "--n", "5..2"], "register size"),
+        (["scaling", "--n", "2", "--channels", ","], "channel kind"),
+    ):
+        out = tmp_path / "scaling.csv"
+        assert run(argv + ["-o", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_argument_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["single", "--channel", "bf", "--bloch", "0.1,0.2",

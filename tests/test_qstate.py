@@ -1,10 +1,13 @@
 from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergonoise import qstate
-from ergonoise.matcore import KET_E, KET_G, require_density
+from ergonoise.matcore import KET_E, KET_G, kron, require_density
 from ergonoise.qstate import (
     apply_hadamard_pair,
     bds_is_separable,
@@ -97,6 +100,31 @@ def test_symmetrized_multipartite_small_cases():
     equal = symmetrized_multipartite(0.2, [0.1, 0.1, 0.1])
     product = np.kron(np.kron(qubit_state(0.2, 0.1), qubit_state(0.2, 0.1)), qubit_state(0.2, 0.1))
     assert np.abs(equal - product).max() <= 1e-15
+
+
+def permutation_average(a, coherences):
+    """The defining N!-term average of kron products of rho(a, c_i)."""
+    locals_ = [qubit_state(a, c) for c in coherences]
+    orders = list(permutations(range(len(locals_))))
+    return sum(kron(*[locals_[i] for i in order]) for order in orders) / len(orders)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    a=st.floats(0.0, 1.0),
+    radii=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+    phases=st.lists(st.floats(0.0, 2 * np.pi), min_size=6, max_size=6),
+    real=st.booleans(),
+)
+def test_symmetrized_multipartite_matches_permutation_average(n, a, radii, phases, real):
+    bound = np.sqrt(a * (1.0 - a))
+    coherences = [
+        r * bound * (np.sign(np.cos(p)) if real else np.exp(1j * p))
+        for r, p in zip(radii[:n], phases[:n])
+    ]
+    rho = symmetrized_multipartite(a, coherences)
+    assert np.abs(rho - permutation_average(a, coherences)).max() <= 1e-13
 
 
 def test_symmetrized_multipartite_swap_invariance():

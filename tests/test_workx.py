@@ -31,6 +31,7 @@ from ergonoise.workx import (
     ergotropy,
     l1_coherence,
     passive_state,
+    THRESHOLD_COMPONENTS,
     threshold_q,
 )
 
@@ -400,6 +401,8 @@ def test_decompose_rejects_non_states(rho, message):
         coherent_work(np.stack([np.eye(2) / 2, rho]), H1)
     with pytest.raises(ValueError, match=message):
         ergotropy(rho, H1)
+    with pytest.raises(ValueError, match=message):
+        passive_state(rho, H1)
 
 
 unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
@@ -424,6 +427,34 @@ def test_work_bounds_through_the_batched_core(direction, norm, kind, qs, h):
         assert rep.total >= -1e-12
         assert -1e-12 <= coherent <= rep.l1_coherence / 2 + 1e-12
         assert abs(rep.coherent - coherent) <= 1e-15
+
+
+long_vectors = st.tuples(unit_vectors, st.floats(1.0 + 1e-9, 1e6)).map(lambda p: p[0] * p[1])
+non_finite_vectors = st.lists(
+    st.floats(allow_nan=True, allow_infinity=True), min_size=3, max_size=3
+).filter(lambda v: not np.isfinite(v).all())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bad=st.one_of(
+        long_vectors.map(lambda v: (v, "exceeds 1")),
+        non_finite_vectors.map(lambda v: (v, "finite")),
+    ),
+    kind_basis=st.sampled_from(sorted(THRESHOLD_COMPONENTS)),
+    q=st.floats(0.0, 1.0),
+)
+def test_closed_forms_reject_non_state_bloch_vectors(bad, kind_basis, q):
+    n, message = bad
+    kind, basis = kind_basis
+    with pytest.raises(ValueError, match=message):
+        closed_form_single(kind, q, n, basis=basis)
+    with pytest.raises(ValueError, match=message):
+        bloch_map(ChannelSpec(kind, q), n)
+    with pytest.raises(ValueError, match=message):
+        threshold_q(kind, n, basis)
+    with pytest.raises(ValueError, match=message):
+        bloch_to_density(n)
 
 
 def test_decompose_keeps_degenerate_level_blocks():
