@@ -47,7 +47,6 @@ from .workx import (
     ErgotropyReport,
     closed_form_single,
     coherence_degenerate,
-    coherent_work,
     concurrence,
     decompose,
     dephase,
@@ -55,11 +54,13 @@ from .workx import (
     l1_coherence,
     passive_state,
     threshold_q,
+    work_split,
 )
 from .correlations import (
     CorrelationReport,
     bds_eigenvalues,
     correlation_work_check,
+    correlation_work_curve,
     gcc_bds,
     gcc_trace_norm,
     gqc_bds,

@@ -2,12 +2,12 @@
 application to multi-qubit states, and Lindblad time evolution.
 
 All channels are parameterized by a strength q in [0, 1]. The Kraus sets
-are the physical definition and drive the numerical pipeline:
-``apply_local_grid`` stacks the superoperators sum_k K(q) (x) conj(K(q))
-of a whole q grid and applies them to each target group as one batched
-matmul, with the group's row and column axes moved to the front,
-giving one evolved state per q;
-``apply_local`` is the one-strength case of the same contraction.
+are the physical definition and drive the numerical pipeline: one table
+gives each kind's Kraus operators as (Q, d, d) stacks over a whole q
+array (``kraus_set`` reads one row), ``apply_local_grid`` turns them into
+the superoperators sum_k K(q) (x) conj(K(q)) and applies them to each
+target group as one batched matmul, and ``apply_local_chunks`` splits a
+long grid into stacks of at most STACK_BUDGET_BYTES of states.
 The closed forms come from one table of affine Bloch maps
 n -> T(q) n + t(q) per single-qubit kind: ``bloch_map`` applies it and
 ``bds_param_map`` reads diag(T). The tests check both against the Kraus
@@ -27,16 +27,14 @@ from .matcore import (
     IDENTITY_2,
     KET_E,
     KET_G,
+    PAULIS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     as_matrix,
-    kron,
     num_qubits,
 )
-from .qstate import require_bloch
-
-COMPLETENESS_TOL = 1e-12
+from .qstate import IDENTITY_4, PAULI_PAIRS, require_bloch
 
 BIT_FLIP = "bit_flip"
 BIT_PHASE_FLIP = "bit_phase_flip"
@@ -103,6 +101,20 @@ def canonical_kind(kind: str) -> str:
     return kind
 
 
+def strengths(q_grid) -> np.ndarray:
+    """A q grid as a float array, checked whole: non-empty, 1-D, every
+    entry in [0, 1] (NaN is outside)."""
+    qs = np.asarray(q_grid, dtype=float)
+    if qs.ndim != 1:
+        raise ValueError(f"noise strengths must form a 1-D grid, got shape {qs.shape}")
+    if not qs.size:
+        raise ValueError("need at least one noise strength")
+    outside = ~((qs >= 0.0) & (qs <= 1.0))
+    if outside.any():
+        raise ValueError(f"noise strength q = {float(qs[outside.argmax()])} outside [0, 1]")
+    return qs
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """A channel kind plus its noise strength q in [0, 1]."""
@@ -112,52 +124,55 @@ class ChannelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", canonical_kind(self.kind))
-        object.__setattr__(self, "q", float(self.q))
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"noise strength q = {self.q} outside [0, 1]")
+        object.__setattr__(self, "q", float(strengths([self.q])[0]))
+
+
+# (Q,) coefficients times one operator: a (Q, d, d) stack
+_outer = np.multiply.outer
+
+
+def _flip(identity, op):
+    """sqrt(1 - q/2) identity and sqrt(q/2) op."""
+    return lambda q: [_outer(np.sqrt(1.0 - q / 2.0), identity), _outer(np.sqrt(q / 2.0), op)]
+
+
+def _damping(op):
+    """P_g + sqrt(1 - q) P_e and sqrt(q) op."""
+    return lambda q: [_PROJ_G + _outer(np.sqrt(1.0 - q), _PROJ_E), _outer(np.sqrt(q), op)]
+
+
+# Kraus operators of each kind as (Q, d, d) stacks over a q array; every
+# set satisfies sum K^dag K = I. Depolarizing uses sqrt(1 - 3q/4) on the
+# identity term so that the set is complete and the Bloch vector
+# contracts by exactly (1 - q).
+_KRAUS = {
+    BIT_FLIP: _flip(IDENTITY_2, SIGMA_X),
+    BIT_PHASE_FLIP: _flip(IDENTITY_2, SIGMA_Y),
+    PHASE_FLIP: _flip(IDENTITY_2, SIGMA_Z),
+    DEPOLARIZING: lambda q: [_outer(np.sqrt(1.0 - 3.0 * q / 4.0), IDENTITY_2)]
+    + [_outer(np.sqrt(q / 4.0), p) for p in PAULIS],
+    AMPLITUDE_DAMPING: _damping(SIGMA_MINUS),
+    PHASE_DAMPING: _damping(_PROJ_E),
+    CORRELATED_BIT_FLIP: _flip(IDENTITY_4, PAULI_PAIRS[0]),  # sigma_x x sigma_x
+}
 
 
 def kraus_set(spec: ChannelSpec) -> list[np.ndarray]:
-    """Kraus operators of the channel; they satisfy sum K^dag K = I.
-
-    Depolarizing uses sqrt(1 - 3q/4) on the identity term so that the
-    set is complete and the Bloch vector contracts by exactly (1 - q).
-    """
-    q = spec.q
-    if spec.kind == BIT_FLIP:
-        return [np.sqrt(1.0 - q / 2.0) * IDENTITY_2, np.sqrt(q / 2.0) * SIGMA_X]
-    if spec.kind == BIT_PHASE_FLIP:
-        return [np.sqrt(1.0 - q / 2.0) * IDENTITY_2, np.sqrt(q / 2.0) * SIGMA_Y]
-    if spec.kind == PHASE_FLIP:
-        return [np.sqrt(1.0 - q / 2.0) * IDENTITY_2, np.sqrt(q / 2.0) * SIGMA_Z]
-    if spec.kind == DEPOLARIZING:
-        return [np.sqrt(1.0 - 3.0 * q / 4.0) * IDENTITY_2] + [
-            np.sqrt(q / 4.0) * p for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)
-        ]
-    if spec.kind == AMPLITUDE_DAMPING:
-        return [_PROJ_G + np.sqrt(1.0 - q) * _PROJ_E, np.sqrt(q) * SIGMA_MINUS]
-    if spec.kind == PHASE_DAMPING:
-        return [_PROJ_G + np.sqrt(1.0 - q) * _PROJ_E, np.sqrt(q) * _PROJ_E]
-    if spec.kind == CORRELATED_BIT_FLIP:
-        return [
-            np.sqrt(1.0 - q / 2.0) * kron(IDENTITY_2, IDENTITY_2),
-            np.sqrt(q / 2.0) * kron(SIGMA_X, SIGMA_X),
-        ]
-    raise ValueError(f"unknown channel kind {spec.kind!r}")
+    """Kraus operators of the channel at one strength (a row of the table)."""
+    return [k[0] for k in _KRAUS[spec.kind](np.array([spec.q]))]
 
 
-def _superoperators(specs) -> np.ndarray:
-    """sum_k K (x) conj(K) of each spec, as a (len(specs), 4^m, 4^m) stack
-    for an m-qubit kind.
+def _superoperators(kind: str, qs: np.ndarray) -> np.ndarray:
+    """sum_k K(q) (x) conj(K(q)) at each strength, as a (len(qs), 4^m, 4^m)
+    stack for an m-qubit kind.
 
     Rows run over (out rows, out cols) and columns over (in rows, in
-    cols), each over the channel's qubits in order. Every spec must have
-    the same kind.
+    cols), each over the channel's qubits in order.
     """
-    ks = np.array([kraus_set(spec) for spec in specs])
+    ks = np.stack(_KRAUS[kind](qs), axis=1)
     d = ks.shape[-1]
     sup = np.einsum("qkij,qkIJ->qiIjJ", ks, ks.conj())
-    return sup.reshape(len(specs), d * d, d * d)
+    return sup.reshape(len(qs), d * d, d * d)
 
 
 def _contract(rhos: np.ndarray, sups: np.ndarray, targets, n: int) -> np.ndarray:
@@ -178,17 +193,15 @@ def _contract(rhos: np.ndarray, sups: np.ndarray, targets, n: int) -> np.ndarray
 def apply_local_grid(rho, kind: str, q_grid, targets=None) -> np.ndarray:
     """Images of one state under the channel at every strength of ``q_grid``.
 
-    Returns a (len(q_grid), d, d) stack; every strength is validated as a
-    ``ChannelSpec``. Single-qubit kinds act on each target in ascending
+    Returns a (len(q_grid), d, d) stack; the grid is validated whole by
+    ``strengths``. Single-qubit kinds act on each target in ascending
     index order; the order is observationally irrelevant since the maps
     commute on distinct qubits. The correlated kind needs exactly one
     qubit pair; all qubits are the default targets (the pair itself for
     a two-qubit state).
     """
-    specs = [ChannelSpec(kind, q) for q in q_grid]
-    if not specs:
-        raise ValueError("need at least one noise strength")
-    kind = specs[0].kind
+    kind = canonical_kind(kind)
+    qs = strengths(q_grid)
     rho = as_matrix(rho)
     n = num_qubits(rho)
     if targets is None:
@@ -202,11 +215,28 @@ def apply_local_grid(rho, kind: str, q_grid, targets=None) -> np.ndarray:
         groups = [targets]
     else:
         groups = [(t,) for t in targets]
-    sups = _superoperators(specs)
-    out = np.repeat(rho[None], len(specs), axis=0)
+    sups = _superoperators(kind, qs)
+    out = np.repeat(rho[None], len(qs), axis=0)
     for group in groups:
         out = _contract(out, sups, group, n)
     return out
+
+
+# Bytes of complex128 evolved states held at once along a q grid: a
+# 101-point grid of 4x4 states fits in one stack, and from 8 qubits on
+# every stack holds one state, so memory stays flat in the register size.
+STACK_BUDGET_BYTES = 256 * 1024
+
+
+def apply_local_chunks(rho, kind: str, q_grid, targets=None):
+    """Yield (slice of q_grid, ``apply_local_grid`` stack) pieces of at most
+    STACK_BUDGET_BYTES of states, the grid validated whole before the first."""
+    qs = strengths(q_grid)
+    dim = np.shape(rho)[0]
+    step = max(1, STACK_BUDGET_BYTES // (16 * dim * dim))
+    for start in range(0, len(qs), step):
+        part = slice(start, start + step)
+        yield part, apply_local_grid(rho, kind, qs[part], targets)
 
 
 def apply_local(rho, spec: ChannelSpec, targets=None) -> np.ndarray:
@@ -262,6 +292,8 @@ class LindbladSpec:
         object.__setattr__(self, "rates", tuple(float(g) for g in self.rates))
         if len(self.jump_operators) != len(self.rates):
             raise ValueError("need one rate per jump operator")
+        if not all(map(math.isfinite, self.rates + (self.duration,))):
+            raise ValueError(f"rates {self.rates} and duration {self.duration} must be finite")
         if any(g < 0 for g in self.rates):
             raise ValueError("rates must be nonnegative")
         if self.duration < 0:
@@ -330,6 +362,8 @@ def q_of_t(kind: str, gamma: float, t: float) -> float:
     q = 1 - exp(-2 gamma t) and q = 1 - exp(-gamma t) respectively.
     """
     kind = canonical_kind(kind)
+    if not (math.isfinite(gamma) and math.isfinite(t)):
+        raise ValueError(f"gamma = {gamma} and t = {t} must be finite")
     if gamma < 0 or t < 0:
         raise ValueError("gamma and t must be nonnegative")
     if kind not in _CLOCKS:

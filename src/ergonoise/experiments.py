@@ -32,15 +32,11 @@ from .qstate import (
     symmetric_pair,
     symmetrized_multipartite,
 )
-from .correlations import correlation_work_check
+from .correlations import Z_SUM_2, correlation_work_curve
 
 DEFAULT_Q_POINTS = 101
 AREA_Q_POINTS = 501
 ENHANCEMENT_AREA_TOL = 1e-12
-# Bytes of complex128 evolved states held at once along a q grid: a
-# 101-point grid of 4x4 states fits in one stack, and from 8 qubits on
-# every stack holds one state, so memory stays flat in the register size.
-STACK_BUDGET_BYTES = 256 * 1024
 
 
 def q_grid_default(points: int = DEFAULT_Q_POINTS) -> np.ndarray:
@@ -151,22 +147,20 @@ def sweep_single(kind, n, basis: str = "computational", q_grid=None) -> SweepRes
 def _crossing_qs(c, spec_kind: str, both: bool, q_grid) -> list[float]:
     """Noise strengths where the largest closed-form eigenvalue changes slot."""
 
-    def argmax_at(q):
-        mapped = ch.bds_param_map(ch.ChannelSpec(spec_kind, q), c, both)
-        return int(np.argmax(bds_eigenvalues(mapped)))
+    def lams_at(q):
+        return bds_eigenvalues(ch.bds_param_map(ch.ChannelSpec(spec_kind, q), c, both))
 
+    slots = [int(np.argmax(lams_at(q))) for q in q_grid]
     crossings = []
-    for q0, q1 in zip(q_grid[:-1], q_grid[1:]):
-        i0, i1 = argmax_at(q0), argmax_at(q1)
+    for q0, q1, i0, i1 in zip(q_grid[:-1], q_grid[1:], slots[:-1], slots[1:]):
         if i0 == i1:
             continue
-        lo, hi = q0, q1
-        # bisect on the gap between the two competing eigenvalues
+        # bisect on the ordered pair: slot i_lo wins at lo, i_hi at hi
+        (lo, i_lo), (hi, i_hi) = sorted([(q0, i0), (q1, i1)])
         while hi - lo > 1e-9:
             mid = 0.5 * (lo + hi)
-            mapped = ch.bds_param_map(ch.ChannelSpec(spec_kind, mid), c, both)
-            lams = bds_eigenvalues(mapped)
-            if lams[i0] >= lams[i1]:
+            lams = lams_at(mid)
+            if lams[i_lo] >= lams[i_hi]:
                 lo = mid
             else:
                 hi = mid
@@ -183,30 +177,27 @@ def sweep_bds(c, kind, q_grid=None, both_qubits: bool = True) -> SweepResult:
     kind = ch.canonical_kind(kind)
     c = np.asarray(c, dtype=float)
     q_grid = q_grid_default() if q_grid is None else np.asarray(q_grid, dtype=float)
-    h = hamiltonian("z_sum", 2)
-    reports = [
-        correlation_work_check(c, ch.ChannelSpec(kind, q), both_qubits, h) for q in q_grid
-    ]
+    curve = correlation_work_curve(c, kind, q_grid, both_qubits, Z_SUM_2)
     cols = {
         "q": q_grid,
-        "W": np.array([r.total_ergotropy for r in reports]),
-        "WI": np.array([r.ergotropy.incoherent for r in reports]),
-        "WC": np.array([r.ergotropy.coherent for r in reports]),
-        "gqc": np.array([r.gqc for r in reports]),
-        "gcc": np.array([r.gcc for r in reports]),
-        "avg": np.array([r.average for r in reports]),
-        "residual": np.array([r.residual for r in reports]),
+        "W": curve.total_ergotropy,
+        "WI": curve.ergotropy.incoherent,
+        "WC": curve.ergotropy.coherent,
+        "gqc": curve.gqc,
+        "gcc": curve.gcc,
+        "avg": curve.average,
+        "residual": curve.residual,
     }
     meta = {
         "experiment": "bds",
         "channel": kind,
         "c": list(map(float, c)),
         "both_qubits": both_qubits,
-        "identity_valid": bool(reports[0].identity_valid),
-        "dephasing": h.dephasing,
+        "identity_valid": curve.identity_valid,
+        "dephasing": Z_SUM_2.dephasing,
         "q_points": len(q_grid),
     }
-    if reports[0].identity_valid:
+    if curve.identity_valid:
         meta["eigenvalue_crossings"] = _crossing_qs(c, kind, both_qubits, q_grid)
     return SweepResult(cols, meta)
 
@@ -216,21 +207,11 @@ def sweep_bds(c, kind, q_grid=None, both_qubits: bool = True) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _evolved_chunks(rho0, kind, q_grid):
-    """Yield (slice of q_grid, stack of evolved states) within STACK_BUDGET_BYTES."""
-    q_grid = np.asarray(q_grid, dtype=float)
-    dim = np.shape(rho0)[0]
-    step = max(1, STACK_BUDGET_BYTES // (16 * dim * dim))
-    for start in range(0, len(q_grid), step):
-        part = slice(start, start + step)
-        yield part, ch.apply_local_grid(rho0, kind, q_grid[part])
-
-
 def _wc_curve(rho0, kind, h: Hamiltonian, q_grid) -> np.ndarray:
     """Coherent work W_C(rho(q)) along the q grid."""
     wc = np.empty(len(q_grid))
-    for part, states in _evolved_chunks(rho0, kind, q_grid):
-        wc[part] = workx.coherent_work(states, h)
+    for part, states in ch.apply_local_chunks(rho0, kind, q_grid):
+        wc[part] = workx.work_split(states, h).coherent
     return wc
 
 
@@ -410,26 +391,16 @@ def lindblad_consistency(kind, gamma: float, t_grid, n0) -> SweepResult:
     jump = ch.jump_operator(kind)
     rho0 = bloch_to_density(n0)
     h = hamiltonian("excitation", 1)
-    cols = {
-        "t": t_grid,
-        "q": np.array([ch.q_of_t(kind, gamma, t) for t in t_grid]),
-    }
-    rk4_bloch, kraus_bloch, wc_rk4, wc_kraus = [], [], [], []
-    for t in t_grid:
-        spec = ch.LindbladSpec((jump,), (gamma,), t)
-        evolved = ch.lindblad_evolve(rho0, spec)
-        q = ch.q_of_t(kind, gamma, t)
-        rk4_bloch.append(density_to_bloch(evolved))
-        kraus_bloch.append(ch.bloch_map(ch.ChannelSpec(kind, q), n0))
-        wc_rk4.append(workx.decompose(evolved, h).coherent)
-        wc_kraus.append(workx.closed_form_single(kind, q, n0).coherent)
-    rk4_bloch = np.array(rk4_bloch)
-    kraus_bloch = np.array(kraus_bloch)
+    qs = np.array([ch.q_of_t(kind, gamma, t) for t in t_grid])
+    evolved = np.array([ch.lindblad_evolve(rho0, ch.LindbladSpec((jump,), (gamma,), t)) for t in t_grid])
+    rk4_bloch = np.array([density_to_bloch(s) for s in evolved])
+    kraus_bloch = np.array([ch.bloch_map(ch.ChannelSpec(kind, q), n0) for q in qs])
+    cols = {"t": t_grid, "q": qs}
     for i, name in enumerate(("n1", "n2", "n3")):
         cols[f"{name}_rk4"] = rk4_bloch[:, i]
         cols[f"{name}_kraus"] = kraus_bloch[:, i]
-    cols["WC_rk4"] = np.array(wc_rk4)
-    cols["WC_kraus"] = np.array(wc_kraus)
+    cols["WC_rk4"] = workx.work_split(evolved, h).coherent
+    cols["WC_kraus"] = np.array([workx.closed_form_single(kind, q, n0).coherent for q in qs])
     max_dev = max(
         float(np.abs(rk4_bloch - kraus_bloch).max()),
         float(np.abs(cols["WC_rk4"] - cols["WC_kraus"]).max()),
@@ -461,8 +432,8 @@ def entangled_example(theta_grid, q_grid=None, h: float = 0.5, j: float = 0.4, k
     for i, theta in enumerate(theta_grid):
         rho0 = apply_hadamard_pair(entangled_theta(theta))
         wc0[i] = workx.decompose(rho0, ham).coherent
-        for part, states in _evolved_chunks(rho0, kind, q_grid):
-            wc[i, part] = workx.coherent_work(states, ham)
+        for part, states in ch.apply_local_chunks(rho0, kind, q_grid):
+            wc[i, part] = workx.work_split(states, ham).coherent
             conc[i, part] = [workx.concurrence(s) for s in states]
     cols = {
         "theta": np.repeat(theta_grid, len(q_grid)),
@@ -500,39 +471,33 @@ def interacting_depolarizing(
     """
     q_grid = q_grid_default() if q_grid is None else np.asarray(q_grid, dtype=float)
     ham = hamiltonian("xx_interacting", 2, h=h, j=j)
-    rows = {
-        "a": [],
-        "q": [],
-        "WC": [],
-        "delta_WC": [],
-        "coherence_degenerate": [],
-        "dEp_dq": [],
-        "dEpd_dq": [],
-    }
-
-    def evolve(rho0, q):
-        evolved = ch.apply_local(rho0, ch.ChannelSpec(ch.DEPOLARIZING, q))
-        return evolved, workx.decompose(evolved, ham)
-
+    # the centre strengths, then their clipped neighbours, as one grid: a bad
+    # centre q is reported first, and valid ones keep neighbours in [0, 1]
+    lo_q, hi_q = np.maximum(0.0, q_grid - fd_step), np.minimum(1.0, q_grid + fd_step)
+    grid = np.concatenate([q_grid, lo_q, hi_q])
+    points = len(q_grid)
+    centre, lo, hi = (slice(k * points, (k + 1) * points) for k in range(3))
+    span = hi_q - lo_q
+    names = ("a", "q", "WC", "delta_WC", "coherence_degenerate", "dEp_dq", "dEpd_dq")
+    rows = {name: [] for name in names}
     for a in a_values:
         rho0 = symmetric_pair(0.5, a, c, d)
         wc0 = workx.decompose(rho0, ham).coherent
-        for q in q_grid:
-            # the centre point validates q, so the clipped neighbours lie in [0, 1]
-            evolved, rep = evolve(rho0, q)
-            lo_q, hi_q = max(0.0, q - fd_step), min(1.0, q + fd_step)
-            _, lo = evolve(rho0, lo_q)
-            _, hi = evolve(rho0, hi_q)
-            span = hi_q - lo_q
-            rows["a"].append(a)
-            rows["q"].append(q)
-            rows["WC"].append(rep.coherent)
-            rows["delta_WC"].append(rep.coherent - wc0)
-            rows["coherence_degenerate"].append(workx.coherence_degenerate(evolved))
-            rows["dEp_dq"].append((hi.passive_energy - lo.passive_energy) / span)
-            rows["dEpd_dq"].append(
-                (hi.dephased_passive_energy - lo.dephased_passive_energy) / span
+        work = np.empty((6, len(grid)))
+        for part, states in ch.apply_local_chunks(rho0, ch.DEPOLARIZING, grid):
+            work[:, part] = list(vars(workx.work_split(states, ham)).values())
+            rows["coherence_degenerate"].extend(
+                workx.coherence_degenerate(s) for s in states[: max(0, points - part.start)]
             )
+        rep = workx.ErgotropyReport(*work)
+        rows["a"].extend([a] * points)
+        rows["q"].extend(q_grid)
+        rows["WC"].extend(rep.coherent[centre])
+        rows["delta_WC"].extend(rep.coherent[centre] - wc0)
+        rows["dEp_dq"].extend((rep.passive_energy[hi] - rep.passive_energy[lo]) / span)
+        rows["dEpd_dq"].extend(
+            (rep.dephased_passive_energy[hi] - rep.dephased_passive_energy[lo]) / span
+        )
     cols = {k: np.array(v) for k, v in rows.items()}
     meta = {
         "experiment": "appendix_d",

@@ -42,6 +42,10 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 _BDS_SIGNS = np.array([(-1, -1, -1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)], dtype=float)
 
+# two-qubit I x I and the correlators sigma_i x sigma_i, built once
+IDENTITY_4 = kron(IDENTITY_2, IDENTITY_2)
+PAULI_PAIRS = np.array([kron(p, p) for p in PAULIS])
+
 
 def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based RNG stream derived from (seed, stream).
@@ -127,9 +131,9 @@ def make_bds(c) -> np.ndarray:
                 f"parameters {tuple(c)} give negative eigenvalue "
                 f"(1 {s[0]:+d}c1 {s[1]:+d}c2 {s[2]:+d}c3)/4 = {lam:.6g}"
             )
-    rho = kron(IDENTITY_2, IDENTITY_2) / 4.0
-    for ci, pauli in zip(c, PAULIS):
-        rho += 0.25 * ci * kron(pauli, pauli)
+    rho = IDENTITY_4 / 4.0
+    for ci, pair in zip(c, PAULI_PAIRS):
+        rho += 0.25 * ci * pair
     return rho
 
 

@@ -7,14 +7,14 @@ dephased in the energy eigenbasis; for degenerate Hamiltonians the
 dephasing convention is the one the ``qstate.Hamiltonian`` carries, and
 a raw Hermitian matrix dephases by its spectral blocks.
 
-One private core computes the split for a whole (B, d, d) stack of
+``work_split`` computes the split for a whole (B, d, d) stack of
 states: the energies as one einsum, the state spectra as one batched
 eigvalsh (which also validates every state), and the dephased spectra
 either as the sorted diagonal of V^dag rho V, when the dephasing keeps
 only that diagonal, or as one batched eigvalsh of the kept blocks. The
 Hamiltonian side (its levels and dephasing frame) is computed once per
-``Hamiltonian`` object. ``decompose`` is the one-state case and
-``coherent_work`` the stacked one.
+``Hamiltonian`` object. ``decompose`` is its one-state view;
+``ergotropy`` is a separate route the tests compare it against.
 
 The single-qubit closed forms read no channel kind: the Bloch vector m
 from ``channels.bloch_map`` and one row (axis, sign, e0, g) per basis,
@@ -62,18 +62,13 @@ def passive_state(rho, h) -> np.ndarray:
     return (evecs * lam) @ evecs.conj().T
 
 
-def passive_energy(rho, h) -> float:
-    """Tr[H pi_rho] without building the passive state; rho must be a state."""
-    rho = as_matrix(rho)
-    h = _hamiltonian(h, rho)
-    return float(np.dot(state_spectra(rho)[::-1], h.levels).real)
-
-
 def ergotropy(rho, h) -> float:
-    """Maximum unitarily extractable energy Tr[H (rho - pi_rho)]."""
+    """Maximum unitarily extractable energy Tr[H (rho - pi_rho)], with
+    Tr[H pi_rho] read from the spectrum without building pi_rho."""
     rho = as_matrix(rho)
     h = _hamiltonian(h, rho)
-    return float(np.trace(h.matrix @ rho).real) - passive_energy(rho, h)
+    e_passive = float(np.dot(state_spectra(rho)[::-1], h.levels).real)
+    return float(np.trace(h.matrix @ rho).real) - e_passive
 
 
 def dephase(rho, h) -> np.ndarray:
@@ -100,7 +95,8 @@ def l1_coherence(rho, basis) -> float:
 
 @dataclass(frozen=True)
 class ErgotropyReport:
-    """Work accounting for one (state, Hamiltonian) pair."""
+    """Work accounting for one (state, Hamiltonian) pair, or for a stack
+    of states with every field a length-B array (``work_split``)."""
 
     total: float
     incoherent: float
@@ -109,12 +105,18 @@ class ErgotropyReport:
     dephased_passive_energy: float
     l1_coherence: float
 
+    def __getitem__(self, i: int) -> ErgotropyReport:
+        """The one-state report of entry i of a stacked report."""
+        return ErgotropyReport(*(float(x[i]) for x in vars(self).values()))
 
-def _work_split(rhos, h):
-    """Energy, passive energy, dephased passive energy and l1 coherence of
-    every state in a (B, d, d) stack, as four length-B arrays, dephased by
-    the convention of h. Every state is validated (Hermitian, trace one,
-    PSD) from its spectrum.
+
+def work_split(rhos, h) -> ErgotropyReport:
+    """Work split of every state in a (B, d, d) stack, as a report of
+    length-B arrays, dephased by the convention of h.
+
+    Every state is validated (Hermitian, trace one, PSD) from its
+    spectrum; a matrix that is not a state is rejected naming the
+    violation.
     """
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3:
@@ -130,21 +132,8 @@ def _work_split(rhos, h):
     else:
         lam_deph = np.linalg.eigvalsh(a * same_level)
     energy = np.einsum("ij,bji->b", h.matrix, rhos).real
-    coherence = np.abs(a).sum(axis=(1, 2)) - np.abs(diagonal).sum(axis=1)
-    return energy, lam[:, ::-1] @ h.levels, lam_deph[:, ::-1] @ h.levels, coherence
-
-
-def decompose(rho, h) -> ErgotropyReport:
-    """Split the ergotropy of rho into incoherent and coherent parts.
-
-    The dephasing convention is the one h carries (see ``dephase``), and
-    the report's coherence is measured in its dephasing basis. A matrix
-    that is not a state (non-Hermitian, trace other than one,
-    or an eigenvalue below -PSD_TOL) is rejected naming the violation.
-    """
-    energy, e_passive, e_passive_deph, coherence = (
-        float(x[0]) for x in _work_split(as_matrix(rho)[None], h)
-    )
+    e_passive = lam[:, ::-1] @ h.levels
+    e_passive_deph = lam_deph[:, ::-1] @ h.levels
     total = energy - e_passive
     incoherent = energy - e_passive_deph
     return ErgotropyReport(
@@ -153,15 +142,18 @@ def decompose(rho, h) -> ErgotropyReport:
         coherent=total - incoherent,
         passive_energy=e_passive,
         dephased_passive_energy=e_passive_deph,
-        l1_coherence=coherence,
+        l1_coherence=np.abs(a).sum(axis=(1, 2)) - np.abs(diagonal).sum(axis=1),
     )
 
 
-def coherent_work(rhos, h) -> np.ndarray:
-    """Coherent work of every state in a (B, d, d) stack, as ``decompose``
-    computes it for each one, with one batched pass."""
-    energy, e_passive, e_passive_deph, _ = _work_split(rhos, h)
-    return (energy - e_passive) - (energy - e_passive_deph)
+def decompose(rho, h) -> ErgotropyReport:
+    """Split the ergotropy of rho into incoherent and coherent parts.
+
+    The one-state view of ``work_split``: the dephasing convention is the
+    one h carries (see ``dephase``), and the report's coherence is
+    measured in its dephasing basis.
+    """
+    return work_split(as_matrix(rho)[None], h)[0]
 
 
 # ---------------------------------------------------------------------------

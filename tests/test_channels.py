@@ -15,6 +15,7 @@ from ergonoise.channels import (
     ChannelSpec,
     LindbladSpec,
     apply_local,
+    apply_local_grid,
     bds_param_map,
     bloch_map,
     jump_operator,
@@ -43,6 +44,26 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ChannelSpec("smear", 0.1)
     assert ChannelSpec("bf", 0.3).kind == BIT_FLIP
+
+
+@pytest.mark.parametrize(
+    "q_grid, message",
+    [
+        ([], "need at least one noise strength"),
+        ([0.0, 1.2, 0.5], "noise strength q = 1.2 outside"),
+        ([0.3, -0.1], r"noise strength q = -0.1 outside"),
+        ([0.5, np.nan], "noise strength q = nan outside"),
+        ([[0.1, 0.2]], "1-D grid"),
+    ],
+)
+def test_grid_validation_names_the_strength(q_grid, message):
+    with pytest.raises(ValueError, match=message):
+        apply_local_grid(np.eye(2) / 2, "bf", q_grid)
+    if np.size(q_grid) == 0 or np.ndim(q_grid) != 1:
+        return
+    bad = next(q for q in q_grid if not 0.0 <= q <= 1.0)
+    with pytest.raises(ValueError, match=message):
+        ChannelSpec("bf", bad)
 
 
 def test_kraus_completeness_all_kinds():
@@ -305,6 +326,13 @@ def test_lindblad_step_guards(monkeypatch):
     monkeypatch.setattr(channels, "_dissipator", None)
     with pytest.raises(ValueError, match="2000000 RK4 steps exceed the 1000000 limit"):
         lindblad_evolve(rho, LindbladSpec((jump_operator("ad"),), (1.0,), 2000.0))
+    # non-finite rates and durations are rejected naming the constraint
+    for rate, duration in ((np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            lindblad_evolve(rho, LindbladSpec((jump_operator("ad"),), (rate,), duration))
+    for gamma, t in ((np.inf, 0.0), (1.0, np.nan), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            q_of_t("bf", gamma, t)
 
 
 def test_q_of_t_values():

@@ -119,6 +119,8 @@ def test_non_finite_input_exits_one_naming_the_constraint(tmp_path, capsys):
         ["scaling", "--n", "2", "--c0", "nan"],
         ["appendix-d", "--c", "nan"],
         ["entangled", "--theta", "0,1,3", "--h", "nan"],
+        ["lindblad-check", "--kind", "bf", "--gamma", "inf", "--t", "0,3,4", "--bloch", "0.1,0.2,0.3"],
+        ["lindblad-check", "--kind", "ad", "--gamma", "1", "--t", "0,nan,3", "--bloch", "0.1,0.2,0.3"],
     ):
         out = tmp_path / f"{argv[0]}.csv"
         assert run(argv + ["-o", str(out)]) == 1

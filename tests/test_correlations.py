@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from ergonoise.channels import ChannelSpec, UNITAL_KINDS
+from ergonoise.channels import AMPLITUDE_DAMPING, CORRELATED_BIT_FLIP, ChannelSpec, UNITAL_KINDS
 from ergonoise.correlations import (
     bds_eigenvalues,
     correlation_work_check,
+    correlation_work_curve,
     gcc_bds,
     gcc_trace_norm,
     gqc_bds,
@@ -104,6 +105,25 @@ def test_identity_across_unital_kinds():
                 for both in (True, False):
                     rep = correlation_work_check(c, ChannelSpec(kind, q), both)
                     assert abs(rep.residual) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "kind, both",
+    [(kind, both) for kind in UNITAL_KINDS + (AMPLITUDE_DAMPING,) for both in (True, False)]
+    + [(CORRELATED_BIT_FLIP, True)],  # the correlated flip acts on the pair only
+)
+def test_stacked_curve_matches_per_q_checks(kind, both):
+    c = [0.5, 0.3, 0.1]
+    qs = np.linspace(0, 1, 23)
+    curve = correlation_work_curve(c, kind, qs, both)
+    assert curve.identity_valid == (kind != AMPLITUDE_DAMPING)
+    for i, q in enumerate(qs):
+        rep = correlation_work_check(c, ChannelSpec(kind, q), both)
+        assert rep.identity_valid == curve.identity_valid
+        for name in ("gqc", "gcc", "average", "residual"):
+            assert abs(getattr(rep, name) - getattr(curve, name)[i]) <= 1e-15
+        for name, values in vars(curve.ergotropy).items():
+            assert abs(getattr(rep.ergotropy, name) - values[i]) <= 1e-15
 
 
 def test_residual_work_at_full_noise():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergonoise import channels as ch
 from ergonoise import experiments as ex
 from ergonoise import qstate
 from ergonoise.channels import KINDS, ChannelSpec, apply_local, kraus_set
@@ -19,7 +20,7 @@ from ergonoise.qstate import (
     symmetrized_multipartite,
     total_spin_squared,
 )
-from ergonoise.workx import decompose
+from ergonoise.workx import coherence_degenerate, decompose
 
 
 def test_sweep_single_records_and_threshold():
@@ -61,6 +62,15 @@ def test_sweep_bds_crossing_and_residual():
     q = crossings[0]
     lams = np.sort(bds_eigenvalues(bds_param_map(ChannelSpec("bf", q), [0.1, 0.5, 0.3], True)))
     assert lams[3] - lams[2] <= 1e-8
+
+
+@pytest.mark.parametrize("kind", ["bf", "pf", "dc"])
+@pytest.mark.parametrize("c", [[0.4, 0.35, 0.2], [0.1, 0.3, 0.5], [0.1, 0.5, 0.3]])
+def test_crossings_do_not_depend_on_grid_direction(kind, c):
+    up = ex.sweep_bds(c, kind, q_grid=np.linspace(0, 1, 11)).metadata["eigenvalue_crossings"]
+    down = ex.sweep_bds(c, kind, q_grid=np.linspace(1, 0, 11)).metadata["eigenvalue_crossings"]
+    assert len(up) == len(down)
+    assert np.abs(np.subtract(up, down[::-1])).max(initial=0.0) <= 1e-8
 
 
 def test_sweep_bds_pf_residual_is_frozen_incoherent():
@@ -178,6 +188,48 @@ def test_interacting_depolarizing_run():
     assert np.all(slope_gap[:-1][climbing] > 0)
 
 
+def appendix_d_oracle(a_values, q_grid, fd_step, c=0.3, d=0.2, h=0.5, j=0.4):
+    """Per-q columns of the appendix-D run: three Kraus evolutions and three
+    decompositions per (a, q)."""
+    ham = hamiltonian("xx_interacting", 2, h=h, j=j)
+    rows = {name: [] for name in ("WC", "delta_WC", "coherence_degenerate", "dEp_dq", "dEpd_dq")}
+
+    def evolve(rho0, q):
+        evolved = apply_local(rho0, ChannelSpec("dc", q))
+        return evolved, decompose(evolved, ham)
+
+    for a in a_values:
+        rho0 = symmetric_pair(0.5, a, c, d)
+        wc0 = decompose(rho0, ham).coherent
+        for q in q_grid:
+            evolved, rep = evolve(rho0, q)
+            lo_q, hi_q = max(0.0, q - fd_step), min(1.0, q + fd_step)
+            _, lo = evolve(rho0, lo_q)
+            _, hi = evolve(rho0, hi_q)
+            span = hi_q - lo_q
+            rows["WC"].append(rep.coherent)
+            rows["delta_WC"].append(rep.coherent - wc0)
+            rows["coherence_degenerate"].append(coherence_degenerate(evolved))
+            rows["dEp_dq"].append((hi.passive_energy - lo.passive_energy) / span)
+            rows["dEpd_dq"].append((hi.dephased_passive_energy - lo.dephased_passive_energy) / span)
+    return rows
+
+
+def test_interacting_depolarizing_matches_per_q_oracle():
+    # 1100 strengths: the centre, low and high blocks each hold a stack seam
+    q_grid = np.sort(np.random.default_rng(4).uniform(0, 1, 1100))
+    q_grid[[0, -1]] = 0.0, 1.0  # neighbours clipped at both ends
+    assert len(q_grid) > ch.STACK_BUDGET_BYTES // (16 * 4 * 4)
+    res = ex.interacting_depolarizing(a_values=(0.1,), q_grid=q_grid, fd_step=1e-3)
+    oracle = appendix_d_oracle((0.1,), q_grid, 1e-3)
+    for name, col in oracle.items():
+        np.testing.assert_allclose(res.columns[name], col, rtol=0, atol=1e-12)
+    res = ex.interacting_depolarizing(a_values=(0.1, 0.4), q_grid=np.linspace(0, 1, 21))
+    oracle = appendix_d_oracle((0.1, 0.4), np.linspace(0, 1, 21), 1e-4)
+    for name, col in oracle.items():
+        np.testing.assert_allclose(res.columns[name], col, rtol=0, atol=1e-12)
+
+
 def test_csv_round_trip(tmp_path):
     res = ex.sweep_single("bf", [0.6, 0.5, 0.4], q_grid=np.linspace(0, 1, 11))
     path = write_csv(tmp_path / "out.csv", res)
@@ -265,7 +317,7 @@ def test_batched_curve_matches_per_q_kraus_oracle(seed, kind, h_name, q_points):
 def test_batched_curve_matches_oracle_across_chunk_seams(kind):
     n = 5
     q_grid = ex.q_grid_default(41)
-    step = ex.STACK_BUDGET_BYTES // (16 * 4**n)
+    step = ch.STACK_BUDGET_BYTES // (16 * 4**n)
     assert -(-len(q_grid) // step) == 3  # the grid spans three stacks
     rho0 = symmetrized_multipartite(0.2, [0.1 + 0.02 * i for i in range(1, n + 1)])
     h = ex.channel_hamiltonian(kind, n)

@@ -24,7 +24,6 @@ from ergonoise.qstate import (
 from ergonoise.workx import (
     closed_form_single,
     coherence_degenerate,
-    coherent_work,
     concurrence,
     decompose,
     dephase,
@@ -33,6 +32,7 @@ from ergonoise.workx import (
     passive_state,
     THRESHOLD_COMPONENTS,
     threshold_q,
+    work_split,
 )
 
 H1 = np.diag([0.0, 1.0]).astype(complex)
@@ -398,7 +398,7 @@ def test_decompose_rejects_non_states(rho, message):
     with pytest.raises(ValueError, match=message):
         decompose(rho, H1)
     with pytest.raises(ValueError, match=message):
-        coherent_work(np.stack([np.eye(2) / 2, rho]), H1)
+        work_split(np.stack([np.eye(2) / 2, rho]), H1)
     with pytest.raises(ValueError, match=message):
         ergotropy(rho, H1)
     with pytest.raises(ValueError, match=message):
@@ -421,12 +421,14 @@ unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
 def test_work_bounds_through_the_batched_core(direction, norm, kind, qs, h):
     # W >= 0 and 0 <= W_C <= C/2 for a unit gap, C the l1 coherence in the energy basis
     states = apply_local_grid(bloch_to_density(norm * direction), kind, qs)
-    wc = coherent_work(states, h)
-    for state, coherent in zip(states, wc):
+    split = work_split(states, h)
+    for i, state in enumerate(states):
         rep = decompose(state, h)
         assert rep.total >= -1e-12
-        assert -1e-12 <= coherent <= rep.l1_coherence / 2 + 1e-12
-        assert abs(rep.coherent - coherent) <= 1e-15
+        assert -1e-12 <= split.coherent[i] <= rep.l1_coherence / 2 + 1e-12
+        # all six fields of the stacked split match the one-state split
+        for name, values in vars(split).items():
+            assert abs(getattr(rep, name) - values[i]) <= 1e-15
 
 
 long_vectors = st.tuples(unit_vectors, st.floats(1.0 + 1e-9, 1e6)).map(lambda p: p[0] * p[1])
