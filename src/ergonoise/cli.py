@@ -28,6 +28,8 @@ def _grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid spec {spec!r} is not min,max,count")
     lo, hi = float(parts[0]), float(parts[1])
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"grid bounds {lo}, {hi} must be finite")
     count = int(parts[2])
     if count < 2:
         raise argparse.ArgumentTypeError("grid count must be at least 2")

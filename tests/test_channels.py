@@ -322,8 +322,9 @@ def test_lindblad_step_guards(monkeypatch):
     rho = np.eye(2) / 2
     with pytest.raises(ValueError, match="underflow"):
         lindblad_evolve(rho, LindbladSpec((jump_operator("bf"),), (1e9,), 1000.0))
-    # 2e6 steps exceed the cap: rejected before any step, never run with a wider dt
-    monkeypatch.setattr(channels, "_dissipator", None)
+    # 2e6 steps exceed the cap: rejected before the Liouvillian is built,
+    # never run with a wider dt
+    monkeypatch.setattr(channels, "_liouvillian", None)
     with pytest.raises(ValueError, match="2000000 RK4 steps exceed the 1000000 limit"):
         lindblad_evolve(rho, LindbladSpec((jump_operator("ad"),), (1.0,), 2000.0))
     # non-finite rates and durations are rejected naming the constraint
@@ -333,6 +334,71 @@ def test_lindblad_step_guards(monkeypatch):
     for gamma, t in ((np.inf, 0.0), (1.0, np.nan), (np.nan, 1.0)):
         with pytest.raises(ValueError, match="finite"):
             q_of_t("bf", gamma, t)
+
+
+def _dissipator(rho, ops, rates):
+    out = np.zeros_like(rho)
+    for gamma, l in zip(rates, ops):
+        ld = l.conj().T
+        ldl = ld @ l
+        out += gamma * (l @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl))
+    return out
+
+
+def rk4_stepping(rho, spec):
+    """The master equation stepped one RK4 step at a time on the matrix,
+    with the step count and dt of ``lindblad_evolve``."""
+    t, ops, rates = spec.duration, spec.jump_operators, spec.rates
+    needed = max(1, int(np.ceil(t * max(rates) / 1e-3)))
+    dt = t / needed
+    for _ in range(needed):
+        k1 = _dissipator(rho, ops, rates)
+        k2 = _dissipator(rho + 0.5 * dt * k1, ops, rates)
+        k3 = _dissipator(rho + 0.5 * dt * k2, ops, rates)
+        k4 = _dissipator(rho + dt * k3, ops, rates)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho
+
+
+def complex_matrices(d):
+    parts = st.lists(st.floats(-1.0, 1.0), min_size=2 * d * d, max_size=2 * d * d)
+    return parts.map(lambda v: (np.array(v[::2]) + 1j * np.array(v[1::2])).reshape(d, d))
+
+
+@st.composite
+def lindblad_cases(draw):
+    """A random state, complex jump operators (one or two on a qubit, two
+    on a 4x4 system), rates in (0, 2] and at most 2000 RK4 steps."""
+    d, count = draw(st.sampled_from([(2, 1), (2, 2), (4, 2)]))
+    a = draw(complex_matrices(d))
+    rho = a @ a.conj().T + 0.1 * np.eye(d)
+    ops = tuple(draw(complex_matrices(d)) for _ in range(count))
+    rates = tuple(draw(st.floats(1e-3, 2.0)) for _ in range(count))
+    duration = draw(st.floats(0.0, 2.0)) / max(rates)
+    return rho / np.trace(rho), LindbladSpec(ops, rates, duration)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=lindblad_cases())
+def test_lindblad_evolve_matches_rk4_stepping(case):
+    rho, spec = case
+    assert np.abs(lindblad_evolve(rho, spec) - rk4_stepping(rho, spec)).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["bf", "ad"]),
+    v=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    gamma=st.floats(0.1, 2.0),
+    t=st.floats(0.0, 3.0),
+)
+def test_lindblad_evolve_follows_the_kraus_clock(kind, v, gamma, t):
+    # the RK4 truncation error at gamma*dt <= 1e-3 is below 1e-13 here
+    n = np.array(v) / max(1.0, np.linalg.norm(v))
+    rho = bloch_to_density(n)
+    evolved = lindblad_evolve(rho, LindbladSpec((jump_operator(kind),), (gamma,), t))
+    target = apply_local(rho, ChannelSpec(kind, q_of_t(kind, gamma, t)))
+    assert np.abs(evolved - target).max() <= 1e-10
 
 
 def test_q_of_t_values():

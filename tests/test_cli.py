@@ -114,16 +114,30 @@ def test_non_finite_input_exits_one_naming_the_constraint(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "b.csv").exists()
     for argv in (
-        ["grid", "--family", "cq", "--channel", "bf", "--axis", "nan,1,3"],
-        ["grid", "--family", "pair", "--channel", "bf", "--axis", "nan,1,3"],
         ["scaling", "--n", "2", "--c0", "nan"],
         ["appendix-d", "--c", "nan"],
         ["entangled", "--theta", "0,1,3", "--h", "nan"],
         ["lindblad-check", "--kind", "bf", "--gamma", "inf", "--t", "0,3,4", "--bloch", "0.1,0.2,0.3"],
-        ["lindblad-check", "--kind", "ad", "--gamma", "1", "--t", "0,nan,3", "--bloch", "0.1,0.2,0.3"],
     ):
         out = tmp_path / f"{argv[0]}.csv"
         assert run(argv + ["-o", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_non_finite_grid_bounds_exit_two_naming_the_constraint(tmp_path, capsys):
+    for argv in (
+        ["grid", "--family", "cq", "--channel", "bf", "--axis", "nan,1,3"],
+        ["grid", "--family", "pair", "--channel", "bf", "--axis", "nan,1,3"],
+        ["lindblad-check", "--kind", "ad", "--gamma", "1", "--t", "0,nan,3", "--bloch", "0.1,0.2,0.3"],
+        ["lindblad-check", "--kind", "bf", "--gamma", "1", "--t", "0,inf,3", "--bloch", "0.1,0.2,0.3"],
+        ["bds", "--channel", "pf", "--c", "0.5,0.3,0.1", "--q", "0,inf,5"],
+        ["entangled", "--theta", "0,inf,3"],
+    ):
+        out = tmp_path / f"{argv[0]}.csv"
+        with pytest.raises(SystemExit) as err:
+            run(argv + ["-o", str(out)])
+        assert err.value.code == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
