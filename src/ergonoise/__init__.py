@@ -36,8 +36,10 @@ from .channels import (
     LindbladSpec,
     apply_local,
     apply_local_grid,
+    bds_param_grid,
     bds_param_map,
     bloch_map,
+    bloch_map_grid,
     jump_operator,
     kraus_set,
     lindblad_evolve,
@@ -45,9 +47,12 @@ from .channels import (
 )
 from .workx import (
     ErgotropyReport,
+    closed_form_curve,
     closed_form_single,
     coherence_degenerate,
+    coherence_degenerate_stack,
     concurrence,
+    concurrence_stack,
     decompose,
     dephase,
     ergotropy,

@@ -9,10 +9,14 @@ the superoperators sum_k K(q) (x) conj(K(q)) and applies them to each
 target group as one batched matmul, and ``apply_local_chunks`` splits a
 long grid into stacks of at most STACK_BUDGET_BYTES of states.
 The closed forms come from one table of affine Bloch maps
-n -> T(q) n + t(q) per single-qubit kind: ``bloch_map`` applies it and
-``bds_param_map`` reads diag(T). The tests check both against the Kraus
-route. The flip family and depolarizing are unital; amplitude damping
-drains population toward |g> (t != 0) and is the one non-unital case.
+n -> T(q) n + t(q) per single-qubit kind. Every T(q) is diagonal, so a
+row maps a whole q array to a (Q, 3) stack of diagonals diag(T) and a
+(Q, 3) stack of shifts t: ``bloch_map_grid`` applies it to a grid as
+diag(T) * n + t and ``bds_param_grid`` scales Bell-diagonal parameters
+by diag(T); ``bloch_map`` and ``bds_param_map`` are their one-strength
+rows. The tests check both against the Kraus route. The flip family
+and depolarizing are unital; amplitude damping drains population
+toward |g> (t != 0) and is the one non-unital case.
 Phase damping is phase flip at the effective strength 1 - sqrt(1-q).
 Lindblad evolution runs fixed-step RK4 on the d^2 x d^2 Liouvillian
 ``_liouvillian``: the master equation is linear, so the N steps are one
@@ -73,28 +77,35 @@ _PROJ_G = np.outer(KET_G, KET_G.conj())
 _PROJ_E = np.outer(KET_E, KET_E.conj())
 
 
-def _unital(tx: float, ty: float, tz: float):
-    return np.diag([tx, ty, tz]), np.zeros(3)
+def _unital(tx, ty, tz):
+    """diag(T(q)) of a unital row from its three factors, broadcast over q."""
+    diag = np.stack(np.broadcast_arrays(tx, ty, tz), axis=-1)
+    return diag, np.zeros_like(diag)
 
 
-def _amplitude_damping(q: float):
-    s = math.sqrt(1.0 - q)
-    return np.diag([s, s, 1.0 - q]), np.array([0.0, 0.0, q])
+def _amplitude_damping(q):
+    s = np.sqrt(1.0 - q)
+    zero = np.zeros_like(q)
+    return np.stack([s, s, 1.0 - q], axis=-1), np.stack([zero, zero, q], axis=-1)
 
 
 # Affine Bloch map n -> T(q) n + t(q) of each single-qubit kind
-# (Nielsen & Chuang 8.3). Only the closed forms read it; apply_local
-# stays on the Kraus sets so that the tests can compare the two.
+# (Nielsen & Chuang 8.3). Every T(q) is diagonal, so a row maps a q array
+# to its (Q, 3) diagonal diag(T) and (Q, 3) shift t. Only the closed
+# forms read it; apply_local stays on the Kraus sets so that the tests
+# can compare the two.
 _AFFINE = {
     BIT_FLIP: lambda q: _unital(1.0, 1.0 - q, 1.0 - q),
     BIT_PHASE_FLIP: lambda q: _unital(1.0 - q, 1.0, 1.0 - q),
     PHASE_FLIP: lambda q: _unital(1.0 - q, 1.0 - q, 1.0),
     DEPOLARIZING: lambda q: _unital(1.0 - q, 1.0 - q, 1.0 - q),
     AMPLITUDE_DAMPING: _amplitude_damping,
-    PHASE_DAMPING: lambda q: _unital(math.sqrt(1.0 - q), math.sqrt(1.0 - q), 1.0),
+    PHASE_DAMPING: lambda q: _unital(np.sqrt(1.0 - q), np.sqrt(1.0 - q), 1.0),
 }
 
-UNITAL_KINDS = tuple(kind for kind, affine in _AFFINE.items() if not affine(0.5)[1].any())
+UNITAL_KINDS = tuple(
+    kind for kind, affine in _AFFINE.items() if not affine(np.array([0.5]))[1].any()
+)
 
 
 def canonical_kind(kind: str) -> str:
@@ -250,34 +261,56 @@ def apply_local(rho, spec: ChannelSpec, targets=None) -> np.ndarray:
     return apply_local_grid(rho, spec.kind, [spec.q], targets)[0]
 
 
+def bloch_map_grid(kind: str, q_grid, n) -> np.ndarray:
+    """Closed-form images T(q) n + t(q) of a single-qubit Bloch vector at
+    every strength of ``q_grid``, as a (len(q_grid), 3) array.
+
+    The grid is validated whole by ``strengths`` and the Bloch vector
+    once by ``require_bloch``.
+    """
+    kind = canonical_kind(kind)
+    qs = strengths(q_grid)
+    if kind not in _AFFINE:
+        raise ValueError(f"no single-qubit Bloch map for {kind!r}")
+    n = require_bloch(n)
+    diag, shift = _AFFINE[kind](qs)
+    return diag * n + shift
+
+
 def bloch_map(spec: ChannelSpec, n) -> np.ndarray:
-    """Closed-form image T(q) n + t(q) of a single-qubit Bloch vector."""
-    if spec.kind not in _AFFINE:
-        raise ValueError(f"no single-qubit Bloch map for {spec.kind!r}")
-    mat, shift = _AFFINE[spec.kind](spec.q)
-    return mat @ require_bloch(n) + shift
+    """Closed-form image T(q) n + t(q) of a single-qubit Bloch vector
+    (the one-strength row of ``bloch_map_grid``)."""
+    return bloch_map_grid(spec.kind, [spec.q], n)[0]
 
 
-def bds_param_map(spec: ChannelSpec, c, both_qubits: bool = True) -> np.ndarray:
-    """Closed-form image of Bell-diagonal parameters under a unital channel.
+def bds_param_grid(kind: str, q_grid, c, both_qubits: bool = True) -> np.ndarray:
+    """Closed-form images of Bell-diagonal parameters under a unital channel
+    at every strength of ``q_grid``, as a (len(q_grid), 3) array.
 
     Each noised qubit scales (c1, c2, c3) by diag(T(q)), so noise on
     both qubits scales by diag(T)^2. The correlated flip leaves Bell-
     diagonal states unchanged. A non-unital kind (t != 0, amplitude
     damping) breaks the Bell-diagonal form and is rejected.
     """
+    kind = canonical_kind(kind)
+    qs = strengths(q_grid)
     c = np.asarray(c, dtype=float)
-    if spec.kind == CORRELATED_BIT_FLIP:
-        return c.copy()
-    if spec.kind not in UNITAL_KINDS:
+    if kind == CORRELATED_BIT_FLIP:
+        return np.tile(c, (len(qs), 1))
+    if kind not in UNITAL_KINDS:
         raise ValueError(
-            f"{spec.kind.replace('_', ' ')} destroys the symmetry required to "
+            f"{kind.replace('_', ' ')} destroys the symmetry required to "
             "preserve the Bell-diagonal form; apply the Kraus set instead"
         )
-    factors = np.diag(_AFFINE[spec.kind](spec.q)[0])
+    factors = _AFFINE[kind](qs)[0]
     if both_qubits:
         factors = factors**2
     return factors * c
+
+
+def bds_param_map(spec: ChannelSpec, c, both_qubits: bool = True) -> np.ndarray:
+    """The one-strength row of ``bds_param_grid``."""
+    return bds_param_grid(spec.kind, [spec.q], c, both_qubits)[0]
 
 
 @dataclass(frozen=True)

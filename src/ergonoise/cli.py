@@ -186,10 +186,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result, path = _dispatch(args)
+        write_csv(path, result)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    write_csv(path, result)
     if "fraction_enhancing" in result.metadata:
         print(f"fraction_enhancing={result.metadata['fraction_enhancing']}")
     print(f"wrote {path} ({len(result)} rows)")

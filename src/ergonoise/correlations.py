@@ -18,7 +18,7 @@ import numpy as np
 from .matcore import trace_norm
 # bds_eigenvalues is re-exported for callers that import it from here
 from .qstate import IDENTITY_4, PAULI_PAIRS, Hamiltonian, bds_eigenvalues, hamiltonian, make_bds  # noqa: F401
-from .channels import AMPLITUDE_DAMPING, ChannelSpec, apply_local_chunks, bds_param_map, canonical_kind, strengths
+from .channels import AMPLITUDE_DAMPING, ChannelSpec, apply_local_chunks, bds_param_grid, canonical_kind, strengths
 from .workx import ErgotropyReport, work_split
 
 # the energy the work-correlation identity is stated for
@@ -30,7 +30,7 @@ def _require_nonnegative(c) -> np.ndarray:
     if (c < 0).any():
         raise ValueError(
             "closed-form correlations assume nonnegative parameters; "
-            f"got {tuple(c)} (use the trace-norm route for signed values)"
+            f"got {tuple(c.tolist())} (use the trace-norm route for signed values)"
         )
     return c
 
@@ -114,7 +114,7 @@ def correlation_work_curve(
     h = Z_SUM_2 if h is None else h
     valid = kind != AMPLITUDE_DAMPING
     if valid:
-        mapped = np.array([bds_param_map(ChannelSpec(kind, q), c, both_qubits) for q in qs])
+        mapped = bds_param_grid(kind, qs, c, both_qubits)
     else:
         mapped = np.empty((len(qs), 3))
     work = np.empty((6, len(qs)))

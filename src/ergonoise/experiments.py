@@ -120,13 +120,13 @@ def sweep_single(kind, n, basis: str = "computational", q_grid=None) -> SweepRes
     kind = ch.canonical_kind(kind)
     q_grid = q_grid_default() if q_grid is None else np.asarray(q_grid, dtype=float)
     n = require_bloch(n)
-    rows = [workx.closed_form_single(kind, q, n, basis=basis) for q in q_grid]
+    curve = workx.closed_form_curve(kind, q_grid, n, basis=basis)
     cols = {
         "q": q_grid,
-        "W": np.array([r.total for r in rows]),
-        "WI": np.array([r.incoherent for r in rows]),
-        "WC": np.array([r.coherent for r in rows]),
-        "C": np.array([r.l1_coherence for r in rows]),
+        "W": curve.total,
+        "WI": curve.incoherent,
+        "WC": curve.coherent,
+        "C": curve.l1_coherence,
     }
     meta = {
         "experiment": "single",
@@ -137,35 +137,41 @@ def sweep_single(kind, n, basis: str = "computational", q_grid=None) -> SweepRes
     }
     if (kind, basis) in workx.THRESHOLD_COMPONENTS:
         qb = workx.threshold_q(kind, n, basis)
-        meta["threshold_q"] = qb
+        # JSON has no infinity: a missing threshold is null in the sidecar
+        meta["threshold_q"] = qb if np.isfinite(qb) else None
         cols["threshold"] = np.full(len(q_grid), qb)
     if kind == ch.AMPLITUDE_DAMPING:
         meta["branch_q"] = abs(n[2]) / (1.0 + abs(n[2]))
     return SweepResult(cols, meta)
 
 
-def _crossing_qs(c, spec_kind: str, both: bool, q_grid) -> list[float]:
-    """Noise strengths where the largest closed-form eigenvalue changes slot."""
+def _crossing_qs(c, kind: str, both: bool, q_grid) -> list[float]:
+    """Noise strengths where the largest closed-form eigenvalue changes slot.
 
-    def lams_at(q):
-        return bds_eigenvalues(ch.bds_param_map(ch.ChannelSpec(spec_kind, q), c, both))
+    Every grid interval whose endpoints differ in slot is bisected, all of
+    them in lockstep: each step evaluates the live midpoints as one stack,
+    and an interval stops moving once it is narrower than 1e-9.
+    """
 
-    slots = [int(np.argmax(lams_at(q))) for q in q_grid]
-    crossings = []
-    for q0, q1, i0, i1 in zip(q_grid[:-1], q_grid[1:], slots[:-1], slots[1:]):
-        if i0 == i1:
-            continue
-        # bisect on the ordered pair: slot i_lo wins at lo, i_hi at hi
-        (lo, i_lo), (hi, i_hi) = sorted([(q0, i0), (q1, i1)])
-        while hi - lo > 1e-9:
-            mid = 0.5 * (lo + hi)
-            lams = lams_at(mid)
-            if lams[i_lo] >= lams[i_hi]:
-                lo = mid
-            else:
-                hi = mid
-        crossings.append(0.5 * (lo + hi))
-    return crossings
+    def lams_at(qs):
+        return bds_eigenvalues(ch.bds_param_grid(kind, qs, c, both))
+
+    slots = lams_at(q_grid).argmax(axis=1)
+    k = np.flatnonzero(slots[:-1] != slots[1:])
+    # bisect on the ordered pairs: slot i_lo wins at lo, i_hi at hi
+    left = np.where(q_grid[k] <= q_grid[k + 1], k, k + 1)
+    right = 2 * k + 1 - left
+    lo, hi, i_lo, i_hi = q_grid[left], q_grid[right], slots[left], slots[right]
+    live = hi - lo > 1e-9
+    while live.any():
+        mid = 0.5 * (lo[live] + hi[live])
+        lams = lams_at(mid)
+        rows = np.arange(len(mid))
+        wins = lams[rows, i_lo[live]] >= lams[rows, i_hi[live]]
+        lo[live] = np.where(wins, mid, lo[live])
+        hi[live] = np.where(wins, hi[live], mid)
+        live = hi - lo > 1e-9
+    return (0.5 * (lo + hi)).tolist()
 
 
 def sweep_bds(c, kind, q_grid=None, both_qubits: bool = True) -> SweepResult:
@@ -394,13 +400,13 @@ def lindblad_consistency(kind, gamma: float, t_grid, n0) -> SweepResult:
     qs = np.array([ch.q_of_t(kind, gamma, t) for t in t_grid])
     evolved = np.array([ch.lindblad_evolve(rho0, ch.LindbladSpec((jump,), (gamma,), t)) for t in t_grid])
     rk4_bloch = np.array([density_to_bloch(s) for s in evolved])
-    kraus_bloch = np.array([ch.bloch_map(ch.ChannelSpec(kind, q), n0) for q in qs])
+    kraus_bloch = ch.bloch_map_grid(kind, qs, n0)
     cols = {"t": t_grid, "q": qs}
     for i, name in enumerate(("n1", "n2", "n3")):
         cols[f"{name}_rk4"] = rk4_bloch[:, i]
         cols[f"{name}_kraus"] = kraus_bloch[:, i]
     cols["WC_rk4"] = workx.work_split(evolved, h).coherent
-    cols["WC_kraus"] = np.array([workx.closed_form_single(kind, q, n0).coherent for q in qs])
+    cols["WC_kraus"] = workx.closed_form_curve(kind, qs, n0).coherent
     max_dev = max(
         float(np.abs(rk4_bloch - kraus_bloch).max()),
         float(np.abs(cols["WC_rk4"] - cols["WC_kraus"]).max()),
@@ -434,7 +440,7 @@ def entangled_example(theta_grid, q_grid=None, h: float = 0.5, j: float = 0.4, k
         wc0[i] = workx.decompose(rho0, ham).coherent
         for part, states in ch.apply_local_chunks(rho0, kind, q_grid):
             wc[i, part] = workx.work_split(states, ham).coherent
-            conc[i, part] = [workx.concurrence(s) for s in states]
+            conc[i, part] = workx.concurrence_stack(states)
     cols = {
         "theta": np.repeat(theta_grid, len(q_grid)),
         "q": np.tile(q_grid, len(theta_grid)),
@@ -484,15 +490,15 @@ def interacting_depolarizing(
         rho0 = symmetric_pair(0.5, a, c, d)
         wc0 = workx.decompose(rho0, ham).coherent
         work = np.empty((6, len(grid)))
+        coherence = np.empty(len(grid))
         for part, states in ch.apply_local_chunks(rho0, ch.DEPOLARIZING, grid):
             work[:, part] = list(vars(workx.work_split(states, ham)).values())
-            rows["coherence_degenerate"].extend(
-                workx.coherence_degenerate(s) for s in states[: max(0, points - part.start)]
-            )
+            coherence[part] = workx.coherence_degenerate_stack(states)
         rep = workx.ErgotropyReport(*work)
         rows["a"].extend([a] * points)
         rows["q"].extend(q_grid)
         rows["WC"].extend(rep.coherent[centre])
+        rows["coherence_degenerate"].extend(coherence[centre])
         rows["delta_WC"].extend(rep.coherent[centre] - wc0)
         rows["dEp_dq"].extend((rep.passive_energy[hi] - rep.passive_energy[lo]) / span)
         rows["dEpd_dq"].extend(

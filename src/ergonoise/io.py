@@ -3,12 +3,15 @@
 Numbers are written with Python's shortest round-trip float repr, the
 separator is a comma with '.' decimal point, files are UTF-8 with LF
 endings, and sidecar keys are sorted - so a fixed configuration always
-produces byte-identical files.
+produces byte-identical files. Sidecars are strict JSON: a non-finite
+number in the metadata is rejected naming its key, never written as
+NaN or Infinity.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -28,37 +31,43 @@ def write_csv(path, result: SweepResult) -> Path:
     """Write the result's columns as CSV and its metadata as a sidecar.
 
     The sidecar lands next to the CSV with a ``.meta.json`` suffix and
-    echoes the fully resolved configuration.
+    echoes the fully resolved configuration. It is written first, so
+    metadata that strict JSON cannot hold leaves no files behind.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    write_sidecar(path.with_suffix(".meta.json"), result.metadata)
     names = list(result.columns)
     lines = [",".join(names)]
     for i in range(len(result)):
         lines.append(",".join(_format_value(result.columns[k][i]) for k in names))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    write_sidecar(path.with_suffix(".meta.json"), result.metadata)
     return path
 
 
-def _jsonable(value):
+def _jsonable(value, key: str):
+    """value with numpy scalars and arrays made plain; ``key`` names it
+    (dotted, with list indices) in the error for a non-finite number."""
     if isinstance(value, (np.floating, float)):
+        if not math.isfinite(value):
+            raise ValueError(
+                f"metadata value {key} = {float(value)} is not finite; strict JSON cannot hold it"
+            )
         return float(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+    if isinstance(value, (np.ndarray, list, tuple)):
+        return [_jsonable(v, f"{key}[{i}]") for i, v in enumerate(value)]
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): _jsonable(v, f"{key}.{k}" if key else str(k)) for k, v in value.items()}
     return value
 
 
 def write_sidecar(path, metadata: dict) -> Path:
+    """Write metadata as strict JSON (no NaN or Infinity) with sorted keys;
+    it is serialized before any file or directory is made."""
     path = Path(path)
+    payload = json.dumps(_jsonable(metadata, ""), sort_keys=True, indent=2, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(_jsonable(metadata), sort_keys=True, indent=2)
     path.write_text(payload + "\n", encoding="utf-8", newline="\n")
     return path
 

@@ -110,9 +110,10 @@ def bds_eigenvalues(c) -> np.ndarray:
     """The four closed-form eigenvalues (1 + s . c)/4 of a Bell-diagonal state.
 
     Sign patterns s = (---), (++-), (+-+), (-++), in that order; these
-    are the populations of the Bell states Psi-, Psi+, Phi+, Phi-.
+    are the populations of the Bell states Psi-, Psi+, Phi+, Phi-. A
+    (..., 3) stack of parameters gives a (..., 4) stack of eigenvalues.
     """
-    return (1.0 + _BDS_SIGNS @ np.asarray(c, dtype=float)) / 4.0
+    return (1.0 + np.asarray(c, dtype=float) @ _BDS_SIGNS.T) / 4.0
 
 
 def make_bds(c) -> np.ndarray:
@@ -128,7 +129,7 @@ def make_bds(c) -> np.ndarray:
     for s, lam in zip(_BDS_SIGNS.astype(int), bds_eigenvalues(c)):
         if lam < -PSD_TOL:
             raise ValueError(
-                f"parameters {tuple(c)} give negative eigenvalue "
+                f"parameters {tuple(c.tolist())} give negative eigenvalue "
                 f"(1 {s[0]:+d}c1 {s[1]:+d}c2 {s[2]:+d}c3)/4 = {lam:.6g}"
             )
     rho = IDENTITY_4 / 4.0

@@ -16,21 +16,36 @@ Hamiltonian side (its levels and dephasing frame) is computed once per
 ``Hamiltonian`` object. ``decompose`` is its one-state view;
 ``ergotropy`` is a separate route the tests compare it against.
 
-The single-qubit closed forms read no channel kind: the Bloch vector m
-from ``channels.bloch_map`` and one row (axis, sign, e0, g) per basis,
-writing the Hamiltonian as e0 + g (u . sigma), give the whole split from
-m's component along u. The enhancement thresholds are one table keyed by
-(kind, basis).
+The single-qubit closed forms read no channel kind: the Bloch vectors m
+along a q grid from ``channels.bloch_map_grid`` and one row
+(axis, sign, e0, g) per basis, writing the Hamiltonian as
+e0 + g (u . sigma), give the whole split from m's component along u.
+``closed_form_curve`` evaluates a whole grid at once and
+``closed_form_single`` is its one-strength view. The enhancement
+thresholds are one table keyed by (kind, basis).
+
+The two-qubit diagnostics follow the same pattern: ``concurrence_stack``
+(one batched eigh and one batched SVD) and ``coherence_degenerate_stack``
+(one batched eigvalsh of the 2x2 degenerate-level blocks) take a
+(B, 4, 4) stack, and ``concurrence`` and ``coherence_degenerate`` are
+their one-state views.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import SIGMA_Y, as_matrix, herm_eig, kron, state_spectra
+from .matcore import (
+    HERMITIAN_TOL,
+    SIGMA_Y,
+    _require_hermitian,
+    as_matrix,
+    herm_eig,
+    kron,
+    state_spectra,
+)
 from . import channels as ch
 # total_spin_squared is re-exported: bench/tests/test_bench.py traces this binding
 from .qstate import Hamiltonian, require_bloch, total_spin_squared  # noqa: F401
@@ -169,27 +184,28 @@ _BASES = {
 }
 
 
-def closed_form_single(kind: str, q: float, n, basis: str = "computational") -> ErgotropyReport:
-    """Analytic work split for one qubit under a channel.
+def closed_form_curve(kind: str, q_grid, n, basis: str = "computational") -> ErgotropyReport:
+    """Analytic work split for one qubit along a noise-strength grid, as a
+    report of length-Q arrays.
 
-    The evolved Bloch vector m = ``bloch_map`` splits into m_u along the
-    Hamiltonian's axis and the rest: W_I = g (m_u + |m_u|) and
+    The evolved Bloch vectors m = ``bloch_map_grid`` split into m_u along
+    the Hamiltonian's axis and the rest: W_I = g (m_u + |m_u|) and
     W_C = g (|m| - |m_u|) <= g C, with C the off-axis length (the l1
     coherence). Every kind has the computational basis (diag(0, 1), so
     W_C <= C/2); the x basis (sigma_x) is derived for the dephasing
     kinds only.
     """
-    spec = ch.ChannelSpec(kind, q)
-    m = ch.bloch_map(spec, n)
+    kind = ch.canonical_kind(kind)
+    m = ch.bloch_map_grid(kind, q_grid, n)
     if basis not in _BASES:
         raise ValueError(f"unknown basis choice {basis!r}")
     (axis, sign, e0, g), kinds = _BASES[basis]
-    if spec.kind not in kinds:
-        raise ValueError(f"no {basis}-basis closed form for {spec.kind!r}")
-    norm = float(np.linalg.norm(m))
-    m_u = sign * float(m[axis])
-    incoherent = g * (m_u + abs(m_u))
-    coherent = g * (norm - abs(m_u))
+    if kind not in kinds:
+        raise ValueError(f"no {basis}-basis closed form for {kind!r}")
+    norm = np.linalg.norm(m, axis=1)
+    m_u = sign * m[:, axis]
+    incoherent = g * (m_u + np.abs(m_u))
+    coherent = g * (norm - np.abs(m_u))
     e_passive = e0 - g * norm
     return ErgotropyReport(
         total=incoherent + coherent,
@@ -197,8 +213,13 @@ def closed_form_single(kind: str, q: float, n, basis: str = "computational") -> 
         coherent=coherent,
         passive_energy=e_passive,
         dephased_passive_energy=e_passive + coherent,
-        l1_coherence=math.hypot(*np.delete(m, axis)),
+        l1_coherence=np.hypot(*np.delete(m, axis, axis=1).T),
     )
+
+
+def closed_form_single(kind: str, q: float, n, basis: str = "computational") -> ErgotropyReport:
+    """The one-strength view of ``closed_form_curve``."""
+    return closed_form_curve(kind, [q], n, basis)[0]
 
 
 # (decaying, surviving) Bloch components whose ratio sets the enhancement
@@ -234,45 +255,58 @@ def threshold_q(kind: str, n, basis: str = "computational") -> float:
 # two-qubit diagnostics
 # ---------------------------------------------------------------------------
 
-_PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
-_PHI_MINUS = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) / np.sqrt(2.0)
+# the degenerate level of the interacting Hamiltonian as the columns of a
+# 4x2 map D: (|ge> - |eg>)/sqrt2 and (|gg> - |ee>)/sqrt2
+_DEGENERATE_LEVEL = np.array([[0, 1], [1, 0], [-1, 0], [0, -1]], dtype=complex) / np.sqrt(2.0)
+_YY = kron(SIGMA_Y, SIGMA_Y)
+
+
+def _two_qubit_stack(rhos) -> np.ndarray:
+    """A (B, 4, 4) stack of Hermitian matrices, rejected naming the shape or
+    the worst non-Hermitian entry."""
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
+        raise ValueError("expected a two-qubit state")
+    _require_hermitian(rhos, HERMITIAN_TOL)
+    return rhos
+
+
+def coherence_degenerate_stack(rhos) -> np.ndarray:
+    """Coherence carried by the degenerate level of the interacting
+    Hamiltonian, for every state of a (B, 4, 4) stack.
+
+    Measured as the eigenvalue splitting of the 2x2 block D^dag rho D on
+    span{(|ge>-|eg>)/sqrt2, (|gg>-|ee>)/sqrt2}, D holding those two
+    vectors as columns. When the block populations balance this equals
+    twice the off-diagonal magnitude between the two vectors; unbalanced
+    populations expose the same coherence in a rotated intra-level basis.
+    """
+    rhos = _two_qubit_stack(rhos)
+    vals = np.linalg.eigvalsh(_DEGENERATE_LEVEL.conj().T @ rhos @ _DEGENERATE_LEVEL)
+    return vals[:, -1] - vals[:, 0]
 
 
 def coherence_degenerate(rho) -> float:
-    """Coherence carried by the degenerate level of the interacting Hamiltonian.
-
-    Measured as the eigenvalue splitting of the 2x2 block of rho on
-    span{(|ge>-|eg>)/sqrt2, (|gg>-|ee>)/sqrt2}. When the block populations
-    balance this equals twice the off-diagonal magnitude between the two
-    vectors; unbalanced populations expose the same coherence in a rotated
-    intra-level basis.
-    """
-    rho = as_matrix(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("expected a two-qubit state")
-    block = np.array(
-        [
-            [_PSI_MINUS.conj() @ rho @ _PSI_MINUS, _PSI_MINUS.conj() @ rho @ _PHI_MINUS],
-            [_PHI_MINUS.conj() @ rho @ _PSI_MINUS, _PHI_MINUS.conj() @ rho @ _PHI_MINUS],
-        ]
-    )
-    vals = np.linalg.eigvalsh(block)
-    return float(vals[-1] - vals[0])
+    """The one-state view of ``coherence_degenerate_stack``."""
+    return float(coherence_degenerate_stack(as_matrix(rho)[None])[0])
 
 
-def concurrence(rho) -> float:
-    """Two-qubit entanglement via the spin-flip construction.
+def concurrence_stack(rhos) -> np.ndarray:
+    """Two-qubit entanglement of every state of a (B, 4, 4) stack via the
+    spin-flip construction (Wootters 1998).
 
     max(0, l1 - l2 - l3 - l4) with l_i the descending square roots of the
     eigenvalues of rho (sy x sy) rho* (sy x sy). Those roots equal the
     singular values of sqrt(rho) (sy x sy) conj(sqrt(rho)), which avoids
     the sqrt-of-near-zero precision loss of the eigenvalue route.
     """
-    rho = as_matrix(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("expected a two-qubit state")
-    vals, vecs = herm_eig(rho)
-    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    yy = kron(SIGMA_Y, SIGMA_Y)
-    sing = np.linalg.svd(root @ yy @ root.conj(), compute_uv=False)
-    return float(max(0.0, sing[0] - sing[1] - sing[2] - sing[3]))
+    rhos = _two_qubit_stack(rhos)
+    vals, vecs = np.linalg.eigh(rhos)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    sing = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
+    return np.maximum(0.0, sing[:, 0] - sing[:, 1] - sing[:, 2] - sing[:, 3])
+
+
+def concurrence(rho) -> float:
+    """The one-state view of ``concurrence_stack``."""
+    return float(concurrence_stack(as_matrix(rho)[None])[0])

@@ -16,6 +16,7 @@ from ergonoise.channels import (
     LindbladSpec,
     apply_local,
     apply_local_grid,
+    bds_param_grid,
     bds_param_map,
     bloch_map,
     jump_operator,
@@ -24,7 +25,7 @@ from ergonoise.channels import (
     q_of_t,
 )
 from ergonoise.matcore import SIGMA_X, kron, partial_trace
-from ergonoise.qstate import bloch_to_density, density_to_bloch, make_bds
+from ergonoise.qstate import bds_eigenvalues, bloch_to_density, density_to_bloch, make_bds
 
 
 def random_bloch(rng):
@@ -130,6 +131,28 @@ def test_bds_param_map_examples():
     assert np.allclose(bds_param_map(ChannelSpec("dc", 1.0), c, True), [0, 0, 0])
     with pytest.raises(ValueError, match="Bell-diagonal"):
         bds_param_map(ChannelSpec("ad", 0.3), c)
+
+
+@pytest.mark.parametrize("both", [True, False])
+@pytest.mark.parametrize("kind", ["bf", "bpf", "pf", "dc", "pd", "cbf"])
+def test_bds_param_grid_rows_are_the_one_strength_maps(kind, both):
+    rng = np.random.default_rng(31)
+    c = rng.uniform(-1, 1, size=3)
+    qs = np.concatenate([[0.0, 1.0], rng.uniform(0, 1, size=20)])
+    grid = bds_param_grid(kind, qs, c, both)
+    lams = bds_eigenvalues(grid)
+    assert grid.shape == (len(qs), 3) and lams.shape == (len(qs), 4)
+    for i, q in enumerate(qs):
+        row = bds_param_map(ChannelSpec(kind, q), c, both)
+        assert np.array_equal(grid[i], row)
+        assert np.array_equal(lams[i], bds_eigenvalues(row))
+    with pytest.raises(ValueError, match=r"q = 1.5 outside"):
+        bds_param_grid(kind, [0.0, 1.5], c, both)
+
+
+def test_bds_param_grid_rejects_amplitude_damping():
+    with pytest.raises(ValueError, match="Bell-diagonal"):
+        bds_param_grid("ad", [0.0, 0.5], [0.1, 0.2, 0.3])
 
 
 def test_bds_map_matches_kraus():

@@ -172,3 +172,79 @@ def test_outdir_env_default(tmp_path, monkeypatch, capsys):
                 "--q", "0,1,11"])
     assert code == 0
     assert (tmp_path / "single_depolarizing.csv").exists()
+
+
+def strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["single", "--channel", "bf", "--bloch", "0.3,0,0.5"],
+        ["single", "--channel", "pf", "--basis", "x", "--bloch", "0.5,0,0"],
+    ],
+)
+def test_missing_threshold_is_null_in_a_strict_json_sidecar(tmp_path, argv):
+    out = tmp_path / "single.csv"
+    assert run(argv + ["--q", "0,1,5", "-o", str(out)]) == 0
+    meta = strict_json(out.with_suffix(".meta.json").read_text())
+    assert "threshold_q" in meta and meta["threshold_q"] is None
+    # the CSV column keeps the numeric no-threshold value
+    rows = out.read_text().strip().split("\n")
+    assert rows[0].split(",")[-1] == "threshold"
+    assert {row.split(",")[-1] for row in rows[1:]} == {"inf"}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf])
+def test_non_finite_metadata_exits_one_naming_the_key(tmp_path, capsys, monkeypatch, value):
+    from ergonoise import experiments as ex
+
+    def sweep(*args, **kwargs):
+        cols = {"q": np.array([0.0, 1.0])}
+        return ex.SweepResult(cols, {"channel": "bit_flip", "nested": {"gap": [1.0, value]}})
+
+    monkeypatch.setattr(ex, "sweep_single", sweep)
+    out = tmp_path / "single.csv"
+    assert run(["single", "--channel", "bf", "--bloch", "0.1,0,0", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "nested.gap[1]" in err and "not finite" in err
+    # the sidecar is serialized first, so neither file is written
+    assert not out.exists()
+    assert not out.with_suffix(".meta.json").exists()
+
+
+def test_sidecars_of_every_subcommand_are_strict_json(tmp_path):
+    for argv in (
+        ["single", "--channel", "bf", "--bloch", "0.6,0.5,0.4", "--q", "0,1,5"],
+        ["bds", "--channel", "pf", "--c", "0.5,0.3,0.1", "--q", "0,1,5"],
+        ["grid", "--family", "pair", "--channel", "bf", "--axis", "0.1,0.9,3", "--q", "0,1,5"],
+        ["scaling", "--n", "2", "--channels", "bf", "--q-points", "5"],
+        ["census", "--channel", "dc", "--count", "3", "--q-points", "5"],
+        ["lindblad-check", "--kind", "ad", "--gamma", "0.5", "--t", "0,1,3", "--bloch", "0.1,0.2,0.3"],
+        ["entangled", "--theta", "0,3,3", "--q", "0,1,5"],
+        ["appendix-d", "--q", "0,1,5"],
+    ):
+        out = tmp_path / f"{argv[0]}.csv"
+        assert run(argv + ["-o", str(out)]) == 0
+        assert strict_json(out.with_suffix(".meta.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "c, message",
+    [
+        ("0.5,0.5,0.5", "parameters (0.5, 0.5, 0.5) give negative eigenvalue"),
+        ("-0.1,0.2,0.3", "got (-0.1, 0.2, 0.3)"),
+    ],
+)
+def test_bds_errors_print_plain_numbers(tmp_path, capsys, c, message):
+    assert run(["bds", "--channel", "pf", f"--c={c}", "-o", str(tmp_path / "b.csv")]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "np.float64" not in err

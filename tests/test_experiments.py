@@ -73,6 +73,47 @@ def test_crossings_do_not_depend_on_grid_direction(kind, c):
     assert np.abs(np.subtract(up, down[::-1])).max(initial=0.0) <= 1e-8
 
 
+def crossings_one_at_a_time(c, kind, both, q_grid):
+    """Each slot change bisected alone, one strength per evaluation: the
+    oracle of the lockstep bisection."""
+
+    def lams_at(q):
+        return qstate.bds_eigenvalues(ch.bds_param_map(ChannelSpec(kind, q), c, both))
+
+    slots = [int(np.argmax(lams_at(q))) for q in q_grid]
+    crossings = []
+    for q0, q1, i0, i1 in zip(q_grid[:-1], q_grid[1:], slots[:-1], slots[1:]):
+        if i0 == i1:
+            continue
+        (lo, i_lo), (hi, i_hi) = sorted([(q0, i0), (q1, i1)])
+        while hi - lo > 1e-9:
+            mid = 0.5 * (lo + hi)
+            lams = lams_at(mid)
+            if lams[i_lo] >= lams[i_hi]:
+                lo = mid
+            else:
+                hi = mid
+        crossings.append(0.5 * (lo + hi))
+    return crossings
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    c=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    kind=st.sampled_from(["bf", "bpf", "pf", "dc", "pd", "cbf"]),
+    both=st.booleans(),
+    q_grid=st.one_of(
+        st.integers(2, 60).map(lambda k: np.linspace(0, 1, k)),
+        st.integers(2, 60).map(lambda k: np.linspace(1, 0, k)),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30).map(np.array),
+    ),
+)
+def test_lockstep_crossings_equal_one_at_a_time_bisection(c, kind, both, q_grid):
+    # same midpoints in the same order: the crossings agree bit for bit
+    got = ex._crossing_qs(np.array(c), ch.canonical_kind(kind), both, q_grid)
+    assert got == crossings_one_at_a_time(np.array(c), ch.canonical_kind(kind), both, q_grid)
+
+
 def test_sweep_bds_pf_residual_is_frozen_incoherent():
     res = ex.sweep_bds([0.5, 0.3, 0.1], "pf")
     assert res.columns["W"][-1] == pytest.approx(0.05, abs=1e-10)

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergonoise import channels as ch
 from ergonoise.channels import (
     AMPLITUDE_DAMPING,
     ChannelSpec,
     apply_local,
     apply_local_grid,
     bloch_map,
+    bloch_map_grid,
 )
 from ergonoise.matcore import SIGMA_X, herm_eig, kron, partial_trace
 from ergonoise.qstate import (
@@ -22,9 +24,12 @@ from ergonoise.qstate import (
     symmetric_pair,
 )
 from ergonoise.workx import (
+    closed_form_curve,
     closed_form_single,
     coherence_degenerate,
+    coherence_degenerate_stack,
     concurrence,
+    concurrence_stack,
     decompose,
     dephase,
     ergotropy,
@@ -508,3 +513,145 @@ def test_passive_states_hold_no_work(name, seed):
     rep = decompose(passive_state(rho, h), h)
     for field in WORK_FIELDS:
         assert abs(getattr(rep, field)) <= 1e-12
+
+
+# every (kind, basis) pair with a closed form
+CLOSED_FORM_PAIRS = [(kind, "computational") for kind in SINGLE_KINDS] + [
+    ("pf", "x"),
+    ("pd", "x"),
+]
+bloch_vectors = st.tuples(unit_vectors, st.floats(0.0, 1.0)).map(lambda p: p[0] * p[1])
+# grids holding both ends of [0, 1], in any order
+q_grids = st.lists(st.floats(0.0, 1.0), max_size=10).flatmap(
+    lambda qs: st.permutations([0.0, 1.0] + qs)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=st.sampled_from(CLOSED_FORM_PAIRS), n=bloch_vectors, qs=q_grids)
+def test_closed_form_curve_matches_the_kraus_oracle_and_its_one_point_view(pair, n, qs):
+    kind, basis = pair
+    curve = closed_form_curve(kind, qs, n, basis)
+    images = bloch_map_grid(kind, qs, n)
+    for i, q in enumerate(qs):
+        oracle = oracle_report(kind, q, n, basis)
+        got = curve[i]
+        assert np.abs(np.subtract(astuple(got), astuple(oracle))).max() <= 1e-10
+        # the one-point views are rows of the stacks, bit for bit
+        assert astuple(closed_form_single(kind, q, n, basis)) == astuple(got)
+        assert np.array_equal(bloch_map(ChannelSpec(kind, q), n), images[i])
+
+
+@pytest.mark.parametrize("bad", [-1e-3, 1.5, float("nan"), float("inf")])
+@pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS)
+def test_closed_form_curve_rejects_the_strength_outside_the_unit_interval(pair, bad):
+    kind, basis = pair
+    qs = [0.0, 0.25, bad, 0.75, float("nan")]
+    with pytest.raises(ValueError, match=rf"noise strength q = {bad} outside \[0, 1\]"):
+        closed_form_curve(kind, qs, [0.1, 0.2, 0.3], basis)
+
+
+@pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS)
+def test_closed_form_curve_rejects_long_bloch_vectors_before_any_row(pair, monkeypatch):
+    def row(q):
+        raise AssertionError("affine row evaluated")
+
+    monkeypatch.setattr(ch, "_AFFINE", {kind: row for kind in ch._AFFINE})
+    kind, basis = pair
+    with pytest.raises(ValueError, match="exceeds 1"):
+        closed_form_curve(kind, np.linspace(0, 1, 5), [0.8, 0.6, 0.1], basis)
+
+
+def test_closed_form_curve_keeps_the_order_of_its_checks():
+    n, long_n = [0.1, 0.2, 0.3], [1.0, 1.0, 0.0]
+    # kind, then q, then the Bloch map, then the Bloch vector, then the basis
+    with pytest.raises(ValueError, match="unknown channel kind"):
+        closed_form_curve("nonsense", [2.0], long_n, basis="y")
+    with pytest.raises(ValueError, match="outside"):
+        closed_form_curve("cbf", [2.0], long_n, basis="y")
+    with pytest.raises(ValueError, match="no single-qubit Bloch map"):
+        closed_form_curve("cbf", [0.5], long_n, basis="y")
+    with pytest.raises(ValueError, match="exceeds 1"):
+        closed_form_curve("bf", [0.5], long_n, basis="y")
+    with pytest.raises(ValueError, match="unknown basis"):
+        closed_form_curve("bf", [0.5], n, basis="y")
+    with pytest.raises(ValueError, match="no x-basis closed form for 'bit_flip'"):
+        closed_form_curve("bf", [0.5], n, basis="x")
+
+
+# The per-state diagnostics as they were computed one state at a time:
+# the oracles of the stacked cores.
+PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+PHI_MINUS = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) / np.sqrt(2.0)
+
+
+def concurrence_one_state(rho):
+    vals, vecs = herm_eig(rho)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    yy = kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
+    sing = np.linalg.svd(root @ yy @ root.conj(), compute_uv=False)
+    return max(0.0, sing[0] - sing[1] - sing[2] - sing[3])
+
+
+def coherence_degenerate_one_state(rho):
+    block = np.array(
+        [
+            [PSI_MINUS.conj() @ rho @ PSI_MINUS, PSI_MINUS.conj() @ rho @ PHI_MINUS],
+            [PHI_MINUS.conj() @ rho @ PSI_MINUS, PHI_MINUS.conj() @ rho @ PHI_MINUS],
+        ]
+    )
+    vals = np.linalg.eigvalsh(block)
+    return vals[-1] - vals[0]
+
+
+def two_qubit_state(rng, form):
+    """A random mixed, pure (rank 1) or product two-qubit state."""
+    if form == "product":
+        a, b = (next(random_states(int(rng.integers(2**32)), 2, count=1)) for _ in range(2))
+        return np.kron(a, b)
+    m = rng.normal(size=(4, 4 if form == "mixed" else 1))
+    m = m + 1j * rng.normal(size=m.shape)
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    forms=st.lists(st.sampled_from(["mixed", "pure", "product"]), min_size=1, max_size=12),
+)
+def test_stacked_diagnostics_match_the_per_state_loop(seed, forms):
+    rng = np.random.default_rng(seed)
+    rhos = np.array([two_qubit_state(rng, form) for form in forms])
+    conc, cdeg = concurrence_stack(rhos), coherence_degenerate_stack(rhos)
+    assert conc.shape == cdeg.shape == (len(forms),)
+    for i, rho in enumerate(rhos):
+        assert abs(conc[i] - concurrence_one_state(rho)) <= 1e-12
+        assert abs(cdeg[i] - coherence_degenerate_one_state(rho)) <= 1e-12
+        assert concurrence(rho) == conc[i]
+        assert coherence_degenerate(rho) == cdeg[i]
+        if forms[i] == "product":
+            assert conc[i] <= 1e-12
+
+
+@pytest.mark.parametrize("stack", [concurrence_stack, coherence_degenerate_stack])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_stacked_diagnostics_reject_any_non_hermitian_entry(stack, where):
+    rhos = np.repeat((np.eye(4) / 4)[None], 5, axis=0).astype(complex)
+    rhos[where, 1, 3] = 0.1
+    with pytest.raises(ValueError, match=r"not Hermitian: \|M\[1,3\]"):
+        stack(rhos)
+
+
+@pytest.mark.parametrize(
+    "stack, view",
+    [(concurrence_stack, concurrence), (coherence_degenerate_stack, coherence_degenerate)],
+)
+def test_stacked_diagnostics_reject_non_two_qubit_shapes(stack, view):
+    for shape in [(3, 8, 8), (4, 4), (2, 4, 2)]:
+        with pytest.raises(ValueError, match="expected a two-qubit state"):
+            stack(np.zeros(shape))
+    with pytest.raises(ValueError, match="expected a two-qubit state"):
+        view(np.eye(8) / 8)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        view(np.triu(np.ones((4, 4))) / 4)
