@@ -27,6 +27,7 @@ from .qstate import (
     philox_stream,
     qubit_state,
     random_separable,
+    random_separable_stack,
     symmetric_pair,
     symmetrized_multipartite,
 )

@@ -4,10 +4,12 @@ application to multi-qubit states, and Lindblad time evolution.
 All channels are parameterized by a strength q in [0, 1]. The Kraus sets
 are the physical definition and drive the numerical pipeline: one table
 gives each kind's Kraus operators as (Q, d, d) stacks over a whole q
-array (``kraus_set`` reads one row), ``apply_local_grid`` turns them into
-the superoperators sum_k K(q) (x) conj(K(q)) and applies them to each
-target group as one batched matmul, and ``apply_local_chunks`` splits a
-long grid into stacks of at most STACK_BUDGET_BYTES of states.
+array (``kraus_set`` reads one row), which become the superoperators
+sum_k K(q) (x) conj(K(q)), applied to each target group as one batched
+matmul. ``apply_local_chunks`` evolves one state or a stack of S states
+along a grid as S x Q (state, q) pairs, state-major, in stacks of at
+most STACK_BUDGET_BYTES, with the superoperators built once per call;
+``apply_local_grid`` joins its stacks for one state.
 The closed forms come from one table of affine Bloch maps
 n -> T(q) n + t(q) per single-qubit kind. Every T(q) is diagonal, so a
 row maps a whole q array to a (Q, 3) stack of diagonals diag(T) and a
@@ -204,20 +206,39 @@ def _contract(rhos: np.ndarray, sups: np.ndarray, targets, n: int) -> np.ndarray
     return out.transpose(inverse).reshape(rhos.shape)
 
 
-def apply_local_grid(rho, kind: str, q_grid, targets=None) -> np.ndarray:
-    """Images of one state under the channel at every strength of ``q_grid``.
+# Bytes of complex128 evolved states held at once: a 101-point grid of
+# 4x4 states fits in one stack ten times over, and from 8 qubits on
+# every stack holds one state, so memory stays flat in the register size.
+STACK_BUDGET_BYTES = 256 * 1024
 
-    Returns a (len(q_grid), d, d) stack; the grid is validated whole by
-    ``strengths``. Single-qubit kinds act on each target in ascending
-    index order; the order is observationally irrelevant since the maps
-    commute on distinct qubits. The correlated kind needs exactly one
-    qubit pair; all qubits are the default targets (the pair itself for
-    a two-qubit state).
+
+def apply_local_chunks(rhos, kind: str, q_grid, targets=None):
+    """Images of one state, or of every state of a (S, d, d) stack, at every
+    strength of ``q_grid``, in stacks of at most STACK_BUDGET_BYTES.
+
+    The (state, q) pairs run state-major, pair p being state p // Q at
+    strength p % Q. Yields (slice of the pair index, (P, d, d) stack of
+    images) pieces; for one state the pair index is the q index. The
+    grid, the states' shape and the targets are validated and the
+    superoperators built once, before the first piece; each pair picks
+    its superoperator by its q index.
+
+    Single-qubit kinds act on each target in ascending index order; the
+    order is observationally irrelevant since the maps commute on
+    distinct qubits. The correlated kind needs exactly one qubit pair;
+    all qubits are the default targets (the pair itself for a two-qubit
+    state).
     """
     kind = canonical_kind(kind)
     qs = strengths(q_grid)
-    rho = as_matrix(rho)
-    n = num_qubits(rho)
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.ndim == 2:
+        rhos = rhos[None]
+    if rhos.ndim != 3 or not len(rhos):
+        raise ValueError(
+            f"expected a state or a non-empty (S, d, d) stack of states, got shape {rhos.shape}"
+        )
+    n = num_qubits(rhos[0])
     if targets is None:
         targets = range(2) if kind == CORRELATED_BIT_FLIP and n == 2 else range(n)
     targets = sorted(set(int(t) for t in targets))
@@ -230,27 +251,22 @@ def apply_local_grid(rho, kind: str, q_grid, targets=None) -> np.ndarray:
     else:
         groups = [(t,) for t in targets]
     sups = _superoperators(kind, qs)
-    out = np.repeat(rho[None], len(qs), axis=0)
-    for group in groups:
-        out = _contract(out, sups, group, n)
-    return out
+    step = max(1, STACK_BUDGET_BYTES // (16 * rhos.shape[-1] ** 2))
+    pairs = len(rhos) * len(qs)
+    for start in range(0, pairs, step):
+        state, q = np.divmod(np.arange(start, min(start + step, pairs)), len(qs))
+        out, stack_sups = rhos[state], sups[q]
+        for group in groups:
+            out = _contract(out, stack_sups, group, n)
+        yield slice(start, start + step), out
 
 
-# Bytes of complex128 evolved states held at once along a q grid: a
-# 101-point grid of 4x4 states fits in one stack, and from 8 qubits on
-# every stack holds one state, so memory stays flat in the register size.
-STACK_BUDGET_BYTES = 256 * 1024
-
-
-def apply_local_chunks(rho, kind: str, q_grid, targets=None):
-    """Yield (slice of q_grid, ``apply_local_grid`` stack) pieces of at most
-    STACK_BUDGET_BYTES of states, the grid validated whole before the first."""
-    qs = strengths(q_grid)
-    dim = np.shape(rho)[0]
-    step = max(1, STACK_BUDGET_BYTES // (16 * dim * dim))
-    for start in range(0, len(qs), step):
-        part = slice(start, start + step)
-        yield part, apply_local_grid(rho, kind, qs[part], targets)
+def apply_local_grid(rho, kind: str, q_grid, targets=None) -> np.ndarray:
+    """Images of one state under the channel at every strength of ``q_grid``,
+    as one (len(q_grid), d, d) stack: the pieces of ``apply_local_chunks``
+    joined."""
+    pieces = apply_local_chunks(as_matrix(rho), kind, q_grid, targets)
+    return np.concatenate([stack for _, stack in pieces])
 
 
 def apply_local(rho, spec: ChannelSpec, targets=None) -> np.ndarray:

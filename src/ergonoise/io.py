@@ -53,6 +53,8 @@ def _jsonable(value, key: str):
                 f"metadata value {key} = {float(value)} is not finite; strict JSON cannot hold it"
             )
         return float(value)
+    if isinstance(value, (np.bool_, bool)):  # before int: bool is an int subclass
+        return bool(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
     if isinstance(value, (np.ndarray, list, tuple)):

@@ -211,29 +211,75 @@ def symmetrized_multipartite(a: float, coherences) -> np.ndarray:
     return a_factor * weight[raised, lowered]
 
 
+def _separable_draws(rng: np.random.Generator, num_terms: int):
+    """One sample's draws, in stream order: flat Dirichlet weights (T,),
+    then the population a and coherence c of both factors of each term,
+    as (T, 2) arrays."""
+    if num_terms < 1:
+        raise ValueError("num_terms must be at least 1")
+    weights = rng.dirichlet(np.ones(num_terms))
+    pops, cohs = np.empty((num_terms, 2)), np.empty((num_terms, 2))
+    for t in range(num_terms):
+        for f in range(2):
+            pops[t, f] = a = rng.uniform(0.0, 1.0)
+            cohs[t, f] = rng.uniform(0.0, np.sqrt(a * (1.0 - a)))
+    return weights, pops, cohs
+
+
+def _separable_states(weights, pops, cohs) -> np.ndarray:
+    """sum_t w_t rho(a_t1, c_t1) x rho(a_t2, c_t2) for (S, T) weights and
+    (S, T, 2) factor draws, as a (S, 4, 4) stack.
+
+    Every factor passes the ``qubit_state`` checks (the first failing one
+    is rejected with its message); the terms add up in index order.
+    """
+    ok = np.isfinite(pops) & np.isfinite(cohs) & (pops >= 0.0) & (pops <= 1.0)
+    ok &= ~(np.abs(cohs) ** 2 > pops * (1.0 - pops) + PSD_TOL)
+    if not ok.all():  # qubit_state raises naming the violated constraint
+        qubit_state(pops[~ok][0], cohs[~ok][0])
+    local = np.empty(pops.shape + (2, 2), dtype=complex)
+    local[..., 0, 0] = pops
+    local[..., 0, 1] = cohs
+    local[..., 1, 0] = np.conj(cohs)
+    local[..., 1, 1] = 1.0 - pops
+    first, second = local[..., 0, :, :], local[..., 1, :, :]
+    # kron of the two factors: entry (2i + k, 2j + l) is first[i, j] second[k, l]
+    terms = first[..., :, None, :, None] * second[..., None, :, None, :]
+    terms = terms.reshape(weights.shape + (4, 4))
+    rho = np.zeros((len(weights), 4, 4), dtype=complex)
+    for t in range(weights.shape[1]):
+        rho += weights[:, t, None, None] * terms[:, t]
+    return rho
+
+
 def random_separable(seed_or_rng, num_terms: int = 2) -> np.ndarray:
     """Random separable two-qubit state sum_i p_i rho_i^A x rho_i^B.
 
     Weights are a flat Dirichlet draw; each local population is uniform
     on [0,1] and each coherence uniform on [0, sqrt(a(1-a))], which keeps
-    every factor PSD by construction.
+    every factor PSD by construction. The one-sample case of
+    ``random_separable_stack``'s construction.
     """
-    if num_terms < 1:
-        raise ValueError("num_terms must be at least 1")
     if isinstance(seed_or_rng, np.random.Generator):
         rng = seed_or_rng
     else:
         rng = philox_stream(int(seed_or_rng))
-    weights = rng.dirichlet(np.ones(num_terms))
-    rho = np.zeros((4, 4), dtype=complex)
-    for w in weights:
-        factors = []
-        for _ in range(2):
-            a = rng.uniform(0.0, 1.0)
-            c = rng.uniform(0.0, np.sqrt(a * (1.0 - a)))
-            factors.append(qubit_state(a, c))
-        rho += w * kron(factors[0], factors[1])
-    return rho
+    draws = _separable_draws(rng, num_terms)
+    return _separable_states(*(x[None] for x in draws))[0]
+
+
+def random_separable_stack(seed: int, samples, num_terms: int = 2) -> np.ndarray:
+    """``random_separable(philox_stream(seed, i))`` for every sample index i
+    of a non-empty ``samples``, as a (S, 4, 4) stack.
+
+    Each sample draws from its own stream in the same order as
+    ``random_separable``; the states are then built in one batched outer
+    product, bitwise equal to the one-sample construction.
+    """
+    draws = [_separable_draws(philox_stream(seed, i), num_terms) for i in samples]
+    if not draws:
+        raise ValueError("need at least one sample")
+    return _separable_states(*(np.array(x) for x in zip(*draws)))
 
 
 def entangled_theta(theta: float) -> np.ndarray:

@@ -318,6 +318,61 @@ def test_apply_local_rejects_bad_targets():
         apply_local(np.eye(4) / 4, ChannelSpec("bf", 0.5), [2])
 
 
+def random_states(rng, count, n):
+    m = rng.normal(size=(count, 2**n, 2**n)) + 1j * rng.normal(size=(count, 2**n, 2**n))
+    rhos = m @ m.conj().swapaxes(1, 2)
+    return rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    n=st.integers(2, 4),
+    count=st.integers(1, 9),
+    q_points=st.integers(1, 300),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_chunks_of_a_stack_equal_one_grid_per_state(kind, n, count, q_points, seed):
+    # state-major pairs, stack seams anywhere, bitwise equal to per-state grids
+    rng = np.random.default_rng(seed)
+    rhos, qs = random_states(rng, count, n), rng.uniform(0, 1, q_points)
+    targets = (0, n - 1) if kind == CORRELATED_BIT_FLIP else None
+    step = channels.STACK_BUDGET_BYTES // (16 * 4**n)
+    pieces = list(channels.apply_local_chunks(rhos, kind, qs, targets))
+    assert [part.start for part, _ in pieces] == list(range(0, count * q_points, step))
+    images = np.concatenate([stack for _, stack in pieces])
+    assert all(len(stack) <= step for _, stack in pieces)
+    want = np.concatenate([apply_local_grid(rho, kind, qs, targets) for rho in rhos])
+    assert np.array_equal(images, want)
+
+
+def test_chunks_of_one_state_slice_the_q_grid():
+    rho = random_states(np.random.default_rng(3), 1, 3)[0]
+    qs = np.linspace(0, 1, 700)
+    step = channels.STACK_BUDGET_BYTES // (16 * 64)
+    pieces = list(channels.apply_local_chunks(rho, "ad", qs))
+    assert [part for part, _ in pieces] == [slice(s, s + step) for s in range(0, 700, step)]
+    for part, stack in pieces:
+        assert np.array_equal(stack, apply_local_grid(rho, "ad", qs[part]))
+
+
+def test_chunks_validate_before_the_first_stack(monkeypatch):
+    built = []
+    real = channels._superoperators
+    monkeypatch.setattr(channels, "_superoperators", lambda k, q: built.append(len(q)) or real(k, q))
+    rhos = random_states(np.random.default_rng(5), 30, 2)
+    assert len(list(channels.apply_local_chunks(rhos, "bf", np.linspace(0, 1, 101)))) == 3
+    assert built == [101]  # one build for the whole grid, not one per stack
+    with pytest.raises(ValueError, match="noise strength q = 1.5 outside"):
+        next(channels.apply_local_chunks(rhos, "bf", [0.2, 1.5]))
+    with pytest.raises(ValueError, match="out of range for 2 qubits"):
+        next(channels.apply_local_chunks(rhos, "bf", [0.5], [2]))
+    with pytest.raises(ValueError, match="non-empty"):
+        next(channels.apply_local_chunks(rhos[:0], "bf", [0.5]))
+    with pytest.raises(ValueError, match="square matrix"):
+        next(channels.apply_local_chunks(rhos[:, :3], "bf", [0.5]))
+
+
 def test_lindblad_zero_rate_is_identity():
     rho = bloch_to_density([0.3, 0.2, -0.5])
     spec = LindbladSpec((jump_operator("bf"),), (0.0,), 2.0)

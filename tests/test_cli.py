@@ -248,3 +248,37 @@ def test_bds_errors_print_plain_numbers(tmp_path, capsys, c, message):
     err = capsys.readouterr().err
     assert message in err
     assert "np.float64" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (["--channel", "pf"], True),
+        (["--channel", "ad", "--one-qubit"], False),
+    ],
+)
+def test_bds_sidecar_flags_are_json_booleans(tmp_path, flags, expected):
+    out = tmp_path / "bds.csv"
+    assert run(["bds", "--c", "0.5,0.3,0.1", "--q", "0,1,5", "-o", str(out)] + flags) == 0
+    text = out.with_suffix(".meta.json").read_text()
+    meta = strict_json(text)
+    assert meta["both_qubits"] is expected
+    assert meta["identity_valid"] is expected
+    word = "true" if expected else "false"
+    assert f'"both_qubits": {word}' in text and f'"identity_valid": {word}' in text
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    from ergonoise import cli
+
+    real, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    args = ["single", "--channel", "bf", "--bloch", "0.6,0.5,0.4", "--q", "0,1,5"]
+    assert run(args + ["-o", str(tmp_path / "a.csv")]) == 0
+    assert run(args + ["-o", str(tmp_path / "b.csv")]) == 0
+    assert built == [1]
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    # a reused parser starts every parse from the defaults
+    assert cli._parser().parse_args(["census", "--channel", "bf", "--seed", "3"]).seed == 3
+    assert cli._parser().parse_args(["census", "--channel", "bf"]).seed == 7

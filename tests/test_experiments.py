@@ -16,11 +16,12 @@ from ergonoise.qstate import (
     hamiltonian,
     philox_stream,
     random_separable,
+    random_separable_stack,
     symmetric_pair,
     symmetrized_multipartite,
     total_spin_squared,
 )
-from ergonoise.workx import coherence_degenerate, decompose
+from ergonoise.workx import coherence_degenerate, concurrence_stack, decompose, work_split
 
 
 def test_sweep_single_records_and_threshold():
@@ -188,6 +189,164 @@ def test_census_streams_do_not_depend_on_count():
     np.testing.assert_array_equal(
         small.columns["delta_wc_max"], large.columns["delta_wc_max"][:5]
     )
+
+
+def census_loop(kind, count, seed, q_points, num_terms=2):
+    """The census one sample at a time: one draw, one curve, one
+    decompose and one 1-D summary per sample, the oracle of the stacked
+    census."""
+    kind = ch.canonical_kind(kind)
+    q_grid = ex.q_grid_default(q_points)
+    h = ex.channel_hamiltonian(kind, 2)
+    rows = {"sample": [], "delta_wc_max": [], "argmax_q": [], "area_ap": []}
+    enhancing = 0
+    for i in range(count):
+        rho0 = random_separable(philox_stream(seed, i), num_terms=num_terms)
+        curve = ex._wc_curve(rho0, kind, h, q_grid) - decompose(rho0, h).coherent
+        summary = ex.enhancement_summary(q_grid, curve)
+        if summary.area_ap > ex.ENHANCEMENT_AREA_TOL:
+            enhancing += 1
+        rows["sample"].append(i)
+        rows["delta_wc_max"].append(summary.delta_wc_max)
+        rows["argmax_q"].append(summary.argmax_q)
+        rows["area_ap"].append(summary.area_ap)
+    return {k: np.array(v) for k, v in rows.items()}, enhancing / count
+
+
+def assert_census_matches_loop(kind, count, seed, q_points, num_terms=2):
+    res = ex.census_random(kind, count=count, seed=seed, q_points=q_points, num_terms=num_terms)
+    cols, fraction = census_loop(kind, count, seed, q_points, num_terms)
+    assert list(res.columns) == list(cols)
+    for name, col in cols.items():
+        assert res.columns[name].dtype == col.dtype
+        assert np.array_equal(res.columns[name], col), name
+    assert res.metadata["fraction_enhancing"] == fraction
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**31 - 1),
+    count=st.integers(1, 30),
+    q_points=st.integers(2, 41),
+)
+def test_stacked_census_equals_the_per_sample_loop(kind, seed, count, q_points):
+    assert_census_matches_loop(kind, count, seed, q_points)
+
+
+def test_census_stack_seams_inside_a_curve():
+    # 3 samples x 1500 strengths: one sample per stack of draws, and each
+    # curve spans two evolved stacks, so seams fall inside every curve
+    step = ch.STACK_BUDGET_BYTES // (16 * 4 * 4)
+    assert step < 1500 and -(-3 * 1500 // step) >= 3
+    assert_census_matches_loop("ad", 3, 19, 1500)
+    assert_census_matches_loop("pf", 25, 4, 101, num_terms=3)  # three stacks of draws
+
+
+def test_stacked_curves_equal_one_curve_per_state():
+    # 25 states x 101 strengths: three evolved stacks, seams at pairs 1024
+    # (state 10, q 14) and 2048 (state 20, q 28)
+    rho0s = random_separable_stack(8, range(25))
+    q_grid = ex.q_grid_default(101)
+    assert len(rho0s) * len(q_grid) > 2 * ch.STACK_BUDGET_BYTES // (16 * 4 * 4)
+    for kind in ("bf", "dc", "cbf"):
+        h = ex.channel_hamiltonian(kind, 2)
+        curves = ex._wc_curve(rho0s, kind, h, q_grid)
+        assert curves.shape == (25, 101)
+        for rho0, curve in zip(rho0s, curves):
+            assert np.array_equal(curve, ex._wc_curve(rho0, kind, h, q_grid))
+
+
+def test_census_rejects_empty_counts_and_terms():
+    with pytest.raises(ValueError, match="census needs at least one sample"):
+        ex.census_random("bf", count=0)
+    with pytest.raises(ValueError, match="census needs at least one sample"):
+        ex.census_random("bf", count=-3)
+    with pytest.raises(ValueError, match="num_terms must be at least 1"):
+        ex.census_random("bf", count=5, num_terms=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 6),
+    q_points=st.integers(2, 30),
+    seed=st.integers(0, 2**31 - 1),
+    ties=st.booleans(),
+)
+def test_row_wise_summary_equals_one_summary_per_row(rows, q_points, seed, ties):
+    rng = np.random.default_rng(seed)
+    q_grid = np.sort(rng.uniform(0, 1, q_points))
+    curves = rng.normal(size=(rows, q_points))
+    if ties:  # repeated peaks: argmax keeps the first, row by row
+        curves = np.round(curves)
+    stacked = ex.enhancement_summary(q_grid, curves)
+    for name in ("delta_wc_max", "argmax_q", "area_ap"):
+        column = getattr(stacked, name)
+        assert column.shape == (rows,)
+        per_row = [getattr(ex.enhancement_summary(q_grid, c), name) for c in curves]
+        assert column.tolist() == per_row
+    with pytest.raises(ValueError, match="grid and values must align"):
+        ex.enhancement_summary(q_grid, curves[:, :-1])
+
+
+def grid_loop(family, kind, axis_grid, q_grid, p=0.5, a=0.1, c=0.3, d=0.2):
+    """The enhancement grid one axis value at a time: the oracle of the
+    stacked grid."""
+    h = ex.channel_hamiltonian(kind, 2)
+    if family == "classical_quantum":
+        builder = lambda v: qstate.classical_quantum(p, a, v)
+    else:
+        builder = lambda v: symmetric_pair(p, v, c, d)
+    axis_col, q_col, dwc_col, wc0_col = [], [], [], []
+    for v in axis_grid:
+        rho0 = builder(v)
+        wc0 = decompose(rho0, h).coherent
+        curve = ex._wc_curve(rho0, kind, h, q_grid) - wc0
+        axis_col.extend([v] * len(q_grid))
+        q_col.extend(q_grid)
+        wc0_col.extend([wc0] * len(q_grid))
+        dwc_col.extend(curve)
+    return [np.array(col) for col in (axis_col, q_col, wc0_col, dwc_col)]
+
+
+@pytest.mark.parametrize(
+    "family, kind, axis_grid",
+    [
+        ("symmetric_pair", "bf", np.linspace(0.1, 0.9, 13)),
+        ("classical_quantum", "pf", np.linspace(0.0, 0.3, 7)),
+        ("symmetric_pair", "dc", np.linspace(0.1, 0.9, 5)),
+    ],
+)
+def test_stacked_grid_equals_the_per_state_loop(family, kind, axis_grid):
+    q_grid = ex.q_grid_default(101)  # 13 x 101 pairs: a seam inside a curve
+    res = ex.grid_delta_wc(family, kind, axis_grid, q_grid)
+    for got, want in zip(res.columns.values(), grid_loop(family, kind, axis_grid, q_grid)):
+        assert np.array_equal(got, want)
+
+
+def entangled_loop(theta_grid, q_grid, h=0.5, j=0.4, kind="bf"):
+    """The entangled example one theta at a time: the oracle of the
+    stacked run."""
+    ham = hamiltonian("z_plus_xx", 2, h=h, j=j)
+    wc = np.empty((len(theta_grid), len(q_grid)))
+    wc0 = np.empty((len(theta_grid), 1))
+    conc = np.empty_like(wc)
+    for i, theta in enumerate(theta_grid):
+        rho0 = qstate.apply_hadamard_pair(qstate.entangled_theta(theta))
+        wc0[i] = decompose(rho0, ham).coherent
+        for part, states in ch.apply_local_chunks(rho0, kind, q_grid):
+            wc[i, part] = work_split(states, ham).coherent
+            conc[i, part] = concurrence_stack(states)
+    return wc.ravel(), (wc - wc0).ravel(), conc.ravel()
+
+
+@pytest.mark.parametrize("kind", ["bf", "ad"])
+def test_stacked_entangled_example_equals_the_per_state_loop(kind):
+    theta_grid, q_grid = np.linspace(0, np.pi, 31), ex.q_grid_default(61)
+    res = ex.entangled_example(theta_grid, q_grid, kind=kind)
+    want = entangled_loop(theta_grid, q_grid, kind=kind)
+    for name, col in zip(("WC", "delta_WC", "concurrence"), want):
+        assert np.array_equal(res.columns[name], col), name
 
 
 def test_lindblad_consistency_run():

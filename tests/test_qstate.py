@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from itertools import permutations
 
@@ -20,6 +21,7 @@ from ergonoise.qstate import (
     philox_stream,
     qubit_state,
     random_separable,
+    random_separable_stack,
     symmetric_pair,
     symmetrized_multipartite,
     x_product_basis,
@@ -158,6 +160,66 @@ def test_random_separable_reproducible_and_valid():
         require_density(random_separable(philox_stream(9, i)))
     with pytest.raises(ValueError):
         random_separable(1, num_terms=0)
+
+
+def random_separable_loop(rng, num_terms=2):
+    """One sample as a loop of scalar draws, qubit_state checks and kron
+    products: the oracle of the batched construction."""
+    weights = rng.dirichlet(np.ones(num_terms))
+    rho = np.zeros((4, 4), dtype=complex)
+    for w in weights:
+        factors = []
+        for _ in range(2):
+            a = rng.uniform(0.0, 1.0)
+            c = rng.uniform(0.0, np.sqrt(a * (1.0 - a)))
+            factors.append(qubit_state(a, c))
+        rho += w * kron(factors[0], factors[1])
+    return rho
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    start=st.integers(0, 10**6),
+    count=st.integers(1, 12),
+    num_terms=st.integers(1, 5),
+)
+def test_stacked_sampler_equals_the_per_sample_loop(seed, start, count, num_terms):
+    samples = range(start, start + count)
+    stack = random_separable_stack(seed, samples, num_terms)
+    assert stack.shape == (count, 4, 4)
+    for i, rho in zip(samples, stack):
+        loop = random_separable_loop(philox_stream(seed, i), num_terms)
+        assert np.array_equal(rho, loop)
+        assert np.array_equal(random_separable(philox_stream(seed, i), num_terms), loop)
+
+
+def test_random_separable_seed_is_stream_zero():
+    assert np.array_equal(random_separable(42, 3), random_separable_loop(philox_stream(42), 3))
+
+
+@pytest.mark.parametrize(
+    "pops, cohs",
+    [
+        ([[0.2, 1.5]], [[0.1, 0.0]]),  # population outside [0, 1]
+        ([[0.2, 0.3]], [[0.1, np.nan]]),  # non-finite coherence
+        ([[0.1, 0.3]], [[0.5, 0.1]]),  # |c|^2 > a(1 - a)
+    ],
+)
+def test_stacked_construction_keeps_the_qubit_state_checks(pops, cohs):
+    pops, cohs = np.array([pops]), np.array([cohs])
+    bad = ~(np.isfinite(cohs) & (pops <= 1.0) & (cohs**2 <= pops * (1 - pops)))
+    with pytest.raises(ValueError) as expected:
+        qubit_state(pops[bad][0], cohs[bad][0])
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        qstate._separable_states(np.ones((1, 1)), pops, cohs)
+
+
+def test_stacked_sampler_rejects_empty_input():
+    with pytest.raises(ValueError, match="num_terms must be at least 1"):
+        random_separable_stack(3, range(2), num_terms=0)
+    with pytest.raises(ValueError, match="need at least one sample"):
+        random_separable_stack(3, range(0))
 
 
 def test_philox_streams_are_independent():
