@@ -19,12 +19,11 @@ import numpy as np
 from .experiments import SweepResult
 
 
-def _format_value(v) -> str:
-    if isinstance(v, (np.floating, float)):
-        return repr(float(v))
-    if isinstance(v, (np.integer, int)):
-        return str(int(v))
-    return str(v)
+def _format_column(values) -> list[str]:
+    """The cells of one column: floats as their shortest round-trip repr,
+    everything else (ints, bools, strings) as str."""
+    values = np.asarray(values)
+    return list(map(repr if values.dtype.kind == "f" else str, values.tolist()))
 
 
 def write_csv(path, result: SweepResult) -> Path:
@@ -37,9 +36,8 @@ def write_csv(path, result: SweepResult) -> Path:
     path = Path(path)
     write_sidecar(path.with_suffix(".meta.json"), result.metadata)
     names = list(result.columns)
-    lines = [",".join(names)]
-    for i in range(len(result)):
-        lines.append(",".join(_format_value(result.columns[k][i]) for k in names))
+    cells = [_format_column(result.columns[k]) for k in names]
+    lines = [",".join(names), *map(",".join, zip(*cells))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 

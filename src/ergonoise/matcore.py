@@ -4,16 +4,32 @@ Everything here operates on plain ``numpy`` arrays holding unit-trace
 Hermitian matrices (states), Hermitian observables, or Kraus operators.
 States live on n qubits, so dimensions are powers of two, and nothing
 is expected to grow past 2**10.
+
+Spectra of permutation-invariant registers come from spin blocks. A
+state on n >= 3 qubits that no qubit permutation changes is, by
+Schur-Weyl duality, the direct sum over total spin J of rho_J x 1_{d_J},
+with rho_J of size 2J+1 <= n+1. ``spin_blocks`` holds one isometry W_J
+onto a spin-J multiplet per J, built once per n, and ``state_spectra``
+reads such a state's spectrum as the union of spec(W_J^T rho W_J), each
+value repeated d_J times. It checks the invariance (the swap of qubits
+0 and 1 and the cyclic shift, as index permutations) rather than assume
+it; any other stack takes one dense eigvalsh, which stays the oracle.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
+# largest entry change under a qubit permutation that still counts as invariant
+SYMMETRY_TOL = 1e-12
+# below three qubits a dense eigensolve is as cheap as the spin blocks
+MIN_BLOCK_QUBITS = 3
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -124,23 +140,117 @@ def trace_norm(m, tol: float = HERMITIAN_TOL) -> float:
     return float(np.abs(vals).sum())
 
 
-def state_spectra(rhos, tol: float = 1e-10) -> np.ndarray:
-    """Ascending eigenvalues of a state or a (..., d, d) stack of states.
+class SpinBlock(NamedTuple):
+    """One spin-J multiplet of an n-qubit register: the (2**n, 2J+1)
+    isometry onto |J, M> for M = J, J-1, ..., -J, and the multiplicity
+    d_J of spin J."""
 
-    Validates Hermiticity, trace one and positivity of every matrix on
-    the way, with one batched eigensolve, and names the worst violation.
+    isometry: np.ndarray
+    multiplicity: int
+
+
+@functools.cache
+def spin_blocks(n: int) -> tuple[SpinBlock, ...]:
+    """One multiplet per total spin J = n/2, n/2 - 1, ... of n qubits.
+
+    The highest-weight vector of spin J = n/2 - k (in the kernel of J+ at
+    M = J, with |g> as M = +1/2) is k singlets (|ge> - |eg>)/sqrt2 on the
+    qubit pairs (0, 1), ..., (2k-2, 2k-1) times |g> on every other qubit;
+    the collective J- walks it down the ladder. d_J = C(n, k) - C(n, k-1).
+    Built on first use per n; the isometries are real and read-only.
     """
+    n = int(n)
+    if n < 1:
+        raise ValueError("spin blocks need at least one qubit")
+    lowering = np.array([[0.0, 0.0], [1.0, 0.0]])  # |e><g|
+    eye = np.eye(2)
+    j_minus = sum(
+        functools.reduce(np.kron, [lowering if i == t else eye for i in range(n)])
+        for t in range(n)
+    )
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    ket_g = np.array([1.0, 0.0])
+    blocks = []
+    for k in range(n // 2 + 1):
+        ladder = [functools.reduce(np.kron, [singlet] * k + [ket_g] * (n - 2 * k))]
+        for _ in range(n - 2 * k):  # 2J steps down from M = J
+            down = j_minus @ ladder[-1]
+            ladder.append(down / np.linalg.norm(down))
+        isometry = np.stack(ladder, axis=1)
+        isometry.flags.writeable = False
+        multiplicity = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+        blocks.append(SpinBlock(isometry, multiplicity))
+    assert sum(b.isometry.shape[1] * b.multiplicity for b in blocks) == 2**n
+    return tuple(blocks)
+
+
+def _permutation_invariant(mats: np.ndarray, n: int) -> bool:
+    """Whether every matrix of a (..., 2**n, 2**n) stack, n >= 2, is
+    unchanged to SYMMETRY_TOL by every qubit permutation.
+
+    Checks the swap of qubits 0 and 1 and the cyclic shift, which
+    together generate all of them, as index permutations of the entries.
+    """
+    lead, d, ax = mats.shape[:-2], 2**n, mats.ndim - 2
+    pairs = mats.reshape(lead + (2, 2, d // 4) * 2)
+    swapped = pairs.swapaxes(ax, ax + 1).swapaxes(ax + 3, ax + 4).reshape(mats.shape)
+    if not np.abs(mats - swapped).max() <= SYMMETRY_TOL:
+        return False
+    first = mats.reshape(lead + (2, d // 2) * 2)
+    shifted = first.swapaxes(ax, ax + 1).swapaxes(ax + 2, ax + 3).reshape(mats.shape)
+    return bool(np.abs(mats - shifted).max() <= SYMMETRY_TOL)
+
+
+def _spin_block_parts(mats: np.ndarray, n: int) -> list[np.ndarray]:
+    """W_J^T M W_J of every matrix M of a (..., 2**n, 2**n) stack, one
+    (..., 2J+1, 2J+1) stack per block of ``spin_blocks(n)``, from one
+    pair of products with all the isometries side by side."""
+    blocks = spin_blocks(n)
+    w = np.concatenate([b.isometry for b in blocks], axis=1)
+    full = w.T @ mats @ w
+    edges = np.cumsum([0] + [b.isometry.shape[1] for b in blocks])
+    return [full[..., i:j, i:j] for i, j in zip(edges[:-1], edges[1:])]
+
+
+def _spin_spectrum(values, n: int) -> np.ndarray:
+    """The ascending (..., 2**n) spectrum of an operator whose spin
+    blocks have the given (..., 2J+1) values, each repeated d_J times."""
+    spread = [np.repeat(v, b.multiplicity, axis=-1) for v, b in zip(values, spin_blocks(n))]
+    return np.sort(np.concatenate(spread, axis=-1), axis=-1)
+
+
+def _validated_spectra(rhos, tol: float = 1e-10) -> tuple[np.ndarray, list[np.ndarray] | None]:
+    """``state_spectra`` of a state or stack, and its spin-block parts
+    (``_spin_block_parts``) when the spectra were read from them, else None."""
     rhos = np.asarray(rhos, dtype=complex)
     _require_hermitian(rhos, HERMITIAN_TOL)
     tr = np.trace(rhos, axis1=-2, axis2=-1).real
     worst = np.unravel_index(int(np.abs(tr - 1.0).argmax()), tr.shape)
     if not abs(tr[worst] - 1.0) <= tol:
         raise ValueError(f"state trace is {tr[worst]}, expected 1")
-    lam = np.linalg.eigvalsh(rhos)
+    d = rhos.shape[-1]
+    n = d.bit_length() - 1
+    parts = None
+    if d == 2**n and n >= MIN_BLOCK_QUBITS and _permutation_invariant(rhos, n):
+        parts = _spin_block_parts(rhos, n)
+        lam = _spin_spectrum([np.linalg.eigvalsh(p) for p in parts], n)
+    else:
+        lam = np.linalg.eigvalsh(rhos)
     min_eig = float(lam[..., 0].min())
     if min_eig < -PSD_TOL:
         raise ValueError(f"state is not PSD: min eigenvalue {min_eig:.3e}")
-    return lam
+    return lam, parts
+
+
+def state_spectra(rhos, tol: float = 1e-10) -> np.ndarray:
+    """Ascending eigenvalues of a state or a (..., d, d) stack of states.
+
+    Validates Hermiticity, trace one and positivity of every matrix on
+    the way and names the worst violation. A stack on three or more
+    qubits that every qubit permutation leaves unchanged is read from
+    its spin blocks; any other takes one batched dense eigvalsh.
+    """
+    return _validated_spectra(rhos, tol)[0]
 
 
 def require_density(rho, tol: float = 1e-10) -> np.ndarray:

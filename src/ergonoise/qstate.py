@@ -23,6 +23,8 @@ from .matcore import (
     PAULIS,
     SIGMA_X,
     SIGMA_Z,
+    _permutation_invariant,
+    _spin_block_parts,
     as_matrix,
     herm_eig,
     kron,
@@ -363,8 +365,40 @@ class Hamiltonian:
         if self.collective:
             hm = hm + COLLECTIVE_WEIGHT * scale * total_spin_squared(self.num_qubits)
         evals, v = herm_eig(hm)
-        same_level = np.abs(evals[:, None] - evals[None, :]) <= DEGENERACY_TOL * scale
-        return _read_only(v), _read_only(same_level)
+        return _read_only(v), _same_level(evals, scale)
+
+    @cached_property
+    def identity_frame(self) -> bool:
+        """Whether dephasing works in the computational basis itself."""
+        v = self.frame[0]
+        return bool(np.array_equal(v, np.eye(len(v))))
+
+    @cached_property
+    def spin_frames(self) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
+        """The collective dephasing frame block by block, for a collective
+        Hamiltonian on n >= 2 qubits that every qubit permutation leaves
+        unchanged; None for any other.
+
+        Such an H is the sum over spin blocks of H_J x 1_{d_J}. For each
+        block of ``matcore.spin_blocks(n)`` this holds the eigenvectors of
+        W_J^T H W_J and the kept-entry mask of its levels, grouped within
+        DEGENERACY_TOL * max|levels| as in ``frame``. Within a block J^2 is
+        constant, so these are the (energy, spin) levels ``frame`` keeps.
+        """
+        n = self.num_qubits
+        if not self.collective or n < 2 or not _permutation_invariant(self.matrix, n):
+            return None
+        scale = float(np.abs(self.levels).max())
+        frames = []
+        for h_j in _spin_block_parts(self.matrix, n):
+            evals, u = np.linalg.eigh(h_j)
+            frames.append((_read_only(u), _same_level(evals, scale)))
+        return tuple(frames)
+
+
+def _same_level(evals: np.ndarray, scale: float) -> np.ndarray:
+    """Read-only mask of the level pairs within DEGENERACY_TOL * scale."""
+    return _read_only(np.abs(evals[:, None] - evals[None, :]) <= DEGENERACY_TOL * scale)
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -374,10 +408,12 @@ def _read_only(m: np.ndarray) -> np.ndarray:
 
 
 def _sum_local(op: np.ndarray, n: int) -> np.ndarray:
-    dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
-    for t in range(n):
-        out += kron(*[op if i == t else IDENTITY_2 for i in range(n)])
+    """sum_t op on qubit t, grown one qubit at a time as
+    S_k = S_{k-1} x I + I x op from a complex zero (which turns a -0.0 of
+    op into 0.0, as a sum of krons into zeros does)."""
+    out = np.zeros((1, 1), dtype=complex)
+    for k in range(n):
+        out = np.kron(out, IDENTITY_2) + np.kron(np.eye(2**k), op)
     return out
 
 

@@ -8,11 +8,19 @@ dephasing convention is the one the ``qstate.Hamiltonian`` carries, and
 a raw Hermitian matrix dephases by its spectral blocks.
 
 ``work_split`` computes the split for a whole (B, d, d) stack of
-states: the energies as one einsum, the state spectra as one batched
-eigvalsh (which also validates every state), and the dephased spectra
-either as the sorted diagonal of V^dag rho V, when the dephasing keeps
-only that diagonal, or as one batched eigvalsh of the kept blocks. The
-Hamiltonian side (its levels and dephasing frame) is computed once per
+states: the energies as one einsum, the state spectra from
+``matcore.state_spectra`` (which also validates every state), and the
+dephased spectra either as the sorted diagonal of V^dag rho V, when the
+dephasing keeps only that diagonal, or as one batched eigvalsh of the
+kept blocks. An identity frame V (``excitation``, ``z_sum``) reads the
+diagonal of rho itself, with no product. For a stack of states that
+every qubit permutation leaves unchanged (three or more qubits) the
+state spectra come from the spin blocks W_J^T rho W_J, and under a
+collective Hamiltonian that is permutation invariant too, so do the
+dephased spectra: each block is dephased in the eigenbasis of
+W_J^T H W_J (``Hamiltonian.spin_frames``), where J^2 is constant. The
+dense V^dag rho V is then kept only for the l1 coherence. The
+Hamiltonian side (its levels and frames) is computed once per
 ``Hamiltonian`` object. ``decompose`` is its one-state view;
 ``ergotropy`` is a separate route the tests compare it against.
 
@@ -41,6 +49,8 @@ from .matcore import (
     HERMITIAN_TOL,
     SIGMA_Y,
     _require_hermitian,
+    _spin_spectrum,
+    _validated_spectra,
     as_matrix,
     herm_eig,
     kron,
@@ -125,6 +135,15 @@ class ErgotropyReport:
         return ErgotropyReport(*(float(x[i]) for x in vars(self).values()))
 
 
+def _dephased_spectra(a, same_level) -> np.ndarray:
+    """Ascending spectra of a (..., k, k) stack, given in a dephasing frame
+    with kept-entry mask same_level, once dephased: the sorted diagonal
+    when only the diagonal is kept, else eigvalsh of the kept entries."""
+    if same_level.sum() == len(same_level):
+        return np.sort(np.diagonal(a, axis1=-2, axis2=-1).real, axis=-1)
+    return np.linalg.eigvalsh(a * same_level)
+
+
 def work_split(rhos, h) -> ErgotropyReport:
     """Work split of every state in a (B, d, d) stack, as a report of
     length-B arrays, dephased by the convention of h.
@@ -137,15 +156,17 @@ def work_split(rhos, h) -> ErgotropyReport:
     if rhos.ndim != 3:
         raise ValueError(f"expected a (B, d, d) stack of states, got shape {rhos.shape}")
     h = _hamiltonian(h, rhos)
-    lam = state_spectra(rhos)
+    lam, parts = _validated_spectra(rhos)
     v, same_level = h.frame
-    a = v.conj().T @ rhos @ v
+    a = rhos if h.identity_frame else v.conj().T @ rhos @ v
     diagonal = np.diagonal(a, axis1=1, axis2=2)
-    if same_level.sum() == len(same_level):
-        # the dephased state is diagonal in v: its spectrum is that diagonal
-        lam_deph = np.sort(diagonal.real, axis=1)
+    if parts is not None and h.spin_frames is not None:
+        lam_deph = _spin_spectrum(
+            [_dephased_spectra(u.conj().T @ p @ u, kept) for p, (u, kept) in zip(parts, h.spin_frames)],
+            h.num_qubits,
+        )
     else:
-        lam_deph = np.linalg.eigvalsh(a * same_level)
+        lam_deph = _dephased_spectra(a, same_level)
     energy = np.einsum("ij,bji->b", h.matrix, rhos).real
     e_passive = lam[:, ::-1] @ h.levels
     e_passive_deph = lam_deph[:, ::-1] @ h.levels

@@ -430,6 +430,29 @@ def test_interacting_depolarizing_matches_per_q_oracle():
         np.testing.assert_allclose(res.columns[name], col, rtol=0, atol=1e-12)
 
 
+def format_cell(v) -> str:
+    """One CSV cell formatted on its own: the oracle of the column-wise writer."""
+    if isinstance(v, (np.floating, float)):
+        return repr(float(v))
+    if isinstance(v, (np.integer, int)):
+        return str(int(v))
+    return str(v)
+
+
+def test_csv_cells_match_the_per_cell_format(tmp_path):
+    cols = {
+        "x": np.array([0.1, -0.0, 1e-300, -2.5e17, 1.0 / 3.0, np.inf, 0.0]),
+        "n": np.array([0, -3, 7, 2**40, 1, 2, 3]),
+        "ok": np.array([True, False, True, True, False, False, True]),
+        "channel": np.array(["bit_flip", "phase_flip", "a", "b", "c", "d", "e"]),
+        "x32": np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7], dtype=np.float32),
+    }
+    path = write_csv(tmp_path / "cells.csv", ex.SweepResult(cols, {}))
+    rows = [",".join(format_cell(cols[k][i]) for k in cols) for i in range(7)]
+    assert path.read_text(encoding="utf-8") == "\n".join([",".join(cols), *rows]) + "\n"
+    assert "\n-0.0,-3,False,phase_flip," in path.read_text(encoding="utf-8")
+
+
 def test_csv_round_trip(tmp_path):
     res = ex.sweep_single("bf", [0.6, 0.5, 0.4], q_grid=np.linspace(0, 1, 11))
     path = write_csv(tmp_path / "out.csv", res)

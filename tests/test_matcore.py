@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergonoise import matcore
+from ergonoise.channels import apply_local_grid
 from ergonoise.matcore import (
     IDENTITY_2,
     SIGMA_X,
@@ -12,7 +15,14 @@ from ergonoise.matcore import (
     partial_trace,
     trace_norm,
 )
-from ergonoise.qstate import bloch_to_density, make_bds, qubit_state
+from ergonoise.qstate import (
+    _sum_local,
+    bloch_to_density,
+    make_bds,
+    qubit_state,
+    symmetrized_multipartite,
+    total_spin_squared,
+)
 
 
 def random_hermitian(rng, dim):
@@ -162,3 +172,79 @@ def test_require_density_accepts_valid_states():
     matcore.require_density(qubit_state(0.3, 0.2))
     with pytest.raises(ValueError):
         matcore.require_density(np.diag([0.9, 0.3]))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_spin_blocks_are_orthonormal_spin_multiplets(n):
+    blocks = matcore.spin_blocks(n)
+    assert blocks is matcore.spin_blocks(n)
+    w = np.concatenate([b.isometry for b in blocks], axis=1)
+    assert np.abs(w.T @ w - np.eye(w.shape[1])).max() <= 1e-14
+    assert sum(b.isometry.shape[1] * b.multiplicity for b in blocks) == 2**n
+    j2, jz = total_spin_squared(n), 0.5 * _sum_local(SIGMA_Z, n)
+    for b in blocks:
+        j = (b.isometry.shape[1] - 1) / 2
+        assert np.abs(j2 @ b.isometry - j * (j + 1) * b.isometry).max() <= 1e-12
+        assert np.abs(jz @ b.isometry - b.isometry * (j - np.arange(2 * j + 1))).max() <= 1e-12
+        with pytest.raises(ValueError, match="read-only"):
+            b.isometry[0, 0] = 1.0
+    # the multiplicities are those of S_n's irreducible representations
+    assert [b.multiplicity for b in blocks] == {
+        1: [1], 2: [1, 1], 3: [1, 2], 4: [1, 3, 2], 5: [1, 4, 5],
+        6: [1, 5, 9, 5], 7: [1, 6, 14, 14], 8: [1, 7, 20, 28, 14],
+    }[n]
+
+
+@st.composite
+def symmetrized_images(draw):
+    """A symmetrized register of 2..8 qubits after one channel on every qubit."""
+    n = draw(st.integers(2, 8))
+    a = draw(st.floats(0.05, 0.95))
+    radius = np.sqrt(a * (1.0 - a))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    phases = draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=n, max_size=n))
+    rho0 = symmetrized_multipartite(a, [radius * f * np.exp(1j * p) for f, p in zip(fractions, phases)])
+    kind = draw(st.sampled_from(["bf", "pf", "ad", "dc"]))
+    return apply_local_grid(rho0, kind, [draw(st.floats(0.0, 1.0))])[0], n
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=symmetrized_images())
+def test_spin_block_spectra_match_the_dense_eigensolve(case):
+    rho, n = case
+    dense = np.linalg.eigvalsh(rho)
+    parts = matcore._spin_block_parts(rho, n)
+    blocks = matcore._spin_spectrum([np.linalg.eigvalsh(p) for p in parts], n)
+    assert np.abs(blocks - dense).max() <= 1e-12
+    assert matcore._permutation_invariant(rho, n)
+    lam, used = matcore._validated_spectra(rho)
+    assert (used is not None) == (n >= matcore.MIN_BLOCK_QUBITS)
+    assert np.abs(lam - dense).max() <= 1e-12
+
+
+def test_a_state_that_is_not_permutation_invariant_takes_the_dense_path():
+    rho = kron(qubit_state(0.2, 0.3), qubit_state(0.6, 0.1j), bloch_to_density([0.1, 0.2, 0.3]))
+    stack = np.stack([rho, np.eye(8) / 8])
+    assert not matcore._permutation_invariant(stack, 3)
+    lam, parts = matcore._validated_spectra(stack)
+    assert parts is None
+    np.testing.assert_array_equal(lam, np.linalg.eigvalsh(stack))
+    np.testing.assert_array_equal(matcore.state_spectra(rho), np.linalg.eigvalsh(rho))
+    # invariant under the swap of qubits 0 and 1 only: still dense
+    swap_only = kron(qubit_state(0.2, 0.3), qubit_state(0.2, 0.3), qubit_state(0.6, 0.1))
+    assert not matcore._permutation_invariant(swap_only, 3)
+    assert matcore._validated_spectra(swap_only)[1] is None
+
+
+def test_a_permutation_invariant_matrix_that_is_not_psd_is_rejected_from_its_blocks():
+    # weight -0.05 on the two spin-1/2 copies, 0.3 on the spin-3/2 multiplet
+    j2 = total_spin_squared(3)
+    top = (j2 - 0.75 * np.eye(8)) / 3.0
+    rho = 0.3 * top - 0.05 * (np.eye(8) - top)
+    assert matcore._permutation_invariant(rho, 3)
+    state = 0.15 * top + 0.1 * (np.eye(8) - top)
+    assert matcore._validated_spectra(state)[1] is not None
+    with pytest.raises(ValueError, match=r"state is not PSD: min eigenvalue -5\.000e-02"):
+        matcore.state_spectra(rho)
+    with pytest.raises(ValueError, match="state trace is 2.0"):
+        matcore.state_spectra(2.0 * state)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergonoise import qstate
-from ergonoise.matcore import KET_E, KET_G, kron, require_density
+from ergonoise.matcore import IDENTITY_2, KET_E, KET_G, PAULIS, kron, require_density
 from ergonoise.qstate import (
     apply_hadamard_pair,
     bds_is_separable,
@@ -324,3 +324,32 @@ def test_constructor_outputs_are_physical():
         a = rng.uniform(0, 1)
         cmax = np.sqrt(a * (1 - a))
         require_density(symmetric_pair(rng.uniform(0, 1), a, rng.uniform(0, cmax), rng.uniform(0, cmax)))
+
+
+def sum_local_loop(op, n):
+    """sum_t op on qubit t as n full krons added into zeros: the oracle of
+    the one-qubit-at-a-time recursion."""
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for t in range(n):
+        out += kron(*[op if i == t else IDENTITY_2 for i in range(n)])
+    return out
+
+
+@pytest.mark.parametrize("op", [*PAULIS, np.outer(KET_E, KET_E.conj())], ids=["x", "y", "z", "ee"])
+def test_sum_local_is_bitwise_the_sum_of_full_krons(op):
+    for n in range(1, 9):
+        fast, slow = qstate._sum_local(op, n), sum_local_loop(op, n)
+        assert fast.shape == slow.shape
+        assert fast.tobytes() == slow.tobytes()  # signed zeros included
+
+
+def test_spin_frames_exist_only_for_permutation_invariant_collective_hamiltonians():
+    collective = replace(hamiltonian("x_sum", 3), basis=None, collective=True)
+    frames = collective.spin_frames
+    assert [u.shape for u, _ in frames] == [(4, 4), (2, 2)]
+    assert collective.spin_frames is frames
+    assert hamiltonian("x_sum", 3).spin_frames is None  # product basis
+    one_site = qstate.Hamiltonian(kron(qstate.SIGMA_Z, IDENTITY_2, IDENTITY_2), "m", collective=True)
+    assert one_site.spin_frames is None
+    assert hamiltonian("excitation", 3).identity_frame
+    assert not hamiltonian("x_sum", 3).identity_frame

@@ -14,14 +14,17 @@ from ergonoise.channels import (
     bloch_map,
     bloch_map_grid,
 )
-from ergonoise.matcore import SIGMA_X, herm_eig, kron, partial_trace
+from ergonoise import matcore
+from ergonoise.matcore import SIGMA_X, SIGMA_Z, herm_eig, kron, partial_trace
 from ergonoise.qstate import (
     Hamiltonian,
     bloch_to_density,
     hamiltonian,
     make_bds,
+    _sum_local,
     qubit_state,
     symmetric_pair,
+    symmetrized_multipartite,
 )
 from ergonoise.workx import (
     closed_form_curve,
@@ -655,3 +658,83 @@ def test_stacked_diagnostics_reject_non_two_qubit_shapes(stack, view):
         view(np.eye(8) / 8)
     with pytest.raises(ValueError, match="not Hermitian"):
         view(np.triu(np.ones((4, 4))) / 4)
+
+
+def dense_work_split(rhos, h):
+    """The split from dense eigensolves only: eigvalsh of the states and of
+    V^dag rho V with its kept entries, in the full dephasing frame V."""
+    v, same_level = h.frame
+    a = v.conj().T @ rhos @ v
+    energy = np.einsum("ij,bji->b", h.matrix, rhos).real
+    e_passive = np.linalg.eigvalsh(rhos)[:, ::-1] @ h.levels
+    e_passive_deph = np.linalg.eigvalsh(a * same_level)[:, ::-1] @ h.levels
+    l1 = np.abs(a).sum(axis=(1, 2)) - np.abs(np.diagonal(a, axis1=1, axis2=2)).sum(axis=1)
+    return {
+        "passive_energy": e_passive,
+        "dephased_passive_energy": e_passive_deph,
+        "total": energy - e_passive,
+        "incoherent": energy - e_passive_deph,
+        "l1_coherence": l1,
+    }
+
+
+def collective_hamiltonians(n):
+    """Permutation-invariant collective Hamiltonians: the x field (no level
+    repeats inside a spin block) and Jz^2 (levels +-M repeat inside one)."""
+    jz = 0.5 * _sum_local(SIGMA_Z, n)
+    return [
+        replace(hamiltonian("x_sum", n), basis=None, collective=True),
+        Hamiltonian(jz @ jz, "jz_squared", collective=True),
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(3, 6),
+    kind=st.sampled_from(["bf", "pf", "ad", "dc"]),
+    qs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    a=st.floats(0.05, 0.95),
+    which=st.integers(0, 1),
+)
+def test_collective_block_dephasing_matches_the_dense_frame(n, kind, qs, a, which):
+    rho0 = symmetrized_multipartite(a, np.sqrt(a * (1.0 - a)) * np.linspace(0.2, 0.9, n))
+    rhos = apply_local_grid(rho0, kind, qs)
+    h = collective_hamiltonians(n)[which]
+    assert h.spin_frames is not None and matcore._validated_spectra(rhos)[1] is not None
+    rep, ref = work_split(rhos, h), dense_work_split(rhos, h)
+    for field, values in ref.items():
+        assert np.abs(getattr(rep, field) - values).max() <= 1e-12, field
+    # the coherence is still measured in the dense frame, unchanged
+    np.testing.assert_array_equal(rep.l1_coherence, ref["l1_coherence"])
+
+
+def test_jz_squared_exercises_degenerate_levels_inside_a_spin_block():
+    frames = collective_hamiltonians(4)[1].spin_frames
+    assert any(kept.sum() > len(kept) for _, kept in frames)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_identity_frame_reads_the_state_itself(n):
+    # excitation dephases in the computational basis: no V^dag rho V, and
+    # the l1 coherence and dephased spectrum are bitwise those of V = I
+    h = hamiltonian("excitation", n)
+    rhos = np.stack(list(random_states(31 + n, 2**n, count=6)))
+    rep = work_split(rhos, h)
+    a = h.frame[0].conj().T @ rhos @ h.frame[0]
+    diagonal = np.diagonal(a, axis1=1, axis2=2)
+    np.testing.assert_array_equal(
+        rep.l1_coherence, np.abs(a).sum(axis=(1, 2)) - np.abs(diagonal).sum(axis=1)
+    )
+    np.testing.assert_array_equal(
+        rep.dephased_passive_energy, np.sort(diagonal.real, axis=1)[:, ::-1] @ h.levels
+    )
+
+
+def test_a_state_off_the_symmetric_subspace_takes_the_dense_path():
+    # a product of three different qubits: no spin blocks, so the split is
+    # exactly the dense one, for a collective and a product-basis frame
+    rho = kron(qubit_state(0.2, 0.3), qubit_state(0.6, 0.1j), bloch_to_density([0.1, 0.2, 0.3]))
+    for h in (collective_hamiltonians(3)[0], hamiltonian("excitation", 3)):
+        rep, ref = work_split(rho[None], h), dense_work_split(rho[None], h)
+        for field, values in ref.items():
+            np.testing.assert_array_equal(getattr(rep, field), values)
