@@ -4,12 +4,21 @@ application to multi-qubit states, and Lindblad time evolution.
 All channels are parameterized by a strength q in [0, 1]. The Kraus sets
 are the physical definition and drive the numerical pipeline: one table
 gives each kind's Kraus operators as (Q, d, d) stacks over a whole q
-array (``kraus_set`` reads one row), which become the superoperators
-sum_k K(q) (x) conj(K(q)), applied to each target group as one batched
-matmul. ``apply_local_chunks`` evolves one state or a stack of S states
-along a grid as S x Q (state, q) pairs, state-major, in stacks of at
-most STACK_BUDGET_BYTES, with the superoperators built once per call;
-``apply_local_grid`` joins its stacks for one state.
+array (``kraus_set`` reads one row), whose superoperators are
+sum_k K(q) (x) conj(K(q)). Each of those is a polynomial of low degree
+in one variable x(q) (degree 1 in x = 1 - 2q for the flips,
+depolarizing and the correlated flip; degree 2 in x = sqrt(1 - q) for
+the two dampings), so the only other per-kind fact is one
+(x(q), degree) row: the coefficient superoperators C_e are fit once per
+kind from the Kraus route at deg + 1 strengths. The image of an
+n-qubit state is then rho(q) = sum_k x(q)^k R_k with at most
+deg * n + 1 terms. ``apply_local_chunks`` expands the R_k of one state
+or of each state of a (S, d, d) stack, one target group at a time
+with every C_e applied in one batched matmul, and evaluates any q grid
+from them as a Vandermonde product, yielding the S x Q (state, q) pairs
+state-major in stacks of at most STACK_BUDGET_BYTES;
+``apply_local_grid`` joins its stacks for one state and ``apply_local``
+is its one-strength case.
 The closed forms come from one table of affine Bloch maps
 n -> T(q) n + t(q) per single-qubit kind. Every T(q) is diagonal, so a
 row maps a whole q array to a (Q, 3) stack of diagonals diag(T) and a
@@ -27,6 +36,7 @@ power of the step matrix P(dt L) = 1 + dt L + ... + (dt L)^4 / 4!.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -191,46 +201,105 @@ def _superoperators(kind: str, qs: np.ndarray) -> np.ndarray:
     return sup.reshape(len(qs), d * d, d * d)
 
 
-def _contract(rhos: np.ndarray, sups: np.ndarray, targets, n: int) -> np.ndarray:
-    """Apply the i-th superoperator to the sorted ``targets`` of the i-th state.
+# Each kind's superoperator as a polynomial in one variable x(q): the
+# variable and the degree. The Kraus weights of the flip family,
+# depolarizing and the correlated flip (q/2, 1 - q/2, q/4, 1 - 3q/4) are
+# linear in q, taken in x = 1 - 2q, which is better conditioned on
+# [0, 1]; the two dampings have entries 1, x, x^2 and 1 - x^2 in
+# x = sqrt(1 - q).
+_LINEAR = (lambda q: 1.0 - 2.0 * q, 1)
+_QUADRATIC = (lambda q: np.sqrt(1.0 - q), 2)
+_POLYNOMIALS = {
+    BIT_FLIP: _LINEAR,
+    BIT_PHASE_FLIP: _LINEAR,
+    PHASE_FLIP: _LINEAR,
+    DEPOLARIZING: _LINEAR,
+    AMPLITUDE_DAMPING: _QUADRATIC,
+    PHASE_DAMPING: _QUADRATIC,
+    CORRELATED_BIT_FLIP: _LINEAR,
+}
 
-    The targets' row and column axes move to the front, so the whole
-    stack is one batched matmul onto a (Q, 4^m, 4^(n-m)) reshape.
-    """
-    m = len(targets)
-    front = [1 + t for t in targets] + [1 + n + t for t in targets]
-    perm = [0] + front + [a for a in range(1, 2 * n + 1) if a not in front]
-    tens = rhos.reshape((len(rhos),) + (2,) * (2 * n)).transpose(perm)
-    out = (sups @ tens.reshape(len(rhos), 4**m, -1)).reshape(tens.shape)
-    inverse = sorted(range(len(perm)), key=perm.__getitem__)
-    return out.transpose(inverse).reshape(rhos.shape)
+
+@functools.cache
+def _coefficients(kind: str) -> np.ndarray:
+    """The read-only (deg + 1, 4^m, 4^m) stack of C_e with
+    ``_superoperators(kind, q) = sum_e x(q)^e C_e``, fit from the
+    superoperators at deg + 1 strengths spread over [0, 1] by solving
+    their Vandermonde system."""
+    x_of, degree = _POLYNOMIALS[kind]
+    nodes = np.linspace(0.0, 1.0, degree + 1)
+    sups = _superoperators(kind, nodes)
+    vander = np.vander(x_of(nodes), increasing=True)
+    coef = np.linalg.solve(vander, sups.reshape(degree + 1, -1)).reshape(sups.shape)
+    coef.flags.writeable = False
+    return coef
 
 
-# Bytes of complex128 evolved states held at once: a 101-point grid of
-# 4x4 states fits in one stack ten times over, and from 8 qubits on
-# every stack holds one state, so memory stays flat in the register size.
+# Bytes of complex128 evolved states held at once, and of the temporaries
+# of one step of a state's expansion: a 101-point grid of 4x4 states fits
+# in one stack ten times over, and from 8 qubits on every stack holds one
+# state, so memory stays flat in the register size.
 STACK_BUDGET_BYTES = 256 * 1024
 
 
-def apply_local_chunks(rhos, kind: str, q_grid, targets=None):
-    """Images of one state, or of every state of a (S, d, d) stack, at every
-    strength of ``q_grid``, in stacks of at most STACK_BUDGET_BYTES.
+@functools.cache
+def _toeplitz(kind: str, k: int) -> np.ndarray:
+    """Multiplication of a degree k - 1 polynomial by sum_e x^e C_e, as a
+    read-only ((k + deg) 4^m, k 4^m) block matrix on its k terms stacked
+    in (term, 4^m) rows: block (k', k) is C_{k' - k}, zero off the band."""
+    coef = _coefficients(kind)
+    degree, dim = len(coef) - 1, coef.shape[1]
+    blocks = np.zeros((k + degree, dim, k, dim), dtype=complex)
+    for j in range(k):
+        blocks[j : j + degree + 1, :, j] = coef
+    blocks = blocks.reshape((k + degree) * dim, k * dim)
+    blocks.flags.writeable = False
+    return blocks
 
-    The (state, q) pairs run state-major, pair p being state p // Q at
-    strength p % Q. Yields (slice of the pair index, (P, d, d) stack of
-    images) pieces; for one state the pair index is the q index. The
-    grid, the states' shape and the targets are validated and the
-    superoperators built once, before the first piece; each pair picks
-    its superoperator by its q index.
 
-    Single-qubit kinds act on each target in ascending index order; the
-    order is observationally irrelevant since the maps commute on
-    distinct qubits. The correlated kind needs exactly one qubit pair;
-    all qubits are the default targets (the pair itself for a two-qubit
-    state).
+def _expand(rhos: np.ndarray, kind: str, groups: tuple, n: int) -> np.ndarray:
+    """The terms R_k of rho(x) = sum_k x^k R_k for every state of a
+    (S, d, d) stack, as a (S, K, d * d) array with K = deg * len(groups) + 1.
+
+    The K terms are held in place from the start. Each target group
+    multiplies the polynomial by sum_e x^e C_e, one block of columns at
+    a time: a block holds every term's entries with one setting of the
+    leading axes outside the group, so it is read whole (as
+    (k 4^m, width) rows, the group's axes first), multiplied by
+    ``_toeplitz`` in one batched matmul that applies every C_e at once,
+    and written back over the same entries. The read and the product of
+    a block fit in STACK_BUDGET_BYTES (at least one column of one
+    state); the blocks never depend on the stack size, so every state's
+    terms come out the same alone or in a stack.
     """
-    kind = canonical_kind(kind)
-    qs = strengths(q_grid)
+    count, size = len(rhos), rhos.shape[-1] ** 2
+    degree = _POLYNOMIALS[kind][1]
+    terms = np.empty((count, degree * len(groups) + 1, size), dtype=complex)
+    terms[:, 0] = rhos.reshape(count, size)
+    for i, group in enumerate(groups):
+        k = degree * i + 1
+        op = _toeplitz(kind, k)
+        front = list(group) + [n + t for t in group]
+        order = front + [a for a in range(2 * n) if a not in front]
+        view = terms.reshape(terms.shape[:2] + (2,) * (2 * n)).transpose([0, 1] + [2 + a for a in order])
+        dim = 4 ** len(group)
+        rest = size // dim
+        # the widest power-of-two block of columns whose read and product fit the budget
+        width = min(rest, 1 << max(0, (STACK_BUDGET_BYTES // (16 * sum(op.shape))).bit_length() - 1))
+        fixed = (rest // width).bit_length() - 1  # leading axes outside the group a block pins
+        per = max(1, STACK_BUDGET_BYTES // (16 * sum(op.shape) * width))
+        for s in range(0, count, per):
+            for c in range(0, rest, width):
+                pins = tuple((c // width >> (fixed - 1 - b)) & 1 for b in range(fixed))
+                where = (slice(None),) * (2 * len(group)) + pins
+                rows = view[(slice(s, s + per), slice(k)) + where]
+                grown = view[(slice(s, s + per), slice(k + degree)) + where]
+                grown[...] = (op @ rows.reshape(len(rows), k * dim, width)).reshape(grown.shape)
+    return terms
+
+
+def _local_chunks(rhos, kind: str, qs: np.ndarray, targets):
+    """``apply_local_chunks`` for a canonical kind and a checked grid."""
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim == 2:
         rhos = rhos[None]
@@ -247,18 +316,55 @@ def apply_local_chunks(rhos, kind: str, q_grid, targets=None):
     if kind == CORRELATED_BIT_FLIP:
         if len(targets) != 2:
             raise ValueError("correlated bit flip acts on exactly one qubit pair")
-        groups = [targets]
+        groups = (tuple(targets),)
     else:
-        groups = [(t,) for t in targets]
-    sups = _superoperators(kind, qs)
-    step = max(1, STACK_BUDGET_BYTES // (16 * rhos.shape[-1] ** 2))
-    pairs = len(rhos) * len(qs)
+        groups = tuple((t,) for t in targets)
+    terms = _expand(rhos, kind, groups, n)
+    x = _POLYNOMIALS[kind][0](qs)
+    vander = np.power.outer(x, np.arange(terms.shape[1])).astype(complex)
+    d, points = rhos.shape[-1], len(qs)
+    step = max(1, STACK_BUDGET_BYTES // (16 * d * d))
+    pairs = len(rhos) * points
     for start in range(0, pairs, step):
-        state, q = np.divmod(np.arange(start, min(start + step, pairs)), len(qs))
-        out, stack_sups = rhos[state], sups[q]
-        for group in groups:
-            out = _contract(out, stack_sups, group, n)
-        yield slice(start, start + step), out
+        stop = min(start + step, pairs)
+        parts = []
+        for state in range(start // points, (stop - 1) // points + 1):
+            lo, hi = max(start - state * points, 0), min(stop - state * points, points)
+            # one (1 x K) @ (K x d^2) product per strength: an image does
+            # not depend on the grid or the stack it is evaluated in
+            parts.append(np.matmul(vander[lo:hi, None], terms[state]))
+        stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        yield slice(start, start + step), stack.reshape(-1, d, d)
+
+
+def apply_local_chunks(rhos, kind: str, q_grid, targets=None):
+    """Images of one state, or of every state of a (S, d, d) stack, at every
+    strength of ``q_grid``, in stacks of at most STACK_BUDGET_BYTES.
+
+    The (state, q) pairs run state-major, pair p being state p // Q at
+    strength p % Q. Yields (slice of the pair index, (P, d, d) stack of
+    images) pieces; for one state the pair index is the q index. The
+    kind, the grid, the states' shape and the targets are validated, in
+    that order, before the first piece.
+
+    Each state is expanded once into the terms R_k of its image
+    rho(q) = sum_k x(q)^k R_k (``_expand``), and every piece is one
+    matmul per state it covers: the Vandermonde product
+    (P x K) @ (K x d^2), taken row by row so that an image does not
+    depend on where the grid or the stack is cut. Memory: the K d^2 16
+    bytes of terms per state stay resident for the call (about 17 MB
+    for amplitude damping at 8 qubits, K = 17), while the expansion's
+    temporaries and every yielded piece are cut to STACK_BUDGET_BYTES
+    (at least one column of one state's terms, or one image).
+
+    Single-qubit kinds act on each target in ascending index order; the
+    order is observationally irrelevant since the maps commute on
+    distinct qubits. The correlated kind needs exactly one qubit pair;
+    all qubits are the default targets (the pair itself for a two-qubit
+    state).
+    """
+    kind = canonical_kind(kind)
+    yield from _local_chunks(rhos, kind, strengths(q_grid), targets)
 
 
 def apply_local_grid(rho, kind: str, q_grid, targets=None) -> np.ndarray:
@@ -272,9 +378,10 @@ def apply_local_grid(rho, kind: str, q_grid, targets=None) -> np.ndarray:
 def apply_local(rho, spec: ChannelSpec, targets=None) -> np.ndarray:
     """Apply the channel to the listed qubits (all of them by default).
 
-    The one-strength case of ``apply_local_grid``, with the same targets.
+    The one-strength case of ``apply_local_grid``, with the same targets;
+    the spec's strength was checked when it was built.
     """
-    return apply_local_grid(rho, spec.kind, [spec.q], targets)[0]
+    return next(_local_chunks(as_matrix(rho), spec.kind, np.array([spec.q]), targets))[1][0]
 
 
 def bloch_map_grid(kind: str, q_grid, n) -> np.ndarray:
@@ -309,7 +416,11 @@ def bds_param_grid(kind: str, q_grid, c, both_qubits: bool = True) -> np.ndarray
     damping) breaks the Bell-diagonal form and is rejected.
     """
     kind = canonical_kind(kind)
-    qs = strengths(q_grid)
+    return _bds_params(kind, strengths(q_grid), c, both_qubits)
+
+
+def _bds_params(kind: str, qs: np.ndarray, c, both_qubits: bool) -> np.ndarray:
+    """``bds_param_grid`` for a canonical kind and a checked grid."""
     c = np.asarray(c, dtype=float)
     if kind == CORRELATED_BIT_FLIP:
         return np.tile(c, (len(qs), 1))
@@ -325,8 +436,9 @@ def bds_param_grid(kind: str, q_grid, c, both_qubits: bool = True) -> np.ndarray
 
 
 def bds_param_map(spec: ChannelSpec, c, both_qubits: bool = True) -> np.ndarray:
-    """The one-strength row of ``bds_param_grid``."""
-    return bds_param_grid(spec.kind, [spec.q], c, both_qubits)[0]
+    """The one-strength row of ``bds_param_grid`` (the spec's strength was
+    checked when it was built)."""
+    return _bds_params(spec.kind, np.array([spec.q]), c, both_qubits)[0]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from .matcore import trace_norm
 # bds_eigenvalues is re-exported for callers that import it from here
 from .qstate import IDENTITY_4, PAULI_PAIRS, Hamiltonian, bds_eigenvalues, hamiltonian, make_bds  # noqa: F401
-from .channels import AMPLITUDE_DAMPING, ChannelSpec, apply_local_chunks, bds_param_grid, canonical_kind, strengths
+from .channels import AMPLITUDE_DAMPING, ChannelSpec, _bds_params, _local_chunks, canonical_kind, strengths
 from .workx import ErgotropyReport, work_split
 
 # the energy the work-correlation identity is stated for
@@ -105,20 +105,25 @@ def correlation_work_curve(
     correlations from the mapped parameters. For unital channels the
     residual vanishes identically; amplitude damping is reported with
     ``identity_valid=False`` since the mapped-parameter formulas no
-    longer describe the evolved (non-Bell-diagonal) state.
+    longer describe the evolved (non-Bell-diagonal) state. The kind and
+    the grid are checked here, once.
     """
     kind = canonical_kind(kind)
-    qs = strengths(q_grid)
+    return _correlation_work(c, kind, strengths(q_grid), both_qubits, h)
+
+
+def _correlation_work(c, kind: str, qs: np.ndarray, both_qubits: bool, h) -> CorrelationReport:
+    """``correlation_work_curve`` for a canonical kind and a checked grid."""
     c = _require_nonnegative(c)
     rho = make_bds(c)
     h = Z_SUM_2 if h is None else h
     valid = kind != AMPLITUDE_DAMPING
     if valid:
-        mapped = bds_param_grid(kind, qs, c, both_qubits)
+        mapped = _bds_params(kind, qs, c, both_qubits)
     else:
         mapped = np.empty((len(qs), 3))
     work = np.empty((6, len(qs)))
-    for part, states in apply_local_chunks(rho, kind, qs, (0, 1) if both_qubits else (0,)):
+    for part, states in _local_chunks(rho, kind, qs, (0, 1) if both_qubits else (0,)):
         work[:, part] = list(vars(work_split(states, h)).values())
         if not valid:
             # the evolved state is no longer Bell diagonal; feed the formulas
@@ -136,5 +141,6 @@ def correlation_work_check(
     both_qubits: bool = True,
     h: Hamiltonian | None = None,
 ) -> CorrelationReport:
-    """The one-strength view of ``correlation_work_curve``."""
-    return correlation_work_curve(c, spec.kind, [spec.q], both_qubits, h)[0]
+    """The one-strength view of ``correlation_work_curve``; the spec's kind
+    and strength were checked when it was built."""
+    return _correlation_work(c, spec.kind, np.array([spec.q]), both_qubits, h)[0]

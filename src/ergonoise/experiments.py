@@ -11,6 +11,7 @@ files.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -94,16 +95,27 @@ def enhancement_summary(q_grid, delta_wc) -> EnhancementSummary:
     return EnhancementSummary(*fields)
 
 
-def channel_hamiltonian(kind: str, n: int) -> Hamiltonian:
+@functools.cache
+def channel_hamiltonian(kind: str, n: int, collective: bool = False) -> Hamiltonian:
     """Per-channel energy choice used by the grid/census/scaling runs.
 
     The dephasing kinds only show enhancement against an x-aligned field,
     and depolarizing needs the interacting form; everything else uses the
-    local excitation energy.
+    local excitation energy. ``collective`` asks for the multipartite
+    convention: the dephasing kinds' x field is then dephased by collective
+    spin instead of in its product basis (the other kinds have no such
+    alternative and are unchanged).
+
+    Built once per process for each argument tuple: a ``Hamiltonian`` is
+    frozen with read-only matrices, so every caller shares it, and its
+    levels and frames are computed once.
     """
     kind = ch.canonical_kind(kind)
     if kind in (ch.PHASE_FLIP, ch.PHASE_DAMPING):
-        return hamiltonian("x_sum", n)
+        h = hamiltonian("x_sum", n)
+        # the collective-spin (symmetry-adapted) dephasing keeps the
+        # scaling trends consistent with the two-qubit story
+        return replace(h, basis=None, collective=True) if collective else h
     if kind == ch.DEPOLARIZING:
         if n != 2:
             raise ValueError("the interacting Hamiltonian is two-qubit only")
@@ -315,11 +327,7 @@ def scaling_run(
         for kind in kinds:
             if kind == ch.DEPOLARIZING and n != 2:
                 raise ValueError("depolarizing scaling is limited to two qubits")
-            h = channel_hamiltonian(kind, n)
-            if kind in (ch.PHASE_FLIP, ch.PHASE_DAMPING):
-                # the collective-spin (symmetry-adapted) dephasing keeps
-                # the scaling trends consistent with the two-qubit story
-                h = replace(h, basis=None, collective=True)
+            h = channel_hamiltonian(kind, n, collective=True)
             dephasing[kind] = h.dephasing
             curve = _wc_curve(rho0, kind, h, q_grid) - workx.decompose(rho0, h).coherent
             summary = enhancement_summary(q_grid, curve)

@@ -275,10 +275,20 @@ def random_separable_stack(seed: int, samples, num_terms: int = 2) -> np.ndarray
     of a non-empty ``samples``, as a (S, 4, 4) stack.
 
     Each sample draws from its own stream in the same order as
-    ``random_separable``; the states are then built in one batched outer
-    product, bitwise equal to the one-sample construction.
+    ``random_separable``: one Philox bit generator is reset to the full
+    fresh state of key (seed, i) (zero counter, empty buffer) before each
+    sample, which gives the draws of a new ``philox_stream(seed, i)``
+    without building a ``Generator`` per sample. The states are then
+    built in one batched outer product, bitwise equal to the one-sample
+    construction.
     """
-    draws = [_separable_draws(philox_stream(seed, i), num_terms) for i in samples]
+    rng = philox_stream(seed)
+    fresh = rng.bit_generator.state
+    draws = []
+    for i in samples:
+        fresh["state"]["key"] = np.array([np.uint64(seed), np.uint64(i)], dtype=np.uint64)
+        rng.bit_generator.state = fresh
+        draws.append(_separable_draws(rng, num_terms))
     if not draws:
         raise ValueError("need at least one sample")
     return _separable_states(*(np.array(x) for x in zip(*draws)))

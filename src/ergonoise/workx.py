@@ -121,7 +121,16 @@ def l1_coherence(rho, basis) -> float:
 @dataclass(frozen=True)
 class ErgotropyReport:
     """Work accounting for one (state, Hamiltonian) pair, or for a stack
-    of states with every field a length-B array (``work_split``)."""
+    of states with every field a length-B array (``work_split``).
+
+    ``l1_coherence`` is the l1 norm of the off-diagonal entries in the
+    Hamiltonian's dephasing frame. Where that frame has degenerate kept
+    blocks, as collective frames do from three qubits on, the basis
+    inside each block is LAPACK's choice and the l1 value depends on it
+    (at N = 3 under phase flip it moved from 1.4855 to 1.5014 under a
+    unitary inside the blocks); the work values, read from the dephased
+    spectrum, do not.
+    """
 
     total: float
     incoherent: float

@@ -24,7 +24,7 @@ from ergonoise.channels import (
     lindblad_evolve,
     q_of_t,
 )
-from ergonoise.matcore import SIGMA_X, kron, partial_trace
+from ergonoise.matcore import SIGMA_X, kron, num_qubits, partial_trace
 from ergonoise.qstate import bds_eigenvalues, bloch_to_density, density_to_bloch, make_bds
 
 
@@ -360,9 +360,13 @@ def test_chunks_validate_before_the_first_stack(monkeypatch):
     built = []
     real = channels._superoperators
     monkeypatch.setattr(channels, "_superoperators", lambda k, q: built.append(len(q)) or real(k, q))
+    channels._coefficients.cache_clear()
+    channels._toeplitz.cache_clear()
     rhos = random_states(np.random.default_rng(5), 30, 2)
-    assert len(list(channels.apply_local_chunks(rhos, "bf", np.linspace(0, 1, 101)))) == 3
-    assert built == [101]  # one build for the whole grid, not one per stack
+    for _ in range(2):
+        assert len(list(channels.apply_local_chunks(rhos, "bf", np.linspace(0, 1, 101)))) == 3
+    # one fit at deg + 1 = 2 strengths per kind, not one build per call or stack
+    assert built == [2]
     with pytest.raises(ValueError, match="noise strength q = 1.5 outside"):
         next(channels.apply_local_chunks(rhos, "bf", [0.2, 1.5]))
     with pytest.raises(ValueError, match="out of range for 2 qubits"):
@@ -371,6 +375,76 @@ def test_chunks_validate_before_the_first_stack(monkeypatch):
         next(channels.apply_local_chunks(rhos[:0], "bf", [0.5]))
     with pytest.raises(ValueError, match="square matrix"):
         next(channels.apply_local_chunks(rhos[:, :3], "bf", [0.5]))
+
+
+def contract(rhos, sups, targets, n):
+    """Apply the i-th superoperator to the sorted ``targets`` of the i-th
+    state: the targets' row and column axes move to the front, so the
+    whole stack is one batched matmul onto a (Q, 4^m, 4^(n-m)) reshape."""
+    m = len(targets)
+    front = [1 + t for t in targets] + [1 + n + t for t in targets]
+    perm = [0] + front + [a for a in range(1, 2 * n + 1) if a not in front]
+    tens = rhos.reshape((len(rhos),) + (2,) * (2 * n)).transpose(perm)
+    out = (sups @ tens.reshape(len(rhos), 4**m, -1)).reshape(tens.shape)
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    return out.transpose(inverse).reshape(rhos.shape)
+
+
+def per_q_kraus_oracle(rho, kind, qs, targets):
+    """The channel at every strength of ``qs`` as its own superoperator
+    sum_k K(q) (x) conj(K(q)), contracted onto each target group in turn:
+    the oracle of the polynomial path."""
+    n = num_qubits(rho)
+    sups = channels._superoperators(kind, np.asarray(qs, dtype=float))
+    groups = [sorted(targets)] if kind == CORRELATED_BIT_FLIP else [(t,) for t in sorted(targets)]
+    out = np.repeat(np.asarray(rho, dtype=complex)[None], len(qs), axis=0)
+    for group in groups:
+        out = contract(out, sups, group, n)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(KINDS), n=st.integers(1, 6), seed=st.integers(0, 2**31 - 1))
+def test_polynomial_path_matches_the_per_q_kraus_oracle(data, kind, n, seed):
+    # all kinds, 1..6 qubits, target subsets, stacks whose pieces split
+    # curves, one strength and a 501-point grid
+    if kind == CORRELATED_BIT_FLIP:
+        if n < 2:
+            return
+        targets = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    else:
+        targets = data.draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    points = data.draw(st.sampled_from([1, 2, 37] + ([501] if n <= 5 else [])))
+    rng = np.random.default_rng(seed)
+    rhos = random_states(rng, data.draw(st.integers(1, 3)), n)
+    qs = rng.uniform(0, 1, points)
+    qs[:2] = [0.0, 1.0][:points]
+    want = np.concatenate([per_q_kraus_oracle(rho, kind, qs, targets) for rho in rhos])
+    got = np.concatenate([stack for _, stack in channels.apply_local_chunks(rhos, kind, qs, targets)])
+    assert np.abs(got - want).max() <= 1e-12
+    grid = apply_local_grid(rhos[0], kind, qs, targets)
+    assert np.abs(grid - want[:points]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_fitted_coefficients_reproduce_the_superoperators(kind):
+    coef = channels._coefficients(kind)
+    assert not coef.flags.writeable
+    qs = np.concatenate([[0.0, 1.0], np.random.default_rng(17).uniform(0, 1, 200)])
+    x = channels._POLYNOMIALS[kind][0](qs)
+    fitted = np.einsum("qe,eij->qij", np.power.outer(x, np.arange(len(coef))), coef)
+    assert np.abs(fitted - channels._superoperators(kind, qs)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n, kind, count, points", [(1, "ad", 5, 3000), (2, "cbf", 30, 101), (3, "pd", 3, 501), (6, "ad", 2, 21), (8, "bf", 1, 3)])
+def test_every_piece_stays_within_the_budget(n, kind, count, points):
+    rhos = random_states(np.random.default_rng(n), count, n)
+    step = max(1, channels.STACK_BUDGET_BYTES // (16 * 4**n))
+    pieces = list(channels.apply_local_chunks(rhos, kind, np.linspace(0, 1, points)))
+    assert sum(len(stack) for _, stack in pieces) == count * points
+    for _, stack in pieces:
+        assert len(stack) <= step
+        assert stack.nbytes <= max(channels.STACK_BUDGET_BYTES, 16 * 4**n)
 
 
 def test_lindblad_zero_rate_is_identity():

@@ -10,7 +10,7 @@ from ergonoise import experiments as ex
 from ergonoise import qstate
 from ergonoise.channels import KINDS, ChannelSpec, apply_local, kraus_set
 from ergonoise.io import read_csv, write_csv
-from ergonoise.matcore import IDENTITY_2, kron, num_qubits
+from ergonoise.matcore import IDENTITY_2, herm_eig, kron, num_qubits
 from ergonoise.qstate import (
     Hamiltonian,
     hamiltonian,
@@ -171,6 +171,46 @@ def test_scaling_run_small():
 def test_scaling_sidecar_names_each_curves_dephasing():
     res = ex.scaling_run(kinds=("dc", "pf"), n_values=(2,), q_points=5)
     assert res.metadata["dephasing"] == {"depolarizing": "collective", "phase_flip": "collective"}
+
+
+def test_channel_hamiltonians_are_built_once_per_process(monkeypatch):
+    # scaling takes its collective phase-flip Hamiltonian, and so its frame,
+    # from the cache: one eigendecomposition for two runs
+    calls = []
+
+    def counting(m, *args):
+        calls.append(len(m))
+        return herm_eig(m, *args)
+
+    monkeypatch.setattr(qstate, "herm_eig", counting)
+    ex.channel_hamiltonian.cache_clear()
+    for _ in range(2):
+        ex.scaling_run(kinds=("pf",), n_values=(3,), q_points=5)
+    assert calls == [8]
+    h = ex.channel_hamiltonian("pf", 3, collective=True)
+    assert h is ex.channel_hamiltonian("pf", 3, collective=True)
+    assert h.dephasing == "collective" and ex.channel_hamiltonian("pf", 3).dephasing == "product_basis"
+    with pytest.raises(ValueError, match="read-only"):
+        h.matrix[0, 0] = 1.0
+
+
+def test_census_csv_equals_one_generator_per_sample(tmp_path, monkeypatch):
+    # the reset bit generator draws what a new Generator per sample draws,
+    # so the census CSV and sidecar keep their bytes
+    def one_generator_per_sample(seed, samples, num_terms=2):
+        draws = [qstate._separable_draws(philox_stream(seed, i), num_terms) for i in samples]
+        return qstate._separable_states(*(np.array(x) for x in zip(*draws)))
+
+    for seed, samples in ((2**63 - 1, range(10**6, 10**6 + 9)), (5, range(40))):
+        assert np.array_equal(
+            random_separable_stack(seed, samples, 3), one_generator_per_sample(seed, samples, 3)
+        )
+    write_csv(tmp_path / "reset.csv", ex.census_random("ad", count=40, seed=5, q_points=21, num_terms=3))
+    monkeypatch.setattr(ex, "random_separable_stack", one_generator_per_sample)
+    write_csv(tmp_path / "fresh.csv", ex.census_random("ad", count=40, seed=5, q_points=21, num_terms=3))
+    for suffix in (".csv", ".meta.json"):
+        reset, fresh = (tmp_path / f"{name}{suffix}" for name in ("reset", "fresh"))
+        assert reset.read_bytes() == fresh.read_bytes()
 
 
 def test_census_reproducible():
