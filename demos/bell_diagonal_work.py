@@ -11,9 +11,8 @@ Run:  python demos/bell_diagonal_work.py
 import numpy as np
 
 from ergonoise import (
-    ChannelSpec,
     apply_local,
-    correlation_work_check,
+    correlation_work,
     ergotropy,
     hamiltonian,
     make_bds,
@@ -32,12 +31,12 @@ for keep in ([0], [1]):
 print("\n=== work vs correlation average along a bit-flip sweep ===")
 print("  q      W        (gqc+gcc)/2   residual")
 for q in np.linspace(0, 1, 6):
-    rep = correlation_work_check(C, ChannelSpec("bit_flip", q), both_qubits=True)
+    rep = correlation_work(C, "bit_flip", q, both_qubits=True)
     print(f"  {q:.1f}  {rep.total_ergotropy:.6f}  {rep.average:.6f}    {rep.residual:+.1e}")
 
 print("\n=== amplitude damping breaks the identity ===")
 for q in (0.25, 0.5, 0.75):
-    rep = correlation_work_check(C, ChannelSpec("amplitude_damping", q), both_qubits=True)
+    rep = correlation_work(C, "amplitude_damping", q, both_qubits=True)
     print(
         f"  q = {q:.2f}: W = {rep.total_ergotropy:.4f}, correlation average = "
         f"{rep.average:.4f}, residual {rep.residual:+.4f} (flagged invalid: {not rep.identity_valid})"
@@ -55,5 +54,5 @@ print(f"  c = (0.5, 0.3, 0.1), phase flip: WI frozen at {res.columns['WI'][0]:.4
 
 print("\n=== a perfectly correlated flip pair leaves the state alone ===")
 for q in (0.3, 0.9):
-    out = apply_local(make_bds(C), ChannelSpec("correlated_bit_flip", q), (0, 1))
+    out = apply_local(make_bds(C), "correlated_bit_flip", q, (0, 1))
     print(f"  q = {q}: max |change| = {np.abs(out - make_bds(C)).max():.1e}")

@@ -7,7 +7,7 @@ Run:  python demos/single_qubit_noise.py
 
 import numpy as np
 
-from ergonoise import closed_form_single, sweep_single, threshold_q
+from ergonoise import closed_form, sweep_single, threshold_q
 
 BLOCHS = {
     "salmon": [0.6, 0.5, 0.4],
@@ -40,7 +40,7 @@ print("  note: WC never exceeds C/2 and meets it once the n3 component dies")
 print("\n=== amplitude damping peaks at z = |n3| / (1 + |n3|) ===")
 n = [0.1, 0.3, -0.4]
 qs = np.linspace(0, 1, 201)
-wc = np.array([closed_form_single("amplitude_damping", q, n).coherent for q in qs])
+wc = np.array([closed_form("amplitude_damping", q, n).coherent for q in qs])
 z = abs(n[2]) / (1 + abs(n[2]))
 print(f"  n = {n}: peak at q = {qs[wc.argmax()]:.3f}, branch point z = {z:.3f}")
 print(f"  WC rises from {wc[0]:.4f} to {wc.max():.4f}, then dies: WC(1) = {wc[-1]:.1e}")
@@ -48,6 +48,6 @@ print(f"  WC rises from {wc[0]:.4f} to {wc.max():.4f}, then dies: WC(1) = {wc[-1
 print("\n=== phase flip only helps against an x-aligned energy basis ===")
 n = [0.4, 0.5, 0.6]
 for basis in ("computational", "x"):
-    wc = [closed_form_single("phase_flip", q, n, basis=basis).coherent for q in qs]
+    wc = [closed_form("phase_flip", q, n, basis=basis).coherent for q in qs]
     trend = "grows" if wc[-1] > wc[0] else "decays"
     print(f"  basis {basis:13s}: WC(0) = {wc[0]:.4f}, WC(1) = {wc[-1]:.4f} ({trend})")

@@ -17,6 +17,7 @@ from .matcore import (
 from .qstate import (
     Hamiltonian,
     apply_hadamard_pair,
+    bds_eigenvalues,
     bds_is_separable,
     bloch_to_density,
     classical_quantum,
@@ -32,15 +33,11 @@ from .qstate import (
     symmetrized_multipartite,
 )
 from .channels import (
-    ChannelSpec,
     KINDS,
     LindbladSpec,
     apply_local,
-    apply_local_grid,
-    bds_param_grid,
     bds_param_map,
     bloch_map,
-    bloch_map_grid,
     jump_operator,
     kraus_set,
     lindblad_evolve,
@@ -48,25 +45,19 @@ from .channels import (
 )
 from .workx import (
     ErgotropyReport,
-    closed_form_curve,
-    closed_form_single,
+    closed_form,
     coherence_degenerate,
-    coherence_degenerate_stack,
     concurrence,
-    concurrence_stack,
     decompose,
     dephase,
     ergotropy,
     l1_coherence,
     passive_state,
     threshold_q,
-    work_split,
 )
 from .correlations import (
     CorrelationReport,
-    bds_eigenvalues,
-    correlation_work_check,
-    correlation_work_curve,
+    correlation_work,
     gcc_bds,
     gcc_trace_norm,
     gqc_bds,

@@ -1,10 +1,16 @@
 """Markovian noise channels: Kraus sets, analytic parameter maps, local
 application to multi-qubit states, and Lindblad time evolution.
 
-All channels are parameterized by a strength q in [0, 1]. The Kraus sets
-are the physical definition and drive the numerical pipeline: one table
-gives each kind's Kraus operators as (Q, d, d) stacks over a whole q
-array (``kraus_set`` reads one row), whose superoperators are
+All channels are parameterized by a strength q in [0, 1]. Every function
+here that takes q takes it as a number or as a 1-D grid and returns the
+matching shape: a grid gives results with a leading axis of length
+len(q); a number is evaluated as the one-point grid [q] with that axis
+dropped, so its result is bitwise row 0 of the grid result.
+``strengths`` checks q once per call.
+
+The Kraus sets are the physical definition and drive the numerical
+pipeline: one table gives each kind's Kraus operators as (Q, d, d)
+stacks over a q grid (``kraus_set``), whose superoperators are
 sum_k K(q) (x) conj(K(q)). Each of those is a polynomial of low degree
 in one variable x(q) (degree 1 in x = 1 - 2q for the flips,
 depolarizing and the correlated flip; degree 2 in x = sqrt(1 - q) for
@@ -16,24 +22,21 @@ deg * n + 1 terms. ``apply_local_chunks`` expands the R_k of one state
 or of each state of a (S, d, d) stack, one target group at a time
 with every C_e applied in one batched matmul, and evaluates any q grid
 from them as a Vandermonde product, yielding the S x Q (state, q) pairs
-state-major in stacks of at most STACK_BUDGET_BYTES;
-``apply_local_grid`` joins its stacks for one state and ``apply_local``
-is its one-strength case.
+state-major in stacks of at most STACK_BUDGET_BYTES; ``apply_local``
+joins its stacks for one state.
 The closed forms come from one table of affine Bloch maps
 n -> T(q) n + t(q) per single-qubit kind. Every T(q) is diagonal, so a
-row maps a whole q array to a (Q, 3) stack of diagonals diag(T) and a
-(Q, 3) stack of shifts t: ``bloch_map_grid`` applies it to a grid as
-diag(T) * n + t and ``bds_param_grid`` scales Bell-diagonal parameters
-by diag(T); ``bloch_map`` and ``bds_param_map`` are their one-strength
-rows. The tests check both against the Kraus route. The flip family
-and depolarizing are unital; amplitude damping drains population
-toward |g> (t != 0) and is the one non-unital case.
+row maps a q grid to a (Q, 3) stack of diagonals diag(T) and a (Q, 3)
+stack of shifts t: ``bloch_map`` applies it as diag(T) * n + t and
+``bds_param_map`` scales Bell-diagonal parameters by diag(T). The tests
+check both against the Kraus route. The flip family and depolarizing
+are unital; amplitude damping drains population toward |g> (t != 0)
+and is the one non-unital case.
 Phase damping is phase flip at the effective strength 1 - sqrt(1-q).
 Lindblad evolution runs fixed-step RK4 on the d^2 x d^2 Liouvillian
 ``_liouvillian``: the master equation is linear, so the N steps are one
 power of the step matrix P(dt L) = 1 + dt L + ... + (dt L)^4 / 4!.
 """
-
 from __future__ import annotations
 
 import functools
@@ -127,10 +130,12 @@ def canonical_kind(kind: str) -> str:
     return kind
 
 
-def strengths(q_grid) -> np.ndarray:
-    """A q grid as a float array, checked whole: non-empty, 1-D, every
-    entry in [0, 1] (NaN is outside)."""
-    qs = np.asarray(q_grid, dtype=float)
+def strengths(q) -> np.ndarray:
+    """q as a 1-D float grid, a number becoming the one-point grid [q],
+    checked whole: non-empty, 1-D, every entry in [0, 1] (NaN is outside)."""
+    qs = np.asarray(q, dtype=float)
+    if qs.ndim == 0:
+        qs = qs.reshape(1)
     if qs.ndim != 1:
         raise ValueError(f"noise strengths must form a 1-D grid, got shape {qs.shape}")
     if not qs.size:
@@ -141,16 +146,10 @@ def strengths(q_grid) -> np.ndarray:
     return qs
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """A channel kind plus its noise strength q in [0, 1]."""
-
-    kind: str
-    q: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", canonical_kind(self.kind))
-        object.__setattr__(self, "q", float(strengths([self.q])[0]))
+def _shaped(q, result):
+    """A result computed on the grid ``strengths(q)``, with its leading
+    axis dropped when q is a number."""
+    return result[0] if np.ndim(q) == 0 else result
 
 
 # (Q,) coefficients times one operator: a (Q, d, d) stack
@@ -183,9 +182,11 @@ _KRAUS = {
 }
 
 
-def kraus_set(spec: ChannelSpec) -> list[np.ndarray]:
-    """Kraus operators of the channel at one strength (a row of the table)."""
-    return [k[0] for k in _KRAUS[spec.kind](np.array([spec.q]))]
+def kraus_set(kind: str, q) -> list[np.ndarray]:
+    """Kraus operators of the channel at strength q: one (d, d) matrix
+    each for a number, one (len(q), d, d) stack each for a grid."""
+    kind = canonical_kind(kind)
+    return [_shaped(q, k) for k in _KRAUS[kind](strengths(q))]
 
 
 def _superoperators(kind: str, qs: np.ndarray) -> np.ndarray:
@@ -337,9 +338,10 @@ def _local_chunks(rhos, kind: str, qs: np.ndarray, targets):
         yield slice(start, start + step), stack.reshape(-1, d, d)
 
 
-def apply_local_chunks(rhos, kind: str, q_grid, targets=None):
+def apply_local_chunks(rhos, kind: str, q, targets=None):
     """Images of one state, or of every state of a (S, d, d) stack, at every
-    strength of ``q_grid``, in stacks of at most STACK_BUDGET_BYTES.
+    strength of q (a number or a grid), in stacks of at most
+    STACK_BUDGET_BYTES.
 
     The (state, q) pairs run state-major, pair p being state p // Q at
     strength p % Q. Yields (slice of the pair index, (P, d, d) stack of
@@ -364,51 +366,36 @@ def apply_local_chunks(rhos, kind: str, q_grid, targets=None):
     state).
     """
     kind = canonical_kind(kind)
-    yield from _local_chunks(rhos, kind, strengths(q_grid), targets)
+    yield from _local_chunks(rhos, kind, strengths(q), targets)
 
 
-def apply_local_grid(rho, kind: str, q_grid, targets=None) -> np.ndarray:
-    """Images of one state under the channel at every strength of ``q_grid``,
-    as one (len(q_grid), d, d) stack: the pieces of ``apply_local_chunks``
-    joined."""
-    pieces = apply_local_chunks(as_matrix(rho), kind, q_grid, targets)
-    return np.concatenate([stack for _, stack in pieces])
+def apply_local(rho, kind: str, q, targets=None) -> np.ndarray:
+    """Image of one state under the channel on the listed qubits (all of
+    them by default): a (d, d) state for a number q, a (len(q), d, d)
+    stack for a grid. The pieces of ``apply_local_chunks`` joined."""
+    pieces = apply_local_chunks(as_matrix(rho), kind, q, targets)
+    return _shaped(q, np.concatenate([stack for _, stack in pieces]))
 
 
-def apply_local(rho, spec: ChannelSpec, targets=None) -> np.ndarray:
-    """Apply the channel to the listed qubits (all of them by default).
-
-    The one-strength case of ``apply_local_grid``, with the same targets;
-    the spec's strength was checked when it was built.
-    """
-    return next(_local_chunks(as_matrix(rho), spec.kind, np.array([spec.q]), targets))[1][0]
-
-
-def bloch_map_grid(kind: str, q_grid, n) -> np.ndarray:
-    """Closed-form images T(q) n + t(q) of a single-qubit Bloch vector at
-    every strength of ``q_grid``, as a (len(q_grid), 3) array.
+def bloch_map(kind: str, q, n) -> np.ndarray:
+    """Closed-form image T(q) n + t(q) of a single-qubit Bloch vector: a
+    3-vector for a number q, a (len(q), 3) array for a grid.
 
     The grid is validated whole by ``strengths`` and the Bloch vector
     once by ``require_bloch``.
     """
     kind = canonical_kind(kind)
-    qs = strengths(q_grid)
+    qs = strengths(q)
     if kind not in _AFFINE:
         raise ValueError(f"no single-qubit Bloch map for {kind!r}")
     n = require_bloch(n)
     diag, shift = _AFFINE[kind](qs)
-    return diag * n + shift
+    return _shaped(q, diag * n + shift)
 
 
-def bloch_map(spec: ChannelSpec, n) -> np.ndarray:
-    """Closed-form image T(q) n + t(q) of a single-qubit Bloch vector
-    (the one-strength row of ``bloch_map_grid``)."""
-    return bloch_map_grid(spec.kind, [spec.q], n)[0]
-
-
-def bds_param_grid(kind: str, q_grid, c, both_qubits: bool = True) -> np.ndarray:
-    """Closed-form images of Bell-diagonal parameters under a unital channel
-    at every strength of ``q_grid``, as a (len(q_grid), 3) array.
+def bds_param_map(kind: str, q, c, both_qubits: bool = True) -> np.ndarray:
+    """Closed-form images of Bell-diagonal parameters under a unital
+    channel: a 3-vector for a number q, a (len(q), 3) array for a grid.
 
     Each noised qubit scales (c1, c2, c3) by diag(T(q)), so noise on
     both qubits scales by diag(T)^2. The correlated flip leaves Bell-
@@ -416,29 +403,20 @@ def bds_param_grid(kind: str, q_grid, c, both_qubits: bool = True) -> np.ndarray
     damping) breaks the Bell-diagonal form and is rejected.
     """
     kind = canonical_kind(kind)
-    return _bds_params(kind, strengths(q_grid), c, both_qubits)
-
-
-def _bds_params(kind: str, qs: np.ndarray, c, both_qubits: bool) -> np.ndarray:
-    """``bds_param_grid`` for a canonical kind and a checked grid."""
+    qs = strengths(q)
     c = np.asarray(c, dtype=float)
     if kind == CORRELATED_BIT_FLIP:
-        return np.tile(c, (len(qs), 1))
-    if kind not in UNITAL_KINDS:
+        factors = np.ones((len(qs), 3))
+    elif kind in UNITAL_KINDS:
+        factors = _AFFINE[kind](qs)[0]
+        if both_qubits:
+            factors = factors**2
+    else:
         raise ValueError(
             f"{kind.replace('_', ' ')} destroys the symmetry required to "
             "preserve the Bell-diagonal form; apply the Kraus set instead"
         )
-    factors = _AFFINE[kind](qs)[0]
-    if both_qubits:
-        factors = factors**2
-    return factors * c
-
-
-def bds_param_map(spec: ChannelSpec, c, both_qubits: bool = True) -> np.ndarray:
-    """The one-strength row of ``bds_param_grid`` (the spec's strength was
-    checked when it was built)."""
-    return _bds_params(spec.kind, np.array([spec.q]), c, both_qubits)[0]
+    return _shaped(q, factors * c)
 
 
 @dataclass(frozen=True)

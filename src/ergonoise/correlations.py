@@ -4,9 +4,9 @@ the identity linking them to extractable work under unital noise.
 For nonnegative parameters the closed forms are simply the intermediate
 and the maximum of {c1, c2, c3}; the trace-norm route reproduces them
 from the distance definitions and also accepts signed parameters.
-``correlation_work_curve`` checks the identity along a whole q grid with
-one Kraus evolution and one ``work_split`` per stack of states;
-``correlation_work_check`` is its one-strength view.
+``correlation_work`` checks the identity at a noise strength q, a
+number or a grid (one report of numbers, or of length-Q arrays), with
+one Kraus evolution and one ``decompose`` per stack of evolved states.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import trace_norm
-# bds_eigenvalues is re-exported for callers that import it from here
-from .qstate import IDENTITY_4, PAULI_PAIRS, Hamiltonian, bds_eigenvalues, hamiltonian, make_bds  # noqa: F401
-from .channels import AMPLITUDE_DAMPING, ChannelSpec, _bds_params, _local_chunks, canonical_kind, strengths
-from .workx import ErgotropyReport, work_split
+from .qstate import IDENTITY_4, PAULI_PAIRS, hamiltonian, make_bds
+from .channels import AMPLITUDE_DAMPING, _local_chunks, _shaped, bds_param_map, canonical_kind, strengths
+from .workx import ErgotropyReport, decompose
 
 # the energy the work-correlation identity is stated for
 Z_SUM_2 = hamiltonian("z_sum", 2)
@@ -95,36 +94,31 @@ class CorrelationReport:
         return CorrelationReport(gqc, gcc, average, self.ergotropy[i], residual, self.identity_valid)
 
 
-def correlation_work_curve(
-    c, kind: str, q_grid, both_qubits: bool = True, h: Hamiltonian | None = None
-) -> CorrelationReport:
-    """Compare total ergotropy against the correlation average along q_grid.
+def correlation_work(c, kind: str, q, both_qubits: bool = True) -> CorrelationReport:
+    """Compare total ergotropy under ``Z_SUM_2`` against the correlation
+    average at strength q: a report of numbers for a number q, of
+    length-Q arrays for a grid.
 
     The evolved work comes from the full Kraus + eigendecomposition
     pipeline, evaluated in stacks of at most ``STACK_BUDGET_BYTES``, the
     correlations from the mapped parameters. For unital channels the
     residual vanishes identically; amplitude damping is reported with
     ``identity_valid=False`` since the mapped-parameter formulas no
-    longer describe the evolved (non-Bell-diagonal) state. The kind and
-    the grid are checked here, once.
+    longer describe the evolved (non-Bell-diagonal) state. The kind,
+    the grid and then the parameters are checked first.
     """
     kind = canonical_kind(kind)
-    return _correlation_work(c, kind, strengths(q_grid), both_qubits, h)
-
-
-def _correlation_work(c, kind: str, qs: np.ndarray, both_qubits: bool, h) -> CorrelationReport:
-    """``correlation_work_curve`` for a canonical kind and a checked grid."""
+    qs = strengths(q)
     c = _require_nonnegative(c)
     rho = make_bds(c)
-    h = Z_SUM_2 if h is None else h
     valid = kind != AMPLITUDE_DAMPING
     if valid:
-        mapped = _bds_params(kind, qs, c, both_qubits)
+        mapped = bds_param_map(kind, qs, c, both_qubits)
     else:
         mapped = np.empty((len(qs), 3))
     work = np.empty((6, len(qs)))
     for part, states in _local_chunks(rho, kind, qs, (0, 1) if both_qubits else (0,)):
-        work[:, part] = list(vars(work_split(states, h)).values())
+        work[:, part] = list(vars(decompose(states, Z_SUM_2)).values())
         if not valid:
             # the evolved state is no longer Bell diagonal; feed the formulas
             # the measured correlation functions Tr[rho sigma_i x sigma_i]
@@ -132,15 +126,4 @@ def _correlation_work(c, kind: str, qs: np.ndarray, both_qubits: bool, h) -> Cor
     ergotropy = ErgotropyReport(*work)
     gqc, gcc = np.sort(np.abs(mapped), axis=1)[:, 1:].T
     average = 0.5 * (gqc + gcc)
-    return CorrelationReport(gqc, gcc, average, ergotropy, ergotropy.total - average, valid)
-
-
-def correlation_work_check(
-    c,
-    spec: ChannelSpec,
-    both_qubits: bool = True,
-    h: Hamiltonian | None = None,
-) -> CorrelationReport:
-    """The one-strength view of ``correlation_work_curve``; the spec's kind
-    and strength were checked when it was built."""
-    return _correlation_work(c, spec.kind, np.array([spec.q]), both_qubits, h)[0]
+    return _shaped(q, CorrelationReport(gqc, gcc, average, ergotropy, ergotropy.total - average, valid))

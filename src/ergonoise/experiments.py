@@ -33,7 +33,7 @@ from .qstate import (
     symmetric_pair,
     symmetrized_multipartite,
 )
-from .correlations import Z_SUM_2, correlation_work_curve
+from .correlations import Z_SUM_2, correlation_work
 
 DEFAULT_Q_POINTS = 101
 AREA_Q_POINTS = 501
@@ -69,7 +69,6 @@ class EnhancementSummary:
     delta_wc_max: float
     argmax_q: float
     area_ap: float
-    fraction_enhancing: float | None = None
 
 
 def enhancement_summary(q_grid, delta_wc) -> EnhancementSummary:
@@ -96,6 +95,14 @@ def enhancement_summary(q_grid, delta_wc) -> EnhancementSummary:
 
 
 @functools.cache
+def _shared_hamiltonian(name: str, n: int, collective: bool = False, **params) -> Hamiltonian:
+    """``hamiltonian(name, n, **params)``, built once per process for each
+    argument tuple; ``collective`` swaps its product dephasing basis for
+    collective spin."""
+    h = hamiltonian(name, n, **params)
+    return replace(h, basis=None, collective=True) if collective else h
+
+
 def channel_hamiltonian(kind: str, n: int, collective: bool = False) -> Hamiltonian:
     """Per-channel energy choice used by the grid/census/scaling runs.
 
@@ -106,21 +113,22 @@ def channel_hamiltonian(kind: str, n: int, collective: bool = False) -> Hamilton
     spin instead of in its product basis (the other kinds have no such
     alternative and are unchanged).
 
-    Built once per process for each argument tuple: a ``Hamiltonian`` is
-    frozen with read-only matrices, so every caller shares it, and its
-    levels and frames are computed once.
+    Built once per process for each Hamiltonian, not for each channel:
+    every kind that uses the excitation energy shares one object per n,
+    whatever its ``collective`` flag. A ``Hamiltonian`` is frozen with
+    read-only matrices, so every caller shares it, and its levels and
+    frames are computed once.
     """
     kind = ch.canonical_kind(kind)
     if kind in (ch.PHASE_FLIP, ch.PHASE_DAMPING):
-        h = hamiltonian("x_sum", n)
         # the collective-spin (symmetry-adapted) dephasing keeps the
         # scaling trends consistent with the two-qubit story
-        return replace(h, basis=None, collective=True) if collective else h
+        return _shared_hamiltonian("x_sum", n, collective)
     if kind == ch.DEPOLARIZING:
         if n != 2:
             raise ValueError("the interacting Hamiltonian is two-qubit only")
-        return hamiltonian("xx_interacting", 2, h=0.5, j=0.4)
-    return hamiltonian("excitation", n)
+        return _shared_hamiltonian("xx_interacting", 2, h=0.5, j=0.4)
+    return _shared_hamiltonian("excitation", n)
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +144,9 @@ def sweep_single(kind, n, basis: str = "computational", q_grid=None) -> SweepRes
     and the amplitude-damping branch point in the metadata.
     """
     kind = ch.canonical_kind(kind)
-    q_grid = q_grid_default() if q_grid is None else np.asarray(q_grid, dtype=float)
+    q_grid = q_grid_default() if q_grid is None else ch.strengths(q_grid)
     n = require_bloch(n)
-    curve = workx.closed_form_curve(kind, q_grid, n, basis=basis)
+    curve = workx.closed_form(kind, q_grid, n, basis=basis)
     cols = {
         "q": q_grid,
         "W": curve.total,
@@ -172,7 +180,7 @@ def _crossing_qs(c, kind: str, both: bool, q_grid) -> list[float]:
     """
 
     def lams_at(qs):
-        return bds_eigenvalues(ch.bds_param_grid(kind, qs, c, both))
+        return bds_eigenvalues(ch.bds_param_map(kind, qs, c, both))
 
     slots = lams_at(q_grid).argmax(axis=1)
     k = np.flatnonzero(slots[:-1] != slots[1:])
@@ -200,8 +208,8 @@ def sweep_bds(c, kind, q_grid=None, both_qubits: bool = True) -> SweepResult:
     """
     kind = ch.canonical_kind(kind)
     c = np.asarray(c, dtype=float)
-    q_grid = q_grid_default() if q_grid is None else np.asarray(q_grid, dtype=float)
-    curve = correlation_work_curve(c, kind, q_grid, both_qubits, Z_SUM_2)
+    q_grid = q_grid_default() if q_grid is None else ch.strengths(q_grid)
+    curve = correlation_work(c, kind, q_grid, both_qubits)
     cols = {
         "q": q_grid,
         "W": curve.total_ergotropy,
@@ -236,16 +244,16 @@ def _wc_curve(rho0, kind, h: Hamiltonian, q_grid) -> np.ndarray:
     state, a (S, Q) array for a (S, d, d) stack.
 
     The (state, q) pairs are evolved and split stack by stack
-    (``channels.apply_local_chunks``), one ``work_split`` per stack.
+    (``channels.apply_local_chunks``), one ``decompose`` per stack.
     """
     shape = np.shape(rho0)[:-2] + (len(q_grid),)
     wc = np.empty(math.prod(shape))
     for part, states in ch.apply_local_chunks(rho0, kind, q_grid):
-        wc[part] = workx.work_split(states, h).coherent
+        wc[part] = workx.decompose(states, h).coherent
     return wc.reshape(shape)
 
 
-def grid_delta_wc(family: str, kind, axis_grid, q_grid=None, *, p=0.5, a=0.1, c=0.3, d=0.2, h: Hamiltonian | None = None) -> SweepResult:
+def grid_delta_wc(family: str, kind, axis_grid, q_grid=None, *, p=0.5, a=0.1, c=0.3, d=0.2) -> SweepResult:
     """Coherent-work gain over (state parameter, q) for a two-qubit family.
 
     family "classical_quantum" sweeps the coherence c at fixed (p, a);
@@ -253,10 +261,9 @@ def grid_delta_wc(family: str, kind, axis_grid, q_grid=None, *, p=0.5, a=0.1, c=
     (p, c, d). Rows are emitted axis-major.
     """
     kind = ch.canonical_kind(kind)
-    q_grid = q_grid_default() if q_grid is None else np.asarray(q_grid, dtype=float)
+    q_grid = q_grid_default() if q_grid is None else ch.strengths(q_grid)
     axis_grid = np.asarray(axis_grid, dtype=float)
-    if h is None:
-        h = channel_hamiltonian(kind, 2)
+    h = channel_hamiltonian(kind, 2)
     if family == "classical_quantum":
         builder = lambda v: classical_quantum(p, a, v)
         axis_name = "c"
@@ -267,7 +274,7 @@ def grid_delta_wc(family: str, kind, axis_grid, q_grid=None, *, p=0.5, a=0.1, c=
         raise ValueError(f"unknown state family {family!r}")
     rho0s = np.array([builder(v) for v in axis_grid])
     curves = _wc_curve(rho0s, kind, h, q_grid)
-    wc0 = workx.work_split(rho0s, h).coherent
+    wc0 = workx.decompose(rho0s, h).coherent
     cols = {
         axis_name: np.repeat(axis_grid, len(q_grid)),
         "q": np.tile(q_grid, len(axis_grid)),
@@ -361,7 +368,7 @@ def census_random(kind, count: int = 1000, seed: int = 7, q_points: int = DEFAUL
     Each sample draws from its own counter-based stream (seed, index), so
     results do not depend on evaluation order. Samples are drawn and
     evolved a stack at a time, as many as fill one STACK_BUDGET_BYTES
-    stack of (sample, q) pairs: one ``work_split`` of the curves and one
+    stack of (sample, q) pairs: one ``decompose`` of the curves and one
     of W_C(rho0) per stack, so memory stays flat in ``count``. A sample
     is "enhancing" when the positive area of its gain curve exceeds 1e-12.
     """
@@ -374,7 +381,7 @@ def census_random(kind, count: int = 1000, seed: int = 7, q_points: int = DEFAUL
     summaries = []
     for start in range(0, count, step):
         rho0s = random_separable_stack(seed, range(start, min(start + step, count)), num_terms)
-        curves = _wc_curve(rho0s, kind, h, q_grid) - workx.work_split(rho0s, h).coherent[:, None]
+        curves = _wc_curve(rho0s, kind, h, q_grid) - workx.decompose(rho0s, h).coherent[:, None]
         summaries.append(enhancement_summary(q_grid, curves))
     cols = {"sample": np.arange(count)}
     for name in ("delta_wc_max", "argmax_q", "area_ap"):
@@ -414,13 +421,13 @@ def lindblad_consistency(kind, gamma: float, t_grid, n0) -> SweepResult:
     qs = np.array([ch.q_of_t(kind, gamma, t) for t in t_grid])
     evolved = np.array([ch.lindblad_evolve(rho0, ch.LindbladSpec((jump,), (gamma,), t)) for t in t_grid])
     rk4_bloch = np.array([density_to_bloch(s) for s in evolved])
-    kraus_bloch = ch.bloch_map_grid(kind, qs, n0)
+    kraus_bloch = ch.bloch_map(kind, qs, n0)
     cols = {"t": t_grid, "q": qs}
     for i, name in enumerate(("n1", "n2", "n3")):
         cols[f"{name}_rk4"] = rk4_bloch[:, i]
         cols[f"{name}_kraus"] = kraus_bloch[:, i]
-    cols["WC_rk4"] = workx.work_split(evolved, h).coherent
-    cols["WC_kraus"] = workx.closed_form_curve(kind, qs, n0).coherent
+    cols["WC_rk4"] = workx.decompose(evolved, h).coherent
+    cols["WC_kraus"] = workx.closed_form(kind, qs, n0).coherent
     max_dev = max(
         float(np.abs(rk4_bloch - kraus_bloch).max()),
         float(np.abs(cols["WC_rk4"] - cols["WC_kraus"]).max()),
@@ -444,15 +451,15 @@ def entangled_example(theta_grid, q_grid=None, h: float = 0.5, j: float = 0.4, k
     """
     kind = ch.canonical_kind(kind)
     theta_grid = np.asarray(theta_grid, dtype=float)
-    q_grid = q_grid_default() if q_grid is None else np.asarray(q_grid, dtype=float)
+    q_grid = q_grid_default() if q_grid is None else ch.strengths(q_grid)
     ham = hamiltonian("z_plus_xx", 2, h=h, j=j)
     rho0s = np.array([apply_hadamard_pair(entangled_theta(theta)) for theta in theta_grid])
     wc = np.empty(len(theta_grid) * len(q_grid))
     conc = np.empty_like(wc)
     for part, states in ch.apply_local_chunks(rho0s, kind, q_grid):
-        wc[part] = workx.work_split(states, ham).coherent
-        conc[part] = workx.concurrence_stack(states)
-    wc0 = workx.work_split(rho0s, ham).coherent
+        wc[part] = workx.decompose(states, ham).coherent
+        conc[part] = workx.concurrence(states)
+    wc0 = workx.decompose(rho0s, ham).coherent
     cols = {
         "theta": np.repeat(theta_grid, len(q_grid)),
         "q": np.tile(q_grid, len(theta_grid)),
@@ -487,7 +494,7 @@ def interacting_depolarizing(
     and central finite differences of both passive-state energies, whose
     slope crossover marks the enhancement window.
     """
-    q_grid = q_grid_default() if q_grid is None else np.asarray(q_grid, dtype=float)
+    q_grid = q_grid_default() if q_grid is None else ch.strengths(q_grid)
     ham = hamiltonian("xx_interacting", 2, h=h, j=j)
     # the centre strengths, then their clipped neighbours, as one grid: a bad
     # centre q is reported first, and valid ones keep neighbours in [0, 1]
@@ -504,8 +511,8 @@ def interacting_depolarizing(
         work = np.empty((6, len(grid)))
         coherence = np.empty(len(grid))
         for part, states in ch.apply_local_chunks(rho0, ch.DEPOLARIZING, grid):
-            work[:, part] = list(vars(workx.work_split(states, ham)).values())
-            coherence[part] = workx.coherence_degenerate_stack(states)
+            work[:, part] = list(vars(workx.decompose(states, ham)).values())
+            coherence[part] = workx.coherence_degenerate(states)
         rep = workx.ErgotropyReport(*work)
         rows["a"].extend([a] * points)
         rows["q"].extend(q_grid)

@@ -26,6 +26,8 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
+# largest |Tr rho - 1| a state may have
+TRACE_TOL = 1e-10
 # largest entry change under a qubit permutation that still counts as invariant
 SYMMETRY_TOL = 1e-12
 # below three qubits a dense eigensolve is as cheap as the spin blocks
@@ -56,35 +58,35 @@ def as_matrix(m) -> np.ndarray:
     return mat
 
 
-def _require_hermitian(mats: np.ndarray, tol: float) -> None:
+def _require_hermitian(mats: np.ndarray) -> None:
     """Raise on the worst non-Hermitian entry of a matrix or a (..., d, d) stack.
 
     NaN entries count as violations.
     """
     dev = np.abs(mats - np.swapaxes(mats, -1, -2).conj())
     worst = np.unravel_index(int(dev.argmax()), dev.shape)
-    if not dev[worst] <= tol:
+    if not dev[worst] <= HERMITIAN_TOL:
         i, j = worst[-2:]
         raise ValueError(
             f"matrix is not Hermitian: |M[{i},{j}] - conj(M[{j},{i}])| = {dev[worst]:.3e}"
         )
 
 
-def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """Validate Hermiticity, reporting the worst offending entry."""
     mat = as_matrix(m)
-    _require_hermitian(mat, tol)
+    _require_hermitian(mat)
     return mat
 
 
-def herm_eig(m, tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
+def herm_eig(m) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     Eigenvalues come back ascending; column k of the returned unitary is
     the eigenvector for eigenvalue k. Ties are resolved deterministically
     (fixed LAPACK path), and diagonal inputs keep their index order.
     """
-    mat = require_hermitian(m, tol)
+    mat = require_hermitian(m)
     vals, vecs = np.linalg.eigh(mat)
     return SpectralDecomposition(vals, vecs)
 
@@ -130,13 +132,13 @@ def partial_trace(rho, keep: Iterable[int]) -> np.ndarray:
     return tens.reshape(d, d)
 
 
-def trace_norm(m, tol: float = HERMITIAN_TOL) -> float:
+def trace_norm(m) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix.
 
     The general (SVD) trace norm is deliberately out of scope; callers
     only ever need it for Hermitian differences of states.
     """
-    vals = herm_eig(m, tol).eigenvalues
+    vals = herm_eig(m).eigenvalues
     return float(np.abs(vals).sum())
 
 
@@ -219,14 +221,14 @@ def _spin_spectrum(values, n: int) -> np.ndarray:
     return np.sort(np.concatenate(spread, axis=-1), axis=-1)
 
 
-def _validated_spectra(rhos, tol: float = 1e-10) -> tuple[np.ndarray, list[np.ndarray] | None]:
+def _validated_spectra(rhos) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """``state_spectra`` of a state or stack, and its spin-block parts
     (``_spin_block_parts``) when the spectra were read from them, else None."""
     rhos = np.asarray(rhos, dtype=complex)
-    _require_hermitian(rhos, HERMITIAN_TOL)
+    _require_hermitian(rhos)
     tr = np.trace(rhos, axis1=-2, axis2=-1).real
     worst = np.unravel_index(int(np.abs(tr - 1.0).argmax()), tr.shape)
-    if not abs(tr[worst] - 1.0) <= tol:
+    if not abs(tr[worst] - 1.0) <= TRACE_TOL:
         raise ValueError(f"state trace is {tr[worst]}, expected 1")
     d = rhos.shape[-1]
     n = d.bit_length() - 1
@@ -242,7 +244,7 @@ def _validated_spectra(rhos, tol: float = 1e-10) -> tuple[np.ndarray, list[np.nd
     return lam, parts
 
 
-def state_spectra(rhos, tol: float = 1e-10) -> np.ndarray:
+def state_spectra(rhos) -> np.ndarray:
     """Ascending eigenvalues of a state or a (..., d, d) stack of states.
 
     Validates Hermiticity, trace one and positivity of every matrix on
@@ -250,11 +252,11 @@ def state_spectra(rhos, tol: float = 1e-10) -> np.ndarray:
     qubits that every qubit permutation leaves unchanged is read from
     its spin blocks; any other takes one batched dense eigvalsh.
     """
-    return _validated_spectra(rhos, tol)[0]
+    return _validated_spectra(rhos)[0]
 
 
-def require_density(rho, tol: float = 1e-10) -> np.ndarray:
+def require_density(rho) -> np.ndarray:
     """Validate trace one, Hermiticity and positivity of a state."""
     mat = as_matrix(rho)
-    state_spectra(mat, tol)
+    state_spectra(mat)
     return mat

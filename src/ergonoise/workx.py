@@ -7,38 +7,38 @@ dephased in the energy eigenbasis; for degenerate Hamiltonians the
 dephasing convention is the one the ``qstate.Hamiltonian`` carries, and
 a raw Hermitian matrix dephases by its spectral blocks.
 
-``work_split`` computes the split for a whole (B, d, d) stack of
-states: the energies as one einsum, the state spectra from
-``matcore.state_spectra`` (which also validates every state), and the
-dephased spectra either as the sorted diagonal of V^dag rho V, when the
-dephasing keeps only that diagonal, or as one batched eigvalsh of the
-kept blocks. An identity frame V (``excitation``, ``z_sum``) reads the
-diagonal of rho itself, with no product. For a stack of states that
-every qubit permutation leaves unchanged (three or more qubits) the
-state spectra come from the spin blocks W_J^T rho W_J, and under a
-collective Hamiltonian that is permutation invariant too, so do the
-dephased spectra: each block is dephased in the eigenbasis of
-W_J^T H W_J (``Hamiltonian.spin_frames``), where J^2 is constant. The
-dense V^dag rho V is then kept only for the l1 coherence. The
-Hamiltonian side (its levels and frames) is computed once per
-``Hamiltonian`` object. ``decompose`` is its one-state view;
-``ergotropy`` is a separate route the tests compare it against.
+The split and the two-qubit diagnostics take one (d, d) state or a
+(B, d, d) stack and return the matching shape: numbers for a state,
+length-B arrays for a stack. One state is evaluated as a stack of one,
+so its result is bitwise entry 0 of that stack's. Likewise the closed
+forms take a noise strength q as a number or a grid.
+
+``decompose`` computes the split for a whole stack at once: the
+energies as one einsum, the state spectra from ``matcore.state_spectra``
+(which also validates every state), and the dephased spectra either as
+the sorted diagonal of V^dag rho V, when the dephasing keeps only that
+diagonal, or as one batched eigvalsh of the kept blocks. An identity
+frame V (``excitation``, ``z_sum``) reads the diagonal of rho itself,
+with no product. For a stack of states that every qubit permutation
+leaves unchanged (three or more qubits) the state spectra come from the
+spin blocks W_J^T rho W_J, and under a collective Hamiltonian that is
+permutation invariant too, so do the dephased spectra: each block is
+dephased in the eigenbasis of W_J^T H W_J (``Hamiltonian.spin_frames``),
+where J^2 is constant. The dense V^dag rho V is then kept only for the
+l1 coherence. The Hamiltonian side (its levels and frames) is computed
+once per ``Hamiltonian`` object. ``ergotropy`` is a separate route the
+tests compare it against.
 
 The single-qubit closed forms read no channel kind: the Bloch vectors m
-along a q grid from ``channels.bloch_map_grid`` and one row
-(axis, sign, e0, g) per basis, writing the Hamiltonian as
-e0 + g (u . sigma), give the whole split from m's component along u.
-``closed_form_curve`` evaluates a whole grid at once and
-``closed_form_single`` is its one-strength view. The enhancement
+from ``channels.bloch_map`` and one row (axis, sign, e0, g) per basis,
+writing the Hamiltonian as e0 + g (u . sigma), give the whole split
+from m's component along u (``closed_form``). The enhancement
 thresholds are one table keyed by (kind, basis).
 
-The two-qubit diagnostics follow the same pattern: ``concurrence_stack``
-(one batched eigh and one batched SVD) and ``coherence_degenerate_stack``
-(one batched eigvalsh of the 2x2 degenerate-level blocks) take a
-(B, 4, 4) stack, and ``concurrence`` and ``coherence_degenerate`` are
-their one-state views.
+The two-qubit diagnostics are ``concurrence`` (one batched eigh and one
+batched SVD) and ``coherence_degenerate`` (one batched eigvalsh of the
+2x2 degenerate-level blocks).
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (
-    HERMITIAN_TOL,
     SIGMA_Y,
     _require_hermitian,
     _spin_spectrum,
@@ -121,7 +120,7 @@ def l1_coherence(rho, basis) -> float:
 @dataclass(frozen=True)
 class ErgotropyReport:
     """Work accounting for one (state, Hamiltonian) pair, or for a stack
-    of states with every field a length-B array (``work_split``).
+    of states or a grid of strengths with every field an array.
 
     ``l1_coherence`` is the l1 norm of the off-diagonal entries in the
     Hamiltonian's dephasing frame. Where that frame has degenerate kept
@@ -153,17 +152,27 @@ def _dephased_spectra(a, same_level) -> np.ndarray:
     return np.linalg.eigvalsh(a * same_level)
 
 
-def work_split(rhos, h) -> ErgotropyReport:
-    """Work split of every state in a (B, d, d) stack, as a report of
-    length-B arrays, dephased by the convention of h.
+def _states(rho) -> tuple[np.ndarray, bool]:
+    """rho as a (B, d, d) stack, and whether it was one (d, d) state."""
+    rhos = np.asarray(rho, dtype=complex)
+    if rhos.ndim not in (2, 3) or rhos.shape[-1] != rhos.shape[-2]:
+        raise ValueError(
+            f"expected a (d, d) state or a (B, d, d) stack of states, got shape {rhos.shape}"
+        )
+    return (rhos[None], True) if rhos.ndim == 2 else (rhos, False)
 
-    Every state is validated (Hermitian, trace one, PSD) from its
-    spectrum; a matrix that is not a state is rejected naming the
-    violation.
+
+def decompose(rho, h) -> ErgotropyReport:
+    """Split the ergotropy of one (d, d) state into incoherent and coherent
+    parts, as a report of numbers, or of every state of a (B, d, d) stack,
+    as a report of length-B arrays.
+
+    The dephasing convention is the one h carries (see ``dephase``), and
+    the report's coherence is measured in its dephasing basis. Every
+    state is validated (Hermitian, trace one, PSD) from its spectrum; a
+    matrix that is not a state is rejected naming the violation.
     """
-    rhos = np.asarray(rhos, dtype=complex)
-    if rhos.ndim != 3:
-        raise ValueError(f"expected a (B, d, d) stack of states, got shape {rhos.shape}")
+    rhos, single = _states(rho)
     h = _hamiltonian(h, rhos)
     lam, parts = _validated_spectra(rhos)
     v, same_level = h.frame
@@ -181,7 +190,7 @@ def work_split(rhos, h) -> ErgotropyReport:
     e_passive_deph = lam_deph[:, ::-1] @ h.levels
     total = energy - e_passive
     incoherent = energy - e_passive_deph
-    return ErgotropyReport(
+    report = ErgotropyReport(
         total=total,
         incoherent=incoherent,
         coherent=total - incoherent,
@@ -189,16 +198,7 @@ def work_split(rhos, h) -> ErgotropyReport:
         dephased_passive_energy=e_passive_deph,
         l1_coherence=np.abs(a).sum(axis=(1, 2)) - np.abs(diagonal).sum(axis=1),
     )
-
-
-def decompose(rho, h) -> ErgotropyReport:
-    """Split the ergotropy of rho into incoherent and coherent parts.
-
-    The one-state view of ``work_split``: the dephasing convention is the
-    one h carries (see ``dephase``), and the report's coherence is
-    measured in its dephasing basis.
-    """
-    return work_split(as_matrix(rho)[None], h)[0]
+    return report[0] if single else report
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +214,11 @@ _BASES = {
 }
 
 
-def closed_form_curve(kind: str, q_grid, n, basis: str = "computational") -> ErgotropyReport:
-    """Analytic work split for one qubit along a noise-strength grid, as a
-    report of length-Q arrays.
+def closed_form(kind: str, q, n, basis: str = "computational") -> ErgotropyReport:
+    """Analytic work split for one qubit at noise strength q: a report of
+    numbers for a number q, of length-Q arrays for a grid.
 
-    The evolved Bloch vectors m = ``bloch_map_grid`` split into m_u along
+    The evolved Bloch vectors m = ``bloch_map`` split into m_u along
     the Hamiltonian's axis and the rest: W_I = g (m_u + |m_u|) and
     W_C = g (|m| - |m_u|) <= g C, with C the off-axis length (the l1
     coherence). Every kind has the computational basis (diag(0, 1), so
@@ -226,7 +226,7 @@ def closed_form_curve(kind: str, q_grid, n, basis: str = "computational") -> Erg
     kinds only.
     """
     kind = ch.canonical_kind(kind)
-    m = ch.bloch_map_grid(kind, q_grid, n)
+    m = ch.bloch_map(kind, q, n).reshape(-1, 3)
     if basis not in _BASES:
         raise ValueError(f"unknown basis choice {basis!r}")
     (axis, sign, e0, g), kinds = _BASES[basis]
@@ -237,7 +237,7 @@ def closed_form_curve(kind: str, q_grid, n, basis: str = "computational") -> Erg
     incoherent = g * (m_u + np.abs(m_u))
     coherent = g * (norm - np.abs(m_u))
     e_passive = e0 - g * norm
-    return ErgotropyReport(
+    report = ErgotropyReport(
         total=incoherent + coherent,
         incoherent=incoherent,
         coherent=coherent,
@@ -245,11 +245,7 @@ def closed_form_curve(kind: str, q_grid, n, basis: str = "computational") -> Erg
         dephased_passive_energy=e_passive + coherent,
         l1_coherence=np.hypot(*np.delete(m, axis, axis=1).T),
     )
-
-
-def closed_form_single(kind: str, q: float, n, basis: str = "computational") -> ErgotropyReport:
-    """The one-strength view of ``closed_form_curve``."""
-    return closed_form_curve(kind, [q], n, basis)[0]
+    return ch._shaped(q, report)
 
 
 # (decaying, surviving) Bloch components whose ratio sets the enhancement
@@ -291,19 +287,23 @@ _DEGENERATE_LEVEL = np.array([[0, 1], [1, 0], [-1, 0], [0, -1]], dtype=complex) 
 _YY = kron(SIGMA_Y, SIGMA_Y)
 
 
-def _two_qubit_stack(rhos) -> np.ndarray:
-    """A (B, 4, 4) stack of Hermitian matrices, rejected naming the shape or
-    the worst non-Hermitian entry."""
-    rhos = np.asarray(rhos, dtype=complex)
-    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
-        raise ValueError("expected a two-qubit state")
-    _require_hermitian(rhos, HERMITIAN_TOL)
-    return rhos
+def _two_qubit_states(rho) -> tuple[np.ndarray, bool]:
+    """rho as a (B, 4, 4) stack of Hermitian matrices, and whether it was
+    one (4, 4) state; rejected naming the shape or the worst
+    non-Hermitian entry."""
+    rhos = np.asarray(rho, dtype=complex)
+    if rhos.ndim not in (2, 3) or rhos.shape[-2:] != (4, 4):
+        raise ValueError(
+            f"expected a two-qubit state (4, 4) or a (B, 4, 4) stack of them, got shape {rhos.shape}"
+        )
+    _require_hermitian(rhos)
+    return (rhos[None], True) if rhos.ndim == 2 else (rhos, False)
 
 
-def coherence_degenerate_stack(rhos) -> np.ndarray:
+def coherence_degenerate(rho):
     """Coherence carried by the degenerate level of the interacting
-    Hamiltonian, for every state of a (B, 4, 4) stack.
+    Hamiltonian: a number for one (4, 4) state, a length-B array for a
+    (B, 4, 4) stack.
 
     Measured as the eigenvalue splitting of the 2x2 block D^dag rho D on
     span{(|ge>-|eg>)/sqrt2, (|gg>-|ee>)/sqrt2}, D holding those two
@@ -311,32 +311,25 @@ def coherence_degenerate_stack(rhos) -> np.ndarray:
     twice the off-diagonal magnitude between the two vectors; unbalanced
     populations expose the same coherence in a rotated intra-level basis.
     """
-    rhos = _two_qubit_stack(rhos)
+    rhos, single = _two_qubit_states(rho)
     vals = np.linalg.eigvalsh(_DEGENERATE_LEVEL.conj().T @ rhos @ _DEGENERATE_LEVEL)
-    return vals[:, -1] - vals[:, 0]
+    out = vals[:, -1] - vals[:, 0]
+    return float(out[0]) if single else out
 
 
-def coherence_degenerate(rho) -> float:
-    """The one-state view of ``coherence_degenerate_stack``."""
-    return float(coherence_degenerate_stack(as_matrix(rho)[None])[0])
-
-
-def concurrence_stack(rhos) -> np.ndarray:
-    """Two-qubit entanglement of every state of a (B, 4, 4) stack via the
-    spin-flip construction (Wootters 1998).
+def concurrence(rho):
+    """Two-qubit entanglement via the spin-flip construction (Wootters
+    1998): a number for one (4, 4) state, a length-B array for a
+    (B, 4, 4) stack.
 
     max(0, l1 - l2 - l3 - l4) with l_i the descending square roots of the
     eigenvalues of rho (sy x sy) rho* (sy x sy). Those roots equal the
     singular values of sqrt(rho) (sy x sy) conj(sqrt(rho)), which avoids
     the sqrt-of-near-zero precision loss of the eigenvalue route.
     """
-    rhos = _two_qubit_stack(rhos)
+    rhos, single = _two_qubit_states(rho)
     vals, vecs = np.linalg.eigh(rhos)
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ vecs.conj().swapaxes(1, 2)
     sing = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
-    return np.maximum(0.0, sing[:, 0] - sing[:, 1] - sing[:, 2] - sing[:, 3])
-
-
-def concurrence(rho) -> float:
-    """The one-state view of ``concurrence_stack``."""
-    return float(concurrence_stack(as_matrix(rho)[None])[0])
+    out = np.maximum(0.0, sing[:, 0] - sing[:, 1] - sing[:, 2] - sing[:, 3])
+    return float(out[0]) if single else out

@@ -13,16 +13,11 @@ import numpy as np
 import pytest
 
 from ergonoise import experiments as ex
-from ergonoise.channels import (
-    ChannelSpec,
-    apply_local,
-    bds_param_map,
-    bloch_map,
-)
+from ergonoise.channels import apply_local, bds_param_map, bloch_map
 from ergonoise.matcore import SIGMA_X
 from ergonoise.qstate import bloch_to_density, hamiltonian, make_bds, philox_stream
-from ergonoise.correlations import correlation_work_check
-from ergonoise.workx import closed_form_single, decompose, threshold_q
+from ergonoise.correlations import correlation_work
+from ergonoise.workx import closed_form, decompose, threshold_q
 
 H1 = np.diag([0.0, 1.0]).astype(complex)
 SINGLE_KINDS = ("bit_flip", "bit_phase_flip", "phase_flip", "depolarizing", "amplitude_damping")
@@ -75,7 +70,7 @@ def test_criterion_02_coherence_bound():
         n = random_bloch(rng)
         kind = SINGLE_KINDS[int(rng.integers(len(SINGLE_KINDS)))]
         q = float(rng.uniform(0, 1))
-        evolved = apply_local(bloch_to_density(n), ChannelSpec(kind, q), [0])
+        evolved = apply_local(bloch_to_density(n), kind, q, [0])
         rep = decompose(evolved, H1)
         worst = max(worst, rep.coherent - rep.l1_coherence / 2)
     elapsed = time.perf_counter() - t0
@@ -94,10 +89,10 @@ def test_criterion_03_work_correlation_identity():
         for kind in kinds:
             for both in (True, False):
                 for q in qs:
-                    rep = correlation_work_check(c, ChannelSpec(kind, q), both)
+                    rep = correlation_work(c, kind, q, both)
                     worst = max(worst, abs(rep.residual))
     elapsed = time.perf_counter() - t0
-    ad = correlation_work_check([0.5, 0.3, 0.1], ChannelSpec("amplitude_damping", 0.5), True)
+    ad = correlation_work([0.5, 0.3, 0.1], "amplitude_damping", 0.5, True)
     ok = worst <= 1e-10 and elapsed < 30.0 and abs(ad.residual) > 1e-3 and not ad.identity_valid
     report(
         3,
@@ -115,14 +110,13 @@ def test_criterion_04_oracle_equivalence():
         for _ in range(500):
             n = random_bloch(rng)
             q = float(rng.uniform(0, 1))
-            spec = ChannelSpec(kind, q)
-            evolved = apply_local(bloch_to_density(n), spec, [0])
+            evolved = apply_local(bloch_to_density(n), kind, q, [0])
             from ergonoise.qstate import density_to_bloch
 
             worst_bloch = max(
-                worst_bloch, np.abs(density_to_bloch(evolved) - bloch_map(spec, n)).max()
+                worst_bloch, np.abs(density_to_bloch(evolved) - bloch_map(kind, q, n)).max()
             )
-            closed = closed_form_single(kind, q, n)
+            closed = closed_form(kind, q, n)
             full = decompose(evolved, H1)
             worst_closed = max(
                 worst_closed,
@@ -135,9 +129,8 @@ def test_criterion_04_oracle_equivalence():
             c = random_separable_bds(rng)
             q = float(rng.uniform(0, 1))
             both = bool(rng.integers(2))
-            spec = ChannelSpec(kind, q)
-            evolved = apply_local(make_bds(c), spec, (0, 1) if both else (0,))
-            predicted = make_bds(bds_param_map(spec, c, both))
+            evolved = apply_local(make_bds(c), kind, q, (0, 1) if both else (0,))
+            predicted = make_bds(bds_param_map(kind, q, c, both))
             worst_bds = max(worst_bds, np.abs(evolved - predicted).max())
     elapsed = time.perf_counter() - t0
     worst = max(worst_bloch, worst_bds, worst_closed)
@@ -153,10 +146,10 @@ def test_criterion_04_oracle_equivalence():
 def test_criterion_05_amplitude_damping_peak():
     n = np.array([0.1, 0.3, -0.4])
     qs = np.linspace(0, 1, 1001)
-    wc = np.array([closed_form_single("amplitude_damping", q, n).coherent for q in qs])
+    wc = np.array([closed_form("amplitude_damping", q, n).coherent for q in qs])
     peak = qs[wc.argmax()]
     z = 0.4 / 1.4
-    tail = closed_form_single("amplitude_damping", 1.0, n).coherent
+    tail = closed_form("amplitude_damping", 1.0, n).coherent
     ok = abs(peak - z) <= 0.01 and tail <= 1e-10
     report(5, ok, f"argmax q = {peak:.4f} vs z = {z:.4f}; WC(1) = {tail:.1e}")
 
@@ -171,7 +164,7 @@ def test_criterion_06_frozen_band():
         h = ex.channel_hamiltonian(kind, 2)
         wc0 = decompose(rho0, h).coherent
         dev = max(
-            abs(decompose(apply_local(rho0, ChannelSpec(kind, q)), h).coherent - wc0)
+            abs(decompose(apply_local(rho0, kind, q), h).coherent - wc0)
             for q in qs
         )
         worst[kind] = dev

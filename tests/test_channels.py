@@ -1,3 +1,4 @@
+from dataclasses import is_dataclass
 from itertools import combinations
 
 import numpy as np
@@ -12,11 +13,8 @@ from ergonoise.channels import (
     CORRELATED_BIT_FLIP,
     KINDS,
     UNITAL_KINDS,
-    ChannelSpec,
     LindbladSpec,
     apply_local,
-    apply_local_grid,
-    bds_param_grid,
     bds_param_map,
     bloch_map,
     jump_operator,
@@ -25,7 +23,17 @@ from ergonoise.channels import (
     q_of_t,
 )
 from ergonoise.matcore import SIGMA_X, kron, num_qubits, partial_trace
-from ergonoise.qstate import bds_eigenvalues, bloch_to_density, density_to_bloch, make_bds
+from ergonoise.correlations import correlation_work
+from ergonoise.qstate import (
+    apply_hadamard_pair,
+    bds_eigenvalues,
+    bloch_to_density,
+    density_to_bloch,
+    entangled_theta,
+    hamiltonian,
+    make_bds,
+)
+from ergonoise.workx import closed_form, coherence_degenerate, concurrence, decompose
 
 
 def random_bloch(rng):
@@ -39,12 +47,64 @@ def random_bds_params(rng):
     return c / (c.sum() + rng.uniform(0.01, 1.0))
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        ChannelSpec("bit_flip", 1.2)
-    with pytest.raises(ValueError):
-        ChannelSpec("smear", 0.1)
-    assert ChannelSpec("bf", 0.3).kind == BIT_FLIP
+# Every entry that takes a channel kind and a strength, as a function of
+# those two: a number q gives the one-point shape, a grid a leading axis.
+BLOCH = [0.3, -0.4, 0.5]
+BDS = [0.5, 0.3, 0.1]
+STRENGTH_ENTRIES = {
+    "kraus_set": kraus_set,
+    "apply_local": lambda kind, q: apply_local(bloch_to_density(BLOCH), kind, q),
+    "bloch_map": lambda kind, q: bloch_map(kind, q, BLOCH),
+    "bds_param_map": lambda kind, q: bds_param_map(kind, q, BDS),
+    "closed_form": lambda kind, q: closed_form(kind, q, BLOCH),
+    "correlation_work": lambda kind, q: correlation_work(BDS, kind, q),
+}
+# A mixed, entangled two-qubit state and every entry that takes a state
+# or a stack of states.
+STATE = apply_local(apply_hadamard_pair(entangled_theta(2.0)), "bf", 0.3)
+STATE_ENTRIES = {
+    "decompose": lambda rho: decompose(rho, hamiltonian("z_plus_xx", 2, h=0.5, j=0.4)),
+    "concurrence": concurrence,
+    "coherence_degenerate": coherence_degenerate,
+}
+
+
+def assert_row_zero(one, grid):
+    """``one`` has the one-point shape and is bitwise row 0 of the
+    one-row result ``grid``, field by field and operator by operator."""
+    if isinstance(one, list):
+        assert len(one) == len(grid)
+        for a, b in zip(one, grid):
+            assert_row_zero(a, b)
+    elif isinstance(one, bool):
+        assert one == grid
+    elif is_dataclass(one):
+        for name, value in vars(one).items():
+            assert_row_zero(value, getattr(grid, name))
+    else:
+        grid = np.asarray(grid)
+        assert len(grid) == 1 and np.shape(one) == grid.shape[1:]
+        assert np.asarray(one, dtype=grid.dtype).tobytes() == grid[:1].tobytes()
+
+
+@pytest.mark.parametrize("name", [*STRENGTH_ENTRIES, *STATE_ENTRIES])
+def test_one_point_is_row_zero_of_the_one_element_grid(name):
+    if name in STRENGTH_ENTRIES:
+        for kind in ("bf", "ad", "pf"):
+            if name == "bds_param_map" and kind == "ad":
+                continue
+            entry = STRENGTH_ENTRIES[name]
+            assert_row_zero(entry(kind, 0.37), entry(kind, [0.37]))
+    else:
+        entry = STATE_ENTRIES[name]
+        assert_row_zero(entry(STATE), entry(STATE[None]))
+
+
+def test_kind_validation_and_aliases():
+    for entry in STRENGTH_ENTRIES.values():
+        with pytest.raises(ValueError, match="unknown channel kind 'smear'"):
+            entry("smear", 0.1)
+        assert_row_zero(entry("bf", 0.3), entry(BIT_FLIP, [0.3]))
 
 
 @pytest.mark.parametrize(
@@ -58,19 +118,18 @@ def test_spec_validation():
     ],
 )
 def test_grid_validation_names_the_strength(q_grid, message):
-    with pytest.raises(ValueError, match=message):
-        apply_local_grid(np.eye(2) / 2, "bf", q_grid)
-    if np.size(q_grid) == 0 or np.ndim(q_grid) != 1:
-        return
-    bad = next(q for q in q_grid if not 0.0 <= q <= 1.0)
-    with pytest.raises(ValueError, match=message):
-        ChannelSpec("bf", bad)
+    # the grid, and the bad strength of a 1-D grid as a number, on every entry
+    bad = [q for q in q_grid if not 0.0 <= q <= 1.0] if np.ndim(q_grid) == 1 else []
+    for entry in STRENGTH_ENTRIES.values():
+        for q in [q_grid, *bad]:
+            with pytest.raises(ValueError, match=message):
+                entry("bf", q)
 
 
 def test_kraus_completeness_all_kinds():
     for kind in KINDS:
         for q in np.linspace(0, 1, 11):
-            ops = kraus_set(ChannelSpec(kind, q))
+            ops = kraus_set(kind, q)
             dim = ops[0].shape[0]
             total = sum(k.conj().T @ k for k in ops)
             assert np.abs(total - np.eye(dim)).max() <= 1e-12
@@ -82,14 +141,14 @@ def test_identity_channel_at_q_zero():
     for kind in KINDS:
         if kind == CORRELATED_BIT_FLIP:
             continue
-        out = apply_local(rho, ChannelSpec(kind, 0.0), [0])
+        out = apply_local(rho, kind, 0.0, [0])
         assert np.abs(out - rho).max() <= 1e-14
 
 
 def test_bit_flip_full_strength():
     # q=1 is the balanced {I, sigma_x} mixture: kills n2 and n3
     rho = bloch_to_density([0.6, 0.5, 0.4])
-    out = apply_local(rho, ChannelSpec("bf", 1.0), [0])
+    out = apply_local(rho, "bf", 1.0, [0])
     assert np.abs(density_to_bloch(out) - [0.6, 0.0, 0.0]).max() <= 1e-12
 
 
@@ -97,15 +156,15 @@ def test_amplitude_damping_full_decay():
     rng = np.random.default_rng(4)
     for _ in range(5):
         rho = bloch_to_density(random_bloch(rng))
-        out = apply_local(rho, ChannelSpec("ad", 1.0), [0])
+        out = apply_local(rho, "ad", 1.0, [0])
         assert np.abs(out - np.diag([1.0, 0.0])).max() <= 1e-12
 
 
 def test_bloch_map_examples():
-    assert np.allclose(bloch_map(ChannelSpec("dc", 1.0), [0.3, -0.2, 0.9]), [0, 0, 0])
-    assert np.allclose(bloch_map(ChannelSpec("ad", 1.0), [0.7, 0.5, -0.4]), [0, 0, 1])
+    assert np.allclose(bloch_map("dc", 1.0, [0.3, -0.2, 0.9]), [0, 0, 0])
+    assert np.allclose(bloch_map("ad", 1.0, [0.7, 0.5, -0.4]), [0, 0, 1])
     assert np.allclose(
-        bloch_map(ChannelSpec("bf", 0.47), [0.6, 0.5, 0.4]), [0.6, 0.265, 0.212]
+        bloch_map("bf", 0.47, [0.6, 0.5, 0.4]), [0.6, 0.265, 0.212]
     )
 
 
@@ -118,19 +177,19 @@ def test_bloch_map_matches_kraus():
             n = random_bloch(rng)
             q = rng.uniform(0, 1)
             via_kraus = density_to_bloch(
-                apply_local(bloch_to_density(n), ChannelSpec(kind, q), [0])
+                apply_local(bloch_to_density(n), kind, q, [0])
             )
-            assert np.abs(via_kraus - bloch_map(ChannelSpec(kind, q), n)).max() <= 1e-10
+            assert np.abs(via_kraus - bloch_map(kind, q, n)).max() <= 1e-10
 
 
 def test_bds_param_map_examples():
     c = np.array([0.5, 0.3, 0.1])
-    out = bds_param_map(ChannelSpec("pf", 0.3), c, both_qubits=True)
+    out = bds_param_map("pf", 0.3, c, both_qubits=True)
     assert np.allclose(out, [0.245, 0.147, 0.1])
-    assert np.allclose(bds_param_map(ChannelSpec("bf", 0.0), c, True), c)
-    assert np.allclose(bds_param_map(ChannelSpec("dc", 1.0), c, True), [0, 0, 0])
+    assert np.allclose(bds_param_map("bf", 0.0, c, True), c)
+    assert np.allclose(bds_param_map("dc", 1.0, c, True), [0, 0, 0])
     with pytest.raises(ValueError, match="Bell-diagonal"):
-        bds_param_map(ChannelSpec("ad", 0.3), c)
+        bds_param_map("ad", 0.3, c)
 
 
 @pytest.mark.parametrize("both", [True, False])
@@ -139,20 +198,20 @@ def test_bds_param_grid_rows_are_the_one_strength_maps(kind, both):
     rng = np.random.default_rng(31)
     c = rng.uniform(-1, 1, size=3)
     qs = np.concatenate([[0.0, 1.0], rng.uniform(0, 1, size=20)])
-    grid = bds_param_grid(kind, qs, c, both)
+    grid = bds_param_map(kind, qs, c, both)
     lams = bds_eigenvalues(grid)
     assert grid.shape == (len(qs), 3) and lams.shape == (len(qs), 4)
     for i, q in enumerate(qs):
-        row = bds_param_map(ChannelSpec(kind, q), c, both)
+        row = bds_param_map(kind, q, c, both)
         assert np.array_equal(grid[i], row)
         assert np.array_equal(lams[i], bds_eigenvalues(row))
     with pytest.raises(ValueError, match=r"q = 1.5 outside"):
-        bds_param_grid(kind, [0.0, 1.5], c, both)
+        bds_param_map(kind, [0.0, 1.5], c, both)
 
 
 def test_bds_param_grid_rejects_amplitude_damping():
     with pytest.raises(ValueError, match="Bell-diagonal"):
-        bds_param_grid("ad", [0.0, 0.5], [0.1, 0.2, 0.3])
+        bds_param_map("ad", [0.0, 0.5], [0.1, 0.2, 0.3])
 
 
 def test_bds_map_matches_kraus():
@@ -162,8 +221,8 @@ def test_bds_map_matches_kraus():
             c = random_bds_params(rng)
             q = rng.uniform(0, 1)
             for both, targets in ((True, (0, 1)), (False, (0,))):
-                evolved = apply_local(make_bds(c), ChannelSpec(kind, q), targets)
-                predicted = make_bds(bds_param_map(ChannelSpec(kind, q), c, both))
+                evolved = apply_local(make_bds(c), kind, q, targets)
+                predicted = make_bds(bds_param_map(kind, q, c, both))
                 assert np.abs(evolved - predicted).max() <= 1e-10
 
 
@@ -172,8 +231,8 @@ def test_bit_flip_semigroup_on_bloch():
     for _ in range(40):
         n = random_bloch(rng)
         q1, q2 = rng.uniform(0, 1, size=2)
-        step = bloch_map(ChannelSpec("bf", q2), bloch_map(ChannelSpec("bf", q1), n))
-        combined = bloch_map(ChannelSpec("bf", 1 - (1 - q1) * (1 - q2)), n)
+        step = bloch_map("bf", q2, bloch_map("bf", q1, n))
+        combined = bloch_map("bf", 1 - (1 - q1) * (1 - q2), n)
         assert np.abs(step - combined).max() <= 1e-12
 
 
@@ -181,9 +240,9 @@ def test_unital_kinds_fix_maximally_mixed():
     for n_qubits, dim in ((1, 2), (2, 4)):
         eye = np.eye(dim) / dim
         for kind in UNITAL_KINDS:
-            out = apply_local(eye, ChannelSpec(kind, 0.7), range(n_qubits))
+            out = apply_local(eye, kind, 0.7, range(n_qubits))
             assert np.abs(out - eye).max() <= 1e-12
-    out = apply_local(np.eye(2) / 2, ChannelSpec("ad", 0.7), [0])
+    out = apply_local(np.eye(2) / 2, "ad", 0.7, [0])
     assert np.abs(out - np.eye(2) / 2).max() > 1e-3
 
 
@@ -204,7 +263,7 @@ def test_ordering_preserved_among_equally_damped_components():
         c = random_bds_params(rng)
         q = rng.uniform(0, 1)
         for kind, pairs in same_factor_pairs.items():
-            mapped = bds_param_map(ChannelSpec(kind, q), c, both_qubits=True)
+            mapped = bds_param_map(kind, q, c, both_qubits=True)
             for i, j in pairs:
                 if c[i] > c[j]:
                     assert mapped[i] >= mapped[j] - 1e-12
@@ -214,8 +273,8 @@ def test_protected_component_crossing_exists():
     # bf with the protected c1 smallest: the damped components fall below
     # it at finite q, exactly the crossing the passive state reacts to
     c = np.array([0.1, 0.5, 0.3])
-    mapped0 = bds_param_map(ChannelSpec("bf", 0.0), c, True)
-    mapped1 = bds_param_map(ChannelSpec("bf", 0.9), c, True)
+    mapped0 = bds_param_map("bf", 0.0, c, True)
+    mapped1 = bds_param_map("bf", 0.9, c, True)
     assert mapped0.argmax() == 1
     assert mapped1.argmax() == 0
 
@@ -224,10 +283,10 @@ def test_correlated_bit_flip_leaves_bds_unchanged():
     rng = np.random.default_rng(14)
     for _ in range(10):
         rho = make_bds(random_bds_params(rng))
-        out = apply_local(rho, ChannelSpec("cbf", rng.uniform(0, 1)), (0, 1))
+        out = apply_local(rho, "cbf", rng.uniform(0, 1), (0, 1))
         assert np.abs(out - rho).max() <= 1e-12
     with pytest.raises(ValueError):
-        apply_local(np.eye(8) / 8, ChannelSpec("cbf", 0.5), (0, 1, 2))
+        apply_local(np.eye(8) / 8, "cbf", 0.5, (0, 1, 2))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -239,15 +298,14 @@ def test_apply_local_multi_qubit_padding(n, kind):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = m @ m.conj().T
     rho /= np.trace(rho).real
-    spec = ChannelSpec(kind, 0.37)
     for target in sorted({0, n // 2, n - 1}):
         lifted = []
-        for k in kraus_set(spec):
+        for k in kraus_set(kind, 0.37):
             ops = [np.eye(2)] * n
             ops[target] = k
             lifted.append(kron(*ops))
         oracle = sum(k @ rho @ k.conj().T for k in lifted)
-        out = apply_local(rho, spec, [target])
+        out = apply_local(rho, kind, 0.37, [target])
         assert np.abs(out - oracle).max() <= 1e-12
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
 
@@ -258,14 +316,13 @@ def test_correlated_pair_on_non_adjacent_targets():
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     rho = m @ m.conj().T
     rho /= np.trace(rho).real
-    spec = ChannelSpec("cbf", 0.6)
     i2 = np.eye(2)
     lifted = [
         np.sqrt(1 - 0.3) * kron(i2, i2, i2),
         np.sqrt(0.3) * kron(SIGMA_X, i2, SIGMA_X),
     ]
     oracle = sum(k @ rho @ k.conj().T for k in lifted)
-    out = apply_local(rho, spec, (0, 2))
+    out = apply_local(rho, "cbf", 0.6, (0, 2))
     assert np.abs(out - oracle).max() <= 1e-12
 
 
@@ -298,7 +355,7 @@ SINGLE_QUBIT_KINDS = [k for k in KINDS if k != CORRELATED_BIT_FLIP]
 @given(kind=st.sampled_from(SINGLE_QUBIT_KINDS), q=st.floats(0.0, 1.0), target=st.integers(0, 1))
 def test_single_qubit_choi_is_cptp(kind, q, target):
     reference = [1 - target]
-    choi = apply_local(max_entangled([target], reference, 2), ChannelSpec(kind, q), [target])
+    choi = apply_local(max_entangled([target], reference, 2), kind, q, [target])
     assert_choi_is_cptp(choi, reference)
 
 
@@ -309,13 +366,13 @@ def test_correlated_flip_choi_is_cptp_on_any_pair(q, pair):
     # two qubits holding the reference half
     reference = [i for i in range(4) if i not in pair]
     rho = max_entangled(list(pair), reference, 4)
-    choi = apply_local(rho, ChannelSpec("cbf", q), pair)
+    choi = apply_local(rho, "cbf", q, pair)
     assert_choi_is_cptp(choi, reference)
 
 
 def test_apply_local_rejects_bad_targets():
     with pytest.raises(ValueError):
-        apply_local(np.eye(4) / 4, ChannelSpec("bf", 0.5), [2])
+        apply_local(np.eye(4) / 4, "bf", 0.5, [2])
 
 
 def random_states(rng, count, n):
@@ -342,7 +399,7 @@ def test_chunks_of_a_stack_equal_one_grid_per_state(kind, n, count, q_points, se
     assert [part.start for part, _ in pieces] == list(range(0, count * q_points, step))
     images = np.concatenate([stack for _, stack in pieces])
     assert all(len(stack) <= step for _, stack in pieces)
-    want = np.concatenate([apply_local_grid(rho, kind, qs, targets) for rho in rhos])
+    want = np.concatenate([apply_local(rho, kind, qs, targets) for rho in rhos])
     assert np.array_equal(images, want)
 
 
@@ -353,7 +410,7 @@ def test_chunks_of_one_state_slice_the_q_grid():
     pieces = list(channels.apply_local_chunks(rho, "ad", qs))
     assert [part for part, _ in pieces] == [slice(s, s + step) for s in range(0, 700, step)]
     for part, stack in pieces:
-        assert np.array_equal(stack, apply_local_grid(rho, "ad", qs[part]))
+        assert np.array_equal(stack, apply_local(rho, "ad", qs[part]))
 
 
 def test_chunks_validate_before_the_first_stack(monkeypatch):
@@ -422,7 +479,7 @@ def test_polynomial_path_matches_the_per_q_kraus_oracle(data, kind, n, seed):
     want = np.concatenate([per_q_kraus_oracle(rho, kind, qs, targets) for rho in rhos])
     got = np.concatenate([stack for _, stack in channels.apply_local_chunks(rhos, kind, qs, targets)])
     assert np.abs(got - want).max() <= 1e-12
-    grid = apply_local_grid(rhos[0], kind, qs, targets)
+    grid = apply_local(rhos[0], kind, qs, targets)
     assert np.abs(grid - want[:points]).max() <= 1e-12
 
 
@@ -457,7 +514,7 @@ def test_lindblad_bit_flip_matches_kraus():
     rho = bloch_to_density([0.6, 0.5, 0.4])
     spec = LindbladSpec((jump_operator("bf"),), (0.5,), np.log(2))
     evolved = lindblad_evolve(rho, spec)
-    target = apply_local(rho, ChannelSpec("bf", 0.5), [0])
+    target = apply_local(rho, "bf", 0.5, [0])
     assert np.abs(evolved - target).max() <= 1e-6
     assert abs(np.trace(evolved).real - 1.0) <= 1e-9
 
@@ -549,7 +606,7 @@ def test_lindblad_evolve_follows_the_kraus_clock(kind, v, gamma, t):
     n = np.array(v) / max(1.0, np.linalg.norm(v))
     rho = bloch_to_density(n)
     evolved = lindblad_evolve(rho, LindbladSpec((jump_operator(kind),), (gamma,), t))
-    target = apply_local(rho, ChannelSpec(kind, q_of_t(kind, gamma, t)))
+    target = apply_local(rho, kind, q_of_t(kind, gamma, t))
     assert np.abs(evolved - target).max() <= 1e-10
 
 
@@ -568,6 +625,6 @@ def test_phase_damping_routes_to_phase_flip_analytics():
     for _ in range(20):
         n = random_bloch(rng)
         q = rng.uniform(0, 1)
-        pd = bloch_map(ChannelSpec("pd", q), n)
-        pf = bloch_map(ChannelSpec("pf", 1 - np.sqrt(1 - q)), n)
+        pd = bloch_map("pd", q, n)
+        pf = bloch_map("pf", 1 - np.sqrt(1 - q), n)
         assert np.abs(pd - pf).max() <= 1e-12

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from ergonoise.channels import AMPLITUDE_DAMPING, CORRELATED_BIT_FLIP, ChannelSpec, UNITAL_KINDS
+from ergonoise.channels import AMPLITUDE_DAMPING, CORRELATED_BIT_FLIP, UNITAL_KINDS
 from ergonoise.correlations import (
-    bds_eigenvalues,
-    correlation_work_check,
-    correlation_work_curve,
+    correlation_work,
     gcc_bds,
     gcc_trace_norm,
     gqc_bds,
     gqc_trace_norm,
 )
 from ergonoise.matcore import herm_eig
-from ergonoise.qstate import make_bds
+from ergonoise.qstate import bds_eigenvalues, make_bds
 
 
 def random_nonneg_separable(rng):
@@ -72,7 +70,7 @@ def test_bds_eigenvalues_match_diagonalization():
 
 
 def test_correlation_work_identity_examples():
-    rep = correlation_work_check([0.5, 0.3, 0.1], ChannelSpec("bf", 0.5), True)
+    rep = correlation_work([0.5, 0.3, 0.1], "bf", 0.5, True)
     assert rep.total_ergotropy == pytest.approx(0.2875, abs=1e-10)
     assert rep.gcc == pytest.approx(0.5, abs=1e-12)
     assert rep.gqc == pytest.approx(0.075, abs=1e-12)
@@ -84,13 +82,13 @@ def test_identity_holds_at_zero_noise():
     rng = np.random.default_rng(7)
     for _ in range(20):
         c = random_nonneg_separable(rng)
-        rep = correlation_work_check(c, ChannelSpec("bf", 0.0), True)
+        rep = correlation_work(c, "bf", 0.0, True)
         assert abs(rep.residual) <= 1e-10
         assert rep.average == pytest.approx((rep.gqc + rep.gcc) / 2, abs=1e-15)
 
 
 def test_identity_breaks_under_amplitude_damping():
-    rep = correlation_work_check([0.5, 0.3, 0.1], ChannelSpec("ad", 0.5), True)
+    rep = correlation_work([0.5, 0.3, 0.1], "ad", 0.5, True)
     assert not rep.identity_valid
     assert abs(rep.residual) > 1e-3
 
@@ -103,7 +101,7 @@ def test_identity_across_unital_kinds():
             c = random_nonneg_separable(rng)
             for q in qs:
                 for both in (True, False):
-                    rep = correlation_work_check(c, ChannelSpec(kind, q), both)
+                    rep = correlation_work(c, kind, q, both)
                     assert abs(rep.residual) <= 1e-10
 
 
@@ -115,10 +113,10 @@ def test_identity_across_unital_kinds():
 def test_stacked_curve_matches_per_q_checks(kind, both):
     c = [0.5, 0.3, 0.1]
     qs = np.linspace(0, 1, 23)
-    curve = correlation_work_curve(c, kind, qs, both)
+    curve = correlation_work(c, kind, qs, both)
     assert curve.identity_valid == (kind != AMPLITUDE_DAMPING)
     for i, q in enumerate(qs):
-        rep = correlation_work_check(c, ChannelSpec(kind, q), both)
+        rep = correlation_work(c, kind, q, both)
         assert rep.identity_valid == curve.identity_valid
         for name in ("gqc", "gcc", "average", "residual"):
             assert abs(getattr(rep, name) - getattr(curve, name)[i]) <= 1e-15
@@ -129,9 +127,9 @@ def test_stacked_curve_matches_per_q_checks(kind, both):
 def test_residual_work_at_full_noise():
     # dominant protected component survives bit flip; phase flip keeps
     # only the frozen population part
-    rep = correlation_work_check([0.5, 0.3, 0.1], ChannelSpec("bf", 1.0), True)
+    rep = correlation_work([0.5, 0.3, 0.1], "bf", 1.0, True)
     assert rep.total_ergotropy == pytest.approx(0.25, abs=1e-10)
-    rep = correlation_work_check([0.5, 0.3, 0.1], ChannelSpec("pf", 1.0), True)
+    rep = correlation_work([0.5, 0.3, 0.1], "pf", 1.0, True)
     assert rep.total_ergotropy == pytest.approx(0.05, abs=1e-10)
 
 
@@ -141,7 +139,7 @@ def test_correlations_nonincreasing_in_q():
     for kind in UNITAL_KINDS:
         for _ in range(10):
             c = random_nonneg_separable(rng)
-            gq = [correlation_work_check(c, ChannelSpec(kind, q), True).gqc for q in qs]
-            gc = [correlation_work_check(c, ChannelSpec(kind, q), True).gcc for q in qs]
+            gq = [correlation_work(c, kind, q, True).gqc for q in qs]
+            gc = [correlation_work(c, kind, q, True).gcc for q in qs]
             assert np.all(np.diff(gq) <= 1e-12)
             assert np.all(np.diff(gc) <= 1e-12)

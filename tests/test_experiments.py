@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ergonoise import channels as ch
 from ergonoise import experiments as ex
 from ergonoise import qstate
-from ergonoise.channels import KINDS, ChannelSpec, apply_local, kraus_set
+from ergonoise.channels import KINDS, apply_local, kraus_set
 from ergonoise.io import read_csv, write_csv
 from ergonoise.matcore import IDENTITY_2, herm_eig, kron, num_qubits
 from ergonoise.qstate import (
@@ -21,7 +21,7 @@ from ergonoise.qstate import (
     symmetrized_multipartite,
     total_spin_squared,
 )
-from ergonoise.workx import coherence_degenerate, concurrence_stack, decompose, work_split
+from ergonoise.workx import coherence_degenerate, concurrence, decompose
 
 
 def test_sweep_single_records_and_threshold():
@@ -44,6 +44,27 @@ def test_sweep_single_records_and_threshold():
     assert "threshold_q" not in ex.sweep_single("pf", [0.4, 0.5, 0.6]).metadata
 
 
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda q: ex.sweep_single("bf", [0.6, 0.5, 0.4], q_grid=q),
+        lambda q: ex.sweep_bds([0.5, 0.3, 0.1], "bf", q_grid=q),
+        lambda q: ex.grid_delta_wc("symmetric_pair", "bf", [0.3, 0.5], q),
+        lambda q: ex.entangled_example([1.0, 2.0], q),
+        lambda q: ex.interacting_depolarizing(q_grid=q),
+    ],
+    ids=["single", "bds", "grid", "entangled", "appendix_d"],
+)
+def test_sweeps_take_a_number_as_a_one_point_grid(sweep):
+    one, grid = sweep(0.4), sweep([0.4])
+    assert all(np.array_equal(one.columns[k], grid.columns[k]) for k in grid.columns)
+    assert one.metadata == grid.metadata and 0.4 in one.columns["q"]
+    with pytest.raises(ValueError, match="1-D grid"):
+        sweep([[0.1, 0.2]])
+    with pytest.raises(ValueError, match="q = 1.5 outside"):
+        sweep(1.5)
+
+
 def test_sweep_single_ad_peak_metadata():
     res = ex.sweep_single("ad", [0.1, 0.3, -0.4])
     assert res.metadata["branch_q"] == pytest.approx(0.4 / 1.4, abs=1e-12)
@@ -58,10 +79,10 @@ def test_sweep_bds_crossing_and_residual():
     assert len(crossings) >= 1
     # at the crossing the two competing closed-form eigenvalues coincide
     from ergonoise.channels import bds_param_map
-    from ergonoise.correlations import bds_eigenvalues
+    from ergonoise.qstate import bds_eigenvalues
 
     q = crossings[0]
-    lams = np.sort(bds_eigenvalues(bds_param_map(ChannelSpec("bf", q), [0.1, 0.5, 0.3], True)))
+    lams = np.sort(bds_eigenvalues(bds_param_map("bf", q, [0.1, 0.5, 0.3], True)))
     assert lams[3] - lams[2] <= 1e-8
 
 
@@ -79,7 +100,7 @@ def crossings_one_at_a_time(c, kind, both, q_grid):
     oracle of the lockstep bisection."""
 
     def lams_at(q):
-        return qstate.bds_eigenvalues(ch.bds_param_map(ChannelSpec(kind, q), c, both))
+        return qstate.bds_eigenvalues(ch.bds_param_map(kind, q, c, both))
 
     slots = [int(np.argmax(lams_at(q))) for q in q_grid]
     crossings = []
@@ -183,13 +204,14 @@ def test_channel_hamiltonians_are_built_once_per_process(monkeypatch):
         return herm_eig(m, *args)
 
     monkeypatch.setattr(qstate, "herm_eig", counting)
-    ex.channel_hamiltonian.cache_clear()
+    ex._shared_hamiltonian.cache_clear()
     for _ in range(2):
         ex.scaling_run(kinds=("pf",), n_values=(3,), q_points=5)
     assert calls == [8]
     h = ex.channel_hamiltonian("pf", 3, collective=True)
     assert h is ex.channel_hamiltonian("pf", 3, collective=True)
     assert h.dephasing == "collective" and ex.channel_hamiltonian("pf", 3).dephasing == "product_basis"
+    assert ex.channel_hamiltonian("bf", 3) is ex.channel_hamiltonian("ad", 3, collective=True)
     with pytest.raises(ValueError, match="read-only"):
         h.matrix[0, 0] = 1.0
 
@@ -375,8 +397,8 @@ def entangled_loop(theta_grid, q_grid, h=0.5, j=0.4, kind="bf"):
         rho0 = qstate.apply_hadamard_pair(qstate.entangled_theta(theta))
         wc0[i] = decompose(rho0, ham).coherent
         for part, states in ch.apply_local_chunks(rho0, kind, q_grid):
-            wc[i, part] = work_split(states, ham).coherent
-            conc[i, part] = concurrence_stack(states)
+            wc[i, part] = decompose(states, ham).coherent
+            conc[i, part] = concurrence(states)
     return wc.ravel(), (wc - wc0).ravel(), conc.ravel()
 
 
@@ -435,7 +457,7 @@ def appendix_d_oracle(a_values, q_grid, fd_step, c=0.3, d=0.2, h=0.5, j=0.4):
     rows = {name: [] for name in ("WC", "delta_WC", "coherence_degenerate", "dEp_dq", "dEpd_dq")}
 
     def evolve(rho0, q):
-        evolved = apply_local(rho0, ChannelSpec("dc", q))
+        evolved = apply_local(rho0, "dc", q)
         return evolved, decompose(evolved, ham)
 
     for a in a_values:
@@ -516,7 +538,7 @@ def test_area_refinement_converges():
     def area(points):
         qs = np.linspace(0, 1, points)
         dwc = np.array(
-            [decompose(apply_local(rho0, ChannelSpec("bf", q)), h).coherent - wc0 for q in qs]
+            [decompose(apply_local(rho0, "bf", q), h).coherent - wc0 for q in qs]
         )
         return ex.enhancement_summary(qs, dwc).area_ap
 
@@ -530,7 +552,7 @@ def kraus_oracle_curve(rho0, kind, h, q_grid):
     wc0 = decompose(rho0, h).coherent
     out = []
     for q in q_grid:
-        ks = kraus_set(ChannelSpec(kind, q))
+        ks = kraus_set(kind, q)
         rho = rho0
         if ks[0].shape[0] == 4:  # the correlated pair, here the whole register
             lifted_sets = [ks]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergonoise import matcore
-from ergonoise.channels import apply_local_grid
+from ergonoise.channels import apply_local
 from ergonoise.matcore import (
     IDENTITY_2,
     SIGMA_X,
@@ -205,7 +205,7 @@ def symmetrized_images(draw):
     phases = draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=n, max_size=n))
     rho0 = symmetrized_multipartite(a, [radius * f * np.exp(1j * p) for f, p in zip(fractions, phases)])
     kind = draw(st.sampled_from(["bf", "pf", "ad", "dc"]))
-    return apply_local_grid(rho0, kind, [draw(st.floats(0.0, 1.0))])[0], n
+    return apply_local(rho0, kind, [draw(st.floats(0.0, 1.0))])[0], n
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from ergonoise import channels as ch
 from ergonoise.channels import (
     AMPLITUDE_DAMPING,
-    ChannelSpec,
     apply_local,
-    apply_local_grid,
     bloch_map,
-    bloch_map_grid,
 )
 from ergonoise import matcore
 from ergonoise.matcore import SIGMA_X, SIGMA_Z, herm_eig, kron, partial_trace
@@ -27,12 +24,9 @@ from ergonoise.qstate import (
     symmetrized_multipartite,
 )
 from ergonoise.workx import (
-    closed_form_curve,
-    closed_form_single,
+    closed_form,
     coherence_degenerate,
-    coherence_degenerate_stack,
     concurrence,
-    concurrence_stack,
     decompose,
     dephase,
     ergotropy,
@@ -40,7 +34,6 @@ from ergonoise.workx import (
     passive_state,
     THRESHOLD_COMPONENTS,
     threshold_q,
-    work_split,
 )
 
 H1 = np.diag([0.0, 1.0]).astype(complex)
@@ -127,19 +120,19 @@ def test_l1_coherence_examples():
     for _ in range(20):
         n = random_bloch(rng)
         q = rng.uniform(0, 1)
-        evolved = bloch_map(ChannelSpec("bf", q), n)
+        evolved = bloch_map("bf", q, n)
         rep = decompose(bloch_to_density(evolved), H1)
         assert rep.l1_coherence == pytest.approx(
             np.hypot(n[0], n[1] * (1 - q)), abs=1e-12
         )
         # same state against sigma_x: coherence from n2, n3
-        evolved = bloch_map(ChannelSpec("pf", q), n)
+        evolved = bloch_map("pf", q, n)
         cx = l1_coherence(bloch_to_density(evolved), np.array([[1, 1], [1, -1]]) / np.sqrt(2))
         assert cx == pytest.approx(np.hypot(n[1] * (1 - q), n[2]), abs=1e-12)
 
 
 def oracle_report(kind, q, n, basis):
-    rho = apply_local(bloch_to_density(n), ChannelSpec(kind, q), [0])
+    rho = apply_local(bloch_to_density(n), kind, q, [0])
     h = H1 if basis == "computational" else SIGMA_X
     return decompose(rho, h)
 
@@ -151,7 +144,7 @@ def test_closed_forms_match_oracle():
         for _ in range(20):
             n = random_bloch(rng)
             for q in grid:
-                closed = closed_form_single(kind, q, n)
+                closed = closed_form(kind, q, n)
                 full = oracle_report(kind, q, n, "computational")
                 assert np.abs(np.subtract(astuple(closed), astuple(full))).max() <= 1e-10
 
@@ -162,18 +155,18 @@ def test_closed_form_x_basis_matches_oracle():
         for _ in range(20):
             n = random_bloch(rng)
             for q in np.linspace(0, 1, 26):
-                closed = closed_form_single(kind, q, n, basis="x")
+                closed = closed_form(kind, q, n, basis="x")
                 full = oracle_report(kind, q, n, "x")
                 assert np.abs(np.subtract(astuple(closed), astuple(full))).max() <= 1e-10
 
 
 def test_closed_form_rejections():
     with pytest.raises(ValueError):
-        closed_form_single("bf", 0.5, [0.1, 0.2, 0.3], basis="x")
+        closed_form("bf", 0.5, [0.1, 0.2, 0.3], basis="x")
     with pytest.raises(ValueError):
-        closed_form_single("bf", 0.5, [0.1, 0.2, 0.3], basis="y")
+        closed_form("bf", 0.5, [0.1, 0.2, 0.3], basis="y")
     with pytest.raises(ValueError):
-        closed_form_single("cbf", 0.5, [0.1, 0.2, 0.3])
+        closed_form("cbf", 0.5, [0.1, 0.2, 0.3])
 
 
 def test_amplitude_damping_branches():
@@ -181,21 +174,21 @@ def test_amplitude_damping_branches():
     z = 0.4 / 1.4
     # below the branch point the coherent work grows
     qs = np.linspace(0, z - 0.01, 30)
-    wc = [closed_form_single("ad", q, n).coherent for q in qs]
+    wc = [closed_form("ad", q, n).coherent for q in qs]
     assert np.all(np.diff(wc) > 0)
     # beyond it, monotone decay to zero at q=1
     qs = np.linspace(z + 0.01, 1.0, 30)
-    wc = [closed_form_single("ad", q, n).coherent for q in qs]
+    wc = [closed_form("ad", q, n).coherent for q in qs]
     assert np.all(np.diff(wc) < 0)
-    assert closed_form_single("ad", 1.0, n).coherent <= 1e-12
+    assert closed_form("ad", 1.0, n).coherent <= 1e-12
     # both branches agree at the split
-    left = closed_form_single("ad", z - 1e-12, n).coherent
-    right = closed_form_single("ad", z + 1e-12, n).coherent
+    left = closed_form("ad", z - 1e-12, n).coherent
+    right = closed_form("ad", z + 1e-12, n).coherent
     assert abs(left - right) <= 1e-9
 
 
 def test_bit_flip_equality_at_full_noise():
-    rep = closed_form_single("bf", 1.0, [0.6, 0.5, 0.4])
+    rep = closed_form("bf", 1.0, [0.6, 0.5, 0.4])
     assert rep.coherent == pytest.approx(0.3, abs=1e-12)
     assert rep.coherent == pytest.approx(rep.l1_coherence / 2, abs=1e-12)
 
@@ -203,7 +196,7 @@ def test_bit_flip_equality_at_full_noise():
 def test_phase_flip_computational_is_frozen_incoherent():
     n = np.array([0.5, 0.2, -0.6])
     for q in np.linspace(0, 1, 11):
-        rep = closed_form_single("pf", q, n)
+        rep = closed_form("pf", q, n)
         assert rep.incoherent == pytest.approx(0.6, abs=1e-14)
 
 
@@ -211,7 +204,7 @@ def test_phase_flip_computational_never_enhances():
     rng = np.random.default_rng(9)
     for _ in range(30):
         n = random_bloch(rng)
-        wc = [closed_form_single("pf", q, n).coherent for q in np.linspace(0, 1, 21)]
+        wc = [closed_form("pf", q, n).coherent for q in np.linspace(0, 1, 21)]
         assert np.all(np.diff(wc) <= 1e-12)
 
 
@@ -233,14 +226,14 @@ def test_threshold_values():
 def test_threshold_marks_enhancement_onset():
     n = np.array([0.6, 0.5, 0.4])
     qb = threshold_q("bf", n)
-    wc0 = closed_form_single("bf", 0.0, n).coherent
-    assert closed_form_single("bf", qb + 0.01, n).coherent > wc0
-    assert closed_form_single("bf", qb - 0.01, n).coherent < wc0
+    wc0 = closed_form("bf", 0.0, n).coherent
+    assert closed_form("bf", qb + 0.01, n).coherent > wc0
+    assert closed_form("bf", qb - 0.01, n).coherent < wc0
     # x-basis phase flip uses the same form with n3 -> n1
     nx = np.array([0.4, 0.5, 0.6])
     qb = threshold_q("pf", nx, basis="x")
-    wc0 = closed_form_single("pf", 0.0, nx, basis="x").coherent
-    assert closed_form_single("pf", min(qb + 0.01, 1.0), nx, basis="x").coherent >= wc0 - 1e-12
+    wc0 = closed_form("pf", 0.0, nx, basis="x").coherent
+    assert closed_form("pf", min(qb + 0.01, 1.0), nx, basis="x").coherent >= wc0 - 1e-12
 
 
 def test_bound_with_equality_cases():
@@ -249,14 +242,14 @@ def test_bound_with_equality_cases():
         n = random_bloch(rng)
         kind = rng.choice(["bf", "bpf", "pf", "dc", "ad"])
         q = rng.uniform(0, 1)
-        rep = closed_form_single(kind, q, n)
+        rep = closed_form(kind, q, n)
         assert rep.coherent <= rep.l1_coherence / 2 + 1e-12
     # equality whenever the evolved n3 vanishes
     for _ in range(20):
         n = random_bloch(rng)
         n[2] = 0.0
         q = rng.uniform(0, 1)
-        rep = closed_form_single("bf", q, n)
+        rep = closed_form("bf", q, n)
         assert rep.coherent == pytest.approx(rep.l1_coherence / 2, abs=1e-12)
 
 
@@ -296,7 +289,7 @@ def test_frozen_band_holds_for_any_real_coherences():
             rho0 = symmetric_pair(0.5, 0.5, c, d)
             wc0 = decompose(rho0, h).coherent
             for q in np.linspace(0, 1, 11):
-                wc = decompose(apply_local(rho0, ChannelSpec(kind, q)), h).coherent
+                wc = decompose(apply_local(rho0, kind, q), h).coherent
                 assert abs(wc - wc0) <= 1e-10
 
 
@@ -406,7 +399,7 @@ def test_decompose_rejects_non_states(rho, message):
     with pytest.raises(ValueError, match=message):
         decompose(rho, H1)
     with pytest.raises(ValueError, match=message):
-        work_split(np.stack([np.eye(2) / 2, rho]), H1)
+        decompose(np.stack([np.eye(2) / 2, rho]), H1)
     with pytest.raises(ValueError, match=message):
         ergotropy(rho, H1)
     with pytest.raises(ValueError, match=message):
@@ -428,8 +421,8 @@ unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
 )
 def test_work_bounds_through_the_batched_core(direction, norm, kind, qs, h):
     # W >= 0 and 0 <= W_C <= C/2 for a unit gap, C the l1 coherence in the energy basis
-    states = apply_local_grid(bloch_to_density(norm * direction), kind, qs)
-    split = work_split(states, h)
+    states = apply_local(bloch_to_density(norm * direction), kind, qs)
+    split = decompose(states, h)
     for i, state in enumerate(states):
         rep = decompose(state, h)
         assert rep.total >= -1e-12
@@ -458,9 +451,9 @@ def test_closed_forms_reject_non_state_bloch_vectors(bad, kind_basis, q):
     n, message = bad
     kind, basis = kind_basis
     with pytest.raises(ValueError, match=message):
-        closed_form_single(kind, q, n, basis=basis)
+        closed_form(kind, q, n, basis=basis)
     with pytest.raises(ValueError, match=message):
-        bloch_map(ChannelSpec(kind, q), n)
+        bloch_map(kind, q, n)
     with pytest.raises(ValueError, match=message):
         threshold_q(kind, n, basis)
     with pytest.raises(ValueError, match=message):
@@ -534,15 +527,15 @@ q_grids = st.lists(st.floats(0.0, 1.0), max_size=10).flatmap(
 @given(pair=st.sampled_from(CLOSED_FORM_PAIRS), n=bloch_vectors, qs=q_grids)
 def test_closed_form_curve_matches_the_kraus_oracle_and_its_one_point_view(pair, n, qs):
     kind, basis = pair
-    curve = closed_form_curve(kind, qs, n, basis)
-    images = bloch_map_grid(kind, qs, n)
+    curve = closed_form(kind, qs, n, basis)
+    images = bloch_map(kind, qs, n)
     for i, q in enumerate(qs):
         oracle = oracle_report(kind, q, n, basis)
         got = curve[i]
         assert np.abs(np.subtract(astuple(got), astuple(oracle))).max() <= 1e-10
         # the one-point views are rows of the stacks, bit for bit
-        assert astuple(closed_form_single(kind, q, n, basis)) == astuple(got)
-        assert np.array_equal(bloch_map(ChannelSpec(kind, q), n), images[i])
+        assert astuple(closed_form(kind, q, n, basis)) == astuple(got)
+        assert np.array_equal(bloch_map(kind, q, n), images[i])
 
 
 @pytest.mark.parametrize("bad", [-1e-3, 1.5, float("nan"), float("inf")])
@@ -551,7 +544,7 @@ def test_closed_form_curve_rejects_the_strength_outside_the_unit_interval(pair, 
     kind, basis = pair
     qs = [0.0, 0.25, bad, 0.75, float("nan")]
     with pytest.raises(ValueError, match=rf"noise strength q = {bad} outside \[0, 1\]"):
-        closed_form_curve(kind, qs, [0.1, 0.2, 0.3], basis)
+        closed_form(kind, qs, [0.1, 0.2, 0.3], basis)
 
 
 @pytest.mark.parametrize("pair", CLOSED_FORM_PAIRS)
@@ -562,24 +555,24 @@ def test_closed_form_curve_rejects_long_bloch_vectors_before_any_row(pair, monke
     monkeypatch.setattr(ch, "_AFFINE", {kind: row for kind in ch._AFFINE})
     kind, basis = pair
     with pytest.raises(ValueError, match="exceeds 1"):
-        closed_form_curve(kind, np.linspace(0, 1, 5), [0.8, 0.6, 0.1], basis)
+        closed_form(kind, np.linspace(0, 1, 5), [0.8, 0.6, 0.1], basis)
 
 
 def test_closed_form_curve_keeps_the_order_of_its_checks():
     n, long_n = [0.1, 0.2, 0.3], [1.0, 1.0, 0.0]
     # kind, then q, then the Bloch map, then the Bloch vector, then the basis
     with pytest.raises(ValueError, match="unknown channel kind"):
-        closed_form_curve("nonsense", [2.0], long_n, basis="y")
+        closed_form("nonsense", [2.0], long_n, basis="y")
     with pytest.raises(ValueError, match="outside"):
-        closed_form_curve("cbf", [2.0], long_n, basis="y")
+        closed_form("cbf", [2.0], long_n, basis="y")
     with pytest.raises(ValueError, match="no single-qubit Bloch map"):
-        closed_form_curve("cbf", [0.5], long_n, basis="y")
+        closed_form("cbf", [0.5], long_n, basis="y")
     with pytest.raises(ValueError, match="exceeds 1"):
-        closed_form_curve("bf", [0.5], long_n, basis="y")
+        closed_form("bf", [0.5], long_n, basis="y")
     with pytest.raises(ValueError, match="unknown basis"):
-        closed_form_curve("bf", [0.5], n, basis="y")
+        closed_form("bf", [0.5], n, basis="y")
     with pytest.raises(ValueError, match="no x-basis closed form for 'bit_flip'"):
-        closed_form_curve("bf", [0.5], n, basis="x")
+        closed_form("bf", [0.5], n, basis="x")
 
 
 # The per-state diagnostics as they were computed one state at a time:
@@ -626,7 +619,7 @@ def two_qubit_state(rng, form):
 def test_stacked_diagnostics_match_the_per_state_loop(seed, forms):
     rng = np.random.default_rng(seed)
     rhos = np.array([two_qubit_state(rng, form) for form in forms])
-    conc, cdeg = concurrence_stack(rhos), coherence_degenerate_stack(rhos)
+    conc, cdeg = concurrence(rhos), coherence_degenerate(rhos)
     assert conc.shape == cdeg.shape == (len(forms),)
     for i, rho in enumerate(rhos):
         assert abs(conc[i] - concurrence_one_state(rho)) <= 1e-12
@@ -637,7 +630,9 @@ def test_stacked_diagnostics_match_the_per_state_loop(seed, forms):
             assert conc[i] <= 1e-12
 
 
-@pytest.mark.parametrize("stack", [concurrence_stack, coherence_degenerate_stack])
+@pytest.mark.parametrize(
+    "stack", [concurrence, coherence_degenerate], ids=["concurrence_stack", "coherence_degenerate_stack"]
+)
 @pytest.mark.parametrize("where", [0, 2, 4])
 def test_stacked_diagnostics_reject_any_non_hermitian_entry(stack, where):
     rhos = np.repeat((np.eye(4) / 4)[None], 5, axis=0).astype(complex)
@@ -646,18 +641,16 @@ def test_stacked_diagnostics_reject_any_non_hermitian_entry(stack, where):
         stack(rhos)
 
 
-@pytest.mark.parametrize(
-    "stack, view",
-    [(concurrence_stack, concurrence), (coherence_degenerate_stack, coherence_degenerate)],
-)
-def test_stacked_diagnostics_reject_non_two_qubit_shapes(stack, view):
-    for shape in [(3, 8, 8), (4, 4), (2, 4, 2)]:
-        with pytest.raises(ValueError, match="expected a two-qubit state"):
-            stack(np.zeros(shape))
+@pytest.mark.parametrize("diagnostic", [concurrence, coherence_degenerate])
+def test_stacked_diagnostics_reject_non_two_qubit_shapes(diagnostic):
+    # a (4, 4) state and a (B, 4, 4) stack are the two accepted shapes
+    for shape in [(3, 8, 8), (2, 2, 4, 4), (2, 4, 2), (4,)]:
+        with pytest.raises(ValueError, match=r"expected a two-qubit state \(4, 4\) or a \(B, 4, 4\) stack"):
+            diagnostic(np.zeros(shape))
     with pytest.raises(ValueError, match="expected a two-qubit state"):
-        view(np.eye(8) / 8)
+        diagnostic(np.eye(8) / 8)
     with pytest.raises(ValueError, match="not Hermitian"):
-        view(np.triu(np.ones((4, 4))) / 4)
+        diagnostic(np.triu(np.ones((4, 4))) / 4)
 
 
 def dense_work_split(rhos, h):
@@ -698,10 +691,10 @@ def collective_hamiltonians(n):
 )
 def test_collective_block_dephasing_matches_the_dense_frame(n, kind, qs, a, which):
     rho0 = symmetrized_multipartite(a, np.sqrt(a * (1.0 - a)) * np.linspace(0.2, 0.9, n))
-    rhos = apply_local_grid(rho0, kind, qs)
+    rhos = apply_local(rho0, kind, qs)
     h = collective_hamiltonians(n)[which]
     assert h.spin_frames is not None and matcore._validated_spectra(rhos)[1] is not None
-    rep, ref = work_split(rhos, h), dense_work_split(rhos, h)
+    rep, ref = decompose(rhos, h), dense_work_split(rhos, h)
     for field, values in ref.items():
         assert np.abs(getattr(rep, field) - values).max() <= 1e-12, field
     # the coherence is still measured in the dense frame, unchanged
@@ -719,7 +712,7 @@ def test_identity_frame_reads_the_state_itself(n):
     # the l1 coherence and dephased spectrum are bitwise those of V = I
     h = hamiltonian("excitation", n)
     rhos = np.stack(list(random_states(31 + n, 2**n, count=6)))
-    rep = work_split(rhos, h)
+    rep = decompose(rhos, h)
     a = h.frame[0].conj().T @ rhos @ h.frame[0]
     diagonal = np.diagonal(a, axis1=1, axis2=2)
     np.testing.assert_array_equal(
@@ -735,6 +728,6 @@ def test_a_state_off_the_symmetric_subspace_takes_the_dense_path():
     # exactly the dense one, for a collective and a product-basis frame
     rho = kron(qubit_state(0.2, 0.3), qubit_state(0.6, 0.1j), bloch_to_density([0.1, 0.2, 0.3]))
     for h in (collective_hamiltonians(3)[0], hamiltonian("excitation", 3)):
-        rep, ref = work_split(rho[None], h), dense_work_split(rho[None], h)
+        rep, ref = decompose(rho[None], h), dense_work_split(rho[None], h)
         for field, values in ref.items():
             np.testing.assert_array_equal(getattr(rep, field), values)
