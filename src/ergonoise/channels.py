@@ -23,7 +23,10 @@ or of each state of a (S, d, d) stack, one target group at a time
 with every C_e applied in one batched matmul, and evaluates any q grid
 from them as a Vandermonde product, yielding the S x Q (state, q) pairs
 state-major in stacks of at most STACK_BUDGET_BYTES; ``apply_local``
-joins its stacks for one state.
+joins its stacks for one state. ``_polynomial`` (its checks and the
+expansion) also hands the terms and the Vandermonde weights themselves
+to callers that evaluate something linear in the images without forming
+them.
 The closed forms come from one table of affine Bloch maps
 n -> T(q) n + t(q) per single-qubit kind. Every T(q) is diagonal, so a
 row maps a q grid to a (Q, 3) stack of diagonals diag(T) and a (Q, 3)
@@ -299,8 +302,12 @@ def _expand(rhos: np.ndarray, kind: str, groups: tuple, n: int) -> np.ndarray:
     return terms
 
 
-def _local_chunks(rhos, kind: str, qs: np.ndarray, targets):
-    """``apply_local_chunks`` for a canonical kind and a checked grid."""
+def _polynomial(rhos, kind: str, qs: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
+    """The images of one state or of every state of a (S, d, d) stack at
+    every strength of a checked grid, as the (S, K, d, d) terms R_k of
+    rho(x) = sum_k x^k R_k (``_expand``) and the (Q, K) weights x(q)^k,
+    for a canonical kind. The states' shape, the targets and the
+    correlated pair are checked, in that order, before the expansion."""
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim == 2:
         rhos = rhos[None]
@@ -323,9 +330,16 @@ def _local_chunks(rhos, kind: str, qs: np.ndarray, targets):
     terms = _expand(rhos, kind, groups, n)
     x = _POLYNOMIALS[kind][0](qs)
     vander = np.power.outer(x, np.arange(terms.shape[1])).astype(complex)
-    d, points = rhos.shape[-1], len(qs)
+    return terms.reshape(terms.shape[:2] + rhos.shape[1:]), vander
+
+
+def _local_chunks(rhos, kind: str, qs: np.ndarray, targets):
+    """``apply_local_chunks`` for a canonical kind and a checked grid."""
+    terms, vander = _polynomial(rhos, kind, qs, targets)
+    count, d, points = len(terms), terms.shape[-1], len(qs)
+    terms = terms.reshape(count, terms.shape[1], d * d)
     step = max(1, STACK_BUDGET_BYTES // (16 * d * d))
-    pairs = len(rhos) * points
+    pairs = count * points
     for start in range(0, pairs, step):
         stop = min(start + step, pairs)
         parts = []

@@ -243,9 +243,19 @@ def _wc_curve(rho0, kind, h: Hamiltonian, q_grid) -> np.ndarray:
     """Coherent work W_C(rho(q)) along the q grid: a (Q,) curve for one
     state, a (S, Q) array for a (S, d, d) stack.
 
-    The (state, q) pairs are evolved and split stack by stack
-    (``channels.apply_local_chunks``), one ``decompose`` per stack.
+    One permutation-invariant state on three or more qubits, under a
+    Hamiltonian that dephases in spin blocks or keeps only the diagonal
+    (``workx._blockwise``, checked once), has every image invariant too,
+    so the whole curve is split in the spin blocks: the terms of
+    rho(q) = sum_k x(q)^k R_k (``channels._polynomial``) are projected
+    once and weighted per strength (``workx._block_coherent``). Any other
+    input is evolved and split stack by stack
+    (``channels.apply_local_chunks``), one ``decompose`` per stack; that
+    dense route is the oracle of the block route.
     """
+    if workx._blockwise(rho0, h):
+        terms, vander = ch._polynomial(rho0, ch.canonical_kind(kind), q_grid, None)
+        return workx._block_coherent(terms[0], vander, h)
     shape = np.shape(rho0)[:-2] + (len(q_grid),)
     wc = np.empty(math.prod(shape))
     for part, states in ch.apply_local_chunks(rho0, kind, q_grid):
@@ -317,12 +327,16 @@ def scaling_run(
 
     Local coherences follow c_i = c0 + i*delta for qubits i = 1..N; the
     channel acts on every qubit; each channel keeps its own energy choice
-    (phase flip gets the collective x field).
+    (phase flip gets the collective x field). Every register size must be
+    at least 2, so that every row is in the same energy units.
     """
     kinds = [ch.canonical_kind(k) for k in kinds]
     n_values = sorted(set(int(n) for n in n_values))
     if not n_values:
         raise ValueError("scaling needs at least one register size, got an empty list")
+    if n_values[0] < 2:
+        # the one-qubit x field is sigma_x (gap 2), against (1/2) sum sigma_x from N = 2 on
+        raise ValueError(f"scaling needs register sizes of at least 2 qubits, got {n_values[0]}")
     if not kinds:
         raise ValueError("scaling needs at least one channel kind, got an empty list")
     q_grid = q_grid_default(q_points)

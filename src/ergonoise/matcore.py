@@ -14,6 +14,10 @@ reads such a state's spectrum as the union of spec(W_J^T rho W_J), each
 value repeated d_J times. It checks the invariance (the swap of qubits
 0 and 1 and the cyclic shift, as index permutations) rather than assume
 it; any other stack takes one dense eigvalsh, which stays the oracle.
+The pieces of that validation (the trace and PSD checks, the block
+spectrum of given parts) are private helpers, so that a caller holding
+only the spin blocks of a state, as the scaling curves do, validates it
+with the same checks and messages.
 """
 
 from __future__ import annotations
@@ -221,26 +225,50 @@ def _spin_spectrum(values, n: int) -> np.ndarray:
     return np.sort(np.concatenate(spread, axis=-1), axis=-1)
 
 
+def _block_spectrum(parts, n: int) -> np.ndarray:
+    """The ascending (..., 2**n) spectrum of permutation-invariant
+    Hermitian matrices from their spin-block parts W_J^T M W_J: one
+    eigvalsh per block."""
+    return _spin_spectrum([np.linalg.eigvalsh(p) for p in parts], n)
+
+
+def _block_qubits(mats: np.ndarray) -> int | None:
+    """n when every matrix of a (..., 2**n, 2**n) stack, n >=
+    MIN_BLOCK_QUBITS, is unchanged by every qubit permutation (so its
+    spin blocks hold it whole), else None."""
+    d = mats.shape[-1]
+    n = d.bit_length() - 1
+    square = mats.ndim >= 2 and mats.shape[-2] == d == 2**n
+    return n if square and n >= MIN_BLOCK_QUBITS and _permutation_invariant(mats, n) else None
+
+
+def _require_trace(tr: np.ndarray) -> None:
+    """Raise on the trace of a stack of states farthest from one."""
+    worst = np.unravel_index(int(np.abs(tr - 1.0).argmax()), tr.shape)
+    if not abs(tr[worst] - 1.0) <= TRACE_TOL:
+        raise ValueError(f"state trace is {tr[worst]}, expected 1")
+
+
+def _require_psd(lam: np.ndarray) -> None:
+    """Raise on the lowest eigenvalue of a stack of ascending spectra."""
+    min_eig = float(lam[..., 0].min())
+    if min_eig < -PSD_TOL:
+        raise ValueError(f"state is not PSD: min eigenvalue {min_eig:.3e}")
+
+
 def _validated_spectra(rhos) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """``state_spectra`` of a state or stack, and its spin-block parts
     (``_spin_block_parts``) when the spectra were read from them, else None."""
     rhos = np.asarray(rhos, dtype=complex)
     _require_hermitian(rhos)
-    tr = np.trace(rhos, axis1=-2, axis2=-1).real
-    worst = np.unravel_index(int(np.abs(tr - 1.0).argmax()), tr.shape)
-    if not abs(tr[worst] - 1.0) <= TRACE_TOL:
-        raise ValueError(f"state trace is {tr[worst]}, expected 1")
-    d = rhos.shape[-1]
-    n = d.bit_length() - 1
-    parts = None
-    if d == 2**n and n >= MIN_BLOCK_QUBITS and _permutation_invariant(rhos, n):
-        parts = _spin_block_parts(rhos, n)
-        lam = _spin_spectrum([np.linalg.eigvalsh(p) for p in parts], n)
+    _require_trace(np.trace(rhos, axis1=-2, axis2=-1).real)
+    n = _block_qubits(rhos)
+    if n is None:
+        parts, lam = None, np.linalg.eigvalsh(rhos)
     else:
-        lam = np.linalg.eigvalsh(rhos)
-    min_eig = float(lam[..., 0].min())
-    if min_eig < -PSD_TOL:
-        raise ValueError(f"state is not PSD: min eigenvalue {min_eig:.3e}")
+        parts = _spin_block_parts(rhos, n)
+        lam = _block_spectrum(parts, n)
+    _require_psd(lam)
     return lam, parts
 
 

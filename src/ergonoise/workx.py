@@ -29,6 +29,15 @@ l1 coherence. The Hamiltonian side (its levels and frames) is computed
 once per ``Hamiltonian`` object. ``ergotropy`` is a separate route the
 tests compare it against.
 
+The block half of that split also serves whole noise curves without
+dense states (``_block_coherent``): for the images vander @ R_k of one
+permutation-invariant state under the same channel on every qubit,
+everything but the spectra (W_J^T rho W_J, Tr rho, Tr H rho, diag rho)
+is linear in rho, so it is projected from the K terms R_k once and
+weighted per strength, and the spectra are read from the weighted blocks
+exactly as ``decompose`` reads them. ``_blockwise`` says when that holds;
+the experiments' dense route is its oracle.
+
 The single-qubit closed forms read no channel kind: the Bloch vectors m
 from ``channels.bloch_map`` and one row (axis, sign, e0, g) per basis,
 writing the Hamiltonian as e0 + g (u . sigma), give the whole split
@@ -47,7 +56,12 @@ import numpy as np
 
 from .matcore import (
     SIGMA_Y,
+    _block_qubits,
+    _block_spectrum,
     _require_hermitian,
+    _require_psd,
+    _require_trace,
+    _spin_block_parts,
     _spin_spectrum,
     _validated_spectra,
     as_matrix,
@@ -162,6 +176,26 @@ def _states(rho) -> tuple[np.ndarray, bool]:
     return (rhos[None], True) if rhos.ndim == 2 else (rhos, False)
 
 
+def _spin_dephased(parts, h: Hamiltonian) -> np.ndarray:
+    """Ascending dephased spectra of a stack of permutation-invariant
+    states from their spin-block parts, each block dephased in its frame
+    of ``h.spin_frames``."""
+    return _spin_spectrum(
+        [_dephased_spectra(u.conj().T @ p @ u, kept) for p, (u, kept) in zip(parts, h.spin_frames)],
+        h.num_qubits,
+    )
+
+
+def _split(energy, lam, lam_deph, levels) -> tuple[np.ndarray, ...]:
+    """The report's work fields, in order, from the energies, the ascending
+    spectra and the ascending dephased spectra of a stack of states."""
+    e_passive = lam[:, ::-1] @ levels
+    e_passive_deph = lam_deph[:, ::-1] @ levels
+    total = energy - e_passive
+    incoherent = energy - e_passive_deph
+    return total, incoherent, total - incoherent, e_passive, e_passive_deph
+
+
 def decompose(rho, h) -> ErgotropyReport:
     """Split the ergotropy of one (d, d) state into incoherent and coherent
     parts, as a report of numbers, or of every state of a (B, d, d) stack,
@@ -179,26 +213,58 @@ def decompose(rho, h) -> ErgotropyReport:
     a = rhos if h.identity_frame else v.conj().T @ rhos @ v
     diagonal = np.diagonal(a, axis1=1, axis2=2)
     if parts is not None and h.spin_frames is not None:
-        lam_deph = _spin_spectrum(
-            [_dephased_spectra(u.conj().T @ p @ u, kept) for p, (u, kept) in zip(parts, h.spin_frames)],
-            h.num_qubits,
-        )
+        lam_deph = _spin_dephased(parts, h)
     else:
         lam_deph = _dephased_spectra(a, same_level)
     energy = np.einsum("ij,bji->b", h.matrix, rhos).real
-    e_passive = lam[:, ::-1] @ h.levels
-    e_passive_deph = lam_deph[:, ::-1] @ h.levels
-    total = energy - e_passive
-    incoherent = energy - e_passive_deph
     report = ErgotropyReport(
-        total=total,
-        incoherent=incoherent,
-        coherent=total - incoherent,
-        passive_energy=e_passive,
-        dephased_passive_energy=e_passive_deph,
+        *_split(energy, lam, lam_deph, h.levels),
         l1_coherence=np.abs(a).sum(axis=(1, 2)) - np.abs(diagonal).sum(axis=1),
     )
     return report[0] if single else report
+
+
+def _blockwise(rho, h: Hamiltonian) -> bool:
+    """Whether the images rho(q) of one state under the same single-qubit
+    channel on every qubit can be split in spin blocks: rho is one state
+    on n >= 3 qubits that no qubit permutation changes (so is every image)
+    and h dephases blockwise (``spin_frames``) or keeps only the
+    diagonal of the computational basis."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != h.matrix.shape or _block_qubits(rho) is None:
+        return False
+    same_level = h.frame[1]
+    return h.spin_frames is not None or (h.identity_frame and same_level.sum() == len(same_level))
+
+
+def _block_coherent(terms, vander, h: Hamiltonian) -> np.ndarray:
+    """Coherent work of the (Q,) stack of permutation-invariant states
+    vander @ terms, for (K, d, d) terms and (Q, K) weights, where
+    ``_blockwise`` holds.
+
+    What the split reads linearly (the spin blocks W_J^T rho W_J, Tr rho,
+    Tr H rho and, for an identity frame, diag rho) is projected from the
+    K terms once and weighted per strength; only the block spectra are
+    per strength. Every image is validated as ``decompose`` validates a
+    state: Hermitian on its blocks, trace one from the term traces, PSD
+    from its block spectrum.
+    """
+    n, count, points = h.num_qubits, len(terms), len(vander)
+    parts = [
+        (vander @ p.reshape(count, -1)).reshape((points,) + p.shape[1:])
+        for p in _spin_block_parts(terms, n)
+    ]
+    for p in parts:
+        _require_hermitian(p)
+    _require_trace((vander @ np.trace(terms, axis1=1, axis2=2)).real)
+    lam = _block_spectrum(parts, n)
+    _require_psd(lam)
+    if h.spin_frames is not None:
+        lam_deph = _spin_dephased(parts, h)
+    else:
+        lam_deph = np.sort((vander @ np.diagonal(terms, axis1=1, axis2=2)).real, axis=-1)
+    energy = (vander @ np.einsum("ij,kji->k", h.matrix, terms)).real
+    return _split(energy, lam, lam_deph, h.levels)[2]
 
 
 # ---------------------------------------------------------------------------

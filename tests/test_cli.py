@@ -153,6 +153,15 @@ def test_empty_scaling_lists_exit_one_naming_the_list(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("sizes", ["1,2", "0..3"])
+def test_scaling_register_sizes_below_two_exit_one(tmp_path, capsys, sizes):
+    # one qubit would write a phase-flip row in other energy units (gap 2)
+    out = tmp_path / "scaling.csv"
+    assert run(["scaling", "--n", sizes, "-o", str(out)]) == 1
+    assert "at least 2 qubits" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_argument_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["single", "--channel", "bf", "--bloch", "0.1,0.2",

@@ -1,13 +1,14 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergonoise import channels as ch
 from ergonoise import experiments as ex
-from ergonoise import qstate
+from ergonoise import qstate, workx
 from ergonoise.channels import KINDS, apply_local, kraus_set
 from ergonoise.io import read_csv, write_csv
 from ergonoise.matcore import IDENTITY_2, herm_eig, kron, num_qubits
@@ -15,6 +16,7 @@ from ergonoise.qstate import (
     Hamiltonian,
     hamiltonian,
     philox_stream,
+    qubit_state,
     random_separable,
     random_separable_stack,
     symmetric_pair,
@@ -187,6 +189,16 @@ def test_scaling_run_small():
     assert res.columns["delta_wc_max"][1] > res.columns["delta_wc_max"][0]
     assert res.columns["area_ap"][1] > res.columns["area_ap"][0]
     assert res.metadata["dephasing"]["bit_flip"] == "product_basis"
+
+
+@pytest.mark.parametrize("n_values", [(1, 2), (0,), (-1, 3)])
+def test_scaling_rejects_register_sizes_below_two_before_any_work(monkeypatch, n_values):
+    def no_work(*args):
+        raise AssertionError("built a register")
+
+    monkeypatch.setattr(ex, "symmetrized_multipartite", no_work)
+    with pytest.raises(ValueError, match=f"at least 2 qubits, got {min(n_values)}"):
+        ex.scaling_run(kinds=("pf",), n_values=n_values, q_points=5)
 
 
 def test_scaling_sidecar_names_each_curves_dephasing():
@@ -598,17 +610,147 @@ def test_batched_curve_matches_per_q_kraus_oracle(seed, kind, h_name, q_points):
     assert_curve_matches_oracle(rho0, kind, TWO_QUBIT_HAMILTONIANS[h_name], q_grid)
 
 
+def register(n, which="symmetrized"):
+    """A permutation-invariant register of n qubits, or a product of n
+    different qubits that no spin block holds whole."""
+    if which == "symmetrized":
+        return symmetrized_multipartite(0.2, [0.1 + 0.02 * i for i in range(1, n + 1)])
+    return kron(*[qubit_state(0.2 + 0.1 * i, 0.05 + 0.03j * i) for i in range(n)])
+
+
 @pytest.mark.parametrize("kind", ["bf", "pf", "ad"])
 def test_batched_curve_matches_oracle_across_chunk_seams(kind):
     n = 5
     q_grid = ex.q_grid_default(41)
     step = ch.STACK_BUDGET_BYTES // (16 * 4**n)
-    assert -(-len(q_grid) // step) == 3  # the grid spans three stacks
-    rho0 = symmetrized_multipartite(0.2, [0.1 + 0.02 * i for i in range(1, n + 1)])
+    assert -(-len(q_grid) // step) == 3  # the dense route spans three stacks
     h = ex.channel_hamiltonian(kind, n)
     if kind == "pf":  # the collective convention scaling_run uses
         h = replace(h, basis=None, collective=True)
-    assert_curve_matches_oracle(rho0, kind, h, q_grid)
+    for which in ("symmetrized", "product"):
+        rho0 = register(n, which)
+        assert workx._blockwise(rho0, h) == (which == "symmetrized")
+        assert_curve_matches_oracle(rho0, kind, h, q_grid)
+
+
+def dense_curve(rho0, kind, h, q_grid):
+    """W_C along the grid one strength at a time: each image from
+    ``apply_local`` split by ``decompose``, the oracle of the block route."""
+    return np.array([decompose(image, h).coherent for image in apply_local(rho0, kind, q_grid)])
+
+
+@functools.cache
+def invariant_hamiltonians(n):
+    """The energies the block route takes: the excitation energy (identity
+    frame), the collective x field and the collective Jz^2, whose levels
+    +-M repeat inside a spin block."""
+    jz = hamiltonian("z_sum", n).matrix
+    return (
+        hamiltonian("excitation", n),
+        ex.channel_hamiltonian("pf", n, collective=True),
+        Hamiltonian(jz @ jz, "jz_squared", collective=True),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 8),
+    kind=st.sampled_from(["bf", "bpf", "pf", "dc", "ad", "pd"]),
+    which=st.integers(0, 2),
+    q_points=st.integers(1, 41),
+    q_lo=st.floats(0.0, 1.0),
+    a=st.floats(0.05, 0.95),
+    spread=st.floats(0.1, 0.9),
+)
+@example(n=8, kind="ad", which=0, q_points=41, q_lo=0.0, a=0.2, spread=0.5)
+@example(n=8, kind="pf", which=1, q_points=41, q_lo=0.0, a=0.3, spread=0.9)
+@example(n=8, kind="bpf", which=2, q_points=23, q_lo=0.1, a=0.6, spread=0.7)
+@example(n=7, kind="pd", which=1, q_points=1, q_lo=0.4, a=0.5, spread=0.3)
+@example(n=3, kind="bf", which=1, q_points=2, q_lo=0.0, a=0.5, spread=0.5)
+def test_block_curve_matches_the_per_q_dense_oracle(n, kind, which, q_points, q_lo, a, spread):
+    rho0 = symmetrized_multipartite(a, np.sqrt(a * (1.0 - a)) * np.linspace(spread / 2, spread, n))
+    h = invariant_hamiltonians(n)[which]
+    q_grid = np.linspace(q_lo, 1.0, q_points)
+    assert workx._blockwise(rho0, h)
+    curve, oracle = ex._wc_curve(rho0, kind, h, q_grid), dense_curve(rho0, kind, h, q_grid)
+    assert np.abs(curve - oracle).max() <= 1e-12
+    # the same argmax_q, unless the oracle's peak ties another strength to
+    # within the tolerance: a frozen curve (bit flip under the x field at
+    # a = 1/2) is flat up to rounding
+    i, j = curve.argmax(), oracle.argmax()
+    assert q_grid[i] == q_grid[j] or oracle[j] - oracle[i] <= 2e-12
+
+
+def test_curves_off_the_block_route_take_the_dense_route(monkeypatch):
+    entered = []
+    dense_chunks = ch._local_chunks
+
+    def counting(*args):
+        entered.append(True)
+        yield from dense_chunks(*args)
+
+    def no_blocks(*args):
+        raise AssertionError("took the block route")
+
+    monkeypatch.setattr(ch, "_local_chunks", counting)
+    monkeypatch.setattr(workx, "_block_coherent", no_blocks)
+    n, q_grid = 4, ex.q_grid_default(11)
+    symmetric = register(n)
+    excitation = hamiltonian("excitation", n)
+    cases = [
+        (register(n, "product"), excitation),  # not permutation invariant
+        (symmetric, hamiltonian("x_sum", n)),  # x_sum in its product basis
+        (symmetric, Hamiltonian(excitation.matrix, "excitation")),  # block convention
+        (np.stack([symmetric, symmetric]), excitation),  # a stack, not one state
+        (register(2), hamiltonian("excitation", 2)),  # below three qubits
+    ]
+    for rho0, h in cases:
+        entered.clear()
+        curve = ex._wc_curve(rho0, "bf", h, q_grid)
+        assert entered
+        if curve.ndim == 1:
+            np.testing.assert_allclose(curve, dense_curve(rho0, "bf", h, q_grid), rtol=0, atol=1e-12)
+
+
+def test_warm_scaling_run_solves_only_spin_blocks(monkeypatch):
+    ex.scaling_run(n_values=(6,), q_points=21)  # builds and caches the Hamiltonians
+    sizes = []
+
+    def recording(solver):
+        def solve(m, *args, **kwargs):
+            sizes.append(np.shape(m)[-1])
+            return solver(m, *args, **kwargs)
+
+        return solve
+
+    def no_chunks(*args):
+        raise AssertionError("entered the dense route")
+
+    for name in ("eigvalsh", "eigh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    monkeypatch.setattr(ch, "_local_chunks", no_chunks)
+    ex.scaling_run(n_values=(6,), q_points=21)
+    assert sizes and max(sizes) <= 7
+
+
+def test_block_route_rejects_non_states_as_the_dense_route_does():
+    n, q_grid = 3, ex.q_grid_default(11)
+    h = hamiltonian("excitation", n)
+    ghz_coherence = np.zeros((2**n, 2**n), dtype=complex)
+    ghz_coherence[0, -1] = ghz_coherence[-1, 0] = 0.3  # |000><111| + h.c., invariant
+    not_psd = np.eye(2**n) / 2**n + ghz_coherence
+    for rho0, message in (
+        (not_psd, "state is not PSD: min eigenvalue -1.750e-01"),
+        (2.0 * register(n), r"state trace is 2\.0\d*, expected 1"),
+        (register(n) + 1e-6j * ghz_coherence, "matrix is not Hermitian"),
+    ):
+        assert workx._blockwise(rho0, h)
+        with pytest.raises(ValueError, match=message):
+            ex._wc_curve(rho0, "bf", h, q_grid)
+        with pytest.raises(ValueError, match=message):
+            dense_curve(rho0, "bf", h, q_grid)
+    with pytest.raises(ValueError, match="correlated bit flip acts on exactly one qubit pair"):
+        ex._wc_curve(register(n), "cbf", h, q_grid)
 
 
 def test_collective_curve_builds_j2_once(monkeypatch):
