@@ -23,10 +23,14 @@ or of each state of a (S, d, d) stack, one target group at a time
 with every C_e applied in one batched matmul, and evaluates any q grid
 from them as a Vandermonde product, yielding the S x Q (state, q) pairs
 state-major in stacks of at most STACK_BUDGET_BYTES; ``apply_local``
-joins its stacks for one state. ``_polynomial`` (its checks and the
-expansion) also hands the terms and the Vandermonde weights themselves
-to callers that evaluate something linear in the images without forming
-them.
+joins its stacks for one state. For one permutation-invariant state
+under the same single-qubit kind on every qubit, ``_class_polynomial``
+hands the same terms, in class coordinates (``matcore``: one value per
+class of entries, C(n+3, 3) of them), and the Vandermonde weights to
+callers that evaluate something linear in the images without forming
+them. ``_class_expand`` moves one qubit at a time from the input
+classes to the output classes with the same C_e, so no 4^n-sized term
+is formed.
 The closed forms come from one table of affine Bloch maps
 n -> T(q) n + t(q) per single-qubit kind. Every T(q) is diagonal, so a
 row maps a q grid to a (Q, 3) stack of diagonals diag(T) and a (Q, 3)
@@ -56,6 +60,8 @@ from .matcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _class_coordinates,
+    _class_levels,
     as_matrix,
     num_qubits,
 )
@@ -302,12 +308,10 @@ def _expand(rhos: np.ndarray, kind: str, groups: tuple, n: int) -> np.ndarray:
     return terms
 
 
-def _polynomial(rhos, kind: str, qs: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
-    """The images of one state or of every state of a (S, d, d) stack at
-    every strength of a checked grid, as the (S, K, d, d) terms R_k of
-    rho(x) = sum_k x^k R_k (``_expand``) and the (Q, K) weights x(q)^k,
-    for a canonical kind. The states' shape, the targets and the
-    correlated pair are checked, in that order, before the expansion."""
+def _checked(rhos, kind: str, targets) -> tuple[np.ndarray, int, tuple]:
+    """One state or a (S, d, d) stack as a (S, d, d) stack, its qubit
+    count and the target groups of a canonical kind. The states' shape,
+    the targets and the correlated pair are checked, in that order."""
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim == 2:
         rhos = rhos[None]
@@ -324,20 +328,63 @@ def _polynomial(rhos, kind: str, qs: np.ndarray, targets) -> tuple[np.ndarray, n
     if kind == CORRELATED_BIT_FLIP:
         if len(targets) != 2:
             raise ValueError("correlated bit flip acts on exactly one qubit pair")
-        groups = (tuple(targets),)
-    else:
-        groups = tuple((t,) for t in targets)
-    terms = _expand(rhos, kind, groups, n)
-    x = _POLYNOMIALS[kind][0](qs)
-    vander = np.power.outer(x, np.arange(terms.shape[1])).astype(complex)
-    return terms.reshape(terms.shape[:2] + rhos.shape[1:]), vander
+        return rhos, n, (tuple(targets),)
+    return rhos, n, tuple((t,) for t in targets)
+
+
+def _vandermonde(kind: str, qs: np.ndarray, count: int) -> np.ndarray:
+    """The (Q, count) complex weights x(q)^k of a canonical kind."""
+    return np.power.outer(_POLYNOMIALS[kind][0](qs), np.arange(count)).astype(complex)
+
+
+def _class_expand(coords: np.ndarray, kind: str, n: int) -> np.ndarray:
+    """The (K, D) class coordinates of the terms R_k of
+    rho(x) = sum_k x^k R_k, K = deg * n + 1, for the permutation-invariant
+    state with class coordinates ``coords`` under a single-qubit kind on
+    every one of its n qubits.
+
+    The channel moves one qubit at a time from the input classes to the
+    output classes (``matcore._class_levels``). After d qubits the
+    polynomial is held as F_d[(m, v), k]: m a class of the d output
+    qubits, v one of the n - d input qubits left, k a term. One more
+    qubit gives, for each output class m' with its fixed pair type b and
+    parent m' - e_b,
+    F_{d+1}[(m', v), k'] = sum_{e, a} C_e[b, a] F_d[(m' - e_b, v + e_a), k' - e]:
+    one gather of the parents' entries, columns (a, k), then one product
+    per pair type b with the rows (k', b) of ``_toeplitz``, which apply
+    every C_e and the shift of the terms at once.
+    """
+    poly = coords[:, None]
+    for index, groups in _class_levels(n):
+        count = poly.shape[1]
+        # (b, (a, k), k'): the rows (k', b) of the Toeplitz operator, transposed
+        op = _toeplitz(kind, count).reshape(-1, 4, count, 4).transpose(1, 3, 2, 0).reshape(4, 4 * count, -1)
+        parents = np.take(poly, index, axis=0).reshape(len(index), -1)
+        poly = np.empty((len(index), op.shape[-1]), dtype=complex)
+        for b, rows in groups:
+            np.matmul(parents[rows], op[b], out=poly[rows])
+    return poly.T
+
+
+def _class_polynomial(rho, kind: str, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The images of one permutation-invariant state under a canonical
+    kind on every qubit, at every strength of a checked grid, as the
+    (K, D) class coordinates of the terms R_k of rho(x) = sum_k x^k R_k
+    (``_class_expand`` of the class averages of rho,
+    ``matcore._class_coordinates``) and the (Q, K) weights x(q)^k. The
+    checks of the dense route (``_checked``) run first, so the
+    correlated flip is rejected with the same message."""
+    rhos, n, _ = _checked(rho, kind, None)
+    terms = _class_expand(_class_coordinates(rhos[0], n), kind, n)
+    return terms, _vandermonde(kind, qs, len(terms))
 
 
 def _local_chunks(rhos, kind: str, qs: np.ndarray, targets):
     """``apply_local_chunks`` for a canonical kind and a checked grid."""
-    terms, vander = _polynomial(rhos, kind, qs, targets)
-    count, d, points = len(terms), terms.shape[-1], len(qs)
-    terms = terms.reshape(count, terms.shape[1], d * d)
+    rhos, n, groups = _checked(rhos, kind, targets)
+    terms = _expand(rhos, kind, groups, n)
+    vander = _vandermonde(kind, qs, terms.shape[1])
+    count, d, points = len(terms), rhos.shape[-1], len(qs)
     step = max(1, STACK_BUDGET_BYTES // (16 * d * d))
     pairs = count * points
     for start in range(0, pairs, step):

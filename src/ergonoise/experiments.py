@@ -19,6 +19,7 @@ import numpy as np
 
 from . import channels as ch
 from . import workx
+from .matcore import _class_coordinates
 from .qstate import (
     Hamiltonian,
     apply_hadamard_pair,
@@ -246,21 +247,35 @@ def _wc_curve(rho0, kind, h: Hamiltonian, q_grid) -> np.ndarray:
     One permutation-invariant state on three or more qubits, under a
     Hamiltonian that dephases in spin blocks or keeps only the diagonal
     (``workx._blockwise``, checked once), has every image invariant too,
-    so the whole curve is split in the spin blocks: the terms of
-    rho(q) = sum_k x(q)^k R_k (``channels._polynomial``) are projected
-    once and weighted per strength (``workx._block_coherent``). Any other
-    input is evolved and split stack by stack
-    (``channels.apply_local_chunks``), one ``decompose`` per stack; that
-    dense route is the oracle of the block route.
+    so the whole curve is taken in class coordinates: one value per
+    class of entries, C(N+3, 3) of them. The channel expands the class
+    averages of rho0 into the terms of rho(q) = sum_k x(q)^k R_k
+    (``channels._class_polynomial``). The split reads the spin blocks,
+    traces and diagonals from those terms through fixed linear maps,
+    weighted per strength (``workx._block_coherent``). No 4^N-sized term
+    is formed, and what is cached per N is of order D^2, D = C(N+3, 3)
+    (see ``matcore``). Any other input is evolved and split stack by
+    stack (``channels.apply_local_chunks``), one ``decompose`` per stack;
+    that dense route is the oracle of the block route.
     """
     if workx._blockwise(rho0, h):
-        terms, vander = ch._polynomial(rho0, ch.canonical_kind(kind), q_grid, None)
-        return workx._block_coherent(terms[0], vander, h)
+        terms, vander = ch._class_polynomial(rho0, ch.canonical_kind(kind), q_grid)
+        return workx._block_coherent(terms, vander, h)
     shape = np.shape(rho0)[:-2] + (len(q_grid),)
     wc = np.empty(math.prod(shape))
     for part, states in ch.apply_local_chunks(rho0, kind, q_grid):
         wc[part] = workx.decompose(states, h).coherent
     return wc.reshape(shape)
+
+
+def _wc_state(rho0, h: Hamiltonian) -> float:
+    """Coherent work of one state: where ``workx._blockwise`` holds, the
+    split of ``_wc_curve`` applied to its class coordinates as one term
+    at one strength, else ``decompose``."""
+    if workx._blockwise(rho0, h):
+        coords = _class_coordinates(rho0, h.num_qubits)
+        return float(workx._block_coherent(coords[None], np.ones((1, 1)), h)[0])
+    return workx.decompose(rho0, h).coherent
 
 
 def grid_delta_wc(family: str, kind, axis_grid, q_grid=None, *, p=0.5, a=0.1, c=0.3, d=0.2) -> SweepResult:
@@ -339,18 +354,21 @@ def scaling_run(
         raise ValueError(f"scaling needs register sizes of at least 2 qubits, got {n_values[0]}")
     if not kinds:
         raise ValueError("scaling needs at least one channel kind, got an empty list")
+    if ch.DEPOLARIZING in kinds and n_values != [2]:
+        raise ValueError("depolarizing scaling is limited to two qubits")
     q_grid = q_grid_default(q_points)
     rows = {"channel": [], "N": [], "delta_wc_max": [], "argmax_q": [], "area_ap": []}
     dephasing = {}
     for n in n_values:
         coherences = [c0 + delta * i for i in range(1, n + 1)]
         rho0 = symmetrized_multipartite(a, coherences)
+        wc0 = {}  # W_C(rho0) per Hamiltonian object: kinds that share one split once
         for kind in kinds:
-            if kind == ch.DEPOLARIZING and n != 2:
-                raise ValueError("depolarizing scaling is limited to two qubits")
             h = channel_hamiltonian(kind, n, collective=True)
             dephasing[kind] = h.dephasing
-            curve = _wc_curve(rho0, kind, h, q_grid) - workx.decompose(rho0, h).coherent
+            if h not in wc0:
+                wc0[h] = _wc_state(rho0, h)
+            curve = _wc_curve(rho0, kind, h, q_grid) - wc0[h]
             summary = enhancement_summary(q_grid, curve)
             rows["channel"].append(kind)
             rows["N"].append(n)

@@ -18,11 +18,29 @@ The pieces of that validation (the trace and PSD checks, the block
 spectrum of given parts) are private helpers, so that a caller holding
 only the spin blocks of a state, as the scaling curves do, validates it
 with the same checks and messages.
+
+Such an operator is also held whole by its class coordinates. Entry
+(r, c) of an n-qubit operator falls in the class given by the counts
+(n00, n01, n10, n11) of qubits whose (row bit, column bit) is each pair
+(``_entry_classes``). A qubit permutation maps every class onto itself,
+so an invariant operator has one value per class: D = C(n+3, 3) values
+(20 at n = 3, 84 at n = 6, 165 at n = 8) in place of 4^n.
+``_class_coordinates`` reads them as the class averages of a dense
+matrix. From them, ``_class_block_parts`` reads the spin blocks through
+one real (D, D) map, and ``_class_trace`` and ``_class_diagonal`` read
+the trace and the diagonal from the n + 1 diagonal classes.
+``_class_levels`` holds the index maps with which
+``channels._class_expand`` applies a channel to every qubit in these
+coordinates. Memory: what is cached per n is of order D^2. That is the
+class lists, the block map (D^2 floats) and the level maps (25,080
+indices at n = 8, against D^2 = 27,225). The 4^n class codes of a dense
+matrix's entries are rebuilt on each call and never cached.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Iterable, NamedTuple
 
@@ -240,6 +258,163 @@ def _block_qubits(mats: np.ndarray) -> int | None:
     n = d.bit_length() - 1
     square = mats.ndim >= 2 and mats.shape[-2] == d == 2**n
     return n if square and n >= MIN_BLOCK_QUBITS and _permutation_invariant(mats, n) else None
+
+
+class EntryClasses(NamedTuple):
+    """The classes of entries (r, c) of an operator on n qubits: entries
+    whose qubits hold each (row bit, column bit) pair the same number of
+    times, so that qubit permutations map each class onto itself and a
+    permutation-invariant operator has one value per class.
+
+    ``counts`` lists (n00, n01, n10, n11) for each of the C(n+3, 3)
+    classes in lexicographic order, ``sizes`` the number of entries of
+    each, n! / (n00! n01! n10! n11!), and ``rank`` the index of the
+    class with counts (n01, n10, n11) (-1 where they exceed n)."""
+
+    counts: np.ndarray
+    sizes: np.ndarray
+    rank: np.ndarray
+
+
+@functools.cache
+def _entry_classes(n: int) -> EntryClasses:
+    """The read-only ``EntryClasses`` of n >= 0 qubits, built on first use."""
+    counts = np.array([c for c in itertools.product(range(n + 1), repeat=4) if sum(c) == n])
+    f = [math.factorial(i) for i in range(n + 1)]
+    sizes = np.array([f[n] // math.prod(f[i] for i in c) for c in counts], dtype=float)
+    rank = np.full((n + 1,) * 3, -1)
+    rank[counts[:, 1], counts[:, 2], counts[:, 3]] = np.arange(len(counts))
+    for a in (counts, sizes, rank):
+        a.flags.writeable = False
+    return EntryClasses(counts, sizes, rank)
+
+
+@functools.cache
+def _class_levels(n: int) -> tuple[tuple[np.ndarray, tuple], ...]:
+    """The read-only index maps that move the n qubits of a
+    permutation-invariant operator, one at a time, from its input classes
+    to its output classes (``channels._class_expand``).
+
+    After d qubits an entry is a pair (m, v): m a class of the d qubits
+    moved (output pair types), v one of the n - d left (input pair
+    types), flattened as m * (number of v) + v. Each output class m' of
+    d + 1 qubits takes one fixed pair type b, its first nonzero count,
+    and so one parent m' - e_b; its input pair type a came from
+    v + e_a. Level d holds the (M' V', 4) flat index of (m' - e_b,
+    v + e_a) for every m', v and a, and, per pair type b, the slice of
+    the flat (m', v) entries whose m' takes b: in lexicographic order
+    the first nonzero count never moves forward, so those are contiguous.
+    """
+    levels = []
+    for d in range(n):
+        moved, before = _entry_classes(d + 1), _entry_classes(d)
+        left, rest = _entry_classes(n - d - 1), _entry_classes(n - d)
+        kept = (moved.counts > 0).argmax(axis=1)
+        parent = before.rank.ravel()[_class_codes(moved.counts - np.eye(4, dtype=int)[kept], d)]
+        grown = rest.rank.ravel()[_class_codes(left.counts[:, None] + np.eye(4, dtype=int), n - d)]
+        index = (parent[:, None, None] * len(rest.counts) + grown[None]).reshape(-1, 4)
+        index.flags.writeable = False
+        width = len(left.counts)
+        groups = []
+        for b in range(4):
+            rows = np.flatnonzero(kept == b)
+            if len(rows):
+                assert rows[-1] - rows[0] == len(rows) - 1, "pair-type groups are contiguous"
+                groups.append((b, slice(rows[0] * width, (rows[-1] + 1) * width)))
+        levels.append((index, tuple(groups)))
+    return tuple(levels)
+
+
+def _class_codes(counts: np.ndarray, n: int) -> np.ndarray:
+    """The code n01 (n+1)^2 + n10 (n+1) + n11 of classes given by their
+    counts (..., 4); ``_entry_classes(n).rank`` read flat at a code is
+    the class index."""
+    return counts[..., 1:] @ np.array([(n + 1) ** 2, n + 1, 1])
+
+
+def _entry_codes(n: int) -> np.ndarray:
+    """The class code of every entry of a (2**n, 2**n) operator, built
+    on each call (4**n integers, so never cached): entry (r, c) has
+    n11 = |r & c|, n10 = |r| - n11 and n01 = |c| - n11, and the code is
+    linear in those, so it is an outer sum plus a multiple of n11."""
+    labels, s = np.arange(2**n), n + 1
+    weight = np.bitwise_count(labels).astype(np.intp)
+    both = np.bitwise_count(np.bitwise_and.outer(labels, labels)).astype(np.intp)
+    return (weight * s)[:, None] + weight * (s * s) + both * (1 - s - s * s)
+
+
+def _class_coordinates(mat: np.ndarray, n: int) -> np.ndarray:
+    """The class coordinates of a permutation-invariant (2**n, 2**n)
+    matrix: the average of its entries over each class of
+    ``_entry_classes(n)``, from one bincount per real part over the class
+    codes of the entries."""
+    codes, size = _entry_codes(n).ravel(), (n + 1) ** 3
+    flat = np.asarray(mat, dtype=complex).ravel()
+    sums = np.bincount(codes, flat.real, size) + 1j * np.bincount(codes, flat.imag, size)
+    classes = _entry_classes(n)
+    return sums[_class_codes(classes.counts, n)] / classes.sizes
+
+
+@functools.cache
+def _class_block_map(n: int) -> np.ndarray:
+    """The real, read-only (D, D) map, D = C(n+3, 3), from the class
+    coordinates of a permutation-invariant operator M on n qubits to its
+    spin-block entries W_J^T M W_J, each block flattened row-major and
+    the blocks side by side in the order of ``spin_blocks(n)``.
+
+    Column a of W_J lives on the basis labels of Hamming weight k + a
+    (k singlets, then a steps of J-), so a class, whose rows have weight
+    n10 + n11 and columns n01 + n11, reaches one entry (a, b) of each
+    block, with the weight sum over the class of W_J[r, a] W_J[c, b]:
+    one bincount per block."""
+    classes, codes = _entry_classes(n), _entry_codes(n).ravel()
+    weight = np.bitwise_count(np.arange(2**n)).astype(np.intp)
+    rows = classes.counts[:, 2] + classes.counts[:, 3]
+    cols = classes.counts[:, 1] + classes.counts[:, 3]
+    size = len(classes.counts)
+    class_codes = _class_codes(classes.counts, n)
+    pieces = []
+    for k, block in enumerate(spin_blocks(n)):
+        w = block.isometry
+        m = w.shape[1]
+        support = (weight - k)[:, None] == np.arange(m)
+        assert not w[~support].any(), "spin-block columns of one Hamming weight"
+        v = (w * support).sum(axis=1)
+        sums = np.bincount(codes, np.outer(v, v).ravel(), (n + 1) ** 3)[class_codes]
+        piece = np.zeros((size, m, m))
+        hit = (rows >= k) & (rows < k + m) & (cols >= k) & (cols < k + m)
+        piece[hit, rows[hit] - k, cols[hit] - k] = sums[hit]
+        pieces.append(piece.reshape(size, m * m))
+    out = np.concatenate(pieces, axis=1)
+    out.flags.writeable = False
+    return out
+
+
+def _class_block_parts(coords: np.ndarray, n: int) -> list[np.ndarray]:
+    """W_J^T M W_J of every permutation-invariant M of a (..., D) stack of
+    class coordinates, one (..., 2J+1, 2J+1) stack per block of
+    ``spin_blocks(n)``, from one product with ``_class_block_map(n)``."""
+    flat = coords @ _class_block_map(n)
+    sides = [b.isometry.shape[1] for b in spin_blocks(n)]
+    edges = np.cumsum([0] + [m * m for m in sides])
+    return [
+        flat[..., i:j].reshape(coords.shape[:-1] + (m, m))
+        for i, j, m in zip(edges[:-1], edges[1:], sides)
+    ]
+
+
+def _class_diagonal(coords: np.ndarray, n: int) -> np.ndarray:
+    """The (..., 2**n) diagonals of permutation-invariant operators from
+    their class coordinates, ordered by Hamming weight rather than by
+    label: the value of class (n - w, 0, 0, w) repeated C(n, w) times."""
+    classes = _entry_classes(n).rank[0, 0]
+    return np.repeat(coords[..., classes], _entry_classes(n).sizes[classes].astype(int), axis=-1)
+
+
+def _class_trace(coords: np.ndarray, n: int) -> np.ndarray:
+    """Traces of permutation-invariant operators from their class coordinates."""
+    classes = _entry_classes(n).rank[0, 0]
+    return coords[..., classes] @ _entry_classes(n).sizes[classes]
 
 
 def _require_trace(tr: np.ndarray) -> None:

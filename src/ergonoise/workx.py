@@ -30,13 +30,17 @@ once per ``Hamiltonian`` object. ``ergotropy`` is a separate route the
 tests compare it against.
 
 The block half of that split also serves whole noise curves without
-dense states (``_block_coherent``): for the images vander @ R_k of one
-permutation-invariant state under the same channel on every qubit,
-everything but the spectra (W_J^T rho W_J, Tr rho, Tr H rho, diag rho)
-is linear in rho, so it is projected from the K terms R_k once and
-weighted per strength, and the spectra are read from the weighted blocks
-exactly as ``decompose`` reads them. ``_blockwise`` says when that holds;
-the experiments' dense route is its oracle.
+dense states (``_block_coherent``). It takes the images vander @ R_k of
+one permutation-invariant state under the same channel on every qubit,
+with the K terms R_k in class coordinates (``matcore``: one value per
+class of entries, C(n+3, 3) of them). Everything but the spectra (the
+spin blocks W_J^T rho W_J, Tr rho and diag rho) is a fixed linear map
+of those coordinates. So it is read from the K terms once and weighted
+per strength, and the spectra are read from the weighted blocks exactly
+as ``decompose`` reads them. W_C is the dephased passive energy less the
+passive energy, so Tr H rho, which cancels, is not needed.
+``_blockwise`` says when that holds; the experiments' dense route is its
+oracle.
 
 The single-qubit closed forms read no channel kind: the Bloch vectors m
 from ``channels.bloch_map`` and one row (axis, sign, e0, g) per basis,
@@ -58,10 +62,12 @@ from .matcore import (
     SIGMA_Y,
     _block_qubits,
     _block_spectrum,
+    _class_block_parts,
+    _class_diagonal,
+    _class_trace,
     _require_hermitian,
     _require_psd,
     _require_trace,
-    _spin_block_parts,
     _spin_spectrum,
     _validated_spectra,
     as_matrix,
@@ -239,32 +245,35 @@ def _blockwise(rho, h: Hamiltonian) -> bool:
 
 def _block_coherent(terms, vander, h: Hamiltonian) -> np.ndarray:
     """Coherent work of the (Q,) stack of permutation-invariant states
-    vander @ terms, for (K, d, d) terms and (Q, K) weights, where
-    ``_blockwise`` holds.
+    vander @ terms, for (K, D) terms in class coordinates
+    (``matcore._entry_classes``) and (Q, K) weights, where ``_blockwise``
+    holds.
 
-    What the split reads linearly (the spin blocks W_J^T rho W_J, Tr rho,
-    Tr H rho and, for an identity frame, diag rho) is projected from the
-    K terms once and weighted per strength; only the block spectra are
-    per strength. Every image is validated as ``decompose`` validates a
-    state: Hermitian on its blocks, trace one from the term traces, PSD
-    from its block spectrum.
+    What the split reads linearly is a fixed linear map of the K terms,
+    taken once and weighted per strength: the spin blocks W_J^T rho W_J
+    (``matcore._class_block_parts``), Tr rho and, for an identity frame,
+    diag rho (the classes (n - w, 0, 0, w), ``matcore._class_diagonal``).
+    Only the block spectra are per strength. W_C is the dephased passive
+    energy less the passive energy, so Tr H rho, which cancels, is not
+    read. Every image is validated as ``decompose`` validates a state:
+    Hermitian on its blocks, trace one from the term traces, PSD from
+    its block spectrum.
     """
     n, count, points = h.num_qubits, len(terms), len(vander)
     parts = [
         (vander @ p.reshape(count, -1)).reshape((points,) + p.shape[1:])
-        for p in _spin_block_parts(terms, n)
+        for p in _class_block_parts(terms, n)
     ]
     for p in parts:
         _require_hermitian(p)
-    _require_trace((vander @ np.trace(terms, axis1=1, axis2=2)).real)
+    _require_trace((vander @ _class_trace(terms, n)).real)
     lam = _block_spectrum(parts, n)
     _require_psd(lam)
     if h.spin_frames is not None:
         lam_deph = _spin_dephased(parts, h)
     else:
-        lam_deph = np.sort((vander @ np.diagonal(terms, axis1=1, axis2=2)).real, axis=-1)
-    energy = (vander @ np.einsum("ij,kji->k", h.matrix, terms)).real
-    return _split(energy, lam, lam_deph, h.levels)[2]
+        lam_deph = np.sort((vander @ _class_diagonal(terms, n)).real, axis=-1)
+    return (lam_deph - lam)[:, ::-1] @ h.levels
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
+import math
 from dataclasses import is_dataclass
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ergonoise import channels
+from ergonoise import channels, matcore
 from ergonoise.channels import (
     AMPLITUDE_DAMPING,
     BIT_FLIP,
@@ -32,6 +33,7 @@ from ergonoise.qstate import (
     entangled_theta,
     hamiltonian,
     make_bds,
+    symmetrized_multipartite,
 )
 from ergonoise.workx import closed_form, coherence_degenerate, concurrence, decompose
 
@@ -481,6 +483,44 @@ def test_polynomial_path_matches_the_per_q_kraus_oracle(data, kind, n, seed):
     assert np.abs(got - want).max() <= 1e-12
     grid = apply_local(rhos[0], kind, qs, targets)
     assert np.abs(grid - want[:points]).max() <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(3, 8),
+    kind=st.sampled_from(["bf", "bpf", "pf", "dc", "ad", "pd"]),
+    a=st.floats(0.05, 0.95),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+    phases=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=8, max_size=8),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(n=8, kind="ad", a=0.2, fractions=[0.1 * (i % 7 + 1) for i in range(8)], phases=[0.8 * i for i in range(8)], seed=1)
+@example(n=8, kind="bpf", a=0.7, fractions=[1.0] * 8, phases=[0.4 * i for i in range(8)], seed=2)
+def test_class_terms_match_the_dense_expansion(n, kind, a, fractions, phases, seed):
+    # the terms expanded in class coordinates give the spin blocks, traces,
+    # energies and identity-frame diagonals of the dense terms
+    radius = np.sqrt(a * (1.0 - a))
+    coherences = [radius * f * np.exp(1j * p) for f, p in zip(fractions[:n], phases[:n])]
+    rho0 = symmetrized_multipartite(a, coherences)
+    kind = channels.canonical_kind(kind)
+    d = 2**n
+    dense = channels._expand(rho0[None], kind, tuple((t,) for t in range(n)), n)[0].reshape(-1, d, d)
+    terms, vander = channels._class_polynomial(rho0, kind, np.linspace(0.0, 1.0, 3))
+    assert terms.shape == (len(dense), math.comb(n + 3, 3)) and vander.shape == (3, len(dense))
+    for got, want in zip(matcore._class_block_parts(terms, n), matcore._spin_block_parts(dense, n)):
+        assert np.abs(got - want).max() <= 1e-12
+    assert np.abs(matcore._class_trace(terms, n) - np.trace(dense, axis1=1, axis2=2)).max() <= 1e-12
+    # any H, invariant or not, pairs with invariant terms through its class
+    # sums; a random H of unit norm, so that the energies, like those of the
+    # experiments' Hamiltonians, are not scaled up by the dimension
+    h = np.random.default_rng(seed).normal(size=(d, d))
+    h = h + h.T
+    h /= np.abs(h).sum(axis=1).max()
+    energy = terms @ (matcore._class_coordinates(h.T, n) * matcore._entry_classes(n).sizes)
+    assert np.abs(energy - np.einsum("ij,kji->k", h, dense)).max() <= 1e-12
+    by_weight = np.argsort(np.bitwise_count(np.arange(d)), kind="stable")
+    diagonal = np.diagonal(dense, axis1=1, axis2=2)[:, by_weight]
+    assert np.abs(matcore._class_diagonal(terms, n) - diagonal).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind", KINDS)

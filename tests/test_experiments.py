@@ -201,6 +201,33 @@ def test_scaling_rejects_register_sizes_below_two_before_any_work(monkeypatch, n
         ex.scaling_run(kinds=("pf",), n_values=n_values, q_points=5)
 
 
+def test_scaling_rejects_depolarizing_past_two_qubits_before_any_curve(monkeypatch):
+    curves = []
+    monkeypatch.setattr(ex, "_wc_curve", lambda *args: curves.append(args))
+    with pytest.raises(ValueError, match="depolarizing scaling is limited to two qubits"):
+        ex.scaling_run(kinds=("bf", "dc"), n_values=(2, 3))
+    assert not curves
+
+
+def test_scaling_splits_rho0_once_per_hamiltonian(monkeypatch):
+    # bit flip and amplitude damping share one excitation Hamiltonian per N
+    splits = []
+    split = ex._wc_state
+
+    def counting(rho0, h):
+        splits.append((num_qubits(rho0), h))
+        return split(rho0, h)
+
+    monkeypatch.setattr(ex, "_wc_state", counting)
+    ex.scaling_run(kinds=("bf", "pf", "ad"), n_values=(2, 3, 4), q_points=5)
+    assert [n for n, _ in splits] == [2, 2, 3, 3, 4, 4]
+    for n in (2, 3, 4):
+        assert [h for m, h in splits if m == n] == [
+            ex.channel_hamiltonian("bf", n, collective=True),
+            ex.channel_hamiltonian("pf", n, collective=True),
+        ]
+
+
 def test_scaling_sidecar_names_each_curves_dephasing():
     res = ex.scaling_run(kinds=("dc", "pf"), n_values=(2,), q_points=5)
     assert res.metadata["dephasing"] == {"depolarizing": "collective", "phase_flip": "collective"}
@@ -731,6 +758,17 @@ def test_warm_scaling_run_solves_only_spin_blocks(monkeypatch):
     monkeypatch.setattr(ch, "_local_chunks", no_chunks)
     ex.scaling_run(n_values=(6,), q_points=21)
     assert sizes and max(sizes) <= 7
+
+
+def test_warm_scaling_run_forms_no_dense_term(monkeypatch):
+    ex.scaling_run(n_values=(6,), q_points=21)  # builds and caches the Hamiltonians and maps
+
+    def dense(*args):
+        raise AssertionError("took a dense step")
+
+    monkeypatch.setattr(ch, "_expand", dense)
+    monkeypatch.setattr(workx, "decompose", dense)
+    ex.scaling_run(n_values=(6,), q_points=21)
 
 
 def test_block_route_rejects_non_states_as_the_dense_route_does():

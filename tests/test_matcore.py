@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,3 +250,31 @@ def test_a_permutation_invariant_matrix_that_is_not_psd_is_rejected_from_its_blo
         matcore.state_spectra(rho)
     with pytest.raises(ValueError, match="state trace is 2.0"):
         matcore.state_spectra(2.0 * state)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_entry_classes_hold_every_invariant_operator(n):
+    # D = C(n+3, 3) classes cover the 4^n entries, one value each for an
+    # invariant operator, and the spin blocks hold exactly D entries
+    classes = matcore._entry_classes(n)
+    assert len(classes.counts) == math.comb(n + 3, 3)
+    assert (classes.counts.sum(axis=1) == n).all() and classes.sizes.sum() == 4**n
+    codes = matcore._entry_codes(n)
+    per_code = np.bincount(codes.ravel(), minlength=(n + 1) ** 3)
+    assert np.array_equal(per_code[matcore._class_codes(classes.counts, n)], classes.sizes)
+    if n:
+        rho = symmetrized_multipartite(0.3, [0.2 * np.exp(0.7j * i) for i in range(n)])
+        coords = matcore._class_coordinates(rho, n)
+        assert np.abs(coords[classes.rank.ravel()[codes]] - rho).max() <= 1e-15
+        assert matcore._class_block_map(n).shape == (len(coords),) * 2
+
+
+def test_class_levels_are_cached_read_only_index_maps():
+    levels = matcore._class_levels(5)
+    assert levels is matcore._class_levels(5) and len(levels) == 5
+    for index, groups in levels:
+        with pytest.raises(ValueError, match="read-only"):
+            index[0, 0] = 0
+        # the rows of each output pair type are one slice, and the slices tile the rows
+        rows = np.concatenate([np.arange(len(index))[part] for _, part in groups])
+        assert np.array_equal(np.sort(rows), np.arange(len(index)))
