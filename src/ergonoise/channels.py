@@ -23,10 +23,11 @@ or of each state of a (S, d, d) stack, one target group at a time
 with every C_e applied in one batched matmul, and evaluates any q grid
 from them as a Vandermonde product, yielding the S x Q (state, q) pairs
 state-major in stacks of at most STACK_BUDGET_BYTES; ``apply_local``
-joins its stacks for one state. For one permutation-invariant state
-under the same single-qubit kind on every qubit, ``_class_polynomial``
-hands the same terms, in class coordinates (``matcore``: one value per
-class of entries, C(n+3, 3) of them), and the Vandermonde weights to
+joins its stacks for one state. For one permutation-invariant state,
+given by its class coordinates (``matcore``: one value per class of
+entries, C(n+3, 3) of them), under the same single-qubit kind on every
+qubit, ``_class_polynomial`` hands the same terms, in class
+coordinates, and the Vandermonde weights to
 callers that evaluate something linear in the images without forming
 them. ``_class_expand`` moves one qubit at a time from the input
 classes to the output classes with the same C_e, so no 4^n-sized term
@@ -60,7 +61,6 @@ from .matcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    _class_coordinates,
     _class_levels,
     as_matrix,
     num_qubits,
@@ -366,16 +366,17 @@ def _class_expand(coords: np.ndarray, kind: str, n: int) -> np.ndarray:
     return poly.T
 
 
-def _class_polynomial(rho, kind: str, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The images of one permutation-invariant state under a canonical
-    kind on every qubit, at every strength of a checked grid, as the
-    (K, D) class coordinates of the terms R_k of rho(x) = sum_k x^k R_k
-    (``_class_expand`` of the class averages of rho,
-    ``matcore._class_coordinates``) and the (Q, K) weights x(q)^k. The
-    checks of the dense route (``_checked``) run first, so the
-    correlated flip is rejected with the same message."""
-    rhos, n, _ = _checked(rho, kind, None)
-    terms = _class_expand(_class_coordinates(rhos[0], n), kind, n)
+def _class_polynomial(coords, kind: str, n: int, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The images of one permutation-invariant state on n qubits, given by
+    its class coordinates, under a canonical single-qubit kind on every
+    qubit, at every strength of a checked grid: the (K, D) class
+    coordinates of the terms R_k of rho(x) = sum_k x^k R_k
+    (``_class_expand``) and the (Q, K) weights x(q)^k. The correlated
+    flip is rejected with the message of the dense route (``_checked``),
+    which it fails on more than two qubits."""
+    if kind == CORRELATED_BIT_FLIP:
+        raise ValueError("correlated bit flip acts on exactly one qubit pair")
+    terms = _class_expand(coords, kind, n)
     return terms, _vandermonde(kind, qs, len(terms))
 
 

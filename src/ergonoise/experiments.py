@@ -19,9 +19,11 @@ import numpy as np
 
 from . import channels as ch
 from . import workx
-from .matcore import _class_coordinates
+from .matcore import MIN_BLOCK_QUBITS, _class_coordinates
 from .qstate import (
+    MAX_SYMMETRIZED_QUBITS,
     Hamiltonian,
+    _symmetrized_classes,
     apply_hadamard_pair,
     bds_eigenvalues,
     bloch_to_density,
@@ -240,26 +242,52 @@ def sweep_bds(c, kind, q_grid=None, both_qubits: bool = True) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
+def _block_coordinates(rho0, h: Hamiltonian) -> np.ndarray | None:
+    """The class coordinates in which the block route takes rho0, or None
+    where the dense route takes it.
+
+    A dense rho0 (a state or a stack) takes the block route where
+    ``workx._blockwise`` holds, from its class averages. A 1-D rho0 is
+    already the (D,) class coordinates of one permutation-invariant
+    state, as ``scaling_run`` builds it: invariant by construction, so
+    only the Hamiltonian half of that condition is checked
+    (``workx._block_dephasing``), and a Hamiltonian that fails it is
+    rejected.
+    """
+    if np.ndim(rho0) != 1:
+        return _class_coordinates(rho0, h.num_qubits) if workx._blockwise(rho0, h) else None
+    if not workx._block_dephasing(h):
+        raise ValueError(
+            f"class coordinates need a Hamiltonian that dephases in spin blocks or keeps "
+            f"only the diagonal, got {h.kind} with {h.dephasing} dephasing"
+        )
+    return rho0
+
+
 def _wc_curve(rho0, kind, h: Hamiltonian, q_grid) -> np.ndarray:
     """Coherent work W_C(rho(q)) along the q grid: a (Q,) curve for one
     state, a (S, Q) array for a (S, d, d) stack.
 
     One permutation-invariant state on three or more qubits, under a
-    Hamiltonian that dephases in spin blocks or keeps only the diagonal
-    (``workx._blockwise``, checked once), has every image invariant too,
-    so the whole curve is taken in class coordinates: one value per
-    class of entries, C(N+3, 3) of them. The channel expands the class
-    averages of rho0 into the terms of rho(q) = sum_k x(q)^k R_k
-    (``channels._class_polynomial``). The split reads the spin blocks,
-    traces and diagonals from those terms through fixed linear maps,
-    weighted per strength (``workx._block_coherent``). No 4^N-sized term
-    is formed, and what is cached per N is of order D^2, D = C(N+3, 3)
+    Hamiltonian that dephases in spin blocks or keeps only the diagonal,
+    has every image invariant too, so the whole curve is taken in class
+    coordinates: one value per class of entries, C(N+3, 3) of them
+    (``_block_coordinates``: the class coordinates themselves, or the
+    class averages of a dense state for which ``workx._blockwise``
+    holds). The channel expands them into the terms of
+    rho(q) = sum_k x(q)^k R_k (``channels._class_polynomial``). The
+    split reads the spin blocks, traces and diagonals from those terms
+    through fixed linear maps, weighted per strength
+    (``workx._block_coherent``). Per call this builds the (K, D) terms,
+    the (Q, sum_J (2J+1)^2) blocks and the (Q, 2^N) block spectra; no
+    4^N-sized term is formed, and what is cached per N is of order D^2
     (see ``matcore``). Any other input is evolved and split stack by
     stack (``channels.apply_local_chunks``), one ``decompose`` per stack;
     that dense route is the oracle of the block route.
     """
-    if workx._blockwise(rho0, h):
-        terms, vander = ch._class_polynomial(rho0, ch.canonical_kind(kind), q_grid)
+    coords = _block_coordinates(rho0, h)
+    if coords is not None:
+        terms, vander = ch._class_polynomial(coords, ch.canonical_kind(kind), h.num_qubits, q_grid)
         return workx._block_coherent(terms, vander, h)
     shape = np.shape(rho0)[:-2] + (len(q_grid),)
     wc = np.empty(math.prod(shape))
@@ -269,11 +297,12 @@ def _wc_curve(rho0, kind, h: Hamiltonian, q_grid) -> np.ndarray:
 
 
 def _wc_state(rho0, h: Hamiltonian) -> float:
-    """Coherent work of one state: where ``workx._blockwise`` holds, the
-    split of ``_wc_curve`` applied to its class coordinates as one term
-    at one strength, else ``decompose``."""
-    if workx._blockwise(rho0, h):
-        coords = _class_coordinates(rho0, h.num_qubits)
+    """Coherent work of one state, given dense or by its class
+    coordinates: on the block route (``_block_coordinates``) the split of
+    ``_wc_curve`` applied to its class coordinates as one term at one
+    strength, else ``decompose``."""
+    coords = _block_coordinates(rho0, h)
+    if coords is not None:
         return float(workx._block_coherent(coords[None], np.ones((1, 1)), h)[0])
     return workx.decompose(rho0, h).coherent
 
@@ -343,7 +372,22 @@ def scaling_run(
     Local coherences follow c_i = c0 + i*delta for qubits i = 1..N; the
     channel acts on every qubit; each channel keeps its own energy choice
     (phase flip gets the collective x field). Every register size must be
-    at least 2, so that every row is in the same energy units.
+    at least 2, so that every row is in the same energy units, and at
+    most MAX_SYMMETRIZED_QUBITS; depolarizing runs on two qubits only and
+    the correlated flip on no more than two. These are checked before
+    any curve.
+
+    Per register size, rho0 is built once. From three qubits on it is
+    built as its D = C(N+3, 3) class coordinates alone
+    (``qstate._symmetrized_classes``, O(D)), and every curve and
+    W_C(rho0), one split per Hamiltonian, are taken from them on the
+    block route of ``_wc_curve``: no 2^N- or 4^N-sized array of the state
+    is formed. Memory per curve is then the (K, D) terms, K <= 2N + 1,
+    and the (Q, sum_J (2J+1)^2) blocks and (Q, 2^N) block spectra of Q
+    strengths, beside the maps of order D^2 cached per N (``matcore``)
+    and the dense 2^N x 2^N Hamiltonians built once per process
+    (``channel_hamiltonian``). N = 2 builds the dense rho0 and takes the
+    dense route.
     """
     kinds = [ch.canonical_kind(k) for k in kinds]
     n_values = sorted(set(int(n) for n in n_values))
@@ -352,16 +396,24 @@ def scaling_run(
     if n_values[0] < 2:
         # the one-qubit x field is sigma_x (gap 2), against (1/2) sum sigma_x from N = 2 on
         raise ValueError(f"scaling needs register sizes of at least 2 qubits, got {n_values[0]}")
+    if n_values[-1] > MAX_SYMMETRIZED_QUBITS:
+        too_large = min(n for n in n_values if n > MAX_SYMMETRIZED_QUBITS)
+        raise ValueError(f"qubit count {too_large} exceeds cap {MAX_SYMMETRIZED_QUBITS}")
     if not kinds:
         raise ValueError("scaling needs at least one channel kind, got an empty list")
     if ch.DEPOLARIZING in kinds and n_values != [2]:
         raise ValueError("depolarizing scaling is limited to two qubits")
+    if ch.CORRELATED_BIT_FLIP in kinds and n_values[-1] > 2:
+        raise ValueError("correlated bit flip acts on exactly one qubit pair")
     q_grid = q_grid_default(q_points)
     rows = {"channel": [], "N": [], "delta_wc_max": [], "argmax_q": [], "area_ap": []}
     dephasing = {}
     for n in n_values:
         coherences = [c0 + delta * i for i in range(1, n + 1)]
-        rho0 = symmetrized_multipartite(a, coherences)
+        if n < MIN_BLOCK_QUBITS:
+            rho0 = symmetrized_multipartite(a, coherences)
+        else:
+            rho0 = _symmetrized_classes(a, coherences)
         wc0 = {}  # W_C(rho0) per Hamiltonian object: kinds that share one split once
         for kind in kinds:
             h = channel_hamiltonian(kind, n, collective=True)

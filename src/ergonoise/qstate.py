@@ -4,8 +4,8 @@ Single qubits are handled both as Bloch vectors and as 2x2 matrices of
 the form [[x, y], [conj(y), 1-x]]; two-qubit families cover Bell-diagonal
 states, classical-quantum states, and symmetrized mixtures of locally
 coherent qubits, extended up to eight qubits. The symmetrized mixture is
-built from its placement sums, one qubit at a time, in place of the N!
-permutation average it equals.
+built from its placement sums, one value per class of entries, in place
+of the N! permutation average it equals.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .matcore import (
     PAULIS,
     SIGMA_X,
     SIGMA_Z,
+    _entry_classes,
+    _entry_codes,
     _permutation_invariant,
     _spin_block_parts,
     as_matrix,
@@ -33,7 +35,7 @@ from .matcore import (
 
 BLOCH_TOL = 1e-12
 PSD_TOL = 1e-12
-# the multipartite pipeline downstream is dense in 4^N entries per state
+# the Hamiltonians and spin-block maps downstream are dense in 2^N x 2^N entries
 MAX_SYMMETRIZED_QUBITS = 8
 DEGENERACY_TOL = 1e-9  # relative to the largest |energy level|
 # incommensurate weight mixing J^2 into the level structure so that
@@ -163,29 +165,20 @@ def symmetric_pair(p: float, a: float, c: complex, d: complex) -> np.ndarray:
     return p * kron(rc, rd) + (1.0 - p) * kron(rd, rc)
 
 
-# The entry of a one-qubit factor that holds sigma+ (row bit 0, column
-# bit 1) and the one that holds sigma-; A = diag(a, 1 - a) fills the rest.
-_RAISED = np.array([[0, 1], [0, 0]])
-_LOWERED = _RAISED.T
+def _symmetrized_classes(a: float, coherences) -> np.ndarray:
+    """The class coordinates of ``symmetrized_multipartite(a, coherences)``:
+    one value per class (n00, n01, n10, n11) of ``matcore._entry_classes(n)``,
+    C(n+3, 3) of them, in O(C(n+3, 3)) with no 2^n-sized array.
 
-
-def _add_qubit(counts: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """Per-entry counts of a register grown by one qubit (a kron sum)."""
-    d = len(counts)
-    return (counts[:, None, :, None] + local[None, :, None, :]).reshape(2 * d, 2 * d)
-
-
-def symmetrized_multipartite(a: float, coherences) -> np.ndarray:
-    """Equal-weight mixture of all N! orderings of local states rho(a, c_i).
-
-    With rho(a, c_i) = A + c_i sigma+ + conj(c_i) sigma-, the average is
-    sum_{k,l} E_kl(c) / M(k, l) T_kl: E_kl is the x^k y^l coefficient of
-    prod_i (1 + x c_i + y conj(c_i)), M(k, l) = N! / (k! l! (N-k-l)!),
-    and T_kl sums the products with sigma+ on k qubits, sigma- on l
-    others and A on the rest. Each matrix entry belongs to exactly one
-    such placement, so T_kl is never formed: the counts (k, l) and the A
-    factor of every entry are built one qubit at a time, and the state is
-    the A factor times the weight of its placement.
+    With rho(a, c_i) = A + c_i sigma+ + conj(c_i) sigma-, A = diag(a, 1 - a),
+    the average over all N! orderings is sum_{k,l} w[k, l] T_kl: T_kl sums
+    the products with sigma+ on k qubits, sigma- on l others and A on the
+    rest, and w[k, l] = E_kl(c) / M(k, l), where E_kl is the x^k y^l
+    coefficient of prod_i (1 + x c_i + y conj(c_i)) and
+    M(k, l) = N! / (k! l! (N-k-l)!). An entry whose qubits hold the
+    (row bit, column bit) pairs 01 n01 times (sigma+), 10 n10 times
+    (sigma-), 00 n00 and 11 n11 times belongs to T_kl at (n01, n10)
+    alone, so its value is a^n00 (1 - a)^n11 w[n01, n10].
     """
     coherences = list(coherences)
     n = len(coherences)
@@ -206,11 +199,22 @@ def symmetrized_multipartite(a: float, coherences) -> np.ndarray:
     for k in range(n + 1):
         for l in range(n + 1 - k):
             weight[k, l] *= f[k] * f[l] * f[n - k - l] / f[n]
-    raised = lowered = np.zeros((1, 1), dtype=int)
-    for _ in range(n):
-        raised, lowered = _add_qubit(raised, _RAISED), _add_qubit(lowered, _LOWERED)
-    a_factor = kron(*[np.where(np.eye(2, dtype=bool), locals_[0], 1.0)] * n)
-    return a_factor * weight[raised, lowered]
+    n00, n01, n10, n11 = _entry_classes(n).counts.T
+    a = float(a)
+    return a**n00 * (1.0 - a) ** n11 * weight[n01, n10]
+
+
+def symmetrized_multipartite(a: float, coherences) -> np.ndarray:
+    """Equal-weight mixture of all N! orderings of local states rho(a, c_i).
+
+    One construction serves two views of the state: its class coordinates
+    (``_symmetrized_classes``), which the scaling curves read from three
+    qubits on, and this dense (2^N, 2^N) matrix, which gathers them at
+    the class of every entry (``matcore._entry_codes``).
+    """
+    coherences = list(coherences)
+    coords, n = _symmetrized_classes(a, coherences), len(coherences)
+    return coords[_entry_classes(n).rank.ravel()[_entry_codes(n)]]
 
 
 def _separable_draws(rng: np.random.Generator, num_terms: int):

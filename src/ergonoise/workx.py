@@ -39,8 +39,9 @@ of those coordinates. So it is read from the K terms once and weighted
 per strength, and the spectra are read from the weighted blocks exactly
 as ``decompose`` reads them. W_C is the dephased passive energy less the
 passive energy, so Tr H rho, which cancels, is not needed.
-``_blockwise`` says when that holds; the experiments' dense route is its
-oracle.
+``_blockwise`` says when that holds for a dense state, and
+``_block_dephasing`` says which Hamiltonians allow it for a state given
+by its class coordinates; the experiments' dense route is its oracle.
 
 The single-qubit closed forms read no channel kind: the Bloch vectors m
 from ``channels.bloch_map`` and one row (axis, sign, e0, g) per basis,
@@ -230,24 +231,33 @@ def decompose(rho, h) -> ErgotropyReport:
     return report[0] if single else report
 
 
+def _block_dephasing(h: Hamiltonian) -> bool:
+    """Whether h dephases permutation-invariant states blockwise: in spin
+    blocks (``spin_frames``, read first, so that a collective h never
+    builds its dense ``frame``) or keeping only the diagonal of the
+    computational basis."""
+    if h.spin_frames is not None:
+        return True
+    same_level = h.frame[1]
+    return h.identity_frame and same_level.sum() == len(same_level)
+
+
 def _blockwise(rho, h: Hamiltonian) -> bool:
     """Whether the images rho(q) of one state under the same single-qubit
     channel on every qubit can be split in spin blocks: rho is one state
     on n >= 3 qubits that no qubit permutation changes (so is every image)
-    and h dephases blockwise (``spin_frames``) or keeps only the
-    diagonal of the computational basis."""
+    and h dephases blockwise (``_block_dephasing``)."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != h.matrix.shape or _block_qubits(rho) is None:
         return False
-    same_level = h.frame[1]
-    return h.spin_frames is not None or (h.identity_frame and same_level.sum() == len(same_level))
+    return _block_dephasing(h)
 
 
 def _block_coherent(terms, vander, h: Hamiltonian) -> np.ndarray:
     """Coherent work of the (Q,) stack of permutation-invariant states
     vander @ terms, for (K, D) terms in class coordinates
-    (``matcore._entry_classes``) and (Q, K) weights, where ``_blockwise``
-    holds.
+    (``matcore._entry_classes``) and (Q, K) weights, where h dephases
+    blockwise (``_block_dephasing``).
 
     What the split reads linearly is a fixed linear map of the K terms,
     taken once and weighted per strength: the spin blocks W_J^T rho W_J

@@ -505,7 +505,8 @@ def test_class_terms_match_the_dense_expansion(n, kind, a, fractions, phases, se
     kind = channels.canonical_kind(kind)
     d = 2**n
     dense = channels._expand(rho0[None], kind, tuple((t,) for t in range(n)), n)[0].reshape(-1, d, d)
-    terms, vander = channels._class_polynomial(rho0, kind, np.linspace(0.0, 1.0, 3))
+    coords = matcore._class_coordinates(rho0, n)
+    terms, vander = channels._class_polynomial(coords, kind, n, np.linspace(0.0, 1.0, 3))
     assert terms.shape == (len(dense), math.comb(n + 3, 3)) and vander.shape == (3, len(dense))
     for got, want in zip(matcore._class_block_parts(terms, n), matcore._spin_block_parts(dense, n)):
         assert np.abs(got - want).max() <= 1e-12

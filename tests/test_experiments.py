@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ergonoise import channels as ch
 from ergonoise import experiments as ex
-from ergonoise import qstate, workx
+from ergonoise import matcore, qstate, workx
 from ergonoise.channels import KINDS, apply_local, kraus_set
 from ergonoise.io import read_csv, write_csv
 from ergonoise.matcore import IDENTITY_2, herm_eig, kron, num_qubits
@@ -197,8 +197,35 @@ def test_scaling_rejects_register_sizes_below_two_before_any_work(monkeypatch, n
         raise AssertionError("built a register")
 
     monkeypatch.setattr(ex, "symmetrized_multipartite", no_work)
+    monkeypatch.setattr(ex, "_symmetrized_classes", no_work)
     with pytest.raises(ValueError, match=f"at least 2 qubits, got {min(n_values)}"):
         ex.scaling_run(kinds=("pf",), n_values=n_values, q_points=5)
+
+
+@pytest.mark.parametrize(
+    "kinds, n_values, message",
+    [
+        (("bf",), range(2, 10), "qubit count 9 exceeds cap 8"),
+        (("pf", "ad"), (3, 12, 10), "qubit count 10 exceeds cap 8"),
+        (("bf", "cbf"), range(2, 5), "correlated bit flip acts on exactly one qubit pair"),
+        (("cbf",), (3,), "correlated bit flip acts on exactly one qubit pair"),
+    ],
+)
+def test_scaling_rejects_oversized_registers_and_correlated_flips_before_any_work(
+    monkeypatch, kinds, n_values, message
+):
+    def no_work(*args):
+        raise AssertionError("started the work")
+
+    for name in ("symmetrized_multipartite", "_symmetrized_classes", "_wc_state", "_wc_curve"):
+        monkeypatch.setattr(ex, name, no_work)
+    with pytest.raises(ValueError, match=message):
+        ex.scaling_run(kinds=kinds, n_values=n_values, q_points=5)
+
+
+def test_scaling_takes_the_correlated_flip_on_two_qubits():
+    res = ex.scaling_run(kinds=("cbf",), n_values=(2,), q_points=5)
+    assert list(res.columns["channel"]) == ["correlated_bit_flip"]
 
 
 def test_scaling_rejects_depolarizing_past_two_qubits_before_any_curve(monkeypatch):
@@ -215,7 +242,7 @@ def test_scaling_splits_rho0_once_per_hamiltonian(monkeypatch):
     split = ex._wc_state
 
     def counting(rho0, h):
-        splits.append((num_qubits(rho0), h))
+        splits.append((h.num_qubits, h))
         return split(rho0, h)
 
     monkeypatch.setattr(ex, "_wc_state", counting)
@@ -234,19 +261,27 @@ def test_scaling_sidecar_names_each_curves_dephasing():
 
 
 def test_channel_hamiltonians_are_built_once_per_process(monkeypatch):
-    # scaling takes its collective phase-flip Hamiltonian, and so its frame,
-    # from the cache: one eigendecomposition for two runs
-    calls = []
+    # scaling takes its collective phase-flip Hamiltonian, and so its spin-block
+    # frames, from the cache: one eigh per spin block for two runs, and never
+    # the dense frame of H + sqrt2 J^2
+    frames, blocks = [], []
+    eigh = np.linalg.eigh
 
-    def counting(m, *args):
-        calls.append(len(m))
+    def counting_frame(m, *args):
+        frames.append(len(m))
         return herm_eig(m, *args)
 
-    monkeypatch.setattr(qstate, "herm_eig", counting)
+    def counting_block(m, *args, **kwargs):
+        blocks.append(len(m))
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(qstate, "herm_eig", counting_frame)
+    monkeypatch.setattr(np.linalg, "eigh", counting_block)
     ex._shared_hamiltonian.cache_clear()
-    for _ in range(2):
-        ex.scaling_run(kinds=("pf",), n_values=(3,), q_points=5)
-    assert calls == [8]
+    ex.scaling_run(kinds=("pf",), n_values=(3,), q_points=5)
+    assert blocks == [4, 2]  # J = 3/2 and J = 1/2
+    ex.scaling_run(kinds=("pf",), n_values=(3,), q_points=5)
+    assert blocks == [4, 2] and frames == []
     h = ex.channel_hamiltonian("pf", 3, collective=True)
     assert h is ex.channel_hamiltonian("pf", 3, collective=True)
     assert h.dephasing == "collective" and ex.channel_hamiltonian("pf", 3).dephasing == "product_basis"
@@ -708,6 +743,39 @@ def test_block_curve_matches_the_per_q_dense_oracle(n, kind, which, q_points, q_
     assert q_grid[i] == q_grid[j] or oracle[j] - oracle[i] <= 2e-12
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(3, 7),
+    kind=st.sampled_from(["bf", "bpf", "pf", "dc", "ad", "pd"]),
+    which=st.integers(0, 2),
+    a=st.floats(0.05, 0.95),
+    phases=st.lists(st.floats(0.0, 2 * np.pi), min_size=7, max_size=7),
+)
+@example(n=8, kind="ad", which=1, a=0.3, phases=[0.9 * i for i in range(8)])
+def test_class_coordinate_input_matches_the_dense_oracle(n, kind, which, a, phases):
+    # scaling's rho0 from three qubits on: its class coordinates, never dense
+    coherences = np.sqrt(a * (1.0 - a)) * np.linspace(0.2, 0.8, n) * np.exp(1j * np.array(phases[:n]))
+    coords = qstate._symmetrized_classes(a, coherences)
+    rho0 = symmetrized_multipartite(a, coherences)
+    h = invariant_hamiltonians(n)[which]
+    q_grid = ex.q_grid_default(21)
+    assert abs(ex._wc_state(coords, h) - decompose(rho0, h).coherent) <= 1e-12
+    assert np.abs(ex._wc_curve(coords, kind, h, q_grid) - dense_curve(rho0, kind, h, q_grid)).max() <= 1e-12
+
+
+def test_class_coordinate_input_needs_a_blockwise_hamiltonian():
+    n = 4
+    coords = qstate._symmetrized_classes(0.2, [0.1 + 0.02 * i for i in range(1, n + 1)])
+    h = hamiltonian("x_sum", n)  # dephased in its product basis, not in spin blocks
+    message = "class coordinates need a Hamiltonian .* got x_sum with product_basis dephasing"
+    with pytest.raises(ValueError, match=message):
+        ex._wc_state(coords, h)
+    with pytest.raises(ValueError, match=message):
+        ex._wc_curve(coords, "pf", h, ex.q_grid_default(5))
+    with pytest.raises(ValueError, match="correlated bit flip acts on exactly one qubit pair"):
+        ex._wc_curve(coords, "cbf", hamiltonian("excitation", n), ex.q_grid_default(5))
+
+
 def test_curves_off_the_block_route_take_the_dense_route(monkeypatch):
     entered = []
     dense_chunks = ch._local_chunks
@@ -761,14 +829,22 @@ def test_warm_scaling_run_solves_only_spin_blocks(monkeypatch):
 
 
 def test_warm_scaling_run_forms_no_dense_term(monkeypatch):
-    ex.scaling_run(n_values=(6,), q_points=21)  # builds and caches the Hamiltonians and maps
+    n_values = range(3, 7)
+    ex.scaling_run(n_values=n_values, q_points=21)  # builds and caches the Hamiltonians and maps
 
     def dense(*args):
         raise AssertionError("took a dense step")
 
     monkeypatch.setattr(ch, "_expand", dense)
     monkeypatch.setattr(workx, "decompose", dense)
-    ex.scaling_run(n_values=(6,), q_points=21)
+    # no dense rho0, no invariance guard and no class averaging, wherever bound
+    monkeypatch.setattr(ex, "symmetrized_multipartite", dense)
+    monkeypatch.setattr(qstate, "symmetrized_multipartite", dense)
+    for module in (matcore, qstate, ch, workx, ex):
+        for name in ("_permutation_invariant", "_class_coordinates"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, dense)
+    ex.scaling_run(n_values=n_values, q_points=21)
 
 
 def test_block_route_rejects_non_states_as_the_dense_route_does():

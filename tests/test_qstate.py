@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 from itertools import permutations
@@ -8,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergonoise import qstate
-from ergonoise.matcore import IDENTITY_2, KET_E, KET_G, PAULIS, kron, require_density
+from ergonoise.matcore import (
+    IDENTITY_2,
+    KET_E,
+    KET_G,
+    PAULIS,
+    _class_coordinates,
+    kron,
+    require_density,
+)
 from ergonoise.qstate import (
     apply_hadamard_pair,
     bds_is_separable,
@@ -127,6 +136,22 @@ def test_symmetrized_multipartite_matches_permutation_average(n, a, radii, phase
     ]
     rho = symmetrized_multipartite(a, coherences)
     assert np.abs(rho - permutation_average(a, coherences)).max() <= 1e-13
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    a=st.floats(0.0, 1.0),
+    radii=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+    phases=st.lists(st.floats(0.0, 2 * np.pi), min_size=8, max_size=8),
+)
+def test_symmetrized_classes_are_the_class_averages_of_the_dense_state(n, a, radii, phases):
+    bound = np.sqrt(a * (1.0 - a))
+    coherences = [r * bound * np.exp(1j * p) for r, p in zip(radii[:n], phases[:n])]
+    coords = qstate._symmetrized_classes(a, coherences)
+    assert coords.shape == (math.comb(n + 3, 3),)
+    dense = symmetrized_multipartite(a, coherences)
+    assert np.abs(coords - _class_coordinates(dense, n)).max() <= 1e-15
 
 
 def test_symmetrized_multipartite_swap_invariance():
