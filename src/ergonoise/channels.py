@@ -62,6 +62,7 @@ from .matcore import (
     SIGMA_Y,
     SIGMA_Z,
     _class_levels,
+    _exact_real,
     as_matrix,
     num_qubits,
 )
@@ -235,20 +236,23 @@ def _coefficients(kind: str) -> np.ndarray:
     """The read-only (deg + 1, 4^m, 4^m) stack of C_e with
     ``_superoperators(kind, q) = sum_e x(q)^e C_e``, fit from the
     superoperators at deg + 1 strengths spread over [0, 1] by solving
-    their Vandermonde system."""
+    their Vandermonde system. Every kind's C_e is exactly real (sigma_y
+    enters only as sigma_y (x) conj(sigma_y)), so the table is float64."""
     x_of, degree = _POLYNOMIALS[kind]
     nodes = np.linspace(0.0, 1.0, degree + 1)
     sups = _superoperators(kind, nodes)
     vander = np.vander(x_of(nodes), increasing=True)
-    coef = np.linalg.solve(vander, sups.reshape(degree + 1, -1)).reshape(sups.shape)
+    coef = _exact_real(np.linalg.solve(vander, sups.reshape(degree + 1, -1)).reshape(sups.shape))
     coef.flags.writeable = False
     return coef
 
 
-# Bytes of complex128 evolved states held at once, and of the temporaries
-# of one step of a state's expansion: a 101-point grid of 4x4 states fits
-# in one stack ten times over, and from 8 qubits on every stack holds one
-# state, so memory stays flat in the register size.
+# Bytes of evolved states held at once, and of the temporaries of one step
+# of a state's expansion, whatever their dtype (8-byte float64 entries for
+# real states, 16-byte complex128 ones otherwise): a 101-point grid of 4x4
+# complex states fits in one stack ten times over, real ones twenty times,
+# and from 8 qubits on every stack holds one state, so memory stays flat
+# in the register size.
 STACK_BUDGET_BYTES = 256 * 1024
 
 
@@ -256,10 +260,11 @@ STACK_BUDGET_BYTES = 256 * 1024
 def _toeplitz(kind: str, k: int) -> np.ndarray:
     """Multiplication of a degree k - 1 polynomial by sum_e x^e C_e, as a
     read-only ((k + deg) 4^m, k 4^m) block matrix on its k terms stacked
-    in (term, 4^m) rows: block (k', k) is C_{k' - k}, zero off the band."""
+    in (term, 4^m) rows: block (k', k) is C_{k' - k}, zero off the band,
+    in the dtype of the C_e."""
     coef = _coefficients(kind)
     degree, dim = len(coef) - 1, coef.shape[1]
-    blocks = np.zeros((k + degree, dim, k, dim), dtype=complex)
+    blocks = np.zeros((k + degree, dim, k, dim), dtype=coef.dtype)
     for j in range(k):
         blocks[j : j + degree + 1, :, j] = coef
     blocks = blocks.reshape((k + degree) * dim, k * dim)
@@ -280,11 +285,13 @@ def _expand(rhos: np.ndarray, kind: str, groups: tuple, n: int) -> np.ndarray:
     and written back over the same entries. The read and the product of
     a block fit in STACK_BUDGET_BYTES (at least one column of one
     state); the blocks never depend on the stack size, so every state's
-    terms come out the same alone or in a stack.
+    terms come out the same alone or in a stack. The terms take the dtype
+    the states and the C_e promote to: float64 for real states.
     """
     count, size = len(rhos), rhos.shape[-1] ** 2
     degree = _POLYNOMIALS[kind][1]
-    terms = np.empty((count, degree * len(groups) + 1, size), dtype=complex)
+    dtype = np.result_type(rhos, _coefficients(kind))
+    terms = np.empty((count, degree * len(groups) + 1, size), dtype=dtype)
     terms[:, 0] = rhos.reshape(count, size)
     for i, group in enumerate(groups):
         k = degree * i + 1
@@ -295,9 +302,10 @@ def _expand(rhos: np.ndarray, kind: str, groups: tuple, n: int) -> np.ndarray:
         dim = 4 ** len(group)
         rest = size // dim
         # the widest power-of-two block of columns whose read and product fit the budget
-        width = min(rest, 1 << max(0, (STACK_BUDGET_BYTES // (16 * sum(op.shape))).bit_length() - 1))
+        column = terms.itemsize * sum(op.shape)  # bytes of one column's read and product
+        width = min(rest, 1 << max(0, (STACK_BUDGET_BYTES // column).bit_length() - 1))
         fixed = (rest // width).bit_length() - 1  # leading axes outside the group a block pins
-        per = max(1, STACK_BUDGET_BYTES // (16 * sum(op.shape) * width))
+        per = max(1, STACK_BUDGET_BYTES // (column * width))
         for s in range(0, count, per):
             for c in range(0, rest, width):
                 pins = tuple((c // width >> (fixed - 1 - b)) & 1 for b in range(fixed))
@@ -311,8 +319,9 @@ def _expand(rhos: np.ndarray, kind: str, groups: tuple, n: int) -> np.ndarray:
 def _checked(rhos, kind: str, targets) -> tuple[np.ndarray, int, tuple]:
     """One state or a (S, d, d) stack as a (S, d, d) stack, its qubit
     count and the target groups of a canonical kind. The states' shape,
-    the targets and the correlated pair are checked, in that order."""
-    rhos = np.asarray(rhos, dtype=complex)
+    the targets and the correlated pair are checked, in that order.
+    Exactly real states come back as float64 (``matcore._exact_real``)."""
+    rhos = _exact_real(rhos)
     if rhos.ndim == 2:
         rhos = rhos[None]
     if rhos.ndim != 3 or not len(rhos):
@@ -333,8 +342,8 @@ def _checked(rhos, kind: str, targets) -> tuple[np.ndarray, int, tuple]:
 
 
 def _vandermonde(kind: str, qs: np.ndarray, count: int) -> np.ndarray:
-    """The (Q, count) complex weights x(q)^k of a canonical kind."""
-    return np.power.outer(_POLYNOMIALS[kind][0](qs), np.arange(count)).astype(complex)
+    """The (Q, count) real weights x(q)^k of a canonical kind."""
+    return np.power.outer(_POLYNOMIALS[kind][0](qs), np.arange(count))
 
 
 def _class_expand(coords: np.ndarray, kind: str, n: int) -> np.ndarray:
@@ -360,7 +369,7 @@ def _class_expand(coords: np.ndarray, kind: str, n: int) -> np.ndarray:
         # (b, (a, k), k'): the rows (k', b) of the Toeplitz operator, transposed
         op = _toeplitz(kind, count).reshape(-1, 4, count, 4).transpose(1, 3, 2, 0).reshape(4, 4 * count, -1)
         parents = np.take(poly, index, axis=0).reshape(len(index), -1)
-        poly = np.empty((len(index), op.shape[-1]), dtype=complex)
+        poly = np.empty((len(index), op.shape[-1]), dtype=np.result_type(parents, op))
         for b, rows in groups:
             np.matmul(parents[rows], op[b], out=poly[rows])
     return poly.T
@@ -386,7 +395,7 @@ def _local_chunks(rhos, kind: str, qs: np.ndarray, targets):
     terms = _expand(rhos, kind, groups, n)
     vander = _vandermonde(kind, qs, terms.shape[1])
     count, d, points = len(terms), rhos.shape[-1], len(qs)
-    step = max(1, STACK_BUDGET_BYTES // (16 * d * d))
+    step = max(1, STACK_BUDGET_BYTES // (terms.itemsize * d * d))
     pairs = count * points
     for start in range(0, pairs, step):
         stop = min(start + step, pairs)
@@ -415,11 +424,14 @@ def apply_local_chunks(rhos, kind: str, q, targets=None):
     rho(q) = sum_k x(q)^k R_k (``_expand``), and every piece is one
     matmul per state it covers: the Vandermonde product
     (P x K) @ (K x d^2), taken row by row so that an image does not
-    depend on where the grid or the stack is cut. Memory: the K d^2 16
-    bytes of terms per state stay resident for the call (about 17 MB
-    for amplitude damping at 8 qubits, K = 17), while the expansion's
-    temporaries and every yielded piece are cut to STACK_BUDGET_BYTES
-    (at least one column of one state's terms, or one image).
+    depend on where the grid or the stack is cut. The images are float64
+    when the states are exactly real (every kind's superoperator is), and
+    complex128 otherwise. Memory: the K d^2 entries of terms per state
+    stay resident for the call, 8 bytes each for a real state and 16 for
+    a complex one (about 9 MB and 17 MB for amplitude damping at 8
+    qubits, K = 17), while the expansion's temporaries and every yielded
+    piece are cut to STACK_BUDGET_BYTES (at least one column of one
+    state's terms, or one image).
 
     Single-qubit kinds act on each target in ascending index order; the
     order is observationally irrelevant since the maps commute on
@@ -434,7 +446,8 @@ def apply_local_chunks(rhos, kind: str, q, targets=None):
 def apply_local(rho, kind: str, q, targets=None) -> np.ndarray:
     """Image of one state under the channel on the listed qubits (all of
     them by default): a (d, d) state for a number q, a (len(q), d, d)
-    stack for a grid. The pieces of ``apply_local_chunks`` joined."""
+    stack for a grid. The pieces of ``apply_local_chunks`` joined: float64
+    for a state with no nonzero imaginary part, complex128 otherwise."""
     pieces = apply_local_chunks(as_matrix(rho), kind, q, targets)
     return _shaped(q, np.concatenate([stack for _, stack in pieces]))
 

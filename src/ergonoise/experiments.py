@@ -19,7 +19,7 @@ import numpy as np
 
 from . import channels as ch
 from . import workx
-from .matcore import MIN_BLOCK_QUBITS, _class_coordinates
+from .matcore import MIN_BLOCK_QUBITS, _class_coordinates, _exact_real
 from .qstate import (
     MAX_SYMMETRIZED_QUBITS,
     Hamiltonian,
@@ -31,6 +31,7 @@ from .qstate import (
     density_to_bloch,
     entangled_theta,
     hamiltonian,
+    qubit_state,
     random_separable_stack,
     require_bloch,
     symmetric_pair,
@@ -252,16 +253,20 @@ def _block_coordinates(rho0, h: Hamiltonian) -> np.ndarray | None:
     state, as ``scaling_run`` builds it: invariant by construction, so
     only the Hamiltonian half of that condition is checked
     (``workx._block_dephasing``), and a Hamiltonian that fails it is
-    rejected.
+    rejected. Either way the coordinates come back float64 when exactly
+    real (``matcore._exact_real``), so a real register's curve is taken
+    in real arithmetic.
     """
     if np.ndim(rho0) != 1:
-        return _class_coordinates(rho0, h.num_qubits) if workx._blockwise(rho0, h) else None
-    if not workx._block_dephasing(h):
+        if not workx._blockwise(rho0, h):
+            return None
+        rho0 = _class_coordinates(rho0, h.num_qubits)
+    elif not workx._block_dephasing(h):
         raise ValueError(
             f"class coordinates need a Hamiltonian that dephases in spin blocks or keeps "
             f"only the diagonal, got {h.kind} with {h.dephasing} dephasing"
         )
-    return rho0
+    return _exact_real(rho0)
 
 
 def _wc_curve(rho0, kind, h: Hamiltonian, q_grid) -> np.ndarray:
@@ -374,8 +379,9 @@ def scaling_run(
     (phase flip gets the collective x field). Every register size must be
     at least 2, so that every row is in the same energy units, and at
     most MAX_SYMMETRIZED_QUBITS; depolarizing runs on two qubits only and
-    the correlated flip on no more than two. These are checked before
-    any curve.
+    the correlated flip on no more than two; every local state rho(a, c_i)
+    up to the largest N must be a state (``qubit_state``). These are
+    checked before any curve.
 
     Per register size, rho0 is built once. From three qubits on it is
     built as its D = C(N+3, 3) class coordinates alone
@@ -405,15 +411,17 @@ def scaling_run(
         raise ValueError("depolarizing scaling is limited to two qubits")
     if ch.CORRELATED_BIT_FLIP in kinds and n_values[-1] > 2:
         raise ValueError("correlated bit flip acts on exactly one qubit pair")
+    coherences = [c0 + delta * i for i in range(1, n_values[-1] + 1)]
+    for c in coherences:
+        qubit_state(a, c)
     q_grid = q_grid_default(q_points)
     rows = {"channel": [], "N": [], "delta_wc_max": [], "argmax_q": [], "area_ap": []}
     dephasing = {}
     for n in n_values:
-        coherences = [c0 + delta * i for i in range(1, n + 1)]
         if n < MIN_BLOCK_QUBITS:
-            rho0 = symmetrized_multipartite(a, coherences)
+            rho0 = symmetrized_multipartite(a, coherences[:n])
         else:
-            rho0 = _symmetrized_classes(a, coherences)
+            rho0 = _symmetrized_classes(a, coherences[:n])
         wc0 = {}  # W_C(rho0) per Hamiltonian object: kinds that share one split once
         for kind in kinds:
             h = channel_hamiltonian(kind, n, collective=True)
@@ -461,7 +469,8 @@ def census_random(kind, count: int = 1000, seed: int = 7, q_points: int = DEFAUL
         raise ValueError("census needs at least one sample")
     q_grid = q_grid_default(q_points)
     h = channel_hamiltonian(kind, 2)
-    step = max(1, ch.STACK_BUDGET_BYTES // (16 * 4 * 4 * len(q_grid)))
+    # the sampled states are real, so the stacks and their images are float64
+    step = max(1, ch.STACK_BUDGET_BYTES // (np.dtype(float).itemsize * 4 * 4 * len(q_grid)))
     summaries = []
     for start in range(0, count, step):
         rho0s = random_separable_stack(seed, range(start, min(start + step, count)), num_terms)

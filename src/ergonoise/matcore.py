@@ -1,9 +1,18 @@
-"""Dense complex matrix primitives shared by every other module.
+"""Dense matrix primitives shared by every other module.
 
 Everything here operates on plain ``numpy`` arrays holding unit-trace
 Hermitian matrices (states), Hermitian observables, or Kraus operators.
 States live on n qubits, so dimensions are powers of two, and nothing
 is expected to grow past 2**10.
+
+Arithmetic is real where the inputs are. ``_exact_real`` turns an array
+with no nonzero imaginary part into float64 and any other into
+complex128; the pipeline's entry points (the state spectra here, the
+channel expansion, the work split and the Hamiltonian's stored matrices)
+pass their inputs through it, and everything after follows numpy's
+promotion: a real state under a real channel and Hamiltonian is
+evolved, diagonalized and split in float64, and one imaginary part
+anywhere makes that step complex128.
 
 Spectra of permutation-invariant registers come from spin blocks. A
 state on n >= 3 qubits that no qubit permutation changes is, by
@@ -78,6 +87,16 @@ def as_matrix(m) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     return mat
+
+
+def _exact_real(a) -> np.ndarray:
+    """a as a C-contiguous float64 array when no entry has a nonzero
+    imaginary part, else as complex128. A real float64 array comes back
+    as itself when already contiguous."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a) and a.imag.any():
+        return a.astype(complex, copy=False)
+    return a.real.astype(float, order="C", copy=False)
 
 
 def _require_hermitian(mats: np.ndarray) -> None:
@@ -433,8 +452,9 @@ def _require_psd(lam: np.ndarray) -> None:
 
 def _validated_spectra(rhos) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """``state_spectra`` of a state or stack, and its spin-block parts
-    (``_spin_block_parts``) when the spectra were read from them, else None."""
-    rhos = np.asarray(rhos, dtype=complex)
+    (``_spin_block_parts``) when the spectra were read from them, else
+    None. Exactly real states are solved in float64 (``_exact_real``)."""
+    rhos = _exact_real(rhos)
     _require_hermitian(rhos)
     _require_trace(np.trace(rhos, axis1=-2, axis2=-1).real)
     n = _block_qubits(rhos)

@@ -25,6 +25,7 @@ from .matcore import (
     SIGMA_Z,
     _entry_classes,
     _entry_codes,
+    _exact_real,
     _permutation_invariant,
     _spin_block_parts,
     as_matrix,
@@ -237,13 +238,14 @@ def _separable_states(weights, pops, cohs) -> np.ndarray:
     (S, T, 2) factor draws, as a (S, 4, 4) stack.
 
     Every factor passes the ``qubit_state`` checks (the first failing one
-    is rejected with its message); the terms add up in index order.
+    is rejected with its message); the terms add up in index order. The
+    stack is float64 for real coherences, as the sampler draws them.
     """
     ok = np.isfinite(pops) & np.isfinite(cohs) & (pops >= 0.0) & (pops <= 1.0)
     ok &= ~(np.abs(cohs) ** 2 > pops * (1.0 - pops) + PSD_TOL)
     if not ok.all():  # qubit_state raises naming the violated constraint
         qubit_state(pops[~ok][0], cohs[~ok][0])
-    local = np.empty(pops.shape + (2, 2), dtype=complex)
+    local = np.empty(pops.shape + (2, 2), dtype=np.result_type(float, cohs))
     local[..., 0, 0] = pops
     local[..., 0, 1] = cohs
     local[..., 1, 0] = np.conj(cohs)
@@ -252,7 +254,7 @@ def _separable_states(weights, pops, cohs) -> np.ndarray:
     # kron of the two factors: entry (2i + k, 2j + l) is first[i, j] second[k, l]
     terms = first[..., :, None, :, None] * second[..., None, :, None, :]
     terms = terms.reshape(weights.shape + (4, 4))
-    rho = np.zeros((len(weights), 4, 4), dtype=complex)
+    rho = np.zeros((len(weights), 4, 4), dtype=local.dtype)
     for t in range(weights.shape[1]):
         rho += weights[:, t, None, None] * terms[:, t]
     return rho
@@ -263,8 +265,8 @@ def random_separable(seed_or_rng, num_terms: int = 2) -> np.ndarray:
 
     Weights are a flat Dirichlet draw; each local population is uniform
     on [0,1] and each coherence uniform on [0, sqrt(a(1-a))], which keeps
-    every factor PSD by construction. The one-sample case of
-    ``random_separable_stack``'s construction.
+    every factor PSD by construction, and real, so the state is float64.
+    The one-sample case of ``random_separable_stack``'s construction.
     """
     if isinstance(seed_or_rng, np.random.Generator):
         rng = seed_or_rng
@@ -337,6 +339,10 @@ class Hamiltonian:
     splits the spectral blocks by total spin J^2 instead. With neither,
     dephasing keeps the spectral blocks (``block``). The matrix is stored
     read-only, so ``levels`` and ``frame`` are computed once per object.
+    The matrix, the basis and the frames are stored in float64 where they
+    have no nonzero imaginary part (``matcore._exact_real``), as every
+    Hamiltonian ``hamiltonian`` builds does, so that a real state is split
+    in real arithmetic; any other is stored in complex128.
     Equality and hashing are by identity, so a Hamiltonian can key a dict.
     """
 
@@ -346,11 +352,11 @@ class Hamiltonian:
     collective: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _read_only(require_hermitian(self.matrix)))
+        object.__setattr__(self, "matrix", _read_only(_exact_real(require_hermitian(self.matrix))))
         if self.basis is not None:
             if self.collective:
                 raise ValueError("dephasing is in a product basis or collective, not both")
-            object.__setattr__(self, "basis", _read_only(as_matrix(self.basis)))
+            object.__setattr__(self, "basis", _read_only(_exact_real(as_matrix(self.basis))))
 
     @property
     def num_qubits(self) -> int:
@@ -379,7 +385,7 @@ class Hamiltonian:
         if self.collective:
             hm = hm + COLLECTIVE_WEIGHT * scale * total_spin_squared(self.num_qubits)
         evals, v = herm_eig(hm)
-        return _read_only(v), _same_level(evals, scale)
+        return _read_only(_exact_real(v)), _same_level(evals, scale)
 
     @cached_property
     def identity_frame(self) -> bool:
@@ -406,7 +412,7 @@ class Hamiltonian:
         frames = []
         for h_j in _spin_block_parts(self.matrix, n):
             evals, u = np.linalg.eigh(h_j)
-            frames.append((_read_only(u), _same_level(evals, scale)))
+            frames.append((_read_only(_exact_real(u)), _same_level(evals, scale)))
         return tuple(frames)
 
 

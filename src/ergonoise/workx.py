@@ -66,6 +66,7 @@ from .matcore import (
     _class_block_parts,
     _class_diagonal,
     _class_trace,
+    _exact_real,
     _require_hermitian,
     _require_psd,
     _require_trace,
@@ -174,8 +175,9 @@ def _dephased_spectra(a, same_level) -> np.ndarray:
 
 
 def _states(rho) -> tuple[np.ndarray, bool]:
-    """rho as a (B, d, d) stack, and whether it was one (d, d) state."""
-    rhos = np.asarray(rho, dtype=complex)
+    """rho as a (B, d, d) stack, float64 when exactly real
+    (``matcore._exact_real``), and whether it was one (d, d) state."""
+    rhos = _exact_real(rho)
     if rhos.ndim not in (2, 3) or rhos.shape[-1] != rhos.shape[-2]:
         raise ValueError(
             f"expected a (d, d) state or a (B, d, d) stack of states, got shape {rhos.shape}"
@@ -212,6 +214,10 @@ def decompose(rho, h) -> ErgotropyReport:
     the report's coherence is measured in its dephasing basis. Every
     state is validated (Hermitian, trace one, PSD) from its spectrum; a
     matrix that is not a state is rejected naming the violation.
+
+    States with no nonzero imaginary part are split in float64 (every
+    product, spectrum and frame real when h's are), any other in
+    complex128; the report holds real numbers either way.
     """
     rhos, single = _states(rho)
     h = _hamiltonian(h, rhos)
@@ -247,7 +253,7 @@ def _blockwise(rho, h: Hamiltonian) -> bool:
     channel on every qubit can be split in spin blocks: rho is one state
     on n >= 3 qubits that no qubit permutation changes (so is every image)
     and h dephases blockwise (``_block_dephasing``)."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho)
     if rho.shape != h.matrix.shape or _block_qubits(rho) is None:
         return False
     return _block_dephasing(h)
@@ -368,15 +374,16 @@ def threshold_q(kind: str, n, basis: str = "computational") -> float:
 
 # the degenerate level of the interacting Hamiltonian as the columns of a
 # 4x2 map D: (|ge> - |eg>)/sqrt2 and (|gg> - |ee>)/sqrt2
-_DEGENERATE_LEVEL = np.array([[0, 1], [1, 0], [-1, 0], [0, -1]], dtype=complex) / np.sqrt(2.0)
-_YY = kron(SIGMA_Y, SIGMA_Y)
+_DEGENERATE_LEVEL = np.array([[0, 1], [1, 0], [-1, 0], [0, -1]]) / np.sqrt(2.0)
+# sigma_y x sigma_y is real, so a real state's concurrence stays in float64
+_YY = _exact_real(kron(SIGMA_Y, SIGMA_Y))
 
 
 def _two_qubit_states(rho) -> tuple[np.ndarray, bool]:
-    """rho as a (B, 4, 4) stack of Hermitian matrices, and whether it was
-    one (4, 4) state; rejected naming the shape or the worst
-    non-Hermitian entry."""
-    rhos = np.asarray(rho, dtype=complex)
+    """rho as a (B, 4, 4) stack of Hermitian matrices, float64 when
+    exactly real (``matcore._exact_real``), and whether it was one (4, 4)
+    state; rejected naming the shape or the worst non-Hermitian entry."""
+    rhos = _exact_real(rho)
     if rhos.ndim not in (2, 3) or rhos.shape[-2:] != (4, 4):
         raise ValueError(
             f"expected a two-qubit state (4, 4) or a (B, 4, 4) stack of them, got shape {rhos.shape}"

@@ -1,4 +1,5 @@
 import functools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -221,6 +222,19 @@ def test_scaling_rejects_oversized_registers_and_correlated_flips_before_any_wor
         monkeypatch.setattr(ex, name, no_work)
     with pytest.raises(ValueError, match=message):
         ex.scaling_run(kinds=kinds, n_values=n_values, q_points=5)
+
+
+def test_scaling_rejects_local_states_of_the_largest_register_before_any_work(monkeypatch):
+    # c_7 = 0.1 + 7 * 0.05 breaks |c|^2 <= a(1 - a); every smaller N is fine
+    def no_work(*args):
+        raise AssertionError("started the work")
+
+    for name in ("symmetrized_multipartite", "_symmetrized_classes", "_wc_state", "_wc_curve"):
+        monkeypatch.setattr(ex, name, no_work)
+    with pytest.raises(ValueError) as expected:
+        qubit_state(0.2, 0.1 + 0.05 * 7)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        ex.scaling_run(kinds=("bf", "pf"), n_values=range(2, 9), a=0.2, c0=0.1, delta=0.05, q_points=5)
 
 
 def test_scaling_takes_the_correlated_flip_on_two_qubits():
