@@ -19,7 +19,7 @@ import numpy as np
 
 from . import channels as ch
 from . import workx
-from .matcore import MIN_BLOCK_QUBITS, _class_coordinates, _exact_real
+from .matcore import _exact_real
 from .qstate import (
     MAX_SYMMETRIZED_QUBITS,
     Hamiltonian,
@@ -247,21 +247,18 @@ def _block_coordinates(rho0, h: Hamiltonian) -> np.ndarray | None:
     """The class coordinates in which the block route takes rho0, or None
     where the dense route takes it.
 
-    A dense rho0 (a state or a stack) takes the block route where
-    ``workx._blockwise`` holds, from its class averages. A 1-D rho0 is
-    already the (D,) class coordinates of one permutation-invariant
-    state, as ``scaling_run`` builds it: invariant by construction, so
-    only the Hamiltonian half of that condition is checked
-    (``workx._block_dephasing``), and a Hamiltonian that fails it is
-    rejected. Either way the coordinates come back float64 when exactly
-    real (``matcore._exact_real``), so a real register's curve is taken
-    in real arithmetic.
+    The route follows the representation alone. A 1-D rho0 is the (D,)
+    class coordinates of one permutation-invariant state, as
+    ``scaling_run`` builds it: invariant by construction, so only the
+    Hamiltonian is checked (``workx._block_dephasing``), and one that
+    does not dephase blockwise is rejected. The coordinates come back
+    float64 when exactly real (``matcore._exact_real``), so a real
+    register's curve is taken in real arithmetic. A dense state or stack
+    always takes the dense route, whatever its symmetry.
     """
     if np.ndim(rho0) != 1:
-        if not workx._blockwise(rho0, h):
-            return None
-        rho0 = _class_coordinates(rho0, h.num_qubits)
-    elif not workx._block_dephasing(h):
+        return None
+    if not workx._block_dephasing(h):
         raise ValueError(
             f"class coordinates need a Hamiltonian that dephases in spin blocks or keeps "
             f"only the diagonal, got {h.kind} with {h.dephasing} dephasing"
@@ -273,22 +270,20 @@ def _wc_curve(rho0, kind, h: Hamiltonian, q_grid) -> np.ndarray:
     """Coherent work W_C(rho(q)) along the q grid: a (Q,) curve for one
     state, a (S, Q) array for a (S, d, d) stack.
 
-    One permutation-invariant state on three or more qubits, under a
-    Hamiltonian that dephases in spin blocks or keeps only the diagonal,
-    has every image invariant too, so the whole curve is taken in class
-    coordinates: one value per class of entries, C(N+3, 3) of them
-    (``_block_coordinates``: the class coordinates themselves, or the
-    class averages of a dense state for which ``workx._blockwise``
-    holds). The channel expands them into the terms of
+    One permutation-invariant state given by its class coordinates (one
+    value per class of entries, C(N+3, 3) of them; ``_block_coordinates``)
+    has every image invariant too, so the whole curve is taken in those
+    coordinates. The channel expands them into the terms of
     rho(q) = sum_k x(q)^k R_k (``channels._class_polynomial``). The
     split reads the spin blocks, traces and diagonals from those terms
     through fixed linear maps, weighted per strength
     (``workx._block_coherent``). Per call this builds the (K, D) terms,
     the (Q, sum_J (2J+1)^2) blocks and the (Q, 2^N) block spectra; no
     4^N-sized term is formed, and what is cached per N is of order D^2
-    (see ``matcore``). Any other input is evolved and split stack by
-    stack (``channels.apply_local_chunks``), one ``decompose`` per stack;
-    that dense route is the oracle of the block route.
+    (see ``matcore``). A dense state or stack is evolved and split stack
+    by stack (``channels.apply_local_chunks``), one ``decompose`` per
+    stack, whatever its symmetry; that dense route is the oracle of the
+    block route.
     """
     coords = _block_coordinates(rho0, h)
     if coords is not None:
@@ -303,9 +298,9 @@ def _wc_curve(rho0, kind, h: Hamiltonian, q_grid) -> np.ndarray:
 
 def _wc_state(rho0, h: Hamiltonian) -> float:
     """Coherent work of one state, given dense or by its class
-    coordinates: on the block route (``_block_coordinates``) the split of
-    ``_wc_curve`` applied to its class coordinates as one term at one
-    strength, else ``decompose``."""
+    coordinates: for class coordinates (``_block_coordinates``) the split
+    of ``_wc_curve`` applied to them as one term at one strength, else
+    ``decompose``."""
     coords = _block_coordinates(rho0, h)
     if coords is not None:
         return float(workx._block_coherent(coords[None], np.ones((1, 1)), h)[0])
@@ -392,8 +387,10 @@ def scaling_run(
     and the (Q, sum_J (2J+1)^2) blocks and (Q, 2^N) block spectra of Q
     strengths, beside the maps of order D^2 cached per N (``matcore``)
     and the dense 2^N x 2^N Hamiltonians built once per process
-    (``channel_hamiltonian``). N = 2 builds the dense rho0 and takes the
-    dense route.
+    (``channel_hamiltonian``). N = 2 builds the dense 4 x 4 rho0 and
+    takes the dense route, because the correlated flip acts on a qubit
+    pair, which the class expansion (``channels._class_polynomial``)
+    rejects.
     """
     kinds = [ch.canonical_kind(k) for k in kinds]
     n_values = sorted(set(int(n) for n in n_values))
@@ -418,7 +415,7 @@ def scaling_run(
     rows = {"channel": [], "N": [], "delta_wc_max": [], "argmax_q": [], "area_ap": []}
     dephasing = {}
     for n in n_values:
-        if n < MIN_BLOCK_QUBITS:
+        if n == 2:
             rho0 = symmetrized_multipartite(a, coherences[:n])
         else:
             rho0 = _symmetrized_classes(a, coherences[:n])
@@ -585,9 +582,12 @@ def interacting_depolarizing(
 
     Per (a, q): coherent work, its gain, the degenerate-level coherence,
     and central finite differences of both passive-state energies, whose
-    slope crossover marks the enhancement window.
+    slope crossover marks the enhancement window. fd_step must be finite
+    and positive.
     """
     q_grid = q_grid_default() if q_grid is None else ch.strengths(q_grid)
+    if not (math.isfinite(fd_step) and fd_step > 0.0):
+        raise ValueError(f"fd_step = {fd_step} must be finite and > 0")
     ham = hamiltonian("xx_interacting", 2, h=h, j=j)
     # the centre strengths, then their clipped neighbours, as one grid: a bad
     # centre q is reported first, and valid ones keep neighbours in [0, 1]

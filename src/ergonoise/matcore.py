@@ -14,30 +14,31 @@ promotion: a real state under a real channel and Hamiltonian is
 evolved, diagonalized and split in float64, and one imaginary part
 anywhere makes that step complex128.
 
-Spectra of permutation-invariant registers come from spin blocks. A
-state on n >= 3 qubits that no qubit permutation changes is, by
-Schur-Weyl duality, the direct sum over total spin J of rho_J x 1_{d_J},
-with rho_J of size 2J+1 <= n+1. ``spin_blocks`` holds one isometry W_J
-onto a spin-J multiplet per J, built once per n, and ``state_spectra``
-reads such a state's spectrum as the union of spec(W_J^T rho W_J), each
-value repeated d_J times. It checks the invariance (the swap of qubits
-0 and 1 and the cyclic shift, as index permutations) rather than assume
-it; any other stack takes one dense eigvalsh, which stays the oracle.
-The pieces of that validation (the trace and PSD checks, the block
-spectrum of given parts) are private helpers, so that a caller holding
-only the spin blocks of a state, as the scaling curves do, validates it
-with the same checks and messages.
-
-Such an operator is also held whole by its class coordinates. Entry
+Every dense state or stack takes one batched eigvalsh
+(``state_spectra``), whatever its symmetry, and nothing probes it for
+one: that brute-force route is the oracle. A register that no qubit
+permutation changes is instead held by its class coordinates. Entry
 (r, c) of an n-qubit operator falls in the class given by the counts
 (n00, n01, n10, n11) of qubits whose (row bit, column bit) is each pair
 (``_entry_classes``). A qubit permutation maps every class onto itself,
 so an invariant operator has one value per class: D = C(n+3, 3) values
 (20 at n = 3, 84 at n = 6, 165 at n = 8) in place of 4^n.
 ``_class_coordinates`` reads them as the class averages of a dense
-matrix. From them, ``_class_block_parts`` reads the spin blocks through
-one real (D, D) map, and ``_class_trace`` and ``_class_diagonal`` read
-the trace and the diagonal from the n + 1 diagonal classes.
+matrix, the reference the tests hold the class route to.
+
+By Schur-Weyl duality such an operator is the direct sum over total
+spin J of M_J x 1_{d_J}, with M_J of size 2J+1 <= n+1. ``spin_blocks``
+holds one isometry W_J onto a spin-J multiplet per J, built once per n.
+From the class coordinates, ``_class_block_parts`` reads the spin
+blocks through one real (D, D) map, and ``_class_trace`` and
+``_class_diagonal`` read the trace and the diagonal from the n + 1
+diagonal classes. The
+spectrum is the union of the spec(W_J^T M W_J), each value repeated d_J
+times (``_block_spectrum``), and a state so held is validated with the
+same private checks and messages as a dense one (``_require_hermitian``,
+``_require_trace``, ``_require_psd``). The dense collective Hamiltonians
+read their spin frames through ``_permutation_invariant`` and
+``_spin_block_parts``, once per Hamiltonian.
 ``_class_levels`` holds the index maps with which
 ``channels._class_expand`` applies a channel to every qubit in these
 coordinates. Memory: what is cached per n is of order D^2. That is the
@@ -61,8 +62,6 @@ PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 # largest entry change under a qubit permutation that still counts as invariant
 SYMMETRY_TOL = 1e-12
-# below three qubits a dense eigensolve is as cheap as the spin blocks
-MIN_BLOCK_QUBITS = 3
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -269,16 +268,6 @@ def _block_spectrum(parts, n: int) -> np.ndarray:
     return _spin_spectrum([np.linalg.eigvalsh(p) for p in parts], n)
 
 
-def _block_qubits(mats: np.ndarray) -> int | None:
-    """n when every matrix of a (..., 2**n, 2**n) stack, n >=
-    MIN_BLOCK_QUBITS, is unchanged by every qubit permutation (so its
-    spin blocks hold it whole), else None."""
-    d = mats.shape[-1]
-    n = d.bit_length() - 1
-    square = mats.ndim >= 2 and mats.shape[-2] == d == 2**n
-    return n if square and n >= MIN_BLOCK_QUBITS and _permutation_invariant(mats, n) else None
-
-
 class EntryClasses(NamedTuple):
     """The classes of entries (r, c) of an operator on n qubits: entries
     whose qubits hold each (row bit, column bit) pair the same number of
@@ -450,32 +439,20 @@ def _require_psd(lam: np.ndarray) -> None:
         raise ValueError(f"state is not PSD: min eigenvalue {min_eig:.3e}")
 
 
-def _validated_spectra(rhos) -> tuple[np.ndarray, list[np.ndarray] | None]:
-    """``state_spectra`` of a state or stack, and its spin-block parts
-    (``_spin_block_parts``) when the spectra were read from them, else
-    None. Exactly real states are solved in float64 (``_exact_real``)."""
+def state_spectra(rhos) -> np.ndarray:
+    """Ascending eigenvalues of a state or a (..., d, d) stack of states,
+    from one batched dense eigvalsh, in float64 when exactly real
+    (``_exact_real``).
+
+    Validates Hermiticity, trace one and positivity of every matrix on
+    the way and names the worst violation.
+    """
     rhos = _exact_real(rhos)
     _require_hermitian(rhos)
     _require_trace(np.trace(rhos, axis1=-2, axis2=-1).real)
-    n = _block_qubits(rhos)
-    if n is None:
-        parts, lam = None, np.linalg.eigvalsh(rhos)
-    else:
-        parts = _spin_block_parts(rhos, n)
-        lam = _block_spectrum(parts, n)
+    lam = np.linalg.eigvalsh(rhos)
     _require_psd(lam)
-    return lam, parts
-
-
-def state_spectra(rhos) -> np.ndarray:
-    """Ascending eigenvalues of a state or a (..., d, d) stack of states.
-
-    Validates Hermiticity, trace one and positivity of every matrix on
-    the way and names the worst violation. A stack on three or more
-    qubits that every qubit permutation leaves unchanged is read from
-    its spin blocks; any other takes one batched dense eigvalsh.
-    """
-    return _validated_spectra(rhos)[0]
+    return lam
 
 
 def require_density(rho) -> np.ndarray:

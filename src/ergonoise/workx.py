@@ -13,35 +13,31 @@ length-B arrays for a stack. One state is evaluated as a stack of one,
 so its result is bitwise entry 0 of that stack's. Likewise the closed
 forms take a noise strength q as a number or a grid.
 
-``decompose`` computes the split for a whole stack at once: the
-energies as one einsum, the state spectra from ``matcore.state_spectra``
-(which also validates every state), and the dephased spectra either as
-the sorted diagonal of V^dag rho V, when the dephasing keeps only that
-diagonal, or as one batched eigvalsh of the kept blocks. An identity
-frame V (``excitation``, ``z_sum``) reads the diagonal of rho itself,
-with no product. For a stack of states that every qubit permutation
-leaves unchanged (three or more qubits) the state spectra come from the
-spin blocks W_J^T rho W_J, and under a collective Hamiltonian that is
-permutation invariant too, so do the dephased spectra: each block is
-dephased in the eigenbasis of W_J^T H W_J (``Hamiltonian.spin_frames``),
-where J^2 is constant. The dense V^dag rho V is then kept only for the
-l1 coherence. The Hamiltonian side (its levels and frames) is computed
-once per ``Hamiltonian`` object. ``ergotropy`` is a separate route the
-tests compare it against.
+``decompose`` computes the split for a whole stack at once, by brute
+force: the energies as one einsum, the state spectra as one batched
+eigvalsh (``matcore.state_spectra``, which also validates every state),
+and the dephased spectra either as the sorted diagonal of V^dag rho V,
+when the dephasing keeps only that diagonal, or as one batched eigvalsh
+of the kept blocks. An identity frame V (``excitation``, ``z_sum``)
+reads the diagonal of rho itself, with no product. It never probes a
+state for symmetry, so it is the oracle of the block route below. The
+Hamiltonian side (its levels and frames) is computed once per
+``Hamiltonian`` object. ``ergotropy`` is a separate route the tests
+compare it against.
 
-The block half of that split also serves whole noise curves without
-dense states (``_block_coherent``). It takes the images vander @ R_k of
-one permutation-invariant state under the same channel on every qubit,
-with the K terms R_k in class coordinates (``matcore``: one value per
-class of entries, C(n+3, 3) of them). Everything but the spectra (the
-spin blocks W_J^T rho W_J, Tr rho and diag rho) is a fixed linear map
-of those coordinates. So it is read from the K terms once and weighted
-per strength, and the spectra are read from the weighted blocks exactly
-as ``decompose`` reads them. W_C is the dephased passive energy less the
-passive energy, so Tr H rho, which cancels, is not needed.
-``_blockwise`` says when that holds for a dense state, and
-``_block_dephasing`` says which Hamiltonians allow it for a state given
-by its class coordinates; the experiments' dense route is its oracle.
+The block route serves whole noise curves of one permutation-invariant
+state given by its class coordinates (``matcore``: one value per class
+of entries, C(n+3, 3) of them), under the same channel on every qubit
+(``_block_coherent``). It takes the images vander @ R_k, with the K
+terms R_k in class coordinates. Everything but the spectra (the spin
+blocks W_J^T rho W_J, Tr rho and diag rho) is a fixed linear map of
+those coordinates, so it is read from the K terms once and weighted
+per strength, and the spectra are read per spin block. A collective
+Hamiltonian that is permutation invariant dephases each block in the
+eigenbasis of W_J^T H W_J (``Hamiltonian.spin_frames``), where J^2 is
+constant. W_C is the dephased passive energy less the passive energy,
+so Tr H rho, which cancels, is not needed. ``_block_dephasing`` says
+which Hamiltonians allow the block route.
 
 The single-qubit closed forms read no channel kind: the Bloch vectors m
 from ``channels.bloch_map`` and one row (axis, sign, e0, g) per basis,
@@ -61,7 +57,6 @@ import numpy as np
 
 from .matcore import (
     SIGMA_Y,
-    _block_qubits,
     _block_spectrum,
     _class_block_parts,
     _class_diagonal,
@@ -71,7 +66,6 @@ from .matcore import (
     _require_psd,
     _require_trace,
     _spin_spectrum,
-    _validated_spectra,
     as_matrix,
     herm_eig,
     kron,
@@ -185,16 +179,6 @@ def _states(rho) -> tuple[np.ndarray, bool]:
     return (rhos[None], True) if rhos.ndim == 2 else (rhos, False)
 
 
-def _spin_dephased(parts, h: Hamiltonian) -> np.ndarray:
-    """Ascending dephased spectra of a stack of permutation-invariant
-    states from their spin-block parts, each block dephased in its frame
-    of ``h.spin_frames``."""
-    return _spin_spectrum(
-        [_dephased_spectra(u.conj().T @ p @ u, kept) for p, (u, kept) in zip(parts, h.spin_frames)],
-        h.num_qubits,
-    )
-
-
 def _split(energy, lam, lam_deph, levels) -> tuple[np.ndarray, ...]:
     """The report's work fields, in order, from the energies, the ascending
     spectra and the ascending dephased spectra of a stack of states."""
@@ -221,14 +205,11 @@ def decompose(rho, h) -> ErgotropyReport:
     """
     rhos, single = _states(rho)
     h = _hamiltonian(h, rhos)
-    lam, parts = _validated_spectra(rhos)
+    lam = state_spectra(rhos)
     v, same_level = h.frame
     a = rhos if h.identity_frame else v.conj().T @ rhos @ v
     diagonal = np.diagonal(a, axis1=1, axis2=2)
-    if parts is not None and h.spin_frames is not None:
-        lam_deph = _spin_dephased(parts, h)
-    else:
-        lam_deph = _dephased_spectra(a, same_level)
+    lam_deph = _dephased_spectra(a, same_level)
     energy = np.einsum("ij,bji->b", h.matrix, rhos).real
     report = ErgotropyReport(
         *_split(energy, lam, lam_deph, h.levels),
@@ -246,17 +227,6 @@ def _block_dephasing(h: Hamiltonian) -> bool:
         return True
     same_level = h.frame[1]
     return h.identity_frame and same_level.sum() == len(same_level)
-
-
-def _blockwise(rho, h: Hamiltonian) -> bool:
-    """Whether the images rho(q) of one state under the same single-qubit
-    channel on every qubit can be split in spin blocks: rho is one state
-    on n >= 3 qubits that no qubit permutation changes (so is every image)
-    and h dephases blockwise (``_block_dephasing``)."""
-    rho = np.asarray(rho)
-    if rho.shape != h.matrix.shape or _block_qubits(rho) is None:
-        return False
-    return _block_dephasing(h)
 
 
 def _block_coherent(terms, vander, h: Hamiltonian) -> np.ndarray:
@@ -286,7 +256,10 @@ def _block_coherent(terms, vander, h: Hamiltonian) -> np.ndarray:
     lam = _block_spectrum(parts, n)
     _require_psd(lam)
     if h.spin_frames is not None:
-        lam_deph = _spin_dephased(parts, h)
+        lam_deph = _spin_spectrum(
+            [_dephased_spectra(u.conj().T @ p @ u, kept) for p, (u, kept) in zip(parts, h.spin_frames)],
+            n,
+        )
     else:
         lam_deph = np.sort((vander @ _class_diagonal(terms, n)).real, axis=-1)
     return (lam_deph - lam)[:, ::-1] @ h.levels

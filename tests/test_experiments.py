@@ -580,6 +580,16 @@ def test_interacting_depolarizing_matches_per_q_oracle():
         np.testing.assert_allclose(res.columns[name], col, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("fd_step", [0.0, -1e-4, float("nan")])
+def test_interacting_depolarizing_rejects_a_bad_step_before_any_channel(fd_step, monkeypatch):
+    def no_channel(*args):
+        raise AssertionError("ran a channel")
+
+    monkeypatch.setattr(ch, "apply_local_chunks", no_channel)
+    with pytest.raises(ValueError, match=rf"fd_step = {fd_step} must be finite and > 0"):
+        ex.interacting_depolarizing(fd_step=fd_step)
+
+
 def format_cell(v) -> str:
     """One CSV cell formatted on its own: the oracle of the column-wise writer."""
     if isinstance(v, (np.floating, float)):
@@ -655,9 +665,11 @@ def kraus_oracle_curve(rho0, kind, h, q_grid):
     return np.array(out)
 
 
-def assert_curve_matches_oracle(rho0, kind, h, q_grid):
-    batched = ex._wc_curve(rho0, kind, h, q_grid) - decompose(rho0, h).coherent
-    oracle = kraus_oracle_curve(rho0, kind, h, q_grid)
+def assert_curve_matches_oracle(rho0, kind, h, q_grid, dense=None):
+    """The batched curve of rho0, a dense state or the class coordinates
+    of the dense state ``dense``, against the per-q Kraus oracle."""
+    batched = ex._wc_curve(rho0, kind, h, q_grid) - ex._wc_state(rho0, h)
+    oracle = kraus_oracle_curve(rho0 if dense is None else dense, kind, h, q_grid)
     assert np.abs(batched - oracle).max() <= 1e-12
     assert (ex.enhancement_summary(q_grid, batched).argmax_q
             == ex.enhancement_summary(q_grid, oracle).argmax_q)
@@ -704,9 +716,10 @@ def test_batched_curve_matches_oracle_across_chunk_seams(kind):
     if kind == "pf":  # the collective convention scaling_run uses
         h = replace(h, basis=None, collective=True)
     for which in ("symmetrized", "product"):
-        rho0 = register(n, which)
-        assert workx._blockwise(rho0, h) == (which == "symmetrized")
-        assert_curve_matches_oracle(rho0, kind, h, q_grid)
+        assert_curve_matches_oracle(register(n, which), kind, h, q_grid)
+    # the symmetrized register's class coordinates take the class route
+    rho0 = register(n)
+    assert_curve_matches_oracle(matcore._class_coordinates(rho0, n), kind, h, q_grid, dense=rho0)
 
 
 def dense_curve(rho0, kind, h, q_grid):
@@ -744,11 +757,12 @@ def invariant_hamiltonians(n):
 @example(n=7, kind="pd", which=1, q_points=1, q_lo=0.4, a=0.5, spread=0.3)
 @example(n=3, kind="bf", which=1, q_points=2, q_lo=0.0, a=0.5, spread=0.5)
 def test_block_curve_matches_the_per_q_dense_oracle(n, kind, which, q_points, q_lo, a, spread):
-    rho0 = symmetrized_multipartite(a, np.sqrt(a * (1.0 - a)) * np.linspace(spread / 2, spread, n))
+    coherences = np.sqrt(a * (1.0 - a)) * np.linspace(spread / 2, spread, n)
+    rho0 = symmetrized_multipartite(a, coherences)
     h = invariant_hamiltonians(n)[which]
     q_grid = np.linspace(q_lo, 1.0, q_points)
-    assert workx._blockwise(rho0, h)
-    curve, oracle = ex._wc_curve(rho0, kind, h, q_grid), dense_curve(rho0, kind, h, q_grid)
+    coords = qstate._symmetrized_classes(a, coherences)
+    curve, oracle = ex._wc_curve(coords, kind, h, q_grid), dense_curve(rho0, kind, h, q_grid)
     assert np.abs(curve - oracle).max() <= 1e-12
     # the same argmax_q, unless the oracle's peak ties another strength to
     # within the tolerance: a frozen curve (bit flip under the x field at
@@ -803,15 +817,19 @@ def test_curves_off_the_block_route_take_the_dense_route(monkeypatch):
 
     monkeypatch.setattr(ch, "_local_chunks", counting)
     monkeypatch.setattr(workx, "_block_coherent", no_blocks)
+    # the route follows the representation: every dense state or stack is
+    # split densely, invariant or not, whatever its Hamiltonian
     n, q_grid = 4, ex.q_grid_default(11)
     symmetric = register(n)
     excitation = hamiltonian("excitation", n)
     cases = [
         (register(n, "product"), excitation),  # not permutation invariant
+        (symmetric, excitation),  # invariant, under an identity frame
+        (symmetric, ex.channel_hamiltonian("pf", n, collective=True)),  # with spin frames
         (symmetric, hamiltonian("x_sum", n)),  # x_sum in its product basis
         (symmetric, Hamiltonian(excitation.matrix, "excitation")),  # block convention
         (np.stack([symmetric, symmetric]), excitation),  # a stack, not one state
-        (register(2), hamiltonian("excitation", 2)),  # below three qubits
+        (register(2), hamiltonian("excitation", 2)),  # two qubits
     ]
     for rho0, h in cases:
         entered.clear()
@@ -872,13 +890,14 @@ def test_block_route_rejects_non_states_as_the_dense_route_does():
         (2.0 * register(n), r"state trace is 2\.0\d*, expected 1"),
         (register(n) + 1e-6j * ghz_coherence, "matrix is not Hermitian"),
     ):
-        assert workx._blockwise(rho0, h)
+        # every entry of rho0 is its class's value, so the coordinates hold it whole
+        coords = matcore._class_coordinates(rho0, n)
         with pytest.raises(ValueError, match=message):
-            ex._wc_curve(rho0, "bf", h, q_grid)
+            ex._wc_curve(coords, "bf", h, q_grid)
         with pytest.raises(ValueError, match=message):
             dense_curve(rho0, "bf", h, q_grid)
     with pytest.raises(ValueError, match="correlated bit flip acts on exactly one qubit pair"):
-        ex._wc_curve(register(n), "cbf", h, q_grid)
+        ex._wc_curve(matcore._class_coordinates(register(n), n), "cbf", h, q_grid)
 
 
 def test_collective_curve_builds_j2_once(monkeypatch):

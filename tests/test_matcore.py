@@ -219,23 +219,19 @@ def test_spin_block_spectra_match_the_dense_eigensolve(case):
     blocks = matcore._spin_spectrum([np.linalg.eigvalsh(p) for p in parts], n)
     assert np.abs(blocks - dense).max() <= 1e-12
     assert matcore._permutation_invariant(rho, n)
-    lam, used = matcore._validated_spectra(rho)
-    assert (used is not None) == (n >= matcore.MIN_BLOCK_QUBITS)
-    assert np.abs(lam - dense).max() <= 1e-12
+    # the state spectra of a dense state are the dense eigensolve, invariant or not
+    np.testing.assert_array_equal(matcore.state_spectra(rho), dense)
 
 
 def test_a_state_that_is_not_permutation_invariant_takes_the_dense_path():
     rho = kron(qubit_state(0.2, 0.3), qubit_state(0.6, 0.1j), bloch_to_density([0.1, 0.2, 0.3]))
     stack = np.stack([rho, np.eye(8) / 8])
     assert not matcore._permutation_invariant(stack, 3)
-    lam, parts = matcore._validated_spectra(stack)
-    assert parts is None
-    np.testing.assert_array_equal(lam, np.linalg.eigvalsh(stack))
+    np.testing.assert_array_equal(matcore.state_spectra(stack), np.linalg.eigvalsh(stack))
     np.testing.assert_array_equal(matcore.state_spectra(rho), np.linalg.eigvalsh(rho))
-    # invariant under the swap of qubits 0 and 1 only: still dense
+    # invariant under the swap of qubits 0 and 1 only: not invariant
     swap_only = kron(qubit_state(0.2, 0.3), qubit_state(0.2, 0.3), qubit_state(0.6, 0.1))
     assert not matcore._permutation_invariant(swap_only, 3)
-    assert matcore._validated_spectra(swap_only)[1] is None
 
 
 def test_a_permutation_invariant_matrix_that_is_not_psd_is_rejected_from_its_blocks():
@@ -245,8 +241,12 @@ def test_a_permutation_invariant_matrix_that_is_not_psd_is_rejected_from_its_blo
     rho = 0.3 * top - 0.05 * (np.eye(8) - top)
     assert matcore._permutation_invariant(rho, 3)
     state = 0.15 * top + 0.1 * (np.eye(8) - top)
-    assert matcore._validated_spectra(state)[1] is not None
-    with pytest.raises(ValueError, match=r"state is not PSD: min eigenvalue -5\.000e-02"):
+    # the class route's check, on its block spectrum, names what the dense one does
+    message = r"state is not PSD: min eigenvalue -5\.000e-02"
+    parts = matcore._class_block_parts(matcore._class_coordinates(rho, 3), 3)
+    with pytest.raises(ValueError, match=message):
+        matcore._require_psd(matcore._block_spectrum(parts, 3))
+    with pytest.raises(ValueError, match=message):
         matcore.state_spectra(rho)
     with pytest.raises(ValueError, match="state trace is 2.0"):
         matcore.state_spectra(2.0 * state)

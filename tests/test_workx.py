@@ -11,7 +11,7 @@ from ergonoise.channels import (
     apply_local,
     bloch_map,
 )
-from ergonoise import matcore
+from ergonoise import matcore, qstate, workx
 from ergonoise.matcore import SIGMA_X, SIGMA_Z, herm_eig, kron, partial_trace
 from ergonoise.qstate import (
     Hamiltonian,
@@ -681,26 +681,6 @@ def collective_hamiltonians(n):
     ]
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    n=st.integers(3, 6),
-    kind=st.sampled_from(["bf", "pf", "ad", "dc"]),
-    qs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
-    a=st.floats(0.05, 0.95),
-    which=st.integers(0, 1),
-)
-def test_collective_block_dephasing_matches_the_dense_frame(n, kind, qs, a, which):
-    rho0 = symmetrized_multipartite(a, np.sqrt(a * (1.0 - a)) * np.linspace(0.2, 0.9, n))
-    rhos = apply_local(rho0, kind, qs)
-    h = collective_hamiltonians(n)[which]
-    assert h.spin_frames is not None and matcore._validated_spectra(rhos)[1] is not None
-    rep, ref = decompose(rhos, h), dense_work_split(rhos, h)
-    for field, values in ref.items():
-        assert np.abs(getattr(rep, field) - values).max() <= 1e-12, field
-    # the coherence is still measured in the dense frame, unchanged
-    np.testing.assert_array_equal(rep.l1_coherence, ref["l1_coherence"])
-
-
 def test_jz_squared_exercises_degenerate_levels_inside_a_spin_block():
     frames = collective_hamiltonians(4)[1].spin_frames
     assert any(kept.sum() > len(kept) for _, kept in frames)
@@ -723,6 +703,28 @@ def test_identity_frame_reads_the_state_itself(n):
     )
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(3, 6),
+    kind=st.sampled_from(["bf", "pf", "ad", "dc"]),
+    qs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    a=st.floats(0.05, 0.95),
+    which=st.integers(0, 1),
+)
+def test_collective_block_dephasing_matches_the_dense_frame(n, kind, qs, a, which):
+    # a stack of images of a symmetrized register, which every qubit
+    # permutation leaves unchanged, under both collective frames
+    rho0 = symmetrized_multipartite(a, np.sqrt(a * (1.0 - a)) * np.linspace(0.2, 0.9, n))
+    rhos = apply_local(rho0, kind, qs)
+    h = collective_hamiltonians(n)[which]
+    assert h.spin_frames is not None
+    rep, ref = decompose(rhos, h), dense_work_split(rhos, h)
+    for field, values in ref.items():
+        assert np.abs(getattr(rep, field) - values).max() <= 1e-12, field
+    # the coherence is still measured in the dense frame, unchanged
+    np.testing.assert_array_equal(rep.l1_coherence, ref["l1_coherence"])
+
+
 def test_a_state_off_the_symmetric_subspace_takes_the_dense_path():
     # a product of three different qubits: no spin blocks, so the split is
     # exactly the dense one, for a collective and a product-basis frame
@@ -731,3 +733,36 @@ def test_a_state_off_the_symmetric_subspace_takes_the_dense_path():
         rep, ref = decompose(rho[None], h), dense_work_split(rho[None], h)
         for field, values in ref.items():
             np.testing.assert_array_equal(getattr(rep, field), values)
+
+
+@pytest.mark.parametrize("which", ["x_field", "jz_squared", "excitation"])
+def test_decompose_of_an_invariant_stack_touches_no_spin_block(which, monkeypatch):
+    # a permutation-invariant N = 5 stack is split by brute force, with
+    # every spin-block helper unreachable, wherever it is bound
+    n = 5
+    rho0 = symmetrized_multipartite(0.3, [0.1 + 0.05 * i for i in range(1, n + 1)])
+    rhos = apply_local(rho0, "ad", [0.0, 0.3, 0.7])
+    x_field, jz_squared = collective_hamiltonians(n)
+    h = {"x_field": x_field, "jz_squared": jz_squared, "excitation": hamiltonian("excitation", n)}[which]
+
+    def spin_block(*args):
+        raise AssertionError("reached a spin block")
+
+    for name in ("spin_blocks", "_spin_spectrum", "_block_spectrum", "_permutation_invariant"):
+        for module in (matcore, qstate, workx):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spin_block)
+    v, same_level = h.frame
+    dephased = v @ ((v.conj().T @ rhos @ v) * same_level) @ v.conj().T
+    energy = np.trace(h.matrix @ rhos, axis1=1, axis2=2).real
+    passive = np.sort(np.linalg.eigvalsh(rhos), axis=1)[:, ::-1] @ np.linalg.eigvalsh(h.matrix)
+    passive_deph = np.sort(np.linalg.eigvalsh(dephased), axis=1)[:, ::-1] @ np.linalg.eigvalsh(h.matrix)
+    rep = decompose(rhos, h)
+    for got, want in (
+        (rep.passive_energy, passive),
+        (rep.dephased_passive_energy, passive_deph),
+        (rep.total, energy - passive),
+        (rep.incoherent, energy - passive_deph),
+        (rep.coherent, passive_deph - passive),
+    ):
+        assert np.abs(got - want).max() <= 1e-12
