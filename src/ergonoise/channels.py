@@ -63,6 +63,7 @@ from .matcore import (
     SIGMA_Z,
     _class_levels,
     _exact_real,
+    _square,
     as_matrix,
     num_qubits,
 )
@@ -447,8 +448,9 @@ def apply_local(rho, kind: str, q, targets=None) -> np.ndarray:
     """Image of one state under the channel on the listed qubits (all of
     them by default): a (d, d) state for a number q, a (len(q), d, d)
     stack for a grid. The pieces of ``apply_local_chunks`` joined: float64
-    for a state with no nonzero imaginary part, complex128 otherwise."""
-    pieces = apply_local_chunks(as_matrix(rho), kind, q, targets)
+    for a state with no nonzero imaginary part, complex128 otherwise
+    (checked square as it is, with no complex copy)."""
+    pieces = apply_local_chunks(_square(np.asarray(rho)), kind, q, targets)
     return _shaped(q, np.concatenate([stack for _, stack in pieces]))
 
 

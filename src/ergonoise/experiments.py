@@ -280,10 +280,12 @@ def _wc_curve(rho0, kind, h: Hamiltonian, q_grid) -> np.ndarray:
     (``workx._block_coherent``). Per call this builds the (K, D) terms,
     the (Q, sum_J (2J+1)^2) blocks and the (Q, 2^N) block spectra; no
     4^N-sized term is formed, and what is cached per N is of order D^2
-    (see ``matcore``). A dense state or stack is evolved and split stack
-    by stack (``channels.apply_local_chunks``), one ``decompose`` per
-    stack, whatever its symmetry; that dense route is the oracle of the
-    block route.
+    (see ``matcore``). ``scaling_run`` takes its class-coordinate curves
+    through ``_wc_curves`` instead, several per split. A dense state or
+    stack is evolved and split stack by stack
+    (``channels.apply_local_chunks``), one ``decompose`` per stack,
+    whatever its symmetry; that dense route is the oracle of the block
+    route.
     """
     coords = _block_coordinates(rho0, h)
     if coords is not None:
@@ -296,15 +298,37 @@ def _wc_curve(rho0, kind, h: Hamiltonian, q_grid) -> np.ndarray:
     return wc.reshape(shape)
 
 
-def _wc_state(rho0, h: Hamiltonian) -> float:
-    """Coherent work of one state, given dense or by its class
-    coordinates: for class coordinates (``_block_coordinates``) the split
-    of ``_wc_curve`` applied to them as one term at one strength, else
-    ``decompose``."""
+def _wc_curves(rho0, kinds, h: Hamiltonian, q_grid) -> tuple[np.ndarray, float]:
+    """The (m, Q) coherent-work curves of one state under each of the m
+    kinds, every one split against h, and W_C of the state itself.
+
+    For class coordinates (``_block_coordinates``) this is one split:
+    every kind's terms (``channels._class_polynomial``) and rho0, as one
+    more term, are stacked, and a block-diagonal (m Q + 1, sum K + 1)
+    weight matrix, whose last row weights rho0 by 1, hands all of them to
+    one ``workx._block_coherent`` call. That call holds m Q + 1 rows of
+    blocks and block spectra; ``scaling_run`` passes the kinds that
+    share a Hamiltonian object, so m <= 3. A dense state takes one
+    ``_wc_curve`` per kind and one ``decompose``, the oracle of the
+    class route. Each kind, a repeated one or an alias too, keeps its
+    row, in order.
+    """
+    kinds = [ch.canonical_kind(k) for k in kinds]
     coords = _block_coordinates(rho0, h)
-    if coords is not None:
-        return float(workx._block_coherent(coords[None], np.ones((1, 1)), h)[0])
-    return workx.decompose(rho0, h).coherent
+    if coords is None:
+        curves = [_wc_curve(rho0, kind, h, q_grid) for kind in kinds]
+        return np.array(curves), workx.decompose(rho0, h).coherent
+    polys = [ch._class_polynomial(coords, kind, h.num_qubits, q_grid) for kind in kinds]
+    points = len(q_grid)
+    weights = np.zeros((len(kinds) * points + 1, sum(len(terms) for terms, _ in polys) + 1))
+    col = 0
+    for i, (terms, vander) in enumerate(polys):
+        weights[i * points:(i + 1) * points, col:col + len(terms)] = vander
+        col += len(terms)
+    weights[-1, -1] = 1.0
+    terms = np.concatenate([terms for terms, _ in polys] + [coords[None]])
+    wc = workx._block_coherent(terms, weights, h)
+    return wc[:-1].reshape(len(kinds), points), float(wc[-1])
 
 
 def grid_delta_wc(family: str, kind, axis_grid, q_grid=None, *, p=0.5, a=0.1, c=0.3, d=0.2) -> SweepResult:
@@ -378,19 +402,23 @@ def scaling_run(
     up to the largest N must be a state (``qubit_state``). These are
     checked before any curve.
 
-    Per register size, rho0 is built once. From three qubits on it is
-    built as its D = C(N+3, 3) class coordinates alone
-    (``qstate._symmetrized_classes``, O(D)), and every curve and
-    W_C(rho0), one split per Hamiltonian, are taken from them on the
-    block route of ``_wc_curve``: no 2^N- or 4^N-sized array of the state
-    is formed. Memory per curve is then the (K, D) terms, K <= 2N + 1,
-    and the (Q, sum_J (2J+1)^2) blocks and (Q, 2^N) block spectra of Q
-    strengths, beside the maps of order D^2 cached per N (``matcore``)
-    and the dense 2^N x 2^N Hamiltonians built once per process
+    Per register size, rho0 is built once, and the kinds are grouped by
+    their Hamiltonian object (bit flip, bit-phase flip and amplitude
+    damping share the excitation energy; phase flip and phase damping
+    the collective x field). From three qubits on rho0 is built as its
+    D = C(N+3, 3) class coordinates alone (``qstate._symmetrized_classes``,
+    O(D)), and each group's curves and W_C(rho0) are one split on the
+    block route (``_wc_curves``): no 2^N- or 4^N-sized array of the
+    state is formed. Memory per split is then the (K, D) terms of each
+    kind, K <= 2N + 1, and the (m Q + 1, sum_J (2J+1)^2) blocks and
+    (m Q + 1, 2^N) block spectra of Q strengths for m <= 3 kinds,
+    beside the maps of order D^2 cached per N (``matcore``) and the
+    dense 2^N x 2^N Hamiltonians built once per process
     (``channel_hamiltonian``). N = 2 builds the dense 4 x 4 rho0 and
-    takes the dense route, because the correlated flip acts on a qubit
+    takes the dense route, one curve per kind and one ``decompose`` of
+    rho0 per Hamiltonian, because the correlated flip acts on a qubit
     pair, which the class expansion (``channels._class_polynomial``)
-    rejects.
+    rejects. A kind named twice gets a row each time, from one curve.
     """
     kinds = [ch.canonical_kind(k) for k in kinds]
     n_values = sorted(set(int(n) for n in n_values))
@@ -419,14 +447,16 @@ def scaling_run(
             rho0 = symmetrized_multipartite(a, coherences[:n])
         else:
             rho0 = _symmetrized_classes(a, coherences[:n])
-        wc0 = {}  # W_C(rho0) per Hamiltonian object: kinds that share one split once
+        groups = {}  # the distinct kinds of each Hamiltonian object, split together
+        for kind in dict.fromkeys(kinds):
+            groups.setdefault(channel_hamiltonian(kind, n, collective=True), []).append(kind)
+        gains = {}
+        for h, members in groups.items():
+            curves, wc0 = _wc_curves(rho0, members, h, q_grid)
+            gains.update(zip(members, curves - wc0))
+            dephasing.update(dict.fromkeys(members, h.dephasing))
         for kind in kinds:
-            h = channel_hamiltonian(kind, n, collective=True)
-            dephasing[kind] = h.dephasing
-            if h not in wc0:
-                wc0[h] = _wc_state(rho0, h)
-            curve = _wc_curve(rho0, kind, h, q_grid) - wc0[h]
-            summary = enhancement_summary(q_grid, curve)
+            summary = enhancement_summary(q_grid, gains[kind])
             rows["channel"].append(kind)
             rows["N"].append(n)
             rows["delta_wc_max"].append(summary.delta_wc_max)
@@ -507,7 +537,7 @@ def lindblad_consistency(kind, gamma: float, t_grid, n0) -> SweepResult:
     n0 = np.asarray(n0, dtype=float)
     jump = ch.jump_operator(kind)
     rho0 = bloch_to_density(n0)
-    h = hamiltonian("excitation", 1)
+    h = _shared_hamiltonian("excitation", 1)
     qs = np.array([ch.q_of_t(kind, gamma, t) for t in t_grid])
     evolved = np.array([ch.lindblad_evolve(rho0, ch.LindbladSpec((jump,), (gamma,), t)) for t in t_grid])
     rk4_bloch = np.array([density_to_bloch(s) for s in evolved])
@@ -542,7 +572,7 @@ def entangled_example(theta_grid, q_grid=None, h: float = 0.5, j: float = 0.4, k
     kind = ch.canonical_kind(kind)
     theta_grid = np.asarray(theta_grid, dtype=float)
     q_grid = q_grid_default() if q_grid is None else ch.strengths(q_grid)
-    ham = hamiltonian("z_plus_xx", 2, h=h, j=j)
+    ham = _shared_hamiltonian("z_plus_xx", 2, h=h, j=j)
     rho0s = np.array([apply_hadamard_pair(entangled_theta(theta)) for theta in theta_grid])
     wc = np.empty(len(theta_grid) * len(q_grid))
     conc = np.empty_like(wc)
@@ -588,7 +618,7 @@ def interacting_depolarizing(
     q_grid = q_grid_default() if q_grid is None else ch.strengths(q_grid)
     if not (math.isfinite(fd_step) and fd_step > 0.0):
         raise ValueError(f"fd_step = {fd_step} must be finite and > 0")
-    ham = hamiltonian("xx_interacting", 2, h=h, j=j)
+    ham = _shared_hamiltonian("xx_interacting", 2, h=h, j=j)
     # the centre strengths, then their clipped neighbours, as one grid: a bad
     # centre q is reported first, and valid ones keep neighbours in [0, 1]
     lo_q, hi_q = np.maximum(0.0, q_grid - fd_step), np.minimum(1.0, q_grid + fd_step)

@@ -82,7 +82,11 @@ class SpectralDecomposition(NamedTuple):
 
 
 def as_matrix(m) -> np.ndarray:
-    mat = np.asarray(m, dtype=complex)
+    return _square(np.asarray(m, dtype=complex))
+
+
+def _square(mat: np.ndarray) -> np.ndarray:
+    """mat itself, once checked to be one square matrix."""
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     return mat

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import is_dataclass
 from itertools import combinations
 
@@ -375,6 +376,27 @@ def test_correlated_flip_choi_is_cptp_on_any_pair(q, pair):
 def test_apply_local_rejects_bad_targets():
     with pytest.raises(ValueError):
         apply_local(np.eye(4) / 4, "bf", 0.5, [2])
+
+
+def test_apply_local_checks_the_shape_without_a_complex_copy(monkeypatch):
+    entered = []
+    exact_real = channels._exact_real
+
+    def no_copy(*args):
+        raise AssertionError("copied the state to complex")
+
+    def recording(a):
+        entered.append(a)
+        return exact_real(a)
+
+    monkeypatch.setattr(channels, "as_matrix", no_copy)
+    monkeypatch.setattr(channels, "_exact_real", recording)
+    rho = np.array([[0.7, 0.2], [0.2, 0.3]])
+    assert apply_local(rho, "ad", 0.3).dtype == np.float64
+    assert entered[0] is rho  # the caller's array reaches the dtype rule uncopied
+    for bad in (np.ones((2, 3)) / 2, np.stack([rho, rho]), np.array(0.5)):
+        with pytest.raises(ValueError, match=re.escape(f"expected a square matrix, got shape {bad.shape}")):
+            apply_local(bad, "bf", 0.3)
 
 
 def random_states(rng, count, n):

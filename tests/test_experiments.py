@@ -218,7 +218,7 @@ def test_scaling_rejects_oversized_registers_and_correlated_flips_before_any_wor
     def no_work(*args):
         raise AssertionError("started the work")
 
-    for name in ("symmetrized_multipartite", "_symmetrized_classes", "_wc_state", "_wc_curve"):
+    for name in ("symmetrized_multipartite", "_symmetrized_classes", "_wc_curves", "_wc_curve"):
         monkeypatch.setattr(ex, name, no_work)
     with pytest.raises(ValueError, match=message):
         ex.scaling_run(kinds=kinds, n_values=n_values, q_points=5)
@@ -229,7 +229,7 @@ def test_scaling_rejects_local_states_of_the_largest_register_before_any_work(mo
     def no_work(*args):
         raise AssertionError("started the work")
 
-    for name in ("symmetrized_multipartite", "_symmetrized_classes", "_wc_state", "_wc_curve"):
+    for name in ("symmetrized_multipartite", "_symmetrized_classes", "_wc_curves", "_wc_curve"):
         monkeypatch.setattr(ex, name, no_work)
     with pytest.raises(ValueError) as expected:
         qubit_state(0.2, 0.1 + 0.05 * 7)
@@ -251,22 +251,57 @@ def test_scaling_rejects_depolarizing_past_two_qubits_before_any_curve(monkeypat
 
 
 def test_scaling_splits_rho0_once_per_hamiltonian(monkeypatch):
-    # bit flip and amplitude damping share one excitation Hamiltonian per N
-    splits = []
-    split = ex._wc_state
+    # bit flip and amplitude damping share one excitation Hamiltonian per N:
+    # from N = 3 on, one class split takes both curves and W_C(rho0); at
+    # N = 2 the dense route splits rho0 once per Hamiltonian
+    class_splits, dense_splits = [], []
+    block_coherent, dense = workx._block_coherent, workx.decompose
 
-    def counting(rho0, h):
-        splits.append((h.num_qubits, h))
-        return split(rho0, h)
+    def counting_blocks(terms, vander, h):
+        class_splits.append((h.num_qubits, h))
+        return block_coherent(terms, vander, h)
 
-    monkeypatch.setattr(ex, "_wc_state", counting)
+    def counting_dense(rho, h):
+        if np.ndim(rho) == 2:  # one state: rho0, not a stack of images
+            dense_splits.append((h.num_qubits, h))
+        return dense(rho, h)
+
+    monkeypatch.setattr(workx, "_block_coherent", counting_blocks)
+    monkeypatch.setattr(workx, "decompose", counting_dense)
     ex.scaling_run(kinds=("bf", "pf", "ad"), n_values=(2, 3, 4), q_points=5)
-    assert [n for n, _ in splits] == [2, 2, 3, 3, 4, 4]
-    for n in (2, 3, 4):
+    assert [n for n, _ in dense_splits] == [2, 2]
+    assert [n for n, _ in class_splits] == [3, 3, 4, 4]
+    for n, splits in ((2, dense_splits), (3, class_splits), (4, class_splits)):
         assert [h for m, h in splits if m == n] == [
             ex.channel_hamiltonian("bf", n, collective=True),
             ex.channel_hamiltonian("pf", n, collective=True),
         ]
+        assert ex.channel_hamiltonian("ad", n, collective=True) is ex.channel_hamiltonian("bf", n, collective=True)
+
+
+def test_sweeps_build_each_hamiltonian_once(monkeypatch):
+    runs = (
+        lambda: ex.lindblad_consistency("bf", 0.5, np.linspace(0.0, 0.5, 3), [0.6, 0.5, 0.4]),
+        lambda: ex.entangled_example(np.linspace(0.0, 1.0, 3), ex.q_grid_default(5)),
+        lambda: ex.interacting_depolarizing(q_grid=ex.q_grid_default(5)),
+    )
+    for run in runs:
+        run()  # builds and caches the Hamiltonians
+    solves = []
+
+    def counting(m):
+        solves.append(np.shape(m))
+        return herm_eig(m)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a Hamiltonian again")
+
+    monkeypatch.setattr(qstate, "herm_eig", counting)
+    monkeypatch.setattr(workx, "herm_eig", counting)
+    monkeypatch.setattr(ex, "hamiltonian", no_build)
+    for run in runs:
+        run()
+    assert solves == []
 
 
 def test_scaling_sidecar_names_each_curves_dephasing():
@@ -668,7 +703,8 @@ def kraus_oracle_curve(rho0, kind, h, q_grid):
 def assert_curve_matches_oracle(rho0, kind, h, q_grid, dense=None):
     """The batched curve of rho0, a dense state or the class coordinates
     of the dense state ``dense``, against the per-q Kraus oracle."""
-    batched = ex._wc_curve(rho0, kind, h, q_grid) - ex._wc_state(rho0, h)
+    curves, wc0 = ex._wc_curves(rho0, [kind], h, q_grid)
+    batched = curves[0] - wc0
     oracle = kraus_oracle_curve(rho0 if dense is None else dense, kind, h, q_grid)
     assert np.abs(batched - oracle).max() <= 1e-12
     assert (ex.enhancement_summary(q_grid, batched).argmax_q
@@ -787,8 +823,40 @@ def test_class_coordinate_input_matches_the_dense_oracle(n, kind, which, a, phas
     rho0 = symmetrized_multipartite(a, coherences)
     h = invariant_hamiltonians(n)[which]
     q_grid = ex.q_grid_default(21)
-    assert abs(ex._wc_state(coords, h) - decompose(rho0, h).coherent) <= 1e-12
-    assert np.abs(ex._wc_curve(coords, kind, h, q_grid) - dense_curve(rho0, kind, h, q_grid)).max() <= 1e-12
+    oracle = dense_curve(rho0, kind, h, q_grid)
+    curves, wc0 = ex._wc_curves(coords, [kind], h, q_grid)
+    assert abs(wc0 - decompose(rho0, h).coherent) <= 1e-12
+    assert np.abs(curves[0] - oracle).max() <= 1e-12
+    assert np.abs(ex._wc_curve(coords, kind, h, q_grid) - oracle).max() <= 1e-12
+
+
+CLASS_KIND_NAMES = ("bf", "bit_flip", "bpf", "pf", "pd", "ad")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(3, 8),
+    kinds=st.lists(st.sampled_from(CLASS_KIND_NAMES), min_size=1, max_size=4),
+    which=st.integers(0, 2),
+    a=st.floats(0.05, 0.95),
+    q_points=st.integers(2, 41),
+)
+@example(n=3, kinds=["bf", "bit_flip", "ad", "bf"], which=0, a=0.2, q_points=21)
+@example(n=8, kinds=["pf", "pd", "pf"], which=1, a=0.3, q_points=41)
+@example(n=6, kinds=["bf", "bpf", "pf", "pd", "ad"], which=2, a=0.6, q_points=11)
+def test_batched_split_matches_per_kind_curves(n, kinds, which, a, q_points):
+    coherences = np.sqrt(a * (1.0 - a)) * np.linspace(0.2, 0.8, n)
+    coords = qstate._symmetrized_classes(a, coherences)
+    h = invariant_hamiltonians(n)[which]
+    q_grid = ex.q_grid_default(q_points)
+    curves, wc0 = ex._wc_curves(coords, kinds, h, q_grid)
+    assert curves.shape == (len(kinds), q_points)
+    separate = decompose(symmetrized_multipartite(a, coherences), h).coherent
+    assert abs(wc0 - separate) <= 1e-12
+    # every kind keeps its row, in order, a repeated kind and an alias too
+    for kind, row in zip(kinds, curves):
+        expected = ex._wc_curve(coords, kind, h, q_grid) - separate
+        assert np.abs((row - wc0) - expected).max() <= 1e-12
 
 
 def test_class_coordinate_input_needs_a_blockwise_hamiltonian():
@@ -797,7 +865,7 @@ def test_class_coordinate_input_needs_a_blockwise_hamiltonian():
     h = hamiltonian("x_sum", n)  # dephased in its product basis, not in spin blocks
     message = "class coordinates need a Hamiltonian .* got x_sum with product_basis dephasing"
     with pytest.raises(ValueError, match=message):
-        ex._wc_state(coords, h)
+        ex._wc_curves(coords, ["pf"], h, ex.q_grid_default(5))
     with pytest.raises(ValueError, match=message):
         ex._wc_curve(coords, "pf", h, ex.q_grid_default(5))
     with pytest.raises(ValueError, match="correlated bit flip acts on exactly one qubit pair"):

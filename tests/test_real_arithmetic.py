@@ -115,7 +115,7 @@ def test_class_curve_agrees_between_the_real_and_complex_routes(n, phi, kind, a,
     assert ex._block_coordinates(real, h).dtype == np.float64
     assert ex._block_coordinates(turned, h).dtype == np.complex128
     q_grid = ex.q_grid_default(21)
-    assert abs(ex._wc_state(turned, h) - ex._wc_state(real, h)) <= 1e-12
+    assert abs(ex._wc_curves(turned, [kind], h, q_grid)[1] - ex._wc_curves(real, [kind], h, q_grid)[1]) <= 1e-12
     assert np.abs(ex._wc_curve(turned, kind, h, q_grid) - ex._wc_curve(real, kind, h, q_grid)).max() <= 1e-12
 
 
