@@ -78,8 +78,11 @@ class EnhancementSummary:
 def enhancement_summary(q_grid, delta_wc) -> EnhancementSummary:
     """Peak gain and the trapezoidal integral of its positive part.
 
-    A 1-D curve gives floats; a (S, Q) stack of curves is summarized row
-    by row, with every field a length-S array.
+    A gain within ENHANCEMENT_AREA_TOL of zero is rounding noise and reads
+    as 0.0, so a frozen curve summarizes to (0.0, q_grid[0], 0.0) rather
+    than to wherever its noise peaks. A 1-D curve gives floats; a (S, Q)
+    stack of curves is summarized row by row, with every field a
+    length-S array.
     """
     q_grid = np.asarray(q_grid, dtype=float)
     delta_wc = np.asarray(delta_wc, dtype=float)
@@ -87,6 +90,7 @@ def enhancement_summary(q_grid, delta_wc) -> EnhancementSummary:
         raise ValueError("enhancement summary needs at least two grid points")
     if q_grid.ndim != 1 or delta_wc.ndim not in (1, 2) or delta_wc.shape[-1:] != q_grid.shape:
         raise ValueError("grid and values must align")
+    delta_wc = np.where(np.abs(delta_wc) <= ENHANCEMENT_AREA_TOL, 0.0, delta_wc)
     idx = delta_wc.argmax(axis=-1)
     fields = (
         np.take_along_axis(delta_wc, idx[..., None], axis=-1)[..., 0],

@@ -27,24 +27,24 @@ so an invariant operator has one value per class: D = C(n+3, 3) values
 matrix, the reference the tests hold the class route to.
 
 By Schur-Weyl duality such an operator is the direct sum over total
-spin J of M_J x 1_{d_J}, with M_J of size 2J+1 <= n+1. ``spin_blocks``
-holds one isometry W_J onto a spin-J multiplet per J, built once per n.
-From the class coordinates, ``_class_block_parts`` reads the spin
-blocks through one real (D, D) map, and ``_class_trace`` and
+spin J of M_J x 1_{d_J}, with M_J of size 2J+1 <= n+1; ``spin_blocks``
+lists the (2J+1, d_J) pairs. ``_class_block_parts`` reads the blocks
+from the class coordinates through one real (D, D) map in closed form:
+exact integer counts over binomial square roots (``_class_block_map``,
+with no isometry and no 2^n or 4^n array). ``_class_trace`` and
 ``_class_diagonal`` read the trace and the diagonal from the n + 1
 diagonal classes. The
-spectrum is the union of the spec(W_J^T M W_J), each value repeated d_J
-times (``_block_spectrum``), and a state so held is validated with the
-same private checks and messages as a dense one (``_require_hermitian``,
-``_require_trace``, ``_require_psd``). The dense collective Hamiltonians
-read their spin frames through ``_permutation_invariant`` and
-``_spin_block_parts``, once per Hamiltonian.
-``_class_levels`` holds the index maps with which
-``channels._class_expand`` applies a channel to every qubit in these
-coordinates. Memory: what is cached per n is of order D^2. That is the
-class lists, the block map (D^2 floats) and the level maps (25,080
-indices at n = 8, against D^2 = 27,225). The 4^n class codes of a dense
-matrix's entries are rebuilt on each call and never cached.
+spectrum is the union of the spec(M_J), each value repeated d_J times
+(``_block_spectrum``), and a state so held is validated with the same
+private checks and messages as a dense one (``_require_hermitian``,
+``_require_trace``, ``_require_psd``). A dense collective Hamiltonian
+is checked with ``_permutation_invariant`` and read through the same
+map, once per Hamiltonian. ``_class_levels`` holds the index maps with
+which ``channels._class_expand`` applies a channel to every qubit in
+these coordinates. Memory: what is cached per n is of order D^2. That
+is the class lists, the block map (D^2 floats) and the level maps
+(25,080 indices at n = 8, against D^2 = 27,225). The 4^n class codes of
+a dense matrix's entries are rebuilt on each call and never cached.
 """
 
 from __future__ import annotations
@@ -186,48 +186,19 @@ def trace_norm(m) -> float:
     return float(np.abs(vals).sum())
 
 
-class SpinBlock(NamedTuple):
-    """One spin-J multiplet of an n-qubit register: the (2**n, 2J+1)
-    isometry onto |J, M> for M = J, J-1, ..., -J, and the multiplicity
-    d_J of spin J."""
-
-    isometry: np.ndarray
-    multiplicity: int
-
-
 @functools.cache
-def spin_blocks(n: int) -> tuple[SpinBlock, ...]:
-    """One multiplet per total spin J = n/2, n/2 - 1, ... of n qubits.
-
-    The highest-weight vector of spin J = n/2 - k (in the kernel of J+ at
-    M = J, with |g> as M = +1/2) is k singlets (|ge> - |eg>)/sqrt2 on the
-    qubit pairs (0, 1), ..., (2k-2, 2k-1) times |g> on every other qubit;
-    the collective J- walks it down the ladder. d_J = C(n, k) - C(n, k-1).
-    Built on first use per n; the isometries are real and read-only.
+def spin_blocks(n: int) -> tuple[tuple[int, int], ...]:
+    """(2J+1, d_J) for each total spin J = n/2, n/2 - 1, ... of n qubits:
+    the size of the spin-J block and the number of its copies,
+    d_J = C(n, k) - C(n, k-1) for J = n/2 - k.
     """
     n = int(n)
     if n < 1:
         raise ValueError("spin blocks need at least one qubit")
-    lowering = np.array([[0.0, 0.0], [1.0, 0.0]])  # |e><g|
-    eye = np.eye(2)
-    j_minus = sum(
-        functools.reduce(np.kron, [lowering if i == t else eye for i in range(n)])
-        for t in range(n)
+    return tuple(
+        (n - 2 * k + 1, math.comb(n, k) - (math.comb(n, k - 1) if k else 0))
+        for k in range(n // 2 + 1)
     )
-    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    ket_g = np.array([1.0, 0.0])
-    blocks = []
-    for k in range(n // 2 + 1):
-        ladder = [functools.reduce(np.kron, [singlet] * k + [ket_g] * (n - 2 * k))]
-        for _ in range(n - 2 * k):  # 2J steps down from M = J
-            down = j_minus @ ladder[-1]
-            ladder.append(down / np.linalg.norm(down))
-        isometry = np.stack(ladder, axis=1)
-        isometry.flags.writeable = False
-        multiplicity = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
-        blocks.append(SpinBlock(isometry, multiplicity))
-    assert sum(b.isometry.shape[1] * b.multiplicity for b in blocks) == 2**n
-    return tuple(blocks)
 
 
 def _permutation_invariant(mats: np.ndarray, n: int) -> bool:
@@ -247,21 +218,10 @@ def _permutation_invariant(mats: np.ndarray, n: int) -> bool:
     return bool(np.abs(mats - shifted).max() <= SYMMETRY_TOL)
 
 
-def _spin_block_parts(mats: np.ndarray, n: int) -> list[np.ndarray]:
-    """W_J^T M W_J of every matrix M of a (..., 2**n, 2**n) stack, one
-    (..., 2J+1, 2J+1) stack per block of ``spin_blocks(n)``, from one
-    pair of products with all the isometries side by side."""
-    blocks = spin_blocks(n)
-    w = np.concatenate([b.isometry for b in blocks], axis=1)
-    full = w.T @ mats @ w
-    edges = np.cumsum([0] + [b.isometry.shape[1] for b in blocks])
-    return [full[..., i:j, i:j] for i, j in zip(edges[:-1], edges[1:])]
-
-
 def _spin_spectrum(values, n: int) -> np.ndarray:
     """The ascending (..., 2**n) spectrum of an operator whose spin
     blocks have the given (..., 2J+1) values, each repeated d_J times."""
-    spread = [np.repeat(v, b.multiplicity, axis=-1) for v, b in zip(values, spin_blocks(n))]
+    spread = [np.repeat(v, d, axis=-1) for v, (_, d) in zip(values, spin_blocks(n))]
     return np.sort(np.concatenate(spread, axis=-1), axis=-1)
 
 
@@ -374,30 +334,32 @@ def _class_block_map(n: int) -> np.ndarray:
     spin-block entries W_J^T M W_J, each block flattened row-major and
     the blocks side by side in the order of ``spin_blocks(n)``.
 
-    Column a of W_J lives on the basis labels of Hamming weight k + a
-    (k singlets, then a steps of J-), so a class, whose rows have weight
-    n10 + n11 and columns n01 + n11, reaches one entry (a, b) of each
-    block, with the weight sum over the class of W_J[r, a] W_J[c, b]:
-    one bincount per block."""
-    classes, codes = _entry_classes(n), _entry_codes(n).ravel()
-    weight = np.bitwise_count(np.arange(2**n)).astype(np.intp)
-    rows = classes.counts[:, 2] + classes.counts[:, 3]
-    cols = classes.counts[:, 1] + classes.counts[:, 3]
-    size = len(classes.counts)
-    class_codes = _class_codes(classes.counts, n)
-    pieces = []
-    for k, block in enumerate(spin_blocks(n)):
-        w = block.isometry
-        m = w.shape[1]
-        support = (weight - k)[:, None] == np.arange(m)
-        assert not w[~support].any(), "spin-block columns of one Hamming weight"
-        v = (w * support).sum(axis=1)
-        sums = np.bincount(codes, np.outer(v, v).ravel(), (n + 1) ** 3)[class_codes]
-        piece = np.zeros((size, m, m))
-        hit = (rows >= k) & (rows < k + m) & (cols >= k) & (cols < k + m)
-        piece[hit, rows[hit] - k, cols[hit] - k] = sums[hit]
-        pieces.append(piece.reshape(size, m * m))
-    out = np.concatenate(pieces, axis=1)
+    Column a of W_J, for J = n/2 - k and m = n - 2k, is the state
+    |J, J - a> (|g> is M = +1/2) singlet^k x Dicke(m, a): k singlets
+    (|ge> - |eg>)/sqrt2 on fixed qubit pairs, then the m other qubits in
+    the normalized sum of their labels of weight a. A singlet holds one 1 in its rows and one in its
+    columns, so a class (n00, n01, n10, n11) reaches the one entry
+    (a, b) = (n10 + n11 - k, n01 + n11 - k) of block J. Its weight, the
+    sum over the class of W_J[r, a] W_J[c, b], is the coefficient of
+    x00^n00 x01^n01 x10^n10 x11^n11 in
+    (x00 x11 - x01 x10)^k (x00 + x01 + x10 + x11)^m, an exact integer,
+    over sqrt(C(m, a) C(m, b)).
+    """
+    f = [math.factorial(i) for i in range(n + 1)]
+    sides = [side for side, _ in spin_blocks(n)]
+    offsets = np.cumsum([0] + [side * side for side in sides])
+    out = np.zeros((len(_entry_classes(n).counts), offsets[-1]))
+    for row, (n00, n01, n10, n11) in enumerate(_entry_classes(n).counts.tolist()):
+        for k, side in enumerate(sides):
+            m, a, b = side - 1, n10 + n11 - k, n01 + n11 - k
+            if not (0 <= a <= m and 0 <= b <= m):
+                continue
+            coef = 0
+            for j in range(k + 1):  # j singlets give x01 x10, the other k - j x00 x11
+                tail = (n00 - k + j, n01 - j, n10 - j, n11 - k + j)
+                if min(tail) >= 0:
+                    coef += (-1) ** j * math.comb(k, j) * (f[m] // math.prod(f[t] for t in tail))
+            out[row, offsets[k] + a * side + b] = coef / math.sqrt(math.comb(m, a) * math.comb(m, b))
     out.flags.writeable = False
     return out
 
@@ -407,7 +369,7 @@ def _class_block_parts(coords: np.ndarray, n: int) -> list[np.ndarray]:
     class coordinates, one (..., 2J+1, 2J+1) stack per block of
     ``spin_blocks(n)``, from one product with ``_class_block_map(n)``."""
     flat = coords @ _class_block_map(n)
-    sides = [b.isometry.shape[1] for b in spin_blocks(n)]
+    sides = [side for side, _ in spin_blocks(n)]
     edges = np.cumsum([0] + [m * m for m in sides])
     return [
         flat[..., i:j].reshape(coords.shape[:-1] + (m, m))

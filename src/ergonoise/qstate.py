@@ -11,6 +11,7 @@ of the N! permutation average it equals.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,11 +24,12 @@ from .matcore import (
     PAULIS,
     SIGMA_X,
     SIGMA_Z,
+    _class_block_parts,
+    _class_coordinates,
     _entry_classes,
     _entry_codes,
     _exact_real,
     _permutation_invariant,
-    _spin_block_parts,
     as_matrix,
     herm_eig,
     kron,
@@ -36,7 +38,8 @@ from .matcore import (
 
 BLOCH_TOL = 1e-12
 PSD_TOL = 1e-12
-# the Hamiltonians and spin-block maps downstream are dense in 2^N x 2^N entries
+# the Hamiltonians downstream are dense in 2^N x 2^N entries (the states and
+# the spin-block map are held in class coordinates)
 MAX_SYMMETRIZED_QUBITS = 8
 DEGENERACY_TOL = 1e-9  # relative to the largest |energy level|
 # incommensurate weight mixing J^2 into the level structure so that
@@ -57,10 +60,19 @@ def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
     Streams with distinct indices are statistically independent, so
     per-sample streams give the same draws no matter how samples are
-    scheduled.
+    scheduled. Seed and stream are the two 64-bit words of the Philox
+    key, so each must be an integer in [0, 2**64).
     """
-    key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
+    key = np.array([_key_word(seed, "seed"), _key_word(stream, "stream")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _key_word(value, name: str) -> int:
+    """value as one 64-bit word of a Philox key, or a ValueError naming the bound."""
+    value = operator.index(value)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} {value} is outside [0, 2**64)")
+    return value
 
 
 def require_bloch(n) -> np.ndarray:
@@ -271,7 +283,7 @@ def random_separable(seed_or_rng, num_terms: int = 2) -> np.ndarray:
     if isinstance(seed_or_rng, np.random.Generator):
         rng = seed_or_rng
     else:
-        rng = philox_stream(int(seed_or_rng))
+        rng = philox_stream(seed_or_rng)
     draws = _separable_draws(rng, num_terms)
     return _separable_states(*(x[None] for x in draws))[0]
 
@@ -292,7 +304,7 @@ def random_separable_stack(seed: int, samples, num_terms: int = 2) -> np.ndarray
     fresh = rng.bit_generator.state
     draws = []
     for i in samples:
-        fresh["state"]["key"] = np.array([np.uint64(seed), np.uint64(i)], dtype=np.uint64)
+        fresh["state"]["key"] = np.array([seed, _key_word(i, "sample index")], dtype=np.uint64)
         rng.bit_generator.state = fresh
         draws.append(_separable_draws(rng, num_terms))
     if not draws:
@@ -399,18 +411,21 @@ class Hamiltonian:
         Hamiltonian on n >= 2 qubits that every qubit permutation leaves
         unchanged; None for any other.
 
-        Such an H is the sum over spin blocks of H_J x 1_{d_J}. For each
-        block of ``matcore.spin_blocks(n)`` this holds the eigenvectors of
-        W_J^T H W_J and the kept-entry mask of its levels, grouped within
-        DEGENERACY_TOL * max|levels| as in ``frame``. Within a block J^2 is
-        constant, so these are the (energy, spin) levels ``frame`` keeps.
+        Such an H is the sum over spin blocks of H_J x 1_{d_J}. Its blocks
+        are read from its class coordinates through
+        ``matcore._class_block_parts``, the map the states' blocks are read
+        through, so both share one convention. For each block this holds
+        the eigenvectors of H_J and the kept-entry mask of its levels,
+        grouped within DEGENERACY_TOL * max|levels| as in ``frame``. Within
+        a block J^2 is constant, so these are the (energy, spin) levels
+        ``frame`` keeps.
         """
         n = self.num_qubits
         if not self.collective or n < 2 or not _permutation_invariant(self.matrix, n):
             return None
         scale = float(np.abs(self.levels).max())
         frames = []
-        for h_j in _spin_block_parts(self.matrix, n):
+        for h_j in _class_block_parts(_exact_real(_class_coordinates(self.matrix, n)), n):
             evals, u = np.linalg.eigh(h_j)
             frames.append((_read_only(_exact_real(u)), _same_level(evals, scale)))
         return tuple(frames)

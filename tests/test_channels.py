@@ -530,8 +530,10 @@ def test_class_terms_match_the_dense_expansion(n, kind, a, fractions, phases, se
     coords = matcore._class_coordinates(rho0, n)
     terms, vander = channels._class_polynomial(coords, kind, n, np.linspace(0.0, 1.0, 3))
     assert terms.shape == (len(dense), math.comb(n + 3, 3)) and vander.shape == (3, len(dense))
-    for got, want in zip(matcore._class_block_parts(terms, n), matcore._spin_block_parts(dense, n)):
-        assert np.abs(got - want).max() <= 1e-12
+    want = np.array([matcore._class_coordinates(term, n) for term in dense])
+    assert np.abs(terms - want).max() <= 1e-12
+    blocks = matcore._block_spectrum(matcore._class_block_parts(terms, n), n)
+    assert np.abs(blocks - np.linalg.eigvalsh(dense)).max() <= 1e-12
     assert np.abs(matcore._class_trace(terms, n) - np.trace(dense, axis1=1, axis2=2)).max() <= 1e-12
     # any H, invariant or not, pairs with invariant terms through its class
     # sums; a random H of unit norm, so that the energies, like those of the

@@ -153,6 +153,15 @@ def test_empty_scaling_lists_exit_one_naming_the_list(tmp_path, capsys):
         assert not out.exists()
 
 
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_census_seed_outside_64_bits_exits_one_naming_the_bound(tmp_path, capsys, seed):
+    out = tmp_path / "census.csv"
+    assert run(["census", "--channel", "dc", "--count", "5", "--seed", seed, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"seed {seed} is outside [0, 2**64)" in err and "Traceback" not in err
+    assert not out.exists()
+
 @pytest.mark.parametrize("sizes", ["1,2", "0..3"])
 def test_scaling_register_sizes_below_two_exit_one(tmp_path, capsys, sizes):
     # one qubit would write a phase-flip row in other energy units (gap 2)

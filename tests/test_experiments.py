@@ -159,6 +159,22 @@ def test_enhancement_summary_cases():
         ex.enhancement_summary(q[:1], flat[:1])
 
 
+
+def test_rounding_noise_summarizes_as_no_gain():
+    # gains within ENHANCEMENT_AREA_TOL of zero read as exactly 0.0, so the
+    # peak does not follow the noise; a real gain beside them is kept
+    q = np.linspace(0, 1, 5)
+    noise = np.array([0.0, 6.9e-17, -1.7e-16, 5e-16, -2e-13])
+    assert ex.enhancement_summary(q, noise) == ex.EnhancementSummary(0.0, 0.0, 0.0)
+    s = ex.enhancement_summary(q, noise + np.array([0, 0, 0, 0, 1e-3]))
+    assert (s.delta_wc_max, s.argmax_q) == (1e-3 - 2e-13, 1.0)
+    stacked = ex.enhancement_summary(q, np.stack([noise, -noise]))
+    assert stacked.delta_wc_max.tolist() == [0.0, 0.0] and stacked.argmax_q.tolist() == [0.0, 0.0]
+    # bit-phase flip leaves the excitation energy's coherent work frozen at every N
+    res = ex.scaling_run(kinds=("bpf",), n_values=range(3, 7), q_points=51)
+    for name in ("delta_wc_max", "argmax_q", "area_ap"):
+        assert res.columns[name].tolist() == [0.0] * 4, name
+
 def test_grid_delta_wc_shapes_and_frozen_band():
     a_grid = np.linspace(0.1, 0.9, 9)
     res = ex.grid_delta_wc("symmetric_pair", "bf", a_grid, np.linspace(0, 1, 11), p=0.5, c=0.3, d=0.2)

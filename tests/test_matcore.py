@@ -180,21 +180,50 @@ def test_require_density_accepts_valid_states():
 def test_spin_blocks_are_orthonormal_spin_multiplets(n):
     blocks = matcore.spin_blocks(n)
     assert blocks is matcore.spin_blocks(n)
-    w = np.concatenate([b.isometry for b in blocks], axis=1)
-    assert np.abs(w.T @ w - np.eye(w.shape[1])).max() <= 1e-14
-    assert sum(b.isometry.shape[1] * b.multiplicity for b in blocks) == 2**n
+    assert sum(side * multiplicity for side, multiplicity in blocks) == 2**n
+
+    def parts(op):
+        return matcore._class_block_parts(matcore._exact_real(matcore._class_coordinates(op, n)), n)
+
+    # with identity blocks (orthonormal columns), blocks j(j+1) 1 of J^2 and
+    # (j(j+1))^2 1 of J^4 give J^2 W = j(j+1) W; likewise for Jz and Jz^2
     j2, jz = total_spin_squared(n), 0.5 * _sum_local(SIGMA_Z, n)
-    for b in blocks:
-        j = (b.isometry.shape[1] - 1) / 2
-        assert np.abs(j2 @ b.isometry - j * (j + 1) * b.isometry).max() <= 1e-12
-        assert np.abs(jz @ b.isometry - b.isometry * (j - np.arange(2 * j + 1))).max() <= 1e-12
-        with pytest.raises(ValueError, match="read-only"):
-            b.isometry[0, 0] = 1.0
+    for (side, _), one, j2_j, j4_j, jz_j, jz2_j in zip(
+        blocks, parts(np.eye(2**n)), parts(j2), parts(j2 @ j2), parts(jz), parts(jz @ jz)
+    ):
+        j = (side - 1) / 2
+        m = j - np.arange(side)
+        assert np.abs(one - np.eye(side)).max() <= 1e-14
+        assert np.abs(j2_j - j * (j + 1) * np.eye(side)).max() <= 1e-12
+        assert np.abs(j4_j - (j * (j + 1)) ** 2 * np.eye(side)).max() <= 1e-12
+        assert np.abs(jz_j - np.diag(m)).max() <= 1e-12
+        assert np.abs(jz2_j - np.diag(m**2)).max() <= 1e-12
+    with pytest.raises(ValueError, match="read-only"):
+        matcore._class_block_map(n)[0, 0] = 1.0
     # the multiplicities are those of S_n's irreducible representations
-    assert [b.multiplicity for b in blocks] == {
+    assert [multiplicity for _, multiplicity in blocks] == {
         1: [1], 2: [1, 1], 3: [1, 2], 4: [1, 3, 2], 5: [1, 4, 5],
         6: [1, 5, 9, 5], 7: [1, 6, 14, 14], 8: [1, 7, 20, 28, 14],
     }[n]
+
+
+def test_the_block_map_is_built_without_dense_operators(monkeypatch):
+    # at n = 12 the map is read from combinatorics alone: no entry codes
+    # (4^n) and no Kronecker product (2^n) are formed
+    def dense(*args):
+        raise AssertionError("formed a dense operator")
+
+    monkeypatch.setattr(matcore, "_entry_codes", dense)
+    monkeypatch.setattr(np, "kron", dense)
+    n = 12
+    block_map = matcore._class_block_map.__wrapped__(n)
+    assert block_map.shape == (math.comb(n + 3, 3),) * 2
+    # the identity, one on the diagonal classes (n00, 0, 0, n11), has identity blocks
+    counts = matcore._entry_classes(n).counts
+    identity = ((counts[:, 1] == 0) & (counts[:, 2] == 0)).astype(float)
+    flat = identity @ block_map
+    sides = [side for side, _ in matcore.spin_blocks(n)]
+    assert np.abs(flat - np.concatenate([np.eye(side).ravel() for side in sides])).max() <= 1e-12
 
 
 @st.composite
@@ -215,7 +244,7 @@ def symmetrized_images(draw):
 def test_spin_block_spectra_match_the_dense_eigensolve(case):
     rho, n = case
     dense = np.linalg.eigvalsh(rho)
-    parts = matcore._spin_block_parts(rho, n)
+    parts = matcore._class_block_parts(matcore._class_coordinates(rho, n), n)
     blocks = matcore._spin_spectrum([np.linalg.eigvalsh(p) for p in parts], n)
     assert np.abs(blocks - dense).max() <= 1e-12
     assert matcore._permutation_invariant(rho, n)

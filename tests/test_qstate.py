@@ -223,6 +223,34 @@ def test_random_separable_seed_is_stream_zero():
     assert np.array_equal(random_separable(42, 3), random_separable_loop(philox_stream(42), 3))
 
 
+
+def test_philox_keys_are_64_bit_words():
+    # seed, stream and sample index are the words of a Philox key
+    bound = r" is outside \[0, 2\*\*64\)"
+    for args, message in (
+        ((-1,), "seed -1"),
+        ((2**64,), f"seed {2**64}"),
+        ((0, -1), "stream -1"),
+        ((0, 2**64), f"stream {2**64}"),
+    ):
+        with pytest.raises(ValueError, match=message + bound):
+            philox_stream(*args)
+    for seed, samples, message in (
+        (-1, range(2), "seed -1"),
+        (3, [0, -2], "sample index -2"),
+        (3, [2**64], f"sample index {2**64}"),
+    ):
+        with pytest.raises(ValueError, match=message + bound):
+            random_separable_stack(seed, samples)
+    # a seed is not truncated to an integer, whichever entry point takes it
+    for make in (philox_stream, random_separable):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            make(1.5)
+    # the largest key is a valid stream, and numpy integers are accepted
+    top = philox_stream(2**64 - 1, 2**64 - 1).random()
+    assert top == philox_stream(np.uint64(2**64 - 1), np.uint64(2**64 - 1)).random()
+    assert np.array_equal(random_separable_stack(np.int64(4), [np.int64(2)])[0], random_separable(philox_stream(4, 2)))
+
 @pytest.mark.parametrize(
     "pops, cohs",
     [
