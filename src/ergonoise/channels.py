@@ -43,7 +43,9 @@ and is the one non-unital case.
 Phase damping is phase flip at the effective strength 1 - sqrt(1-q).
 Lindblad evolution runs fixed-step RK4 on the d^2 x d^2 Liouvillian
 ``_liouvillian``: the master equation is linear, so the N steps are one
-power of the step matrix P(dt L) = 1 + dt L + ... + (dt L)^4 / 4!.
+power of the step matrix P(dt L) = 1 + dt L + ... + (dt L)^4 / 4!. A
+time grid builds one Liouvillian and one step matrix per distinct step
+dt (``_lindblad_grid``); ``lindblad_evolve`` is its one-duration case.
 """
 from __future__ import annotations
 
@@ -63,6 +65,7 @@ from .matcore import (
     SIGMA_Z,
     _class_levels,
     _exact_real,
+    _kron_pair,
     _square,
     as_matrix,
     num_qubits,
@@ -103,9 +106,11 @@ _PROJ_G = np.outer(KET_G, KET_G.conj())
 _PROJ_E = np.outer(KET_E, KET_E.conj())
 
 
-def _unital(tx, ty, tz):
-    """diag(T(q)) of a unital row from its three factors, broadcast over q."""
-    diag = np.stack(np.broadcast_arrays(tx, ty, tz), axis=-1)
+def _unital(q, tx, ty, tz):
+    """diag(T(q)) of a unital row over a q grid from its three factors,
+    each a number or an array like q, and its zero shift."""
+    diag = np.empty(q.shape + (3,))
+    diag[:, 0], diag[:, 1], diag[:, 2] = tx, ty, tz
     return diag, np.zeros_like(diag)
 
 
@@ -121,12 +126,12 @@ def _amplitude_damping(q):
 # forms read it; apply_local stays on the Kraus sets so that the tests
 # can compare the two.
 _AFFINE = {
-    BIT_FLIP: lambda q: _unital(1.0, 1.0 - q, 1.0 - q),
-    BIT_PHASE_FLIP: lambda q: _unital(1.0 - q, 1.0, 1.0 - q),
-    PHASE_FLIP: lambda q: _unital(1.0 - q, 1.0 - q, 1.0),
-    DEPOLARIZING: lambda q: _unital(1.0 - q, 1.0 - q, 1.0 - q),
+    BIT_FLIP: lambda q: _unital(q, 1.0, 1.0 - q, 1.0 - q),
+    BIT_PHASE_FLIP: lambda q: _unital(q, 1.0 - q, 1.0, 1.0 - q),
+    PHASE_FLIP: lambda q: _unital(q, 1.0 - q, 1.0 - q, 1.0),
+    DEPOLARIZING: lambda q: _unital(q, 1.0 - q, 1.0 - q, 1.0 - q),
     AMPLITUDE_DAMPING: _amplitude_damping,
-    PHASE_DAMPING: lambda q: _unital(np.sqrt(1.0 - q), np.sqrt(1.0 - q), 1.0),
+    PHASE_DAMPING: lambda q: _unital(q, np.sqrt(1.0 - q), np.sqrt(1.0 - q), 1.0),
 }
 
 UNITAL_KINDS = tuple(
@@ -481,7 +486,12 @@ def bds_param_map(kind: str, q, c, both_qubits: bool = True) -> np.ndarray:
     """
     kind = canonical_kind(kind)
     qs = strengths(q)
-    c = np.asarray(c, dtype=float)
+    return _shaped(q, _bds_scaled(kind, qs, np.asarray(c, dtype=float), both_qubits))
+
+
+def _bds_scaled(kind: str, qs: np.ndarray, c: np.ndarray, both_qubits: bool) -> np.ndarray:
+    """``bds_param_map`` for a canonical kind and a checked grid: the
+    (len(qs), 3) mapped parameters, with the same rejection."""
     if kind == CORRELATED_BIT_FLIP:
         factors = np.ones((len(qs), 3))
     elif kind in UNITAL_KINDS:
@@ -493,7 +503,7 @@ def bds_param_map(kind: str, q, c, both_qubits: bool = True) -> np.ndarray:
             f"{kind.replace('_', ' ')} destroys the symmetry required to "
             "preserve the Bell-diagonal form; apply the Kraus set instead"
         )
-    return _shaped(q, factors * c)
+    return factors * c
 
 
 @dataclass(frozen=True)
@@ -530,7 +540,42 @@ def _liouvillian(ops, rates) -> np.ndarray:
     out = 0.0
     for gamma, l in zip(rates, ops):
         ldl = l.conj().T @ l
-        out = out + gamma * (np.kron(l, l.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T)))
+        out = out + gamma * (_kron_pair(l, l.conj()) - 0.5 * (_kron_pair(ldl, eye) + _kron_pair(eye, ldl.T)))
+    return out
+
+
+def _lindblad_grid(rho0, jump_operators, rates, durations) -> np.ndarray:
+    """``lindblad_evolve`` of one state for every duration of a sequence,
+    as a (T, d, d) stack in that order.
+
+    Each duration is checked as its ``LindbladSpec`` checks it, in order,
+    and then the step count of the largest against MAX_RK4_STEPS, before
+    any matrix is built. One Liouvillian serves the whole grid and one
+    step matrix P(dt L) each distinct step dt = t / N; every duration
+    takes its own power P^N, so its row is bitwise the one-duration run.
+    """
+    rho = as_matrix(rho0)
+    specs = [LindbladSpec(jump_operators, rates, t) for t in durations]
+    needed = {}  # RK4 steps of each row that evolves
+    for i, spec in enumerate(specs):
+        if spec.duration != 0.0 and spec.rates and max(spec.rates) != 0.0:
+            needed[i] = max(1, math.ceil(spec.duration * max(spec.rates) / 1e-3))
+    if needed and max(needed.values()) > MAX_RK4_STEPS:
+        raise ValueError(
+            f"step-size underflow: {max(needed.values())} RK4 steps exceed the {MAX_RK4_STEPS} limit"
+        )
+    out = np.empty((len(specs),) + rho.shape, dtype=rho.dtype)
+    out[:] = rho
+    if needed:
+        liouvillian = _liouvillian(specs[0].jump_operators, specs[0].rates)
+        eye = np.eye(len(liouvillian))
+        steps = {}
+        for i, count in needed.items():
+            dt = specs[i].duration / count
+            if dt not in steps:
+                m = dt * liouvillian
+                steps[dt] = eye + m @ (eye + (m / 2.0) @ (eye + (m / 3.0) @ (eye + m / 4.0)))
+            out[i] = (np.linalg.matrix_power(steps[dt], count) @ rho.reshape(-1)).reshape(rho.shape)
     return out
 
 
@@ -541,21 +586,12 @@ def lindblad_evolve(rho0, spec: LindbladSpec):
     MAX_RK4_STEPS steps is rejected before anything is built. On the linear
     flow rho' = L rho one RK4 step is exactly rho <- P(dt L) rho with
     P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, so the N steps are applied as
-    the one matrix P(dt L)^N, formed by repeated squaring.
+    the one matrix P(dt L)^N, formed by repeated squaring. This is the
+    one-duration case of the grid evolution that ``lindblad_consistency``
+    runs once per time grid: there one step matrix serves each step size,
+    and the cap is checked on the largest time.
     """
-    rho = as_matrix(rho0).copy()
-    t = spec.duration
-    if t == 0.0 or not spec.rates or max(spec.rates) == 0.0:
-        return rho
-    needed = max(1, math.ceil(t * max(spec.rates) / 1e-3))
-    if needed > MAX_RK4_STEPS:
-        raise ValueError(
-            f"step-size underflow: {needed} RK4 steps exceed the {MAX_RK4_STEPS} limit"
-        )
-    m = (t / needed) * _liouvillian(spec.jump_operators, spec.rates)
-    eye = np.eye(len(m))
-    step = eye + m @ (eye + (m / 2.0) @ (eye + (m / 3.0) @ (eye + m / 4.0)))
-    return (np.linalg.matrix_power(step, needed) @ rho.reshape(-1)).reshape(rho.shape)
+    return _lindblad_grid(rho0, spec.jump_operators, spec.rates, [spec.duration])[0]
 
 
 # Lindblad clock of each kind: the jump operator L and the rate factor r

@@ -6,7 +6,8 @@ and the maximum of {c1, c2, c3}; the trace-norm route reproduces them
 from the distance definitions and also accepts signed parameters.
 ``correlation_work`` checks the identity at a noise strength q, a
 number or a grid (one report of numbers, or of length-Q arrays), with
-one Kraus evolution and one ``decompose`` per stack of evolved states.
+one check of the grid, one Kraus evolution and one ``decompose`` per
+stack of evolved states.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .matcore import trace_norm
 from .qstate import IDENTITY_4, PAULI_PAIRS, hamiltonian, make_bds
-from .channels import AMPLITUDE_DAMPING, _local_chunks, _shaped, bds_param_map, canonical_kind, strengths
+from .channels import AMPLITUDE_DAMPING, _bds_scaled, _local_chunks, _shaped, canonical_kind, strengths
 from .workx import ErgotropyReport, decompose
 
 # the energy the work-correlation identity is stated for
@@ -113,7 +114,7 @@ def correlation_work(c, kind: str, q, both_qubits: bool = True) -> CorrelationRe
     rho = make_bds(c)
     valid = kind != AMPLITUDE_DAMPING
     if valid:
-        mapped = bds_param_map(kind, qs, c, both_qubits)
+        mapped = _bds_scaled(kind, qs, c, both_qubits)
     else:
         mapped = np.empty((len(qs), 3))
     work = np.empty((6, len(qs)))

@@ -188,7 +188,7 @@ def _crossing_qs(c, kind: str, both: bool, q_grid) -> list[float]:
     """
 
     def lams_at(qs):
-        return bds_eigenvalues(ch.bds_param_map(kind, qs, c, both))
+        return bds_eigenvalues(ch._bds_scaled(kind, qs, c, both))
 
     slots = lams_at(q_grid).argmax(axis=1)
     k = np.flatnonzero(slots[:-1] != slots[1:])
@@ -535,6 +535,12 @@ def lindblad_consistency(kind, gamma: float, t_grid, n0) -> SweepResult:
 
     Per time point: Bloch components from both routes and the coherent
     work from both routes, with the worst deviation in the metadata.
+
+    The whole time grid is one evolution (``channels._lindblad_grid``):
+    one Liouvillian, one RK4 step matrix per distinct step size and the
+    step cap checked on the largest time, before any matrix is built.
+    The Bloch vectors and their Hermiticity check are read once from the
+    evolved stack.
     """
     kind = ch.canonical_kind(kind)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -543,8 +549,8 @@ def lindblad_consistency(kind, gamma: float, t_grid, n0) -> SweepResult:
     rho0 = bloch_to_density(n0)
     h = _shared_hamiltonian("excitation", 1)
     qs = np.array([ch.q_of_t(kind, gamma, t) for t in t_grid])
-    evolved = np.array([ch.lindblad_evolve(rho0, ch.LindbladSpec((jump,), (gamma,), t)) for t in t_grid])
-    rk4_bloch = np.array([density_to_bloch(s) for s in evolved])
+    evolved = ch._lindblad_grid(rho0, (jump,), (gamma,), t_grid)
+    rk4_bloch = density_to_bloch(evolved)
     kraus_bloch = ch.bloch_map(kind, qs, n0)
     cols = {"t": t_grid, "q": qs}
     for i, name in enumerate(("n1", "n2", "n3")):

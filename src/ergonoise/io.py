@@ -3,9 +3,11 @@
 Numbers are written with Python's shortest round-trip float repr, the
 separator is a comma with '.' decimal point, files are UTF-8 with LF
 endings, and sidecar keys are sorted - so a fixed configuration always
-produces byte-identical files. Sidecars are strict JSON: a non-finite
-number in the metadata is rejected naming its key, never written as
-NaN or Infinity.
+produces byte-identical files. A file with many float cells formats
+each distinct value (bit pattern, so -0.0 and 0.0 stay apart) once and
+reuses the text; the bytes are those of formatting every cell. Sidecars
+are strict JSON: a non-finite number in the metadata is rejected naming
+its key, never written as NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -19,11 +21,38 @@ import numpy as np
 from .experiments import SweepResult
 
 
-def _format_column(values) -> list[str]:
-    """The cells of one column: floats as their shortest round-trip repr,
-    everything else (ints, bools, strings) as str."""
-    values = np.asarray(values)
-    return list(map(repr if values.dtype.kind == "f" else str, values.tolist()))
+# Below this many float cells a file formats each cell directly: finding
+# the distinct values then costs more than the repr calls it saves.
+DISTINCT_MIN_CELLS = 256
+
+
+def _float_cells(values: np.ndarray) -> list[str]:
+    """The shortest round-trip repr of every entry of a 1-D float64 array.
+    From DISTINCT_MIN_CELLS entries on, each distinct value is formatted
+    once, keyed on its bit pattern so that -0.0 stays apart from 0.0."""
+    if len(values) < DISTINCT_MIN_CELLS:
+        return list(map(repr, values.tolist()))
+    distinct, where = np.unique(values.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return text[where].tolist()
+
+
+def _cells(columns) -> list[list[str]]:
+    """The cells of each column of one file: floats as the shortest
+    round-trip repr of their float64 value, every float column of the
+    file formatted together by ``_float_cells``; everything else (ints,
+    bools, strings) as str."""
+    arrays = [np.asarray(v) for v in columns]
+    floats = [a.astype(np.float64, copy=False) for a in arrays if a.dtype.kind == "f"]
+    text = _float_cells(np.concatenate(floats)) if floats else []
+    cells, start = [], 0
+    for a in arrays:
+        if a.dtype.kind == "f":
+            cells.append(text[start : start + len(a)])
+            start += len(a)
+        else:
+            cells.append(list(map(str, a.tolist())))
+    return cells
 
 
 def write_csv(path, result: SweepResult) -> Path:
@@ -36,7 +65,7 @@ def write_csv(path, result: SweepResult) -> Path:
     path = Path(path)
     write_sidecar(path.with_suffix(".meta.json"), result.metadata)
     names = list(result.columns)
-    cells = [_format_column(result.columns[k]) for k in names]
+    cells = _cells(result.columns.values())
     lines = [",".join(names), *map(",".join, zip(*cells))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path

@@ -135,13 +135,22 @@ def herm_eig(m) -> SpectralDecomposition:
     return SpectralDecomposition(vals, vecs)
 
 
+def _kron_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices as one broadcast multiply: the same
+    elementwise products, so bitwise equal, with none of np.kron's
+    generic reshaping."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
+
+
 def kron(*ops) -> np.ndarray:
     """Tensor product of one or more operators, left to right."""
     if not ops:
         raise ValueError("kron needs at least one operator")
     out = as_matrix(ops[0])
     for op in ops[1:]:
-        out = np.kron(out, as_matrix(op))
+        out = _kron_pair(out, as_matrix(op))
     return out
 
 

@@ -24,12 +24,14 @@ from .matcore import (
     PAULIS,
     SIGMA_X,
     SIGMA_Z,
+    SpectralDecomposition,
     _class_block_parts,
     _class_coordinates,
     _entry_classes,
     _entry_codes,
     _exact_real,
     _permutation_invariant,
+    _require_hermitian,
     as_matrix,
     herm_eig,
     kron,
@@ -98,10 +100,17 @@ def bloch_to_density(n) -> np.ndarray:
 
 
 def density_to_bloch(rho) -> np.ndarray:
-    rho = require_hermitian(rho)
-    if rho.shape != (2, 2):
-        raise ValueError("expected a single-qubit state")
-    return np.array([float(np.trace(rho @ p).real) for p in PAULIS])
+    """Bloch vector (Tr rho sigma_i) of a single-qubit state, or the (T, 3)
+    vectors of a (T, 2, 2) stack, whose Hermiticity is checked once,
+    naming its worst entry."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim == 3 and rho.shape[1:] == (2, 2):
+        _require_hermitian(rho)
+    else:
+        rho = require_hermitian(rho)
+        if rho.shape != (2, 2):
+            raise ValueError("expected a single-qubit state")
+    return np.trace(rho[..., None, :, :] @ PAULIS, axis1=-2, axis2=-1).real
 
 
 def qubit_state(x: float, y: complex) -> np.ndarray:
@@ -350,7 +359,8 @@ class Hamiltonian:
     dephasing strips every off-diagonal (``product_basis``); ``collective``
     splits the spectral blocks by total spin J^2 instead. With neither,
     dephasing keeps the spectral blocks (``block``). The matrix is stored
-    read-only, so ``levels`` and ``frame`` are computed once per object.
+    read-only, so ``levels``, ``eigenbasis`` and ``frame`` are computed
+    once per object.
     The matrix, the basis and the frames are stored in float64 where they
     have no nonzero imaginary part (``matcore._exact_real``), as every
     Hamiltonian ``hamiltonian`` builds does, so that a real state is split
@@ -384,6 +394,13 @@ class Hamiltonian:
     def levels(self) -> np.ndarray:
         """Ascending energy levels."""
         return _read_only(np.linalg.eigvalsh(self.matrix))
+
+    @cached_property
+    def eigenbasis(self) -> SpectralDecomposition:
+        """``herm_eig`` of the matrix, read-only: the ascending levels and
+        the eigenvectors ``workx.passive_state`` pairs populations with."""
+        vals, vecs = herm_eig(self.matrix)
+        return SpectralDecomposition(_read_only(vals), _read_only(vecs))
 
     @cached_property
     def frame(self) -> tuple[np.ndarray, np.ndarray]:

@@ -45,8 +45,9 @@ writing the Hamiltonian as e0 + g (u . sigma), give the whole split
 from m's component along u (``closed_form``). The enhancement
 thresholds are one table keyed by (kind, basis).
 
-The two-qubit diagnostics are ``concurrence`` (one batched eigh and one
-batched SVD) and ``coherence_degenerate`` (one batched eigvalsh of the
+The two-qubit diagnostics are ``concurrence`` (one batched eigh, then
+one batched eigvalsh for a real stack or one batched SVD for a complex
+one) and ``coherence_degenerate`` (one batched eigvalsh of the
 2x2 degenerate-level blocks).
 """
 from __future__ import annotations
@@ -67,7 +68,6 @@ from .matcore import (
     _require_trace,
     _spin_spectrum,
     as_matrix,
-    herm_eig,
     kron,
     state_spectra,
 )
@@ -93,12 +93,13 @@ def passive_state(rho, h) -> np.ndarray:
     Descending state eigenvalues are paired with ascending energy levels;
     within a degenerate level the pairing order cannot change the energy,
     so the stable index order is used. A matrix that is not a state is
-    rejected naming the violation, as in ``decompose``.
+    rejected naming the violation, as in ``decompose``. The energy
+    eigenbasis is the one cached on the ``Hamiltonian``.
     """
     rho = as_matrix(rho)
     h = _hamiltonian(h, rho)
     lam = state_spectra(rho)[::-1]
-    evals, evecs = herm_eig(h.matrix)
+    evecs = h.eigenbasis.eigenvectors
     return (evecs * lam) @ evecs.conj().T
 
 
@@ -390,11 +391,18 @@ def concurrence(rho):
     max(0, l1 - l2 - l3 - l4) with l_i the descending square roots of the
     eigenvalues of rho (sy x sy) rho* (sy x sy). Those roots equal the
     singular values of sqrt(rho) (sy x sy) conj(sqrt(rho)), which avoids
-    the sqrt-of-near-zero precision loss of the eigenvalue route.
+    the sqrt-of-near-zero precision loss of the eigenvalue route. For a
+    real stack that matrix is real symmetric, so its singular values are
+    the absolute values of its eigenvalues (one batched eigvalsh); a
+    complex stack takes one batched SVD.
     """
     rhos, single = _two_qubit_states(rho)
     vals, vecs = np.linalg.eigh(rhos)
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-    sing = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
+    flipped = root @ _YY @ root.conj()
+    if np.iscomplexobj(flipped):
+        sing = np.linalg.svd(flipped, compute_uv=False)
+    else:
+        sing = np.sort(np.abs(np.linalg.eigvalsh(flipped)), axis=1)[:, ::-1]
     out = np.maximum(0.0, sing[:, 0] - sing[:, 1] - sing[:, 2] - sing[:, 3])
     return float(out[0]) if single else out

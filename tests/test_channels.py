@@ -610,6 +610,62 @@ def test_lindblad_step_guards(monkeypatch):
             q_of_t("bf", gamma, t)
 
 
+def one_duration_reference(rho, spec):
+    """One duration evolved on its own: a Liouvillian from np.kron and its
+    own RK4 step matrix raised to the step count."""
+    t = spec.duration
+    if t == 0.0 or max(spec.rates) == 0.0:
+        return rho
+    needed = max(1, math.ceil(t * max(spec.rates) / 1e-3))
+    ident = np.eye(len(rho))
+    liouvillian = 0.0
+    for gamma, l in zip(spec.rates, spec.jump_operators):
+        ldl = l.conj().T @ l
+        liouvillian = liouvillian + gamma * (
+            np.kron(l, l.conj()) - 0.5 * (np.kron(ldl, ident) + np.kron(ident, ldl.T))
+        )
+    m = (t / needed) * liouvillian
+    eye = np.eye(len(m))
+    step = eye + m @ (eye + (m / 2.0) @ (eye + (m / 3.0) @ (eye + m / 4.0)))
+    return (np.linalg.matrix_power(step, needed) @ rho.reshape(-1)).reshape(rho.shape)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        np.linspace(0.0, 1.0, 5),  # one step size for every t > 0
+        np.linspace(0.0, 0.694, 51),
+        [0.7, 0.0, 0.3, 0.7, 2.5, 0.0, 0.123456],  # uneven, unsorted, t repeated and t = 0 twice
+    ],
+)
+@pytest.mark.parametrize("kind, gamma", [("bf", 1.0), ("bf", 0.5), ("ad", 0.37)])
+def test_lindblad_grid_rows_are_bitwise_the_one_duration_runs(grid, kind, gamma):
+    rho = bloch_to_density([0.3, -0.2, 0.5])
+    stack = channels._lindblad_grid(rho, (jump_operator(kind),), (gamma,), grid)
+    assert stack.shape == (len(grid), 2, 2)
+    for t, row in zip(grid, stack):
+        spec = LindbladSpec((jump_operator(kind),), (gamma,), t)
+        assert row.tobytes() == one_duration_reference(rho, spec).tobytes()
+        assert row.tobytes() == lindblad_evolve(rho, spec).tobytes()
+
+
+def test_lindblad_grid_checks_every_time_then_the_cap_before_building(monkeypatch):
+    monkeypatch.setattr(channels, "_liouvillian", None)
+    monkeypatch.setattr(np.linalg, "matrix_power", None)
+    rho, jump = np.eye(2) / 2, (jump_operator("ad"),)
+    # the cap is checked on the largest time, wherever it sits in the grid
+    with pytest.raises(ValueError, match="2000000 RK4 steps exceed the 1000000 limit"):
+        channels._lindblad_grid(rho, jump, (1.0,), [0.0, 1.0, 2000.0, 5.0])
+    # each time is checked as its LindbladSpec checks it, in order, before the cap
+    with pytest.raises(ValueError, match="duration must be nonnegative"):
+        channels._lindblad_grid(rho, jump, (1.0,), [1.0, -1.0, 2000.0, np.nan])
+    with pytest.raises(ValueError, match="must be finite"):
+        channels._lindblad_grid(rho, jump, (1.0,), [1.0, np.nan, -1.0, 2000.0])
+    # a grid of zero times, or at zero rate, needs no matrix at all
+    assert (channels._lindblad_grid(rho, jump, (0.0,), [0.0, 3.0]) == rho).all()
+    assert (channels._lindblad_grid(rho, jump, (1.0,), [0.0, 0.0]) == rho).all()
+
+
 def _dissipator(rho, ops, rates):
     out = np.zeros_like(rho)
     for gamma, l in zip(rates, ops):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ergonoise import channels as ch
 from ergonoise import experiments as ex
-from ergonoise import matcore, qstate, workx
+from ergonoise import io, matcore, qstate, workx
 from ergonoise.channels import KINDS, apply_local, kraus_set
 from ergonoise.io import read_csv, write_csv
 from ergonoise.matcore import IDENTITY_2, herm_eig, kron, num_qubits
@@ -312,8 +312,8 @@ def test_sweeps_build_each_hamiltonian_once(monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("built a Hamiltonian again")
 
+    # every Hamiltonian eigensolve (levels aside) goes through qstate's herm_eig
     monkeypatch.setattr(qstate, "herm_eig", counting)
-    monkeypatch.setattr(workx, "herm_eig", counting)
     monkeypatch.setattr(ex, "hamiltonian", no_build)
     for run in runs:
         run()
@@ -550,6 +550,12 @@ def test_stacked_entangled_example_equals_the_per_state_loop(kind):
         assert np.array_equal(res.columns[name], col), name
 
 
+def test_lindblad_consistency_checks_the_cap_on_the_largest_time(monkeypatch):
+    monkeypatch.setattr(ch, "_liouvillian", None)
+    with pytest.raises(ValueError, match="2000000 RK4 steps exceed the 1000000 limit"):
+        ex.lindblad_consistency("ad", 1.0, [0.0, 1.0, 2000.0, 3.0], [0.1, 0.2, 0.3])
+
+
 def test_lindblad_consistency_run():
     res = ex.lindblad_consistency("bf", 0.5, np.linspace(0, np.log(2), 6), [0.6, 0.5, 0.4])
     assert res.metadata["max_deviation"] <= 1e-6
@@ -662,6 +668,28 @@ def test_csv_cells_match_the_per_cell_format(tmp_path):
     rows = [",".join(format_cell(cols[k][i]) for k in cols) for i in range(7)]
     assert path.read_text(encoding="utf-8") == "\n".join([",".join(cols), *rows]) + "\n"
     assert "\n-0.0,-3,False,phase_flip," in path.read_text(encoding="utf-8")
+
+
+def test_csv_bytes_match_per_cell_repr_through_the_distinct_values(tmp_path):
+    rows = 300  # four float columns: 1200 cells, formatted once per distinct value
+    assert 4 * rows >= io.DISTINCT_MIN_CELLS
+    other_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    special = [0.0, -0.0, np.nan, other_nan, np.inf, -np.inf, 5e-324, -1e-300, 1.7976931348623157e308,
+               -2.5e17, 1e16, 1e-5, 0.1, 1.0 / 3.0]
+    rng = np.random.default_rng(rows)
+    cols = {
+        "x": np.resize(np.array(special), rows),  # every special value, repeated
+        "y": rng.choice(np.array(special + list(rng.normal(size=5))), rows),
+        "z": rng.normal(size=rows) * 10.0 ** rng.integers(-20, 20, rows),
+        "n": rng.integers(-(2**40), 2**40, rows),
+        "ok": rng.integers(0, 2, rows).astype(bool),
+        "channel": rng.choice(np.array(["bit_flip", "phase_flip", "-0.0", "nan"]), rows),
+        "x32": np.resize(np.array([0.1, -0.0, 3e38, 1e-40], dtype=np.float32), rows),
+    }
+    path = write_csv(tmp_path / "cells.csv", ex.SweepResult(cols, {}))
+    lines = [",".join(format_cell(cols[k][i]) for k in cols) for i in range(rows)]
+    assert path.read_bytes() == ("\n".join([",".join(cols), *lines]) + "\n").encode("utf-8")
+    assert "\n-0.0," in path.read_text(encoding="utf-8")
 
 
 def test_csv_round_trip(tmp_path):

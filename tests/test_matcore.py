@@ -84,6 +84,29 @@ def test_kron_identities():
     assert np.allclose(xx, np.fliplr(np.eye(4)))
 
 
+@st.composite
+def operator_lists(draw):
+    """One to three square operators of sizes 1 to 4, each real or complex."""
+    ops = []
+    for _ in range(draw(st.integers(1, 3))):
+        size, real = draw(st.integers(1, 4)), draw(st.booleans())
+        count = size * size * (1 if real else 2)
+        v = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=count, max_size=count)))
+        ops.append(v.reshape(size, size) if real else (v[::2] + 1j * v[1::2]).reshape(size, size))
+    return ops
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=operator_lists())
+def test_kron_is_bitwise_np_kron(ops):
+    want = matcore.as_matrix(ops[0])
+    for op in ops[1:]:
+        want = np.kron(want, matcore.as_matrix(op))
+    got = kron(*ops)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_kron_sigma_yy_bell_eigenvalues():
     # explicit 4x4 diagonalization: sigma_y x sigma_y takes values
     # (-1, +1, +1, -1) on the Bell states (Phi+, Phi-, Psi+, Psi-)

@@ -47,6 +47,22 @@ def random_bloch(rng):
     return v * rng.uniform(0, 1)
 
 
+def test_passive_state_reuses_the_hamiltonian_eigenbasis(monkeypatch):
+    h = hamiltonian("xx_interacting", 2)  # a fresh object: nothing cached yet
+    rho = symmetric_pair(0.5, 0.3, 0.2, 0.1)
+    vecs = herm_eig(h.matrix).eigenvectors
+    lam = matcore.state_spectra(rho)[::-1]
+    want = (vecs * lam) @ vecs.conj().T
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    first = passive_state(rho, h)
+    assert calls == [1]
+    second = passive_state(rho, h)
+    assert calls == [1]  # the second call with the same h makes no eigh
+    assert first.tobytes() == second.tobytes() == want.tobytes()
+
+
 def test_passive_state_examples():
     thermal = np.diag([0.7, 0.3])
     assert np.abs(passive_state(thermal, H1) - thermal).max() <= 1e-14
@@ -312,6 +328,42 @@ def test_concurrence_cases():
     phi = np.zeros(4)
     phi[0] = phi[3] = 1 / np.sqrt(2)
     assert concurrence(np.outer(phi, phi)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_concurrence_real_and_complex_routes_agree(monkeypatch):
+    rng = np.random.default_rng(21)
+    states = []
+    for _ in range(20):  # pure real states
+        psi = rng.normal(size=4)
+        states.append(np.outer(psi, psi) / (psi @ psi))
+    for rank in (2, 3):  # rank-deficient mixtures
+        for _ in range(10):
+            v = rng.normal(size=(4, rank))
+            states.append(v @ v.T / np.trace(v @ v.T))
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    ps = np.linspace(0.0, 1.0, 11)
+    for p in ps:  # Werner states, concurrence max(0, (3p - 1)/2)
+        states.append(p * np.outer(singlet, singlet) + (1.0 - p) * np.eye(4) / 4.0)
+    real = np.array(states)
+    # local phases make every state complex and keep its concurrence
+    u = kron(np.diag([1.0, np.exp(0.7j)]), np.diag([1.0, np.exp(-1.3j)]))
+    turned = u @ real @ u.conj().T
+    assert np.abs(turned.imag).max() > 0.1
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    from_real = concurrence(real)
+    assert svds == []  # the real stack takes eigvalsh
+    from_complex = concurrence(turned)
+    assert svds == [1]
+    assert np.abs(from_real - from_complex).max() <= 1e-14
+    assert np.abs(from_real[-len(ps):] - np.maximum(0.0, (3.0 * ps - 1.0) / 2.0)).max() <= 1e-14
+    bells = np.array([[1.0, 0, 0, 1], [1.0, 0, 0, -1], [0, 1.0, 1, 0], [0, 1.0, -1, 0]]) / np.sqrt(2.0)
+    products = np.array([np.kron(qubit_state(0.3, 0.1), qubit_state(0.6, 0.2)).real, np.eye(4) / 4.0])
+    for stack in (np.einsum("bi,bj->bij", bells, bells), products):
+        expected = 1.0 if len(stack) == 4 else 0.0
+        assert np.abs(concurrence(stack) - expected).max() <= 1e-14
+        assert np.abs(concurrence(u @ stack @ u.conj().T) - expected).max() <= 1e-14
 
 
 def test_concurrence_local_unitary_invariance():
