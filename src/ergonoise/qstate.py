@@ -397,8 +397,9 @@ class Hamiltonian:
 
     @cached_property
     def eigenbasis(self) -> SpectralDecomposition:
-        """``herm_eig`` of the matrix, read-only: the ascending levels and
-        the eigenvectors ``workx.passive_state`` pairs populations with."""
+        """``herm_eig`` of the matrix, read-only: the eigenvectors
+        ``workx.passive_state`` pairs populations with, and the block
+        ``frame`` with its levels."""
         vals, vecs = herm_eig(self.matrix)
         return SpectralDecomposition(_read_only(vals), _read_only(vecs))
 
@@ -410,10 +411,10 @@ class Hamiltonian:
         if self.basis is not None:
             return self.basis, _read_only(np.eye(len(self.basis), dtype=bool))
         scale = float(np.abs(self.levels).max())
-        hm = self.matrix
         if self.collective:
-            hm = hm + COLLECTIVE_WEIGHT * scale * total_spin_squared(self.num_qubits)
-        evals, v = herm_eig(hm)
+            evals, v = herm_eig(self.matrix + COLLECTIVE_WEIGHT * scale * total_spin_squared(self.num_qubits))
+        else:
+            evals, v = self.eigenbasis
         return _read_only(_exact_real(v)), _same_level(evals, scale)
 
     @cached_property

@@ -45,9 +45,8 @@ writing the Hamiltonian as e0 + g (u . sigma), give the whole split
 from m's component along u (``closed_form``). The enhancement
 thresholds are one table keyed by (kind, basis).
 
-The two-qubit diagnostics are ``concurrence`` (one batched eigh, then
-one batched eigvalsh for a real stack or one batched SVD for a complex
-one) and ``coherence_degenerate`` (one batched eigvalsh of the
+The two-qubit diagnostics are ``concurrence`` (one batched eigh and one
+batched SVD) and ``coherence_degenerate`` (one batched eigvalsh of the
 2x2 degenerate-level blocks).
 """
 from __future__ import annotations
@@ -391,18 +390,11 @@ def concurrence(rho):
     max(0, l1 - l2 - l3 - l4) with l_i the descending square roots of the
     eigenvalues of rho (sy x sy) rho* (sy x sy). Those roots equal the
     singular values of sqrt(rho) (sy x sy) conj(sqrt(rho)), which avoids
-    the sqrt-of-near-zero precision loss of the eigenvalue route. For a
-    real stack that matrix is real symmetric, so its singular values are
-    the absolute values of its eigenvalues (one batched eigvalsh); a
-    complex stack takes one batched SVD.
+    the sqrt-of-near-zero precision loss of the eigenvalue route.
     """
     rhos, single = _two_qubit_states(rho)
     vals, vecs = np.linalg.eigh(rhos)
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-    flipped = root @ _YY @ root.conj()
-    if np.iscomplexobj(flipped):
-        sing = np.linalg.svd(flipped, compute_uv=False)
-    else:
-        sing = np.sort(np.abs(np.linalg.eigvalsh(flipped)), axis=1)[:, ::-1]
+    sing = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
     out = np.maximum(0.0, sing[:, 0] - sing[:, 1] - sing[:, 2] - sing[:, 3])
     return float(out[0]) if single else out

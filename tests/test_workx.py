@@ -63,6 +63,21 @@ def test_passive_state_reuses_the_hamiltonian_eigenbasis(monkeypatch):
     assert first.tobytes() == second.tobytes() == want.tobytes()
 
 
+def test_block_frame_and_passive_state_share_one_eigh(monkeypatch):
+    h = hamiltonian("z_plus_xx", 2)  # block dephasing: the frame is H's own eigenbasis
+    assert h.dephasing == "block"
+    vals, vecs = herm_eig(h.matrix)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    frame, kept = h.frame
+    passive_state(symmetric_pair(0.5, 0.3, 0.2, 0.1), h)
+    assert calls == [1]
+    assert frame.tobytes() == matcore._exact_real(vecs).tobytes()
+    scale = np.abs(np.linalg.eigvalsh(h.matrix)).max()
+    assert np.array_equal(kept, np.abs(vals[:, None] - vals[None, :]) <= qstate.DEGENERACY_TOL * scale)
+
+
 def test_passive_state_examples():
     thermal = np.diag([0.7, 0.3])
     assert np.abs(passive_state(thermal, H1) - thermal).max() <= 1e-14
@@ -330,7 +345,7 @@ def test_concurrence_cases():
     assert concurrence(np.outer(phi, phi)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_concurrence_real_and_complex_routes_agree(monkeypatch):
+def test_concurrence_of_real_and_phase_turned_states_agree():
     rng = np.random.default_rng(21)
     states = []
     for _ in range(20):  # pure real states
@@ -349,14 +364,8 @@ def test_concurrence_real_and_complex_routes_agree(monkeypatch):
     u = kron(np.diag([1.0, np.exp(0.7j)]), np.diag([1.0, np.exp(-1.3j)]))
     turned = u @ real @ u.conj().T
     assert np.abs(turned.imag).max() > 0.1
-    svds = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
     from_real = concurrence(real)
-    assert svds == []  # the real stack takes eigvalsh
-    from_complex = concurrence(turned)
-    assert svds == [1]
-    assert np.abs(from_real - from_complex).max() <= 1e-14
+    assert np.abs(from_real - concurrence(turned)).max() <= 1e-14
     assert np.abs(from_real[-len(ps):] - np.maximum(0.0, (3.0 * ps - 1.0) / 2.0)).max() <= 1e-14
     bells = np.array([[1.0, 0, 0, 1], [1.0, 0, 0, -1], [0, 1.0, 1, 0], [0, 1.0, -1, 0]]) / np.sqrt(2.0)
     products = np.array([np.kron(qubit_state(0.3, 0.1), qubit_state(0.6, 0.2)).real, np.eye(4) / 4.0])
