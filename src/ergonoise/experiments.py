@@ -82,7 +82,8 @@ def enhancement_summary(q_grid, delta_wc) -> EnhancementSummary:
     as 0.0, so a frozen curve summarizes to (0.0, q_grid[0], 0.0) rather
     than to wherever its noise peaks. A 1-D curve gives floats; a (S, Q)
     stack of curves is summarized row by row, with every field a
-    length-S array.
+    length-S array. A non-finite grid point or gain is rejected, naming
+    its index.
     """
     q_grid = np.asarray(q_grid, dtype=float)
     delta_wc = np.asarray(delta_wc, dtype=float)
@@ -90,6 +91,11 @@ def enhancement_summary(q_grid, delta_wc) -> EnhancementSummary:
         raise ValueError("enhancement summary needs at least two grid points")
     if q_grid.ndim != 1 or delta_wc.ndim not in (1, 2) or delta_wc.shape[-1:] != q_grid.shape:
         raise ValueError("grid and values must align")
+    for name, values in (("grid point", q_grid), ("gain", delta_wc)):
+        bad = np.argwhere(~np.isfinite(values))
+        if len(bad):
+            at = tuple(map(int, bad[0]))
+            raise ValueError(f"{name} at index {at[0] if len(at) == 1 else at} is {values[at]}, not finite")
     delta_wc = np.where(np.abs(delta_wc) <= ENHANCEMENT_AREA_TOL, 0.0, delta_wc)
     idx = delta_wc.argmax(axis=-1)
     fields = (
@@ -247,81 +253,48 @@ def sweep_bds(c, kind, q_grid=None, both_qubits: bool = True) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _block_coordinates(rho0, h: Hamiltonian) -> np.ndarray | None:
-    """The class coordinates in which the block route takes rho0, or None
-    where the dense route takes it.
+def _wc_curves(rho0, kinds, h: Hamiltonian, q_grid) -> tuple[np.ndarray, np.ndarray | float]:
+    """Coherent work W_C(rho(q)) along the q grid under each of m kinds,
+    every curve split against h, and W_C of rho0 itself. Each kind, a
+    repeated one or an alias too, keeps its row, in order.
 
-    The route follows the representation alone. A 1-D rho0 is the (D,)
-    class coordinates of one permutation-invariant state, as
-    ``scaling_run`` builds it: invariant by construction, so only the
-    Hamiltonian is checked (``workx._block_dephasing``), and one that
-    does not dephase blockwise is rejected. The coordinates come back
-    float64 when exactly real (``matcore._exact_real``), so a real
-    register's curve is taken in real arithmetic. A dense state or stack
-    always takes the dense route, whatever its symmetry.
-    """
-    if np.ndim(rho0) != 1:
-        return None
-    if not workx._block_dephasing(h):
-        raise ValueError(
-            f"class coordinates need a Hamiltonian that dephases in spin blocks or keeps "
-            f"only the diagonal, got {h.kind} with {h.dephasing} dephasing"
-        )
-    return _exact_real(rho0)
+    The route follows the representation alone. A dense (d, d) state or
+    (S, d, d) stack gives (m, Q) or (m, S, Q) curves and a number or a
+    length-S array: each kind's images are evolved and split stack by
+    stack (``channels.apply_local_chunks``), one ``decompose`` per stack,
+    whatever their symmetry, then rho0 takes one ``decompose``. That dense
+    route is the oracle of the class route.
 
-
-def _wc_curve(rho0, kind, h: Hamiltonian, q_grid) -> np.ndarray:
-    """Coherent work W_C(rho(q)) along the q grid: a (Q,) curve for one
-    state, a (S, Q) array for a (S, d, d) stack.
-
-    One permutation-invariant state given by its class coordinates (one
-    value per class of entries, C(N+3, 3) of them; ``_block_coordinates``)
-    has every image invariant too, so the whole curve is taken in those
-    coordinates. The channel expands them into the terms of
-    rho(q) = sum_k x(q)^k R_k (``channels._class_polynomial``). The
-    split reads the spin blocks, traces and diagonals from those terms
-    through fixed linear maps, weighted per strength
-    (``workx._block_coherent``). Per call this builds the (K, D) terms,
-    the (Q, sum_J (2J+1)^2) blocks and the (Q, 2^N) block spectra; no
-    4^N-sized term is formed, and what is cached per N is of order D^2
-    (see ``matcore``). ``scaling_run`` takes its class-coordinate curves
-    through ``_wc_curves`` instead, several per split. A dense state or
-    stack is evolved and split stack by stack
-    (``channels.apply_local_chunks``), one ``decompose`` per stack,
-    whatever its symmetry; that dense route is the oracle of the block
-    route.
-    """
-    coords = _block_coordinates(rho0, h)
-    if coords is not None:
-        terms, vander = ch._class_polynomial(coords, ch.canonical_kind(kind), h.num_qubits, q_grid)
-        return workx._block_coherent(terms, vander, h)
-    shape = np.shape(rho0)[:-2] + (len(q_grid),)
-    wc = np.empty(math.prod(shape))
-    for part, states in ch.apply_local_chunks(rho0, kind, q_grid):
-        wc[part] = workx.decompose(states, h).coherent
-    return wc.reshape(shape)
-
-
-def _wc_curves(rho0, kinds, h: Hamiltonian, q_grid) -> tuple[np.ndarray, float]:
-    """The (m, Q) coherent-work curves of one state under each of the m
-    kinds, every one split against h, and W_C of the state itself.
-
-    For class coordinates (``_block_coordinates``) this is one split:
-    every kind's terms (``channels._class_polynomial``) and rho0, as one
-    more term, are stacked, and a block-diagonal (m Q + 1, sum K + 1)
+    A 1-D rho0 is the class coordinates of one permutation-invariant
+    state (one value per class of entries, C(N+3, 3) of them), as
+    ``scaling_run`` builds it: invariant by construction, so only h is
+    checked (``workx._require_blockwise_dephasing``) and the count against
+    h's N, before any expansion. The coordinates are taken float64 when
+    exactly real (``matcore._exact_real``). Every kind's terms of
+    rho(q) = sum_k x(q)^k R_k (``channels._class_polynomial``) and rho0,
+    as one more term, are stacked, and a block-diagonal (m Q + 1, sum K + 1)
     weight matrix, whose last row weights rho0 by 1, hands all of them to
-    one ``workx._block_coherent`` call. That call holds m Q + 1 rows of
-    blocks and block spectra; ``scaling_run`` passes the kinds that
-    share a Hamiltonian object, so m <= 3. A dense state takes one
-    ``_wc_curve`` per kind and one ``decompose``, the oracle of the
-    class route. Each kind, a repeated one or an alias too, keeps its
-    row, in order.
+    one ``workx._block_coherent`` split. That split holds the (K, D) terms,
+    and m Q + 1 rows of the sum_J (2J+1)^2 blocks and of the 2^N block
+    spectra; no 4^N-sized term is formed, and what is cached per N is of
+    order D^2 (see ``matcore``).
     """
     kinds = [ch.canonical_kind(k) for k in kinds]
-    coords = _block_coordinates(rho0, h)
-    if coords is None:
-        curves = [_wc_curve(rho0, kind, h, q_grid) for kind in kinds]
-        return np.array(curves), workx.decompose(rho0, h).coherent
+    if np.ndim(rho0) != 1:
+        shape = np.shape(rho0)[:-2] + (len(q_grid),)
+        curves = np.empty((len(kinds), math.prod(shape)))
+        for curve, kind in zip(curves, kinds):
+            for part, states in ch.apply_local_chunks(rho0, kind, q_grid):
+                curve[part] = workx.decompose(states, h).coherent
+        return curves.reshape((len(kinds),) + shape), workx.decompose(rho0, h).coherent
+    workx._require_blockwise_dephasing(h)
+    coords = _exact_real(rho0)
+    classes = math.comb(h.num_qubits + 3, 3)
+    if len(coords) != classes:
+        raise ValueError(
+            f"class coordinate count {len(coords)} does not match Hamiltonian on "
+            f"{h.num_qubits} qubits, which needs C({h.num_qubits + 3}, 3) = {classes}"
+        )
     polys = [ch._class_polynomial(coords, kind, h.num_qubits, q_grid) for kind in kinds]
     points = len(q_grid)
     weights = np.zeros((len(kinds) * points + 1, sum(len(terms) for terms, _ in polys) + 1))
@@ -340,7 +313,9 @@ def grid_delta_wc(family: str, kind, axis_grid, q_grid=None, *, p=0.5, a=0.1, c=
 
     family "classical_quantum" sweeps the coherence c at fixed (p, a);
     family "symmetric_pair" sweeps the shared population a at fixed
-    (p, c, d). Rows are emitted axis-major.
+    (p, c, d) along a non-empty axis. Rows are emitted axis-major. The
+    states of the axis form one dense stack, whose curves and W_C(rho0)
+    come from one ``_wc_curves`` call on the dense route.
     """
     kind = ch.canonical_kind(kind)
     q_grid = q_grid_default() if q_grid is None else ch.strengths(q_grid)
@@ -354,9 +329,9 @@ def grid_delta_wc(family: str, kind, axis_grid, q_grid=None, *, p=0.5, a=0.1, c=
         axis_name = "a"
     else:
         raise ValueError(f"unknown state family {family!r}")
-    rho0s = np.array([builder(v) for v in axis_grid])
-    curves = _wc_curve(rho0s, kind, h, q_grid)
-    wc0 = workx.decompose(rho0s, h).coherent
+    if axis_grid.ndim != 1 or not axis_grid.size:
+        raise ValueError(f"the state axis must be a non-empty 1-D grid, got shape {axis_grid.shape}")
+    (curves,), wc0 = _wc_curves(np.array([builder(v) for v in axis_grid]), [kind], h, q_grid)
     cols = {
         axis_name: np.repeat(axis_grid, len(q_grid)),
         "q": np.tile(q_grid, len(axis_grid)),
@@ -411,16 +386,16 @@ def scaling_run(
     damping share the excitation energy; phase flip and phase damping
     the collective x field). From three qubits on rho0 is built as its
     D = C(N+3, 3) class coordinates alone (``qstate._symmetrized_classes``,
-    O(D)), and each group's curves and W_C(rho0) are one split on the
-    block route (``_wc_curves``): no 2^N- or 4^N-sized array of the
+    O(D)). Each group's curves and W_C(rho0) come from one ``_wc_curves``
+    call, one split on its class route: no 2^N- or 4^N-sized array of the
     state is formed. Memory per split is then the (K, D) terms of each
     kind, K <= 2N + 1, and the (m Q + 1, sum_J (2J+1)^2) blocks and
     (m Q + 1, 2^N) block spectra of Q strengths for m <= 3 kinds,
     beside the maps of order D^2 cached per N (``matcore``) and the
     dense 2^N x 2^N Hamiltonians built once per process
-    (``channel_hamiltonian``). N = 2 builds the dense 4 x 4 rho0 and
-    takes the dense route, one curve per kind and one ``decompose`` of
-    rho0 per Hamiltonian, because the correlated flip acts on a qubit
+    (``channel_hamiltonian``). N = 2 builds the dense 4 x 4 rho0, so the
+    same ``_wc_curves`` call takes the dense route, one curve per kind and
+    one ``decompose`` of rho0 per Hamiltonian, because the correlated flip acts on a qubit
     pair, which the class expansion (``channels._class_polynomial``)
     rejects. A kind named twice gets a row each time, from one curve.
     """
@@ -491,8 +466,9 @@ def census_random(kind, count: int = 1000, seed: int = 7, q_points: int = DEFAUL
     Each sample draws from its own counter-based stream (seed, index), so
     results do not depend on evaluation order. Samples are drawn and
     evolved a stack at a time, as many as fill one STACK_BUDGET_BYTES
-    stack of (sample, q) pairs: one ``decompose`` of the curves and one
-    of W_C(rho0) per stack, so memory stays flat in ``count``. A sample
+    stack of (sample, q) pairs: one ``_wc_curves`` call per stack on the
+    dense route, its curves and W_C(rho0), so memory stays flat in
+    ``count``. A sample
     is "enhancing" when the positive area of its gain curve exceeds 1e-12.
     """
     kind = ch.canonical_kind(kind)
@@ -505,8 +481,8 @@ def census_random(kind, count: int = 1000, seed: int = 7, q_points: int = DEFAUL
     summaries = []
     for start in range(0, count, step):
         rho0s = random_separable_stack(seed, range(start, min(start + step, count)), num_terms)
-        curves = _wc_curve(rho0s, kind, h, q_grid) - workx.decompose(rho0s, h).coherent[:, None]
-        summaries.append(enhancement_summary(q_grid, curves))
+        (curves,), wc0 = _wc_curves(rho0s, [kind], h, q_grid)
+        summaries.append(enhancement_summary(q_grid, curves - wc0[:, None]))
     cols = {"sample": np.arange(count)}
     for name in ("delta_wc_max", "argmax_q", "area_ap"):
         cols[name] = np.concatenate([getattr(s, name) for s in summaries])
@@ -544,6 +520,8 @@ def lindblad_consistency(kind, gamma: float, t_grid, n0) -> SweepResult:
     """
     kind = ch.canonical_kind(kind)
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or not t_grid.size:
+        raise ValueError(f"the time grid must be a non-empty 1-D grid, got shape {t_grid.shape}")
     n0 = np.asarray(n0, dtype=float)
     jump = ch.jump_operator(kind)
     rho0 = bloch_to_density(n0)
@@ -622,10 +600,12 @@ def interacting_depolarizing(
 
     Per (a, q): coherent work, its gain, the degenerate-level coherence,
     and central finite differences of both passive-state energies, whose
-    slope crossover marks the enhancement window. fd_step must be finite
-    and positive.
+    slope crossover marks the enhancement window. a_values must be
+    non-empty, and fd_step finite and positive.
     """
     q_grid = q_grid_default() if q_grid is None else ch.strengths(q_grid)
+    if len(a_values) == 0:
+        raise ValueError("appendix D needs at least one population value a, got none")
     if not (math.isfinite(fd_step) and fd_step > 0.0):
         raise ValueError(f"fd_step = {fd_step} must be finite and > 0")
     ham = _shared_hamiltonian("xx_interacting", 2, h=h, j=j)

@@ -105,8 +105,10 @@ def _exact_real(a) -> np.ndarray:
 def _require_hermitian(mats: np.ndarray) -> None:
     """Raise on the worst non-Hermitian entry of a matrix or a (..., d, d) stack.
 
-    NaN entries count as violations.
+    NaN entries count as violations, and an empty stack is rejected.
     """
+    if not mats.size:
+        raise ValueError(f"expected a matrix or a non-empty stack of matrices, got shape {mats.shape}")
     dev = np.abs(mats - np.swapaxes(mats, -1, -2).conj())
     worst = np.unravel_index(int(dev.argmax()), dev.shape)
     if not dev[worst] <= HERMITIAN_TOL:

@@ -36,8 +36,8 @@ per strength, and the spectra are read per spin block. A collective
 Hamiltonian that is permutation invariant dephases each block in the
 eigenbasis of W_J^T H W_J (``Hamiltonian.spin_frames``), where J^2 is
 constant. W_C is the dephased passive energy less the passive energy,
-so Tr H rho, which cancels, is not needed. ``_block_dephasing`` says
-which Hamiltonians allow the block route.
+so Tr H rho, which cancels, is not needed. ``_require_blockwise_dephasing``
+rejects the Hamiltonians the block route cannot take.
 
 The single-qubit closed forms read no channel kind: the Bloch vectors m
 from ``channels.bloch_map`` and one row (axis, sign, e0, g) per basis,
@@ -218,22 +218,23 @@ def decompose(rho, h) -> ErgotropyReport:
     return report[0] if single else report
 
 
-def _block_dephasing(h: Hamiltonian) -> bool:
-    """Whether h dephases permutation-invariant states blockwise: in spin
-    blocks (``spin_frames``, read first, so that a collective h never
-    builds its dense ``frame``) or keeping only the diagonal of the
-    computational basis."""
-    if h.spin_frames is not None:
-        return True
-    same_level = h.frame[1]
-    return h.identity_frame and same_level.sum() == len(same_level)
+def _require_blockwise_dephasing(h: Hamiltonian) -> None:
+    """Reject an h that does not dephase permutation-invariant states
+    blockwise: in spin blocks (``spin_frames``, read first, so that a
+    collective h never builds its dense ``frame``) or keeping only the
+    diagonal of the computational basis."""
+    if h.spin_frames is None and not (h.identity_frame and h.frame[1].sum() == len(h.frame[1])):
+        raise ValueError(
+            f"class coordinates need a Hamiltonian that dephases in spin blocks or keeps "
+            f"only the diagonal, got {h.kind} with {h.dephasing} dephasing"
+        )
 
 
 def _block_coherent(terms, vander, h: Hamiltonian) -> np.ndarray:
     """Coherent work of the (Q,) stack of permutation-invariant states
     vander @ terms, for (K, D) terms in class coordinates
     (``matcore._entry_classes``) and (Q, K) weights, where h dephases
-    blockwise (``_block_dephasing``).
+    blockwise (``_require_blockwise_dephasing``).
 
     What the split reads linearly is a fixed linear map of the K terms,
     taken once and weighted per strength: the spin blocks W_J^T rho W_J
@@ -329,7 +330,9 @@ def threshold_q(kind: str, n, basis: str = "computational") -> float:
     every strength enhances; above 1, none does. A vanishing denominator
     means no finite threshold exists (returned as +inf).
     """
-    kind = ch.ALIASES.get(kind, kind)
+    kind = ch.canonical_kind(kind)
+    if basis not in _BASES:
+        raise ValueError(f"unknown basis choice {basis!r}")
     if (kind, basis) not in THRESHOLD_COMPONENTS:
         raise ValueError(f"no enhancement threshold derived for {kind!r} in the {basis} basis")
     n = require_bloch(n)

@@ -175,6 +175,21 @@ def test_rounding_noise_summarizes_as_no_gain():
     for name in ("delta_wc_max", "argmax_q", "area_ap"):
         assert res.columns[name].tolist() == [0.0] * 4, name
 
+
+@pytest.mark.parametrize(
+    "q, gains, message",
+    [
+        ([0.0, 1.0], [np.nan, 1.0], "gain at index 0 is nan, not finite"),
+        ([0.0, 0.5, 1.0], [[0.0, 0.1, 0.2], [0.0, np.inf, 0.2]], r"gain at index \(1, 1\) is inf, not finite"),
+        ([0.0, np.nan, 1.0], [0.0, 0.1, 0.2], "grid point at index 1 is nan, not finite"),
+    ],
+    ids=["nan_gain", "inf_gain_in_a_stack", "nan_grid_point"],
+)
+def test_enhancement_summary_rejects_non_finite_values(q, gains, message):
+    with pytest.raises(ValueError, match=message):
+        ex.enhancement_summary(q, gains)
+
+
 def test_grid_delta_wc_shapes_and_frozen_band():
     a_grid = np.linspace(0.1, 0.9, 9)
     res = ex.grid_delta_wc("symmetric_pair", "bf", a_grid, np.linspace(0, 1, 11), p=0.5, c=0.3, d=0.2)
@@ -198,6 +213,11 @@ def test_grid_delta_wc_classical_quantum():
     assert gain_hi > gain_mid > 0
     with pytest.raises(ValueError):
         ex.grid_delta_wc("mystery", "bf", c_grid)
+
+
+def test_grid_delta_wc_rejects_an_empty_axis():
+    with pytest.raises(ValueError, match=re.escape("the state axis must be a non-empty 1-D grid, got shape (0,)")):
+        ex.grid_delta_wc("symmetric_pair", "bf", [])
 
 
 def test_scaling_run_small():
@@ -234,7 +254,7 @@ def test_scaling_rejects_oversized_registers_and_correlated_flips_before_any_wor
     def no_work(*args):
         raise AssertionError("started the work")
 
-    for name in ("symmetrized_multipartite", "_symmetrized_classes", "_wc_curves", "_wc_curve"):
+    for name in ("symmetrized_multipartite", "_symmetrized_classes", "_wc_curves"):
         monkeypatch.setattr(ex, name, no_work)
     with pytest.raises(ValueError, match=message):
         ex.scaling_run(kinds=kinds, n_values=n_values, q_points=5)
@@ -245,7 +265,7 @@ def test_scaling_rejects_local_states_of_the_largest_register_before_any_work(mo
     def no_work(*args):
         raise AssertionError("started the work")
 
-    for name in ("symmetrized_multipartite", "_symmetrized_classes", "_wc_curves", "_wc_curve"):
+    for name in ("symmetrized_multipartite", "_symmetrized_classes", "_wc_curves"):
         monkeypatch.setattr(ex, name, no_work)
     with pytest.raises(ValueError) as expected:
         qubit_state(0.2, 0.1 + 0.05 * 7)
@@ -260,7 +280,7 @@ def test_scaling_takes_the_correlated_flip_on_two_qubits():
 
 def test_scaling_rejects_depolarizing_past_two_qubits_before_any_curve(monkeypatch):
     curves = []
-    monkeypatch.setattr(ex, "_wc_curve", lambda *args: curves.append(args))
+    monkeypatch.setattr(ex, "_wc_curves", lambda *args: curves.append(args))
     with pytest.raises(ValueError, match="depolarizing scaling is limited to two qubits"):
         ex.scaling_run(kinds=("bf", "dc"), n_values=(2, 3))
     assert not curves
@@ -403,8 +423,8 @@ def census_loop(kind, count, seed, q_points, num_terms=2):
     enhancing = 0
     for i in range(count):
         rho0 = random_separable(philox_stream(seed, i), num_terms=num_terms)
-        curve = ex._wc_curve(rho0, kind, h, q_grid) - decompose(rho0, h).coherent
-        summary = ex.enhancement_summary(q_grid, curve)
+        (curve,), wc0 = ex._wc_curves(rho0, [kind], h, q_grid)
+        summary = ex.enhancement_summary(q_grid, curve - wc0)
         if summary.area_ap > ex.ENHANCEMENT_AREA_TOL:
             enhancing += 1
         rows["sample"].append(i)
@@ -452,10 +472,11 @@ def test_stacked_curves_equal_one_curve_per_state():
     assert len(rho0s) * len(q_grid) > 2 * ch.STACK_BUDGET_BYTES // (16 * 4 * 4)
     for kind in ("bf", "dc", "cbf"):
         h = ex.channel_hamiltonian(kind, 2)
-        curves = ex._wc_curve(rho0s, kind, h, q_grid)
-        assert curves.shape == (25, 101)
-        for rho0, curve in zip(rho0s, curves):
-            assert np.array_equal(curve, ex._wc_curve(rho0, kind, h, q_grid))
+        (curves,), wc0s = ex._wc_curves(rho0s, [kind], h, q_grid)
+        assert curves.shape == (25, 101) and wc0s.shape == (25,)
+        for rho0, curve, wc0 in zip(rho0s, curves, wc0s):
+            (single,), single_wc0 = ex._wc_curves(rho0, [kind], h, q_grid)
+            assert np.array_equal(curve, single) and wc0 == single_wc0
 
 
 def test_census_rejects_empty_counts_and_terms():
@@ -501,8 +522,8 @@ def grid_loop(family, kind, axis_grid, q_grid, p=0.5, a=0.1, c=0.3, d=0.2):
     axis_col, q_col, dwc_col, wc0_col = [], [], [], []
     for v in axis_grid:
         rho0 = builder(v)
-        wc0 = decompose(rho0, h).coherent
-        curve = ex._wc_curve(rho0, kind, h, q_grid) - wc0
+        (curve,), wc0 = ex._wc_curves(rho0, [kind], h, q_grid)
+        curve = curve - wc0
         axis_col.extend([v] * len(q_grid))
         q_col.extend(q_grid)
         wc0_col.extend([wc0] * len(q_grid))
@@ -554,6 +575,11 @@ def test_lindblad_consistency_checks_the_cap_on_the_largest_time(monkeypatch):
     monkeypatch.setattr(ch, "_liouvillian", None)
     with pytest.raises(ValueError, match="2000000 RK4 steps exceed the 1000000 limit"):
         ex.lindblad_consistency("ad", 1.0, [0.0, 1.0, 2000.0, 3.0], [0.1, 0.2, 0.3])
+
+
+def test_lindblad_consistency_rejects_an_empty_time_grid():
+    with pytest.raises(ValueError, match=re.escape("the time grid must be a non-empty 1-D grid, got shape (0,)")):
+        ex.lindblad_consistency("bf", 0.5, [], [0.6, 0.5, 0.4])
 
 
 def test_lindblad_consistency_run():
@@ -645,6 +671,11 @@ def test_interacting_depolarizing_rejects_a_bad_step_before_any_channel(fd_step,
     monkeypatch.setattr(ch, "apply_local_chunks", no_channel)
     with pytest.raises(ValueError, match=rf"fd_step = {fd_step} must be finite and > 0"):
         ex.interacting_depolarizing(fd_step=fd_step)
+
+
+def test_interacting_depolarizing_rejects_empty_population_values():
+    with pytest.raises(ValueError, match="appendix D needs at least one population value a, got none"):
+        ex.interacting_depolarizing(a_values=())
 
 
 def format_cell(v) -> str:
@@ -842,7 +873,8 @@ def test_block_curve_matches_the_per_q_dense_oracle(n, kind, which, q_points, q_
     h = invariant_hamiltonians(n)[which]
     q_grid = np.linspace(q_lo, 1.0, q_points)
     coords = qstate._symmetrized_classes(a, coherences)
-    curve, oracle = ex._wc_curve(coords, kind, h, q_grid), dense_curve(rho0, kind, h, q_grid)
+    (curve,), _ = ex._wc_curves(coords, [kind], h, q_grid)
+    oracle = dense_curve(rho0, kind, h, q_grid)
     assert np.abs(curve - oracle).max() <= 1e-12
     # the same argmax_q, unless the oracle's peak ties another strength to
     # within the tolerance: a frozen curve (bit flip under the x field at
@@ -871,7 +903,10 @@ def test_class_coordinate_input_matches_the_dense_oracle(n, kind, which, a, phas
     curves, wc0 = ex._wc_curves(coords, [kind], h, q_grid)
     assert abs(wc0 - decompose(rho0, h).coherent) <= 1e-12
     assert np.abs(curves[0] - oracle).max() <= 1e-12
-    assert np.abs(ex._wc_curve(coords, kind, h, q_grid) - oracle).max() <= 1e-12
+    # the same call on the dense state takes the dense route
+    dense, dense_wc0 = ex._wc_curves(rho0, [kind], h, q_grid)
+    assert abs(wc0 - dense_wc0) <= 1e-12
+    assert np.abs(curves - dense).max() <= 1e-12
 
 
 CLASS_KIND_NAMES = ("bf", "bit_flip", "bpf", "pf", "pd", "ad")
@@ -899,21 +934,34 @@ def test_batched_split_matches_per_kind_curves(n, kinds, which, a, q_points):
     assert abs(wc0 - separate) <= 1e-12
     # every kind keeps its row, in order, a repeated kind and an alias too
     for kind, row in zip(kinds, curves):
-        expected = ex._wc_curve(coords, kind, h, q_grid) - separate
+        expected = ex._wc_curves(coords, [kind], h, q_grid)[0][0] - separate
         assert np.abs((row - wc0) - expected).max() <= 1e-12
 
 
-def test_class_coordinate_input_needs_a_blockwise_hamiltonian():
+def test_class_coordinate_input_needs_a_blockwise_hamiltonian(monkeypatch):
     n = 4
     coords = qstate._symmetrized_classes(0.2, [0.1 + 0.02 * i for i in range(1, n + 1)])
     h = hamiltonian("x_sum", n)  # dephased in its product basis, not in spin blocks
     message = "class coordinates need a Hamiltonian .* got x_sum with product_basis dephasing"
+    expansions = []
+    monkeypatch.setattr(ch, "_class_polynomial", lambda *args: expansions.append(args))
     with pytest.raises(ValueError, match=message):
         ex._wc_curves(coords, ["pf"], h, ex.q_grid_default(5))
-    with pytest.raises(ValueError, match=message):
-        ex._wc_curve(coords, "pf", h, ex.q_grid_default(5))
+    assert not expansions  # rejected before any expansion
+    monkeypatch.undo()
     with pytest.raises(ValueError, match="correlated bit flip acts on exactly one qubit pair"):
-        ex._wc_curve(coords, "cbf", hamiltonian("excitation", n), ex.q_grid_default(5))
+        ex._wc_curves(coords, ["cbf"], hamiltonian("excitation", n), ex.q_grid_default(5))
+
+
+@pytest.mark.parametrize("count", [35, 19])  # a 4-qubit register's classes; one class short of 3 qubits
+def test_class_coordinates_of_the_wrong_length_are_rejected_before_any_expansion(monkeypatch, count):
+    expansions = []
+    monkeypatch.setattr(ch, "_class_polynomial", lambda *args: expansions.append(args))
+    coords = qstate._symmetrized_classes(0.2, [0.1, 0.12, 0.14, 0.16])[:count]
+    message = f"class coordinate count {count} does not match Hamiltonian on 3 qubits, which needs C(6, 3) = 20"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ex._wc_curves(coords, ["bf"], hamiltonian("excitation", 3), ex.q_grid_default(5))
+    assert not expansions
 
 
 def test_curves_off_the_block_route_take_the_dense_route(monkeypatch):
@@ -945,7 +993,7 @@ def test_curves_off_the_block_route_take_the_dense_route(monkeypatch):
     ]
     for rho0, h in cases:
         entered.clear()
-        curve = ex._wc_curve(rho0, "bf", h, q_grid)
+        (curve,), _ = ex._wc_curves(rho0, ["bf"], h, q_grid)
         assert entered
         if curve.ndim == 1:
             np.testing.assert_allclose(curve, dense_curve(rho0, "bf", h, q_grid), rtol=0, atol=1e-12)
@@ -1005,11 +1053,11 @@ def test_block_route_rejects_non_states_as_the_dense_route_does():
         # every entry of rho0 is its class's value, so the coordinates hold it whole
         coords = matcore._class_coordinates(rho0, n)
         with pytest.raises(ValueError, match=message):
-            ex._wc_curve(coords, "bf", h, q_grid)
+            ex._wc_curves(coords, ["bf"], h, q_grid)
         with pytest.raises(ValueError, match=message):
             dense_curve(rho0, "bf", h, q_grid)
     with pytest.raises(ValueError, match="correlated bit flip acts on exactly one qubit pair"):
-        ex._wc_curve(matcore._class_coordinates(register(n), n), "cbf", h, q_grid)
+        ex._wc_curves(matcore._class_coordinates(register(n), n), ["cbf"], h, q_grid)
 
 
 def test_collective_curve_builds_j2_once(monkeypatch):
@@ -1025,5 +1073,5 @@ def test_collective_curve_builds_j2_once(monkeypatch):
     n = 5
     rho0 = symmetrized_multipartite(0.2, [0.1 + 0.02 * i for i in range(1, n + 1)])
     h = replace(ex.channel_hamiltonian("pf", n), basis=None, collective=True)
-    ex._wc_curve(rho0, "pf", h, ex.q_grid_default(41)) - decompose(rho0, h).coherent
+    ex._wc_curves(rho0, ["pf"], h, ex.q_grid_default(41))
     assert calls == [n]

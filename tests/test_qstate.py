@@ -53,6 +53,12 @@ def test_bloch_rejects_long_vectors():
         bloch_to_density([0.8, 0.8, 0.8])
 
 
+def test_density_to_bloch_rejects_an_empty_stack():
+    message = "expected a matrix or a non-empty stack of matrices, got shape (0, 2, 2)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        density_to_bloch(np.zeros((0, 2, 2)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_constructors_reject_non_finite_components(bad):
     with pytest.raises(ValueError, match="finite"):

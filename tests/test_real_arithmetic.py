@@ -90,8 +90,10 @@ def test_dense_curve_agrees_between_the_real_and_complex_routes(seed, phases, ki
     rhos = qstate.random_separable_stack(seed, range(3))
     assert rhos.dtype == np.float64
     h, q_grid = hamiltonian("excitation", 2), ex.q_grid_default(21)
-    real = ex._wc_curve(rhos, kind, h, q_grid)
-    assert np.abs(ex._wc_curve(rotated(rhos, phases), kind, h, q_grid) - real).max() <= 1e-12
+    real, real_wc0 = ex._wc_curves(rhos, [kind], h, q_grid)
+    turned, turned_wc0 = ex._wc_curves(rotated(rhos, phases), [kind], h, q_grid)
+    assert np.abs(turned - real).max() <= 1e-12
+    assert np.abs(turned_wc0 - real_wc0).max() <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -112,11 +114,21 @@ def test_class_curve_agrees_between_the_real_and_complex_routes(n, phi, kind, a,
         h = Hamiltonian(jz @ jz, "jz_squared", collective=True)
     else:
         h = hamiltonian("excitation", n)
-    assert ex._block_coordinates(real, h).dtype == np.float64
-    assert ex._block_coordinates(turned, h).dtype == np.complex128
     q_grid = ex.q_grid_default(21)
-    assert abs(ex._wc_curves(turned, [kind], h, q_grid)[1] - ex._wc_curves(real, [kind], h, q_grid)[1]) <= 1e-12
-    assert np.abs(ex._wc_curve(turned, kind, h, q_grid) - ex._wc_curve(real, kind, h, q_grid)).max() <= 1e-12
+    # the coordinates the expansion receives: float64 exactly when real
+    received, expand = [], ch._class_polynomial
+
+    def recording(coords, *args):
+        received.append(coords.dtype)
+        return expand(coords, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ch, "_class_polynomial", recording)
+        turned_curves, turned_wc0 = ex._wc_curves(turned, [kind], h, q_grid)
+        real_curves, real_wc0 = ex._wc_curves(real, [kind], h, q_grid)
+    assert received == [np.complex128, np.float64]
+    assert abs(turned_wc0 - real_wc0) <= 1e-12
+    assert np.abs(turned_curves - real_curves).max() <= 1e-12
 
 
 def test_no_imaginary_part_is_dropped():
@@ -129,7 +141,8 @@ def test_no_imaginary_part_is_dropped():
     rho = kron(single, single)
     assert abs(decompose(rho, h).coherent - decompose(rho.real, h).coherent) > 1e-3
     q_grid = np.linspace(0.0, 0.9, 10)  # at q = 1 amplitude damping leaves |gg> either way
-    assert np.abs(ex._wc_curve(rho, "ad", h, q_grid) - ex._wc_curve(rho.real, "ad", h, q_grid)).min() > 1e-4
+    curves = [ex._wc_curves(r, ["ad"], h, q_grid)[0][0] for r in (rho, rho.real)]
+    assert np.abs(curves[0] - curves[1]).min() > 1e-4
 
 
 def test_warm_census_and_scaling_solve_only_real_stacks(monkeypatch):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -254,6 +255,13 @@ def test_threshold_values():
         threshold_q("pf", [0.4, 0.5, 0.6])
 
 
+def test_threshold_names_an_unknown_kind_or_basis():
+    with pytest.raises(ValueError, match="unknown channel kind 'foo'"):
+        threshold_q("foo", [0.6, 0.5, 0.4])
+    with pytest.raises(ValueError, match="unknown basis choice 'y'"):
+        threshold_q("bf", [0.6, 0.5, 0.4], basis="y")
+
+
 def test_threshold_marks_enhancement_onset():
     n = np.array([0.6, 0.5, 0.4])
     qb = threshold_q("bf", n)
@@ -465,6 +473,17 @@ def test_decompose_rejects_non_states(rho, message):
         ergotropy(rho, H1)
     with pytest.raises(ValueError, match=message):
         passive_state(rho, H1)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [lambda s: decompose(s, hamiltonian("excitation", 2)), concurrence, coherence_degenerate],
+    ids=["decompose", "concurrence", "coherence_degenerate"],
+)
+def test_empty_stacks_are_rejected_naming_the_constraint(entry):
+    message = "expected a matrix or a non-empty stack of matrices, got shape (0, 4, 4)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        entry(np.zeros((0, 4, 4)))
 
 
 unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
