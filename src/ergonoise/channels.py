@@ -66,8 +66,8 @@ from .matcore import (
     _class_levels,
     _exact_real,
     _kron_pair,
-    _square,
     as_matrix,
+    as_stack,
     num_qubits,
 )
 from .qstate import IDENTITY_4, PAULI_PAIRS, require_bloch
@@ -326,14 +326,9 @@ def _checked(rhos, kind: str, targets) -> tuple[np.ndarray, int, tuple]:
     """One state or a (S, d, d) stack as a (S, d, d) stack, its qubit
     count and the target groups of a canonical kind. The states' shape,
     the targets and the correlated pair are checked, in that order.
-    Exactly real states come back as float64 (``matcore._exact_real``)."""
-    rhos = _exact_real(rhos)
-    if rhos.ndim == 2:
-        rhos = rhos[None]
-    if rhos.ndim != 3 or not len(rhos):
-        raise ValueError(
-            f"expected a state or a non-empty (S, d, d) stack of states, got shape {rhos.shape}"
-        )
+    The states enter through ``matcore.as_stack``, so exactly real ones
+    come back as float64."""
+    rhos, _ = as_stack(rhos)
     n = num_qubits(rhos[0])
     if targets is None:
         targets = range(2) if kind == CORRELATED_BIT_FLIP and n == 2 else range(n)
@@ -452,10 +447,10 @@ def apply_local_chunks(rhos, kind: str, q, targets=None):
 def apply_local(rho, kind: str, q, targets=None) -> np.ndarray:
     """Image of one state under the channel on the listed qubits (all of
     them by default): a (d, d) state for a number q, a (len(q), d, d)
-    stack for a grid. The pieces of ``apply_local_chunks`` joined: float64
-    for a state with no nonzero imaginary part, complex128 otherwise
-    (checked square as it is, with no complex copy)."""
-    pieces = apply_local_chunks(_square(np.asarray(rho)), kind, q, targets)
+    stack for a grid. The pieces of ``apply_local_chunks`` joined, for
+    the state as ``matcore.as_matrix`` takes it: float64 for a state with
+    no nonzero imaginary part, complex128 otherwise."""
+    pieces = apply_local_chunks(as_matrix(rho), kind, q, targets)
     return _shaped(q, np.concatenate([stack for _, stack in pieces]))
 
 
@@ -553,9 +548,11 @@ def _lindblad_grid(rho0, jump_operators, rates, durations) -> np.ndarray:
     any matrix is built. One Liouvillian serves the whole grid and one
     step matrix P(dt L) each distinct step dt = t / N; every duration
     takes its own power P^N, so its row is bitwise the one-duration run.
+    The rows take the dtype that rho0 and the jump operators promote to.
     """
     rho = as_matrix(rho0)
-    specs = [LindbladSpec(jump_operators, rates, t) for t in durations]
+    ops = tuple(map(as_matrix, jump_operators))
+    specs = [LindbladSpec(ops, rates, t) for t in durations]
     needed = {}  # RK4 steps of each row that evolves
     for i, spec in enumerate(specs):
         if spec.duration != 0.0 and spec.rates and max(spec.rates) != 0.0:
@@ -564,10 +561,10 @@ def _lindblad_grid(rho0, jump_operators, rates, durations) -> np.ndarray:
         raise ValueError(
             f"step-size underflow: {max(needed.values())} RK4 steps exceed the {MAX_RK4_STEPS} limit"
         )
-    out = np.empty((len(specs),) + rho.shape, dtype=rho.dtype)
+    out = np.empty((len(specs),) + rho.shape, dtype=np.result_type(rho, *ops))
     out[:] = rho
     if needed:
-        liouvillian = _liouvillian(specs[0].jump_operators, specs[0].rates)
+        liouvillian = _liouvillian(ops, specs[0].rates)
         eye = np.eye(len(liouvillian))
         steps = {}
         for i, count in needed.items():

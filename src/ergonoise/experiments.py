@@ -560,6 +560,10 @@ def entangled_example(theta_grid, q_grid=None, h: float = 0.5, j: float = 0.4, k
     kind = ch.canonical_kind(kind)
     theta_grid = np.asarray(theta_grid, dtype=float)
     q_grid = q_grid_default() if q_grid is None else ch.strengths(q_grid)
+    if theta_grid.ndim != 1 or not theta_grid.size:
+        raise ValueError(f"the theta axis must be a non-empty 1-D grid, got shape {theta_grid.shape}")
+    if not np.isfinite(theta_grid).all():
+        raise ValueError(f"the theta axis must be finite, got theta = {theta_grid[~np.isfinite(theta_grid)][0]}")
     ham = _shared_hamiltonian("z_plus_xx", 2, h=h, j=j)
     rho0s = np.array([apply_hadamard_pair(entangled_theta(theta)) for theta in theta_grid])
     wc = np.empty(len(theta_grid) * len(q_grid))

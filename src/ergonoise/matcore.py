@@ -5,14 +5,14 @@ Hermitian matrices (states), Hermitian observables, or Kraus operators.
 States live on n qubits, so dimensions are powers of two, and nothing
 is expected to grow past 2**10.
 
-Arithmetic is real where the inputs are. ``_exact_real`` turns an array
-with no nonzero imaginary part into float64 and any other into
-complex128; the pipeline's entry points (the state spectra here, the
-channel expansion, the work split and the Hamiltonian's stored matrices)
-pass their inputs through it, and everything after follows numpy's
-promotion: a real state under a real channel and Hamiltonian is
-evolved, diagonalized and split in float64, and one imaginary part
-anywhere makes that step complex128.
+Arithmetic is real where the inputs are, by one rule decided here:
+``_exact_real`` turns an array with no nonzero imaginary part into
+float64 and any other into complex128. Matrices enter through
+``as_matrix`` or, as one matrix or a (B, d, d) stack, ``as_stack``, which
+both apply it, and numpy's promotion decides every step after: a real
+state under a real channel and Hamiltonian is evolved, diagonalized and
+split in float64, and one imaginary part anywhere makes that step
+complex128. The exported constants stay complex128.
 
 Every dense state or stack takes one batched eigvalsh
 (``state_spectra``), whatever its symmetry, and nothing probes it for
@@ -82,7 +82,21 @@ class SpectralDecomposition(NamedTuple):
 
 
 def as_matrix(m) -> np.ndarray:
-    return _square(np.asarray(m, dtype=complex))
+    """m as one square matrix under the dtype rule (``_exact_real``)."""
+    return _square(_exact_real(m))
+
+
+def as_stack(m) -> tuple[np.ndarray, bool]:
+    """m, one (d, d) matrix or a non-empty (B, d, d) stack, as a
+    (B, d, d) stack under the dtype rule of ``as_matrix``, and whether
+    it was one matrix."""
+    mats = _exact_real(m)
+    stack = mats[None] if mats.ndim == 2 else mats
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"expected a square matrix or a stack of square matrices, got shape {mats.shape}")
+    if not len(stack):
+        raise ValueError(f"expected a matrix or a non-empty stack of matrices, got shape {mats.shape}")
+    return stack, mats.ndim == 2
 
 
 def _square(mat: np.ndarray) -> np.ndarray:
@@ -330,12 +344,12 @@ def _class_coordinates(mat: np.ndarray, n: int) -> np.ndarray:
     """The class coordinates of a permutation-invariant (2**n, 2**n)
     matrix: the average of its entries over each class of
     ``_entry_classes(n)``, from one bincount per real part over the class
-    codes of the entries."""
+    codes of the entries, float64 when exactly real (``_exact_real``)."""
     codes, size = _entry_codes(n).ravel(), (n + 1) ** 3
     flat = np.asarray(mat, dtype=complex).ravel()
     sums = np.bincount(codes, flat.real, size) + 1j * np.bincount(codes, flat.imag, size)
     classes = _entry_classes(n)
-    return sums[_class_codes(classes.counts, n)] / classes.sizes
+    return _exact_real(sums[_class_codes(classes.counts, n)] / classes.sizes)
 
 
 @functools.cache

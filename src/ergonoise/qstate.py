@@ -29,10 +29,10 @@ from .matcore import (
     _class_coordinates,
     _entry_classes,
     _entry_codes,
-    _exact_real,
     _permutation_invariant,
     _require_hermitian,
     as_matrix,
+    as_stack,
     herm_eig,
     kron,
     require_hermitian,
@@ -93,24 +93,19 @@ def require_bloch(n) -> np.ndarray:
 def bloch_to_density(n) -> np.ndarray:
     """Single-qubit state (I + n.sigma)/2 from a Bloch vector."""
     n = require_bloch(n)
-    rho = IDENTITY_2.copy() / 2.0
-    for comp, pauli in zip(n, PAULIS):
-        rho += 0.5 * comp * pauli
-    return rho
+    return as_matrix(IDENTITY_2 / 2.0 + 0.5 * np.tensordot(n, PAULIS, 1))
 
 
 def density_to_bloch(rho) -> np.ndarray:
     """Bloch vector (Tr rho sigma_i) of a single-qubit state, or the (T, 3)
-    vectors of a (T, 2, 2) stack, whose Hermiticity is checked once,
-    naming its worst entry."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim == 3 and rho.shape[1:] == (2, 2):
-        _require_hermitian(rho)
-    else:
-        rho = require_hermitian(rho)
-        if rho.shape != (2, 2):
-            raise ValueError("expected a single-qubit state")
-    return np.trace(rho[..., None, :, :] @ PAULIS, axis1=-2, axis2=-1).real
+    vectors of a (T, 2, 2) stack (``matcore.as_stack``), whose
+    Hermiticity is checked once, naming its worst entry."""
+    rhos, single = as_stack(rho)
+    if rhos.shape[1:] != (2, 2):
+        raise ValueError("expected a single-qubit state")
+    _require_hermitian(rhos)
+    bloch = np.trace(rhos[:, None] @ PAULIS, axis1=-2, axis2=-1).real
+    return bloch[0] if single else bloch
 
 
 def qubit_state(x: float, y: complex) -> np.ndarray:
@@ -124,7 +119,7 @@ def qubit_state(x: float, y: complex) -> np.ndarray:
         raise ValueError(
             f"coherence |{y}|^2 = {abs(y)**2:.6g} exceeds x(1-x) = {x*(1.0-x):.6g}"
         )
-    return np.array([[x, y], [np.conj(y), 1.0 - x]], dtype=complex)
+    return as_matrix([[x, y], [np.conj(y), 1.0 - x]])
 
 
 def bds_is_separable(c) -> bool:
@@ -158,10 +153,7 @@ def make_bds(c) -> np.ndarray:
                 f"parameters {tuple(c.tolist())} give negative eigenvalue "
                 f"(1 {s[0]:+d}c1 {s[1]:+d}c2 {s[2]:+d}c3)/4 = {lam:.6g}"
             )
-    rho = IDENTITY_4 / 4.0
-    for ci, pair in zip(c, PAULI_PAIRS):
-        rho += 0.25 * ci * pair
-    return rho
+    return as_matrix(IDENTITY_4 / 4.0 + 0.25 * np.tensordot(c, PAULI_PAIRS, 1))
 
 
 def classical_quantum(p: float, a: float, c: complex) -> np.ndarray:
@@ -210,7 +202,7 @@ def _symmetrized_classes(a: float, coherences) -> np.ndarray:
         raise ValueError(f"qubit count {n} exceeds cap {MAX_SYMMETRIZED_QUBITS}")
     locals_ = [qubit_state(a, c) for c in coherences]
     # weight[k, l] = E_kl(c) / M(k, l)
-    weight = np.zeros((n + 1, n + 1), dtype=complex)
+    weight = np.zeros((n + 1, n + 1), dtype=np.result_type(*locals_))
     weight[0, 0] = 1.0
     for local in locals_:
         grown = weight.copy()
@@ -323,16 +315,14 @@ def random_separable_stack(seed: int, samples, num_terms: int = 2) -> np.ndarray
 
 def entangled_theta(theta: float) -> np.ndarray:
     """Pure state cos(theta)|gg> + sin(theta)|ee> as a density matrix."""
-    ket = np.zeros(4, dtype=complex)
-    ket[0] = np.cos(theta)
-    ket[3] = np.sin(theta)
-    return np.outer(ket, ket.conj())
+    ket = np.array([np.cos(theta), 0.0, 0.0, np.sin(theta)])
+    return np.outer(ket, ket)
 
 
 def apply_hadamard_pair(rho) -> np.ndarray:
     """Conjugate a two-qubit state by local Hadamards on both qubits."""
     u = kron(HADAMARD, HADAMARD)
-    return u @ np.asarray(rho, dtype=complex) @ u.conj().T
+    return u @ as_matrix(rho) @ u.conj().T
 
 
 def x_product_basis(n: int) -> np.ndarray:
@@ -361,10 +351,11 @@ class Hamiltonian:
     dephasing keeps the spectral blocks (``block``). The matrix is stored
     read-only, so ``levels``, ``eigenbasis`` and ``frame`` are computed
     once per object.
-    The matrix, the basis and the frames are stored in float64 where they
-    have no nonzero imaginary part (``matcore._exact_real``), as every
-    Hamiltonian ``hamiltonian`` builds does, so that a real state is split
-    in real arithmetic; any other is stored in complex128.
+    The matrix and the basis enter through ``matcore.as_matrix``, so they
+    are stored in float64 where they have no nonzero imaginary part, as
+    every Hamiltonian ``hamiltonian`` builds does, and their frames are
+    then real eigenvectors too, so that a real state is split in real
+    arithmetic; any other is stored in complex128.
     Equality and hashing are by identity, so a Hamiltonian can key a dict.
     """
 
@@ -374,11 +365,11 @@ class Hamiltonian:
     collective: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _read_only(_exact_real(require_hermitian(self.matrix))))
+        object.__setattr__(self, "matrix", _read_only(require_hermitian(self.matrix)))
         if self.basis is not None:
             if self.collective:
                 raise ValueError("dephasing is in a product basis or collective, not both")
-            object.__setattr__(self, "basis", _read_only(_exact_real(as_matrix(self.basis))))
+            object.__setattr__(self, "basis", _read_only(as_matrix(self.basis)))
 
     @property
     def num_qubits(self) -> int:
@@ -415,7 +406,7 @@ class Hamiltonian:
             evals, v = herm_eig(self.matrix + COLLECTIVE_WEIGHT * scale * total_spin_squared(self.num_qubits))
         else:
             evals, v = self.eigenbasis
-        return _read_only(_exact_real(v)), _same_level(evals, scale)
+        return _read_only(v), _same_level(evals, scale)
 
     @cached_property
     def identity_frame(self) -> bool:
@@ -443,9 +434,9 @@ class Hamiltonian:
             return None
         scale = float(np.abs(self.levels).max())
         frames = []
-        for h_j in _class_block_parts(_exact_real(_class_coordinates(self.matrix, n)), n):
+        for h_j in _class_block_parts(_class_coordinates(self.matrix, n), n):
             evals, u = np.linalg.eigh(h_j)
-            frames.append((_read_only(_exact_real(u)), _same_level(evals, scale)))
+            frames.append((_read_only(u), _same_level(evals, scale)))
         return tuple(frames)
 
 

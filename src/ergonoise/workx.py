@@ -56,18 +56,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (
-    SIGMA_Y,
     _block_spectrum,
     _class_block_parts,
     _class_diagonal,
     _class_trace,
-    _exact_real,
     _require_hermitian,
     _require_psd,
     _require_trace,
     _spin_spectrum,
     as_matrix,
-    kron,
+    as_stack,
     state_spectra,
 )
 from . import channels as ch
@@ -168,17 +166,6 @@ def _dephased_spectra(a, same_level) -> np.ndarray:
     return np.linalg.eigvalsh(a * same_level)
 
 
-def _states(rho) -> tuple[np.ndarray, bool]:
-    """rho as a (B, d, d) stack, float64 when exactly real
-    (``matcore._exact_real``), and whether it was one (d, d) state."""
-    rhos = _exact_real(rho)
-    if rhos.ndim not in (2, 3) or rhos.shape[-1] != rhos.shape[-2]:
-        raise ValueError(
-            f"expected a (d, d) state or a (B, d, d) stack of states, got shape {rhos.shape}"
-        )
-    return (rhos[None], True) if rhos.ndim == 2 else (rhos, False)
-
-
 def _split(energy, lam, lam_deph, levels) -> tuple[np.ndarray, ...]:
     """The report's work fields, in order, from the energies, the ascending
     spectra and the ascending dephased spectra of a stack of states."""
@@ -199,11 +186,12 @@ def decompose(rho, h) -> ErgotropyReport:
     state is validated (Hermitian, trace one, PSD) from its spectrum; a
     matrix that is not a state is rejected naming the violation.
 
-    States with no nonzero imaginary part are split in float64 (every
-    product, spectrum and frame real when h's are), any other in
-    complex128; the report holds real numbers either way.
+    The states enter through ``matcore.as_stack``: those with no nonzero
+    imaginary part are split in float64 (every product, spectrum and
+    frame real when h's are), any other in complex128; the report holds
+    real numbers either way.
     """
-    rhos, single = _states(rho)
+    rhos, single = as_stack(rho)
     h = _hamiltonian(h, rhos)
     lam = state_spectra(rhos)
     v, same_level = h.frame
@@ -351,21 +339,23 @@ def threshold_q(kind: str, n, basis: str = "computational") -> float:
 # the degenerate level of the interacting Hamiltonian as the columns of a
 # 4x2 map D: (|ge> - |eg>)/sqrt2 and (|gg> - |ee>)/sqrt2
 _DEGENERATE_LEVEL = np.array([[0, 1], [1, 0], [-1, 0], [0, -1]]) / np.sqrt(2.0)
-# sigma_y x sigma_y is real, so a real state's concurrence stays in float64
-_YY = _exact_real(kron(SIGMA_Y, SIGMA_Y))
+# sigma_y x sigma_y is real, the anti-diagonal (-1, 1, 1, -1), so a real
+# state's concurrence stays in float64
+_YY = np.diag([-1.0, 1.0, 1.0, -1.0])[::-1].copy()
 
 
 def _two_qubit_states(rho) -> tuple[np.ndarray, bool]:
-    """rho as a (B, 4, 4) stack of Hermitian matrices, float64 when
-    exactly real (``matcore._exact_real``), and whether it was one (4, 4)
-    state; rejected naming the shape or the worst non-Hermitian entry."""
-    rhos = _exact_real(rho)
-    if rhos.ndim not in (2, 3) or rhos.shape[-2:] != (4, 4):
+    """rho as a (B, 4, 4) stack of Hermitian matrices (``matcore.as_stack``),
+    and whether it was one (4, 4) state; rejected naming the shape or the
+    worst non-Hermitian entry."""
+    rho = np.asarray(rho)
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
         raise ValueError(
-            f"expected a two-qubit state (4, 4) or a (B, 4, 4) stack of them, got shape {rhos.shape}"
+            f"expected a two-qubit state (4, 4) or a (B, 4, 4) stack of them, got shape {rho.shape}"
         )
+    rhos, single = as_stack(rho)
     _require_hermitian(rhos)
-    return (rhos[None], True) if rhos.ndim == 2 else (rhos, False)
+    return rhos, single
 
 
 def coherence_degenerate(rho):

@@ -380,20 +380,18 @@ def test_apply_local_rejects_bad_targets():
 
 def test_apply_local_checks_the_shape_without_a_complex_copy(monkeypatch):
     entered = []
-    exact_real = channels._exact_real
-
-    def no_copy(*args):
-        raise AssertionError("copied the state to complex")
+    exact_real = matcore._exact_real
 
     def recording(a):
         entered.append(a)
         return exact_real(a)
 
-    monkeypatch.setattr(channels, "as_matrix", no_copy)
-    monkeypatch.setattr(channels, "_exact_real", recording)
+    # the one dtype rule, which as_matrix and as_stack apply
+    monkeypatch.setattr(matcore, "_exact_real", recording)
     rho = np.array([[0.7, 0.2], [0.2, 0.3]])
     assert apply_local(rho, "ad", 0.3).dtype == np.float64
     assert entered[0] is rho  # the caller's array reaches the dtype rule uncopied
+    assert all(a.dtype == np.float64 for a in entered)  # and nothing on the way is complex
     for bad in (np.ones((2, 3)) / 2, np.stack([rho, rho]), np.array(0.5)):
         with pytest.raises(ValueError, match=re.escape(f"expected a square matrix, got shape {bad.shape}")):
             apply_local(bad, "bf", 0.3)

@@ -602,6 +602,22 @@ def test_entangled_example_run():
     assert np.any((conc > 1e-3) & (res.columns["delta_WC"] > 1e-3))
 
 
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        ([np.nan], "the theta axis must be finite, got theta = nan"),
+        ([np.inf], "the theta axis must be finite, got theta = inf"),
+        ([], "the theta axis must be a non-empty 1-D grid, got shape (0,)"),
+        ([[0.1, 0.2]], "the theta axis must be a non-empty 1-D grid, got shape (1, 2)"),
+    ],
+    ids=["nan", "inf", "empty", "2-D"],
+)
+def test_entangled_example_rejects_a_bad_theta_axis_before_any_state(monkeypatch, theta, message):
+    monkeypatch.setattr(ex, "entangled_theta", None)  # no state may be built
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ex.entangled_example(theta, ex.q_grid_default(5))
+
+
 def test_interacting_depolarizing_run():
     res = ex.interacting_depolarizing(a_values=(0.1, 0.4), q_grid=np.linspace(0, 1, 21))
     a = res.columns["a"]

@@ -1,6 +1,7 @@
 """Real states are evolved, diagonalized and split in float64, complex ones
-in complex128, through the same code (``matcore._exact_real`` at the entry
-points, numpy's promotion after them).
+in complex128, through the same code (``matcore._exact_real``, which
+``as_matrix`` and ``as_stack`` apply to every input, numpy's promotion
+after them).
 
 The two routes are compared through a diagonal phase unitary
 U = diag(1, e^{i phi_1}) x ... x diag(1, e^{i phi_n}): it commutes with the
@@ -10,6 +11,8 @@ covariant under it, so U rho U^dag is complex while every work value of
 rho stays the same.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +21,20 @@ from hypothesis import strategies as st
 from ergonoise import channels as ch
 from ergonoise import experiments as ex
 from ergonoise import matcore, qstate, workx
-from ergonoise.channels import apply_local
-from ergonoise.matcore import SIGMA_Y, _exact_real, kron
+from ergonoise.channels import LindbladSpec, apply_local, jump_operator, lindblad_evolve
+from ergonoise.matcore import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    _exact_real,
+    as_matrix,
+    kron,
+    partial_trace,
+    require_density,
+    require_hermitian,
+)
 from ergonoise.qstate import Hamiltonian, hamiltonian
-from ergonoise.workx import concurrence, decompose
+from ergonoise.workx import concurrence, decompose, dephase, passive_state
 
 COVARIANT_KINDS = ("pf", "pd", "ad", "dc")
 
@@ -188,3 +201,134 @@ def test_built_hamiltonians_store_real_matrices_and_frames():
         assert h.basis is None or h.basis.dtype == np.float64
         assert all(u.dtype == np.float64 for u, _ in h.spin_frames or ())
     assert Hamiltonian(matcore.SIGMA_Y, "matrix").matrix.dtype == np.complex128
+
+
+# An imaginary part this small keeps the complex route and moves no value:
+# the complex computation of a real input, now that an exactly real
+# complex128 input is taken as float64.
+TINY = 1e-300
+
+
+def tiny_coherence(rho, imag):
+    """rho plus the Hermitian imaginary part imag * i (|0><1| - |1><0|)."""
+    out = rho.astype(complex)
+    out[0, 1] += 1j * imag
+    out[1, 0] -= 1j * imag
+    return out if imag else rho
+
+
+def local_qubit(rng):
+    """(population, real coherence) of a qubit state rho(a, c)."""
+    a = rng.uniform(0.05, 0.95)
+    return a, rng.uniform(-0.9, 0.9) * np.sqrt(a * (1.0 - a))
+
+
+def local_coherence_case(build):
+    """A case that passes a local qubit's population a and coherence
+    c + i imag to build, with the rng for anything else it draws."""
+
+    def case(rng, imag):
+        a, c = local_qubit(rng)
+        return build(rng, a, c + 1j * imag)
+
+    return case
+
+
+# public function -> its result for random real inputs drawn from rng,
+# with an imaginary part imag added to one input (0.0 keeps them real)
+DTYPE_CASES = {
+    "as_matrix": lambda rng, imag: as_matrix(tiny_coherence(random_real_state(rng, 4), imag)),
+    "require_hermitian": lambda rng, imag: require_hermitian(tiny_coherence(random_real_state(rng, 4), imag)),
+    "kron": lambda rng, imag: kron(tiny_coherence(random_real_state(rng, 2), imag), random_real_state(rng, 4)),
+    "partial_trace": lambda rng, imag: partial_trace(tiny_coherence(random_real_state(rng, 8), imag), [0, 2]),
+    "require_density": lambda rng, imag: require_density(tiny_coherence(random_real_state(rng, 4), imag)),
+    "qubit_state": local_coherence_case(lambda rng, a, c: qstate.qubit_state(a, c)),
+    "bloch_to_density": lambda rng, imag: qstate.bloch_to_density(
+        [rng.uniform(-0.6, 0.6), imag, rng.uniform(-0.6, 0.6)]
+    ),
+    "classical_quantum": local_coherence_case(lambda rng, a, c: qstate.classical_quantum(rng.uniform(), a, c)),
+    "symmetric_pair": local_coherence_case(lambda rng, a, c: qstate.symmetric_pair(rng.uniform(), a, c, 0.5 * c.real)),
+    "symmetrized_multipartite": local_coherence_case(
+        lambda rng, a, c: qstate.symmetrized_multipartite(a, [c, 0.5 * c.real, -0.7 * c.real])
+    ),
+    "apply_hadamard_pair": lambda rng, imag: qstate.apply_hadamard_pair(
+        tiny_coherence(random_real_state(rng, 4), imag)
+    ),
+    "dephase": lambda rng, imag: dephase(
+        tiny_coherence(random_real_state(rng, 4), imag), hamiltonian("z_plus_xx", 2)
+    ),
+    # the passive state is built from the Hamiltonian's eigenvectors, so
+    # there the imaginary part goes on the Hamiltonian
+    "passive_state": lambda rng, imag: passive_state(
+        random_real_state(rng, 4), Hamiltonian(tiny_coherence(hamiltonian("z_plus_xx", 2).matrix, imag), "matrix")
+    ),
+    "apply_local": lambda rng, imag: apply_local(
+        tiny_coherence(random_real_state(rng, 4), imag), str(rng.choice(ch.KINDS)), rng.uniform(size=3)
+    ),
+    "lindblad_evolve": lambda rng, imag: lindblad_evolve(
+        tiny_coherence(random_real_state(rng, 2), imag),
+        LindbladSpec((jump_operator(str(rng.choice(["bf", "ad"]))),), (rng.uniform(0.1, 1.0),), rng.uniform(0.0, 0.5)),
+    ),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("name", DTYPE_CASES)
+def test_public_functions_follow_the_one_dtype_rule(name, seed):
+    real = DTYPE_CASES[name](np.random.default_rng(seed), 0.0)
+    complex_ = DTYPE_CASES[name](np.random.default_rng(seed), TINY)
+    assert real.dtype == np.float64 and complex_.dtype == np.complex128
+    assert np.abs(complex_ - real).max() <= 1e-14
+
+
+# constructors that take no complex input -> (their result, the same
+# matrix computed in complex128)
+REAL_CONSTRUCTORS = {
+    "make_bds": lambda c: (
+        qstate.make_bds(c),
+        np.eye(4, dtype=complex) / 4 + sum(0.25 * ci * kron(p, p) for ci, p in zip(c, (SIGMA_X, SIGMA_Y, SIGMA_Z))),
+    ),
+    "entangled_theta": lambda c: (
+        qstate.entangled_theta(c[0]),
+        (lambda ket: np.outer(ket, ket.conj()))(np.array([np.cos(c[0]), 0, 0, np.sin(c[0])], dtype=complex)),
+    ),
+    "x_product_basis": lambda c: (
+        qstate.x_product_basis(3),
+        functools.reduce(np.kron, [qstate.HADAMARD] * 3),
+    ),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(c=st.lists(st.floats(-1.0 / 3.0, 1.0 / 3.0), min_size=3, max_size=3))
+@pytest.mark.parametrize("name", REAL_CONSTRUCTORS)
+def test_real_constructors_return_float64(name, c):
+    real, complex_ = REAL_CONSTRUCTORS[name](c)
+    assert real.dtype == np.float64 and complex_.dtype == np.complex128
+    assert np.abs(complex_ - real).max() <= 1e-14
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rate=st.floats(0.1, 2.0),
+    duration=st.floats(0.0, 1.0),
+)
+def test_a_real_state_under_a_complex_liouvillian_keeps_its_imaginary_part(seed, rate, duration):
+    # L = (sigma_x + i sigma_z) / sqrt2 gives a Liouvillian with nonzero
+    # imaginary entries, so the evolved state is complex though rho0 is real
+    jump = (SIGMA_X + 1j * SIGMA_Z) / np.sqrt(2.0)
+    assert ch._liouvillian((jump,), (1.0,)).imag.any()
+    rho = random_real_state(np.random.default_rng(seed), 2)
+    spec = LindbladSpec((jump,), (rate,), duration)
+    evolved = lindblad_evolve(rho, spec)
+    # a complex128 cast of rho is exactly real, so it takes the same float64
+    # intake; the complex route is the one of rho with a tiny imaginary part
+    cast = lindblad_evolve(rho.astype(complex), spec)
+    complex_ = lindblad_evolve(tiny_coherence(rho, TINY), spec)
+    assert evolved.dtype == cast.dtype == complex_.dtype == np.complex128
+    assert np.abs(evolved - cast).max() == 0.0
+    assert np.abs(evolved - complex_).max() <= 1e-14
+    grid = ch._lindblad_grid(rho, (jump,), (rate,), [0.0, duration])
+    assert grid.dtype == np.complex128 and np.abs(grid[1] - evolved).max() == 0.0
