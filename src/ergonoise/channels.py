@@ -43,9 +43,9 @@ and is the one non-unital case.
 Phase damping is phase flip at the effective strength 1 - sqrt(1-q).
 Lindblad evolution runs fixed-step RK4 on the d^2 x d^2 Liouvillian
 ``_liouvillian``: the master equation is linear, so the N steps are one
-power of the step matrix P(dt L) = 1 + dt L + ... + (dt L)^4 / 4!. A
-time grid builds one Liouvillian and one step matrix per distinct step
-dt (``_lindblad_grid``); ``lindblad_evolve`` is its one-duration case.
+power of the step matrix P(dt L) = 1 + dt L + ... + (dt L)^4 / 4!. Like
+q, the duration is a number or a grid: ``lindblad_evolve`` builds one
+Liouvillian per call and one step matrix per distinct step dt.
 """
 from __future__ import annotations
 
@@ -68,9 +68,10 @@ from .matcore import (
     _kron_pair,
     as_matrix,
     as_stack,
+    kron,
     num_qubits,
 )
-from .qstate import IDENTITY_4, PAULI_PAIRS, require_bloch
+from .qstate import IDENTITY_4, require_bloch
 
 BIT_FLIP = "bit_flip"
 BIT_PHASE_FLIP = "bit_phase_flip"
@@ -182,10 +183,10 @@ def _damping(op):
     return lambda q: [_PROJ_G + _outer(np.sqrt(1.0 - q), _PROJ_E), _outer(np.sqrt(q), op)]
 
 
-# Kraus operators of each kind as (Q, d, d) stacks over a q array; every
-# set satisfies sum K^dag K = I. Depolarizing uses sqrt(1 - 3q/4) on the
-# identity term so that the set is complete and the Bloch vector
-# contracts by exactly (1 - q).
+# Kraus operators of each kind as (Q, d, d) stacks over a q array, all of
+# one dtype; every set satisfies sum K^dag K = I. Depolarizing uses
+# sqrt(1 - 3q/4) on the identity term so that the set is complete and the
+# Bloch vector contracts by exactly (1 - q).
 _KRAUS = {
     BIT_FLIP: _flip(IDENTITY_2, SIGMA_X),
     BIT_PHASE_FLIP: _flip(IDENTITY_2, SIGMA_Y),
@@ -194,7 +195,7 @@ _KRAUS = {
     + [_outer(np.sqrt(q / 4.0), p) for p in PAULIS],
     AMPLITUDE_DAMPING: _damping(SIGMA_MINUS),
     PHASE_DAMPING: _damping(_PROJ_E),
-    CORRELATED_BIT_FLIP: _flip(IDENTITY_4, PAULI_PAIRS[0]),  # sigma_x x sigma_x
+    CORRELATED_BIT_FLIP: _flip(IDENTITY_4, kron(SIGMA_X, SIGMA_X)),
 }
 
 
@@ -503,11 +504,13 @@ def _bds_scaled(kind: str, qs: np.ndarray, c: np.ndarray, both_qubits: bool) -> 
 
 @dataclass(frozen=True)
 class LindbladSpec:
-    """Jump operators, their rates, and the evolution duration."""
+    """Jump operators, their rates, and the evolution duration: a number or
+    a non-empty 1-D grid (stored read-only in float64), each duration
+    checked in order as a one-duration spec checks it."""
 
     jump_operators: tuple
     rates: tuple
-    duration: float
+    duration: float | np.ndarray
 
     def __post_init__(self):
         object.__setattr__(
@@ -516,12 +519,19 @@ class LindbladSpec:
         object.__setattr__(self, "rates", tuple(float(g) for g in self.rates))
         if len(self.jump_operators) != len(self.rates):
             raise ValueError("need one rate per jump operator")
-        if not all(map(math.isfinite, self.rates + (self.duration,))):
-            raise ValueError(f"rates {self.rates} and duration {self.duration} must be finite")
-        if any(g < 0 for g in self.rates):
-            raise ValueError("rates must be nonnegative")
-        if self.duration < 0:
-            raise ValueError("duration must be nonnegative")
+        if np.ndim(self.duration):
+            grid = np.array(self.duration, dtype=float)
+            if grid.ndim != 1 or not grid.size:
+                raise ValueError(f"durations must form a non-empty 1-D grid, got shape {grid.shape}")
+            grid.flags.writeable = False
+            object.__setattr__(self, "duration", grid)
+        for t in np.atleast_1d(self.duration):
+            if not all(map(math.isfinite, self.rates + (t,))):
+                raise ValueError(f"rates {self.rates} and duration {t} must be finite")
+            if any(g < 0 for g in self.rates):
+                raise ValueError("rates must be nonnegative")
+            if t < 0:
+                raise ValueError("duration must be nonnegative")
 
 
 MAX_RK4_STEPS = 10**6
@@ -539,56 +549,43 @@ def _liouvillian(ops, rates) -> np.ndarray:
     return out
 
 
-def _lindblad_grid(rho0, jump_operators, rates, durations) -> np.ndarray:
-    """``lindblad_evolve`` of one state for every duration of a sequence,
-    as a (T, d, d) stack in that order.
+def lindblad_evolve(rho0, spec: LindbladSpec) -> np.ndarray:
+    """Integrate the purely dissipative master equation with fixed-step RK4:
+    one (d, d) state for a one-duration spec, a (T, d, d) stack in grid
+    order for a grid.
 
-    Each duration is checked as its ``LindbladSpec`` checks it, in order,
-    and then the step count of the largest against MAX_RK4_STEPS, before
-    any matrix is built. One Liouvillian serves the whole grid and one
-    step matrix P(dt L) each distinct step dt = t / N; every duration
-    takes its own power P^N, so its row is bitwise the one-duration run.
-    The rows take the dtype that rho0 and the jump operators promote to.
+    The step targets max(rate)*dt <= 1e-3; a run whose largest duration
+    would need more than MAX_RK4_STEPS steps is rejected before anything
+    is built. On the linear flow rho' = L rho one RK4 step is exactly
+    rho <- P(dt L) rho with P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, so the
+    N steps are applied as the one matrix P(dt L)^N, formed by repeated
+    squaring. One Liouvillian serves the whole grid and one step matrix
+    each distinct step dt = t / N; every duration takes its own power
+    P^N, so each row is bitwise the one-duration run. The result takes
+    the dtype that rho0 and the jump operators promote to.
     """
-    rho = as_matrix(rho0)
-    ops = tuple(map(as_matrix, jump_operators))
-    specs = [LindbladSpec(ops, rates, t) for t in durations]
-    needed = {}  # RK4 steps of each row that evolves
-    for i, spec in enumerate(specs):
-        if spec.duration != 0.0 and spec.rates and max(spec.rates) != 0.0:
-            needed[i] = max(1, math.ceil(spec.duration * max(spec.rates) / 1e-3))
+    rho, ops, rates = as_matrix(rho0), spec.jump_operators, spec.rates
+    durations, rate = np.atleast_1d(spec.duration), max(rates, default=0.0)
+    needed = {  # RK4 steps of each row that evolves
+        i: max(1, math.ceil(t * rate / 1e-3)) for i, t in enumerate(durations) if t != 0.0 and rate != 0.0
+    }
     if needed and max(needed.values()) > MAX_RK4_STEPS:
         raise ValueError(
             f"step-size underflow: {max(needed.values())} RK4 steps exceed the {MAX_RK4_STEPS} limit"
         )
-    out = np.empty((len(specs),) + rho.shape, dtype=np.result_type(rho, *ops))
+    out = np.empty((len(durations),) + rho.shape, dtype=np.result_type(rho, *ops))
     out[:] = rho
     if needed:
-        liouvillian = _liouvillian(ops, specs[0].rates)
+        liouvillian = _liouvillian(ops, rates)
         eye = np.eye(len(liouvillian))
         steps = {}
         for i, count in needed.items():
-            dt = specs[i].duration / count
+            dt = durations[i] / count
             if dt not in steps:
                 m = dt * liouvillian
                 steps[dt] = eye + m @ (eye + (m / 2.0) @ (eye + (m / 3.0) @ (eye + m / 4.0)))
             out[i] = (np.linalg.matrix_power(steps[dt], count) @ rho.reshape(-1)).reshape(rho.shape)
-    return out
-
-
-def lindblad_evolve(rho0, spec: LindbladSpec):
-    """Integrate the purely dissipative master equation with fixed-step RK4.
-
-    The step targets max(rate)*dt <= 1e-3; a run that would need more than
-    MAX_RK4_STEPS steps is rejected before anything is built. On the linear
-    flow rho' = L rho one RK4 step is exactly rho <- P(dt L) rho with
-    P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, so the N steps are applied as
-    the one matrix P(dt L)^N, formed by repeated squaring. This is the
-    one-duration case of the grid evolution that ``lindblad_consistency``
-    runs once per time grid: there one step matrix serves each step size,
-    and the cap is checked on the largest time.
-    """
-    return _lindblad_grid(rho0, spec.jump_operators, spec.rates, [spec.duration])[0]
+    return out if np.ndim(spec.duration) else out[0]
 
 
 # Lindblad clock of each kind: the jump operator L and the rate factor r

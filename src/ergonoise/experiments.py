@@ -114,7 +114,7 @@ def _shared_hamiltonian(name: str, n: int, collective: bool = False, **params) -
     argument tuple; ``collective`` swaps its product dephasing basis for
     collective spin."""
     h = hamiltonian(name, n, **params)
-    return replace(h, basis=None, collective=True) if collective else h
+    return replace(h, dephasing="collective", basis=None) if collective else h
 
 
 def channel_hamiltonian(kind: str, n: int, collective: bool = False) -> Hamiltonian:
@@ -512,9 +512,10 @@ def lindblad_consistency(kind, gamma: float, t_grid, n0) -> SweepResult:
     Per time point: Bloch components from both routes and the coherent
     work from both routes, with the worst deviation in the metadata.
 
-    The whole time grid is one evolution (``channels._lindblad_grid``):
-    one Liouvillian, one RK4 step matrix per distinct step size and the
-    step cap checked on the largest time, before any matrix is built.
+    The whole time grid is one evolution (``channels.lindblad_evolve`` of
+    a grid ``LindbladSpec``): one Liouvillian, one RK4 step matrix per
+    distinct step size and the step cap checked on the largest time,
+    before any matrix is built.
     The Bloch vectors and their Hermiticity check are read once from the
     evolved stack.
     """
@@ -527,7 +528,7 @@ def lindblad_consistency(kind, gamma: float, t_grid, n0) -> SweepResult:
     rho0 = bloch_to_density(n0)
     h = _shared_hamiltonian("excitation", 1)
     qs = np.array([ch.q_of_t(kind, gamma, t) for t in t_grid])
-    evolved = ch._lindblad_grid(rho0, (jump,), (gamma,), t_grid)
+    evolved = ch.lindblad_evolve(rho0, ch.LindbladSpec((jump,), (gamma,), t_grid))
     rk4_bloch = density_to_bloch(evolved)
     kraus_bloch = ch.bloch_map(kind, qs, n0)
     cols = {"t": t_grid, "q": qs}

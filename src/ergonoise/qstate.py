@@ -341,16 +341,21 @@ def total_spin_squared(n: int) -> np.ndarray:
     return out
 
 
+DEPHASINGS = ("block", "product_basis", "collective")
+
+
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """Hermitian observable plus the dephasing convention attached to it.
 
-    ``basis`` columns, when present, give the product eigenbasis in which
-    dephasing strips every off-diagonal (``product_basis``); ``collective``
-    splits the spectral blocks by total spin J^2 instead. With neither,
-    dephasing keeps the spectral blocks (``block``). The matrix is stored
-    read-only, so ``levels``, ``eigenbasis`` and ``frame`` are computed
-    once per object.
+    ``dephasing`` names the convention, one of DEPHASINGS: ``block`` keeps
+    the spectral blocks; ``product_basis`` strips every off-diagonal in
+    the product eigenbasis whose columns ``basis`` gives, the
+    computational basis when ``basis`` is None; ``collective`` splits the
+    spectral blocks by total spin J^2. Only ``product_basis`` takes a
+    ``basis``. The matrix is stored read-only, so ``levels``,
+    ``eigenbasis`` and ``frame`` are computed once per object, and only
+    when read.
     The matrix and the basis enter through ``matcore.as_matrix``, so they
     are stored in float64 where they have no nonzero imaginary part, as
     every Hamiltonian ``hamiltonian`` builds does, and their frames are
@@ -361,25 +366,21 @@ class Hamiltonian:
 
     matrix: np.ndarray
     kind: str
+    dephasing: str = "block"
     basis: np.ndarray | None = None
-    collective: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _read_only(require_hermitian(self.matrix)))
+        if self.dephasing not in DEPHASINGS:
+            raise ValueError(f"unknown dephasing {self.dephasing!r}, expected one of {', '.join(DEPHASINGS)}")
         if self.basis is not None:
-            if self.collective:
-                raise ValueError("dephasing is in a product basis or collective, not both")
+            if self.dephasing != "product_basis":
+                raise ValueError(f"{self.dephasing} dephasing takes no basis, only product_basis does")
             object.__setattr__(self, "basis", _read_only(as_matrix(self.basis)))
 
     @property
     def num_qubits(self) -> int:
         return self.matrix.shape[0].bit_length() - 1
-
-    @property
-    def dephasing(self) -> str:
-        if self.basis is not None:
-            return "product_basis"
-        return "collective" if self.collective else "block"
 
     @cached_property
     def levels(self) -> np.ndarray:
@@ -399,20 +400,20 @@ class Hamiltonian:
         """The basis (columns) dephasing works in, and its kept-entry mask.
         Levels within DEGENERACY_TOL * max|levels| are one level, and J^2
         is weighted by that scale too, so s*H has the frame of H."""
-        if self.basis is not None:
-            return self.basis, _read_only(np.eye(len(self.basis), dtype=bool))
+        if self.dephasing == "product_basis":
+            v = _read_only(np.eye(len(self.matrix))) if self.identity_frame else self.basis
+            return v, _read_only(np.eye(len(v), dtype=bool))
         scale = float(np.abs(self.levels).max())
-        if self.collective:
+        if self.dephasing == "collective":
             evals, v = herm_eig(self.matrix + COLLECTIVE_WEIGHT * scale * total_spin_squared(self.num_qubits))
         else:
             evals, v = self.eigenbasis
         return _read_only(v), _same_level(evals, scale)
 
-    @cached_property
+    @property
     def identity_frame(self) -> bool:
         """Whether dephasing works in the computational basis itself."""
-        v = self.frame[0]
-        return bool(np.array_equal(v, np.eye(len(v))))
+        return self.dephasing == "product_basis" and self.basis is None
 
     @cached_property
     def spin_frames(self) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
@@ -430,7 +431,7 @@ class Hamiltonian:
         ``frame`` keeps.
         """
         n = self.num_qubits
-        if not self.collective or n < 2 or not _permutation_invariant(self.matrix, n):
+        if self.dephasing != "collective" or n < 2 or not _permutation_invariant(self.matrix, n):
             return None
         scale = float(np.abs(self.levels).max())
         frames = []
@@ -477,19 +478,19 @@ def hamiltonian(kind: str, n: int, h: float = 0.5, j: float = 0.4) -> Hamiltonia
         raise ValueError(f"field h = {h} and coupling j = {j} must be finite")
     if kind == "excitation":
         mat = _sum_local(np.outer(KET_E, KET_E.conj()), n)
-        return Hamiltonian(mat, kind, basis=np.eye(2**n, dtype=complex))
+        return Hamiltonian(mat, kind, "product_basis")
     if kind == "z_sum":
         mat = -0.5 * _sum_local(SIGMA_Z, n)
-        return Hamiltonian(mat, kind, basis=np.eye(2**n, dtype=complex))
+        return Hamiltonian(mat, kind, "product_basis")
     if kind == "x_sum":
         scale = 1.0 if n == 1 else 0.5
         mat = scale * _sum_local(SIGMA_X, n)
-        return Hamiltonian(mat, kind, basis=x_product_basis(n))
+        return Hamiltonian(mat, kind, "product_basis", x_product_basis(n))
     if kind == "xx_interacting":
         if n != 2:
             raise ValueError("xx_interacting is a two-qubit Hamiltonian")
         mat = h * _sum_local(SIGMA_X, 2) + j * kron(SIGMA_X, SIGMA_X)
-        return Hamiltonian(mat, kind, collective=True)
+        return Hamiltonian(mat, kind, "collective")
     if kind == "z_plus_xx":
         if n != 2:
             raise ValueError("z_plus_xx is a two-qubit Hamiltonian")

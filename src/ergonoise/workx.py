@@ -18,12 +18,12 @@ force: the energies as one einsum, the state spectra as one batched
 eigvalsh (``matcore.state_spectra``, which also validates every state),
 and the dephased spectra either as the sorted diagonal of V^dag rho V,
 when the dephasing keeps only that diagonal, or as one batched eigvalsh
-of the kept blocks. An identity frame V (``excitation``, ``z_sum``)
-reads the diagonal of rho itself, with no product. It never probes a
-state for symmetry, so it is the oracle of the block route below. The
-Hamiltonian side (its levels and frames) is computed once per
-``Hamiltonian`` object. ``ergotropy`` is a separate route the tests
-compare it against.
+of the kept blocks. An identity frame (``product_basis`` with no basis:
+``excitation``, ``z_sum``) reads the diagonal of rho itself, with no
+product. It never probes a state for symmetry, so it is the oracle of
+the block route below. The Hamiltonian side (its levels and frames) is
+computed once per ``Hamiltonian`` object. ``ergotropy`` is a separate
+route the tests compare it against.
 
 The block route serves whole noise curves of one permutation-invariant
 state given by its class coordinates (``matcore``: one value per class
@@ -112,11 +112,12 @@ def ergotropy(rho, h) -> float:
 def dephase(rho, h) -> np.ndarray:
     """Strip coherences between distinct energy levels of h.
 
-    The convention is the Hamiltonian's own: with a product ``basis``
-    every off-diagonal element in that basis is removed (what the closed
-    forms for product Hamiltonians assume); otherwise each level block is
-    kept intact, split further by total spin J^2 for a ``collective``
-    Hamiltonian. A raw matrix keeps its level blocks.
+    The convention is the Hamiltonian's own ``dephasing``: under
+    ``product_basis`` every off-diagonal element in its basis (the
+    computational one when it has none) is removed (what the closed forms
+    for product Hamiltonians assume); otherwise each level block is kept
+    intact, split further by total spin J^2 under ``collective``. A raw
+    matrix keeps its level blocks.
     """
     rho = as_matrix(rho)
     v, same_level = _hamiltonian(h, rho).frame
@@ -208,10 +209,10 @@ def decompose(rho, h) -> ErgotropyReport:
 
 def _require_blockwise_dephasing(h: Hamiltonian) -> None:
     """Reject an h that does not dephase permutation-invariant states
-    blockwise: in spin blocks (``spin_frames``, read first, so that a
-    collective h never builds its dense ``frame``) or keeping only the
-    diagonal of the computational basis."""
-    if h.spin_frames is None and not (h.identity_frame and h.frame[1].sum() == len(h.frame[1])):
+    blockwise: in spin blocks (``spin_frames``) or in the identity frame,
+    keeping only the diagonal of the computational basis. Both follow
+    from the stored convention, and neither builds the dense ``frame``."""
+    if h.spin_frames is None and not h.identity_frame:
         raise ValueError(
             f"class coordinates need a Hamiltonian that dephases in spin blocks or keeps "
             f"only the diagonal, got {h.kind} with {h.dephasing} dephasing"

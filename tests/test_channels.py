@@ -138,6 +138,26 @@ def test_kraus_completeness_all_kinds():
             assert np.abs(total - np.eye(dim)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_kraus_set_has_one_dtype_and_is_complete(kind):
+    q_grid = np.linspace(0, 1, 5)
+    for q in (0.37, q_grid):
+        ops = kraus_set(kind, q)
+        assert len({k.dtype for k in ops}) == 1, [k.dtype for k in ops]
+        total = sum(np.swapaxes(k, -1, -2).conj() @ k for k in ops)
+        assert np.abs(total - np.eye(ops[0].shape[-1])).max() <= 1e-12
+
+
+def test_lindblad_spec_takes_a_number_or_a_non_empty_1d_grid():
+    jump = (jump_operator("ad"),)
+    spec = LindbladSpec(jump, (1.0,), [0, 1, 2])
+    assert spec.duration.dtype == np.float64 and not spec.duration.flags.writeable
+    assert LindbladSpec(jump, (1.0,), 2.0).duration == 2.0
+    for grid in ([], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="durations must form a non-empty 1-D grid"):
+            LindbladSpec(jump, (1.0,), grid)
+
+
 def test_identity_channel_at_q_zero():
     rng = np.random.default_rng(2)
     rho = bloch_to_density(random_bloch(rng))
@@ -639,7 +659,7 @@ def one_duration_reference(rho, spec):
 @pytest.mark.parametrize("kind, gamma", [("bf", 1.0), ("bf", 0.5), ("ad", 0.37)])
 def test_lindblad_grid_rows_are_bitwise_the_one_duration_runs(grid, kind, gamma):
     rho = bloch_to_density([0.3, -0.2, 0.5])
-    stack = channels._lindblad_grid(rho, (jump_operator(kind),), (gamma,), grid)
+    stack = lindblad_evolve(rho, LindbladSpec((jump_operator(kind),), (gamma,), grid))
     assert stack.shape == (len(grid), 2, 2)
     for t, row in zip(grid, stack):
         spec = LindbladSpec((jump_operator(kind),), (gamma,), t)
@@ -653,15 +673,15 @@ def test_lindblad_grid_checks_every_time_then_the_cap_before_building(monkeypatc
     rho, jump = np.eye(2) / 2, (jump_operator("ad"),)
     # the cap is checked on the largest time, wherever it sits in the grid
     with pytest.raises(ValueError, match="2000000 RK4 steps exceed the 1000000 limit"):
-        channels._lindblad_grid(rho, jump, (1.0,), [0.0, 1.0, 2000.0, 5.0])
+        lindblad_evolve(rho, LindbladSpec(jump, (1.0,), [0.0, 1.0, 2000.0, 5.0]))
     # each time is checked as its LindbladSpec checks it, in order, before the cap
     with pytest.raises(ValueError, match="duration must be nonnegative"):
-        channels._lindblad_grid(rho, jump, (1.0,), [1.0, -1.0, 2000.0, np.nan])
+        lindblad_evolve(rho, LindbladSpec(jump, (1.0,), [1.0, -1.0, 2000.0, np.nan]))
     with pytest.raises(ValueError, match="must be finite"):
-        channels._lindblad_grid(rho, jump, (1.0,), [1.0, np.nan, -1.0, 2000.0])
+        lindblad_evolve(rho, LindbladSpec(jump, (1.0,), [1.0, np.nan, -1.0, 2000.0]))
     # a grid of zero times, or at zero rate, needs no matrix at all
-    assert (channels._lindblad_grid(rho, jump, (0.0,), [0.0, 3.0]) == rho).all()
-    assert (channels._lindblad_grid(rho, jump, (1.0,), [0.0, 0.0]) == rho).all()
+    assert (lindblad_evolve(rho, LindbladSpec(jump, (0.0,), [0.0, 3.0])) == rho).all()
+    assert (lindblad_evolve(rho, LindbladSpec(jump, (1.0,), [0.0, 0.0])) == rho).all()
 
 
 def _dissipator(rho, ops, rates):

@@ -375,6 +375,15 @@ def test_channel_hamiltonians_are_built_once_per_process(monkeypatch):
         h.matrix[0, 0] = 1.0
 
 
+def test_scaling_run_keeps_no_dense_frame_of_the_excitation_energy():
+    # the class route reads the identity frame from the stored convention
+    ex._shared_hamiltonian.cache_clear()
+    ex.scaling_run(n_values=(8,), q_points=21)
+    h = ex.channel_hamiltonian("bf", 8, collective=True)
+    assert h.dephasing == "product_basis" and h.basis is None
+    assert "frame" not in vars(h)
+
+
 def test_census_csv_equals_one_generator_per_sample(tmp_path, monkeypatch):
     # the reset bit generator draws what a new Generator per sample draws,
     # so the census CSV and sidecar keep their bytes
@@ -841,7 +850,7 @@ def test_batched_curve_matches_oracle_across_chunk_seams(kind):
     assert -(-len(q_grid) // step) == 3  # the dense route spans three stacks
     h = ex.channel_hamiltonian(kind, n)
     if kind == "pf":  # the collective convention scaling_run uses
-        h = replace(h, basis=None, collective=True)
+        h = replace(h, dephasing="collective", basis=None)
     for which in ("symmetrized", "product"):
         assert_curve_matches_oracle(register(n, which), kind, h, q_grid)
     # the symmetrized register's class coordinates take the class route
@@ -864,7 +873,7 @@ def invariant_hamiltonians(n):
     return (
         hamiltonian("excitation", n),
         ex.channel_hamiltonian("pf", n, collective=True),
-        Hamiltonian(jz @ jz, "jz_squared", collective=True),
+        Hamiltonian(jz @ jz, "jz_squared", "collective"),
     )
 
 
@@ -964,6 +973,12 @@ def test_class_coordinate_input_needs_a_blockwise_hamiltonian(monkeypatch):
     with pytest.raises(ValueError, match=message):
         ex._wc_curves(coords, ["pf"], h, ex.q_grid_default(5))
     assert not expansions  # rejected before any expansion
+    # the guard reads the convention, not the frame: block dephasing is
+    # rejected even where the eigenvectors are the identity
+    blocks = Hamiltonian(hamiltonian("excitation", n).matrix, "excitation")
+    with pytest.raises(ValueError, match="got excitation with block dephasing"):
+        ex._wc_curves(coords, ["bf"], blocks, ex.q_grid_default(5))
+    assert not expansions and "frame" not in vars(blocks)
     monkeypatch.undo()
     with pytest.raises(ValueError, match="correlated bit flip acts on exactly one qubit pair"):
         ex._wc_curves(coords, ["cbf"], hamiltonian("excitation", n), ex.q_grid_default(5))
@@ -1088,6 +1103,6 @@ def test_collective_curve_builds_j2_once(monkeypatch):
     monkeypatch.setattr(qstate, "total_spin_squared", counting)
     n = 5
     rho0 = symmetrized_multipartite(0.2, [0.1 + 0.02 * i for i in range(1, n + 1)])
-    h = replace(ex.channel_hamiltonian("pf", n), basis=None, collective=True)
+    h = replace(ex.channel_hamiltonian("pf", n), dephasing="collective", basis=None)
     ex._wc_curves(rho0, ["pf"], h, ex.q_grid_default(41))
     assert calls == [n]

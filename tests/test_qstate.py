@@ -321,7 +321,7 @@ def test_hamiltonian_interacting_spectrum():
     h = hamiltonian("xx_interacting", 2, h=0.5, j=0.4)
     vals = np.linalg.eigvalsh(h.matrix)
     assert np.allclose(sorted(vals), sorted([-0.4, -0.4, -0.6, 1.4]), atol=1e-12)
-    assert h.collective
+    assert h.dephasing == "collective"
 
 
 def test_hamiltonian_z_plus_xx():
@@ -343,9 +343,36 @@ def test_hamiltonian_compares_and_hashes_by_identity():
     assert scaled != h
     assert np.array_equal(scaled.levels, [0.0, 2.0])
     assert h.frame is h.frame
-    collective = replace(hamiltonian("x_sum", 2), basis=None, collective=True)
+    collective = replace(hamiltonian("x_sum", 2), dephasing="collective", basis=None)
     assert collective.dephasing == "collective"
     assert collective.frame[1].shape == (4, 4)
+
+
+def test_hamiltonian_stores_one_of_three_dephasing_conventions():
+    z = np.diag([0.0, 1.0])
+    assert qstate.DEPHASINGS == ("block", "product_basis", "collective")
+    assert qstate.Hamiltonian(z, "m").dephasing == "block"
+    with pytest.raises(ValueError, match="expected one of block, product_basis, collective"):
+        qstate.Hamiltonian(z, "m", "dephased")
+    for convention in ("block", "collective"):
+        with pytest.raises(ValueError, match=f"^{convention} dephasing takes no basis"):
+            qstate.Hamiltonian(z, "m", convention, np.eye(2))
+    # product_basis with no basis dephases in the computational basis
+    assert qstate.Hamiltonian(z, "m", "product_basis").identity_frame
+    assert not qstate.Hamiltonian(z, "m", "product_basis", qstate.HADAMARD).identity_frame
+
+
+def test_identity_frame_is_read_from_the_convention_without_a_frame():
+    for n in (1, 3, 8):
+        h = hamiltonian("excitation", n)
+        assert h.basis is None and h.identity_frame
+        assert "frame" not in vars(h)
+    # the frame is built when read, as the identity and its diagonal mask
+    v, kept = h.frame
+    assert v.dtype == np.float64 and np.array_equal(v, np.eye(2**8))
+    assert np.array_equal(kept, np.eye(2**8, dtype=bool))
+    # a block Hamiltonian whose eigenvectors are the identity is no identity frame
+    assert not qstate.Hamiltonian(h.matrix, "excitation").identity_frame
 
 
 def test_x_product_basis_orders_kets_by_bits():
@@ -403,12 +430,12 @@ def test_sum_local_is_bitwise_the_sum_of_full_krons(op):
 
 
 def test_spin_frames_exist_only_for_permutation_invariant_collective_hamiltonians():
-    collective = replace(hamiltonian("x_sum", 3), basis=None, collective=True)
+    collective = replace(hamiltonian("x_sum", 3), dephasing="collective", basis=None)
     frames = collective.spin_frames
     assert [u.shape for u, _ in frames] == [(4, 4), (2, 2)]
     assert collective.spin_frames is frames
     assert hamiltonian("x_sum", 3).spin_frames is None  # product basis
-    one_site = qstate.Hamiltonian(kron(qstate.SIGMA_Z, IDENTITY_2, IDENTITY_2), "m", collective=True)
+    one_site = qstate.Hamiltonian(kron(qstate.SIGMA_Z, IDENTITY_2, IDENTITY_2), "m", "collective")
     assert one_site.spin_frames is None
     assert hamiltonian("excitation", 3).identity_frame
     assert not hamiltonian("x_sum", 3).identity_frame

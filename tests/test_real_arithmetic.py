@@ -124,7 +124,7 @@ def test_class_curve_agrees_between_the_real_and_complex_routes(n, phi, kind, a,
     turned = qstate._symmetrized_classes(a, coherences * np.exp(-1j * phi))
     if collective:
         jz = hamiltonian("z_sum", n).matrix
-        h = Hamiltonian(jz @ jz, "jz_squared", collective=True)
+        h = Hamiltonian(jz @ jz, "jz_squared", "collective")
     else:
         h = hamiltonian("excitation", n)
     q_grid = ex.q_grid_default(21)
@@ -330,5 +330,5 @@ def test_a_real_state_under_a_complex_liouvillian_keeps_its_imaginary_part(seed,
     assert evolved.dtype == cast.dtype == complex_.dtype == np.complex128
     assert np.abs(evolved - cast).max() == 0.0
     assert np.abs(evolved - complex_).max() <= 1e-14
-    grid = ch._lindblad_grid(rho, (jump,), (rate,), [0.0, duration])
+    grid = lindblad_evolve(rho, LindbladSpec((jump,), (rate,), [0.0, duration]))
     assert grid.dtype == np.complex128 and np.abs(grid[1] - evolved).max() == 0.0

@@ -756,8 +756,8 @@ def collective_hamiltonians(n):
     repeats inside a spin block) and Jz^2 (levels +-M repeat inside one)."""
     jz = 0.5 * _sum_local(SIGMA_Z, n)
     return [
-        replace(hamiltonian("x_sum", n), basis=None, collective=True),
-        Hamiltonian(jz @ jz, "jz_squared", collective=True),
+        replace(hamiltonian("x_sum", n), dephasing="collective", basis=None),
+        Hamiltonian(jz @ jz, "jz_squared", "collective"),
     ]
 
 
