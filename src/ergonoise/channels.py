@@ -502,11 +502,12 @@ def _bds_scaled(kind: str, qs: np.ndarray, c: np.ndarray, both_qubits: bool) -> 
     return factors * c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladSpec:
     """Jump operators, their rates, and the evolution duration: a number or
     a non-empty 1-D grid (stored read-only in float64), each duration
-    checked in order as a one-duration spec checks it."""
+    checked in order as a one-duration spec checks it. Equality and
+    hashing are by identity, as its arrays have no one truth value."""
 
     jump_operators: tuple
     rates: tuple

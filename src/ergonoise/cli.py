@@ -171,14 +171,12 @@ def _dispatch(args) -> tuple[ex.SweepResult, Path]:
             args.theta, q_grid=args.q, h=args.h, j=args.J, kind=args.channel,
         )
         name = "entangled.csv"
-    elif cmd == "appendix-d":
+    else:  # appendix-d, as argparse requires a known subcommand
         a_values = [float(v) for v in args.a.split(",")]
         result = ex.interacting_depolarizing(
             a_values=a_values, c=args.c, d=args.d, h=args.h, j=args.J, q_grid=args.q,
         )
         name = "appendix_d.csv"
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ValueError(cmd)
     return result, _out_path(args, name)
 
 

@@ -38,8 +38,9 @@ spectrum is the union of the spec(M_J), each value repeated d_J times
 (``_block_spectrum``), and a state so held is validated with the same
 private checks and messages as a dense one (``_require_hermitian``,
 ``_require_trace``, ``_require_psd``). A dense collective Hamiltonian
-is checked with ``_permutation_invariant`` and read through the same
-map, once per Hamiltonian. ``_class_levels`` holds the index maps with
+is admitted by ``_invariant_coordinates``, which returns its class
+averages only where they reproduce every entry, and read through the
+same map, once per Hamiltonian. ``_class_levels`` holds the index maps with
 which ``channels._class_expand`` applies a channel to every qubit in
 these coordinates. Memory: what is cached per n is of order D^2. That
 is the class lists, the block map (D^2 floats) and the level maps
@@ -60,7 +61,7 @@ HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 # largest |Tr rho - 1| a state may have
 TRACE_TOL = 1e-10
-# largest entry change under a qubit permutation that still counts as invariant
+# largest deviation of an entry from its class average that still counts as invariant
 SYMMETRY_TOL = 1e-12
 
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -226,23 +227,6 @@ def spin_blocks(n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _permutation_invariant(mats: np.ndarray, n: int) -> bool:
-    """Whether every matrix of a (..., 2**n, 2**n) stack, n >= 2, is
-    unchanged to SYMMETRY_TOL by every qubit permutation.
-
-    Checks the swap of qubits 0 and 1 and the cyclic shift, which
-    together generate all of them, as index permutations of the entries.
-    """
-    lead, d, ax = mats.shape[:-2], 2**n, mats.ndim - 2
-    pairs = mats.reshape(lead + (2, 2, d // 4) * 2)
-    swapped = pairs.swapaxes(ax, ax + 1).swapaxes(ax + 3, ax + 4).reshape(mats.shape)
-    if not np.abs(mats - swapped).max() <= SYMMETRY_TOL:
-        return False
-    first = mats.reshape(lead + (2, d // 2) * 2)
-    shifted = first.swapaxes(ax, ax + 1).swapaxes(ax + 2, ax + 3).reshape(mats.shape)
-    return bool(np.abs(mats - shifted).max() <= SYMMETRY_TOL)
-
-
 def _spin_spectrum(values, n: int) -> np.ndarray:
     """The ascending (..., 2**n) spectrum of an operator whose spin
     blocks have the given (..., 2J+1) values, each repeated d_J times."""
@@ -350,6 +334,16 @@ def _class_coordinates(mat: np.ndarray, n: int) -> np.ndarray:
     sums = np.bincount(codes, flat.real, size) + 1j * np.bincount(codes, flat.imag, size)
     classes = _entry_classes(n)
     return _exact_real(sums[_class_codes(classes.counts, n)] / classes.sizes)
+
+
+def _invariant_coordinates(mat: np.ndarray, n: int) -> np.ndarray | None:
+    """The class coordinates (``_class_coordinates``) of a (2**n, 2**n)
+    matrix that every qubit permutation leaves unchanged, None for any
+    other: it is invariant exactly when each entry is within SYMMETRY_TOL
+    of its class average."""
+    coords = _class_coordinates(mat, n)
+    spread = coords[_entry_classes(n).rank.ravel()[_entry_codes(n)]]
+    return coords if np.abs(spread - mat).max() <= SYMMETRY_TOL else None
 
 
 @functools.cache

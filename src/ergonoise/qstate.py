@@ -26,10 +26,9 @@ from .matcore import (
     SIGMA_Z,
     SpectralDecomposition,
     _class_block_parts,
-    _class_coordinates,
     _entry_classes,
     _entry_codes,
-    _permutation_invariant,
+    _invariant_coordinates,
     _require_hermitian,
     as_matrix,
     as_stack,
@@ -238,12 +237,12 @@ def _separable_draws(rng: np.random.Generator, num_terms: int):
     if num_terms < 1:
         raise ValueError("num_terms must be at least 1")
     weights = rng.dirichlet(np.ones(num_terms))
-    pops, cohs = np.empty((num_terms, 2)), np.empty((num_terms, 2))
-    for t in range(num_terms):
-        for f in range(2):
-            pops[t, f] = a = rng.uniform(0.0, 1.0)
-            cohs[t, f] = rng.uniform(0.0, np.sqrt(a * (1.0 - a)))
-    return weights, pops, cohs
+    # uniform(low, high) is low + (high - low) * random(), so the stream of
+    # uniform(0, 1) for a, then uniform(0, sqrt(a (1 - a))) for c, factor by
+    # factor, is one (T, 2, 2) block of random() in that order
+    u = rng.random((num_terms, 2, 2))
+    pops = u[..., 0]
+    return weights, pops, np.sqrt(pops * (1.0 - pops)) * u[..., 1]
 
 
 def _separable_states(weights, pops, cohs) -> np.ndarray:
@@ -421,8 +420,10 @@ class Hamiltonian:
         Hamiltonian on n >= 2 qubits that every qubit permutation leaves
         unchanged; None for any other.
 
-        Such an H is the sum over spin blocks of H_J x 1_{d_J}. Its blocks
-        are read from its class coordinates through
+        Such an H is the sum over spin blocks of H_J x 1_{d_J}. It is
+        admitted by ``matcore._invariant_coordinates``, whose class
+        coordinates reproduce every entry to SYMMETRY_TOL, and its blocks
+        are read from those same coordinates through
         ``matcore._class_block_parts``, the map the states' blocks are read
         through, so both share one convention. For each block this holds
         the eigenvectors of H_J and the kept-entry mask of its levels,
@@ -431,11 +432,12 @@ class Hamiltonian:
         ``frame`` keeps.
         """
         n = self.num_qubits
-        if self.dephasing != "collective" or n < 2 or not _permutation_invariant(self.matrix, n):
+        coords = _invariant_coordinates(self.matrix, n) if self.dephasing == "collective" and n >= 2 else None
+        if coords is None:
             return None
         scale = float(np.abs(self.levels).max())
         frames = []
-        for h_j in _class_block_parts(_class_coordinates(self.matrix, n), n):
+        for h_j in _class_block_parts(coords, n):
             evals, u = np.linalg.eigh(h_j)
             frames.append((_read_only(u), _same_level(evals, scale)))
         return tuple(frames)

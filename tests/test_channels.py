@@ -158,6 +158,16 @@ def test_lindblad_spec_takes_a_number_or_a_non_empty_1d_grid():
             LindbladSpec(jump, (1.0,), grid)
 
 
+def test_lindblad_specs_compare_and_hash_by_identity():
+    # equal-content specs hold arrays, which have no one truth value
+    jump = (jump_operator("bf"),)
+    spec, twin = LindbladSpec(jump, (0.5,), [0.0, 1.0]), LindbladSpec(jump, (0.5,), [0.0, 1.0])
+    assert spec != twin and not spec == twin
+    assert spec == spec
+    single = LindbladSpec(jump, (0.5,), 1.0)
+    assert {spec: 1, single: 2}[single] == 2 and hash(single) == hash(single)
+
+
 def test_identity_channel_at_q_zero():
     rng = np.random.default_rng(2)
     rho = bloch_to_density(random_bloch(rng))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ergonoise.cli import main
+from ergonoise.io import read_csv
 
 
 def run(args):
@@ -67,6 +68,14 @@ def test_scaling_run_cli(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "channel,N,delta_wc_max,argmax_q,area_ap"
     assert len(lines) == 3
+
+
+def test_a_scaling_csv_reads_back_its_channel_column_as_strings(tmp_path):
+    out = tmp_path / "scaling.csv"
+    assert run(["scaling", "--n", "2,3", "--channels", "bf,pf", "--q-points", "21", "-o", str(out)]) == 0
+    back = read_csv(out)
+    assert back["channel"].tolist() == ["bit_flip", "phase_flip"] * 2
+    assert back["N"].tolist() == [2.0, 2.0, 3.0, 3.0]
 
 
 def test_lindblad_and_entangled_and_appendix(tmp_path):
@@ -140,6 +149,15 @@ def test_non_finite_grid_bounds_exit_two_naming_the_constraint(tmp_path, capsys)
         assert err.value.code == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_a_grid_spec_without_three_parts_exits_two_naming_the_form(tmp_path, capsys):
+    out = tmp_path / "single.csv"
+    with pytest.raises(SystemExit) as err:
+        run(["single", "--channel", "bf", "--bloch", "0.6,0.5,0.4", "--q", "0,1", "-o", str(out)])
+    assert err.value.code == 2
+    assert "grid spec '0,1' is not min,max,count" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empty_scaling_lists_exit_one_naming_the_list(tmp_path, capsys):

@@ -1064,7 +1064,7 @@ def test_warm_scaling_run_forms_no_dense_term(monkeypatch):
     monkeypatch.setattr(ex, "symmetrized_multipartite", dense)
     monkeypatch.setattr(qstate, "symmetrized_multipartite", dense)
     for module in (matcore, qstate, ch, workx, ex):
-        for name in ("_permutation_invariant", "_class_coordinates"):
+        for name in ("_invariant_coordinates", "_class_coordinates"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, dense)
     ex.scaling_run(n_values=n_values, q_points=21)

@@ -18,6 +18,7 @@ from ergonoise.matcore import (
     trace_norm,
 )
 from ergonoise.qstate import (
+    Hamiltonian,
     _sum_local,
     bloch_to_density,
     make_bds,
@@ -270,7 +271,7 @@ def test_spin_block_spectra_match_the_dense_eigensolve(case):
     parts = matcore._class_block_parts(matcore._class_coordinates(rho, n), n)
     blocks = matcore._spin_spectrum([np.linalg.eigvalsh(p) for p in parts], n)
     assert np.abs(blocks - dense).max() <= 1e-12
-    assert matcore._permutation_invariant(rho, n)
+    assert matcore._invariant_coordinates(rho, n) is not None
     # the state spectra of a dense state are the dense eigensolve, invariant or not
     np.testing.assert_array_equal(matcore.state_spectra(rho), dense)
 
@@ -278,12 +279,12 @@ def test_spin_block_spectra_match_the_dense_eigensolve(case):
 def test_a_state_that_is_not_permutation_invariant_takes_the_dense_path():
     rho = kron(qubit_state(0.2, 0.3), qubit_state(0.6, 0.1j), bloch_to_density([0.1, 0.2, 0.3]))
     stack = np.stack([rho, np.eye(8) / 8])
-    assert not matcore._permutation_invariant(stack, 3)
+    assert matcore._invariant_coordinates(rho, 3) is None
     np.testing.assert_array_equal(matcore.state_spectra(stack), np.linalg.eigvalsh(stack))
     np.testing.assert_array_equal(matcore.state_spectra(rho), np.linalg.eigvalsh(rho))
     # invariant under the swap of qubits 0 and 1 only: not invariant
     swap_only = kron(qubit_state(0.2, 0.3), qubit_state(0.2, 0.3), qubit_state(0.6, 0.1))
-    assert not matcore._permutation_invariant(swap_only, 3)
+    assert matcore._invariant_coordinates(swap_only, 3) is None
 
 
 def test_a_permutation_invariant_matrix_that_is_not_psd_is_rejected_from_its_blocks():
@@ -291,7 +292,7 @@ def test_a_permutation_invariant_matrix_that_is_not_psd_is_rejected_from_its_blo
     j2 = total_spin_squared(3)
     top = (j2 - 0.75 * np.eye(8)) / 3.0
     rho = 0.3 * top - 0.05 * (np.eye(8) - top)
-    assert matcore._permutation_invariant(rho, 3)
+    assert matcore._invariant_coordinates(rho, 3) is not None
     state = 0.15 * top + 0.1 * (np.eye(8) - top)
     # the class route's check, on its block spectrum, names what the dense one does
     message = r"state is not PSD: min eigenvalue -5\.000e-02"
@@ -302,6 +303,33 @@ def test_a_permutation_invariant_matrix_that_is_not_psd_is_rejected_from_its_blo
         matcore.state_spectra(rho)
     with pytest.raises(ValueError, match="state trace is 2.0"):
         matcore.state_spectra(2.0 * state)
+
+
+def x_field(n):
+    """The collective x field (1/2) sum_i sigma_x_i, as the scaling route dephases it."""
+    return 0.5 * _sum_local(SIGMA_X, n)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_invariant_coordinates_are_the_class_averages(n):
+    jz = 0.5 * _sum_local(SIGMA_Z, n)
+    register = symmetrized_multipartite(0.3, [0.2 * np.exp(0.7j * i) for i in range(n)])
+    for mat in (x_field(n), jz @ jz, register):
+        coords = matcore._invariant_coordinates(mat, n)
+        want = matcore._class_coordinates(mat, n)
+        assert coords.dtype == want.dtype and coords.tobytes() == want.tobytes()
+
+
+def test_invariance_is_decided_at_symmetry_tol():
+    # one off-diagonal entry and its transpose moved off their class average
+    n = 4
+    for delta, invariant in ((1e-9, False), (1e-14, True)):
+        mat = x_field(n)
+        mat[1, 2] += delta
+        mat[2, 1] += delta
+        assert (matcore._invariant_coordinates(mat, n) is not None) == invariant
+        frames = Hamiltonian(mat, "x_sum", "collective").spin_frames
+        assert (frames is not None) == invariant
 
 
 @pytest.mark.parametrize("n", range(0, 9))

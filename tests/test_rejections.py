@@ -1,0 +1,48 @@
+import re
+
+import numpy as np
+import pytest
+
+from ergonoise.channels import LindbladSpec, jump_operator, q_of_t
+from ergonoise.experiments import SweepResult, channel_hamiltonian, q_grid_default
+from ergonoise.matcore import kron, num_qubits, spin_blocks, state_spectra
+from ergonoise.qstate import (
+    density_to_bloch,
+    hamiltonian,
+    make_bds,
+    require_bloch,
+    symmetric_pair,
+    symmetrized_multipartite,
+)
+
+L = jump_operator("bf")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LindbladSpec((L, L), (0.5,), 1.0), "need one rate per jump operator"),
+        (lambda: LindbladSpec((L,), (-0.5,), 1.0), "rates must be nonnegative"),
+        (lambda: q_of_t("bf", -1.0, 0.5), "gamma and t must be nonnegative"),
+        (lambda: q_grid_default(1), "grids need at least two points"),
+        (lambda: SweepResult({"a": np.arange(2), "b": np.arange(1)}), "ragged columns: lengths [1, 2]"),
+        (lambda: channel_hamiltonian("dc", 3), "the interacting Hamiltonian is two-qubit only"),
+        (
+            lambda: state_spectra(np.empty((0, 4, 4))),
+            "expected a matrix or a non-empty stack of matrices, got shape (0, 4, 4)",
+        ),
+        (lambda: kron(), "kron needs at least one operator"),
+        (lambda: num_qubits(np.eye(3)), "dimension 3 is not a power of two"),
+        (lambda: spin_blocks(0), "spin blocks need at least one qubit"),
+        (lambda: require_bloch([0.1, 0.2]), "Bloch vector must have three components"),
+        (lambda: density_to_bloch(np.eye(4) / 4), "expected a single-qubit state"),
+        (lambda: make_bds([0.1, 0.2]), "Bell-diagonal parameters must be a real triple"),
+        (lambda: symmetric_pair(1.5, 0.2, 0.1, 0.1), "mixing weight 1.5 outside [0, 1]"),
+        (lambda: symmetrized_multipartite(0.2, []), "need at least one local coherence"),
+        (lambda: hamiltonian("excitation", 0), "need at least one qubit"),
+        (lambda: hamiltonian("z_plus_xx", 3), "z_plus_xx is a two-qubit Hamiltonian"),
+    ],
+)
+def test_invalid_input_is_rejected_naming_the_constraint(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

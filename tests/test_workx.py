@@ -828,7 +828,7 @@ def test_decompose_of_an_invariant_stack_touches_no_spin_block(which, monkeypatc
     def spin_block(*args):
         raise AssertionError("reached a spin block")
 
-    for name in ("spin_blocks", "_spin_spectrum", "_block_spectrum", "_permutation_invariant"):
+    for name in ("spin_blocks", "_spin_spectrum", "_block_spectrum", "_invariant_coordinates"):
         for module in (matcore, qstate, workx):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spin_block)
