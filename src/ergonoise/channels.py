@@ -26,12 +26,13 @@ state-major in stacks of at most STACK_BUDGET_BYTES; ``apply_local``
 joins its stacks for one state. For one permutation-invariant state,
 given by its class coordinates (``matcore``: one value per class of
 entries, C(n+3, 3) of them), under the same single-qubit kind on every
-qubit, ``_class_polynomial`` hands the same terms, in class
-coordinates, and the Vandermonde weights to
-callers that evaluate something linear in the images without forming
-them. ``_class_expand`` moves one qubit at a time from the input
-classes to the output classes with the same C_e, so no 4^n-sized term
-is formed.
+qubit or the correlated flip on a two-qubit register,
+``_class_polynomial`` hands the same terms, in class coordinates, and
+the Vandermonde weights to callers that evaluate something linear in
+the images without forming them. ``_class_expand`` moves one qubit at
+a time from the input classes to the output classes with the same C_e,
+so no 4^n-sized term is formed; the correlated flip's C_e act on the
+16 entries of the two-qubit state.
 The closed forms come from one table of affine Bloch maps
 n -> T(q) n + t(q) per single-qubit kind. Every T(q) is diagonal, so a
 row maps a q grid to a (Q, 3) stack of diagonals diag(T) and a (Q, 3)
@@ -63,7 +64,9 @@ from .matcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _class_coordinates,
     _class_levels,
+    _class_matrix,
     _exact_real,
     _kron_pair,
     as_matrix,
@@ -379,15 +382,25 @@ def _class_expand(coords: np.ndarray, kind: str, n: int) -> np.ndarray:
 
 def _class_polynomial(coords, kind: str, n: int, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The images of one permutation-invariant state on n qubits, given by
-    its class coordinates, under a canonical single-qubit kind on every
-    qubit, at every strength of a checked grid: the (K, D) class
-    coordinates of the terms R_k of rho(x) = sum_k x^k R_k
-    (``_class_expand``) and the (Q, K) weights x(q)^k. The correlated
-    flip is rejected with the message of the dense route (``_checked``),
-    which it fails on more than two qubits."""
-    if kind == CORRELATED_BIT_FLIP:
+    its class coordinates, under a canonical kind at every strength of a
+    checked grid: the (K, D) class coordinates of the terms R_k of
+    rho(x) = sum_k x^k R_k and the (Q, K) weights x(q)^k.
+
+    A single-qubit kind acts on every qubit (``_class_expand``). The
+    correlated flip acts on a qubit pair, so it is taken only where that
+    pair is the whole register, n = 2: its C_e apply to the 16 entries
+    gathered from the 10 class coordinates, and each term is averaged
+    back to class coordinates (``matcore._class_coordinates``; the flip
+    of both qubits commutes with their swap, so the average is exact).
+    On any other register it is rejected with the message of the dense
+    route (``_checked``)."""
+    if kind != CORRELATED_BIT_FLIP:
+        terms = _class_expand(coords, kind, n)
+    elif n == 2:
+        dense = _class_matrix(coords, 2).reshape(-1)
+        terms = np.array([_class_coordinates(c @ dense, 2) for c in _coefficients(kind)])
+    else:
         raise ValueError("correlated bit flip acts on exactly one qubit pair")
-    terms = _class_expand(coords, kind, n)
     return terms, _vandermonde(kind, qs, len(terms))
 
 

@@ -44,6 +44,15 @@ def _triple(spec: str) -> np.ndarray:
     return np.array(parts)
 
 
+def _numbers(spec: str) -> list[float]:
+    """Parse 'v1,v2,...' into a non-empty list of numbers; finiteness is
+    left to the library, which names the value."""
+    try:
+        return [float(v) for v in spec.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{spec!r} is not comma-separated numbers") from None
+
+
 def _n_range(spec: str) -> list[int]:
     if ".." in spec:
         lo, hi = spec.split("..")
@@ -125,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "appendix-d", help="depolarizing noise against the interacting Hamiltonian"
     )
-    p.add_argument("--a", default="0.1,0.4", help="comma-separated population values")
+    p.add_argument("--a", type=_numbers, default="0.1,0.4", help="comma-separated population values")
     p.add_argument("--c", type=float, default=0.3)
     p.add_argument("--d", type=float, default=0.2)
     p.add_argument("--h", type=float, default=0.5)
@@ -172,9 +181,8 @@ def _dispatch(args) -> tuple[ex.SweepResult, Path]:
         )
         name = "entangled.csv"
     else:  # appendix-d, as argparse requires a known subcommand
-        a_values = [float(v) for v in args.a.split(",")]
         result = ex.interacting_depolarizing(
-            a_values=a_values, c=args.c, d=args.d, h=args.h, j=args.J, q_grid=args.q,
+            a_values=args.a, c=args.c, d=args.d, h=args.h, j=args.J, q_grid=args.q,
         )
         name = "appendix_d.csv"
     return result, _out_path(args, name)

@@ -35,7 +35,6 @@ from .qstate import (
     random_separable_stack,
     require_bloch,
     symmetric_pair,
-    symmetrized_multipartite,
 )
 from .correlations import Z_SUM_2, correlation_work
 
@@ -253,59 +252,86 @@ def sweep_bds(c, kind, q_grid=None, both_qubits: bool = True) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _wc_curves(rho0, kinds, h: Hamiltonian, q_grid) -> tuple[np.ndarray, np.ndarray | float]:
+def _wc_curves(rho0, kinds, hamiltonians, q_grid) -> tuple[np.ndarray, np.ndarray]:
     """Coherent work W_C(rho(q)) along the q grid under each of m kinds,
-    every curve split against h, and W_C of rho0 itself. Each kind, a
+    each split against its own Hamiltonian (``hamiltonians``, one per
+    kind), and W_C of rho0 itself against that Hamiltonian. Each kind, a
     repeated one or an alias too, keeps its row, in order.
 
     The route follows the representation alone. A dense (d, d) state or
-    (S, d, d) stack gives (m, Q) or (m, S, Q) curves and a number or a
-    length-S array: each kind's images are evolved and split stack by
-    stack (``channels.apply_local_chunks``), one ``decompose`` per stack,
-    whatever their symmetry, then rho0 takes one ``decompose``. That dense
-    route is the oracle of the class route.
+    (S, d, d) stack gives (m, Q) or (m, S, Q) curves and (m,) or (m, S)
+    W_C(rho0): each kind's images are evolved and split stack by stack
+    (``channels.apply_local_chunks``), one ``decompose`` per stack,
+    whatever their symmetry, then rho0 takes one ``decompose`` per
+    distinct Hamiltonian. That dense route is the oracle of the class
+    route.
 
     A 1-D rho0 is the class coordinates of one permutation-invariant
     state (one value per class of entries, C(N+3, 3) of them), as
-    ``scaling_run`` builds it: invariant by construction, so only h is
-    checked (``workx._require_blockwise_dephasing``) and the count against
-    h's N, before any expansion. The coordinates are taken float64 when
-    exactly real (``matcore._exact_real``). Every kind's terms of
-    rho(q) = sum_k x(q)^k R_k (``channels._class_polynomial``) and rho0,
-    as one more term, are stacked, and a block-diagonal (m Q + 1, sum K + 1)
-    weight matrix, whose last row weights rho0 by 1, hands all of them to
-    one ``workx._block_coherent`` split. That split holds the (K, D) terms,
-    and m Q + 1 rows of the sum_J (2J+1)^2 blocks and of the 2^N block
+    ``scaling_run`` builds it, and gives (m, Q) curves and (m,) W_C(rho0):
+    invariant by construction, so only the Hamiltonians are checked
+    (``workx._require_blockwise_dephasing``) and the count against each
+    one's N, before any expansion. The coordinates are taken float64
+    when exactly real (``matcore._exact_real``). The terms of
+    rho(q) = sum_k x(q)^k R_k of every distinct kind
+    (``channels._class_polynomial``) and rho0, as one more term, are
+    stacked and handed to one ``workx._block_coherent`` split through a
+    (m Q + H, sum K + 1) weight matrix: for each of the H distinct
+    Hamiltonians, the Q rows of every kind split against it, each
+    weighting its kind's terms by x(q)^k, then one row weighting rho0 by
+    1. The state side of that split (the spin blocks, the checks and
+    the block spectra) is taken once for all rows, and only the dephased
+    side once per Hamiltonian. It holds the (K, D) terms, and
+    m Q + H rows of the sum_J (2J+1)^2 blocks and of the 2^N block
     spectra; no 4^N-sized term is formed, and what is cached per N is of
     order D^2 (see ``matcore``).
     """
     kinds = [ch.canonical_kind(k) for k in kinds]
+    hamiltonians = list(hamiltonians)
+    if not kinds or len(hamiltonians) != len(kinds):
+        raise ValueError(
+            f"need at least one kind and one Hamiltonian per kind, got {len(kinds)} kinds "
+            f"and {len(hamiltonians)} Hamiltonians"
+        )
+    distinct = list(dict.fromkeys(hamiltonians))
     if np.ndim(rho0) != 1:
         shape = np.shape(rho0)[:-2] + (len(q_grid),)
         curves = np.empty((len(kinds), math.prod(shape)))
-        for curve, kind in zip(curves, kinds):
+        for curve, kind, h in zip(curves, kinds, hamiltonians):
             for part, states in ch.apply_local_chunks(rho0, kind, q_grid):
                 curve[part] = workx.decompose(states, h).coherent
-        return curves.reshape((len(kinds),) + shape), workx.decompose(rho0, h).coherent
-    workx._require_blockwise_dephasing(h)
+        wc0 = {h: workx.decompose(rho0, h).coherent for h in distinct}
+        return curves.reshape((len(kinds),) + shape), np.array([wc0[h] for h in hamiltonians])
+    for h in distinct:
+        workx._require_blockwise_dephasing(h)
     coords = _exact_real(rho0)
-    classes = math.comb(h.num_qubits + 3, 3)
-    if len(coords) != classes:
-        raise ValueError(
-            f"class coordinate count {len(coords)} does not match Hamiltonian on "
-            f"{h.num_qubits} qubits, which needs C({h.num_qubits + 3}, 3) = {classes}"
-        )
-    polys = [ch._class_polynomial(coords, kind, h.num_qubits, q_grid) for kind in kinds]
-    points = len(q_grid)
-    weights = np.zeros((len(kinds) * points + 1, sum(len(terms) for terms, _ in polys) + 1))
-    col = 0
-    for i, (terms, vander) in enumerate(polys):
-        weights[i * points:(i + 1) * points, col:col + len(terms)] = vander
+    for h in distinct:
+        classes = math.comb(h.num_qubits + 3, 3)
+        if len(coords) != classes:
+            raise ValueError(
+                f"class coordinate count {len(coords)} does not match Hamiltonian on "
+                f"{h.num_qubits} qubits, which needs C({h.num_qubits + 3}, 3) = {classes}"
+            )
+    n, points = distinct[0].num_qubits, len(q_grid)
+    polys, col = {}, 0  # each distinct kind's terms, vander and first column
+    for kind in dict.fromkeys(kinds):
+        terms, vander = ch._class_polynomial(coords, kind, n, q_grid)
+        polys[kind] = terms, vander, col
         col += len(terms)
-    weights[-1, -1] = 1.0
-    terms = np.concatenate([terms for terms, _ in polys] + [coords[None]])
-    wc = workx._block_coherent(terms, weights, h)
-    return wc[:-1].reshape(len(kinds), points), float(wc[-1])
+    weights = np.zeros((len(kinds) * points + len(distinct), col + 1))
+    curve_rows, wc0_rows, groups, row = [None] * len(kinds), {}, [], 0
+    for h in distinct:
+        start = row
+        for i in (i for i, g in enumerate(hamiltonians) if g is h):
+            terms, vander, col = polys[kinds[i]]
+            weights[row:row + points, col:col + len(terms)] = vander
+            curve_rows[i], row = slice(row, row + points), row + points
+        weights[row, -1] = 1.0
+        wc0_rows[h], row = row, row + 1
+        groups.append((h, slice(start, row)))
+    terms = np.concatenate([terms for terms, _, _ in polys.values()] + [coords[None]])
+    wc = workx._block_coherent(terms, weights, groups)
+    return np.array([wc[rows] for rows in curve_rows]), np.array([wc[wc0_rows[h]] for h in hamiltonians])
 
 
 def grid_delta_wc(family: str, kind, axis_grid, q_grid=None, *, p=0.5, a=0.1, c=0.3, d=0.2) -> SweepResult:
@@ -331,7 +357,7 @@ def grid_delta_wc(family: str, kind, axis_grid, q_grid=None, *, p=0.5, a=0.1, c=
         raise ValueError(f"unknown state family {family!r}")
     if axis_grid.ndim != 1 or not axis_grid.size:
         raise ValueError(f"the state axis must be a non-empty 1-D grid, got shape {axis_grid.shape}")
-    (curves,), wc0 = _wc_curves(np.array([builder(v) for v in axis_grid]), [kind], h, q_grid)
+    (curves,), (wc0,) = _wc_curves(np.array([builder(v) for v in axis_grid]), [kind], [h], q_grid)
     cols = {
         axis_name: np.repeat(axis_grid, len(q_grid)),
         "q": np.tile(q_grid, len(axis_grid)),
@@ -381,23 +407,23 @@ def scaling_run(
     up to the largest N must be a state (``qubit_state``). These are
     checked before any curve.
 
-    Per register size, rho0 is built once, and the kinds are grouped by
-    their Hamiltonian object (bit flip, bit-phase flip and amplitude
-    damping share the excitation energy; phase flip and phase damping
-    the collective x field). From three qubits on rho0 is built as its
-    D = C(N+3, 3) class coordinates alone (``qstate._symmetrized_classes``,
-    O(D)). Each group's curves and W_C(rho0) come from one ``_wc_curves``
-    call, one split on its class route: no 2^N- or 4^N-sized array of the
-    state is formed. Memory per split is then the (K, D) terms of each
-    kind, K <= 2N + 1, and the (m Q + 1, sum_J (2J+1)^2) blocks and
-    (m Q + 1, 2^N) block spectra of Q strengths for m <= 3 kinds,
-    beside the maps of order D^2 cached per N (``matcore``) and the
-    dense 2^N x 2^N Hamiltonians built once per process
-    (``channel_hamiltonian``). N = 2 builds the dense 4 x 4 rho0, so the
-    same ``_wc_curves`` call takes the dense route, one curve per kind and
-    one ``decompose`` of rho0 per Hamiltonian, because the correlated flip acts on a qubit
-    pair, which the class expansion (``channels._class_polynomial``)
-    rejects. A kind named twice gets a row each time, from one curve.
+    Per register size, one class split serves every kind. rho0 is built
+    as its D = C(N+3, 3) class coordinates alone
+    (``qstate._symmetrized_classes``, O(D)), N = 2 included, and every
+    distinct kind, each with its own Hamiltonian (bit flip, bit-phase
+    flip, amplitude damping and the correlated flip share the excitation
+    energy; phase flip and phase damping the collective x field;
+    depolarizing the interacting one), goes to one ``_wc_curves`` call:
+    the spin-block parts and block spectra of the state are formed once,
+    and only the dephased spectra and W_C(rho0) once per Hamiltonian. No
+    2^N- or 4^N-sized array of the state is formed. Memory per split is
+    then the (K, D) terms of each kind, K <= 2N + 1, and the
+    (m Q + H, sum_J (2J+1)^2) blocks and (m Q + H, 2^N) block spectra of
+    Q strengths for m kinds and H Hamiltonians, beside the maps of order
+    D^2 cached per N (``matcore``) and the dense 2^N x 2^N Hamiltonians
+    built once per process (``channel_hamiltonian``). The (m, Q) gains
+    take one ``enhancement_summary`` call per N. A kind named twice gets
+    a row each time, from one curve.
     """
     kinds = [ch.canonical_kind(k) for k in kinds]
     n_values = sorted(set(int(n) for n in n_values))
@@ -421,26 +447,19 @@ def scaling_run(
     q_grid = q_grid_default(q_points)
     rows = {"channel": [], "N": [], "delta_wc_max": [], "argmax_q": [], "area_ap": []}
     dephasing = {}
+    distinct = list(dict.fromkeys(kinds))
     for n in n_values:
-        if n == 2:
-            rho0 = symmetrized_multipartite(a, coherences[:n])
-        else:
-            rho0 = _symmetrized_classes(a, coherences[:n])
-        groups = {}  # the distinct kinds of each Hamiltonian object, split together
-        for kind in dict.fromkeys(kinds):
-            groups.setdefault(channel_hamiltonian(kind, n, collective=True), []).append(kind)
-        gains = {}
-        for h, members in groups.items():
-            curves, wc0 = _wc_curves(rho0, members, h, q_grid)
-            gains.update(zip(members, curves - wc0))
-            dephasing.update(dict.fromkeys(members, h.dephasing))
+        hs = [channel_hamiltonian(kind, n, collective=True) for kind in distinct]
+        curves, wc0 = _wc_curves(_symmetrized_classes(a, coherences[:n]), distinct, hs, q_grid)
+        summary = enhancement_summary(q_grid, curves - wc0[:, None])
+        dephasing.update(zip(distinct, (h.dephasing for h in hs)))
         for kind in kinds:
-            summary = enhancement_summary(q_grid, gains[kind])
+            i = distinct.index(kind)
             rows["channel"].append(kind)
             rows["N"].append(n)
-            rows["delta_wc_max"].append(summary.delta_wc_max)
-            rows["argmax_q"].append(summary.argmax_q)
-            rows["area_ap"].append(summary.area_ap)
+            rows["delta_wc_max"].append(summary.delta_wc_max[i])
+            rows["argmax_q"].append(summary.argmax_q[i])
+            rows["area_ap"].append(summary.area_ap[i])
     cols = {k: np.array(v) for k, v in rows.items()}
     meta = {
         "experiment": "scaling",
@@ -481,7 +500,7 @@ def census_random(kind, count: int = 1000, seed: int = 7, q_points: int = DEFAUL
     summaries = []
     for start in range(0, count, step):
         rho0s = random_separable_stack(seed, range(start, min(start + step, count)), num_terms)
-        (curves,), wc0 = _wc_curves(rho0s, [kind], h, q_grid)
+        (curves,), (wc0,) = _wc_curves(rho0s, [kind], [h], q_grid)
         summaries.append(enhancement_summary(q_grid, curves - wc0[:, None]))
     cols = {"sample": np.arange(count)}
     for name in ("delta_wc_max", "argmax_q", "area_ap"):

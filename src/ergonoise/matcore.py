@@ -24,7 +24,8 @@ permutation changes is instead held by its class coordinates. Entry
 so an invariant operator has one value per class: D = C(n+3, 3) values
 (20 at n = 3, 84 at n = 6, 165 at n = 8) in place of 4^n.
 ``_class_coordinates`` reads them as the class averages of a dense
-matrix, the reference the tests hold the class route to.
+matrix, the reference the tests hold the class route to, and
+``_class_matrix`` gathers them back onto the 4^n entries.
 
 By Schur-Weyl duality such an operator is the direct sum over total
 spin J of M_J x 1_{d_J}, with M_J of size 2J+1 <= n+1; ``spin_blocks``
@@ -336,14 +337,20 @@ def _class_coordinates(mat: np.ndarray, n: int) -> np.ndarray:
     return _exact_real(sums[_class_codes(classes.counts, n)] / classes.sizes)
 
 
+def _class_matrix(coords: np.ndarray, n: int) -> np.ndarray:
+    """The dense (2**n, 2**n) matrix of class coordinates: every entry
+    gathered from the coordinate of its class, so ``_class_coordinates``
+    of it gives the coordinates back."""
+    return coords[_entry_classes(n).rank.ravel()[_entry_codes(n)]]
+
+
 def _invariant_coordinates(mat: np.ndarray, n: int) -> np.ndarray | None:
     """The class coordinates (``_class_coordinates``) of a (2**n, 2**n)
     matrix that every qubit permutation leaves unchanged, None for any
     other: it is invariant exactly when each entry is within SYMMETRY_TOL
     of its class average."""
     coords = _class_coordinates(mat, n)
-    spread = coords[_entry_classes(n).rank.ravel()[_entry_codes(n)]]
-    return coords if np.abs(spread - mat).max() <= SYMMETRY_TOL else None
+    return coords if np.abs(_class_matrix(coords, n) - mat).max() <= SYMMETRY_TOL else None
 
 
 @functools.cache

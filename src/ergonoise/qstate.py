@@ -26,8 +26,8 @@ from .matcore import (
     SIGMA_Z,
     SpectralDecomposition,
     _class_block_parts,
+    _class_matrix,
     _entry_classes,
-    _entry_codes,
     _invariant_coordinates,
     _require_hermitian,
     as_matrix,
@@ -221,13 +221,13 @@ def symmetrized_multipartite(a: float, coherences) -> np.ndarray:
     """Equal-weight mixture of all N! orderings of local states rho(a, c_i).
 
     One construction serves two views of the state: its class coordinates
-    (``_symmetrized_classes``), which the scaling curves read from three
-    qubits on, and this dense (2^N, 2^N) matrix, which gathers them at
-    the class of every entry (``matcore._entry_codes``).
+    (``_symmetrized_classes``), which the scaling curves read at every
+    N, and this dense (2^N, 2^N) matrix, which gathers them at the class
+    of every entry (``matcore._class_matrix``) and which the tests hold
+    the class route to.
     """
     coherences = list(coherences)
-    coords, n = _symmetrized_classes(a, coherences), len(coherences)
-    return coords[_entry_classes(n).rank.ravel()[_entry_codes(n)]]
+    return _class_matrix(_symmetrized_classes(a, coherences), len(coherences))
 
 
 def _separable_draws(rng: np.random.Generator, num_terms: int):

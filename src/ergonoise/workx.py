@@ -28,11 +28,14 @@ route the tests compare it against.
 The block route serves whole noise curves of one permutation-invariant
 state given by its class coordinates (``matcore``: one value per class
 of entries, C(n+3, 3) of them), under the same channel on every qubit
-(``_block_coherent``). It takes the images vander @ R_k, with the K
-terms R_k in class coordinates. Everything but the spectra (the spin
-blocks W_J^T rho W_J, Tr rho and diag rho) is a fixed linear map of
-those coordinates, so it is read from the K terms once and weighted
-per strength, and the spectra are read per spin block. A collective
+(``_block_coherent``). It takes the images weights @ R_k, with the K
+terms R_k in class coordinates, and splits them against one or more
+Hamiltonians, each on its own rows. Everything but the spectra (the
+spin blocks W_J^T rho W_J, Tr rho and diag rho) is a fixed linear map
+of those coordinates, so it is read from the K terms once and weighted
+per row. The state side (the blocks, the checks and one eigvalsh per
+spin block) is done once for all rows; only the dephased side is per
+Hamiltonian. A collective
 Hamiltonian that is permutation invariant dephases each block in the
 eigenbasis of W_J^T H W_J (``Hamiltonian.spin_frames``), where J^2 is
 constant. W_C is the dephased passive energy less the passive energy,
@@ -219,40 +222,47 @@ def _require_blockwise_dephasing(h: Hamiltonian) -> None:
         )
 
 
-def _block_coherent(terms, vander, h: Hamiltonian) -> np.ndarray:
-    """Coherent work of the (Q,) stack of permutation-invariant states
-    vander @ terms, for (K, D) terms in class coordinates
-    (``matcore._entry_classes``) and (Q, K) weights, where h dephases
-    blockwise (``_require_blockwise_dephasing``).
+def _block_coherent(terms, weights, groups) -> np.ndarray:
+    """Coherent work of the (R,) stack of permutation-invariant states
+    weights @ terms on n qubits, for (K, D) terms in class coordinates
+    (``matcore._entry_classes``) and (R, K) weights. ``groups`` pairs
+    each Hamiltonian on n qubits, one that dephases blockwise
+    (``_require_blockwise_dephasing``), with the slice of rows split
+    against it; the slices cover every row.
 
-    What the split reads linearly is a fixed linear map of the K terms,
-    taken once and weighted per strength: the spin blocks W_J^T rho W_J
+    The state side is done once for all rows: what the split reads
+    linearly is a fixed linear map of the K terms, taken once and
+    weighted per row, namely the spin blocks W_J^T rho W_J
     (``matcore._class_block_parts``), Tr rho and, for an identity frame,
     diag rho (the classes (n - w, 0, 0, w), ``matcore._class_diagonal``).
-    Only the block spectra are per strength. W_C is the dephased passive
-    energy less the passive energy, so Tr H rho, which cancels, is not
-    read. Every image is validated as ``decompose`` validates a state:
-    Hermitian on its blocks, trace one from the term traces, PSD from
-    its block spectrum.
+    Every image is validated as ``decompose`` validates a state
+    (Hermitian on its blocks, trace one from the term traces, PSD from
+    its block spectrum), and its spectrum is one eigvalsh per spin
+    block. Only the dephased spectra and their dot with the levels are
+    per Hamiltonian. W_C is the dephased passive energy less the passive
+    energy, so Tr H rho, which cancels, is not read.
     """
-    n, count, points = h.num_qubits, len(terms), len(vander)
+    n, count, points = groups[0][0].num_qubits, len(terms), len(weights)
     parts = [
-        (vander @ p.reshape(count, -1)).reshape((points,) + p.shape[1:])
+        (weights @ p.reshape(count, -1)).reshape((points,) + p.shape[1:])
         for p in _class_block_parts(terms, n)
     ]
     for p in parts:
         _require_hermitian(p)
-    _require_trace((vander @ _class_trace(terms, n)).real)
+    _require_trace((weights @ _class_trace(terms, n)).real)
     lam = _block_spectrum(parts, n)
     _require_psd(lam)
-    if h.spin_frames is not None:
-        lam_deph = _spin_spectrum(
-            [_dephased_spectra(u.conj().T @ p @ u, kept) for p, (u, kept) in zip(parts, h.spin_frames)],
-            n,
-        )
-    else:
-        lam_deph = np.sort((vander @ _class_diagonal(terms, n)).real, axis=-1)
-    return (lam_deph - lam)[:, ::-1] @ h.levels
+    wc = np.empty(points)
+    for h, rows in groups:
+        if h.spin_frames is not None:
+            lam_deph = _spin_spectrum(
+                [_dephased_spectra(u.conj().T @ p[rows] @ u, kept) for p, (u, kept) in zip(parts, h.spin_frames)],
+                n,
+            )
+        else:
+            lam_deph = np.sort((weights[rows] @ _class_diagonal(terms, n)).real, axis=-1)
+        wc[rows] = (lam_deph - lam[rows])[:, ::-1] @ h.levels
+    return wc
 
 
 # ---------------------------------------------------------------------------

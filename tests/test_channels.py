@@ -576,6 +576,36 @@ def test_class_terms_match_the_dense_expansion(n, kind, a, fractions, phases, se
     assert np.abs(matcore._class_diagonal(terms, n) - diagonal).max() <= 1e-12
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    a=st.floats(0.05, 0.95),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+    phases=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=2, max_size=2),
+)
+def test_correlated_flip_class_terms_match_the_dense_expansion(a, fractions, phases):
+    # on two qubits the correlated pair is the whole register: the class
+    # terms are the class averages of the dense terms, which lose nothing,
+    # as the flip of both qubits keeps a swap-invariant state invariant
+    radius = np.sqrt(a * (1.0 - a))
+    rho0 = symmetrized_multipartite(a, [radius * f * np.exp(1j * p) for f, p in zip(fractions, phases)])
+    kind = channels.CORRELATED_BIT_FLIP
+    dense = channels._expand(rho0[None], kind, ((0, 1),), 2)[0].reshape(-1, 4, 4)
+    coords = matcore._class_coordinates(rho0, 2)
+    terms, vander = channels._class_polynomial(coords, kind, 2, np.linspace(0.0, 1.0, 3))
+    assert terms.shape == (2, 10) and vander.shape == (3, 2)
+    want = np.array([matcore._class_coordinates(term, 2) for term in dense])
+    assert np.abs(terms - want).max() <= 1e-12
+    for term in dense:
+        assert matcore._invariant_coordinates(term, 2) is not None
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 8])
+def test_class_route_rejects_the_correlated_flip_off_two_qubits(n):
+    coords = np.zeros(math.comb(n + 3, 3))
+    with pytest.raises(ValueError, match="correlated bit flip acts on exactly one qubit pair"):
+        channels._class_polynomial(coords, channels.CORRELATED_BIT_FLIP, n, np.linspace(0.0, 1.0, 3))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_fitted_coefficients_reproduce_the_superoperators(kind):
     coef = channels._coefficients(kind)

@@ -125,6 +125,7 @@ def test_non_finite_input_exits_one_naming_the_constraint(tmp_path, capsys):
     for argv in (
         ["scaling", "--n", "2", "--c0", "nan"],
         ["appendix-d", "--c", "nan"],
+        ["appendix-d", "--a", "nan"],
         ["entangled", "--theta", "0,1,3", "--h", "nan"],
         ["lindblad-check", "--kind", "bf", "--gamma", "inf", "--t", "0,3,4", "--bloch", "0.1,0.2,0.3"],
     ):
@@ -157,6 +158,16 @@ def test_a_grid_spec_without_three_parts_exits_two_naming_the_form(tmp_path, cap
         run(["single", "--channel", "bf", "--bloch", "0.6,0.5,0.4", "--q", "0,1", "-o", str(out)])
     assert err.value.code == 2
     assert "grid spec '0,1' is not min,max,count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["0.1,,0.4", "", "0.1,x"])
+def test_a_malformed_population_list_exits_two_naming_the_form(tmp_path, capsys, spec):
+    out = tmp_path / "appendix_d.csv"
+    with pytest.raises(SystemExit) as err:
+        run(["appendix-d", "--a", spec, "-o", str(out)])
+    assert err.value.code == 2
+    assert f"argument --a: {spec!r} is not comma-separated numbers" in capsys.readouterr().err
     assert not out.exists()
 
 

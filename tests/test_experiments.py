@@ -233,7 +233,6 @@ def test_scaling_rejects_register_sizes_below_two_before_any_work(monkeypatch, n
     def no_work(*args):
         raise AssertionError("built a register")
 
-    monkeypatch.setattr(ex, "symmetrized_multipartite", no_work)
     monkeypatch.setattr(ex, "_symmetrized_classes", no_work)
     with pytest.raises(ValueError, match=f"at least 2 qubits, got {min(n_values)}"):
         ex.scaling_run(kinds=("pf",), n_values=n_values, q_points=5)
@@ -254,7 +253,7 @@ def test_scaling_rejects_oversized_registers_and_correlated_flips_before_any_wor
     def no_work(*args):
         raise AssertionError("started the work")
 
-    for name in ("symmetrized_multipartite", "_symmetrized_classes", "_wc_curves"):
+    for name in ("_symmetrized_classes", "_wc_curves"):
         monkeypatch.setattr(ex, name, no_work)
     with pytest.raises(ValueError, match=message):
         ex.scaling_run(kinds=kinds, n_values=n_values, q_points=5)
@@ -265,7 +264,7 @@ def test_scaling_rejects_local_states_of_the_largest_register_before_any_work(mo
     def no_work(*args):
         raise AssertionError("started the work")
 
-    for name in ("symmetrized_multipartite", "_symmetrized_classes", "_wc_curves"):
+    for name in ("_symmetrized_classes", "_wc_curves"):
         monkeypatch.setattr(ex, name, no_work)
     with pytest.raises(ValueError) as expected:
         qubit_state(0.2, 0.1 + 0.05 * 7)
@@ -287,31 +286,30 @@ def test_scaling_rejects_depolarizing_past_two_qubits_before_any_curve(monkeypat
 
 
 def test_scaling_splits_rho0_once_per_hamiltonian(monkeypatch):
-    # bit flip and amplitude damping share one excitation Hamiltonian per N:
-    # from N = 3 on, one class split takes both curves and W_C(rho0); at
-    # N = 2 the dense route splits rho0 once per Hamiltonian
+    # one class split per N, N = 2 included, takes every curve and W_C(rho0)
+    # against each distinct Hamiltonian: bit flip and amplitude damping share
+    # the excitation energy (2 curves and rho0: 11 rows of 5 strengths), phase
+    # flip has the collective x field (6 rows); no state is split densely
     class_splits, dense_splits = [], []
     block_coherent, dense = workx._block_coherent, workx.decompose
 
-    def counting_blocks(terms, vander, h):
-        class_splits.append((h.num_qubits, h))
-        return block_coherent(terms, vander, h)
+    def counting_blocks(terms, weights, groups):
+        class_splits.append([(h, rows.stop - rows.start) for h, rows in groups])
+        return block_coherent(terms, weights, groups)
 
     def counting_dense(rho, h):
-        if np.ndim(rho) == 2:  # one state: rho0, not a stack of images
-            dense_splits.append((h.num_qubits, h))
+        dense_splits.append(h)
         return dense(rho, h)
 
     monkeypatch.setattr(workx, "_block_coherent", counting_blocks)
     monkeypatch.setattr(workx, "decompose", counting_dense)
     ex.scaling_run(kinds=("bf", "pf", "ad"), n_values=(2, 3, 4), q_points=5)
-    assert [n for n, _ in dense_splits] == [2, 2]
-    assert [n for n, _ in class_splits] == [3, 3, 4, 4]
-    for n, splits in ((2, dense_splits), (3, class_splits), (4, class_splits)):
-        assert [h for m, h in splits if m == n] == [
-            ex.channel_hamiltonian("bf", n, collective=True),
-            ex.channel_hamiltonian("pf", n, collective=True),
-        ]
+    assert not dense_splits
+    assert class_splits == [
+        [(ex.channel_hamiltonian("bf", n, collective=True), 11), (ex.channel_hamiltonian("pf", n, collective=True), 6)]
+        for n in (2, 3, 4)
+    ]
+    for n in (2, 3, 4):
         assert ex.channel_hamiltonian("ad", n, collective=True) is ex.channel_hamiltonian("bf", n, collective=True)
 
 
@@ -432,7 +430,7 @@ def census_loop(kind, count, seed, q_points, num_terms=2):
     enhancing = 0
     for i in range(count):
         rho0 = random_separable(philox_stream(seed, i), num_terms=num_terms)
-        (curve,), wc0 = ex._wc_curves(rho0, [kind], h, q_grid)
+        (curve,), (wc0,) = ex._wc_curves(rho0, [kind], [h], q_grid)
         summary = ex.enhancement_summary(q_grid, curve - wc0)
         if summary.area_ap > ex.ENHANCEMENT_AREA_TOL:
             enhancing += 1
@@ -481,10 +479,10 @@ def test_stacked_curves_equal_one_curve_per_state():
     assert len(rho0s) * len(q_grid) > 2 * ch.STACK_BUDGET_BYTES // (16 * 4 * 4)
     for kind in ("bf", "dc", "cbf"):
         h = ex.channel_hamiltonian(kind, 2)
-        (curves,), wc0s = ex._wc_curves(rho0s, [kind], h, q_grid)
+        (curves,), (wc0s,) = ex._wc_curves(rho0s, [kind], [h], q_grid)
         assert curves.shape == (25, 101) and wc0s.shape == (25,)
         for rho0, curve, wc0 in zip(rho0s, curves, wc0s):
-            (single,), single_wc0 = ex._wc_curves(rho0, [kind], h, q_grid)
+            (single,), (single_wc0,) = ex._wc_curves(rho0, [kind], [h], q_grid)
             assert np.array_equal(curve, single) and wc0 == single_wc0
 
 
@@ -531,7 +529,7 @@ def grid_loop(family, kind, axis_grid, q_grid, p=0.5, a=0.1, c=0.3, d=0.2):
     axis_col, q_col, dwc_col, wc0_col = [], [], [], []
     for v in axis_grid:
         rho0 = builder(v)
-        (curve,), wc0 = ex._wc_curves(rho0, [kind], h, q_grid)
+        (curve,), (wc0,) = ex._wc_curves(rho0, [kind], [h], q_grid)
         curve = curve - wc0
         axis_col.extend([v] * len(q_grid))
         q_col.extend(q_grid)
@@ -803,8 +801,8 @@ def kraus_oracle_curve(rho0, kind, h, q_grid):
 def assert_curve_matches_oracle(rho0, kind, h, q_grid, dense=None):
     """The batched curve of rho0, a dense state or the class coordinates
     of the dense state ``dense``, against the per-q Kraus oracle."""
-    curves, wc0 = ex._wc_curves(rho0, [kind], h, q_grid)
-    batched = curves[0] - wc0
+    (curve,), (wc0,) = ex._wc_curves(rho0, [kind], [h], q_grid)
+    batched = curve - wc0
     oracle = kraus_oracle_curve(rho0 if dense is None else dense, kind, h, q_grid)
     assert np.abs(batched - oracle).max() <= 1e-12
     assert (ex.enhancement_summary(q_grid, batched).argmax_q
@@ -898,7 +896,7 @@ def test_block_curve_matches_the_per_q_dense_oracle(n, kind, which, q_points, q_
     h = invariant_hamiltonians(n)[which]
     q_grid = np.linspace(q_lo, 1.0, q_points)
     coords = qstate._symmetrized_classes(a, coherences)
-    (curve,), _ = ex._wc_curves(coords, [kind], h, q_grid)
+    (curve,), _ = ex._wc_curves(coords, [kind], [h], q_grid)
     oracle = dense_curve(rho0, kind, h, q_grid)
     assert np.abs(curve - oracle).max() <= 1e-12
     # the same argmax_q, unless the oracle's peak ties another strength to
@@ -918,20 +916,45 @@ def test_block_curve_matches_the_per_q_dense_oracle(n, kind, which, q_points, q_
 )
 @example(n=8, kind="ad", which=1, a=0.3, phases=[0.9 * i for i in range(8)])
 def test_class_coordinate_input_matches_the_dense_oracle(n, kind, which, a, phases):
-    # scaling's rho0 from three qubits on: its class coordinates, never dense
+    # scaling's rho0 at every N: its class coordinates, never dense
     coherences = np.sqrt(a * (1.0 - a)) * np.linspace(0.2, 0.8, n) * np.exp(1j * np.array(phases[:n]))
     coords = qstate._symmetrized_classes(a, coherences)
     rho0 = symmetrized_multipartite(a, coherences)
     h = invariant_hamiltonians(n)[which]
     q_grid = ex.q_grid_default(21)
     oracle = dense_curve(rho0, kind, h, q_grid)
-    curves, wc0 = ex._wc_curves(coords, [kind], h, q_grid)
+    curves, (wc0,) = ex._wc_curves(coords, [kind], [h], q_grid)
     assert abs(wc0 - decompose(rho0, h).coherent) <= 1e-12
     assert np.abs(curves[0] - oracle).max() <= 1e-12
     # the same call on the dense state takes the dense route
-    dense, dense_wc0 = ex._wc_curves(rho0, [kind], h, q_grid)
+    dense, (dense_wc0,) = ex._wc_curves(rho0, [kind], [h], q_grid)
     assert abs(wc0 - dense_wc0) <= 1e-12
     assert np.abs(curves - dense).max() <= 1e-12
+
+
+TWO_QUBIT_SCALING_KINDS = ("bf", "bpf", "pf", "pd", "ad", "dc", "cbf")
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    a=st.floats(0.05, 0.95),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+    phases=st.lists(st.floats(0.0, 2 * np.pi), min_size=2, max_size=2),
+    q_points=st.integers(2, 41),
+)
+@example(a=0.2, fractions=[0.12 / 0.4, 0.14 / 0.4], phases=[0.0, 0.0], q_points=41)
+def test_two_qubit_class_route_matches_the_dense_oracle(a, fractions, phases, q_points):
+    # scaling's N = 2 register takes the class route for every kind scaling
+    # accepts there, each under its own Hamiltonian, in one call
+    coherences = np.sqrt(a * (1.0 - a)) * np.array(fractions) * np.exp(1j * np.array(phases))
+    hs = [ex.channel_hamiltonian(kind, 2, collective=True) for kind in TWO_QUBIT_SCALING_KINDS]
+    q_grid = ex.q_grid_default(q_points)
+    coords = qstate._symmetrized_classes(a, coherences)
+    curves, wc0 = ex._wc_curves(coords, TWO_QUBIT_SCALING_KINDS, hs, q_grid)
+    dense, dense_wc0 = ex._wc_curves(symmetrized_multipartite(a, coherences), TWO_QUBIT_SCALING_KINDS, hs, q_grid)
+    assert curves.shape == dense.shape == (7, q_points) and wc0.shape == dense_wc0.shape == (7,)
+    assert np.abs(curves - dense).max() <= 1e-12
+    assert np.abs(wc0 - dense_wc0).max() <= 1e-12
 
 
 CLASS_KIND_NAMES = ("bf", "bit_flip", "bpf", "pf", "pd", "ad")
@@ -953,14 +976,14 @@ def test_batched_split_matches_per_kind_curves(n, kinds, which, a, q_points):
     coords = qstate._symmetrized_classes(a, coherences)
     h = invariant_hamiltonians(n)[which]
     q_grid = ex.q_grid_default(q_points)
-    curves, wc0 = ex._wc_curves(coords, kinds, h, q_grid)
-    assert curves.shape == (len(kinds), q_points)
+    curves, wc0 = ex._wc_curves(coords, kinds, [h] * len(kinds), q_grid)
+    assert curves.shape == (len(kinds), q_points) and wc0.shape == (len(kinds),)
     separate = decompose(symmetrized_multipartite(a, coherences), h).coherent
-    assert abs(wc0 - separate) <= 1e-12
+    assert np.abs(wc0 - separate).max() <= 1e-12
     # every kind keeps its row, in order, a repeated kind and an alias too
-    for kind, row in zip(kinds, curves):
-        expected = ex._wc_curves(coords, [kind], h, q_grid)[0][0] - separate
-        assert np.abs((row - wc0) - expected).max() <= 1e-12
+    for kind, row, row_wc0 in zip(kinds, curves, wc0):
+        expected = ex._wc_curves(coords, [kind], [h], q_grid)[0][0] - separate
+        assert np.abs((row - row_wc0) - expected).max() <= 1e-12
 
 
 def test_class_coordinate_input_needs_a_blockwise_hamiltonian(monkeypatch):
@@ -971,17 +994,28 @@ def test_class_coordinate_input_needs_a_blockwise_hamiltonian(monkeypatch):
     expansions = []
     monkeypatch.setattr(ch, "_class_polynomial", lambda *args: expansions.append(args))
     with pytest.raises(ValueError, match=message):
-        ex._wc_curves(coords, ["pf"], h, ex.q_grid_default(5))
+        ex._wc_curves(coords, ["pf"], [h], ex.q_grid_default(5))
     assert not expansions  # rejected before any expansion
     # the guard reads the convention, not the frame: block dephasing is
     # rejected even where the eigenvectors are the identity
     blocks = Hamiltonian(hamiltonian("excitation", n).matrix, "excitation")
     with pytest.raises(ValueError, match="got excitation with block dephasing"):
-        ex._wc_curves(coords, ["bf"], blocks, ex.q_grid_default(5))
+        ex._wc_curves(coords, ["bf"], [blocks], ex.q_grid_default(5))
     assert not expansions and "frame" not in vars(blocks)
     monkeypatch.undo()
     with pytest.raises(ValueError, match="correlated bit flip acts on exactly one qubit pair"):
-        ex._wc_curves(coords, ["cbf"], hamiltonian("excitation", n), ex.q_grid_default(5))
+        ex._wc_curves(coords, ["cbf"], [hamiltonian("excitation", n)], ex.q_grid_default(5))
+
+
+def test_curves_need_at_least_one_kind_and_one_hamiltonian_per_kind():
+    h, q_grid = hamiltonian("excitation", 3), ex.q_grid_default(5)
+    dense = register(3)
+    coords = matcore._class_coordinates(dense, 3)
+    for kinds, hs in ((["bf", "ad"], [h]), (["bf"], [h, h]), ([], [])):
+        message = f"need at least one kind and one Hamiltonian per kind, got {len(kinds)} kinds and {len(hs)} Hamiltonians"
+        for rho0 in (dense, coords):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ex._wc_curves(rho0, kinds, hs, q_grid)
 
 
 @pytest.mark.parametrize("count", [35, 19])  # a 4-qubit register's classes; one class short of 3 qubits
@@ -991,7 +1025,7 @@ def test_class_coordinates_of_the_wrong_length_are_rejected_before_any_expansion
     coords = qstate._symmetrized_classes(0.2, [0.1, 0.12, 0.14, 0.16])[:count]
     message = f"class coordinate count {count} does not match Hamiltonian on 3 qubits, which needs C(6, 3) = 20"
     with pytest.raises(ValueError, match=re.escape(message)):
-        ex._wc_curves(coords, ["bf"], hamiltonian("excitation", 3), ex.q_grid_default(5))
+        ex._wc_curves(coords, ["bf"], [hamiltonian("excitation", 3)], ex.q_grid_default(5))
     assert not expansions
 
 
@@ -1024,7 +1058,7 @@ def test_curves_off_the_block_route_take_the_dense_route(monkeypatch):
     ]
     for rho0, h in cases:
         entered.clear()
-        (curve,), _ = ex._wc_curves(rho0, ["bf"], h, q_grid)
+        (curve,), _ = ex._wc_curves(rho0, ["bf"], [h], q_grid)
         assert entered
         if curve.ndim == 1:
             np.testing.assert_allclose(curve, dense_curve(rho0, "bf", h, q_grid), rtol=0, atol=1e-12)
@@ -1061,7 +1095,6 @@ def test_warm_scaling_run_forms_no_dense_term(monkeypatch):
     monkeypatch.setattr(ch, "_expand", dense)
     monkeypatch.setattr(workx, "decompose", dense)
     # no dense rho0, no invariance guard and no class averaging, wherever bound
-    monkeypatch.setattr(ex, "symmetrized_multipartite", dense)
     monkeypatch.setattr(qstate, "symmetrized_multipartite", dense)
     for module in (matcore, qstate, ch, workx, ex):
         for name in ("_invariant_coordinates", "_class_coordinates"):
@@ -1084,11 +1117,11 @@ def test_block_route_rejects_non_states_as_the_dense_route_does():
         # every entry of rho0 is its class's value, so the coordinates hold it whole
         coords = matcore._class_coordinates(rho0, n)
         with pytest.raises(ValueError, match=message):
-            ex._wc_curves(coords, ["bf"], h, q_grid)
+            ex._wc_curves(coords, ["bf"], [h], q_grid)
         with pytest.raises(ValueError, match=message):
             dense_curve(rho0, "bf", h, q_grid)
     with pytest.raises(ValueError, match="correlated bit flip acts on exactly one qubit pair"):
-        ex._wc_curves(matcore._class_coordinates(register(n), n), ["cbf"], h, q_grid)
+        ex._wc_curves(matcore._class_coordinates(register(n), n), ["cbf"], [h], q_grid)
 
 
 def test_collective_curve_builds_j2_once(monkeypatch):
@@ -1104,5 +1137,5 @@ def test_collective_curve_builds_j2_once(monkeypatch):
     n = 5
     rho0 = symmetrized_multipartite(0.2, [0.1 + 0.02 * i for i in range(1, n + 1)])
     h = replace(ex.channel_hamiltonian("pf", n), dephasing="collective", basis=None)
-    ex._wc_curves(rho0, ["pf"], h, ex.q_grid_default(41))
+    ex._wc_curves(rho0, ["pf"], [h], ex.q_grid_default(41))
     assert calls == [n]

@@ -103,8 +103,8 @@ def test_dense_curve_agrees_between_the_real_and_complex_routes(seed, phases, ki
     rhos = qstate.random_separable_stack(seed, range(3))
     assert rhos.dtype == np.float64
     h, q_grid = hamiltonian("excitation", 2), ex.q_grid_default(21)
-    real, real_wc0 = ex._wc_curves(rhos, [kind], h, q_grid)
-    turned, turned_wc0 = ex._wc_curves(rotated(rhos, phases), [kind], h, q_grid)
+    real, real_wc0 = ex._wc_curves(rhos, [kind], [h], q_grid)
+    turned, turned_wc0 = ex._wc_curves(rotated(rhos, phases), [kind], [h], q_grid)
     assert np.abs(turned - real).max() <= 1e-12
     assert np.abs(turned_wc0 - real_wc0).max() <= 1e-12
 
@@ -137,8 +137,8 @@ def test_class_curve_agrees_between_the_real_and_complex_routes(n, phi, kind, a,
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ch, "_class_polynomial", recording)
-        turned_curves, turned_wc0 = ex._wc_curves(turned, [kind], h, q_grid)
-        real_curves, real_wc0 = ex._wc_curves(real, [kind], h, q_grid)
+        turned_curves, (turned_wc0,) = ex._wc_curves(turned, [kind], [h], q_grid)
+        real_curves, (real_wc0,) = ex._wc_curves(real, [kind], [h], q_grid)
     assert received == [np.complex128, np.float64]
     assert abs(turned_wc0 - real_wc0) <= 1e-12
     assert np.abs(turned_curves - real_curves).max() <= 1e-12
@@ -154,7 +154,7 @@ def test_no_imaginary_part_is_dropped():
     rho = kron(single, single)
     assert abs(decompose(rho, h).coherent - decompose(rho.real, h).coherent) > 1e-3
     q_grid = np.linspace(0.0, 0.9, 10)  # at q = 1 amplitude damping leaves |gg> either way
-    curves = [ex._wc_curves(r, ["ad"], h, q_grid)[0][0] for r in (rho, rho.real)]
+    curves = [ex._wc_curves(r, ["ad"], [h], q_grid)[0][0] for r in (rho, rho.real)]
     assert np.abs(curves[0] - curves[1]).min() > 1e-4
 
 
