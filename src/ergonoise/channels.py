@@ -28,8 +28,8 @@ given by its class coordinates (``matcore``: one value per class of
 entries, C(n+3, 3) of them), under the same single-qubit kind on every
 qubit or the correlated flip on a two-qubit register,
 ``_class_polynomial`` hands the same terms, in class coordinates, and
-the Vandermonde weights to callers that evaluate something linear in
-the images without forming them. ``_class_expand`` moves one qubit at
+the Vandermonde weights to callers that form the images from them, in
+class coordinates too. ``_class_expand`` moves one qubit at
 a time from the input classes to the output classes with the same C_e,
 so no 4^n-sized term is formed; the correlated flip's C_e act on the
 16 entries of the two-qubit state.

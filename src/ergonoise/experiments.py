@@ -272,19 +272,17 @@ def _wc_curves(rho0, kinds, hamiltonians, q_grid) -> tuple[np.ndarray, np.ndarra
     invariant by construction, so only the Hamiltonians are checked
     (``workx._require_blockwise_dephasing``) and the count against each
     one's N, before any expansion. The coordinates are taken float64
-    when exactly real (``matcore._exact_real``). The terms of
-    rho(q) = sum_k x(q)^k R_k of every distinct kind
-    (``channels._class_polynomial``) and rho0, as one more term, are
-    stacked and handed to one ``workx._block_coherent`` split through a
-    (m Q + H, sum K + 1) weight matrix: for each of the H distinct
-    Hamiltonians, the Q rows of every kind split against it, each
-    weighting its kind's terms by x(q)^k, then one row weighting rho0 by
-    1. The state side of that split (the spin blocks, the checks and
-    the block spectra) is taken once for all rows, and only the dephased
-    side once per Hamiltonian. It holds the (K, D) terms, and
-    m Q + H rows of the sum_J (2J+1)^2 blocks and of the 2^N block
-    spectra; no 4^N-sized term is formed, and what is cached per N is of
-    order D^2 (see ``matcore``).
+    when exactly real (``matcore._exact_real``). As on the dense route,
+    the images come first, then one split: each distinct kind's terms R_k
+    of rho(q) = sum_k x(q)^k R_k (``channels._class_polynomial``) give
+    its (Q, D) images as vander @ terms, the product ``channels`` takes
+    for dense states. They are stacked grouped by Hamiltonian, for each
+    of the H distinct ones the Q rows of every kind split against it and
+    then one rho0 row, and the (m Q + H, D) stack goes to one
+    ``workx._block_coherent`` split: its state side is taken once for
+    all rows, only its dephased side once per Hamiltonian. No 4^N-sized
+    term is formed, and what is cached per N is of order D^2 (see
+    ``matcore``).
     """
     kinds = [ch.canonical_kind(k) for k in kinds]
     hamiltonians = list(hamiltonians)
@@ -313,24 +311,19 @@ def _wc_curves(rho0, kinds, hamiltonians, q_grid) -> tuple[np.ndarray, np.ndarra
                 f"{h.num_qubits} qubits, which needs C({h.num_qubits + 3}, 3) = {classes}"
             )
     n, points = distinct[0].num_qubits, len(q_grid)
-    polys, col = {}, 0  # each distinct kind's terms, vander and first column
-    for kind in dict.fromkeys(kinds):
-        terms, vander = ch._class_polynomial(coords, kind, n, q_grid)
-        polys[kind] = terms, vander, col
-        col += len(terms)
-    weights = np.zeros((len(kinds) * points + len(distinct), col + 1))
+    polys = {kind: ch._class_polynomial(coords, kind, n, q_grid) for kind in dict.fromkeys(kinds)}
+    images = np.empty((len(kinds) * points + len(distinct), len(coords)), coords.dtype)
     curve_rows, wc0_rows, groups, row = [None] * len(kinds), {}, [], 0
     for h in distinct:
         start = row
         for i in (i for i, g in enumerate(hamiltonians) if g is h):
-            terms, vander, col = polys[kinds[i]]
-            weights[row:row + points, col:col + len(terms)] = vander
+            terms, vander = polys[kinds[i]]
+            np.matmul(vander, terms, out=images[row:row + points])
             curve_rows[i], row = slice(row, row + points), row + points
-        weights[row, -1] = 1.0
+        images[row] = coords
         wc0_rows[h], row = row, row + 1
         groups.append((h, slice(start, row)))
-    terms = np.concatenate([terms for terms, _, _ in polys.values()] + [coords[None]])
-    wc = workx._block_coherent(terms, weights, groups)
+    wc = workx._block_coherent(images, groups)
     return np.array([wc[rows] for rows in curve_rows]), np.array([wc[wc0_rows[h]] for h in hamiltonians])
 
 
@@ -417,9 +410,9 @@ def scaling_run(
     the spin-block parts and block spectra of the state are formed once,
     and only the dephased spectra and W_C(rho0) once per Hamiltonian. No
     2^N- or 4^N-sized array of the state is formed. Memory per split is
-    then the (K, D) terms of each kind, K <= 2N + 1, and the
-    (m Q + H, sum_J (2J+1)^2) blocks and (m Q + H, 2^N) block spectra of
-    Q strengths for m kinds and H Hamiltonians, beside the maps of order
+    then the (K, D) terms of each kind, K <= 2N + 1, and the (m Q + H, D)
+    images, (m Q + H, sum_J (2J+1)^2) blocks and (m Q + H, 2^N) block
+    spectra of Q strengths for m kinds and H Hamiltonians, beside the maps of order
     D^2 cached per N (``matcore``) and the dense 2^N x 2^N Hamiltonians
     built once per process (``channel_hamiltonian``). The (m, Q) gains
     take one ``enhancement_summary`` call per N. A kind named twice gets

@@ -230,9 +230,12 @@ def spin_blocks(n: int) -> tuple[tuple[int, int], ...]:
 
 def _spin_spectrum(values, n: int) -> np.ndarray:
     """The ascending (..., 2**n) spectrum of an operator whose spin
-    blocks have the given (..., 2J+1) values, each repeated d_J times."""
-    spread = [np.repeat(v, d, axis=-1) for v, (_, d) in zip(values, spin_blocks(n))]
-    return np.sort(np.concatenate(spread, axis=-1), axis=-1)
+    blocks have the given (..., 2J+1) values, each repeated d_J times:
+    one repeat of all the values side by side, sorted in place."""
+    counts = [d for side, d in spin_blocks(n) for _ in range(side)]
+    spectrum = np.repeat(np.concatenate(values, axis=-1), counts, axis=-1)
+    spectrum.sort(axis=-1)
+    return spectrum
 
 
 def _block_spectrum(parts, n: int) -> np.ndarray:
@@ -393,12 +396,14 @@ def _class_block_map(n: int) -> np.ndarray:
 def _class_block_parts(coords: np.ndarray, n: int) -> list[np.ndarray]:
     """W_J^T M W_J of every permutation-invariant M of a (..., D) stack of
     class coordinates, one (..., 2J+1, 2J+1) stack per block of
-    ``spin_blocks(n)``, from one product with ``_class_block_map(n)``."""
-    flat = coords @ _class_block_map(n)
+    ``spin_blocks(n)``, each the product with the block's columns of
+    ``_class_block_map(n)``: a contiguous stack, which the checks and
+    frame products on it read about twice as fast as a strided view."""
+    block_map = _class_block_map(n)
     sides = [side for side, _ in spin_blocks(n)]
     edges = np.cumsum([0] + [m * m for m in sides])
     return [
-        flat[..., i:j].reshape(coords.shape[:-1] + (m, m))
+        (coords @ block_map[:, i:j]).reshape(coords.shape[:-1] + (m, m))
         for i, j, m in zip(edges[:-1], edges[1:], sides)
     ]
 

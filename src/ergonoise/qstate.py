@@ -415,7 +415,7 @@ class Hamiltonian:
         return self.dephasing == "product_basis" and self.basis is None
 
     @cached_property
-    def spin_frames(self) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
+    def spin_frames(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] | None:
         """The collective dephasing frame block by block, for a collective
         Hamiltonian on n >= 2 qubits that every qubit permutation leaves
         unchanged; None for any other.
@@ -426,21 +426,19 @@ class Hamiltonian:
         are read from those same coordinates through
         ``matcore._class_block_parts``, the map the states' blocks are read
         through, so both share one convention. For each block this holds
-        the eigenvectors of H_J and the kept-entry mask of its levels,
-        grouped within DEGENERACY_TOL * max|levels| as in ``frame``. Within
-        a block J^2 is constant, so these are the (energy, spin) levels
-        ``frame`` keeps.
+        (u, kept, levels): the eigenvectors of H_J, the kept-entry mask of
+        its levels, grouped within DEGENERACY_TOL * max|levels| over all
+        blocks as in ``frame``, and the ascending levels. Within a block
+        J^2 is constant, so these are the (energy, spin) levels ``frame``
+        keeps, and their ``matcore._spin_spectrum`` is the whole spectrum.
         """
         n = self.num_qubits
         coords = _invariant_coordinates(self.matrix, n) if self.dephasing == "collective" and n >= 2 else None
         if coords is None:
             return None
-        scale = float(np.abs(self.levels).max())
-        frames = []
-        for h_j in _class_block_parts(coords, n):
-            evals, u = np.linalg.eigh(h_j)
-            frames.append((_read_only(u), _same_level(evals, scale)))
-        return tuple(frames)
+        blocks = [np.linalg.eigh(h_j) for h_j in _class_block_parts(coords, n)]
+        scale = max(float(np.abs(evals).max()) for evals, _ in blocks)
+        return tuple((_read_only(u), _same_level(evals, scale), _read_only(evals)) for evals, u in blocks)
 
 
 def _same_level(evals: np.ndarray, scale: float) -> np.ndarray:

@@ -28,19 +28,19 @@ route the tests compare it against.
 The block route serves whole noise curves of one permutation-invariant
 state given by its class coordinates (``matcore``: one value per class
 of entries, C(n+3, 3) of them), under the same channel on every qubit
-(``_block_coherent``). It takes the images weights @ R_k, with the K
-terms R_k in class coordinates, and splits them against one or more
-Hamiltonians, each on its own rows. Everything but the spectra (the
-spin blocks W_J^T rho W_J, Tr rho and diag rho) is a fixed linear map
-of those coordinates, so it is read from the K terms once and weighted
-per row. The state side (the blocks, the checks and one eigvalsh per
-spin block) is done once for all rows; only the dephased side is per
-Hamiltonian. A collective
-Hamiltonian that is permutation invariant dephases each block in the
-eigenbasis of W_J^T H W_J (``Hamiltonian.spin_frames``), where J^2 is
-constant. W_C is the dephased passive energy less the passive energy,
-so Tr H rho, which cancels, is not needed. ``_require_blockwise_dephasing``
-rejects the Hamiltonians the block route cannot take.
+(``_block_coherent``). It takes the images in class coordinates and
+splits them against one or more Hamiltonians, each on its own rows.
+Everything but the spectra (the spin blocks W_J^T rho W_J, Tr rho and
+diag rho) is read from those coordinates by a fixed linear map. The
+state side (the blocks, the checks and one eigvalsh per spin block) is
+done once for all rows; only the dephased side is per Hamiltonian. A
+collective Hamiltonian that is permutation invariant dephases each block
+in the eigenbasis of W_J^T H W_J (``Hamiltonian.spin_frames``), where
+J^2 is constant, and its levels are those blocks' levels, so no
+2^n-sized matrix is solved. W_C is the dephased passive energy less the
+passive energy, so Tr H rho, which cancels, is not needed.
+``_require_blockwise_dephasing`` rejects the Hamiltonians the block
+route cannot take.
 
 The single-qubit closed forms read no channel kind: the Bloch vectors m
 from ``channels.bloch_map`` and one row (axis, sign, e0, g) per basis,
@@ -222,46 +222,43 @@ def _require_blockwise_dephasing(h: Hamiltonian) -> None:
         )
 
 
-def _block_coherent(terms, weights, groups) -> np.ndarray:
-    """Coherent work of the (R,) stack of permutation-invariant states
-    weights @ terms on n qubits, for (K, D) terms in class coordinates
-    (``matcore._entry_classes``) and (R, K) weights. ``groups`` pairs
-    each Hamiltonian on n qubits, one that dephases blockwise
+def _block_coherent(coords, groups) -> np.ndarray:
+    """Coherent work of the (R,) stack of permutation-invariant states on n
+    qubits given by their (R, D) class coordinates. ``groups`` pairs each
+    Hamiltonian on n qubits, one that dephases blockwise
     (``_require_blockwise_dephasing``), with the slice of rows split
     against it; the slices cover every row.
 
-    The state side is done once for all rows: what the split reads
-    linearly is a fixed linear map of the K terms, taken once and
-    weighted per row, namely the spin blocks W_J^T rho W_J
-    (``matcore._class_block_parts``), Tr rho and, for an identity frame,
-    diag rho (the classes (n - w, 0, 0, w), ``matcore._class_diagonal``).
-    Every image is validated as ``decompose`` validates a state
-    (Hermitian on its blocks, trace one from the term traces, PSD from
-    its block spectrum), and its spectrum is one eigvalsh per spin
-    block. Only the dephased spectra and their dot with the levels are
-    per Hamiltonian. W_C is the dephased passive energy less the passive
-    energy, so Tr H rho, which cancels, is not read.
+    The state side is done once for all rows: the spin blocks
+    W_J^T rho W_J (``matcore._class_block_parts``) and Tr rho are read
+    from the coordinates, every state is validated as ``decompose``
+    validates one (Hermitian on its blocks, trace one, PSD), and its
+    spectrum is one eigvalsh per spin block. Per Hamiltonian, a
+    spin-framed one dephases each block in its frame and spreads its block
+    levels over the spin multiplicities (``matcore._spin_spectrum``); an
+    identity frame sorts diag rho (``matcore._class_diagonal``) against
+    the levels of its diagonal matrix. W_C is the dephased passive energy
+    less the passive energy, so Tr H rho, which cancels, is not read.
     """
-    n, count, points = groups[0][0].num_qubits, len(terms), len(weights)
-    parts = [
-        (weights @ p.reshape(count, -1)).reshape((points,) + p.shape[1:])
-        for p in _class_block_parts(terms, n)
-    ]
+    n = groups[0][0].num_qubits
+    parts = _class_block_parts(coords, n)
     for p in parts:
         _require_hermitian(p)
-    _require_trace((weights @ _class_trace(terms, n)).real)
+    _require_trace(_class_trace(coords, n).real)
     lam = _block_spectrum(parts, n)
     _require_psd(lam)
-    wc = np.empty(points)
+    wc = np.empty(len(coords))
     for h, rows in groups:
         if h.spin_frames is not None:
             lam_deph = _spin_spectrum(
-                [_dephased_spectra(u.conj().T @ p[rows] @ u, kept) for p, (u, kept) in zip(parts, h.spin_frames)],
+                [_dephased_spectra(u.conj().T @ p[rows] @ u, kept) for p, (u, kept, _) in zip(parts, h.spin_frames)],
                 n,
             )
+            levels = _spin_spectrum([values for _, _, values in h.spin_frames], n)
         else:
-            lam_deph = np.sort((weights[rows] @ _class_diagonal(terms, n)).real, axis=-1)
-        wc[rows] = (lam_deph - lam[rows])[:, ::-1] @ h.levels
+            lam_deph = np.sort(_class_diagonal(coords[rows], n).real, axis=-1)
+            levels = h.levels
+        wc[rows] = (lam_deph - lam[rows])[:, ::-1] @ levels
     return wc
 
 
@@ -326,8 +323,10 @@ def threshold_q(kind: str, n, basis: str = "computational") -> float:
 
     q_b = 2 (na^2 + nb^2 - |nb| ||n||) / na^2 with (na, nb) the decaying
     and surviving components of the relevant pair. Values below 0 mean
-    every strength enhances; above 1, none does. A vanishing denominator
-    means no finite threshold exists (returned as +inf).
+    every strength enhances; above 1, none does. When na vanishes there is
+    no finite threshold: every strength enhances (-inf) if nb and the third
+    component are both nonzero, and otherwise the coherent work is frozen
+    and none does (+inf).
     """
     kind = ch.canonical_kind(kind)
     if basis not in _BASES:
@@ -338,7 +337,7 @@ def threshold_q(kind: str, n, basis: str = "computational") -> float:
     ia, ib = THRESHOLD_COMPONENTS[kind, basis]
     na, nb = n[ia], n[ib]
     if na == 0.0:
-        return float("inf")
+        return float("-inf") if nb != 0.0 and n[3 - ia - ib] != 0.0 else float("inf")
     norm = float(np.linalg.norm(n))
     return float(2.0 * (na**2 + nb**2 - abs(nb) * norm) / na**2)
 

@@ -293,9 +293,9 @@ def test_scaling_splits_rho0_once_per_hamiltonian(monkeypatch):
     class_splits, dense_splits = [], []
     block_coherent, dense = workx._block_coherent, workx.decompose
 
-    def counting_blocks(terms, weights, groups):
+    def counting_blocks(coords, groups):
         class_splits.append([(h, rows.stop - rows.start) for h, rows in groups])
-        return block_coherent(terms, weights, groups)
+        return block_coherent(coords, groups)
 
     def counting_dense(rho, h):
         dense_splits.append(h)
@@ -311,6 +311,28 @@ def test_scaling_splits_rho0_once_per_hamiltonian(monkeypatch):
     ]
     for n in (2, 3, 4):
         assert ex.channel_hamiltonian("ad", n, collective=True) is ex.channel_hamiltonian("bf", n, collective=True)
+
+
+def test_cold_scaling_solves_no_dense_collective_spectrum(monkeypatch):
+    # built afresh, so every spectrum scaling needs is solved during the run
+    monkeypatch.setattr(ex, "_shared_hamiltonian", functools.cache(ex._shared_hamiltonian.__wrapped__))
+    large, eigvalsh = [], np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        if np.shape(a)[-1] >= 64:
+            large.append(np.array(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    ex.scaling_run(kinds=("bf", "pf", "pd"), n_values=range(2, 9), q_points=5)
+    # the collective x field's levels come from its spin blocks, never from
+    # its dense matrix (``levels`` is a cached_property)
+    for n in range(2, 9):
+        assert "levels" not in vars(ex.channel_hamiltonian("pf", n, collective=True))
+    # the dense solves of 64 x 64 or larger are the excitation energy's
+    # levels at N = 6, 7, 8, each of a diagonal matrix
+    assert [len(m) for m in large] == [64, 128, 256]
+    assert all(np.array_equal(m, np.diag(np.diag(m))) for m in large)
 
 
 def test_sweeps_build_each_hamiltonian_once(monkeypatch):

@@ -271,6 +271,9 @@ def test_spin_block_spectra_match_the_dense_eigensolve(case):
     parts = matcore._class_block_parts(matcore._class_coordinates(rho, n), n)
     blocks = matcore._spin_spectrum([np.linalg.eigvalsh(p) for p in parts], n)
     assert np.abs(blocks - dense).max() <= 1e-12
+    # so are the block levels of the same matrix taken as a collective Hamiltonian
+    frames = Hamiltonian(rho, "random", "collective").spin_frames
+    assert np.abs(matcore._spin_spectrum([values for _, _, values in frames], n) - dense).max() <= 1e-12
     assert matcore._invariant_coordinates(rho, n) is not None
     # the state spectra of a dense state are the dense eigensolve, invariant or not
     np.testing.assert_array_equal(matcore.state_spectra(rho), dense)
@@ -330,6 +333,18 @@ def test_invariance_is_decided_at_symmetry_tol():
         assert (matcore._invariant_coordinates(mat, n) is not None) == invariant
         frames = Hamiltonian(mat, "x_sum", "collective").spin_frames
         assert (frames is not None) == invariant
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_spin_frame_levels_spread_to_the_dense_levels(n):
+    # the block levels, each repeated over its spin multiplicity, are the
+    # spectrum the dense eigensolve gives: the x field and Jz^2, whose
+    # levels +-M repeat inside a spin block
+    jz = 0.5 * _sum_local(SIGMA_Z, n)
+    for mat in (x_field(n), jz @ jz):
+        h = Hamiltonian(mat, "collective", "collective")
+        levels = matcore._spin_spectrum([values for _, _, values in h.spin_frames], n)
+        assert np.abs(levels - h.levels).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(0, 9))

@@ -6,7 +6,6 @@ by ``decompose``, which reads no closed form, threshold or parameter map.
 """
 
 import numpy as np
-import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -69,7 +68,7 @@ def test_threshold_marks_the_enhancement_region(n, case):
     the coherent work exceeds its noiseless value, and below it, it falls
     short. Strengths within 1e-3 of q_b are left out."""
     kind, basis = case
-    assume(n[THRESHOLD_COMPONENTS[case][0]] != 0.0)  # the vanishing case is the xfail below
+    assume(n[THRESHOLD_COMPONENTS[case][0]] != 0.0)  # the vanishing case is tested below
     q_b = threshold_q(kind, n, basis)
     gains = coherent_gains(bloch_to_density(n), kind, BASIS_HAMILTONIANS[basis])
     noisy = (Q_GRID > 0.0) & (np.abs(Q_GRID - q_b) > 1e-3)
@@ -78,13 +77,30 @@ def test_threshold_marks_the_enhancement_region(n, case):
     assert (gains[below] < 0.0).all()
 
 
-@pytest.mark.xfail(strict=True, reason="threshold_q returns +inf (no strength enhances) when the decaying component vanishes, though every strength enhances")
+# (kind, basis, Bloch vector) with a vanishing decaying component: the
+# other two nonzero, so every strength enhances, or one of them zero too,
+# so the coherent work is frozen
+VANISHING_DECAY_ENHANCES = [
+    ("bit_flip", "computational", (0.3, 0.0, 0.5)),  # W_C grows from 0.0415 at q = 0 to 0.15 at q = 1
+    ("bit_phase_flip", "computational", (0.0, 0.3, 0.5)),
+    ("phase_flip", "x", (0.5, 0.0, 0.3)),
+]
+VANISHING_DECAY_FROZEN = [
+    ("bit_flip", "computational", (0.0, 0.0, 0.5)),
+    ("bit_flip", "computational", (0.3, 0.0, 0.0)),
+    ("phase_flip", "x", (0.5, 0.0, 0.0)),
+]
+
+
 def test_threshold_marks_the_enhancement_region_when_the_decaying_component_vanishes():
-    # bit flip with n2 = 0: W_C grows from 0.0415 at q = 0 to 0.15 at q = 1
-    n = np.array([0.3, 0.0, 0.5])
-    gains = coherent_gains(bloch_to_density(n), "bit_flip", BASIS_HAMILTONIANS["computational"])
-    assert (gains[1:] > 0.0).all()
-    assert threshold_q("bit_flip", n) < 0.0
+    for kind, basis, n in VANISHING_DECAY_ENHANCES:
+        gains = coherent_gains(bloch_to_density(n), kind, BASIS_HAMILTONIANS[basis])
+        assert (gains[1:] > 0.0).all(), (kind, basis)
+        assert threshold_q(kind, n, basis) == -np.inf, (kind, basis)
+    for kind, basis, n in VANISHING_DECAY_FROZEN:
+        gains = coherent_gains(bloch_to_density(n), kind, BASIS_HAMILTONIANS[basis])
+        assert np.abs(gains).max() <= 1e-15, (kind, basis)
+        assert threshold_q(kind, n, basis) == np.inf, (kind, basis)
 
 
 @settings(max_examples=40, deadline=None)

@@ -432,7 +432,7 @@ def test_sum_local_is_bitwise_the_sum_of_full_krons(op):
 def test_spin_frames_exist_only_for_permutation_invariant_collective_hamiltonians():
     collective = replace(hamiltonian("x_sum", 3), dephasing="collective", basis=None)
     frames = collective.spin_frames
-    assert [u.shape for u, _ in frames] == [(4, 4), (2, 2)]
+    assert [u.shape for u, _, _ in frames] == [(4, 4), (2, 2)]
     assert collective.spin_frames is frames
     assert hamiltonian("x_sum", 3).spin_frames is None  # product basis
     one_site = qstate.Hamiltonian(kron(qstate.SIGMA_Z, IDENTITY_2, IDENTITY_2), "m", "collective")

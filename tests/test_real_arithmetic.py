@@ -199,7 +199,7 @@ def test_built_hamiltonians_store_real_matrices_and_frames():
         assert h.matrix.dtype == np.float64
         assert h.frame[0].dtype == np.float64
         assert h.basis is None or h.basis.dtype == np.float64
-        assert all(u.dtype == np.float64 for u, _ in h.spin_frames or ())
+        assert all(u.dtype == np.float64 for u, _, _ in h.spin_frames or ())
     assert Hamiltonian(matcore.SIGMA_Y, "matrix").matrix.dtype == np.complex128
 
 

@@ -247,7 +247,9 @@ def test_threshold_values():
     assert threshold_q("bpf", [0.5, 0.6, 0.4]) == pytest.approx(
         2 * (0.25 + 0.16 - 0.4 * np.sqrt(0.77)) / 0.25, abs=1e-12
     )
-    assert threshold_q("bf", [0.5, 0.0, 0.4]) == np.inf
+    # no decay of n2: every strength enhances, unless n1 or n3 vanishes too
+    assert threshold_q("bf", [0.5, 0.0, 0.4]) == -np.inf
+    assert threshold_q("bf", [0.5, 0.0, 0.0]) == np.inf
     with pytest.raises(ValueError):
         threshold_q("dc", [0.5, 0.3, 0.1])
     # phase flip has a threshold in the x basis only
@@ -763,7 +765,7 @@ def collective_hamiltonians(n):
 
 def test_jz_squared_exercises_degenerate_levels_inside_a_spin_block():
     frames = collective_hamiltonians(4)[1].spin_frames
-    assert any(kept.sum() > len(kept) for _, kept in frames)
+    assert any(kept.sum() > len(kept) for _, kept, _ in frames)
 
 
 @pytest.mark.parametrize("n", [2, 3])
