@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,9 @@ from . import workx
 from .matcore import _exact_real
 from .qstate import (
     MAX_SYMMETRIZED_QUBITS,
+    ClassHamiltonian,
     Hamiltonian,
+    _class_hamiltonian,
     _symmetrized_classes,
     apply_hadamard_pair,
     bds_eigenvalues,
@@ -107,41 +109,35 @@ def enhancement_summary(q_grid, delta_wc) -> EnhancementSummary:
     return EnhancementSummary(*fields)
 
 
-@functools.cache
-def _shared_hamiltonian(name: str, n: int, collective: bool = False, **params) -> Hamiltonian:
-    """``hamiltonian(name, n, **params)``, built once per process for each
-    argument tuple; ``collective`` swaps its product dephasing basis for
-    collective spin."""
-    h = hamiltonian(name, n, **params)
-    return replace(h, dephasing="collective", basis=None) if collective else h
+# ``hamiltonian(name, n, **params)``, built once per process for each argument tuple
+_shared_hamiltonian = functools.cache(hamiltonian)
+
+# The Hamiltonian (name, parameters) of each channel kind: the dephasing kinds only show
+# enhancement against an x field, depolarizing needs the interacting form; the rest
+# take the local excitation energy.
+_CHANNEL_HAMILTONIANS = {ch.PHASE_FLIP: ("x_sum", {}), ch.PHASE_DAMPING: ("x_sum", {}),
+                         ch.DEPOLARIZING: ("xx_interacting", {"h": 0.5, "j": 0.4})}
 
 
-def channel_hamiltonian(kind: str, n: int, collective: bool = False) -> Hamiltonian:
-    """Per-channel energy choice used by the grid/census/scaling runs.
+def _channel_energy(build, kind: str, n: int):
+    """``build(name, n, **params)`` of the Hamiltonian of a channel kind."""
+    name, params = _CHANNEL_HAMILTONIANS.get(ch.canonical_kind(kind), ("excitation", {}))
+    if name == "xx_interacting" and n != 2:
+        raise ValueError("the interacting Hamiltonian is two-qubit only")
+    return build(name, n, **params)
 
-    The dephasing kinds only show enhancement against an x-aligned field,
-    and depolarizing needs the interacting form; everything else uses the
-    local excitation energy. ``collective`` asks for the multipartite
-    convention: the dephasing kinds' x field is then dephased by collective
-    spin instead of in its product basis (the other kinds have no such
-    alternative and are unchanged).
 
-    Built once per process for each Hamiltonian, not for each channel:
-    every kind that uses the excitation energy shares one object per n,
-    whatever its ``collective`` flag. A ``Hamiltonian`` is frozen with
-    read-only matrices, so every caller shares it, and its levels and
-    frames are computed once.
-    """
-    kind = ch.canonical_kind(kind)
-    if kind in (ch.PHASE_FLIP, ch.PHASE_DAMPING):
-        # the collective-spin (symmetry-adapted) dephasing keeps the
-        # scaling trends consistent with the two-qubit story
-        return _shared_hamiltonian("x_sum", n, collective)
-    if kind == ch.DEPOLARIZING:
-        if n != 2:
-            raise ValueError("the interacting Hamiltonian is two-qubit only")
-        return _shared_hamiltonian("xx_interacting", 2, h=0.5, j=0.4)
-    return _shared_hamiltonian("excitation", n)
+def channel_hamiltonian(kind: str, n: int) -> Hamiltonian:
+    """Per-channel energy choice of the grid and census runs, built once per
+    process for each Hamiltonian, not for each channel, so that its levels
+    and frames, on a frozen read-only ``Hamiltonian``, are computed once."""
+    return _channel_energy(_shared_hamiltonian, kind, n)
+
+
+def _class_view(kind: str, n: int) -> ClassHamiltonian:
+    """The same choice in class coordinates, as scaling splits against it: the x
+    field dephased by collective spin, keeping the trends of the two-qubit story."""
+    return _channel_energy(_class_hamiltonian, kind, n)
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +263,20 @@ def _wc_curves(rho0, kinds, hamiltonians, q_grid) -> tuple[np.ndarray, np.ndarra
     route.
 
     A 1-D rho0 is the class coordinates of one permutation-invariant
-    state (one value per class of entries, C(N+3, 3) of them), as
-    ``scaling_run`` builds it, and gives (m, Q) curves and (m,) W_C(rho0):
-    invariant by construction, so only the Hamiltonians are checked
-    (``workx._require_blockwise_dephasing``) and the count against each
-    one's N, before any expansion. The coordinates are taken float64
-    when exactly real (``matcore._exact_real``). As on the dense route,
-    the images come first, then one split: each distinct kind's terms R_k
-    of rho(q) = sum_k x(q)^k R_k (``channels._class_polynomial``) give
-    its (Q, D) images as vander @ terms, the product ``channels`` takes
-    for dense states. They are stacked grouped by Hamiltonian, for each
-    of the H distinct ones the Q rows of every kind split against it and
-    then one rho0 row, and the (m Q + H, D) stack goes to one
-    ``workx._block_coherent`` split: its state side is taken once for
-    all rows, only its dephased side once per Hamiltonian. No 4^N-sized
-    term is formed, and what is cached per N is of order D^2 (see
-    ``matcore``).
+    state (C(N+3, 3) of them), as ``scaling_run`` builds it, split against
+    class-coordinate Hamiltonians (``qstate.ClassHamiltonian``), and gives
+    (m, Q) curves and (m,) W_C(rho0). Both sides are invariant by
+    construction, so only the count is checked against each Hamiltonian's
+    before any expansion. The coordinates are taken float64 when exactly
+    real (``matcore._exact_real``). As on the dense route, the images come
+    first, then one split: each distinct kind's terms R_k of
+    rho(q) = sum_k x(q)^k R_k (``channels._class_polynomial``) give its
+    (Q, D) images as vander @ terms. They are stacked grouped by
+    Hamiltonian, for each of the H distinct ones the Q rows of every kind
+    split against it and then one rho0 row, and the (m Q + H, D) stack
+    goes to one ``workx._block_coherent`` split: its state side is taken
+    once for all rows, only its dephased side once per Hamiltonian. No
+    4^N-sized term is formed, and what is cached per N is of order D^2.
     """
     kinds = [ch.canonical_kind(k) for k in kinds]
     hamiltonians = list(hamiltonians)
@@ -300,15 +294,12 @@ def _wc_curves(rho0, kinds, hamiltonians, q_grid) -> tuple[np.ndarray, np.ndarra
                 curve[part] = workx.decompose(states, h).coherent
         wc0 = {h: workx.decompose(rho0, h).coherent for h in distinct}
         return curves.reshape((len(kinds),) + shape), np.array([wc0[h] for h in hamiltonians])
-    for h in distinct:
-        workx._require_blockwise_dephasing(h)
     coords = _exact_real(rho0)
     for h in distinct:
-        classes = math.comb(h.num_qubits + 3, 3)
-        if len(coords) != classes:
+        if len(coords) != len(h.classes):
             raise ValueError(
                 f"class coordinate count {len(coords)} does not match Hamiltonian on "
-                f"{h.num_qubits} qubits, which needs C({h.num_qubits + 3}, 3) = {classes}"
+                f"{h.num_qubits} qubits, which needs C({h.num_qubits + 3}, 3) = {len(h.classes)}"
             )
     n, points = distinct[0].num_qubits, len(q_grid)
     polys = {kind: ch._class_polynomial(coords, kind, n, q_grid) for kind in dict.fromkeys(kinds)}
@@ -406,15 +397,16 @@ def scaling_run(
     distinct kind, each with its own Hamiltonian (bit flip, bit-phase
     flip, amplitude damping and the correlated flip share the excitation
     energy; phase flip and phase damping the collective x field;
-    depolarizing the interacting one), goes to one ``_wc_curves`` call:
-    the spin-block parts and block spectra of the state are formed once,
-    and only the dephased spectra and W_C(rho0) once per Hamiltonian. No
-    2^N- or 4^N-sized array of the state is formed. Memory per split is
+    depolarizing the interacting one, in class coordinates: ``_class_view``),
+    goes to one ``_wc_curves`` call: the spin-block parts and block spectra
+    of the state are formed once, and only the dephased spectra and
+    W_C(rho0) once per Hamiltonian. No 4^N-sized array, nor a 2^N x 2^N
+    state or Hamiltonian, is formed. Memory per split is
     then the (K, D) terms of each kind, K <= 2N + 1, and the (m Q + H, D)
     images, (m Q + H, sum_J (2J+1)^2) blocks and (m Q + H, 2^N) block
     spectra of Q strengths for m kinds and H Hamiltonians, beside the maps of order
-    D^2 cached per N (``matcore``) and the dense 2^N x 2^N Hamiltonians
-    built once per process (``channel_hamiltonian``). The (m, Q) gains
+    D^2 cached per N (``matcore``) and the Hamiltonians' coordinates, frames
+    and levels, built once per process. The (m, Q) gains
     take one ``enhancement_summary`` call per N. A kind named twice gets
     a row each time, from one curve.
     """
@@ -442,7 +434,7 @@ def scaling_run(
     dephasing = {}
     distinct = list(dict.fromkeys(kinds))
     for n in n_values:
-        hs = [channel_hamiltonian(kind, n, collective=True) for kind in distinct]
+        hs = [_class_view(kind, n) for kind in distinct]
         curves, wc0 = _wc_curves(_symmetrized_classes(a, coherences[:n]), distinct, hs, q_grid)
         summary = enhancement_summary(q_grid, curves - wc0[:, None])
         dephasing.update(zip(distinct, (h.dephasing for h in hs)))

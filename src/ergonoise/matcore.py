@@ -38,10 +38,8 @@ diagonal classes. The
 spectrum is the union of the spec(M_J), each value repeated d_J times
 (``_block_spectrum``), and a state so held is validated with the same
 private checks and messages as a dense one (``_require_hermitian``,
-``_require_trace``, ``_require_psd``). A dense collective Hamiltonian
-is admitted by ``_invariant_coordinates``, which returns its class
-averages only where they reproduce every entry, and read through the
-same map, once per Hamiltonian. ``_class_levels`` holds the index maps with
+``_require_trace``, ``_require_psd``). Local-sum Hamiltonians are built
+in these coordinates (``_local_sum_classes``). ``_class_levels`` holds the index maps with
 which ``channels._class_expand`` applies a channel to every qubit in
 these coordinates. Memory: what is cached per n is of order D^2. That
 is the class lists, the block map (D^2 floats) and the level maps
@@ -62,8 +60,6 @@ HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 # largest |Tr rho - 1| a state may have
 TRACE_TOL = 1e-10
-# largest deviation of an entry from its class average that still counts as invariant
-SYMMETRY_TOL = 1e-12
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -347,13 +343,17 @@ def _class_matrix(coords: np.ndarray, n: int) -> np.ndarray:
     return coords[_entry_classes(n).rank.ravel()[_entry_codes(n)]]
 
 
-def _invariant_coordinates(mat: np.ndarray, n: int) -> np.ndarray | None:
-    """The class coordinates (``_class_coordinates``) of a (2**n, 2**n)
-    matrix that every qubit permutation leaves unchanged, None for any
-    other: it is invariant exactly when each entry is within SYMMETRY_TOL
-    of its class average."""
-    coords = _class_coordinates(mat, n)
-    return coords if np.abs(_class_matrix(coords, n) - mat).max() <= SYMMETRY_TOL else None
+def _local_sum_classes(op: np.ndarray, n: int) -> np.ndarray:
+    """The class coordinates of sum_t op on qubit t: n00 op[0, 0] + n11 op[1, 1]
+    where no qubit flips, op[0, 1] (op[1, 0]) where one holds 01 (10) and none
+    10 (01), else zero; added into a complex zero, as a sum of krons is."""
+    n00, n01, n10, n11 = _entry_classes(n).counts.T
+    out = np.zeros(len(n00), dtype=complex)
+    still = (n01 == 0) & (n10 == 0)
+    out[still] += n00[still] * op[0, 0] + n11[still] * op[1, 1]
+    out[(n01 == 1) & (n10 == 0)] += op[0, 1]
+    out[(n01 == 0) & (n10 == 1)] += op[1, 0]
+    return out
 
 
 @functools.cache

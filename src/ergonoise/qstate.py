@@ -10,6 +10,7 @@ of the N! permutation average it equals.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -26,10 +27,14 @@ from .matcore import (
     SIGMA_Z,
     SpectralDecomposition,
     _class_block_parts,
+    _class_coordinates,
+    _class_diagonal,
     _class_matrix,
     _entry_classes,
-    _invariant_coordinates,
+    _exact_real,
+    _local_sum_classes,
     _require_hermitian,
+    _spin_spectrum,
     as_matrix,
     as_stack,
     herm_eig,
@@ -39,8 +44,8 @@ from .matcore import (
 
 BLOCH_TOL = 1e-12
 PSD_TOL = 1e-12
-# the Hamiltonians downstream are dense in 2^N x 2^N entries (the states and
-# the spin-block map are held in class coordinates)
+# the class route holds its states and Hamiltonians in class coordinates, but
+# spreads its spectra to 2^N values, and its dense oracle is checked up to here
 MAX_SYMMETRIZED_QUBITS = 8
 DEGENERACY_TOL = 1e-9  # relative to the largest |energy level|
 # incommensurate weight mixing J^2 into the level structure so that
@@ -414,31 +419,39 @@ class Hamiltonian:
         """Whether dephasing works in the computational basis itself."""
         return self.dephasing == "product_basis" and self.basis is None
 
+
+@dataclass(frozen=True, eq=False)
+class ClassHamiltonian:
+    """A permutation-invariant Hamiltonian held by its read-only class
+    coordinates (``matcore``) alone, as the class route takes it, dephased
+    under ``product_basis`` (H diagonal) or ``collective``. ``spin_frames``
+    and ``levels`` are computed once, when read; equality is by identity."""
+
+    kind: str
+    num_qubits: int
+    classes: np.ndarray
+    dephasing: str
+
     @cached_property
     def spin_frames(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] | None:
-        """The collective dephasing frame block by block, for a collective
-        Hamiltonian on n >= 2 qubits that every qubit permutation leaves
-        unchanged; None for any other.
-
-        Such an H is the sum over spin blocks of H_J x 1_{d_J}. It is
-        admitted by ``matcore._invariant_coordinates``, whose class
-        coordinates reproduce every entry to SYMMETRY_TOL, and its blocks
-        are read from those same coordinates through
-        ``matcore._class_block_parts``, the map the states' blocks are read
-        through, so both share one convention. For each block this holds
-        (u, kept, levels): the eigenvectors of H_J, the kept-entry mask of
-        its levels, grouped within DEGENERACY_TOL * max|levels| over all
-        blocks as in ``frame``, and the ascending levels. Within a block
-        J^2 is constant, so these are the (energy, spin) levels ``frame``
-        keeps, and their ``matcore._spin_spectrum`` is the whole spectrum.
-        """
-        n = self.num_qubits
-        coords = _invariant_coordinates(self.matrix, n) if self.dephasing == "collective" and n >= 2 else None
-        if coords is None:
+        """The collective dephasing frame, None under ``product_basis``:
+        per spin block H_J (``matcore._class_block_parts``, as the states'
+        blocks are read), its eigenvectors, the kept-entry mask of its
+        levels, grouped within DEGENERACY_TOL * max|levels| over all blocks
+        as in ``Hamiltonian.frame``, and its ascending levels: the
+        (energy, spin) levels the dense collective frame keeps."""
+        if self.dephasing != "collective":
             return None
-        blocks = [np.linalg.eigh(h_j) for h_j in _class_block_parts(coords, n)]
+        blocks = [np.linalg.eigh(h_j) for h_j in _class_block_parts(self.classes, self.num_qubits)]
         scale = max(float(np.abs(evals).max()) for evals, _ in blocks)
         return tuple((_read_only(u), _same_level(evals, scale), _read_only(evals)) for evals, u in blocks)
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """Ascending levels: the sorted diagonal, or the spread block levels."""
+        if self.spin_frames is None:
+            return _read_only(np.sort(_class_diagonal(self.classes, self.num_qubits)))
+        return _read_only(_spin_spectrum([values for _, _, values in self.spin_frames], self.num_qubits))
 
 
 def _same_level(evals: np.ndarray, scale: float) -> np.ndarray:
@@ -453,13 +466,8 @@ def _read_only(m: np.ndarray) -> np.ndarray:
 
 
 def _sum_local(op: np.ndarray, n: int) -> np.ndarray:
-    """sum_t op on qubit t, grown one qubit at a time as
-    S_k = S_{k-1} x I + I x op from a complex zero (which turns a -0.0 of
-    op into 0.0, as a sum of krons into zeros does)."""
-    out = np.zeros((1, 1), dtype=complex)
-    for k in range(n):
-        out = np.kron(out, IDENTITY_2) + np.kron(np.eye(2**k), op)
-    return out
+    """sum_t op on qubit t, gathered from its class coordinates (bitwise a sum of krons)."""
+    return _class_matrix(_local_sum_classes(op, n), n)
 
 
 def hamiltonian(kind: str, n: int, h: float = 0.5, j: float = 0.4) -> Hamiltonian:
@@ -498,3 +506,19 @@ def hamiltonian(kind: str, n: int, h: float = 0.5, j: float = 0.4) -> Hamiltonia
         mat = h * _sum_local(SIGMA_Z, 2) + j * kron(SIGMA_X, SIGMA_X)
         return Hamiltonian(mat, kind)
     raise ValueError(f"unknown Hamiltonian kind {kind!r}")
+
+
+@functools.cache
+def _class_hamiltonian(kind: str, n: int, h: float = 0.5, j: float = 0.4) -> ClassHamiltonian:
+    """The ``ClassHamiltonian`` of ``hamiltonian(kind, n, h, j)``, once per argument
+    tuple, with no 2^n-sized array for a local sum: the excitation energy, or the
+    x field (n >= 2) or ``xx_interacting`` dephased by collective spin."""
+    if kind == "excitation":
+        classes, dephasing = _local_sum_classes(np.outer(KET_E, KET_E.conj()), n), "product_basis"
+    elif kind == "x_sum" and n >= 2:
+        classes, dephasing = 0.5 * _local_sum_classes(SIGMA_X, n), "collective"
+    elif kind == "xx_interacting":
+        classes, dephasing = _class_coordinates(hamiltonian(kind, n, h, j).matrix, n), "collective"
+    else:
+        raise ValueError(f"no class-coordinate {kind!r} Hamiltonian on {n} qubits")
+    return ClassHamiltonian(kind, n, _read_only(_exact_real(classes)), dephasing)

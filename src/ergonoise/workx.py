@@ -33,14 +33,12 @@ splits them against one or more Hamiltonians, each on its own rows.
 Everything but the spectra (the spin blocks W_J^T rho W_J, Tr rho and
 diag rho) is read from those coordinates by a fixed linear map. The
 state side (the blocks, the checks and one eigvalsh per spin block) is
-done once for all rows; only the dephased side is per Hamiltonian. A
-collective Hamiltonian that is permutation invariant dephases each block
-in the eigenbasis of W_J^T H W_J (``Hamiltonian.spin_frames``), where
-J^2 is constant, and its levels are those blocks' levels, so no
-2^n-sized matrix is solved. W_C is the dephased passive energy less the
-passive energy, so Tr H rho, which cancels, is not needed.
-``_require_blockwise_dephasing`` rejects the Hamiltonians the block
-route cannot take.
+done once for all rows; only the dephased side is per Hamiltonian. The
+Hamiltonians are held in class coordinates too (``qstate.ClassHamiltonian``)
+and dephase blockwise: a collective one in the eigenbasis of W_J^T H W_J
+(its ``spin_frames``), where J^2 is constant, so no 2^n-sized matrix is
+formed or solved. W_C is the dephased passive energy less the passive
+energy, so Tr H rho, which cancels, is not needed.
 
 The single-qubit closed forms read no channel kind: the Bloch vectors m
 from ``channels.bloch_map`` and one row (axis, sign, e0, g) per basis,
@@ -210,35 +208,22 @@ def decompose(rho, h) -> ErgotropyReport:
     return report[0] if single else report
 
 
-def _require_blockwise_dephasing(h: Hamiltonian) -> None:
-    """Reject an h that does not dephase permutation-invariant states
-    blockwise: in spin blocks (``spin_frames``) or in the identity frame,
-    keeping only the diagonal of the computational basis. Both follow
-    from the stored convention, and neither builds the dense ``frame``."""
-    if h.spin_frames is None and not h.identity_frame:
-        raise ValueError(
-            f"class coordinates need a Hamiltonian that dephases in spin blocks or keeps "
-            f"only the diagonal, got {h.kind} with {h.dephasing} dephasing"
-        )
-
-
 def _block_coherent(coords, groups) -> np.ndarray:
     """Coherent work of the (R,) stack of permutation-invariant states on n
     qubits given by their (R, D) class coordinates. ``groups`` pairs each
-    Hamiltonian on n qubits, one that dephases blockwise
-    (``_require_blockwise_dephasing``), with the slice of rows split
+    ``qstate.ClassHamiltonian`` on n qubits with the slice of rows split
     against it; the slices cover every row.
 
     The state side is done once for all rows: the spin blocks
     W_J^T rho W_J (``matcore._class_block_parts``) and Tr rho are read
     from the coordinates, every state is validated as ``decompose``
     validates one (Hermitian on its blocks, trace one, PSD), and its
-    spectrum is one eigvalsh per spin block. Per Hamiltonian, a
-    spin-framed one dephases each block in its frame and spreads its block
-    levels over the spin multiplicities (``matcore._spin_spectrum``); an
-    identity frame sorts diag rho (``matcore._class_diagonal``) against
-    the levels of its diagonal matrix. W_C is the dephased passive energy
-    less the passive energy, so Tr H rho, which cancels, is not read.
+    spectrum is one eigvalsh per spin block. Per Hamiltonian, the dephased
+    spectra are diag rho sorted (``matcore._class_diagonal``) or, under a
+    collective one, each block dephased in its spin frame and spread
+    (``matcore._spin_spectrum``), read against its ``levels``. W_C is the
+    dephased passive energy less the passive energy, so Tr H rho, which
+    cancels, is not read.
     """
     n = groups[0][0].num_qubits
     parts = _class_block_parts(coords, n)
@@ -249,16 +234,14 @@ def _block_coherent(coords, groups) -> np.ndarray:
     _require_psd(lam)
     wc = np.empty(len(coords))
     for h, rows in groups:
-        if h.spin_frames is not None:
+        if h.spin_frames is None:
+            lam_deph = np.sort(_class_diagonal(coords[rows], n).real, axis=-1)
+        else:
             lam_deph = _spin_spectrum(
                 [_dephased_spectra(u.conj().T @ p[rows] @ u, kept) for p, (u, kept, _) in zip(parts, h.spin_frames)],
                 n,
             )
-            levels = _spin_spectrum([values for _, _, values in h.spin_frames], n)
-        else:
-            lam_deph = np.sort(_class_diagonal(coords[rows], n).real, axis=-1)
-            levels = h.levels
-        wc[rows] = (lam_deph - lam[rows])[:, ::-1] @ levels
+        wc[rows] = (lam_deph - lam[rows])[:, ::-1] @ h.levels
     return wc
 
 

@@ -596,7 +596,7 @@ def test_correlated_flip_class_terms_match_the_dense_expansion(a, fractions, pha
     want = np.array([matcore._class_coordinates(term, 2) for term in dense])
     assert np.abs(terms - want).max() <= 1e-12
     for term in dense:
-        assert matcore._invariant_coordinates(term, 2) is not None
+        assert np.abs(matcore._class_matrix(matcore._class_coordinates(term, 2), 2) - term).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 3, 4, 8])

@@ -305,34 +305,38 @@ def test_scaling_splits_rho0_once_per_hamiltonian(monkeypatch):
     monkeypatch.setattr(workx, "decompose", counting_dense)
     ex.scaling_run(kinds=("bf", "pf", "ad"), n_values=(2, 3, 4), q_points=5)
     assert not dense_splits
-    assert class_splits == [
-        [(ex.channel_hamiltonian("bf", n, collective=True), 11), (ex.channel_hamiltonian("pf", n, collective=True), 6)]
-        for n in (2, 3, 4)
-    ]
+    assert class_splits == [[(ex._class_view("bf", n), 11), (ex._class_view("pf", n), 6)] for n in (2, 3, 4)]
     for n in (2, 3, 4):
-        assert ex.channel_hamiltonian("ad", n, collective=True) is ex.channel_hamiltonian("bf", n, collective=True)
+        assert ex._class_view("ad", n) is ex._class_view("bf", n)
 
 
 def test_cold_scaling_solves_no_dense_collective_spectrum(monkeypatch):
     # built afresh, so every spectrum scaling needs is solved during the run
-    monkeypatch.setattr(ex, "_shared_hamiltonian", functools.cache(ex._shared_hamiltonian.__wrapped__))
-    large, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(ex, "_class_hamiltonian", functools.cache(qstate._class_hamiltonian.__wrapped__))
+    large, build = [], qstate.hamiltonian
 
-    def recording(a, *args, **kwargs):
-        if np.shape(a)[-1] >= 64:
-            large.append(np.array(a))
-        return eigvalsh(a, *args, **kwargs)
+    def recording(solver):
+        def solve(a, *args, **kwargs):
+            if np.shape(a)[-1] >= 64:
+                large.append(np.shape(a))
+            return solver(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        return solve
+
+    def trapped(kind, *args, **kwargs):
+        if kind in ("excitation", "x_sum"):
+            raise AssertionError(f"built the dense {kind} Hamiltonian")
+        return build(kind, *args, **kwargs)
+
+    for name in ("eigvalsh", "eigh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    # wherever a dense one could be built or taken from the cache
+    for module, name in ((qstate, "hamiltonian"), (ex, "hamiltonian"), (ex, "_shared_hamiltonian")):
+        monkeypatch.setattr(module, name, trapped)
     ex.scaling_run(kinds=("bf", "pf", "pd"), n_values=range(2, 9), q_points=5)
-    # the collective x field's levels come from its spin blocks, never from
-    # its dense matrix (``levels`` is a cached_property)
-    for n in range(2, 9):
-        assert "levels" not in vars(ex.channel_hamiltonian("pf", n, collective=True))
-    # the dense solves of 64 x 64 or larger are the excitation energy's
-    # levels at N = 6, 7, 8, each of a diagonal matrix
-    assert [len(m) for m in large] == [64, 128, 256]
-    assert all(np.array_equal(m, np.diag(np.diag(m))) for m in large)
+    # the Hamiltonians are built in class coordinates: no eigensolve of a
+    # 64 x 64 or larger matrix, the excitation energy's levels included
+    assert large == []
 
 
 def test_sweeps_build_each_hamiltonian_once(monkeypatch):
@@ -382,26 +386,28 @@ def test_channel_hamiltonians_are_built_once_per_process(monkeypatch):
 
     monkeypatch.setattr(qstate, "herm_eig", counting_frame)
     monkeypatch.setattr(np.linalg, "eigh", counting_block)
-    ex._shared_hamiltonian.cache_clear()
+    qstate._class_hamiltonian.cache_clear()
     ex.scaling_run(kinds=("pf",), n_values=(3,), q_points=5)
     assert blocks == [4, 2]  # J = 3/2 and J = 1/2
     ex.scaling_run(kinds=("pf",), n_values=(3,), q_points=5)
     assert blocks == [4, 2] and frames == []
-    h = ex.channel_hamiltonian("pf", 3, collective=True)
-    assert h is ex.channel_hamiltonian("pf", 3, collective=True)
-    assert h.dephasing == "collective" and ex.channel_hamiltonian("pf", 3).dephasing == "product_basis"
-    assert ex.channel_hamiltonian("bf", 3) is ex.channel_hamiltonian("ad", 3, collective=True)
+    # one object per Hamiltonian, not per kind
+    h = ex._class_view("pf", 3)
+    assert h is ex._class_view("pd", 3) and h.dephasing == "collective"
+    assert ex.channel_hamiltonian("pf", 3).dephasing == "product_basis"
+    assert ex._class_view("bf", 3) is ex._class_view("bpf", 3) is ex._class_view("ad", 3) is ex._class_view("cbf", 3)
+    assert ex.channel_hamiltonian("bf", 3) is ex.channel_hamiltonian("ad", 3)
     with pytest.raises(ValueError, match="read-only"):
-        h.matrix[0, 0] = 1.0
+        h.classes[0] = 1.0
 
 
 def test_scaling_run_keeps_no_dense_frame_of_the_excitation_energy():
-    # the class route reads the identity frame from the stored convention
+    # the class route builds no dense Hamiltonian, so no dense frame either
     ex._shared_hamiltonian.cache_clear()
     ex.scaling_run(n_values=(8,), q_points=21)
-    h = ex.channel_hamiltonian("bf", 8, collective=True)
-    assert h.dephasing == "product_basis" and h.basis is None
-    assert "frame" not in vars(h)
+    assert ex._shared_hamiltonian.cache_info().currsize == 0
+    h = ex._class_view("bf", 8)
+    assert h.dephasing == "product_basis" and h.spin_frames is None
 
 
 def test_census_csv_equals_one_generator_per_sample(tmp_path, monkeypatch):
@@ -821,11 +827,13 @@ def kraus_oracle_curve(rho0, kind, h, q_grid):
 
 
 def assert_curve_matches_oracle(rho0, kind, h, q_grid, dense=None):
-    """The batched curve of rho0, a dense state or the class coordinates
-    of the dense state ``dense``, against the per-q Kraus oracle."""
+    """The batched curve of rho0 under h against the per-q Kraus oracle:
+    of rho0 under h for a dense state, or, for class coordinates under a
+    class-coordinate h, of the dense (state, Hamiltonian) pair ``dense``."""
     (curve,), (wc0,) = ex._wc_curves(rho0, [kind], [h], q_grid)
     batched = curve - wc0
-    oracle = kraus_oracle_curve(rho0 if dense is None else dense, kind, h, q_grid)
+    dense_rho0, dense_h = dense or (rho0, h)
+    oracle = kraus_oracle_curve(dense_rho0, kind, dense_h, q_grid)
     assert np.abs(batched - oracle).max() <= 1e-12
     assert (ex.enhancement_summary(q_grid, batched).argmax_q
             == ex.enhancement_summary(q_grid, oracle).argmax_q)
@@ -868,14 +876,13 @@ def test_batched_curve_matches_oracle_across_chunk_seams(kind):
     q_grid = ex.q_grid_default(41)
     step = ch.STACK_BUDGET_BYTES // (16 * 4**n)
     assert -(-len(q_grid) // step) == 3  # the dense route spans three stacks
-    h = ex.channel_hamiltonian(kind, n)
-    if kind == "pf":  # the collective convention scaling_run uses
-        h = replace(h, dephasing="collective", basis=None)
+    view = ex._class_view(kind, n)  # collective for pf, as scaling_run dephases it
+    h = dense_of(view)
     for which in ("symmetrized", "product"):
         assert_curve_matches_oracle(register(n, which), kind, h, q_grid)
     # the symmetrized register's class coordinates take the class route
     rho0 = register(n)
-    assert_curve_matches_oracle(matcore._class_coordinates(rho0, n), kind, h, q_grid, dense=rho0)
+    assert_curve_matches_oracle(matcore._class_coordinates(rho0, n), kind, view, q_grid, dense=(rho0, h))
 
 
 def dense_curve(rho0, kind, h, q_grid):
@@ -885,15 +892,22 @@ def dense_curve(rho0, kind, h, q_grid):
 
 
 @functools.cache
+def dense_of(view):
+    """The dense ``Hamiltonian`` a class-coordinate one gathers to, under
+    the same convention: the oracle side of the class route."""
+    return Hamiltonian(matcore._class_matrix(view.classes, view.num_qubits), view.kind, view.dephasing)
+
+
+@functools.cache
 def invariant_hamiltonians(n):
-    """The energies the block route takes: the excitation energy (identity
-    frame), the collective x field and the collective Jz^2, whose levels
-    +-M repeat inside a spin block."""
+    """The class-coordinate energies the block route takes: the excitation
+    energy (identity frame), the collective x field and the collective
+    Jz^2, whose levels +-M repeat inside a spin block."""
     jz = hamiltonian("z_sum", n).matrix
     return (
-        hamiltonian("excitation", n),
-        ex.channel_hamiltonian("pf", n, collective=True),
-        Hamiltonian(jz @ jz, "jz_squared", "collective"),
+        qstate._class_hamiltonian("excitation", n),
+        qstate._class_hamiltonian("x_sum", n),
+        qstate.ClassHamiltonian("jz_squared", n, matcore._class_coordinates(jz @ jz, n), "collective"),
     )
 
 
@@ -919,7 +933,7 @@ def test_block_curve_matches_the_per_q_dense_oracle(n, kind, which, q_points, q_
     q_grid = np.linspace(q_lo, 1.0, q_points)
     coords = qstate._symmetrized_classes(a, coherences)
     (curve,), _ = ex._wc_curves(coords, [kind], [h], q_grid)
-    oracle = dense_curve(rho0, kind, h, q_grid)
+    oracle = dense_curve(rho0, kind, dense_of(h), q_grid)
     assert np.abs(curve - oracle).max() <= 1e-12
     # the same argmax_q, unless the oracle's peak ties another strength to
     # within the tolerance: a frozen curve (bit flip under the x field at
@@ -944,12 +958,12 @@ def test_class_coordinate_input_matches_the_dense_oracle(n, kind, which, a, phas
     rho0 = symmetrized_multipartite(a, coherences)
     h = invariant_hamiltonians(n)[which]
     q_grid = ex.q_grid_default(21)
-    oracle = dense_curve(rho0, kind, h, q_grid)
+    oracle = dense_curve(rho0, kind, dense_of(h), q_grid)
     curves, (wc0,) = ex._wc_curves(coords, [kind], [h], q_grid)
-    assert abs(wc0 - decompose(rho0, h).coherent) <= 1e-12
+    assert abs(wc0 - decompose(rho0, dense_of(h)).coherent) <= 1e-12
     assert np.abs(curves[0] - oracle).max() <= 1e-12
     # the same call on the dense state takes the dense route
-    dense, (dense_wc0,) = ex._wc_curves(rho0, [kind], [h], q_grid)
+    dense, (dense_wc0,) = ex._wc_curves(rho0, [kind], [dense_of(h)], q_grid)
     assert abs(wc0 - dense_wc0) <= 1e-12
     assert np.abs(curves - dense).max() <= 1e-12
 
@@ -969,11 +983,12 @@ def test_two_qubit_class_route_matches_the_dense_oracle(a, fractions, phases, q_
     # scaling's N = 2 register takes the class route for every kind scaling
     # accepts there, each under its own Hamiltonian, in one call
     coherences = np.sqrt(a * (1.0 - a)) * np.array(fractions) * np.exp(1j * np.array(phases))
-    hs = [ex.channel_hamiltonian(kind, 2, collective=True) for kind in TWO_QUBIT_SCALING_KINDS]
+    hs = [ex._class_view(kind, 2) for kind in TWO_QUBIT_SCALING_KINDS]
     q_grid = ex.q_grid_default(q_points)
     coords = qstate._symmetrized_classes(a, coherences)
     curves, wc0 = ex._wc_curves(coords, TWO_QUBIT_SCALING_KINDS, hs, q_grid)
-    dense, dense_wc0 = ex._wc_curves(symmetrized_multipartite(a, coherences), TWO_QUBIT_SCALING_KINDS, hs, q_grid)
+    rho0 = symmetrized_multipartite(a, coherences)
+    dense, dense_wc0 = ex._wc_curves(rho0, TWO_QUBIT_SCALING_KINDS, [dense_of(h) for h in hs], q_grid)
     assert curves.shape == dense.shape == (7, q_points) and wc0.shape == dense_wc0.shape == (7,)
     assert np.abs(curves - dense).max() <= 1e-12
     assert np.abs(wc0 - dense_wc0).max() <= 1e-12
@@ -1000,33 +1015,12 @@ def test_batched_split_matches_per_kind_curves(n, kinds, which, a, q_points):
     q_grid = ex.q_grid_default(q_points)
     curves, wc0 = ex._wc_curves(coords, kinds, [h] * len(kinds), q_grid)
     assert curves.shape == (len(kinds), q_points) and wc0.shape == (len(kinds),)
-    separate = decompose(symmetrized_multipartite(a, coherences), h).coherent
+    separate = decompose(symmetrized_multipartite(a, coherences), dense_of(h)).coherent
     assert np.abs(wc0 - separate).max() <= 1e-12
     # every kind keeps its row, in order, a repeated kind and an alias too
     for kind, row, row_wc0 in zip(kinds, curves, wc0):
         expected = ex._wc_curves(coords, [kind], [h], q_grid)[0][0] - separate
         assert np.abs((row - row_wc0) - expected).max() <= 1e-12
-
-
-def test_class_coordinate_input_needs_a_blockwise_hamiltonian(monkeypatch):
-    n = 4
-    coords = qstate._symmetrized_classes(0.2, [0.1 + 0.02 * i for i in range(1, n + 1)])
-    h = hamiltonian("x_sum", n)  # dephased in its product basis, not in spin blocks
-    message = "class coordinates need a Hamiltonian .* got x_sum with product_basis dephasing"
-    expansions = []
-    monkeypatch.setattr(ch, "_class_polynomial", lambda *args: expansions.append(args))
-    with pytest.raises(ValueError, match=message):
-        ex._wc_curves(coords, ["pf"], [h], ex.q_grid_default(5))
-    assert not expansions  # rejected before any expansion
-    # the guard reads the convention, not the frame: block dephasing is
-    # rejected even where the eigenvectors are the identity
-    blocks = Hamiltonian(hamiltonian("excitation", n).matrix, "excitation")
-    with pytest.raises(ValueError, match="got excitation with block dephasing"):
-        ex._wc_curves(coords, ["bf"], [blocks], ex.q_grid_default(5))
-    assert not expansions and "frame" not in vars(blocks)
-    monkeypatch.undo()
-    with pytest.raises(ValueError, match="correlated bit flip acts on exactly one qubit pair"):
-        ex._wc_curves(coords, ["cbf"], [hamiltonian("excitation", n)], ex.q_grid_default(5))
 
 
 def test_curves_need_at_least_one_kind_and_one_hamiltonian_per_kind():
@@ -1047,7 +1041,7 @@ def test_class_coordinates_of_the_wrong_length_are_rejected_before_any_expansion
     coords = qstate._symmetrized_classes(0.2, [0.1, 0.12, 0.14, 0.16])[:count]
     message = f"class coordinate count {count} does not match Hamiltonian on 3 qubits, which needs C(6, 3) = 20"
     with pytest.raises(ValueError, match=re.escape(message)):
-        ex._wc_curves(coords, ["bf"], [hamiltonian("excitation", 3)], ex.q_grid_default(5))
+        ex._wc_curves(coords, ["bf"], [qstate._class_hamiltonian("excitation", 3)], ex.q_grid_default(5))
     assert not expansions
 
 
@@ -1072,7 +1066,7 @@ def test_curves_off_the_block_route_take_the_dense_route(monkeypatch):
     cases = [
         (register(n, "product"), excitation),  # not permutation invariant
         (symmetric, excitation),  # invariant, under an identity frame
-        (symmetric, ex.channel_hamiltonian("pf", n, collective=True)),  # with spin frames
+        (symmetric, dense_of(ex._class_view("pf", n))),  # collective, as scaling dephases it
         (symmetric, hamiltonian("x_sum", n)),  # x_sum in its product basis
         (symmetric, Hamiltonian(excitation.matrix, "excitation")),  # block convention
         (np.stack([symmetric, symmetric]), excitation),  # a stack, not one state
@@ -1116,18 +1110,17 @@ def test_warm_scaling_run_forms_no_dense_term(monkeypatch):
 
     monkeypatch.setattr(ch, "_expand", dense)
     monkeypatch.setattr(workx, "decompose", dense)
-    # no dense rho0, no invariance guard and no class averaging, wherever bound
+    # no dense rho0 and no class averaging, wherever bound
     monkeypatch.setattr(qstate, "symmetrized_multipartite", dense)
     for module in (matcore, qstate, ch, workx, ex):
-        for name in ("_invariant_coordinates", "_class_coordinates"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, dense)
+        if hasattr(module, "_class_coordinates"):
+            monkeypatch.setattr(module, "_class_coordinates", dense)
     ex.scaling_run(n_values=n_values, q_points=21)
 
 
 def test_block_route_rejects_non_states_as_the_dense_route_does():
     n, q_grid = 3, ex.q_grid_default(11)
-    h = hamiltonian("excitation", n)
+    h, view = hamiltonian("excitation", n), qstate._class_hamiltonian("excitation", n)
     ghz_coherence = np.zeros((2**n, 2**n), dtype=complex)
     ghz_coherence[0, -1] = ghz_coherence[-1, 0] = 0.3  # |000><111| + h.c., invariant
     not_psd = np.eye(2**n) / 2**n + ghz_coherence
@@ -1139,11 +1132,11 @@ def test_block_route_rejects_non_states_as_the_dense_route_does():
         # every entry of rho0 is its class's value, so the coordinates hold it whole
         coords = matcore._class_coordinates(rho0, n)
         with pytest.raises(ValueError, match=message):
-            ex._wc_curves(coords, ["bf"], [h], q_grid)
+            ex._wc_curves(coords, ["bf"], [view], q_grid)
         with pytest.raises(ValueError, match=message):
             dense_curve(rho0, "bf", h, q_grid)
     with pytest.raises(ValueError, match="correlated bit flip acts on exactly one qubit pair"):
-        ex._wc_curves(matcore._class_coordinates(register(n), n), ["cbf"], [h], q_grid)
+        ex._wc_curves(matcore._class_coordinates(register(n), n), ["cbf"], [view], q_grid)
 
 
 def test_collective_curve_builds_j2_once(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergonoise import matcore
+from ergonoise import matcore, qstate
 from ergonoise.channels import apply_local
 from ergonoise.matcore import (
     IDENTITY_2,
@@ -18,7 +18,7 @@ from ergonoise.matcore import (
     trace_norm,
 )
 from ergonoise.qstate import (
-    Hamiltonian,
+    ClassHamiltonian,
     _sum_local,
     bloch_to_density,
     make_bds,
@@ -31,6 +31,16 @@ from ergonoise.qstate import (
 def random_hermitian(rng, dim):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return m + m.conj().T
+
+
+def is_invariant(mat, n):
+    """Whether every entry of mat is within 1e-12 of the average of its class."""
+    return np.abs(matcore._class_matrix(matcore._class_coordinates(mat, n), n) - mat).max() <= 1e-12
+
+
+def class_view(mat, n):
+    """The collective class-coordinate Hamiltonian of a permutation-invariant matrix."""
+    return ClassHamiltonian("collective", n, matcore._class_coordinates(mat, n), "collective")
 
 
 def random_density(rng, dim):
@@ -272,9 +282,9 @@ def test_spin_block_spectra_match_the_dense_eigensolve(case):
     blocks = matcore._spin_spectrum([np.linalg.eigvalsh(p) for p in parts], n)
     assert np.abs(blocks - dense).max() <= 1e-12
     # so are the block levels of the same matrix taken as a collective Hamiltonian
-    frames = Hamiltonian(rho, "random", "collective").spin_frames
+    frames = class_view(rho, n).spin_frames
     assert np.abs(matcore._spin_spectrum([values for _, _, values in frames], n) - dense).max() <= 1e-12
-    assert matcore._invariant_coordinates(rho, n) is not None
+    assert is_invariant(rho, n)
     # the state spectra of a dense state are the dense eigensolve, invariant or not
     np.testing.assert_array_equal(matcore.state_spectra(rho), dense)
 
@@ -282,12 +292,12 @@ def test_spin_block_spectra_match_the_dense_eigensolve(case):
 def test_a_state_that_is_not_permutation_invariant_takes_the_dense_path():
     rho = kron(qubit_state(0.2, 0.3), qubit_state(0.6, 0.1j), bloch_to_density([0.1, 0.2, 0.3]))
     stack = np.stack([rho, np.eye(8) / 8])
-    assert matcore._invariant_coordinates(rho, 3) is None
+    assert not is_invariant(rho, 3)
     np.testing.assert_array_equal(matcore.state_spectra(stack), np.linalg.eigvalsh(stack))
     np.testing.assert_array_equal(matcore.state_spectra(rho), np.linalg.eigvalsh(rho))
     # invariant under the swap of qubits 0 and 1 only: not invariant
     swap_only = kron(qubit_state(0.2, 0.3), qubit_state(0.2, 0.3), qubit_state(0.6, 0.1))
-    assert matcore._invariant_coordinates(swap_only, 3) is None
+    assert not is_invariant(swap_only, 3)
 
 
 def test_a_permutation_invariant_matrix_that_is_not_psd_is_rejected_from_its_blocks():
@@ -295,7 +305,7 @@ def test_a_permutation_invariant_matrix_that_is_not_psd_is_rejected_from_its_blo
     j2 = total_spin_squared(3)
     top = (j2 - 0.75 * np.eye(8)) / 3.0
     rho = 0.3 * top - 0.05 * (np.eye(8) - top)
-    assert matcore._invariant_coordinates(rho, 3) is not None
+    assert is_invariant(rho, 3)
     state = 0.15 * top + 0.1 * (np.eye(8) - top)
     # the class route's check, on its block spectrum, names what the dense one does
     message = r"state is not PSD: min eigenvalue -5\.000e-02"
@@ -315,24 +325,17 @@ def x_field(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_invariant_coordinates_are_the_class_averages(n):
-    jz = 0.5 * _sum_local(SIGMA_Z, n)
-    register = symmetrized_multipartite(0.3, [0.2 * np.exp(0.7j * i) for i in range(n)])
-    for mat in (x_field(n), jz @ jz, register):
-        coords = matcore._invariant_coordinates(mat, n)
-        want = matcore._class_coordinates(mat, n)
+    # the class coordinates built in closed form, of every local sum and of
+    # the Hamiltonians the class route takes, are bitwise the class
+    # averages of the dense matrices gathered from them
+    for op in (SIGMA_X, SIGMA_Y, SIGMA_Z):
+        coords = matcore._exact_real(matcore._local_sum_classes(op, n))
+        want = matcore._class_coordinates(_sum_local(op, n), n)
         assert coords.dtype == want.dtype and coords.tobytes() == want.tobytes()
-
-
-def test_invariance_is_decided_at_symmetry_tol():
-    # one off-diagonal entry and its transpose moved off their class average
-    n = 4
-    for delta, invariant in ((1e-9, False), (1e-14, True)):
-        mat = x_field(n)
-        mat[1, 2] += delta
-        mat[2, 1] += delta
-        assert (matcore._invariant_coordinates(mat, n) is not None) == invariant
-        frames = Hamiltonian(mat, "x_sum", "collective").spin_frames
-        assert (frames is not None) == invariant
+    for kind in ("excitation", "x_sum"):
+        view = qstate._class_hamiltonian(kind, n)
+        want = matcore._class_coordinates(qstate.hamiltonian(kind, n).matrix, n)
+        assert view.classes.dtype == want.dtype and view.classes.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -342,9 +345,8 @@ def test_spin_frame_levels_spread_to_the_dense_levels(n):
     # levels +-M repeat inside a spin block
     jz = 0.5 * _sum_local(SIGMA_Z, n)
     for mat in (x_field(n), jz @ jz):
-        h = Hamiltonian(mat, "collective", "collective")
-        levels = matcore._spin_spectrum([values for _, _, values in h.spin_frames], n)
-        assert np.abs(levels - h.levels).max() <= 1e-12
+        levels = matcore._spin_spectrum([values for _, _, values in class_view(mat, n).spin_frames], n)
+        assert np.abs(levels - np.linalg.eigvalsh(mat)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(0, 9))

@@ -14,7 +14,10 @@ from ergonoise.matcore import (
     KET_E,
     KET_G,
     PAULIS,
+    _class_block_parts,
     _class_coordinates,
+    _class_matrix,
+    _spin_spectrum,
     kron,
     require_density,
 )
@@ -430,12 +433,52 @@ def test_sum_local_is_bitwise_the_sum_of_full_krons(op):
 
 
 def test_spin_frames_exist_only_for_permutation_invariant_collective_hamiltonians():
-    collective = replace(hamiltonian("x_sum", 3), dephasing="collective", basis=None)
+    collective = qstate._class_hamiltonian("x_sum", 3)
     frames = collective.spin_frames
     assert [u.shape for u, _, _ in frames] == [(4, 4), (2, 2)]
     assert collective.spin_frames is frames
-    assert hamiltonian("x_sum", 3).spin_frames is None  # product basis
-    one_site = qstate.Hamiltonian(kron(qstate.SIGMA_Z, IDENTITY_2, IDENTITY_2), "m", "collective")
-    assert one_site.spin_frames is None
     assert hamiltonian("excitation", 3).identity_frame
     assert not hamiltonian("x_sum", 3).identity_frame
+
+
+# the Hamiltonians the class route takes, and the sizes it takes them at
+CLASS_VIEWS = [("excitation", n) for n in range(2, 9)] + [("x_sum", n) for n in range(2, 9)] + [("xx_interacting", 2)]
+
+
+@pytest.mark.parametrize("kind, n", CLASS_VIEWS)
+def test_class_views_gather_to_the_dense_hamiltonians(kind, n):
+    view = qstate._class_hamiltonian(kind, n)
+    assert view is qstate._class_hamiltonian(kind, n) and view.num_qubits == n
+    dense = hamiltonian(kind, n).matrix
+    gathered = _class_matrix(view.classes, n)
+    assert gathered.dtype == dense.dtype and gathered.tobytes() == dense.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        view.classes[0] = 1.0
+
+
+@pytest.mark.parametrize("kind, n", CLASS_VIEWS)
+def test_class_view_frames_and_levels_are_those_of_the_dense_matrix(kind, n):
+    # bitwise what the dense Hamiltonian gave: the levels of its diagonal,
+    # or the block frames read from its class averages
+    view = qstate._class_hamiltonian(kind, n)
+    dense = hamiltonian(kind, n).matrix
+    if view.dephasing == "product_basis":
+        assert view.spin_frames is None
+        assert view.levels.tobytes() == np.linalg.eigvalsh(dense).tobytes()
+        return
+    blocks = [np.linalg.eigh(p) for p in _class_block_parts(_class_coordinates(dense, n), n)]
+    scale = max(float(np.abs(evals).max()) for evals, _ in blocks)
+    assert len(view.spin_frames) == len(blocks)
+    for (u, kept, values), (evals, vecs) in zip(view.spin_frames, blocks):
+        assert u.tobytes() == vecs.tobytes() and values.tobytes() == evals.tobytes()
+        assert np.array_equal(kept, np.abs(evals[:, None] - evals[None, :]) <= qstate.DEGENERACY_TOL * scale)
+    assert view.levels.tobytes() == _spin_spectrum([evals for evals, _ in blocks], n).tobytes()
+
+
+def test_class_views_reject_what_they_cannot_hold():
+    # the one-qubit x field is sigma_x, not (1/2) sigma_x; z_plus_xx has no blockwise convention
+    for kind, n in (("x_sum", 1), ("z_plus_xx", 2)):
+        with pytest.raises(ValueError, match=f"no class-coordinate '{kind}' Hamiltonian on {n} qubits"):
+            qstate._class_hamiltonian(kind, n)
+    with pytest.raises(ValueError, match="xx_interacting is a two-qubit Hamiltonian"):
+        qstate._class_hamiltonian("xx_interacting", 3)

@@ -124,9 +124,9 @@ def test_class_curve_agrees_between_the_real_and_complex_routes(n, phi, kind, a,
     turned = qstate._symmetrized_classes(a, coherences * np.exp(-1j * phi))
     if collective:
         jz = hamiltonian("z_sum", n).matrix
-        h = Hamiltonian(jz @ jz, "jz_squared", "collective")
+        h = qstate.ClassHamiltonian("jz_squared", n, matcore._class_coordinates(jz @ jz, n), "collective")
     else:
-        h = hamiltonian("excitation", n)
+        h = qstate._class_hamiltonian("excitation", n)
     q_grid = ex.q_grid_default(21)
     # the coordinates the expansion receives: float64 exactly when real
     received, expand = [], ch._class_polynomial
@@ -192,14 +192,16 @@ def test_built_hamiltonians_store_real_matrices_and_frames():
     for h in (
         ex.channel_hamiltonian("pf", 2),
         ex.channel_hamiltonian("dc", 2),
-        ex.channel_hamiltonian("pf", 5, collective=True),
         hamiltonian("excitation", 3),
         hamiltonian("z_plus_xx", 2),
     ):
         assert h.matrix.dtype == np.float64
         assert h.frame[0].dtype == np.float64
         assert h.basis is None or h.basis.dtype == np.float64
-        assert all(u.dtype == np.float64 for u, _, _ in h.spin_frames or ())
+    # and so do the class views the class route splits against
+    for view in (ex._class_view("pf", 5), ex._class_view("dc", 2), ex._class_view("bf", 3)):
+        assert view.classes.dtype == np.float64 and view.levels.dtype == np.float64
+        assert all(u.dtype == np.float64 for u, _, _ in view.spin_frames or ())
     assert Hamiltonian(matcore.SIGMA_Y, "matrix").matrix.dtype == np.complex128
 
 
