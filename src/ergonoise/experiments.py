@@ -112,32 +112,29 @@ def enhancement_summary(q_grid, delta_wc) -> EnhancementSummary:
 # ``hamiltonian(name, n, **params)``, built once per process for each argument tuple
 _shared_hamiltonian = functools.cache(hamiltonian)
 
-# The Hamiltonian (name, parameters) of each channel kind: the dephasing kinds only show
-# enhancement against an x field, depolarizing needs the interacting form; the rest
-# take the local excitation energy.
-_CHANNEL_HAMILTONIANS = {ch.PHASE_FLIP: ("x_sum", {}), ch.PHASE_DAMPING: ("x_sum", {}),
-                         ch.DEPOLARIZING: ("xx_interacting", {"h": 0.5, "j": 0.4})}
 
-
-def _channel_energy(build, kind: str, n: int):
-    """``build(name, n, **params)`` of the Hamiltonian of a channel kind."""
-    name, params = _CHANNEL_HAMILTONIANS.get(ch.canonical_kind(kind), ("excitation", {}))
+def _channel_energy(kind: str, n: int) -> str:
+    """The Hamiltonian of a channel kind: the dephasing kinds only show enhancement
+    against an x field, depolarizing needs the interacting form; the rest take the
+    local excitation energy."""
+    energies = {ch.PHASE_FLIP: "x_sum", ch.PHASE_DAMPING: "x_sum", ch.DEPOLARIZING: "xx_interacting"}
+    name = energies.get(ch.canonical_kind(kind), "excitation")
     if name == "xx_interacting" and n != 2:
         raise ValueError("the interacting Hamiltonian is two-qubit only")
-    return build(name, n, **params)
+    return name
 
 
 def channel_hamiltonian(kind: str, n: int) -> Hamiltonian:
     """Per-channel energy choice of the grid and census runs, built once per
     process for each Hamiltonian, not for each channel, so that its levels
     and frames, on a frozen read-only ``Hamiltonian``, are computed once."""
-    return _channel_energy(_shared_hamiltonian, kind, n)
+    return _shared_hamiltonian(_channel_energy(kind, n), n)
 
 
 def _class_view(kind: str, n: int) -> ClassHamiltonian:
     """The same choice in class coordinates, as scaling splits against it: the x
     field dephased by collective spin, keeping the trends of the two-qubit story."""
-    return _channel_energy(_class_hamiltonian, kind, n)
+    return _class_hamiltonian(_channel_energy(kind, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +259,20 @@ def _wc_curves(rho0, kinds, hamiltonians, q_grid) -> tuple[np.ndarray, np.ndarra
     distinct Hamiltonian. That dense route is the oracle of the class
     route.
 
-    A 1-D rho0 is the class coordinates of one permutation-invariant
-    state (C(N+3, 3) of them), as ``scaling_run`` builds it, split against
-    class-coordinate Hamiltonians (``qstate.ClassHamiltonian``), and gives
-    (m, Q) curves and (m,) W_C(rho0). Both sides are invariant by
-    construction, so only the count is checked against each Hamiltonian's
-    before any expansion. The coordinates are taken float64 when exactly
-    real (``matcore._exact_real``). As on the dense route, the images come
+    A 1-D rho0 is the C(N+3, 3) class coordinates of one
+    permutation-invariant state, as ``scaling_run`` builds it, split
+    against class-coordinate Hamiltonians (``qstate.ClassHamiltonian``);
+    it gives (m, Q) curves and (m,) W_C(rho0). Both sides are invariant
+    by construction, so only the count is checked, before any expansion.
+    The coordinates are taken float64 when exactly real
+    (``matcore._exact_real``). As on the dense route, the images come
     first, then one split: each distinct kind's terms R_k of
     rho(q) = sum_k x(q)^k R_k (``channels._class_polynomial``) give its
-    (Q, D) images as vander @ terms. They are stacked grouped by
-    Hamiltonian, for each of the H distinct ones the Q rows of every kind
-    split against it and then one rho0 row, and the (m Q + H, D) stack
-    goes to one ``workx._block_coherent`` split: its state side is taken
-    once for all rows, only its dephased side once per Hamiltonian. No
-    4^N-sized term is formed, and what is cached per N is of order D^2.
+    (Q, D) images as vander @ terms, stacked by Hamiltonian (for each of
+    the H distinct ones the Q rows of every kind, then one rho0 row); the
+    (m Q + H, D) stack goes to one ``workx._block_coherent`` split, its
+    state side taken once for all rows. No 4^N-sized term is formed, and
+    what is cached per N is of order D^2.
     """
     kinds = [ch.canonical_kind(k) for k in kinds]
     hamiltonians = list(hamiltonians)
@@ -401,14 +397,14 @@ def scaling_run(
     goes to one ``_wc_curves`` call: the spin-block parts and block spectra
     of the state are formed once, and only the dephased spectra and
     W_C(rho0) once per Hamiltonian. No 4^N-sized array, nor a 2^N x 2^N
-    state or Hamiltonian, is formed. Memory per split is
-    then the (K, D) terms of each kind, K <= 2N + 1, and the (m Q + H, D)
-    images, (m Q + H, sum_J (2J+1)^2) blocks and (m Q + H, 2^N) block
-    spectra of Q strengths for m kinds and H Hamiltonians, beside the maps of order
-    D^2 cached per N (``matcore``) and the Hamiltonians' coordinates, frames
-    and levels, built once per process. The (m, Q) gains
-    take one ``enhancement_summary`` call per N. A kind named twice gets
-    a row each time, from one curve.
+    state or Hamiltonian, is formed. Memory per split is then the (K, D)
+    terms of each kind, K <= 2N + 1, and the (m Q + H, D) images,
+    (m Q + H, sum_J (2J+1)^2) blocks and (m Q + H, 2^N) block spectra of
+    Q strengths for m kinds and H Hamiltonians, beside the maps of order
+    D^2 cached per N (``matcore``) and the Hamiltonians' coordinates,
+    frames and levels, built once per process. The (m, Q) gains take one
+    ``enhancement_summary`` call per N. A kind named twice gets a row
+    each time, from one curve.
     """
     kinds = [ch.canonical_kind(k) for k in kinds]
     n_values = sorted(set(int(n) for n in n_values))

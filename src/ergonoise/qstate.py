@@ -422,24 +422,29 @@ class Hamiltonian:
 
 @dataclass(frozen=True, eq=False)
 class ClassHamiltonian:
-    """A permutation-invariant Hamiltonian held by its read-only class
-    coordinates (``matcore``) alone, as the class route takes it, dephased
-    under ``product_basis`` (H diagonal) or ``collective``. ``spin_frames``
-    and ``levels`` are computed once, when read; equality is by identity."""
+    """A permutation-invariant Hamiltonian held by its read-only class coordinates
+    (``matcore``) alone, as the class route takes it, dephased under ``product_basis``
+    (H diagonal) or ``collective``; equality is by identity."""
 
     kind: str
     num_qubits: int
     classes: np.ndarray
     dephasing: str
 
+    def __post_init__(self):
+        if self.dephasing not in ("product_basis", "collective"):
+            raise ValueError(f"class coordinates dephase by product_basis or collective, got {self.dephasing}")
+        if self.dephasing == "product_basis":
+            _, n01, n10, _ = _entry_classes(self.num_qubits).counts.T
+            if np.any(self.classes[(n01 + n10) > 0]):
+                raise ValueError(f"product_basis dephasing keeps the diagonal, but {self.kind} is not diagonal")
+
     @cached_property
     def spin_frames(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] | None:
-        """The collective dephasing frame, None under ``product_basis``:
-        per spin block H_J (``matcore._class_block_parts``, as the states'
-        blocks are read), its eigenvectors, the kept-entry mask of its
-        levels, grouped within DEGENERACY_TOL * max|levels| over all blocks
-        as in ``Hamiltonian.frame``, and its ascending levels: the
-        (energy, spin) levels the dense collective frame keeps."""
+        """The collective frame, None under ``product_basis``: per spin block H_J
+        (``matcore._class_block_parts``, as the states' blocks are read) its
+        eigenvectors, the kept-entry mask of its levels within DEGENERACY_TOL *
+        max|levels| over all blocks, and its ascending levels."""
         if self.dephasing != "collective":
             return None
         blocks = [np.linalg.eigh(h_j) for h_j in _class_block_parts(self.classes, self.num_qubits)]
@@ -509,16 +514,15 @@ def hamiltonian(kind: str, n: int, h: float = 0.5, j: float = 0.4) -> Hamiltonia
 
 
 @functools.cache
-def _class_hamiltonian(kind: str, n: int, h: float = 0.5, j: float = 0.4) -> ClassHamiltonian:
-    """The ``ClassHamiltonian`` of ``hamiltonian(kind, n, h, j)``, once per argument
-    tuple, with no 2^n-sized array for a local sum: the excitation energy, or the
-    x field (n >= 2) or ``xx_interacting`` dephased by collective spin."""
+def _class_hamiltonian(kind: str, n: int) -> ClassHamiltonian:
+    """The ``ClassHamiltonian`` of ``hamiltonian(kind, n)``, built once, with no 2^n-sized array
+    for a local sum: the excitation energy, or the x field (n >= 2) or ``xx_interacting``, collective."""
     if kind == "excitation":
         classes, dephasing = _local_sum_classes(np.outer(KET_E, KET_E.conj()), n), "product_basis"
     elif kind == "x_sum" and n >= 2:
         classes, dephasing = 0.5 * _local_sum_classes(SIGMA_X, n), "collective"
     elif kind == "xx_interacting":
-        classes, dephasing = _class_coordinates(hamiltonian(kind, n, h, j).matrix, n), "collective"
+        classes, dephasing = _class_coordinates(hamiltonian(kind, n).matrix, n), "collective"
     else:
         raise ValueError(f"no class-coordinate {kind!r} Hamiltonian on {n} qubits")
     return ClassHamiltonian(kind, n, _read_only(_exact_real(classes)), dephasing)

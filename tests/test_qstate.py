@@ -17,6 +17,7 @@ from ergonoise.matcore import (
     _class_block_parts,
     _class_coordinates,
     _class_matrix,
+    _local_sum_classes,
     _spin_spectrum,
     kron,
     require_density,
@@ -482,3 +483,18 @@ def test_class_views_reject_what_they_cannot_hold():
             qstate._class_hamiltonian(kind, n)
     with pytest.raises(ValueError, match="xx_interacting is a two-qubit Hamiltonian"):
         qstate._class_hamiltonian("xx_interacting", 3)
+
+
+def test_class_hamiltonians_take_only_what_dephases_blockwise():
+    # product_basis keeps the computational diagonal, so it takes a diagonal H
+    # only; no other convention dephases class coordinates blockwise
+    n = 4
+    x_field = 0.5 * _local_sum_classes(qstate.SIGMA_X, n)
+    with pytest.raises(ValueError, match="product_basis dephasing keeps the diagonal, but x_sum is not diagonal"):
+        qstate.ClassHamiltonian("x_sum", n, x_field, "product_basis")
+    energy = _local_sum_classes(np.outer(KET_E, KET_E.conj()), n)
+    for dephasing in ("block", "colective"):
+        with pytest.raises(ValueError, match=f"by product_basis or collective, got {dephasing}"):
+            qstate.ClassHamiltonian("excitation", n, energy, dephasing)
+    assert qstate.ClassHamiltonian("x_sum", n, x_field, "collective").spin_frames is not None
+    assert qstate.ClassHamiltonian("excitation", n, energy, "product_basis").spin_frames is None
