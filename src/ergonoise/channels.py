@@ -23,14 +23,16 @@ or of each state of a (S, d, d) stack, one target group at a time
 with every C_e applied in one batched matmul, and evaluates any q grid
 from them as a Vandermonde product, yielding the S x Q (state, q) pairs
 state-major in stacks of at most STACK_BUDGET_BYTES; ``apply_local``
-joins its stacks for one state. For one permutation-invariant state,
-given by its class coordinates (``matcore``: one value per class of
-entries, C(n+3, 3) of them), under the same single-qubit kind on every
-qubit or the correlated flip on a two-qubit register,
-``_class_polynomial`` hands the same terms, in class coordinates, and
-the Vandermonde weights to callers that form the images from them, in
-class coordinates too. ``_class_expand`` moves one qubit at
-a time from the input classes to the output classes with the same C_e,
+joins its stacks for one state. Each state's terms stay resident for the
+call; the expansion's temporaries are about twice the terms of one slice
+of states, those whose terms fit STACK_BUDGET_BYTES (at least one).
+For one permutation-invariant state, given by its class coordinates
+(``matcore``: one value per class of entries, C(n+3, 3) of them), under
+the same single-qubit kind on every qubit or the correlated flip on a
+two-qubit register, ``_class_polynomial`` hands the same terms, in
+class coordinates, and the Vandermonde weights to callers that form the
+images from them, in class coordinates too. ``_class_expand`` moves one
+qubit at a time from the input classes to the output classes with the same C_e,
 so no 4^n-sized term is formed; the correlated flip's C_e act on the
 16 entries of the two-qubit state.
 The closed forms come from one table of affine Bloch maps
@@ -257,12 +259,12 @@ def _coefficients(kind: str) -> np.ndarray:
     return coef
 
 
-# Bytes of evolved states held at once, and of the temporaries of one step
-# of a state's expansion, whatever their dtype (8-byte float64 entries for
-# real states, 16-byte complex128 ones otherwise): a 101-point grid of 4x4
-# complex states fits in one stack ten times over, real ones twenty times,
-# and from 8 qubits on every stack holds one state, so memory stays flat
-# in the register size.
+# Bytes of evolved states held at once, and of the terms of one slice of
+# states in a step of their expansion (at least one state; the step's
+# temporaries are about twice the slice), whatever their dtype (8-byte
+# float64 entries for real states, 16-byte complex128 ones otherwise): a
+# 101-point grid of 4x4 complex states fits in one stack ten times over,
+# real ones twenty times, and from 8 qubits on every stack holds one state.
 STACK_BUDGET_BYTES = 256 * 1024
 
 
@@ -287,22 +289,22 @@ def _expand(rhos: np.ndarray, kind: str, groups: tuple, n: int) -> np.ndarray:
     (S, d, d) stack, as a (S, K, d * d) array with K = deg * len(groups) + 1.
 
     The K terms are held in place from the start. Each target group
-    multiplies the polynomial by sum_e x^e C_e, one block of columns at
-    a time: a block holds every term's entries with one setting of the
-    leading axes outside the group, so it is read whole (as
-    (k 4^m, width) rows, the group's axes first), multiplied by
-    ``_toeplitz`` in one batched matmul that applies every C_e at once,
-    and written back over the same entries. The read and the product of
-    a block fit in STACK_BUDGET_BYTES (at least one column of one
-    state); the blocks never depend on the stack size, so every state's
-    terms come out the same alone or in a stack. The terms take the dtype
-    the states and the C_e promote to: float64 for real states.
+    multiplies the polynomial by sum_e x^e C_e, one slice of states at a
+    time: a slice's terms are read whole (as (k 4^m, d^2 / 4^m) rows per
+    state, the group's axes first), multiplied by ``_toeplitz`` in one
+    batched matmul that applies every C_e at once, and written back over
+    the same entries. A slice holds the states whose terms fit
+    STACK_BUDGET_BYTES (at least one state), so the temporaries are about
+    twice one slice's terms; each state is its own product, so its terms
+    come out the same alone or in a stack. The terms take the dtype the
+    states and the C_e promote to: float64 for real states.
     """
     count, size = len(rhos), rhos.shape[-1] ** 2
     degree = _POLYNOMIALS[kind][1]
     dtype = np.result_type(rhos, _coefficients(kind))
     terms = np.empty((count, degree * len(groups) + 1, size), dtype=dtype)
     terms[:, 0] = rhos.reshape(count, size)
+    per = max(1, STACK_BUDGET_BYTES // terms[0].nbytes)
     for i, group in enumerate(groups):
         k = degree * i + 1
         op = _toeplitz(kind, k)
@@ -310,19 +312,10 @@ def _expand(rhos: np.ndarray, kind: str, groups: tuple, n: int) -> np.ndarray:
         order = front + [a for a in range(2 * n) if a not in front]
         view = terms.reshape(terms.shape[:2] + (2,) * (2 * n)).transpose([0, 1] + [2 + a for a in order])
         dim = 4 ** len(group)
-        rest = size // dim
-        # the widest power-of-two block of columns whose read and product fit the budget
-        column = terms.itemsize * sum(op.shape)  # bytes of one column's read and product
-        width = min(rest, 1 << max(0, (STACK_BUDGET_BYTES // column).bit_length() - 1))
-        fixed = (rest // width).bit_length() - 1  # leading axes outside the group a block pins
-        per = max(1, STACK_BUDGET_BYTES // (column * width))
         for s in range(0, count, per):
-            for c in range(0, rest, width):
-                pins = tuple((c // width >> (fixed - 1 - b)) & 1 for b in range(fixed))
-                where = (slice(None),) * (2 * len(group)) + pins
-                rows = view[(slice(s, s + per), slice(k)) + where]
-                grown = view[(slice(s, s + per), slice(k + degree)) + where]
-                grown[...] = (op @ rows.reshape(len(rows), k * dim, width)).reshape(grown.shape)
+            rows = view[s : s + per, :k]
+            grown = view[s : s + per, : k + degree]
+            grown[...] = (op @ rows.reshape(len(rows), k * dim, size // dim)).reshape(grown.shape)
     return terms
 
 
@@ -443,10 +436,11 @@ def apply_local_chunks(rhos, kind: str, q, targets=None):
     when the states are exactly real (every kind's superoperator is), and
     complex128 otherwise. Memory: the K d^2 entries of terms per state
     stay resident for the call, 8 bytes each for a real state and 16 for
-    a complex one (about 9 MB and 17 MB for amplitude damping at 8
-    qubits, K = 17), while the expansion's temporaries and every yielded
-    piece are cut to STACK_BUDGET_BYTES (at least one column of one
-    state's terms, or one image).
+    a complex one (8.5 MiB and 17 MiB for amplitude damping at 8 qubits,
+    K = 17); the expansion's temporaries are about twice the terms of one
+    slice of states that fit STACK_BUDGET_BYTES (at least one state: one
+    complex state at 8 qubits peaks at 49 MiB), and every yielded piece
+    fits STACK_BUDGET_BYTES (at least one image).
 
     Single-qubit kinds act on each target in ascending index order; the
     order is observationally irrelevant since the maps commute on

@@ -194,8 +194,28 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """argv with a long option that takes a value joined to a next token
+    that starts with a minus sign, as ``--opt=value``: argparse reads
+    ``--bloch -0.3,0.2,0.1`` as two options, since only a plain negative
+    number passes as a value. A token that starts with ``--`` or with a
+    short option of the subcommand stays an option."""
+    commands = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    if not argv or argv[0] not in commands:
+        return argv
+    known, out = commands[argv[0]]._option_string_actions, []
+    for token in argv:
+        last = out[-1] if out else ""
+        valued = last.startswith("--") and last in known and known[last].nargs is None
+        if valued and token.startswith("-") and not token.startswith("--") and token[:2] not in known:
+            out[-1] = f"{last}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_joined(sys.argv[1:] if argv is None else list(argv)))
     try:
         result, path = _dispatch(args)
         write_csv(path, result)

@@ -263,7 +263,8 @@ def _wc_curves(rho0, kinds, hamiltonians, q_grid) -> tuple[np.ndarray, np.ndarra
     permutation-invariant state, as ``scaling_run`` builds it, split
     against class-coordinate Hamiltonians (``qstate.ClassHamiltonian``);
     it gives (m, Q) curves and (m,) W_C(rho0). Both sides are invariant
-    by construction, so only the count is checked, before any expansion.
+    by construction, so only the count is checked, before any expansion,
+    as is the Hamiltonians' type on either route.
     The coordinates are taken float64 when exactly real
     (``matcore._exact_real``). As on the dense route, the images come
     first, then one split: each distinct kind's terms R_k of
@@ -281,8 +282,13 @@ def _wc_curves(rho0, kinds, hamiltonians, q_grid) -> tuple[np.ndarray, np.ndarra
             f"need at least one kind and one Hamiltonian per kind, got {len(kinds)} kinds "
             f"and {len(hamiltonians)} Hamiltonians"
         )
+    want = Hamiltonian if np.ndim(rho0) != 1 else ClassHamiltonian
+    for h in hamiltonians:
+        if not isinstance(h, want):
+            route = "dense states" if want is Hamiltonian else "class coordinates"
+            raise ValueError(f"{route} need qstate.{want.__name__} Hamiltonians, got {type(h).__name__}")
     distinct = list(dict.fromkeys(hamiltonians))
-    if np.ndim(rho0) != 1:
+    if want is Hamiltonian:
         shape = np.shape(rho0)[:-2] + (len(q_grid),)
         curves = np.empty((len(kinds), math.prod(shape)))
         for curve, kind, h in zip(curves, kinds, hamiltonians):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import is_dataclass
 from itertools import combinations
 
@@ -625,6 +626,36 @@ def test_every_piece_stays_within_the_budget(n, kind, count, points):
     for _, stack in pieces:
         assert len(stack) <= step
         assert stack.nbytes <= max(channels.STACK_BUDGET_BYTES, 16 * 4**n)
+
+
+@pytest.mark.parametrize(
+    "n, count, per, kind, groups",
+    [
+        (5, 3, 1, AMPLITUDE_DAMPING, tuple((t,) for t in range(5))),  # 176 KiB of terms per state
+        (4, 9, 7, AMPLITUDE_DAMPING, tuple((t,) for t in range(4))),
+        (5, 9, 8, CORRELATED_BIT_FLIP, ((1, 3),)),
+    ],
+)
+def test_a_stack_across_slices_expands_each_state_as_alone(n, count, per, kind, groups):
+    rhos = random_states(np.random.default_rng(count), count, n)
+    terms = channels._expand(rhos, kind, groups, n)
+    assert channels.STACK_BUDGET_BYTES // terms[0].nbytes == per < count  # several slices
+    for rho, got in zip(rhos, terms):
+        assert np.array_equal(got, channels._expand(rho[None], kind, groups, n)[0])
+
+
+@pytest.mark.parametrize("n, count", [(4, 9), (6, 1), (6, 3), (8, 1)])
+def test_expansion_temporaries_stay_within_twice_a_slice(n, count):
+    rhos = random_states(np.random.default_rng(n), count, n)
+    groups = tuple((t,) for t in range(n))
+    channels._expand(rhos[:1], AMPLITUDE_DAMPING, groups, n)  # caches the Toeplitz operators
+    tracemalloc.start()
+    try:
+        terms = channels._expand(rhos, AMPLITUDE_DAMPING, groups, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - terms.nbytes <= 2 * max(channels.STACK_BUDGET_BYTES, terms[0].nbytes)
 
 
 def test_lindblad_zero_rate_is_identity():

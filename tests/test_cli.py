@@ -289,6 +289,38 @@ def test_sidecars_of_every_subcommand_are_strict_json(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["single", "--channel", "bf"], "--bloch", "-0.3,0.2,0.1"),
+        (["grid", "--family", "cq", "--channel", "pf"], "--axis", "-0.3,0.3,5"),
+        (["entangled"], "--theta", "-1,1,5"),
+        (["bds", "--channel", "pf", "--c", "0.1,0.2,0.3"], "--q", "-0,1,3"),
+        (["grid", "--family", "pair", "--channel", "bf", "--axis", "0.3,0.7,3"], "--c", "-1e-3"),
+    ],
+)
+def test_a_value_with_a_leading_minus_parses_in_either_form(tmp_path, argv, option, value):
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert run(argv + [option, value, "-o", str(spaced)]) == 0
+    assert run(argv + [f"{option}={value}", "-o", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert spaced.with_suffix(".meta.json").read_bytes() == joined.with_suffix(".meta.json").read_bytes()
+
+
+def test_a_negative_population_exits_one_naming_the_value(tmp_path, capsys):
+    out = tmp_path / "appendix_d.csv"
+    assert run(["appendix-d", "--a", "-0.1,0.4", "-o", str(out)]) == 1
+    assert "population -0.1 outside [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_option_in_place_of_a_value_still_exits_two(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run(["bds", "--channel", "--c", "0.1,0.2,0.3", "-o", str(tmp_path / "b.csv")])
+    assert err.value.code == 2
+    assert "argument --channel: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "c, message",
     [
         ("0.5,0.5,0.5", "parameters (0.5, 0.5, 0.5) give negative eigenvalue"),

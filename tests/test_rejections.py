@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from ergonoise.channels import LindbladSpec, jump_operator, q_of_t
-from ergonoise.experiments import SweepResult, channel_hamiltonian, q_grid_default
+from ergonoise.experiments import SweepResult, _wc_curves, channel_hamiltonian, q_grid_default
 from ergonoise.matcore import kron, num_qubits, spin_blocks, state_spectra
 from ergonoise.qstate import (
+    _class_hamiltonian,
+    _symmetrized_classes,
     density_to_bloch,
     hamiltonian,
     make_bds,
@@ -41,6 +43,16 @@ L = jump_operator("bf")
         (lambda: symmetrized_multipartite(0.2, []), "need at least one local coherence"),
         (lambda: hamiltonian("excitation", 0), "need at least one qubit"),
         (lambda: hamiltonian("z_plus_xx", 3), "z_plus_xx is a two-qubit Hamiltonian"),
+        (
+            lambda: _wc_curves(
+                _symmetrized_classes(0.2, [0.1, 0.12, 0.14, 0.16]), ["pf"], [hamiltonian("x_sum", 4)], q_grid_default(5)
+            ),
+            "class coordinates need qstate.ClassHamiltonian Hamiltonians, got Hamiltonian",
+        ),
+        (
+            lambda: _wc_curves(np.eye(4) / 4, ["bf"], [_class_hamiltonian("excitation", 2)], q_grid_default(5)),
+            "dense states need qstate.Hamiltonian Hamiltonians, got ClassHamiltonian",
+        ),
     ],
 )
 def test_invalid_input_is_rejected_naming_the_constraint(call, message):
