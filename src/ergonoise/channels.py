@@ -22,10 +22,9 @@ deg * n + 1 terms. ``apply_local_chunks`` expands the R_k of one state
 or of each state of a (S, d, d) stack, one target group at a time
 with every C_e applied in one batched matmul, and evaluates any q grid
 from them as a Vandermonde product, yielding the S x Q (state, q) pairs
-state-major in stacks of at most STACK_BUDGET_BYTES; ``apply_local``
-joins its stacks for one state. Each state's terms stay resident for the
-call; the expansion's temporaries are about twice the terms of one slice
-of states, those whose terms fit STACK_BUDGET_BYTES (at least one).
+state-major in pieces of whole curves, the states whose Q images fit
+STACK_BUDGET_BYTES (at least one: one state is one piece of Q d^2
+entries), with the memory rule stated at ``apply_local_chunks``.
 For one permutation-invariant state, given by its class coordinates
 (``matcore``: one value per class of entries, C(n+3, 3) of them), under
 the same single-qubit kind on every qubit or the correlated flip on a
@@ -70,6 +69,7 @@ from .matcore import (
     _class_levels,
     _class_matrix,
     _exact_real,
+    _integer,
     _kron_pair,
     as_matrix,
     as_stack,
@@ -259,12 +259,11 @@ def _coefficients(kind: str) -> np.ndarray:
     return coef
 
 
-# Bytes of evolved states held at once, and of the terms of one slice of
-# states in a step of their expansion (at least one state; the step's
-# temporaries are about twice the slice), whatever their dtype (8-byte
-# float64 entries for real states, 16-byte complex128 ones otherwise): a
-# 101-point grid of 4x4 complex states fits in one stack ten times over,
-# real ones twenty times, and from 8 qubits on every stack holds one state.
+# Bytes of the whole curves of evolved states held at once, and of the
+# terms of one slice of states in a step of their expansion (at least one
+# state each; the step's temporaries are about twice the slice): a piece
+# of 101-point curves of 4x4 states holds twenty real (float64) states or
+# ten complex (complex128) ones, and from 8 qubits on one curve.
 STACK_BUDGET_BYTES = 256 * 1024
 
 
@@ -329,7 +328,7 @@ def _checked(rhos, kind: str, targets) -> tuple[np.ndarray, int, tuple]:
     n = num_qubits(rhos[0])
     if targets is None:
         targets = range(2) if kind == CORRELATED_BIT_FLIP and n == 2 else range(n)
-    targets = sorted(set(int(t) for t in targets))
+    targets = sorted(set(_integer(t, "qubit index") for t in targets))
     if targets and (targets[0] < 0 or targets[-1] >= n):
         raise ValueError(f"targets {targets} out of range for {n} qubits")
     if kind == CORRELATED_BIT_FLIP:
@@ -397,41 +396,41 @@ def _class_polynomial(coords, kind: str, n: int, qs: np.ndarray) -> tuple[np.nda
     return terms, _vandermonde(kind, qs, len(terms))
 
 
+def _states_per_piece(itemsize: int, d: int, points: int) -> int:
+    """States whose curves of ``points`` (d, d) images fit STACK_BUDGET_BYTES (at least one)."""
+    return max(1, STACK_BUDGET_BYTES // (itemsize * d * d * points))
+
+
 def _local_chunks(rhos, kind: str, qs: np.ndarray, targets):
     """``apply_local_chunks`` for a canonical kind and a checked grid."""
     rhos, n, groups = _checked(rhos, kind, targets)
     terms = _expand(rhos, kind, groups, n)
     vander = _vandermonde(kind, qs, terms.shape[1])
     count, d, points = len(terms), rhos.shape[-1], len(qs)
-    step = max(1, STACK_BUDGET_BYTES // (terms.itemsize * d * d))
-    pairs = count * points
-    for start in range(0, pairs, step):
-        stop = min(start + step, pairs)
-        parts = []
-        for state in range(start // points, (stop - 1) // points + 1):
-            lo, hi = max(start - state * points, 0), min(stop - state * points, points)
+    per = _states_per_piece(terms.itemsize, d, points)
+    for first in range(0, count, per):
+        stack = np.empty((min(per, count - first), points, 1, d * d), dtype=terms.dtype)
+        for rows, state in zip(stack, terms[first:]):
             # one (1 x K) @ (K x d^2) product per strength: an image does
             # not depend on the grid or the stack it is evaluated in
-            parts.append(np.matmul(vander[lo:hi, None], terms[state]))
-        stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        yield slice(start, start + step), stack.reshape(-1, d, d)
+            np.matmul(vander[:, None], state, out=rows)
+        yield slice(first * points, (first + len(stack)) * points), stack.reshape(-1, d, d)
 
 
 def apply_local_chunks(rhos, kind: str, q, targets=None):
     """Images of one state, or of every state of a (S, d, d) stack, at every
-    strength of q (a number or a grid), in stacks of at most
-    STACK_BUDGET_BYTES.
+    strength of q (a number or a grid), in pieces of whole curves.
 
     The (state, q) pairs run state-major, pair p being state p // Q at
     strength p % Q. Yields (slice of the pair index, (P, d, d) stack of
-    images) pieces; for one state the pair index is the q index. The
-    kind, the grid, the states' shape and the targets are validated, in
-    that order, before the first piece.
+    images) pieces: the curves of the states that fit STACK_BUDGET_BYTES
+    (at least one; one state is one piece). The kind, the grid, the
+    states' shape and the targets are validated, in that order, first.
 
     Each state is expanded once into the terms R_k of its image
     rho(q) = sum_k x(q)^k R_k (``_expand``), and every piece is one
-    matmul per state it covers: the Vandermonde product
-    (P x K) @ (K x d^2), taken row by row so that an image does not
+    matmul per state it holds, written in place: the Vandermonde product
+    (Q x K) @ (K x d^2), taken row by row so that an image does not
     depend on where the grid or the stack is cut. The images are float64
     when the states are exactly real (every kind's superoperator is), and
     complex128 otherwise. Memory: the K d^2 entries of terms per state
@@ -439,8 +438,8 @@ def apply_local_chunks(rhos, kind: str, q, targets=None):
     a complex one (8.5 MiB and 17 MiB for amplitude damping at 8 qubits,
     K = 17); the expansion's temporaries are about twice the terms of one
     slice of states that fit STACK_BUDGET_BYTES (at least one state: one
-    complex state at 8 qubits peaks at 49 MiB), and every yielded piece
-    fits STACK_BUDGET_BYTES (at least one image).
+    complex state at 8 qubits peaks at 49 MiB, with its 21-point curve
+    too), and every yielded piece fits STACK_BUDGET_BYTES or is one curve.
 
     Single-qubit kinds act on each target in ascending index order; the
     order is observationally irrelevant since the maps commute on
@@ -455,11 +454,11 @@ def apply_local_chunks(rhos, kind: str, q, targets=None):
 def apply_local(rho, kind: str, q, targets=None) -> np.ndarray:
     """Image of one state under the channel on the listed qubits (all of
     them by default): a (d, d) state for a number q, a (len(q), d, d)
-    stack for a grid. The pieces of ``apply_local_chunks`` joined, for
+    stack for a grid. The one piece ``apply_local_chunks`` yields for
     the state as ``matcore.as_matrix`` takes it: float64 for a state with
     no nonzero imaginary part, complex128 otherwise."""
-    pieces = apply_local_chunks(as_matrix(rho), kind, q, targets)
-    return _shaped(q, np.concatenate([stack for _, stack in pieces]))
+    ((_, images),) = apply_local_chunks(as_matrix(rho), kind, q, targets)
+    return _shaped(q, images)
 
 
 def bloch_map(kind: str, q, n) -> np.ndarray:

@@ -6,8 +6,8 @@ and the maximum of {c1, c2, c3}; the trace-norm route reproduces them
 from the distance definitions and also accepts signed parameters.
 ``correlation_work`` checks the identity at a noise strength q, a
 number or a grid (one report of numbers, or of length-Q arrays), with
-one check of the grid, one Kraus evolution and one ``decompose`` per
-stack of evolved states.
+one check of the grid, one Kraus evolution and one ``decompose`` of the
+whole evolved curve.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def correlation_work(c, kind: str, q, both_qubits: bool = True) -> CorrelationRe
     length-Q arrays for a grid.
 
     The evolved work comes from the full Kraus + eigendecomposition
-    pipeline, evaluated in stacks of at most ``STACK_BUDGET_BYTES``, the
+    pipeline, the whole curve in one piece and one ``decompose``, the
     correlations from the mapped parameters. For unital channels the
     residual vanishes identically; amplitude damping is reported with
     ``identity_valid=False`` since the mapped-parameter formulas no
@@ -113,18 +113,14 @@ def correlation_work(c, kind: str, q, both_qubits: bool = True) -> CorrelationRe
     c = _require_nonnegative(c)
     rho = make_bds(c)
     valid = kind != AMPLITUDE_DAMPING
+    ((_, states),) = _local_chunks(rho, kind, qs, (0, 1) if both_qubits else (0,))
+    ergotropy = decompose(states, Z_SUM_2)
     if valid:
         mapped = _bds_scaled(kind, qs, c, both_qubits)
     else:
-        mapped = np.empty((len(qs), 3))
-    work = np.empty((6, len(qs)))
-    for part, states in _local_chunks(rho, kind, qs, (0, 1) if both_qubits else (0,)):
-        work[:, part] = list(vars(decompose(states, Z_SUM_2)).values())
-        if not valid:
-            # the evolved state is no longer Bell diagonal; feed the formulas
-            # the measured correlation functions Tr[rho sigma_i x sigma_i]
-            mapped[part] = np.trace(states[:, None] @ PAULI_PAIRS, axis1=2, axis2=3).real
-    ergotropy = ErgotropyReport(*work)
+        # the evolved state is no longer Bell diagonal; feed the formulas
+        # the measured correlation functions Tr[rho sigma_i x sigma_i]
+        mapped = np.trace(states[:, None] @ PAULI_PAIRS, axis1=2, axis2=3).real
     gqc, gcc = np.sort(np.abs(mapped), axis=1)[:, 1:].T
     average = 0.5 * (gqc + gcc)
     return _shaped(q, CorrelationReport(gqc, gcc, average, ergotropy, ergotropy.total - average, valid))

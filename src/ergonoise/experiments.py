@@ -19,7 +19,7 @@ import numpy as np
 
 from . import channels as ch
 from . import workx
-from .matcore import _exact_real
+from .matcore import _exact_real, _integer
 from .qstate import (
     MAX_SYMMETRIZED_QUBITS,
     ClassHamiltonian,
@@ -253,8 +253,8 @@ def _wc_curves(rho0, kinds, hamiltonians, q_grid) -> tuple[np.ndarray, np.ndarra
 
     The route follows the representation alone. A dense (d, d) state or
     (S, d, d) stack gives (m, Q) or (m, S, Q) curves and (m,) or (m, S)
-    W_C(rho0): each kind's images are evolved and split stack by stack
-    (``channels.apply_local_chunks``), one ``decompose`` per stack,
+    W_C(rho0): each kind's images are evolved in pieces of whole curves
+    (``channels.apply_local_chunks``), one ``decompose`` per piece,
     whatever their symmetry, then rho0 takes one ``decompose`` per
     distinct Hamiltonian. That dense route is the oracle of the class
     route.
@@ -413,7 +413,7 @@ def scaling_run(
     each time, from one curve.
     """
     kinds = [ch.canonical_kind(k) for k in kinds]
-    n_values = sorted(set(int(n) for n in n_values))
+    n_values = sorted(set(_integer(n, "register size") for n in n_values))
     if not n_values:
         raise ValueError("scaling needs at least one register size, got an empty list")
     if n_values[0] < 2:
@@ -471,10 +471,9 @@ def census_random(kind, count: int = 1000, seed: int = 7, q_points: int = DEFAUL
 
     Each sample draws from its own counter-based stream (seed, index), so
     results do not depend on evaluation order. Samples are drawn and
-    evolved a stack at a time, as many as fill one STACK_BUDGET_BYTES
-    stack of (sample, q) pairs: one ``_wc_curves`` call per stack on the
-    dense route, its curves and W_C(rho0), so memory stays flat in
-    ``count``. A sample
+    evolved as many at a time as make one piece of whole curves (20 real
+    ones at 101 q): one ``_wc_curves`` call per stack on the dense route,
+    its curves and W_C(rho0), so memory stays flat in ``count``. A sample
     is "enhancing" when the positive area of its gain curve exceeds 1e-12.
     """
     kind = ch.canonical_kind(kind)
@@ -483,7 +482,7 @@ def census_random(kind, count: int = 1000, seed: int = 7, q_points: int = DEFAUL
     q_grid = q_grid_default(q_points)
     h = channel_hamiltonian(kind, 2)
     # the sampled states are real, so the stacks and their images are float64
-    step = max(1, ch.STACK_BUDGET_BYTES // (np.dtype(float).itemsize * 4 * 4 * len(q_grid)))
+    step = ch._states_per_piece(np.dtype(float).itemsize, 4, len(q_grid))
     summaries = []
     for start in range(0, count, step):
         rho0s = random_separable_stack(seed, range(start, min(start + step, count)), num_terms)
@@ -632,16 +631,12 @@ def interacting_depolarizing(
     for a in a_values:
         rho0 = symmetric_pair(0.5, a, c, d)
         wc0 = workx.decompose(rho0, ham).coherent
-        work = np.empty((6, len(grid)))
-        coherence = np.empty(len(grid))
-        for part, states in ch.apply_local_chunks(rho0, ch.DEPOLARIZING, grid):
-            work[:, part] = list(vars(workx.decompose(states, ham)).values())
-            coherence[part] = workx.coherence_degenerate(states)
-        rep = workx.ErgotropyReport(*work)
+        ((_, states),) = ch.apply_local_chunks(rho0, ch.DEPOLARIZING, grid)
+        rep = workx.decompose(states, ham)
         rows["a"].extend([a] * points)
         rows["q"].extend(q_grid)
         rows["WC"].extend(rep.coherent[centre])
-        rows["coherence_degenerate"].extend(coherence[centre])
+        rows["coherence_degenerate"].extend(workx.coherence_degenerate(states[centre]))
         rows["delta_WC"].extend(rep.coherent[centre] - wc0)
         rows["dEp_dq"].extend((rep.passive_energy[hi] - rep.passive_energy[lo]) / span)
         rows["dEpd_dq"].extend(

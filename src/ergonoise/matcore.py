@@ -52,6 +52,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -176,6 +177,14 @@ def num_qubits(rho) -> int:
     return n
 
 
+def _integer(value, name: str) -> int:
+    """value through ``operator.index``: a float such as 0.7 is rejected, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value} is not an integer") from None
+
+
 def partial_trace(rho, keep: Iterable[int]) -> np.ndarray:
     """Trace out every qubit not listed in ``keep``.
 
@@ -184,7 +193,7 @@ def partial_trace(rho, keep: Iterable[int]) -> np.ndarray:
     """
     rho = as_matrix(rho)
     n = num_qubits(rho)
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(_integer(k, "qubit index") for k in keep))
     if not keep:
         raise ValueError("keep set must not be empty")
     if keep[0] < 0 or keep[-1] >= n:
@@ -215,7 +224,7 @@ def spin_blocks(n: int) -> tuple[tuple[int, int], ...]:
     the size of the spin-J block and the number of its copies,
     d_J = C(n, k) - C(n, k-1) for J = n/2 - k.
     """
-    n = int(n)
+    n = _integer(n, "qubit count")
     if n < 1:
         raise ValueError("spin blocks need at least one qubit")
     return tuple(

@@ -443,27 +443,35 @@ def random_states(rng, count, n):
     seed=st.integers(0, 2**31 - 1),
 )
 def test_chunks_of_a_stack_equal_one_grid_per_state(kind, n, count, q_points, seed):
-    # state-major pairs, stack seams anywhere, bitwise equal to per-state grids
+    # state-major pairs in pieces of whole curves, as many states as fit the
+    # budget (at least one), bitwise equal to per-state grids
     rng = np.random.default_rng(seed)
     rhos, qs = random_states(rng, count, n), rng.uniform(0, 1, q_points)
     targets = (0, n - 1) if kind == CORRELATED_BIT_FLIP else None
-    step = channels.STACK_BUDGET_BYTES // (16 * 4**n)
+    per = max(1, channels.STACK_BUDGET_BYTES // (16 * 4**n * q_points))
     pieces = list(channels.apply_local_chunks(rhos, kind, qs, targets))
-    assert [part.start for part, _ in pieces] == list(range(0, count * q_points, step))
+    assert [part for part, _ in pieces] == [
+        slice(first * q_points, min(first + per, count) * q_points) for first in range(0, count, per)
+    ]
     images = np.concatenate([stack for _, stack in pieces])
-    assert all(len(stack) <= step for _, stack in pieces)
+    assert all(len(stack) == part.stop - part.start for part, stack in pieces)
     want = np.concatenate([apply_local(rho, kind, qs, targets) for rho in rhos])
     assert np.array_equal(images, want)
 
 
 def test_chunks_of_one_state_slice_the_q_grid():
-    rho = random_states(np.random.default_rng(3), 1, 3)[0]
-    qs = np.linspace(0, 1, 700)
-    step = channels.STACK_BUDGET_BYTES // (16 * 64)
-    pieces = list(channels.apply_local_chunks(rho, "ad", qs))
-    assert [part for part, _ in pieces] == [slice(s, s + step) for s in range(0, 700, step)]
-    for part, stack in pieces:
-        assert np.array_equal(stack, apply_local(rho, "ad", qs[part]))
+    # one state is one piece at any Q, past the budget too; its images over
+    # slices of the grid are bitwise the same rows of the whole grid
+    for n, points in ((1, 5000), (3, 700)):
+        rho = random_states(np.random.default_rng(3), 1, n)[0]
+        qs = np.linspace(0, 1, points)
+        assert 16 * 4**n * points > channels.STACK_BUDGET_BYTES
+        ((part, stack),) = channels.apply_local_chunks(rho, "ad", qs)
+        assert part == slice(0, points) and stack.shape == (points, 2**n, 2**n)
+        step = channels.STACK_BUDGET_BYTES // (16 * 4**n)
+        for start in range(0, points, step):
+            rows = slice(start, start + step)
+            assert np.array_equal(stack[rows], apply_local(rho, "ad", qs[rows]))
 
 
 def test_chunks_validate_before_the_first_stack(monkeypatch):
@@ -516,8 +524,8 @@ def per_q_kraus_oracle(rho, kind, qs, targets):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), kind=st.sampled_from(KINDS), n=st.integers(1, 6), seed=st.integers(0, 2**31 - 1))
 def test_polynomial_path_matches_the_per_q_kraus_oracle(data, kind, n, seed):
-    # all kinds, 1..6 qubits, target subsets, stacks whose pieces split
-    # curves, one strength and a 501-point grid
+    # all kinds, 1..6 qubits, target subsets, stacks spread over pieces of
+    # whole curves, one strength and a 501-point grid
     if kind == CORRELATED_BIT_FLIP:
         if n < 2:
             return
@@ -620,12 +628,14 @@ def test_fitted_coefficients_reproduce_the_superoperators(kind):
 @pytest.mark.parametrize("n, kind, count, points", [(1, "ad", 5, 3000), (2, "cbf", 30, 101), (3, "pd", 3, 501), (6, "ad", 2, 21), (8, "bf", 1, 3)])
 def test_every_piece_stays_within_the_budget(n, kind, count, points):
     rhos = random_states(np.random.default_rng(n), count, n)
-    step = max(1, channels.STACK_BUDGET_BYTES // (16 * 4**n))
+    per = max(1, channels.STACK_BUDGET_BYTES // (16 * 4**n * points))
     pieces = list(channels.apply_local_chunks(rhos, kind, np.linspace(0, 1, points)))
     assert sum(len(stack) for _, stack in pieces) == count * points
-    for _, stack in pieces:
-        assert len(stack) <= step
-        assert stack.nbytes <= max(channels.STACK_BUDGET_BYTES, 16 * 4**n)
+    for part, stack in pieces:
+        # whole curves, within the budget unless the piece is one state's curve
+        assert part.start % points == 0 and len(stack) % points == 0
+        assert len(stack) <= per * points
+        assert stack.nbytes <= channels.STACK_BUDGET_BYTES or len(stack) == points
 
 
 @pytest.mark.parametrize(
@@ -656,6 +666,23 @@ def test_expansion_temporaries_stay_within_twice_a_slice(n, count):
     finally:
         tracemalloc.stop()
     assert peak - terms.nbytes <= 2 * max(channels.STACK_BUDGET_BYTES, terms[0].nbytes)
+
+
+def test_one_state_curve_is_written_in_place():
+    # the rows of one complex 8-qubit state's 21-point curve go straight into
+    # its one piece: no join copy adds to the expansion's peak
+    rho = random_states(np.random.default_rng(8), 1, 8)[0]
+    qs = np.linspace(0, 1, 21)
+    apply_local(rho, AMPLITUDE_DAMPING, qs[:1])  # caches the Toeplitz operators
+    tracemalloc.start()
+    try:
+        images = apply_local(rho, AMPLITUDE_DAMPING, qs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert images.shape == (21, 256, 256)
+    terms = (2 * 8 + 1) * 4**8 * 16  # K = 17 complex terms of 4^8 entries
+    assert peak <= terms + 2 * max(channels.STACK_BUDGET_BYTES, terms)
 
 
 def test_lindblad_zero_rate_is_identity():

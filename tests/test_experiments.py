@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ergonoise import channels as ch
 from ergonoise import experiments as ex
-from ergonoise import io, matcore, qstate, workx
+from ergonoise import correlations, io, matcore, qstate, workx
 from ergonoise.channels import KINDS, apply_local, kraus_set
 from ergonoise.io import read_csv, write_csv
 from ergonoise.matcore import IDENTITY_2, herm_eig, kron, num_qubits
@@ -491,8 +491,8 @@ def test_stacked_census_equals_the_per_sample_loop(kind, seed, count, q_points):
 
 
 def test_census_stack_seams_inside_a_curve():
-    # 3 samples x 1500 strengths: one sample per stack of draws, and each
-    # curve spans two evolved stacks, so seams fall inside every curve
+    # 3 samples x 1500 strengths: one sample per stack of draws and per
+    # evolved piece, each curve longer than the budget's 1024 complex images
     step = ch.STACK_BUDGET_BYTES // (16 * 4 * 4)
     assert step < 1500 and -(-3 * 1500 // step) >= 3
     assert_census_matches_loop("ad", 3, 19, 1500)
@@ -500,8 +500,8 @@ def test_census_stack_seams_inside_a_curve():
 
 
 def test_stacked_curves_equal_one_curve_per_state():
-    # 25 states x 101 strengths: three evolved stacks, seams at pairs 1024
-    # (state 10, q 14) and 2048 (state 20, q 28)
+    # 25 real states x 101 strengths: two evolved pieces of whole curves,
+    # states 0-19 and 20-24
     rho0s = random_separable_stack(8, range(25))
     q_grid = ex.q_grid_default(101)
     assert len(rho0s) * len(q_grid) > 2 * ch.STACK_BUDGET_BYTES // (16 * 4 * 4)
@@ -575,7 +575,7 @@ def grid_loop(family, kind, axis_grid, q_grid, p=0.5, a=0.1, c=0.3, d=0.2):
     ],
 )
 def test_stacked_grid_equals_the_per_state_loop(family, kind, axis_grid):
-    q_grid = ex.q_grid_default(101)  # 13 x 101 pairs: a seam inside a curve
+    q_grid = ex.q_grid_default(101)  # 13 x 101 pairs of real states: one piece of whole curves
     res = ex.grid_delta_wc(family, kind, axis_grid, q_grid)
     for got, want in zip(res.columns.values(), grid_loop(family, kind, axis_grid, q_grid)):
         assert np.array_equal(got, want)
@@ -700,7 +700,7 @@ def appendix_d_oracle(a_values, q_grid, fd_step, c=0.3, d=0.2, h=0.5, j=0.4):
 
 
 def test_interacting_depolarizing_matches_per_q_oracle():
-    # 1100 strengths: the centre, low and high blocks each hold a stack seam
+    # 1100 strengths: the 3300-point curve is past the budget and is still one piece
     q_grid = np.sort(np.random.default_rng(4).uniform(0, 1, 1100))
     q_grid[[0, -1]] = 0.0, 1.0  # neighbours clipped at both ends
     assert len(q_grid) > ch.STACK_BUDGET_BYTES // (16 * 4 * 4)
@@ -722,6 +722,28 @@ def test_interacting_depolarizing_rejects_a_bad_step_before_any_channel(fd_step,
     monkeypatch.setattr(ch, "apply_local_chunks", no_channel)
     with pytest.raises(ValueError, match=rf"fd_step = {fd_step} must be finite and > 0"):
         ex.interacting_depolarizing(fd_step=fd_step)
+
+
+def test_single_state_curves_take_one_split_each(monkeypatch):
+    # each curve is one piece: correlation_work splits it in one decompose,
+    # appendix D in one per a beside W_C(rho0), and takes the degenerate-level
+    # coherence of the Q centre images only, not of their 3Q neighbours too
+    shapes = {"decompose": [], "coherence": []}
+
+    def spy(name, real):
+        return lambda rho, *args: shapes[name].append(np.shape(rho)) or real(rho, *args)
+
+    monkeypatch.setattr(correlations, "decompose", spy("decompose", correlations.decompose))
+    for kind in ("bf", "ad"):
+        shapes["decompose"].clear()
+        correlations.correlation_work([0.3, 0.2, 0.1], kind, np.linspace(0, 1, 3001))
+        assert shapes["decompose"] == [(3001, 4, 4)]
+    monkeypatch.setattr(workx, "decompose", spy("decompose", workx.decompose))
+    monkeypatch.setattr(workx, "coherence_degenerate", spy("coherence", workx.coherence_degenerate))
+    shapes["decompose"].clear()
+    ex.interacting_depolarizing(a_values=(0.1, 0.2, 0.3), q_grid=np.linspace(0, 1, 1001))
+    assert shapes["decompose"] == [(4, 4), (3003, 4, 4)] * 3
+    assert shapes["coherence"] == [(1001, 4, 4)] * 3
 
 
 def test_interacting_depolarizing_rejects_empty_population_values():
@@ -874,10 +896,18 @@ def register(n, which="symmetrized"):
 def test_batched_curve_matches_oracle_across_chunk_seams(kind):
     n = 5
     q_grid = ex.q_grid_default(41)
-    step = ch.STACK_BUDGET_BYTES // (16 * 4**n)
-    assert -(-len(q_grid) // step) == 3  # the dense route spans three stacks
     view = ex._class_view(kind, n)  # collective for pf, as scaling_run dephases it
     h = dense_of(view)
+    # one 41-point curve of a complex 5-qubit state is past the budget, so a
+    # stack of three registers spreads over three pieces, one state each
+    rho0s = np.array([register(n), register(n, "product"), register(n, "product").conj()])
+    assert len(list(ch.apply_local_chunks(rho0s, kind, q_grid))) == 3
+    (curves,), (wc0s,) = ex._wc_curves(rho0s, [kind], [h], q_grid)
+    for rho0, curve, wc0 in zip(rho0s, curves, wc0s):
+        oracle = kraus_oracle_curve(rho0, kind, h, q_grid)
+        assert np.abs(curve - wc0 - oracle).max() <= 1e-12
+        summary = ex.enhancement_summary
+        assert summary(q_grid, curve - wc0).argmax_q == summary(q_grid, oracle).argmax_q
     for which in ("symmetrized", "product"):
         assert_curve_matches_oracle(register(n, which), kind, h, q_grid)
     # the symmetrized register's class coordinates take the class route

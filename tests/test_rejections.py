@@ -3,9 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from ergonoise.channels import LindbladSpec, jump_operator, q_of_t
-from ergonoise.experiments import SweepResult, _wc_curves, channel_hamiltonian, q_grid_default
-from ergonoise.matcore import kron, num_qubits, spin_blocks, state_spectra
+from ergonoise.channels import LindbladSpec, apply_local, jump_operator, q_of_t
+from ergonoise.experiments import SweepResult, _wc_curves, channel_hamiltonian, q_grid_default, scaling_run
+from ergonoise.matcore import kron, num_qubits, partial_trace, spin_blocks, state_spectra
 from ergonoise.qstate import (
     _class_hamiltonian,
     _symmetrized_classes,
@@ -36,6 +36,10 @@ L = jump_operator("bf")
         (lambda: kron(), "kron needs at least one operator"),
         (lambda: num_qubits(np.eye(3)), "dimension 3 is not a power of two"),
         (lambda: spin_blocks(0), "spin blocks need at least one qubit"),
+        (lambda: spin_blocks(2.5), "qubit count 2.5 is not an integer"),
+        (lambda: partial_trace(np.eye(4) / 4, [0.7]), "qubit index 0.7 is not an integer"),
+        (lambda: apply_local(np.eye(4) / 4, "ad", 0.5, [0.9]), "qubit index 0.9 is not an integer"),
+        (lambda: scaling_run(kinds=["bf"], n_values=[2.9]), "register size 2.9 is not an integer"),
         (lambda: require_bloch([0.1, 0.2]), "Bloch vector must have three components"),
         (lambda: density_to_bloch(np.eye(4) / 4), "expected a single-qubit state"),
         (lambda: make_bds([0.1, 0.2]), "Bell-diagonal parameters must be a real triple"),
