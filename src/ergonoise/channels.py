@@ -18,13 +18,12 @@ the two dampings), so the only other per-kind fact is one
 (x(q), degree) row: the coefficient superoperators C_e are fit once per
 kind from the Kraus route at deg + 1 strengths. The image of an
 n-qubit state is then rho(q) = sum_k x(q)^k R_k with at most
-deg * n + 1 terms. ``apply_local_chunks`` expands the R_k of one state
-or of each state of a (S, d, d) stack, one target group at a time
-with every C_e applied in one batched matmul, and evaluates any q grid
-from them as a Vandermonde product, yielding the S x Q (state, q) pairs
-state-major in pieces of whole curves, the states whose Q images fit
-STACK_BUDGET_BYTES (at least one: one state is one piece of Q d^2
-entries), with the memory rule stated at ``apply_local_chunks``.
+deg * n + 1 terms. ``apply_local`` expands the R_k of one state or of
+each state of a (S, d, d) stack, one target group at a time with every
+C_e applied in one batched matmul, and evaluates any q grid from them
+as a Vandermonde product, returning every image at once; the memory
+rule is stated there. Callers that must bound their memory pass fewer
+states per call.
 For one permutation-invariant state, given by its class coordinates
 (``matcore``: one value per class of entries, C(n+3, 3) of them), under
 the same single-qubit kind on every qubit or the correlated flip on a
@@ -259,14 +258,6 @@ def _coefficients(kind: str) -> np.ndarray:
     return coef
 
 
-# Bytes of the whole curves of evolved states held at once, and of the
-# terms of one slice of states in a step of their expansion (at least one
-# state each; the step's temporaries are about twice the slice): a piece
-# of 101-point curves of 4x4 states holds twenty real (float64) states or
-# ten complex (complex128) ones, and from 8 qubits on one curve.
-STACK_BUDGET_BYTES = 256 * 1024
-
-
 @functools.cache
 def _toeplitz(kind: str, k: int) -> np.ndarray:
     """Multiplication of a degree k - 1 polynomial by sum_e x^e C_e, as a
@@ -288,33 +279,28 @@ def _expand(rhos: np.ndarray, kind: str, groups: tuple, n: int) -> np.ndarray:
     (S, d, d) stack, as a (S, K, d * d) array with K = deg * len(groups) + 1.
 
     The K terms are held in place from the start. Each target group
-    multiplies the polynomial by sum_e x^e C_e, one slice of states at a
-    time: a slice's terms are read whole (as (k 4^m, d^2 / 4^m) rows per
-    state, the group's axes first), multiplied by ``_toeplitz`` in one
-    batched matmul that applies every C_e at once, and written back over
-    the same entries. A slice holds the states whose terms fit
-    STACK_BUDGET_BYTES (at least one state), so the temporaries are about
-    twice one slice's terms; each state is its own product, so its terms
-    come out the same alone or in a stack. The terms take the dtype the
-    states and the C_e promote to: float64 for real states.
+    multiplies the polynomial by sum_e x^e C_e: the terms of every state
+    are read whole (as (k 4^m, d^2 / 4^m) rows per state, the group's
+    axes first), multiplied by ``_toeplitz`` in one batched matmul that
+    applies every C_e at once, and written back over the same entries,
+    so the temporaries are about twice the terms. Each state is its own
+    product, so its terms come out the same alone or in a stack. The
+    terms take the dtype the states and the C_e promote to: float64 for
+    real states.
     """
     count, size = len(rhos), rhos.shape[-1] ** 2
     degree = _POLYNOMIALS[kind][1]
     dtype = np.result_type(rhos, _coefficients(kind))
     terms = np.empty((count, degree * len(groups) + 1, size), dtype=dtype)
     terms[:, 0] = rhos.reshape(count, size)
-    per = max(1, STACK_BUDGET_BYTES // terms[0].nbytes)
     for i, group in enumerate(groups):
         k = degree * i + 1
-        op = _toeplitz(kind, k)
         front = list(group) + [n + t for t in group]
         order = front + [a for a in range(2 * n) if a not in front]
         view = terms.reshape(terms.shape[:2] + (2,) * (2 * n)).transpose([0, 1] + [2 + a for a in order])
         dim = 4 ** len(group)
-        for s in range(0, count, per):
-            rows = view[s : s + per, :k]
-            grown = view[s : s + per, : k + degree]
-            grown[...] = (op @ rows.reshape(len(rows), k * dim, size // dim)).reshape(grown.shape)
+        grown = view[:, : k + degree]
+        grown[...] = (_toeplitz(kind, k) @ view[:, :k].reshape(count, k * dim, size // dim)).reshape(grown.shape)
     return terms
 
 
@@ -396,50 +382,43 @@ def _class_polynomial(coords, kind: str, n: int, qs: np.ndarray) -> tuple[np.nda
     return terms, _vandermonde(kind, qs, len(terms))
 
 
-def _states_per_piece(itemsize: int, d: int, points: int) -> int:
-    """States whose curves of ``points`` (d, d) images fit STACK_BUDGET_BYTES (at least one)."""
-    return max(1, STACK_BUDGET_BYTES // (itemsize * d * d * points))
-
-
-def _local_chunks(rhos, kind: str, qs: np.ndarray, targets):
-    """``apply_local_chunks`` for a canonical kind and a checked grid."""
+def _local_images(rhos, kind: str, qs: np.ndarray, targets) -> np.ndarray:
+    """The (S, Q, d, d) images of ``apply_local`` for one state or a
+    (S, d, d) stack, a canonical kind and a checked grid."""
     rhos, n, groups = _checked(rhos, kind, targets)
     terms = _expand(rhos, kind, groups, n)
     vander = _vandermonde(kind, qs, terms.shape[1])
-    count, d, points = len(terms), rhos.shape[-1], len(qs)
-    per = _states_per_piece(terms.itemsize, d, points)
-    for first in range(0, count, per):
-        stack = np.empty((min(per, count - first), points, 1, d * d), dtype=terms.dtype)
-        for rows, state in zip(stack, terms[first:]):
-            # one (1 x K) @ (K x d^2) product per strength: an image does
-            # not depend on the grid or the stack it is evaluated in
-            np.matmul(vander[:, None], state, out=rows)
-        yield slice(first * points, (first + len(stack)) * points), stack.reshape(-1, d, d)
+    count, d = len(terms), rhos.shape[-1]
+    images = np.empty((count, len(qs), 1, d * d), dtype=terms.dtype)
+    for rows, state in zip(images, terms):
+        # one (1 x K) @ (K x d^2) product per strength: an image does
+        # not depend on the grid or the stack it is evaluated in
+        np.matmul(vander[:, None], state, out=rows)
+    return images.reshape(count, len(qs), d, d)
 
 
-def apply_local_chunks(rhos, kind: str, q, targets=None):
-    """Images of one state, or of every state of a (S, d, d) stack, at every
-    strength of q (a number or a grid), in pieces of whole curves.
-
-    The (state, q) pairs run state-major, pair p being state p // Q at
-    strength p % Q. Yields (slice of the pair index, (P, d, d) stack of
-    images) pieces: the curves of the states that fit STACK_BUDGET_BYTES
-    (at least one; one state is one piece). The kind, the grid, the
-    states' shape and the targets are validated, in that order, first.
+def apply_local(rho, kind: str, q, targets=None) -> np.ndarray:
+    """Images of one (d, d) state, or of every state of a (S, d, d)
+    stack, under the channel on the listed qubits (all of them by
+    default) at every strength of q: one state gives a (d, d) state for a
+    number q and a (len(q), d, d) stack for a grid, a stack gives
+    (S, d, d) and (S, len(q), d, d). The kind, the grid, the states'
+    shape and the targets are validated, in that order: a 3-D input is a
+    stack (``matcore.as_stack``), any other one state
+    (``matcore.as_matrix``).
 
     Each state is expanded once into the terms R_k of its image
-    rho(q) = sum_k x(q)^k R_k (``_expand``), and every piece is one
-    matmul per state it holds, written in place: the Vandermonde product
-    (Q x K) @ (K x d^2), taken row by row so that an image does not
-    depend on where the grid or the stack is cut. The images are float64
-    when the states are exactly real (every kind's superoperator is), and
-    complex128 otherwise. Memory: the K d^2 entries of terms per state
-    stay resident for the call, 8 bytes each for a real state and 16 for
-    a complex one (8.5 MiB and 17 MiB for amplitude damping at 8 qubits,
-    K = 17); the expansion's temporaries are about twice the terms of one
-    slice of states that fit STACK_BUDGET_BYTES (at least one state: one
-    complex state at 8 qubits peaks at 49 MiB, with its 21-point curve
-    too), and every yielded piece fits STACK_BUDGET_BYTES or is one curve.
+    rho(q) = sum_k x(q)^k R_k (``_expand``), and its images are the
+    Vandermonde product (Q x K) @ (K x d^2), taken row by row and written
+    in place, so that an image does not depend on the grid or the stack
+    it is evaluated in. The images are float64 when the states are
+    exactly real (every kind's superoperator is), and complex128
+    otherwise. Memory: a call holds every image of the states it is
+    given, plus their terms, K d^2 entries per state (8.5 MiB and 17 MiB
+    for a real and a complex state under amplitude damping at 8 qubits,
+    K = 17), and about twice the terms in the expansion's temporaries
+    (one complex state at 8 qubits peaks at 49 MiB with its 21-point
+    curve). A caller that must bound its memory passes fewer states.
 
     Single-qubit kinds act on each target in ascending index order; the
     order is observationally irrelevant since the maps commute on
@@ -448,17 +427,11 @@ def apply_local_chunks(rhos, kind: str, q, targets=None):
     state).
     """
     kind = canonical_kind(kind)
-    yield from _local_chunks(rhos, kind, strengths(q), targets)
-
-
-def apply_local(rho, kind: str, q, targets=None) -> np.ndarray:
-    """Image of one state under the channel on the listed qubits (all of
-    them by default): a (d, d) state for a number q, a (len(q), d, d)
-    stack for a grid. The one piece ``apply_local_chunks`` yields for
-    the state as ``matcore.as_matrix`` takes it: float64 for a state with
-    no nonzero imaginary part, complex128 otherwise."""
-    ((_, images),) = apply_local_chunks(as_matrix(rho), kind, q, targets)
-    return _shaped(q, images)
+    qs = strengths(q)
+    one = np.ndim(rho) != 3
+    images = _local_images(as_matrix(rho) if one else rho, kind, qs, targets)
+    images = images[:, 0] if np.ndim(q) == 0 else images
+    return images[0] if one else images
 
 
 def bloch_map(kind: str, q, n) -> np.ndarray:

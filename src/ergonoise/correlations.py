@@ -18,7 +18,7 @@ import numpy as np
 
 from .matcore import trace_norm
 from .qstate import IDENTITY_4, PAULI_PAIRS, hamiltonian, make_bds
-from .channels import AMPLITUDE_DAMPING, _bds_scaled, _local_chunks, _shaped, canonical_kind, strengths
+from .channels import AMPLITUDE_DAMPING, _bds_scaled, _local_images, _shaped, canonical_kind, strengths
 from .workx import ErgotropyReport, decompose
 
 # the energy the work-correlation identity is stated for
@@ -101,7 +101,8 @@ def correlation_work(c, kind: str, q, both_qubits: bool = True) -> CorrelationRe
     length-Q arrays for a grid.
 
     The evolved work comes from the full Kraus + eigendecomposition
-    pipeline, the whole curve in one piece and one ``decompose``, the
+    pipeline, the whole curve from one channel call and one
+    ``decompose``, the
     correlations from the mapped parameters. For unital channels the
     residual vanishes identically; amplitude damping is reported with
     ``identity_valid=False`` since the mapped-parameter formulas no
@@ -113,7 +114,7 @@ def correlation_work(c, kind: str, q, both_qubits: bool = True) -> CorrelationRe
     c = _require_nonnegative(c)
     rho = make_bds(c)
     valid = kind != AMPLITUDE_DAMPING
-    ((_, states),) = _local_chunks(rho, kind, qs, (0, 1) if both_qubits else (0,))
+    (states,) = _local_images(rho, kind, qs, (0, 1) if both_qubits else (0,))
     ergotropy = decompose(states, Z_SUM_2)
     if valid:
         mapped = _bds_scaled(kind, qs, c, both_qubits)

@@ -46,6 +46,7 @@ ENHANCEMENT_AREA_TOL = 1e-12
 
 
 def q_grid_default(points: int = DEFAULT_Q_POINTS) -> np.ndarray:
+    points = _integer(points, "grid point count")
     if points < 2:
         raise ValueError("grids need at least two points")
     return np.linspace(0.0, 1.0, points)
@@ -253,11 +254,11 @@ def _wc_curves(rho0, kinds, hamiltonians, q_grid) -> tuple[np.ndarray, np.ndarra
 
     The route follows the representation alone. A dense (d, d) state or
     (S, d, d) stack gives (m, Q) or (m, S, Q) curves and (m,) or (m, S)
-    W_C(rho0): each kind's images are evolved in pieces of whole curves
-    (``channels.apply_local_chunks``), one ``decompose`` per piece,
+    W_C(rho0): each kind's images of every state are evolved in one
+    call (``channels.apply_local``) and split by one ``decompose``,
     whatever their symmetry, then rho0 takes one ``decompose`` per
     distinct Hamiltonian. That dense route is the oracle of the class
-    route.
+    route; it holds one kind's images of every state at a time.
 
     A 1-D rho0 is the C(N+3, 3) class coordinates of one
     permutation-invariant state, as ``scaling_run`` builds it, split
@@ -289,13 +290,13 @@ def _wc_curves(rho0, kinds, hamiltonians, q_grid) -> tuple[np.ndarray, np.ndarra
             raise ValueError(f"{route} need qstate.{want.__name__} Hamiltonians, got {type(h).__name__}")
     distinct = list(dict.fromkeys(hamiltonians))
     if want is Hamiltonian:
-        shape = np.shape(rho0)[:-2] + (len(q_grid),)
-        curves = np.empty((len(kinds), math.prod(shape)))
-        for curve, kind, h in zip(curves, kinds, hamiltonians):
-            for part, states in ch.apply_local_chunks(rho0, kind, q_grid):
-                curve[part] = workx.decompose(states, h).coherent
+        curves = []
+        for kind, h in zip(kinds, hamiltonians):
+            images = ch._local_images(rho0, kind, q_grid, None)
+            curves.append(workx.decompose(images.reshape((-1,) + images.shape[2:]), h).coherent)
         wc0 = {h: workx.decompose(rho0, h).coherent for h in distinct}
-        return curves.reshape((len(kinds),) + shape), np.array([wc0[h] for h in hamiltonians])
+        shape = (len(kinds),) + np.shape(rho0)[:-2] + (len(q_grid),)
+        return np.reshape(curves, shape), np.array([wc0[h] for h in hamiltonians])
     coords = _exact_real(rho0)
     for h in distinct:
         if len(coords) != len(h.classes):
@@ -466,23 +467,30 @@ def scaling_run(
 # ---------------------------------------------------------------------------
 
 
+# Bytes of the real (float64) 4x4 images of one census stack of draws:
+# 20 samples at 101 q
+CENSUS_STACK_BYTES = 256 * 1024
+
+
 def census_random(kind, count: int = 1000, seed: int = 7, q_points: int = DEFAULT_Q_POINTS, num_terms: int = 2) -> SweepResult:
     """Enhancement statistics over random separable two-qubit states.
 
     Each sample draws from its own counter-based stream (seed, index), so
-    results do not depend on evaluation order. Samples are drawn and
-    evolved as many at a time as make one piece of whole curves (20 real
-    ones at 101 q): one ``_wc_curves`` call per stack on the dense route,
-    its curves and W_C(rho0), so memory stays flat in ``count``. A sample
-    is "enhancing" when the positive area of its gain curve exceeds 1e-12.
+    results do not depend on evaluation order. The census bounds its own
+    memory: samples are drawn and evolved in stacks whose curves fit
+    CENSUS_STACK_BYTES (at least one sample), one ``_wc_curves`` call per
+    stack on the dense route, its curves and W_C(rho0), so memory stays
+    flat in ``count``. A sample is "enhancing" when the positive area of
+    its gain curve exceeds 1e-12.
     """
     kind = ch.canonical_kind(kind)
+    count = _integer(count, "sample count")
     if count < 1:
         raise ValueError("census needs at least one sample")
     q_grid = q_grid_default(q_points)
     h = channel_hamiltonian(kind, 2)
     # the sampled states are real, so the stacks and their images are float64
-    step = ch._states_per_piece(np.dtype(float).itemsize, 4, len(q_grid))
+    step = max(1, CENSUS_STACK_BYTES // (np.dtype(float).itemsize * 16 * len(q_grid)))
     summaries = []
     for start in range(0, count, step):
         rho0s = random_separable_stack(seed, range(start, min(start + step, count)), num_terms)
@@ -561,7 +569,9 @@ def entangled_example(theta_grid, q_grid=None, h: float = 0.5, j: float = 0.4, k
     """Coherent work and concurrence of the Hadamard-rotated pure state.
 
     Per (theta, q): the coherent work, its gain over the noiseless value,
-    and the concurrence of the evolved state under per-qubit noise.
+    and the concurrence of the evolved state under per-qubit noise. The
+    images of every theta come from one channel call and take one
+    ``decompose`` and one ``concurrence``.
     """
     kind = ch.canonical_kind(kind)
     theta_grid = np.asarray(theta_grid, dtype=float)
@@ -572,11 +582,9 @@ def entangled_example(theta_grid, q_grid=None, h: float = 0.5, j: float = 0.4, k
         raise ValueError(f"the theta axis must be finite, got theta = {theta_grid[~np.isfinite(theta_grid)][0]}")
     ham = _shared_hamiltonian("z_plus_xx", 2, h=h, j=j)
     rho0s = np.array([apply_hadamard_pair(entangled_theta(theta)) for theta in theta_grid])
-    wc = np.empty(len(theta_grid) * len(q_grid))
-    conc = np.empty_like(wc)
-    for part, states in ch.apply_local_chunks(rho0s, kind, q_grid):
-        wc[part] = workx.decompose(states, ham).coherent
-        conc[part] = workx.concurrence(states)
+    states = ch._local_images(rho0s, kind, q_grid, None).reshape(-1, 4, 4)
+    wc = workx.decompose(states, ham).coherent
+    conc = workx.concurrence(states)
     wc0 = workx.decompose(rho0s, ham).coherent
     cols = {
         "theta": np.repeat(theta_grid, len(q_grid)),
@@ -611,7 +619,9 @@ def interacting_depolarizing(
     Per (a, q): coherent work, its gain, the degenerate-level coherence,
     and central finite differences of both passive-state energies, whose
     slope crossover marks the enhancement window. a_values must be
-    non-empty, and fd_step finite and positive.
+    non-empty, and fd_step finite and positive. The states of every a
+    value are evolved in one channel call, on one grid of the centre
+    strengths and their neighbours, and split by one ``decompose``.
     """
     q_grid = q_grid_default() if q_grid is None else ch.strengths(q_grid)
     if len(a_values) == 0:
@@ -626,23 +636,22 @@ def interacting_depolarizing(
     points = len(q_grid)
     centre, lo, hi = (slice(k * points, (k + 1) * points) for k in range(3))
     span = hi_q - lo_q
-    names = ("a", "q", "WC", "delta_WC", "coherence_degenerate", "dEp_dq", "dEpd_dq")
-    rows = {name: [] for name in names}
-    for a in a_values:
-        rho0 = symmetric_pair(0.5, a, c, d)
-        wc0 = workx.decompose(rho0, ham).coherent
-        ((_, states),) = ch.apply_local_chunks(rho0, ch.DEPOLARIZING, grid)
-        rep = workx.decompose(states, ham)
-        rows["a"].extend([a] * points)
-        rows["q"].extend(q_grid)
-        rows["WC"].extend(rep.coherent[centre])
-        rows["coherence_degenerate"].extend(workx.coherence_degenerate(states[centre]))
-        rows["delta_WC"].extend(rep.coherent[centre] - wc0)
-        rows["dEp_dq"].extend((rep.passive_energy[hi] - rep.passive_energy[lo]) / span)
-        rows["dEpd_dq"].extend(
-            (rep.dephased_passive_energy[hi] - rep.dephased_passive_energy[lo]) / span
-        )
-    cols = {k: np.array(v) for k, v in rows.items()}
+    rho0s = np.array([symmetric_pair(0.5, a, c, d) for a in a_values])
+    wc0 = workx.decompose(rho0s, ham).coherent
+    states = ch._local_images(rho0s, ch.DEPOLARIZING, grid, None)
+    rep = workx.decompose(states.reshape(-1, 4, 4), ham)
+    coherent, passive, dephased = (
+        x.reshape(len(rho0s), -1) for x in (rep.coherent, rep.passive_energy, rep.dephased_passive_energy)
+    )
+    cols = {
+        "a": np.repeat(np.array(a_values), points),
+        "q": np.tile(q_grid, len(rho0s)),
+        "WC": coherent[:, centre].ravel(),
+        "delta_WC": (coherent[:, centre] - wc0[:, None]).ravel(),
+        "coherence_degenerate": workx.coherence_degenerate(states[:, centre].reshape(-1, 4, 4)),
+        "dEp_dq": ((passive[:, hi] - passive[:, lo]) / span).ravel(),
+        "dEpd_dq": ((dephased[:, hi] - dephased[:, lo]) / span).ravel(),
+    }
     meta = {
         "experiment": "appendix_d",
         "channel": ch.DEPOLARIZING,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +31,7 @@ from .matcore import (
     _class_matrix,
     _entry_classes,
     _exact_real,
+    _integer,
     _local_sum_classes,
     _require_hermitian,
     _spin_spectrum,
@@ -74,8 +74,9 @@ def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def _key_word(value, name: str) -> int:
-    """value as one 64-bit word of a Philox key, or a ValueError naming the bound."""
-    value = operator.index(value)
+    """value as one 64-bit word of a Philox key, or a ValueError naming
+    the value when it is not an integer and the bound when it is outside."""
+    value = _integer(value, name)
     if not 0 <= value < 2**64:
         raise ValueError(f"{name} {value} is outside [0, 2**64)")
     return value
@@ -239,7 +240,7 @@ def _separable_draws(rng: np.random.Generator, num_terms: int):
     """One sample's draws, in stream order: flat Dirichlet weights (T,),
     then the population a and coherence c of both factors of each term,
     as (T, 2) arrays."""
-    if num_terms < 1:
+    if _integer(num_terms, "term count") < 1:
         raise ValueError("num_terms must be at least 1")
     weights = rng.dirichlet(np.ones(num_terms))
     # uniform(low, high) is low + (high - low) * random(), so the stream of

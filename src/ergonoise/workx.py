@@ -70,8 +70,7 @@ from .matcore import (
     state_spectra,
 )
 from . import channels as ch
-# total_spin_squared is re-exported: bench/tests/test_bench.py traces this binding
-from .qstate import Hamiltonian, require_bloch, total_spin_squared  # noqa: F401
+from .qstate import Hamiltonian, require_bloch
 
 
 def _hamiltonian(h, rho) -> Hamiltonian:

@@ -423,9 +423,12 @@ def test_apply_local_checks_the_shape_without_a_complex_copy(monkeypatch):
     assert apply_local(rho, "ad", 0.3).dtype == np.float64
     assert entered[0] is rho  # the caller's array reaches the dtype rule uncopied
     assert all(a.dtype == np.float64 for a in entered)  # and nothing on the way is complex
-    for bad in (np.ones((2, 3)) / 2, np.stack([rho, rho]), np.array(0.5)):
+    # one state is anything but a 3-D stack, and keeps the one-matrix message
+    for bad in (np.ones((2, 3)) / 2, np.stack([[rho, rho]]), np.array(0.5)):
         with pytest.raises(ValueError, match=re.escape(f"expected a square matrix, got shape {bad.shape}")):
             apply_local(bad, "bf", 0.3)
+    # a 3-D input is a stack of states, each evolved as alone
+    assert np.array_equal(apply_local(np.stack([rho, rho]), "bf", 0.3), np.stack([apply_local(rho, "bf", 0.3)] * 2))
 
 
 def random_states(rng, count, n):
@@ -443,35 +446,30 @@ def random_states(rng, count, n):
     seed=st.integers(0, 2**31 - 1),
 )
 def test_chunks_of_a_stack_equal_one_grid_per_state(kind, n, count, q_points, seed):
-    # state-major pairs in pieces of whole curves, as many states as fit the
-    # budget (at least one), bitwise equal to per-state grids
+    # a stack's (S, Q, d, d) curves, all from one call, are bitwise equal to
+    # per-state grids
     rng = np.random.default_rng(seed)
     rhos, qs = random_states(rng, count, n), rng.uniform(0, 1, q_points)
     targets = (0, n - 1) if kind == CORRELATED_BIT_FLIP else None
-    per = max(1, channels.STACK_BUDGET_BYTES // (16 * 4**n * q_points))
-    pieces = list(channels.apply_local_chunks(rhos, kind, qs, targets))
-    assert [part for part, _ in pieces] == [
-        slice(first * q_points, min(first + per, count) * q_points) for first in range(0, count, per)
-    ]
-    images = np.concatenate([stack for _, stack in pieces])
-    assert all(len(stack) == part.stop - part.start for part, stack in pieces)
-    want = np.concatenate([apply_local(rho, kind, qs, targets) for rho in rhos])
+    images = apply_local(rhos, kind, qs, targets)
+    assert images.shape == (count, q_points, 2**n, 2**n)
+    want = np.array([apply_local(rho, kind, qs, targets) for rho in rhos])
     assert np.array_equal(images, want)
 
 
 def test_chunks_of_one_state_slice_the_q_grid():
-    # one state is one piece at any Q, past the budget too; its images over
-    # slices of the grid are bitwise the same rows of the whole grid
-    for n, points in ((1, 5000), (3, 700)):
+    # one state's images over slices of the grid are bitwise the same rows
+    # of the whole grid, and each strength alone is its row too
+    for n, points, step in ((1, 5000, 4096), (3, 700, 256)):
         rho = random_states(np.random.default_rng(3), 1, n)[0]
         qs = np.linspace(0, 1, points)
-        assert 16 * 4**n * points > channels.STACK_BUDGET_BYTES
-        ((part, stack),) = channels.apply_local_chunks(rho, "ad", qs)
-        assert part == slice(0, points) and stack.shape == (points, 2**n, 2**n)
-        step = channels.STACK_BUDGET_BYTES // (16 * 4**n)
+        stack = apply_local(rho, "ad", qs)
+        assert stack.shape == (points, 2**n, 2**n)
         for start in range(0, points, step):
             rows = slice(start, start + step)
             assert np.array_equal(stack[rows], apply_local(rho, "ad", qs[rows]))
+        for i in (0, points // 3, points - 1):
+            assert np.array_equal(stack[i], apply_local(rho, "ad", qs[i]))
 
 
 def test_chunks_validate_before_the_first_stack(monkeypatch):
@@ -482,17 +480,51 @@ def test_chunks_validate_before_the_first_stack(monkeypatch):
     channels._toeplitz.cache_clear()
     rhos = random_states(np.random.default_rng(5), 30, 2)
     for _ in range(2):
-        assert len(list(channels.apply_local_chunks(rhos, "bf", np.linspace(0, 1, 101)))) == 3
+        assert apply_local(rhos, "bf", np.linspace(0, 1, 101)).shape == (30, 101, 4, 4)
     # one fit at deg + 1 = 2 strengths per kind, not one build per call or stack
     assert built == [2]
-    with pytest.raises(ValueError, match="noise strength q = 1.5 outside"):
-        next(channels.apply_local_chunks(rhos, "bf", [0.2, 1.5]))
-    with pytest.raises(ValueError, match="out of range for 2 qubits"):
-        next(channels.apply_local_chunks(rhos, "bf", [0.5], [2]))
-    with pytest.raises(ValueError, match="non-empty"):
-        next(channels.apply_local_chunks(rhos[:0], "bf", [0.5]))
-    with pytest.raises(ValueError, match="square matrix"):
-        next(channels.apply_local_chunks(rhos[:, :3], "bf", [0.5]))
+    # the kind, the grid, the states' shape and the targets, in that order:
+    # each case also breaks every later check
+    cases = [
+        (("xx", [0.2, 1.5], rhos[:0], [2]), "unknown channel kind 'xx'"),
+        (("bf", [0.2, 1.5], rhos[:0], [2]), "noise strength q = 1.5 outside [0, 1]"),
+        (("bf", [0.5], rhos[:0], [2]), "expected a matrix or a non-empty stack of matrices, got shape (0, 4, 4)"),
+        (("bf", [0.5], rhos[:, :3], [2]), "expected a square matrix or a stack of square matrices, got shape (30, 3, 4)"),
+        (("bf", [0.5], rhos, [2]), "targets [2] out of range for 2 qubits"),
+        (("cbf", [0.5], rhos, [0]), "correlated bit flip acts on exactly one qubit pair"),
+    ]
+    for (kind, q, states, targets), message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply_local(states, kind, q, targets)
+
+
+@pytest.mark.parametrize(
+    "kind, n, targets",
+    [
+        ("bf", 3, [1]),
+        ("ad", 3, [0, 2]),
+        ("pd", 2, None),
+        ("dc", 4, [3, 1]),
+        ("cbf", 2, None),
+        ("cbf", 3, [2, 0]),
+    ],
+)
+def test_apply_local_on_a_stack(kind, n, targets):
+    # a (S, d, d) stack gives (S, d, d) images for a number and (S, Q, d, d)
+    # for a grid, each state's bitwise its own call's, real and complex
+    rng = np.random.default_rng(n)
+    real = rng.normal(size=(4, 2**n, 2**n))
+    real = real @ real.swapaxes(1, 2)
+    real /= np.trace(real, axis1=1, axis2=2)[:, None, None]
+    qs = rng.uniform(0, 1, 7)
+    for rhos in (real, random_states(rng, 3, n)):
+        one = apply_local(rhos, kind, 0.3, targets)
+        grid = apply_local(rhos, kind, qs, targets)
+        assert one.shape == rhos.shape and grid.shape == (len(rhos), 7) + rhos.shape[1:]
+        assert one.dtype == grid.dtype == (np.float64 if rhos is real else np.complex128)
+        for rho, got_one, got_grid in zip(rhos, one, grid):
+            assert np.array_equal(got_one, apply_local(rho, kind, 0.3, targets))
+            assert np.array_equal(got_grid, apply_local(rho, kind, qs, targets))
 
 
 def contract(rhos, sups, targets, n):
@@ -524,8 +556,8 @@ def per_q_kraus_oracle(rho, kind, qs, targets):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), kind=st.sampled_from(KINDS), n=st.integers(1, 6), seed=st.integers(0, 2**31 - 1))
 def test_polynomial_path_matches_the_per_q_kraus_oracle(data, kind, n, seed):
-    # all kinds, 1..6 qubits, target subsets, stacks spread over pieces of
-    # whole curves, one strength and a 501-point grid
+    # all kinds, 1..6 qubits, target subsets, stacks of one to three
+    # states, one strength and a 501-point grid
     if kind == CORRELATED_BIT_FLIP:
         if n < 2:
             return
@@ -538,7 +570,7 @@ def test_polynomial_path_matches_the_per_q_kraus_oracle(data, kind, n, seed):
     qs = rng.uniform(0, 1, points)
     qs[:2] = [0.0, 1.0][:points]
     want = np.concatenate([per_q_kraus_oracle(rho, kind, qs, targets) for rho in rhos])
-    got = np.concatenate([stack for _, stack in channels.apply_local_chunks(rhos, kind, qs, targets)])
+    got = apply_local(rhos, kind, qs, targets).reshape(want.shape)
     assert np.abs(got - want).max() <= 1e-12
     grid = apply_local(rhos[0], kind, qs, targets)
     assert np.abs(grid - want[:points]).max() <= 1e-12
@@ -627,15 +659,21 @@ def test_fitted_coefficients_reproduce_the_superoperators(kind):
 
 @pytest.mark.parametrize("n, kind, count, points", [(1, "ad", 5, 3000), (2, "cbf", 30, 101), (3, "pd", 3, 501), (6, "ad", 2, 21), (8, "bf", 1, 3)])
 def test_every_piece_stays_within_the_budget(n, kind, count, points):
+    # one call holds every image of its states, their terms, about twice the
+    # terms in temporaries and a few copies of the (Q, K) weights x(q)^k
     rhos = random_states(np.random.default_rng(n), count, n)
-    per = max(1, channels.STACK_BUDGET_BYTES // (16 * 4**n * points))
-    pieces = list(channels.apply_local_chunks(rhos, kind, np.linspace(0, 1, points)))
-    assert sum(len(stack) for _, stack in pieces) == count * points
-    for part, stack in pieces:
-        # whole curves, within the budget unless the piece is one state's curve
-        assert part.start % points == 0 and len(stack) % points == 0
-        assert len(stack) <= per * points
-        assert stack.nbytes <= channels.STACK_BUDGET_BYTES or len(stack) == points
+    qs = np.linspace(0, 1, points)
+    apply_local(rhos[:1], kind, qs[:1])  # caches the Toeplitz operators
+    tracemalloc.start()
+    try:
+        images = apply_local(rhos, kind, qs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert images.shape == (count, points, 2**n, 2**n)
+    k = 2 if kind == "cbf" else channels._POLYNOMIALS[channels.canonical_kind(kind)][1] * n + 1
+    terms = count * k * 4**n * 16  # complex states
+    assert peak <= images.nbytes + 3 * terms + 4 * points * k * 8
 
 
 @pytest.mark.parametrize(
@@ -647,15 +685,19 @@ def test_every_piece_stays_within_the_budget(n, kind, count, points):
     ],
 )
 def test_a_stack_across_slices_expands_each_state_as_alone(n, count, per, kind, groups):
+    # the whole stack in one product, slices of ``per`` states and each
+    # state alone give the same terms, bit for bit
     rhos = random_states(np.random.default_rng(count), count, n)
     terms = channels._expand(rhos, kind, groups, n)
-    assert channels.STACK_BUDGET_BYTES // terms[0].nbytes == per < count  # several slices
+    sliced = [channels._expand(rhos[s : s + per], kind, groups, n) for s in range(0, count, per)]
+    assert np.array_equal(terms, np.concatenate(sliced))
     for rho, got in zip(rhos, terms):
         assert np.array_equal(got, channels._expand(rho[None], kind, groups, n)[0])
 
 
 @pytest.mark.parametrize("n, count", [(4, 9), (6, 1), (6, 3), (8, 1)])
 def test_expansion_temporaries_stay_within_twice_a_slice(n, count):
+    # the temporaries of one expansion of the whole stack are about twice its terms
     rhos = random_states(np.random.default_rng(n), count, n)
     groups = tuple((t,) for t in range(n))
     channels._expand(rhos[:1], AMPLITUDE_DAMPING, groups, n)  # caches the Toeplitz operators
@@ -665,12 +707,12 @@ def test_expansion_temporaries_stay_within_twice_a_slice(n, count):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - terms.nbytes <= 2 * max(channels.STACK_BUDGET_BYTES, terms[0].nbytes)
+    assert peak - terms.nbytes <= 2 * terms.nbytes
 
 
 def test_one_state_curve_is_written_in_place():
     # the rows of one complex 8-qubit state's 21-point curve go straight into
-    # its one piece: no join copy adds to the expansion's peak
+    # the images: no join copy adds to the expansion's peak
     rho = random_states(np.random.default_rng(8), 1, 8)[0]
     qs = np.linspace(0, 1, 21)
     apply_local(rho, AMPLITUDE_DAMPING, qs[:1])  # caches the Toeplitz operators
@@ -682,7 +724,7 @@ def test_one_state_curve_is_written_in_place():
         tracemalloc.stop()
     assert images.shape == (21, 256, 256)
     terms = (2 * 8 + 1) * 4**8 * 16  # K = 17 complex terms of 4^8 entries
-    assert peak <= terms + 2 * max(channels.STACK_BUDGET_BYTES, terms)
+    assert peak <= terms + 2 * terms
 
 
 def test_lindblad_zero_rate_is_identity():

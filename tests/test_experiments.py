@@ -490,21 +490,28 @@ def test_stacked_census_equals_the_per_sample_loop(kind, seed, count, q_points):
     assert_census_matches_loop(kind, count, seed, q_points)
 
 
-def test_census_stack_seams_inside_a_curve():
-    # 3 samples x 1500 strengths: one sample per stack of draws and per
-    # evolved piece, each curve longer than the budget's 1024 complex images
-    step = ch.STACK_BUDGET_BYTES // (16 * 4 * 4)
-    assert step < 1500 and -(-3 * 1500 // step) >= 3
+def test_census_stacks_of_draws_equal_the_per_sample_loop(monkeypatch):
+    stacks = []
+    draw = ex.random_separable_stack
+
+    def recording(seed, samples, num_terms):
+        stacks.append(len(samples))
+        return draw(seed, samples, num_terms)
+
+    monkeypatch.setattr(ex, "random_separable_stack", recording)
+    # 3 samples x 1500 strengths: one sample per stack of draws
     assert_census_matches_loop("ad", 3, 19, 1500)
-    assert_census_matches_loop("pf", 25, 4, 101, num_terms=3)  # three stacks of draws
+    assert stacks == [1, 1, 1]
+    stacks.clear()
+    # 25 samples x 101 strengths: 20 real samples per stack of draws
+    assert_census_matches_loop("pf", 25, 4, 101, num_terms=3)
+    assert stacks == [20, 5]
 
 
 def test_stacked_curves_equal_one_curve_per_state():
-    # 25 real states x 101 strengths: two evolved pieces of whole curves,
-    # states 0-19 and 20-24
+    # 25 real states x 101 strengths, evolved in one call per kind
     rho0s = random_separable_stack(8, range(25))
     q_grid = ex.q_grid_default(101)
-    assert len(rho0s) * len(q_grid) > 2 * ch.STACK_BUDGET_BYTES // (16 * 4 * 4)
     for kind in ("bf", "dc", "cbf"):
         h = ex.channel_hamiltonian(kind, 2)
         (curves,), (wc0s,) = ex._wc_curves(rho0s, [kind], [h], q_grid)
@@ -575,7 +582,7 @@ def grid_loop(family, kind, axis_grid, q_grid, p=0.5, a=0.1, c=0.3, d=0.2):
     ],
 )
 def test_stacked_grid_equals_the_per_state_loop(family, kind, axis_grid):
-    q_grid = ex.q_grid_default(101)  # 13 x 101 pairs of real states: one piece of whole curves
+    q_grid = ex.q_grid_default(101)  # 13 x 101 images of real states from one call
     res = ex.grid_delta_wc(family, kind, axis_grid, q_grid)
     for got, want in zip(res.columns.values(), grid_loop(family, kind, axis_grid, q_grid)):
         assert np.array_equal(got, want)
@@ -591,9 +598,9 @@ def entangled_loop(theta_grid, q_grid, h=0.5, j=0.4, kind="bf"):
     for i, theta in enumerate(theta_grid):
         rho0 = qstate.apply_hadamard_pair(qstate.entangled_theta(theta))
         wc0[i] = decompose(rho0, ham).coherent
-        for part, states in ch.apply_local_chunks(rho0, kind, q_grid):
-            wc[i, part] = decompose(states, ham).coherent
-            conc[i, part] = concurrence(states)
+        states = apply_local(rho0, kind, q_grid)
+        wc[i] = decompose(states, ham).coherent
+        conc[i] = concurrence(states)
     return wc.ravel(), (wc - wc0).ravel(), conc.ravel()
 
 
@@ -700,10 +707,9 @@ def appendix_d_oracle(a_values, q_grid, fd_step, c=0.3, d=0.2, h=0.5, j=0.4):
 
 
 def test_interacting_depolarizing_matches_per_q_oracle():
-    # 1100 strengths: the 3300-point curve is past the budget and is still one piece
+    # 1100 strengths: one 3300-point curve from one channel call
     q_grid = np.sort(np.random.default_rng(4).uniform(0, 1, 1100))
     q_grid[[0, -1]] = 0.0, 1.0  # neighbours clipped at both ends
-    assert len(q_grid) > ch.STACK_BUDGET_BYTES // (16 * 4 * 4)
     res = ex.interacting_depolarizing(a_values=(0.1,), q_grid=q_grid, fd_step=1e-3)
     oracle = appendix_d_oracle((0.1,), q_grid, 1e-3)
     for name, col in oracle.items():
@@ -719,15 +725,16 @@ def test_interacting_depolarizing_rejects_a_bad_step_before_any_channel(fd_step,
     def no_channel(*args):
         raise AssertionError("ran a channel")
 
-    monkeypatch.setattr(ch, "apply_local_chunks", no_channel)
+    monkeypatch.setattr(ch, "_local_images", no_channel)
     with pytest.raises(ValueError, match=rf"fd_step = {fd_step} must be finite and > 0"):
         ex.interacting_depolarizing(fd_step=fd_step)
 
 
 def test_single_state_curves_take_one_split_each(monkeypatch):
-    # each curve is one piece: correlation_work splits it in one decompose,
-    # appendix D in one per a beside W_C(rho0), and takes the degenerate-level
-    # coherence of the Q centre images only, not of their 3Q neighbours too
+    # correlation_work splits its curve in one decompose; appendix D splits
+    # the curves of every a in one beside W_C(rho0) of every a, and takes the
+    # degenerate-level coherence of the Q centre images only, not of their
+    # 3Q neighbours too
     shapes = {"decompose": [], "coherence": []}
 
     def spy(name, real):
@@ -742,8 +749,8 @@ def test_single_state_curves_take_one_split_each(monkeypatch):
     monkeypatch.setattr(workx, "coherence_degenerate", spy("coherence", workx.coherence_degenerate))
     shapes["decompose"].clear()
     ex.interacting_depolarizing(a_values=(0.1, 0.2, 0.3), q_grid=np.linspace(0, 1, 1001))
-    assert shapes["decompose"] == [(4, 4), (3003, 4, 4)] * 3
-    assert shapes["coherence"] == [(1001, 4, 4)] * 3
+    assert shapes["decompose"] == [(3, 4, 4), (3 * 3003, 4, 4)]
+    assert shapes["coherence"] == [(3 * 1001, 4, 4)]
 
 
 def test_interacting_depolarizing_rejects_empty_population_values():
@@ -898,10 +905,8 @@ def test_batched_curve_matches_oracle_across_chunk_seams(kind):
     q_grid = ex.q_grid_default(41)
     view = ex._class_view(kind, n)  # collective for pf, as scaling_run dephases it
     h = dense_of(view)
-    # one 41-point curve of a complex 5-qubit state is past the budget, so a
-    # stack of three registers spreads over three pieces, one state each
+    # a stack of three complex 5-qubit registers, evolved in one call
     rho0s = np.array([register(n), register(n, "product"), register(n, "product").conj()])
-    assert len(list(ch.apply_local_chunks(rho0s, kind, q_grid))) == 3
     (curves,), (wc0s,) = ex._wc_curves(rho0s, [kind], [h], q_grid)
     for rho0, curve, wc0 in zip(rho0s, curves, wc0s):
         oracle = kraus_oracle_curve(rho0, kind, h, q_grid)
@@ -1077,16 +1082,16 @@ def test_class_coordinates_of_the_wrong_length_are_rejected_before_any_expansion
 
 def test_curves_off_the_block_route_take_the_dense_route(monkeypatch):
     entered = []
-    dense_chunks = ch._local_chunks
+    dense_images = ch._local_images
 
     def counting(*args):
         entered.append(True)
-        yield from dense_chunks(*args)
+        return dense_images(*args)
 
     def no_blocks(*args):
         raise AssertionError("took the block route")
 
-    monkeypatch.setattr(ch, "_local_chunks", counting)
+    monkeypatch.setattr(ch, "_local_images", counting)
     monkeypatch.setattr(workx, "_block_coherent", no_blocks)
     # the route follows the representation: every dense state or stack is
     # split densely, invariant or not, whatever its Hamiltonian
@@ -1121,12 +1126,12 @@ def test_warm_scaling_run_solves_only_spin_blocks(monkeypatch):
 
         return solve
 
-    def no_chunks(*args):
+    def no_images(*args):
         raise AssertionError("entered the dense route")
 
     for name in ("eigvalsh", "eigh", "eig", "eigvals"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
-    monkeypatch.setattr(ch, "_local_chunks", no_chunks)
+    monkeypatch.setattr(ch, "_local_images", no_images)
     ex.scaling_run(n_values=(6,), q_points=21)
     assert sizes and max(sizes) <= 7
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ergonoise.channels import LindbladSpec, apply_local, jump_operator, q_of_t
-from ergonoise.experiments import SweepResult, _wc_curves, channel_hamiltonian, q_grid_default, scaling_run
+from ergonoise.experiments import SweepResult, _wc_curves, census_random, channel_hamiltonian, q_grid_default, scaling_run
 from ergonoise.matcore import kron, num_qubits, partial_trace, spin_blocks, state_spectra
 from ergonoise.qstate import (
     _class_hamiltonian,
@@ -12,6 +12,8 @@ from ergonoise.qstate import (
     density_to_bloch,
     hamiltonian,
     make_bds,
+    philox_stream,
+    random_separable,
     require_bloch,
     symmetric_pair,
     symmetrized_multipartite,
@@ -40,6 +42,13 @@ L = jump_operator("bf")
         (lambda: partial_trace(np.eye(4) / 4, [0.7]), "qubit index 0.7 is not an integer"),
         (lambda: apply_local(np.eye(4) / 4, "ad", 0.5, [0.9]), "qubit index 0.9 is not an integer"),
         (lambda: scaling_run(kinds=["bf"], n_values=[2.9]), "register size 2.9 is not an integer"),
+        (lambda: philox_stream(1.5), "seed 1.5 is not an integer"),
+        (lambda: philox_stream(3, 0.5), "stream 0.5 is not an integer"),
+        (lambda: random_separable(1.5), "seed 1.5 is not an integer"),
+        (lambda: census_random("bf", count=2.5), "sample count 2.5 is not an integer"),
+        (lambda: census_random("bf", count=2, num_terms=1.5), "term count 1.5 is not an integer"),
+        (lambda: q_grid_default(10.5), "grid point count 10.5 is not an integer"),
+        (lambda: scaling_run(kinds=["bf"], n_values=[2], q_points=10.5), "grid point count 10.5 is not an integer"),
         (lambda: require_bloch([0.1, 0.2]), "Bloch vector must have three components"),
         (lambda: density_to_bloch(np.eye(4) / 4), "expected a single-qubit state"),
         (lambda: make_bds([0.1, 0.2]), "Bell-diagonal parameters must be a real triple"),
