@@ -387,7 +387,8 @@ def _local_images(rhos, kind: str, qs: np.ndarray, targets) -> np.ndarray:
     (S, d, d) stack, a canonical kind and a checked grid."""
     rhos, n, groups = _checked(rhos, kind, targets)
     terms = _expand(rhos, kind, groups, n)
-    vander = _vandermonde(kind, qs, terms.shape[1])
+    # the weights in the terms' dtype, so that no state's product casts them
+    vander = _vandermonde(kind, qs, terms.shape[1]).astype(terms.dtype, copy=False)
     count, d = len(terms), rhos.shape[-1]
     images = np.empty((count, len(qs), 1, d * d), dtype=terms.dtype)
     for rows, state in zip(images, terms):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import channels as ch
 from . import workx
-from .matcore import _exact_real, _integer
+from .matcore import _exact_real, _integer, as_stack
 from .qstate import (
     MAX_SYMMETRIZED_QUBITS,
     ClassHamiltonian,
@@ -254,11 +254,12 @@ def _wc_curves(rho0, kinds, hamiltonians, q_grid) -> tuple[np.ndarray, np.ndarra
 
     The route follows the representation alone. A dense (d, d) state or
     (S, d, d) stack gives (m, Q) or (m, S, Q) curves and (m,) or (m, S)
-    W_C(rho0): each kind's images of every state are evolved in one
-    call (``channels.apply_local``) and split by one ``decompose``,
-    whatever their symmetry, then rho0 takes one ``decompose`` per
-    distinct Hamiltonian. That dense route is the oracle of the class
-    route; it holds one kind's images of every state at a time.
+    W_C(rho0), whatever the states' symmetry: per kind, the images of
+    every state (one ``channels._local_images`` call) and then the S
+    rho0 rows are joined into one stack and split by one ``decompose``,
+    so each kind's spectra are one eigvalsh. That dense route is the
+    oracle of the class route; it holds one kind's images of every state
+    at a time, and twice them for the moment of the join.
 
     A 1-D rho0 is the C(N+3, 3) class coordinates of one
     permutation-invariant state, as ``scaling_run`` builds it, split
@@ -290,13 +291,17 @@ def _wc_curves(rho0, kinds, hamiltonians, q_grid) -> tuple[np.ndarray, np.ndarra
             raise ValueError(f"{route} need qstate.{want.__name__} Hamiltonians, got {type(h).__name__}")
     distinct = list(dict.fromkeys(hamiltonians))
     if want is Hamiltonian:
-        curves = []
+        rhos, _ = as_stack(rho0)
+        curves, wc0 = [], []
         for kind, h in zip(kinds, hamiltonians):
-            images = ch._local_images(rho0, kind, q_grid, None)
-            curves.append(workx.decompose(images.reshape((-1,) + images.shape[2:]), h).coherent)
-        wc0 = {h: workx.decompose(rho0, h).coherent for h in distinct}
-        shape = (len(kinds),) + np.shape(rho0)[:-2] + (len(q_grid),)
-        return np.reshape(curves, shape), np.array([wc0[h] for h in hamiltonians])
+            # the images are freed once copied into the join, so the
+            # split's temporaries, not the join, set the peak
+            joined = np.concatenate([ch._local_images(rhos, kind, q_grid, None).reshape((-1,) + rhos.shape[1:]), rhos])
+            wc = workx.decompose(joined, h).coherent
+            curves.append(wc[: -len(rhos)])
+            wc0.append(wc[-len(rhos) :])
+        shape = (len(kinds),) + np.shape(rho0)[:-2]
+        return np.reshape(curves, shape + (len(q_grid),)), np.reshape(wc0, shape)
     coords = _exact_real(rho0)
     for h in distinct:
         if len(coords) != len(h.classes):
@@ -479,9 +484,10 @@ def census_random(kind, count: int = 1000, seed: int = 7, q_points: int = DEFAUL
     results do not depend on evaluation order. The census bounds its own
     memory: samples are drawn and evolved in stacks whose curves fit
     CENSUS_STACK_BYTES (at least one sample), one ``_wc_curves`` call per
-    stack on the dense route, its curves and W_C(rho0), so memory stays
-    flat in ``count``. A sample is "enhancing" when the positive area of
-    its gain curve exceeds 1e-12.
+    stack on the dense route, whose images and initial states are split
+    together in one ``decompose``, so memory stays flat in ``count``. A
+    sample is "enhancing" when the positive area of its gain curve
+    exceeds 1e-12.
     """
     kind = ch.canonical_kind(kind)
     count = _integer(count, "sample count")

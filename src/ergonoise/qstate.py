@@ -242,7 +242,12 @@ def _separable_draws(rng: np.random.Generator, num_terms: int):
     as (T, 2) arrays."""
     if _integer(num_terms, "term count") < 1:
         raise ValueError("num_terms must be at least 1")
-    weights = rng.dirichlet(np.ones(num_terms))
+    # dirichlet(ones(T)) without its per-call overhead: numpy scales T
+    # standard gamma(1), that is standard exponential, draws by 1 / their
+    # running sum in index order (np.sum's pairwise sum differs from T = 8
+    # on), so the weights and the stream after them are bitwise dirichlet's
+    weights = rng.standard_exponential(num_terms)
+    weights *= 1.0 / np.cumsum(weights)[-1]
     # uniform(low, high) is low + (high - low) * random(), so the stream of
     # uniform(0, 1) for a, then uniform(0, sqrt(a (1 - a))) for c, factor by
     # factor, is one (T, 2, 2) block of random() in that order

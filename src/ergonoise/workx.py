@@ -25,6 +25,12 @@ the block route below. The Hamiltonian side (its levels and frames) is
 computed once per ``Hamiltonian`` object. ``ergotropy`` is a separate
 route the tests compare it against.
 
+W_C has one expression on both spectral splits (``decompose`` and the
+block route's ``_block_coherent``): ``_coherent``, the dephased passive
+energy less the passive energy, read from the two spectra against the
+levels. Tr H rho, which cancels, is never read, so W_C equals the
+report's total less its incoherent part only to rounding.
+
 The block route serves whole noise curves of one permutation-invariant
 state given by its class coordinates (``matcore``: one value per class
 of entries, C(n+3, 3) of them), under the same channel on every qubit
@@ -37,8 +43,7 @@ done once for all rows; only the dephased side is per Hamiltonian. The
 Hamiltonians are held in class coordinates too (``qstate.ClassHamiltonian``)
 and dephase blockwise: a collective one in the eigenbasis of W_J^T H W_J
 (its ``spin_frames``), where J^2 is constant, so no 2^n-sized matrix is
-formed or solved. W_C is the dephased passive energy less the passive
-energy, so Tr H rho, which cancels, is not needed.
+formed or solved.
 
 The single-qubit closed forms read no channel kind: the Bloch vectors m
 from ``channels.bloch_map`` and one row (axis, sign, e0, g) per basis,
@@ -167,14 +172,20 @@ def _dephased_spectra(a, same_level) -> np.ndarray:
     return np.linalg.eigvalsh(a * same_level)
 
 
+def _coherent(lam, lam_deph, levels) -> np.ndarray:
+    """W_C of a stack of states from its ascending spectra and ascending
+    dephased spectra: the dephased passive energy less the passive energy,
+    with no Tr H rho, which cancels. Every split reads W_C from here."""
+    return (lam_deph - lam)[:, ::-1] @ levels
+
+
 def _split(energy, lam, lam_deph, levels) -> tuple[np.ndarray, ...]:
     """The report's work fields, in order, from the energies, the ascending
     spectra and the ascending dephased spectra of a stack of states."""
     e_passive = lam[:, ::-1] @ levels
     e_passive_deph = lam_deph[:, ::-1] @ levels
-    total = energy - e_passive
-    incoherent = energy - e_passive_deph
-    return total, incoherent, total - incoherent, e_passive, e_passive_deph
+    coherent = _coherent(lam, lam_deph, levels)
+    return energy - e_passive, energy - e_passive_deph, coherent, e_passive, e_passive_deph
 
 
 def decompose(rho, h) -> ErgotropyReport:
@@ -220,9 +231,8 @@ def _block_coherent(coords, groups) -> np.ndarray:
     spectrum is one eigvalsh per spin block. Per Hamiltonian, the dephased
     spectra are diag rho sorted (``matcore._class_diagonal``) or, under a
     collective one, each block dephased in its spin frame and spread
-    (``matcore._spin_spectrum``), read against its ``levels``. W_C is the
-    dephased passive energy less the passive energy, so Tr H rho, which
-    cancels, is not read.
+    (``matcore._spin_spectrum``), read against its ``levels`` by
+    ``_coherent``.
     """
     n = groups[0][0].num_qubits
     parts = _class_block_parts(coords, n)
@@ -240,7 +250,7 @@ def _block_coherent(coords, groups) -> np.ndarray:
                 [_dephased_spectra(u.conj().T @ p[rows] @ u, kept) for p, (u, kept, _) in zip(parts, h.spin_frames)],
                 n,
             )
-        wc[rows] = (lam_deph - lam[rows])[:, ::-1] @ h.levels
+        wc[rows] = _coherent(lam[rows], lam_deph, h.levels)
     return wc
 
 

@@ -727,6 +727,36 @@ def test_one_state_curve_is_written_in_place():
     assert peak <= terms + 2 * terms
 
 
+def test_complex_states_cast_the_weights_once_per_call(monkeypatch):
+    # complex one-qubit states under amplitude damping (K = 3) at 3000
+    # strengths: the float64 (Q, K) weights are cast to complex once per
+    # call, so no product of a state's images allocates a (Q, K) complex
+    # copy of them (144,856 B each when every product cast its own)
+    rhos = random_states(np.random.default_rng(3), 4, 1)
+    qs = np.linspace(0, 1, 3000)
+    terms = channels._expand(rhos, AMPLITUDE_DAMPING, ((0,),), 1)
+    vander = channels._vandermonde(AMPLITUDE_DAMPING, qs, 3)
+    # the images as each state's product with the float64 weights
+    expected = np.matmul(vander[:, None], terms[:, None]).reshape(4, 3000, 2, 2)
+    matmul, extra = np.matmul, []
+
+    def measured(*args, **kwargs):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = matmul(*args, **kwargs)
+        extra.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(np, "matmul", measured)
+    tracemalloc.start()
+    try:
+        images = channels._local_images(rhos, AMPLITUDE_DAMPING, qs, None)
+    finally:
+        tracemalloc.stop()
+    assert len(extra) >= 4 and max(extra) < 4096
+    assert images.dtype == complex and np.array_equal(images, expected)
+
+
 def test_lindblad_zero_rate_is_identity():
     rho = bloch_to_density([0.3, 0.2, -0.5])
     spec = LindbladSpec((jump_operator("bf"),), (0.0,), 2.0)

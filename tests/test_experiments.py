@@ -521,6 +521,59 @@ def test_stacked_curves_equal_one_curve_per_state():
             assert np.array_equal(curve, single) and wc0 == single_wc0
 
 
+@pytest.mark.parametrize("kind", ["bf", "pf", "ad", "dc", "cbf"])
+def test_dense_curves_are_bitwise_the_coherent_work_of_decompose(kind):
+    # the images and rho0 split together give decompose's W_C, bit for bit
+    rho0s = random_separable_stack(5, range(6))
+    h, q_grid = ex.channel_hamiltonian(kind, 2), ex.q_grid_default(41)
+    for rho0 in (rho0s, rho0s[3]):
+        (curves,), (wc0,) = ex._wc_curves(rho0, [kind], [h], q_grid)
+        images = apply_local(rho0, kind, q_grid)
+        assert np.array_equal(curves, decompose(images.reshape(-1, 4, 4), h).coherent.reshape(curves.shape))
+        assert np.array_equal(wc0, decompose(rho0, h).coherent)
+
+
+def test_dense_kinds_keep_their_rows_in_the_request_order():
+    # kinds sharing a Hamiltonian, a repeated kind and an alias
+    rho0s = random_separable_stack(6, range(4))
+    q_grid = ex.q_grid_default(31)
+    kinds = ["ad", "bf", "pf", "bit_flip", "ad", "dc", "pd"]
+    hs = [ex.channel_hamiltonian(kind, 2) for kind in kinds]
+    curves, wc0 = ex._wc_curves(rho0s, kinds, hs, q_grid)
+    assert curves.shape == (7, 4, 31) and wc0.shape == (7, 4)
+    for kind, h, row, row_wc0 in zip(kinds, hs, curves, wc0):
+        (single,), (single_wc0,) = ex._wc_curves(rho0s, [kind], [h], q_grid)
+        assert np.array_equal(row, single) and np.array_equal(row_wc0, single_wc0)
+    assert np.array_equal(curves[0], curves[4]) and np.array_equal(curves[1], curves[3])
+
+
+def test_dense_route_solves_each_kinds_stack_once(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return eigvalsh(m, *args, **kwargs)
+
+    rho0s = random_separable_stack(7, range(8))
+    q_grid = ex.q_grid_default(101)
+    for kind in ("bf", "pf", "ad", "dc"):
+        h = ex.channel_hamiltonian(kind, 2)
+        h.frame, h.levels  # built once per Hamiltonian, and cached on it
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    # a census stack: its 808 images and 8 initial states in one eigvalsh
+    # (each kind's dephasing keeps only a diagonal, which is sorted)
+    for kind in ("bf", "pf", "ad", "dc"):
+        shapes.clear()
+        ex._wc_curves(rho0s, [kind], [ex.channel_hamiltonian(kind, 2)], q_grid)
+        assert shapes == [(816, 4, 4)]
+    # several kinds: one stack each, its initial states included
+    shapes.clear()
+    kinds = ["bf", "pf", "ad", "bf"]
+    ex._wc_curves(rho0s, kinds, [ex.channel_hamiltonian(kind, 2) for kind in kinds], q_grid)
+    assert shapes == 4 * [(816, 4, 4)]
+
+
 def test_census_rejects_empty_counts_and_terms():
     with pytest.raises(ValueError, match="census needs at least one sample"):
         ex.census_random("bf", count=0)

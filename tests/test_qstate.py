@@ -212,6 +212,17 @@ def random_separable_loop(rng, num_terms=2):
     return rho
 
 
+@pytest.mark.parametrize("num_terms", [1, 2, 3, 7, 8, 9, 16])
+def test_separable_weights_are_bitwise_flat_dirichlet_draws(num_terms):
+    # T >= 8 crosses numpy's 8-wide pairwise sum, which dirichlet does not use
+    for seed in range(200):
+        rng, oracle = philox_stream(seed, num_terms), philox_stream(seed, num_terms)
+        weights, pops, _ = qstate._separable_draws(rng, num_terms)
+        assert np.array_equal(weights, oracle.dirichlet(np.ones(num_terms)))
+        assert np.array_equal(pops, oracle.random((num_terms, 2, 2))[..., 0])
+        assert rng.random() == oracle.random()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**63 - 1),

@@ -66,6 +66,15 @@ L = jump_operator("bf")
             lambda: _wc_curves(np.eye(4) / 4, ["bf"], [_class_hamiltonian("excitation", 2)], q_grid_default(5)),
             "dense states need qstate.Hamiltonian Hamiltonians, got ClassHamiltonian",
         ),
+        # rho0 shares its dense split with its images, which carry its violation
+        (
+            lambda: _wc_curves(np.diag([0.6, 0.5, 0.1, -0.2]), ["bf"], [hamiltonian("excitation", 2)], q_grid_default(5)),
+            "state is not PSD: min eigenvalue -2.000e-01",
+        ),
+        (
+            lambda: _wc_curves(np.diag([0.5, 0.3, 0.25, 0.15]), ["pf"], [hamiltonian("x_sum", 2)], q_grid_default(5)),
+            "state trace is 1.2",
+        ),
     ],
 )
 def test_invalid_input_is_rejected_naming_the_constraint(call, message):
