@@ -1,10 +1,13 @@
 """Command-line surface: one subcommand per experiment family.
 
+Each subcommand is declared once, in ``build_parser``: its arguments, the
+experiment it runs (``run``) and the name of the file it writes without
+``-o`` (``name``, formatted with the arguments and the run's metadata).
 Each run writes one CSV plus a JSON metadata sidecar. Argument errors
-exit with status 2 (argparse default); validation failures (PSD
-violations, bad ranges) exit with status 1 and name the constraint.
-The default output directory comes from ERGONOISE_OUTDIR, falling back
-to the working directory.
+exit with status 2 (argparse default) and name the expected form;
+validation failures (PSD violations, bad ranges) exit with status 1 and
+name the constraint. The default output directory comes from
+ERGONOISE_OUTDIR, falling back to the working directory.
 """
 
 from __future__ import annotations
@@ -28,20 +31,17 @@ def _grid(spec: str) -> np.ndarray:
     parts = spec.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid spec {spec!r} is not min,max,count")
-    lo, hi = float(parts[0]), float(parts[1])
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"grid spec {spec!r} is not min,max,count: two numbers and an integer"
+        ) from None
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise argparse.ArgumentTypeError(f"grid bounds {lo}, {hi} must be finite")
-    count = int(parts[2])
     if count < 2:
         raise argparse.ArgumentTypeError("grid count must be at least 2")
     return np.linspace(lo, hi, count)
-
-
-def _triple(spec: str) -> np.ndarray:
-    parts = [float(v) for v in spec.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"{spec!r} is not a comma-separated triple")
-    return np.array(parts)
 
 
 def _numbers(spec: str) -> list[float]:
@@ -53,18 +53,22 @@ def _numbers(spec: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"{spec!r} is not comma-separated numbers") from None
 
 
+def _triple(spec: str) -> np.ndarray:
+    parts = _numbers(spec)
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"{spec!r} is not a comma-separated triple")
+    return np.array(parts)
+
+
 def _n_range(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in spec.split(",")]
-
-
-def _out_path(args, default_name: str) -> Path:
-    if args.output is not None:
-        return Path(args.output)
-    base = Path(os.environ.get(OUTDIR_ENV, "."))
-    return base / default_name
+    """Parse 'lo..hi' (inclusive) or 'n1,n2,...' into register sizes."""
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(v) for v in spec.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"sizes {spec!r} are not lo..hi or comma-separated integers") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,12 +87,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bloch", type=_triple, required=True, help="n1,n2,n3")
     p.add_argument("--basis", choices=("computational", "x"), default="computational")
     add_common(p)
+    p.set_defaults(name="single_{meta[channel]}.csv",
+                   run=lambda a: ex.sweep_single(a.channel, a.bloch, basis=a.basis, q_grid=a.q))
 
     p = sub.add_parser("bds", help="Bell-diagonal work vs correlations")
     p.add_argument("--channel", required=True)
     p.add_argument("--c", type=_triple, required=True, help="c1,c2,c3")
     p.add_argument("--one-qubit", action="store_true", help="noise the first qubit only")
     add_common(p)
+    p.set_defaults(name="bds_{meta[channel]}.csv",
+                   run=lambda a: ex.sweep_bds(a.c, a.channel, q_grid=a.q, both_qubits=not a.one_qubit))
 
     p = sub.add_parser("grid", help="coherent-work gain over (parameter, q)")
     p.add_argument("--family", choices=("cq", "pair"), required=True)
@@ -99,6 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=float, default=0.2, help="second coherence (pair family)")
     p.add_argument("--axis", type=_grid, required=True, help="state-parameter grid min,max,count")
     add_common(p)
+    p.set_defaults(name="grid_{args.family}_{meta[channel]}.csv", run=lambda a: ex.grid_delta_wc(
+        {"cq": "classical_quantum", "pair": "symmetric_pair"}[a.family], a.channel, a.axis,
+        q_grid=a.q, p=a.p, a=a.a, c=a.c, d=a.d,
+    ))
 
     p = sub.add_parser("scaling", help="enhancement scaling with register size")
     p.add_argument("--n", type=_n_range, default="2..8", help="sizes, e.g. 2..8 or 2,4,6")
@@ -108,6 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels", default="bf,pf,ad", help="comma-separated channel kinds")
     p.add_argument("--q-points", type=int, default=ex.AREA_Q_POINTS)
     p.add_argument("--output", "-o")
+    p.set_defaults(name="scaling.csv", run=lambda a: ex.scaling_run(
+        kinds=[k for k in a.channels.split(",") if k], n_values=a.n, a=a.a, c0=a.c0,
+        delta=a.delta, q_points=a.q_points,
+    ))
 
     p = sub.add_parser("census", help="random separable-state enhancement census")
     p.add_argument("--channel", required=True)
@@ -116,6 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=int, default=2, help="mixture terms per sample")
     p.add_argument("--q-points", type=int, default=ex.DEFAULT_Q_POINTS)
     p.add_argument("--output", "-o")
+    p.set_defaults(name="census_{meta[channel]}.csv", run=lambda a: ex.census_random(
+        a.channel, count=a.count, seed=a.seed, q_points=a.q_points, num_terms=a.terms,
+    ))
 
     p = sub.add_parser("lindblad-check", help="RK4 master equation vs Kraus clock")
     p.add_argument("--kind", required=True, help="bf or ad")
@@ -123,6 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_grid, required=True, help="time grid min,max,count")
     p.add_argument("--bloch", type=_triple, required=True)
     p.add_argument("--output", "-o")
+    p.set_defaults(name="lindblad_{meta[channel]}.csv",
+                   run=lambda a: ex.lindblad_consistency(a.kind, a.gamma, a.t, a.bloch))
 
     p = sub.add_parser("entangled", help="coherent work and concurrence of the rotated pure state")
     p.add_argument("--theta", type=_grid, required=True, help="theta grid min,max,count")
@@ -130,6 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", type=float, default=0.4)
     p.add_argument("--channel", default="bf")
     add_common(p)
+    p.set_defaults(name="entangled.csv",
+                   run=lambda a: ex.entangled_example(a.theta, q_grid=a.q, h=a.h, j=a.J, kind=a.channel))
 
     p = sub.add_parser(
         "appendix-d", help="depolarizing noise against the interacting Hamiltonian"
@@ -140,52 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=0.5)
     p.add_argument("--J", type=float, default=0.4)
     add_common(p)
+    p.set_defaults(name="appendix_d.csv", run=lambda a: ex.interacting_depolarizing(
+        a_values=a.a, c=a.c, d=a.d, h=a.h, j=a.J, q_grid=a.q,
+    ))
 
     return parser
-
-
-def _dispatch(args) -> tuple[ex.SweepResult, Path]:
-    cmd = args.command
-    if cmd == "single":
-        result = ex.sweep_single(args.channel, args.bloch, basis=args.basis, q_grid=args.q)
-        name = f"single_{result.metadata['channel']}.csv"
-    elif cmd == "bds":
-        result = ex.sweep_bds(args.c, args.channel, q_grid=args.q, both_qubits=not args.one_qubit)
-        name = f"bds_{result.metadata['channel']}.csv"
-    elif cmd == "grid":
-        family = "classical_quantum" if args.family == "cq" else "symmetric_pair"
-        result = ex.grid_delta_wc(
-            family, args.channel, args.axis, q_grid=args.q,
-            p=args.p, a=args.a, c=args.c, d=args.d,
-        )
-        name = f"grid_{args.family}_{result.metadata['channel']}.csv"
-    elif cmd == "scaling":
-        kinds = [k for k in args.channels.split(",") if k]
-        result = ex.scaling_run(
-            kinds=kinds, n_values=args.n, a=args.a, c0=args.c0,
-            delta=args.delta, q_points=args.q_points,
-        )
-        name = "scaling.csv"
-    elif cmd == "census":
-        result = ex.census_random(
-            args.channel, count=args.count, seed=args.seed,
-            q_points=args.q_points, num_terms=args.terms,
-        )
-        name = f"census_{result.metadata['channel']}.csv"
-    elif cmd == "lindblad-check":
-        result = ex.lindblad_consistency(args.kind, args.gamma, args.t, args.bloch)
-        name = f"lindblad_{result.metadata['channel']}.csv"
-    elif cmd == "entangled":
-        result = ex.entangled_example(
-            args.theta, q_grid=args.q, h=args.h, j=args.J, kind=args.channel,
-        )
-        name = "entangled.csv"
-    else:  # appendix-d, as argparse requires a known subcommand
-        result = ex.interacting_depolarizing(
-            a_values=args.a, c=args.c, d=args.d, h=args.h, j=args.J, q_grid=args.q,
-        )
-        name = "appendix_d.csv"
-    return result, _out_path(args, name)
 
 
 @functools.cache
@@ -217,7 +199,9 @@ def _joined(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     args = _parser().parse_args(_joined(sys.argv[1:] if argv is None else list(argv)))
     try:
-        result, path = _dispatch(args)
+        result = args.run(args)
+        name = args.name.format(args=args, meta=result.metadata)
+        path = Path(os.environ.get(OUTDIR_ENV, ".")) / name if args.output is None else Path(args.output)
         write_csv(path, result)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

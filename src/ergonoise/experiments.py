@@ -339,14 +339,13 @@ def grid_delta_wc(family: str, kind, axis_grid, q_grid=None, *, p=0.5, a=0.1, c=
     q_grid = q_grid_default() if q_grid is None else ch.strengths(q_grid)
     axis_grid = np.asarray(axis_grid, dtype=float)
     h = channel_hamiltonian(kind, 2)
-    if family == "classical_quantum":
-        builder = lambda v: classical_quantum(p, a, v)
-        axis_name = "c"
-    elif family == "symmetric_pair":
-        builder = lambda v: symmetric_pair(p, v, c, d)
-        axis_name = "a"
-    else:
+    families = {  # swept parameter, state of its value, fixed parameters the sidecar records
+        "classical_quantum": ("c", lambda v: classical_quantum(p, a, v), {"a": a}),
+        "symmetric_pair": ("a", lambda v: symmetric_pair(p, v, c, d), {"c": c, "d": d}),
+    }
+    if family not in families:
         raise ValueError(f"unknown state family {family!r}")
+    axis_name, builder, fixed = families[family]
     if axis_grid.ndim != 1 or not axis_grid.size:
         raise ValueError(f"the state axis must be a non-empty 1-D grid, got shape {axis_grid.shape}")
     (curves,), (wc0,) = _wc_curves(np.array([builder(v) for v in axis_grid]), [kind], [h], q_grid)
@@ -366,12 +365,8 @@ def grid_delta_wc(family: str, kind, axis_grid, q_grid=None, *, p=0.5, a=0.1, c=
         "axis": axis_name,
         "axis_points": len(axis_grid),
         "q_points": len(q_grid),
+        **fixed,
     }
-    if family == "classical_quantum":
-        meta["a"] = a
-    else:
-        meta["c"] = c
-        meta["d"] = d
     return SweepResult(cols, meta)
 
 

@@ -481,6 +481,30 @@ def _sum_local(op: np.ndarray, n: int) -> np.ndarray:
     return _class_matrix(_local_sum_classes(op, n), n)
 
 
+def _named_hamiltonian(kind: str, n, h: float, j: float):
+    """The one definition of each named Hamiltonian (``hamiltonian``): its class
+    coordinates (``matcore``), its dephasing, and the builder of its product
+    basis (of n) where that is not the computational one, else None."""
+    n = _integer(n, "qubit count")
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    if not (np.isfinite(h) and np.isfinite(j)):
+        raise ValueError(f"field h = {h} and coupling j = {j} must be finite")
+    if kind == "excitation":
+        return _local_sum_classes(np.outer(KET_E, KET_E.conj()), n), "product_basis", None
+    if kind == "z_sum":
+        return -0.5 * _local_sum_classes(SIGMA_Z, n), "product_basis", None
+    if kind == "x_sum":
+        return (1.0 if n == 1 else 0.5) * _local_sum_classes(SIGMA_X, n), "product_basis", x_product_basis
+    if kind not in ("xx_interacting", "z_plus_xx"):
+        raise ValueError(f"unknown Hamiltonian kind {kind!r}")
+    if n != 2:
+        raise ValueError(f"{kind} is a two-qubit Hamiltonian")
+    # z_plus_xx is nondegenerate for generic (h, j): block dephasing is already exact
+    field, dephasing = (SIGMA_X, "collective") if kind == "xx_interacting" else (SIGMA_Z, "block")
+    return h * _local_sum_classes(field, 2) + j * _class_coordinates(kron(SIGMA_X, SIGMA_X), 2), dephasing, None
+
+
 def hamiltonian(kind: str, n: int, h: float = 0.5, j: float = 0.4) -> Hamiltonian:
     """Build one of the named Hamiltonians on ``n`` qubits.
 
@@ -490,45 +514,24 @@ def hamiltonian(kind: str, n: int, h: float = 0.5, j: float = 0.4) -> Hamiltonia
       x_sum           sigma_x for n=1, else (1/2) sum_i sigma_x_i
       xx_interacting  h (sigma_x_1 + sigma_x_2) + j sigma_x x sigma_x, n=2
       z_plus_xx       h (sigma_z_1 + sigma_z_2) + j sigma_x x sigma_x, n=2
+
+    Each kind has one definition (``_named_hamiltonian``): this dense matrix gathers its
+    class coordinates (``matcore._class_matrix``, bitwise the sums of krons), and
+    ``_class_hamiltonian`` takes them as they are.
     """
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    if not (np.isfinite(h) and np.isfinite(j)):
-        raise ValueError(f"field h = {h} and coupling j = {j} must be finite")
-    if kind == "excitation":
-        mat = _sum_local(np.outer(KET_E, KET_E.conj()), n)
-        return Hamiltonian(mat, kind, "product_basis")
-    if kind == "z_sum":
-        mat = -0.5 * _sum_local(SIGMA_Z, n)
-        return Hamiltonian(mat, kind, "product_basis")
-    if kind == "x_sum":
-        scale = 1.0 if n == 1 else 0.5
-        mat = scale * _sum_local(SIGMA_X, n)
-        return Hamiltonian(mat, kind, "product_basis", x_product_basis(n))
-    if kind == "xx_interacting":
-        if n != 2:
-            raise ValueError("xx_interacting is a two-qubit Hamiltonian")
-        mat = h * _sum_local(SIGMA_X, 2) + j * kron(SIGMA_X, SIGMA_X)
-        return Hamiltonian(mat, kind, "collective")
-    if kind == "z_plus_xx":
-        if n != 2:
-            raise ValueError("z_plus_xx is a two-qubit Hamiltonian")
-        # nondegenerate for generic (h, j): block dephasing is already exact
-        mat = h * _sum_local(SIGMA_Z, 2) + j * kron(SIGMA_X, SIGMA_X)
-        return Hamiltonian(mat, kind)
-    raise ValueError(f"unknown Hamiltonian kind {kind!r}")
+    classes, dephasing, basis = _named_hamiltonian(kind, n, h, j)
+    return Hamiltonian(_class_matrix(classes, n), kind, dephasing, None if basis is None else basis(n))
 
 
 @functools.cache
 def _class_hamiltonian(kind: str, n: int) -> ClassHamiltonian:
-    """The ``ClassHamiltonian`` of ``hamiltonian(kind, n)``, built once, with no 2^n-sized array
-    for a local sum: the excitation energy, or the x field (n >= 2) or ``xx_interacting``, collective."""
-    if kind == "excitation":
-        classes, dephasing = _local_sum_classes(np.outer(KET_E, KET_E.conj()), n), "product_basis"
-    elif kind == "x_sum" and n >= 2:
-        classes, dephasing = 0.5 * _local_sum_classes(SIGMA_X, n), "collective"
-    elif kind == "xx_interacting":
-        classes, dephasing = _class_coordinates(hamiltonian(kind, n).matrix, n), "collective"
-    else:
+    """The ``ClassHamiltonian`` of ``hamiltonian(kind, n)``, built once from its class
+    coordinates, with no 2^n-sized array. The x field, dephased in the x product basis,
+    is split by collective spin, as the two-qubit story's trends need, from n = 2 on (at
+    n = 1 it is sigma_x, not half of it); block dephasing has no class form."""
+    classes, dephasing, basis = _named_hamiltonian(kind, n, 0.5, 0.4)
+    if basis is not None:
+        dephasing = "collective" if n > 1 else None
+    if dephasing not in ("product_basis", "collective"):
         raise ValueError(f"no class-coordinate {kind!r} Hamiltonian on {n} qubits")
     return ClassHamiltonian(kind, n, _read_only(_exact_real(classes)), dephasing)

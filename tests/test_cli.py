@@ -213,12 +213,51 @@ def test_argument_errors_exit_two(tmp_path):
     assert err.value.code == 2
 
 
-def test_outdir_env_default(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["single", "--channel", "bf", "--bloch", "0.1,0.2"], "--bloch: '0.1,0.2' is not a comma-separated triple"),
+        (["single", "--channel", "bf", "--bloch", "x,0.2,0.3"], "--bloch: 'x,0.2,0.3' is not comma-separated numbers"),
+        (["bds", "--channel", "bf", "--c", "0.1,0.2,0.3", "--q", "0,1"], "--q: grid spec '0,1' is not min,max,count"),
+        (
+            ["bds", "--channel", "bf", "--c", "0.1,0.2,0.3", "--q", "0,1,2.5"],
+            "--q: grid spec '0,1,2.5' is not min,max,count: two numbers and an integer",
+        ),
+        (
+            ["bds", "--channel", "bf", "--c", "0.1,0.2,0.3", "--q", "a,1,5"],
+            "--q: grid spec 'a,1,5' is not min,max,count: two numbers and an integer",
+        ),
+        (["scaling", "--n", "2..x"], "--n: sizes '2..x' are not lo..hi or comma-separated integers"),
+        (["scaling", "--n", "2,3.5"], "--n: sizes '2,3.5' are not lo..hi or comma-separated integers"),
+    ],
+)
+def test_argument_errors_exit_two_naming_the_expected_form(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        run(argv + ["-o", str(tmp_path / "z.csv")])
+    assert err.value.code == 2
+    assert f"error: argument {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "z.csv").exists()
+
+
+# one run of each subcommand, and the file name it writes without -o
+DEFAULT_NAMES = [
+    (["single", "--channel", "dc", "--bloch", "0.3,0.2,0.1", "--q", "0,1,11"], "single_depolarizing"),
+    (["bds", "--channel", "ad", "--c", "0.3,0.2,0.1", "--q", "0,1,5"], "bds_amplitude_damping"),
+    (["grid", "--family", "cq", "--channel", "pf", "--axis", "0,0.3,3", "--q", "0,1,5"], "grid_cq_phase_flip"),
+    (["grid", "--family", "pair", "--channel", "bpf", "--axis", "0.2,0.3,3", "--q", "0,1,5"], "grid_pair_bit_phase_flip"),
+    (["scaling", "--n", "2", "--channels", "bf", "--q-points", "5"], "scaling"),
+    (["census", "--channel", "dc", "--count", "3", "--q-points", "5"], "census_depolarizing"),
+    (["lindblad-check", "--kind", "ad", "--gamma", "0.5", "--t", "0,1,3", "--bloch", "0.1,0.2,0.3"], "lindblad_amplitude_damping"),
+    (["entangled", "--theta", "0,3,3", "--q", "0,1,5"], "entangled"),
+    (["appendix-d", "--q", "0,1,5"], "appendix_d"),
+]
+
+
+@pytest.mark.parametrize("argv, name", DEFAULT_NAMES, ids=[name for _, name in DEFAULT_NAMES])
+def test_outdir_env_default(tmp_path, monkeypatch, argv, name):
     monkeypatch.setenv("ERGONOISE_OUTDIR", str(tmp_path))
-    code = run(["single", "--channel", "dc", "--bloch", "0.3,0.2,0.1",
-                "--q", "0,1,11"])
-    assert code == 0
-    assert (tmp_path / "single_depolarizing.csv").exists()
+    assert run(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{name}.csv", f"{name}.meta.json"]
 
 
 def strict_json(text):

@@ -453,6 +453,42 @@ def test_spin_frames_exist_only_for_permutation_invariant_collective_hamiltonian
     assert not hamiltonian("x_sum", 3).identity_frame
 
 
+def kron_sum_hamiltonian(kind, n, h, j):
+    """Each named Hamiltonian as explicit sums of full krons, and the
+    single-qubit basis of its product basis, if not the computational one."""
+    x, _, z = PAULIS
+    if kind == "excitation":
+        return sum_local_loop(np.outer(KET_E, KET_E.conj()), n), None
+    if kind == "z_sum":
+        return -0.5 * sum_local_loop(z, n), None
+    if kind == "x_sum":
+        return (1.0 if n == 1 else 0.5) * sum_local_loop(x, n), qstate.HADAMARD
+    field = x if kind == "xx_interacting" else z
+    return h * sum_local_loop(field, 2) + j * kron(x, x), None
+
+
+NAMED = [(k, n) for k in ("excitation", "z_sum", "x_sum") for n in range(1, 5)] + [("xx_interacting", 2), ("z_plus_xx", 2)]
+
+
+@pytest.mark.parametrize("kind, n", NAMED)
+@pytest.mark.parametrize("h, j", [(0.5, 0.4), (-0.3, 0.7)])
+def test_named_hamiltonians_are_their_sums_of_krons(kind, n, h, j):
+    # an oracle independent of the class coordinates both views are read from
+    want, local_basis = kron_sum_hamiltonian(kind, n, h, j)
+    assert not want.imag.any()
+    got = hamiltonian(kind, n, h=h, j=j)
+    assert got.matrix.dtype == np.float64 and got.matrix.tobytes() == want.real.tobytes()
+    if local_basis is None:
+        assert got.basis is None
+    else:
+        assert got.basis.tobytes() == kron(*[local_basis] * n).tobytes()
+    if (h, j) != (0.5, 0.4) or kind == "z_plus_xx" or (kind, n) == ("x_sum", 1):
+        return  # the class route takes the default field and coupling, and no block dephasing
+    classes = qstate._class_hamiltonian(kind, n).classes
+    want = _class_coordinates(want, n)
+    assert classes.dtype == want.dtype and np.array_equal(classes, want)
+
+
 # the Hamiltonians the class route takes, and the sizes it takes them at
 CLASS_VIEWS = [("excitation", n) for n in range(2, 9)] + [("x_sum", n) for n in range(2, 9)] + [("xx_interacting", 2)]
 

@@ -56,6 +56,8 @@ L = jump_operator("bf")
         (lambda: symmetrized_multipartite(0.2, []), "need at least one local coherence"),
         (lambda: hamiltonian("excitation", 0), "need at least one qubit"),
         (lambda: hamiltonian("z_plus_xx", 3), "z_plus_xx is a two-qubit Hamiltonian"),
+        (lambda: hamiltonian("excitation", 2.5), "qubit count 2.5 is not an integer"),
+        (lambda: _class_hamiltonian("excitation", 2.5), "qubit count 2.5 is not an integer"),
         (
             lambda: _wc_curves(
                 _symmetrized_classes(0.2, [0.1, 0.12, 0.14, 0.16]), ["pf"], [hamiltonian("x_sum", 4)], q_grid_default(5)
