@@ -391,10 +391,9 @@ def _local_images(rhos, kind: str, qs: np.ndarray, targets) -> np.ndarray:
     vander = _vandermonde(kind, qs, terms.shape[1]).astype(terms.dtype, copy=False)
     count, d = len(terms), rhos.shape[-1]
     images = np.empty((count, len(qs), 1, d * d), dtype=terms.dtype)
-    for rows, state in zip(images, terms):
-        # one (1 x K) @ (K x d^2) product per strength: an image does
-        # not depend on the grid or the stack it is evaluated in
-        np.matmul(vander[:, None], state, out=rows)
+    # one (1 x K) @ (K x d^2) product per (state, strength): an image does
+    # not depend on the grid or the stack it is evaluated in
+    np.matmul(vander[None, :, None], terms[:, None], out=images)
     return images.reshape(count, len(qs), d, d)
 
 

@@ -12,7 +12,6 @@ files.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +42,8 @@ from .correlations import Z_SUM_2, correlation_work
 DEFAULT_Q_POINTS = 101
 AREA_Q_POINTS = 501
 ENHANCEMENT_AREA_TOL = 1e-12
+# the half-width of the central differences of interacting_depolarizing
+FD_STEP = 1e-4
 
 
 def q_grid_default(points: int = DEFAULT_Q_POINTS) -> np.ndarray:
@@ -114,28 +115,25 @@ def enhancement_summary(q_grid, delta_wc) -> EnhancementSummary:
 _shared_hamiltonian = functools.cache(hamiltonian)
 
 
-def _channel_energy(kind: str, n: int) -> str:
+def _channel_energy(kind: str) -> str:
     """The Hamiltonian of a channel kind: the dephasing kinds only show enhancement
     against an x field, depolarizing needs the interacting form; the rest take the
     local excitation energy."""
     energies = {ch.PHASE_FLIP: "x_sum", ch.PHASE_DAMPING: "x_sum", ch.DEPOLARIZING: "xx_interacting"}
-    name = energies.get(ch.canonical_kind(kind), "excitation")
-    if name == "xx_interacting" and n != 2:
-        raise ValueError("the interacting Hamiltonian is two-qubit only")
-    return name
+    return energies.get(ch.canonical_kind(kind), "excitation")
 
 
 def channel_hamiltonian(kind: str, n: int) -> Hamiltonian:
     """Per-channel energy choice of the grid and census runs, built once per
     process for each Hamiltonian, not for each channel, so that its levels
     and frames, on a frozen read-only ``Hamiltonian``, are computed once."""
-    return _shared_hamiltonian(_channel_energy(kind, n), n)
+    return _shared_hamiltonian(_channel_energy(kind), n)
 
 
 def _class_view(kind: str, n: int) -> ClassHamiltonian:
     """The same choice in class coordinates, as scaling splits against it: the x
     field dephased by collective spin, keeping the trends of the two-qubit story."""
-    return _class_hamiltonian(_channel_energy(kind, n), n)
+    return _class_hamiltonian(_channel_energy(kind), n)
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +250,18 @@ def _wc_curves(rho0, kinds, hamiltonians, q_grid) -> tuple[np.ndarray, np.ndarra
     kind), and W_C of rho0 itself against that Hamiltonian. Each kind, a
     repeated one or an alias too, keeps its row, in order.
 
-    The route follows the representation alone. A dense (d, d) state or
-    (S, d, d) stack gives (m, Q) or (m, S, Q) curves and (m,) or (m, S)
-    W_C(rho0), whatever the states' symmetry: per kind, the images of
-    every state (one ``channels._local_images`` call) and then the S
-    rho0 rows are joined into one stack and split by one ``decompose``,
-    so each kind's spectra are one eigvalsh. That dense route is the
-    oracle of the class route; it holds one kind's images of every state
-    at a time, and twice them for the moment of the join.
+    Both routes lay out each kind's curve the same way: one block of
+    Q + 1 rows, its Q images then rho0, so W_C(rho0) is the block's last
+    entry. The route follows the representation alone.
+
+    A dense (d, d) state or (S, d, d) stack gives (m, Q) or (m, S, Q)
+    curves and (m,) or (m, S) W_C(rho0), whatever the states' symmetry:
+    per kind, the images of every state (one ``channels._local_images``
+    call) are joined with the states along the strength axis, and the
+    (S, Q + 1) stack is split by one ``decompose``, so each kind's
+    spectra are one eigvalsh. That dense route is the oracle of the class
+    route; it holds one kind's images of every state at a time, and twice
+    them for the moment of the join.
 
     A 1-D rho0 is the C(N+3, 3) class coordinates of one
     permutation-invariant state, as ``scaling_run`` builds it, split
@@ -268,14 +270,12 @@ def _wc_curves(rho0, kinds, hamiltonians, q_grid) -> tuple[np.ndarray, np.ndarra
     by construction, so only the count is checked, before any expansion,
     as is the Hamiltonians' type on either route.
     The coordinates are taken float64 when exactly real
-    (``matcore._exact_real``). As on the dense route, the images come
-    first, then one split: each distinct kind's terms R_k of
+    (``matcore._exact_real``). Each kind's terms R_k of
     rho(q) = sum_k x(q)^k R_k (``channels._class_polynomial``) give its
-    (Q, D) images as vander @ terms, stacked by Hamiltonian (for each of
-    the H distinct ones the Q rows of every kind, then one rho0 row); the
-    (m Q + H, D) stack goes to one ``workx._block_coherent`` split, its
-    state side taken once for all rows. No 4^N-sized term is formed, and
-    what is cached per N is of order D^2.
+    (Q, D) images as vander @ terms, written into its block of one
+    (m, Q + 1, D) stack, which goes to one ``workx._block_coherent``
+    split, its state side taken once for all rows. No 4^N-sized term is
+    formed, and what is cached per N is of order D^2.
     """
     kinds = [ch.canonical_kind(k) for k in kinds]
     hamiltonians = list(hamiltonians)
@@ -289,41 +289,31 @@ def _wc_curves(rho0, kinds, hamiltonians, q_grid) -> tuple[np.ndarray, np.ndarra
         if not isinstance(h, want):
             route = "dense states" if want is Hamiltonian else "class coordinates"
             raise ValueError(f"{route} need qstate.{want.__name__} Hamiltonians, got {type(h).__name__}")
-    distinct = list(dict.fromkeys(hamiltonians))
+    points = len(q_grid)
     if want is Hamiltonian:
         rhos, _ = as_stack(rho0)
-        curves, wc0 = [], []
+        wc = []
         for kind, h in zip(kinds, hamiltonians):
             # the images are freed once copied into the join, so the
             # split's temporaries, not the join, set the peak
-            joined = np.concatenate([ch._local_images(rhos, kind, q_grid, None).reshape((-1,) + rhos.shape[1:]), rhos])
-            wc = workx.decompose(joined, h).coherent
-            curves.append(wc[: -len(rhos)])
-            wc0.append(wc[-len(rhos) :])
-        shape = (len(kinds),) + np.shape(rho0)[:-2]
-        return np.reshape(curves, shape + (len(q_grid),)), np.reshape(wc0, shape)
-    coords = _exact_real(rho0)
-    for h in distinct:
-        if len(coords) != len(h.classes):
-            raise ValueError(
-                f"class coordinate count {len(coords)} does not match Hamiltonian on "
-                f"{h.num_qubits} qubits, which needs C({h.num_qubits + 3}, 3) = {len(h.classes)}"
-            )
-    n, points = distinct[0].num_qubits, len(q_grid)
-    polys = {kind: ch._class_polynomial(coords, kind, n, q_grid) for kind in dict.fromkeys(kinds)}
-    images = np.empty((len(kinds) * points + len(distinct), len(coords)), coords.dtype)
-    curve_rows, wc0_rows, groups, row = [None] * len(kinds), {}, [], 0
-    for h in distinct:
-        start = row
-        for i in (i for i, g in enumerate(hamiltonians) if g is h):
-            terms, vander = polys[kinds[i]]
-            np.matmul(vander, terms, out=images[row:row + points])
-            curve_rows[i], row = slice(row, row + points), row + points
-        images[row] = coords
-        wc0_rows[h], row = row, row + 1
-        groups.append((h, slice(start, row)))
-    wc = workx._block_coherent(images, groups)
-    return np.array([wc[rows] for rows in curve_rows]), np.array([wc[wc0_rows[h]] for h in hamiltonians])
+            joined = np.concatenate([ch._local_images(rhos, kind, q_grid, None), rhos[:, None]], axis=1)
+            wc.append(workx.decompose(joined.reshape((-1,) + rhos.shape[1:]), h).coherent)
+        wc = np.reshape(wc, (len(kinds),) + np.shape(rho0)[:-2] + (points + 1,))
+    else:
+        coords = _exact_real(rho0)
+        for h in hamiltonians:
+            if len(coords) != len(h.classes):
+                raise ValueError(
+                    f"class coordinate count {len(coords)} does not match Hamiltonian on "
+                    f"{h.num_qubits} qubits, which needs C({h.num_qubits + 3}, 3) = {len(h.classes)}"
+                )
+        images = np.empty((len(kinds), points + 1, len(coords)), coords.dtype)
+        for kind, block in zip(kinds, images):
+            terms, vander = ch._class_polynomial(coords, kind, hamiltonians[0].num_qubits, q_grid)
+            np.matmul(vander, terms, out=block[:points])
+            block[points] = coords
+        wc = workx._block_coherent(images, hamiltonians)
+    return wc[..., :points], wc[..., points]
 
 
 def grid_delta_wc(family: str, kind, axis_grid, q_grid=None, *, p=0.5, a=0.1, c=0.3, d=0.2) -> SweepResult:
@@ -402,16 +392,16 @@ def scaling_run(
     energy; phase flip and phase damping the collective x field;
     depolarizing the interacting one, in class coordinates: ``_class_view``),
     goes to one ``_wc_curves`` call: the spin-block parts and block spectra
-    of the state are formed once, and only the dephased spectra and
-    W_C(rho0) once per Hamiltonian. No 4^N-sized array, nor a 2^N x 2^N
-    state or Hamiltonian, is formed. Memory per split is then the (K, D)
-    terms of each kind, K <= 2N + 1, and the (m Q + H, D) images,
-    (m Q + H, sum_J (2J+1)^2) blocks and (m Q + H, 2^N) block spectra of
-    Q strengths for m kinds and H Hamiltonians, beside the maps of order
-    D^2 cached per N (``matcore``) and the Hamiltonians' coordinates,
-    frames and levels, built once per process. The (m, Q) gains take one
-    ``enhancement_summary`` call per N. A kind named twice gets a row
-    each time, from one curve.
+    of every image and of rho0 are formed once, and the dephased spectra
+    once per run of adjacent kinds that share a Hamiltonian. No 4^N-sized
+    array, nor a 2^N x 2^N state or Hamiltonian, is formed. Memory per
+    split is then the (K, D) terms of one kind at a time, K <= 2N + 1, and
+    the (m (Q + 1), D) images, (m (Q + 1), sum_J (2J+1)^2) blocks and
+    (m (Q + 1), 2^N) block spectra of Q strengths and rho0 for m kinds,
+    beside the maps of order D^2 cached per N (``matcore``) and the
+    Hamiltonians' coordinates, frames and levels, built once per process.
+    The (m, Q) gains take one ``enhancement_summary`` call per N. A kind
+    named twice gets a row each time, from one curve.
     """
     kinds = [ch.canonical_kind(k) for k in kinds]
     n_values = sorted(set(_integer(n, "register size") for n in n_values))
@@ -613,26 +603,23 @@ def interacting_depolarizing(
     h: float = 0.5,
     j: float = 0.4,
     q_grid=None,
-    fd_step: float = 1e-4,
 ) -> SweepResult:
     """Depolarizing noise against the interacting x-field Hamiltonian.
 
     Per (a, q): coherent work, its gain, the degenerate-level coherence,
     and central finite differences of both passive-state energies, whose
-    slope crossover marks the enhancement window. a_values must be
-    non-empty, and fd_step finite and positive. The states of every a
-    value are evolved in one channel call, on one grid of the centre
-    strengths and their neighbours, and split by one ``decompose``.
+    slope crossover marks the enhancement window, with step FD_STEP.
+    a_values must be non-empty. The states of every a value are evolved
+    in one channel call, on one grid of the centre strengths and their
+    neighbours, and split by one ``decompose``.
     """
     q_grid = q_grid_default() if q_grid is None else ch.strengths(q_grid)
     if len(a_values) == 0:
         raise ValueError("appendix D needs at least one population value a, got none")
-    if not (math.isfinite(fd_step) and fd_step > 0.0):
-        raise ValueError(f"fd_step = {fd_step} must be finite and > 0")
     ham = _shared_hamiltonian("xx_interacting", 2, h=h, j=j)
     # the centre strengths, then their clipped neighbours, as one grid: a bad
     # centre q is reported first, and valid ones keep neighbours in [0, 1]
-    lo_q, hi_q = np.maximum(0.0, q_grid - fd_step), np.minimum(1.0, q_grid + fd_step)
+    lo_q, hi_q = np.maximum(0.0, q_grid - FD_STEP), np.minimum(1.0, q_grid + FD_STEP)
     grid = np.concatenate([q_grid, lo_q, hi_q])
     points = len(q_grid)
     centre, lo, hi = (slice(k * points, (k + 1) * points) for k in range(3))
@@ -662,7 +649,7 @@ def interacting_depolarizing(
         "h": h,
         "j": j,
         "q_points": len(q_grid),
-        "fd_step": fd_step,
+        "fd_step": FD_STEP,
         "dephasing": ham.dephasing,
     }
     return SweepResult(cols, meta)

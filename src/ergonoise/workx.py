@@ -34,16 +34,17 @@ report's total less its incoherent part only to rounding.
 The block route serves whole noise curves of one permutation-invariant
 state given by its class coordinates (``matcore``: one value per class
 of entries, C(n+3, 3) of them), under the same channel on every qubit
-(``_block_coherent``). It takes the images in class coordinates and
-splits them against one or more Hamiltonians, each on its own rows.
+(``_block_coherent``). It takes an (m, R, D) stack of states in class
+coordinates, each of the m blocks with its own Hamiltonian (as
+``experiments._wc_curves`` lays out a kind's Q images then rho0).
 Everything but the spectra (the spin blocks W_J^T rho W_J, Tr rho and
 diag rho) is read from those coordinates by a fixed linear map. The
 state side (the blocks, the checks and one eigvalsh per spin block) is
-done once for all rows; only the dephased side is per Hamiltonian. The
-Hamiltonians are held in class coordinates too (``qstate.ClassHamiltonian``)
-and dephase blockwise: a collective one in the eigenbasis of W_J^T H W_J
-(its ``spin_frames``), where J^2 is constant, so no 2^n-sized matrix is
-formed or solved.
+done once for all rows; only the dephased side is per run of adjacent
+blocks that share a Hamiltonian. The Hamiltonians are held in class
+coordinates too (``qstate.ClassHamiltonian``) and dephase blockwise: a
+collective one in the eigenbasis of W_J^T H W_J (its ``spin_frames``),
+where J^2 is constant, so no 2^n-sized matrix is formed or solved.
 
 The single-qubit closed forms read no channel kind: the Bloch vectors m
 from ``channels.bloch_map`` and one row (axis, sign, e0, g) per basis,
@@ -57,6 +58,7 @@ batched SVD) and ``coherence_degenerate`` (one batched eigvalsh of the
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,7 +178,7 @@ def _coherent(lam, lam_deph, levels) -> np.ndarray:
     """W_C of a stack of states from its ascending spectra and ascending
     dephased spectra: the dephased passive energy less the passive energy,
     with no Tr H rho, which cancels. Every split reads W_C from here."""
-    return (lam_deph - lam)[:, ::-1] @ levels
+    return (lam_deph - lam)[..., ::-1] @ levels
 
 
 def _split(energy, lam, lam_deph, levels) -> tuple[np.ndarray, ...]:
@@ -218,31 +220,35 @@ def decompose(rho, h) -> ErgotropyReport:
     return report[0] if single else report
 
 
-def _block_coherent(coords, groups) -> np.ndarray:
-    """Coherent work of the (R,) stack of permutation-invariant states on n
-    qubits given by their (R, D) class coordinates. ``groups`` pairs each
-    ``qstate.ClassHamiltonian`` on n qubits with the slice of rows split
-    against it; the slices cover every row.
+def _block_coherent(coords, hamiltonians) -> np.ndarray:
+    """Coherent work of the (m, R) stack of permutation-invariant states on
+    n qubits given by their (m, R, D) class coordinates: the R states of
+    block i are split against ``hamiltonians[i]``, one
+    ``qstate.ClassHamiltonian`` on n qubits per block.
 
     The state side is done once for all rows: the spin blocks
     W_J^T rho W_J (``matcore._class_block_parts``) and Tr rho are read
     from the coordinates, every state is validated as ``decompose``
     validates one (Hermitian on its blocks, trace one, PSD), and its
-    spectrum is one eigvalsh per spin block. Per Hamiltonian, the dephased
-    spectra are diag rho sorted (``matcore._class_diagonal``) or, under a
-    collective one, each block dephased in its spin frame and spread
-    (``matcore._spin_spectrum``), read against its ``levels`` by
+    spectrum is one eigvalsh per spin block. Each run of adjacent blocks
+    that share a Hamiltonian is dephased on its contiguous slice, so no
+    state is copied: diag rho sorted (``matcore._class_diagonal``) or,
+    under a collective one, each block dephased in its spin frame and
+    spread (``matcore._spin_spectrum``), read against its ``levels`` by
     ``_coherent``.
     """
-    n = groups[0][0].num_qubits
+    n = hamiltonians[0].num_qubits
     parts = _class_block_parts(coords, n)
     for p in parts:
         _require_hermitian(p)
     _require_trace(_class_trace(coords, n).real)
     lam = _block_spectrum(parts, n)
     _require_psd(lam)
-    wc = np.empty(len(coords))
-    for h, rows in groups:
+    wc = np.empty(coords.shape[:-1])
+    start = 0
+    for h, run in itertools.groupby(hamiltonians):
+        rows = slice(start, start + len(list(run)))
+        start = rows.stop
         if h.spin_frames is None:
             lam_deph = np.sort(_class_diagonal(coords[rows], n).real, axis=-1)
         else:

@@ -285,17 +285,16 @@ def test_scaling_rejects_depolarizing_past_two_qubits_before_any_curve(monkeypat
     assert not curves
 
 
-def test_scaling_splits_rho0_once_per_hamiltonian(monkeypatch):
-    # one class split per N, N = 2 included, takes every curve and W_C(rho0)
-    # against each distinct Hamiltonian: bit flip and amplitude damping share
-    # the excitation energy (2 curves and rho0: 11 rows of 5 strengths), phase
-    # flip has the collective x field (6 rows); no state is split densely
+def test_scaling_splits_every_kind_in_one_block_stack_per_n(monkeypatch):
+    # one class split per N, N = 2 included, takes every curve and W_C(rho0):
+    # each kind one block of its 5 strengths then rho0, under that kind's
+    # class-coordinate Hamiltonian, in request order; no state is split densely
     class_splits, dense_splits = [], []
     block_coherent, dense = workx._block_coherent, workx.decompose
 
-    def counting_blocks(coords, groups):
-        class_splits.append([(h, rows.stop - rows.start) for h, rows in groups])
-        return block_coherent(coords, groups)
+    def counting_blocks(coords, hamiltonians):
+        class_splits.append((coords.shape[:-1], list(hamiltonians)))
+        return block_coherent(coords, hamiltonians)
 
     def counting_dense(rho, h):
         dense_splits.append(h)
@@ -303,11 +302,10 @@ def test_scaling_splits_rho0_once_per_hamiltonian(monkeypatch):
 
     monkeypatch.setattr(workx, "_block_coherent", counting_blocks)
     monkeypatch.setattr(workx, "decompose", counting_dense)
-    ex.scaling_run(kinds=("bf", "pf", "ad"), n_values=(2, 3, 4), q_points=5)
+    kinds = ("bf", "pf", "ad")
+    ex.scaling_run(kinds=kinds, n_values=(2, 3, 4), q_points=5)
     assert not dense_splits
-    assert class_splits == [[(ex._class_view("bf", n), 11), (ex._class_view("pf", n), 6)] for n in (2, 3, 4)]
-    for n in (2, 3, 4):
-        assert ex._class_view("ad", n) is ex._class_view("bf", n)
+    assert class_splits == [((3, 6), [ex._class_view(kind, n) for kind in kinds]) for n in (2, 3, 4)]
 
 
 def test_cold_scaling_solves_no_dense_collective_spectrum(monkeypatch):
@@ -763,24 +761,14 @@ def test_interacting_depolarizing_matches_per_q_oracle():
     # 1100 strengths: one 3300-point curve from one channel call
     q_grid = np.sort(np.random.default_rng(4).uniform(0, 1, 1100))
     q_grid[[0, -1]] = 0.0, 1.0  # neighbours clipped at both ends
-    res = ex.interacting_depolarizing(a_values=(0.1,), q_grid=q_grid, fd_step=1e-3)
-    oracle = appendix_d_oracle((0.1,), q_grid, 1e-3)
+    res = ex.interacting_depolarizing(a_values=(0.1,), q_grid=q_grid)
+    oracle = appendix_d_oracle((0.1,), q_grid, ex.FD_STEP)
     for name, col in oracle.items():
         np.testing.assert_allclose(res.columns[name], col, rtol=0, atol=1e-12)
     res = ex.interacting_depolarizing(a_values=(0.1, 0.4), q_grid=np.linspace(0, 1, 21))
-    oracle = appendix_d_oracle((0.1, 0.4), np.linspace(0, 1, 21), 1e-4)
+    oracle = appendix_d_oracle((0.1, 0.4), np.linspace(0, 1, 21), ex.FD_STEP)
     for name, col in oracle.items():
         np.testing.assert_allclose(res.columns[name], col, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("fd_step", [0.0, -1e-4, float("nan")])
-def test_interacting_depolarizing_rejects_a_bad_step_before_any_channel(fd_step, monkeypatch):
-    def no_channel(*args):
-        raise AssertionError("ran a channel")
-
-    monkeypatch.setattr(ch, "_local_images", no_channel)
-    with pytest.raises(ValueError, match=rf"fd_step = {fd_step} must be finite and > 0"):
-        ex.interacting_depolarizing(fd_step=fd_step)
 
 
 def test_single_state_curves_take_one_split_each(monkeypatch):
@@ -1109,6 +1097,21 @@ def test_batched_split_matches_per_kind_curves(n, kinds, which, a, q_points):
     for kind, row, row_wc0 in zip(kinds, curves, wc0):
         expected = ex._wc_curves(coords, [kind], [h], q_grid)[0][0] - separate
         assert np.abs((row - row_wc0) - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_split_of_kinds_sharing_hamiltonians_apart_matches_one_kind_calls(n):
+    # the excitation energy (ad, bf, bpf) and the collective x field (pf, pd)
+    # alternate, so no two kinds that share a Hamiltonian are adjacent
+    kinds = ["ad", "pf", "bf", "pd", "bpf"]
+    coords = qstate._symmetrized_classes(0.2, 0.1 + 0.02 * np.arange(1, n + 1))
+    q_grid = ex.q_grid_default(21)
+    hs = [ex._class_view(kind, n) for kind in kinds]
+    curves, wc0 = ex._wc_curves(coords, kinds, hs, q_grid)
+    for kind, h, curve, row_wc0 in zip(kinds, hs, curves, wc0):
+        (alone,), (alone_wc0,) = ex._wc_curves(coords, [kind], [h], q_grid)
+        assert np.abs(curve - alone).max() <= 1e-12
+        assert abs(row_wc0 - alone_wc0) <= 1e-12
 
 
 def test_curves_need_at_least_one_kind_and_one_hamiltonian_per_kind():

@@ -30,7 +30,7 @@ L = jump_operator("bf")
         (lambda: q_of_t("bf", -1.0, 0.5), "gamma and t must be nonnegative"),
         (lambda: q_grid_default(1), "grids need at least two points"),
         (lambda: SweepResult({"a": np.arange(2), "b": np.arange(1)}), "ragged columns: lengths [1, 2]"),
-        (lambda: channel_hamiltonian("dc", 3), "the interacting Hamiltonian is two-qubit only"),
+        (lambda: channel_hamiltonian("dc", 3), "xx_interacting is a two-qubit Hamiltonian"),
         (
             lambda: state_spectra(np.empty((0, 4, 4))),
             "expected a matrix or a non-empty stack of matrices, got shape (0, 4, 4)",
