@@ -393,7 +393,7 @@ def scaling_run(
     depolarizing the interacting one, in class coordinates: ``_class_view``),
     goes to one ``_wc_curves`` call: the spin-block parts and block spectra
     of every image and of rho0 are formed once, and the dephased spectra
-    once per run of adjacent kinds that share a Hamiltonian. No 4^N-sized
+    once per kind. No 4^N-sized
     array, nor a 2^N x 2^N state or Hamiltonian, is formed. Memory per
     split is then the (K, D) terms of one kind at a time, K <= 2N + 1, and
     the (m (Q + 1), D) images, (m (Q + 1), sum_J (2J+1)^2) blocks and

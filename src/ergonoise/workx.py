@@ -40,8 +40,8 @@ coordinates, each of the m blocks with its own Hamiltonian (as
 Everything but the spectra (the spin blocks W_J^T rho W_J, Tr rho and
 diag rho) is read from those coordinates by a fixed linear map. The
 state side (the blocks, the checks and one eigvalsh per spin block) is
-done once for all rows; only the dephased side is per run of adjacent
-blocks that share a Hamiltonian. The Hamiltonians are held in class
+done once for all rows; only the dephased side is per block. The
+Hamiltonians are held in class
 coordinates too (``qstate.ClassHamiltonian``) and dephase blockwise: a
 collective one in the eigenbasis of W_J^T H W_J (its ``spin_frames``),
 where J^2 is constant, so no 2^n-sized matrix is formed or solved.
@@ -58,7 +58,6 @@ batched SVD) and ``coherence_degenerate`` (one batched eigvalsh of the
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,12 +229,11 @@ def _block_coherent(coords, hamiltonians) -> np.ndarray:
     W_J^T rho W_J (``matcore._class_block_parts``) and Tr rho are read
     from the coordinates, every state is validated as ``decompose``
     validates one (Hermitian on its blocks, trace one, PSD), and its
-    spectrum is one eigvalsh per spin block. Each run of adjacent blocks
-    that share a Hamiltonian is dephased on its contiguous slice, so no
-    state is copied: diag rho sorted (``matcore._class_diagonal``) or,
-    under a collective one, each block dephased in its spin frame and
-    spread (``matcore._spin_spectrum``), read against its ``levels`` by
-    ``_coherent``.
+    spectrum is one eigvalsh per spin block. Each block is then dephased
+    under its own Hamiltonian: diag rho sorted (``matcore._class_diagonal``)
+    or, under a collective one, each spin block dephased in its spin frame
+    and spread (``matcore._spin_spectrum``), read against its ``levels``
+    by ``_coherent``.
     """
     n = hamiltonians[0].num_qubits
     parts = _class_block_parts(coords, n)
@@ -245,18 +243,15 @@ def _block_coherent(coords, hamiltonians) -> np.ndarray:
     lam = _block_spectrum(parts, n)
     _require_psd(lam)
     wc = np.empty(coords.shape[:-1])
-    start = 0
-    for h, run in itertools.groupby(hamiltonians):
-        rows = slice(start, start + len(list(run)))
-        start = rows.stop
+    for i, h in enumerate(hamiltonians):
         if h.spin_frames is None:
-            lam_deph = np.sort(_class_diagonal(coords[rows], n).real, axis=-1)
+            lam_deph = np.sort(_class_diagonal(coords[i], n).real, axis=-1)
         else:
             lam_deph = _spin_spectrum(
-                [_dephased_spectra(u.conj().T @ p[rows] @ u, kept) for p, (u, kept, _) in zip(parts, h.spin_frames)],
+                [_dephased_spectra(u.conj().T @ p[i] @ u, kept) for p, (u, kept, _) in zip(parts, h.spin_frames)],
                 n,
             )
-        wc[rows] = _coherent(lam[rows], lam_deph, h.levels)
+        wc[i] = _coherent(lam[i], lam_deph, h.levels)
     return wc
 
 
